@@ -1,0 +1,129 @@
+"""Print the library's answers on a fixed input set, and one digest of them.
+
+One line per input: its label, then the JSON answer or the exception it
+raised.  The inputs are every named fixture and small extremal pencil under
+every cone kind, a seeded sweep of random pencils of dims 3-16, random
+identically singular pencils, and membership and level-set queries.  The
+last line is the SHA-256 of all the others, so two versions of the library
+give the same answers when they print the same digest:
+
+    python scripts/answer_digest.py                     # this checkout
+    python scripts/answer_digest.py --src OTHER/src     # another checkout
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import sys
+
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SEED = 20110622
+CONES = (("zero", ()), ("full", ()), ("ray", (0.7,)), ("line", (2.0,)),
+         ("sector", (0.3, 1.9)), ("halfplane", (1.1,)))
+
+
+def _random_pair(rng, dim):
+    a = rng.standard_normal((dim, dim))
+    b = rng.standard_normal((dim, dim))
+    return 0.5 * (a + a.T), 0.5 * (b + b.T)
+
+
+def _singular_pair(rng, dim):
+    """A random pair with a shared kernel vector: det vanishes identically."""
+    q0, q1 = _random_pair(rng, dim)
+    v = rng.standard_normal(dim)
+    v /= np.linalg.norm(v)
+    proj = np.eye(dim) - np.outer(v, v)
+    a, b = proj @ q0 @ proj, proj @ q1 @ proj
+    return 0.5 * (a + a.T), 0.5 * (b + b.T)
+
+
+def inputs(Q):
+    """(label, thunk) for every input, in a fixed order."""
+    fx, apps = Q.fixtures, Q.applications
+    pencils = {name: getattr(fx, name)() for name in (
+        "bouquet", "complex_squaring", "doubled_squaring", "tripled_squaring",
+        "padded_squaring", "four_lines", "identically_singular_pair")}
+    pencils["definite_form-3"] = fx.definite_form(3)
+    for n in range(1, 9):
+        pencils[f"extremal-{n}"] = apps.extremal_family(n)
+    out = []
+    for name, p in pencils.items():
+        for kind, args in CONES:
+            cone = getattr(Q.PlanarCone, kind)(*args)
+            out.append((f"{name}/{kind}", lambda p=p, cone=cone: analysis(Q, p, cone)))
+    rng = np.random.default_rng(SEED)
+    zero = Q.PlanarCone.zero()
+    for dim in range(3, 17):
+        for i in range(6):
+            p = Q.QuadraticPencil(*_random_pair(rng, dim))
+            out.append((f"random-{dim}-{i}", lambda p=p: analysis(Q, p, zero)))
+    for dim in range(3, 7):
+        for i in range(3):
+            p = Q.QuadraticPencil(*_singular_pair(rng, dim))
+            out.append((f"singular-{dim}-{i}", lambda p=p: analysis(Q, p, zero)))
+    for dim in range(3, 7):
+        for i in range(4):
+            q0, q1 = _random_pair(rng, dim)
+            p = Q.QuadraticPencil(q0, q1)
+            x = rng.standard_normal(dim)
+            y = (float(x @ q0 @ x), float(x @ q1 @ x))
+            c = (float(rng.standard_normal()), float(rng.standard_normal()))
+            out.append((f"member-{dim}-{i}",
+                        lambda p=p, c=c: membership(apps.image_membership(p, c))))
+            out.append((f"level-set-{dim}-{i}", lambda p=p, y=y: level(
+                apps.level_set_betti(apps.LevelProblem(p, y)))))
+            out.append((f"ineq-level-set-{dim}-{i}", lambda p=p, c=c: level(
+                apps.inequality_level_set(apps.LevelProblem(p, c, mode="ineq")))))
+    return out
+
+
+def analysis(Q, p, cone):
+    res = Q.analyze(p, cone)
+    data = Q.result_json(res)
+    data["breakpoints"] = [round(b, 10)
+                           for b in res.filtration.profile.breakpoint_angles()]
+    return data
+
+
+def membership(answer):
+    member, cert = answer
+    return {"member": member, "kind": cert.kind, "mu": cert.mu}
+
+
+def level(res):
+    return {"nonempty": res.nonempty, "b_tilde": list(res.b_tilde),
+            "min_negative_index": res.min_negative_index}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=os.path.join(ROOT, "src"),
+                        help="directory holding the quadrics package "
+                             "(default: this checkout's src)")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, os.path.abspath(args.src))
+    import quadrics as Q
+    import quadrics.applications  # noqa: F401  (bound as Q.applications)
+    import quadrics.fixtures  # noqa: F401
+
+    digest = hashlib.sha256()
+    for label, thunk in inputs(Q):
+        try:
+            answer = json.dumps(thunk(), sort_keys=True, separators=(",", ":"))
+        except Q.QuadricsError as exc:
+            answer = f"{type(exc).__name__}: {exc}"
+        line = f"{label} {answer}"
+        print(line)
+        digest.update(line.encode() + b"\n")
+    print(f"sha256 {digest.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

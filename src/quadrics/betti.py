@@ -134,11 +134,13 @@ def betti_complement(p: QuadraticPencil, cone: PlanarCone,
 
 def euler_x(p: QuadraticPencil, cone: PlanarCone,
             cfg: ToleranceConfig = DEFAULT_CONFIG,
-            filtration: FiltrationReport | None = None) -> int:
+            filtration: FiltrationReport | None = None,
+            table: SpectralTable | None = None) -> int:
     """Euler characteristic via the alternating sum of superlevel counts.
 
     Cross-checked against the alternating sum of the table's Betti numbers;
     a mismatch raises, since both must agree exactly for integer inputs.
+    A table already built from the same filtration can be passed in.
     """
     filt = filtration if filtration is not None else filtration_for_cone(p, cone, cfg)
     n = p.n
@@ -147,7 +149,8 @@ def euler_x(p: QuadraticPencil, cone: PlanarCone,
     for j in range(0, n + 1):
         acc += (-1) ** (j + 1) * euler_circle(filt.omega(j + 1))
     chi = (-1) ** n * acc
-    table = build_table(p, cone, cfg, filtration=filt)
+    if table is None:
+        table = build_table(p, cone, cfg, filtration=filt)
     report = betti_x(table)
     if not report.empty and chi != report.chi:
         raise NumericalError(
@@ -338,7 +341,7 @@ def analyze(p: QuadraticPencil, cone: PlanarCone,
     filt = filtration_for_cone(p, cone, cfg)
     table = build_table(p, cone, cfg, filtration=filt)
     report = betti_x(table)
-    chi = euler_x(p, cone, cfg, filtration=filt)
+    chi = euler_x(p, cone, cfg, filtration=filt, table=table)
     return AnalysisResult(filt, table, report, chi)
 
 

@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -110,7 +111,7 @@ def _cmd_betti_x(args) -> int:
     smooth = args.smooth or bool(extra.get("smooth"))
     data["violations"] = check_bounds(res.report, smooth=smooth)
     if getattr(args, "verify", False):
-        data["oracle"] = verify_analysis(pencil, cone, cfg)
+        data["oracle"] = verify_analysis(pencil, cone, cfg, result=res)
     _write_output(args, data)
     return 0
 
@@ -269,7 +270,7 @@ def _cmd_verify(args) -> int:
     pencil, cone, _ = load_problem(_read_input(args))
     cfg = _config_from(args)
     res = analyze(pencil, cone, cfg)
-    oracle = verify_analysis(pencil, cone, cfg)
+    oracle = verify_analysis(pencil, cone, cfg, result=res)
     data = result_json(res)
     data["oracle"] = oracle
     _write_output(args, data)
@@ -280,8 +281,22 @@ def _cmd_verify(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads every negative number as a value.
+
+    argparse's own test for a negative number misses exponent notation, so
+    "--c -1e-05 0.5" would take -1e-05 for an option.  No option here looks
+    like a number, so the wider test is unambiguous.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quadrics",
         description="Topological invariants of sets cut out by two quadratic "
                     "forms, from inertia analysis over the circle.")

@@ -26,12 +26,12 @@ from .circle import (
 from .config import DEFAULT_CONFIG, ToleranceConfig
 from .errors import NumericalError
 from .pencil import (
+    FamilySpectrum,
     InertiaTriple,
     QuadraticPencil,
     RegularizedPencil,
     cluster_tol,
     degenerate_locus,
-    inertia,
     regularize,
 )
 
@@ -223,6 +223,11 @@ def _find_jump(evalf, a: float, b: float, va: InertiaTriple, vb: InertiaTriple,
     return 0.5 * (lo + hi)
 
 
+def _thirds(a: float, b: float) -> tuple[float, float]:
+    length = b - a
+    return a + length / 3.0, a + 2.0 * length / 3.0
+
+
 def _scan_segment(evalf, a: float, b: float, cfg: ToleranceConfig,
                   found: list[float], depth: int = 0) -> InertiaTriple:
     """Verify constancy on the open segment (a, b), collecting jump angles.
@@ -234,8 +239,7 @@ def _scan_segment(evalf, a: float, b: float, cfg: ToleranceConfig,
     """
     if len(found) > _MAX_EXTRA_BREAKPOINTS or depth > 24:
         raise NumericalError("breakpoint refinement did not converge")
-    length = b - a
-    samples = [a + length / 3.0, a + 2.0 * length / 3.0]
+    samples = _thirds(a, b)
     values = [evalf(t) for t in samples]
     if values[0] != values[1]:
         z = _find_jump(evalf, samples[0], samples[1],
@@ -246,10 +250,14 @@ def _scan_segment(evalf, a: float, b: float, cfg: ToleranceConfig,
     return values[0]
 
 
-def _segment_values(evalf, edges: list[float], cfg: ToleranceConfig
+def _segment_values(spectrum: FamilySpectrum, edges: list[float], cfg: ToleranceConfig
                     ) -> tuple[list[float], list[InertiaTriple]]:
-    """Split [edges] further until every open segment carries constant inertia."""
+    """Split [edges] further until every open segment carries constant inertia.
+
+    The edges and the thirds of every segment are solved in one stacked call.
+    """
     work = list(edges)
+    spectrum.prefetch([*work, *(t for a, b in zip(work, work[1:]) for t in _thirds(a, b))])
     values: list[InertiaTriple] = []
     i = 0
     guard = 0
@@ -258,7 +266,7 @@ def _segment_values(evalf, edges: list[float], cfg: ToleranceConfig
         if guard > 4 * _MAX_EXTRA_BREAKPOINTS:
             raise NumericalError("segment refinement exceeded its budget")
         found: list[float] = []
-        v = _scan_segment(evalf, work[i], work[i + 1], cfg, found)
+        v = _scan_segment(spectrum, work[i], work[i + 1], cfg, found)
         if found:
             work[i + 1:i + 1] = sorted(found)
             continue
@@ -267,49 +275,59 @@ def _segment_values(evalf, edges: list[float], cfg: ToleranceConfig
     return work, values
 
 
-def _make_dip_finder(matrix_at, deriv_at, value_at, thr: float, ctol: float):
-    """Newton search for an isolated interior zero of the smallest eigenvalue.
+def _find_dips(p: QuadraticPencil, spectrum: FamilySpectrum, edges: list[float],
+               arc_vals: list[InertiaTriple], ctol: float) -> list[float]:
+    """Newton search for isolated interior zeros of the smallest eigenvalue.
 
     A family whose determinant vanishes identically can drop rank at single
     points strictly inside an arc of the partition; interior samples never
-    land on them.  The zero of the crossing eigenvalue is found from the arc
-    midpoint; a hit counts only when it changes the inertia triple.
+    land on them.  The zero of the crossing eigenvalue is sought from every
+    arc midpoint at once, one stacked eigh per Newton step; a hit counts only
+    when it changes the inertia triple.  Returns the hits in arc order.
     """
-
-    def find(lo: float, hi: float, arc_value: InertiaTriple) -> float | None:
-        theta = 0.5 * (lo + hi)
-        for _ in range(8):
-            w, v = np.linalg.eigh(matrix_at(theta))
-            k = int(np.argmin(np.abs(w)))
-            lam = float(w[k])
+    thr = spectrum.thr
+    arcs = list(zip(edges, edges[1:]))
+    theta = [0.5 * (lo + hi) for lo, hi in arcs]
+    missed = [False] * len(arcs)
+    active = list(range(len(arcs)))
+    for _ in range(8):
+        if not active:
+            break
+        w, v = np.linalg.eigh(spectrum.family.at_many([theta[i] for i in active]))
+        moving = []
+        for j, i in enumerate(active):
+            k = int(np.argmin(np.abs(w[j])))
+            lam = float(w[j][k])
             if abs(lam) <= 0.01 * thr:
-                break
-            vec = v[:, k]
-            slope = float(vec @ deriv_at(theta) @ vec)
+                continue
+            vec = v[j][:, k]
+            slope = float(vec @ p.derivative_at(theta[i]) @ vec)
             if abs(slope) < 1e-12:
-                return None
-            theta -= lam / slope
-            if not (lo + ctol < theta < hi - ctol):
-                return None
-        w = np.linalg.eigvalsh(matrix_at(theta))
-        if float(np.min(np.abs(w))) > thr:
-            return None
-        if value_at(theta) == arc_value:
-            return None
-        return theta
+                missed[i] = True
+                continue
+            theta[i] -= lam / slope
+            lo, hi = arcs[i]
+            if not (lo + ctol < theta[i] < hi - ctol):
+                missed[i] = True
+                continue
+            moving.append(i)
+        active = moving
+    hits = [i for i in range(len(arcs)) if not missed[i]]
+    spectrum.prefetch([theta[i] for i in hits])
+    return [theta[i] for i in hits
+            if min(map(abs, spectrum.eigenvalues(theta[i]))) <= thr
+            and spectrum(theta[i]) != arc_vals[i]]
 
-    return find
 
-
-def _refine_partition(value_at, edges: list[float], cfg: ToleranceConfig,
-                      cyclic: bool, dip_finder=None
+def _refine_partition(p: QuadraticPencil, value_at: FamilySpectrum, edges: list[float],
+                      cfg: ToleranceConfig, cyclic: bool, find_dips: bool
                       ) -> tuple[list[float], list[InertiaTriple], list[InertiaTriple]]:
     """Arc and breakpoint values over a partition, with semicontinuity repair.
 
     A breakpoint whose inertia exceeds a neighbouring arc value signals a jump
     hiding between the arc's interior samples and the breakpoint (candidates
     from a shifted family sit near, not on, the true jumps); such jumps are
-    located by bisection and the partition is rebuilt.  The dip finder
+    located by bisection and the partition is rebuilt.  The dip search
     contributes isolated interior rank drops that sampling cannot see.
 
     edges is ascending; for a cyclic partition the last edge repeats the first
@@ -321,12 +339,12 @@ def _refine_partition(value_at, edges: list[float], cfg: ToleranceConfig,
         edges, arc_vals = _segment_values(value_at, edges, cfg)
         m = len(arc_vals)
         points = edges[:-1] if cyclic else edges[1:-1]
+        value_at.prefetch(points)  # edges the scan inserted
         point_vals = [value_at(b) for b in points]
         inserts: list[float] = []
-        if dip_finder is not None:
-            for i in range(m):
-                dip = dip_finder(edges[i], edges[i + 1], arc_vals[i])
-                if dip is not None and min(abs(dip - e) for e in edges) > ctol:
+        if find_dips:
+            for dip in _find_dips(p, value_at, edges, arc_vals, ctol):
+                if min(abs(dip - e) for e in edges) > ctol:
                     inserts.append(dip)
         for idx in range(len(points)):
             pv = point_vals[idx]
@@ -364,7 +382,7 @@ def _dedupe_sorted(angles: list[float], tol: float) -> list[float]:
 
 def index_profile(p: QuadraticPencil, domain: CircleSubset,
                   cfg: ToleranceConfig = DEFAULT_CONFIG,
-                  evalf: Callable[[float], np.ndarray] | None = None,
+                  family: QuadraticPencil | RegularizedPencil | None = None,
                   candidates: list[float] | None = None,
                   find_dips: bool = True) -> IndexProfile:
     """Inertia profile of a family over a circle domain.
@@ -373,22 +391,15 @@ def index_profile(p: QuadraticPencil, domain: CircleSubset,
     from its degenerate locus (from the regularized locus when the determinant
     vanishes identically).  Arcs are verified constant by interior samples;
     disagreements trigger bisection refinement, so missed candidates are
-    recovered rather than silently absorbed.
+    recovered rather than silently absorbed.  Every inertia value comes from
+    one FamilySpectrum, so each angle is solved once per profile.
     """
-    if evalf is None:
-        matrix_at = p.at
+    if family is None:
+        family = p
+        family_scale = p.scale()  # already bounds the member at 0, which is Q0
     else:
-        matrix_at = evalf
-    family_scale = max(p.scale(), float(np.linalg.norm(matrix_at(0.0), 2)))
-
-    def value_at(theta: float) -> InertiaTriple:
-        return inertia(matrix_at(theta), cfg, scale=family_scale)
-
-    dip_finder = None
-    if find_dips:
-        dip_finder = _make_dip_finder(matrix_at, p.derivative_at, value_at,
-                                      cfg.tol_eig * family_scale,
-                                      cluster_tol(cfg))
+        family_scale = max(p.scale(), float(np.linalg.norm(family.at(0.0), 2)))
+    value_at = FamilySpectrum(family, family_scale, cfg)
 
     if domain.is_empty():
         return IndexProfile(domain, ())
@@ -418,9 +429,9 @@ def index_profile(p: QuadraticPencil, domain: CircleSubset,
                 components.append(FullCircleProfile((), (v,), ()))
         if bps:
             edges = bps + [bps[0] + TWO_PI]
-            edges, arc_vals, point_vals = _refine_partition(value_at, edges, cfg,
+            edges, arc_vals, point_vals = _refine_partition(p, value_at, edges, cfg,
                                                             cyclic=True,
-                                                            dip_finder=dip_finder)
+                                                            find_dips=find_dips)
             bps = [canonical_angle(e) for e in edges[:-1]]
             # canonicalization may wrap trailing angles past the seam; rotate
             # the cyclic data back into ascending order
@@ -449,9 +460,9 @@ def index_profile(p: QuadraticPencil, domain: CircleSubset,
                 inner.append(lift)
         inner = _dedupe_sorted(sorted(inner), ctol)
         edges = [s, *inner, e]
-        edges, arc_vals, point_vals = _refine_partition(value_at, edges, cfg,
+        edges, arc_vals, point_vals = _refine_partition(p, value_at, edges, cfg,
                                                         cyclic=False,
-                                                        dip_finder=dip_finder)
+                                                        find_dips=find_dips)
         inner = edges[1:-1]
         components.append(ArcComponentProfile(
             start=s, end=e, include_start=cs, include_end=ce,
@@ -503,7 +514,7 @@ def _validate_semicontinuity(profile: IndexProfile) -> None:
 def regularized_profile(reg: RegularizedPencil, domain: CircleSubset,
                         cfg: ToleranceConfig = DEFAULT_CONFIG) -> IndexProfile:
     """Profile of the shifted family omega Q - eps * p over the domain."""
-    return index_profile(reg.pencil, domain, cfg, evalf=reg.at,
+    return index_profile(reg.pencil, domain, cfg, family=reg,
                          candidates=list(reg.breakpoints), find_dips=False)
 
 
@@ -629,27 +640,21 @@ def stiefel_whitney(p: QuadraticPencil, profile: IndexProfile,
     resolution = max(start_resolution, 8 * dim)
     while resolution <= max_resolution:
         thetas = np.linspace(0.0, TWO_PI, resolution, endpoint=False)
-        frames = []
-        for th in thetas:
-            m = p.at(th)
-            w, v = np.linalg.eigh(m)
-            pos = w > thr
-            if int(np.sum(pos)) != mu:
-                raise NumericalError(
-                    f"positive eigenspace rank is not constant at angle {th}")
-            frames.append(v[:, pos])
-        sign = 1.0
-        worst = 1.0
-        worst_angle = 0.0
-        for i in range(resolution):
-            overlap = frames[i].T @ frames[(i + 1) % resolution]
-            smin = float(np.linalg.svd(overlap, compute_uv=False)[-1])
-            if smin < worst:
-                worst, worst_angle = smin, thetas[i]
-            d = float(np.linalg.det(overlap))
-            sign *= math.copysign(1.0, d)
-        if worst > 0.5:
-            return (sign < 0.0, resolution, "monodromy determinant sign")
+        w, v = np.linalg.eigh(p.at_many(thetas))
+        off_rank = np.sum(w > thr, axis=1) != mu
+        if np.any(off_rank):
+            th = thetas[int(np.argmax(off_rank))]
+            raise NumericalError(
+                f"positive eigenspace rank is not constant at angle {th}")
+        # eigenvalues ascend, so the positive eigenspace is the last mu columns
+        frames = np.ascontiguousarray(v[:, :, dim - mu:])
+        overlaps = frames.transpose(0, 2, 1) @ np.roll(frames, -1, axis=0)
+        smin = np.linalg.svd(overlaps, compute_uv=False)[:, -1]
+        worst = int(np.argmin(smin))
+        if smin[worst] > 0.5:
+            reversals = int(np.sum(np.signbit(np.linalg.det(overlaps))))
+            return (reversals % 2 == 1, resolution, "monodromy determinant sign")
+        worst_angle = thetas[worst]
         resolution *= 2
     raise NumericalError(
         f"overlap conditioning stayed poor near angle {worst_angle}")

@@ -17,11 +17,12 @@ from scipy.optimize import minimize
 from scipy.spatial import cKDTree
 
 from .applications import LevelProblem
+from .betti import AnalysisResult
 from .circle import PlanarCone
 from .config import DEFAULT_CONFIG, ToleranceConfig
 from .errors import InvalidInputError, NumericalError, OracleDisagreement
 from .filtration import IndexProfile, stiefel_whitney
-from .pencil import InertiaTriple, QuadraticPencil, inertia
+from .pencil import InertiaTriple, QuadraticPencil
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -43,25 +44,43 @@ class GridProfile:
 
 def grid_index_profile(p: QuadraticPencil,
                        cfg: ToleranceConfig = DEFAULT_CONFIG) -> GridProfile:
-    """Sample the inertia of the family at a uniform angular grid."""
-    resolution = max(cfg.grid_n, 4 * p.dim)
-    scale = p.scale()
-    thetas = np.linspace(0.0, TWO_PI, resolution, endpoint=False)
-    triples = tuple(inertia(p.at(th), cfg, scale=scale) for th in thetas)
-    return GridProfile(resolution, tuple(float(t) for t in thetas), triples)
+    """Sample the inertia of the family at a uniform angular grid.
+
+    All grid members are solved in one stacked eigvalsh call.  Their
+    coefficients come from math.cos/math.sin, so each member equals
+    QuadraticPencil.at bit for bit and the counts match per-angle sampling.
+    """
+    dim = p.dim
+    resolution = max(cfg.grid_n, 4 * dim)
+    thr = cfg.tol_eig * p.scale()
+    thetas = [float(t) for t in np.linspace(0.0, TWO_PI, resolution, endpoint=False)]
+    c = np.array([math.cos(t) for t in thetas])[:, None, None]
+    s = np.array([math.sin(t) for t in thetas])[:, None, None]
+    try:
+        w = np.linalg.eigvalsh(c * p.q0 + s * p.q1)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigenvalue solver failed: {exc}") from exc
+    plus = np.count_nonzero(w > thr, axis=1).tolist()
+    minus = np.count_nonzero(w < -thr, axis=1).tolist()
+    triples = tuple(InertiaTriple(a, b, dim - a - b) for a, b in zip(plus, minus))
+    return GridProfile(resolution, tuple(thetas), triples)
 
 
 def grid_profile_disagreements(profile: IndexProfile, grid: GridProfile,
                                cfg: ToleranceConfig = DEFAULT_CONFIG) -> list[float]:
-    """Grid angles where the analytic profile disagrees with direct sampling.
+    """Grid angles of the profile's domain where it disagrees with sampling.
 
-    Angles within ten angular tolerances of a recorded breakpoint are skipped:
-    there the inertia of a nearly-singular matrix is not decidable.
+    Grid angles outside the domain are not compared; inside it, an angle the
+    profile records no value for counts as a disagreement.  Angles within ten
+    angular tolerances of a recorded breakpoint are skipped: there the
+    inertia of a nearly-singular matrix is not decidable.
     """
     guard = 10.0 * cfg.tol_angle
     breakpoints = profile.breakpoint_angles()
     bad: list[float] = []
     for th, triple in zip(grid.thetas, grid.triples):
+        if not profile.domain.contains(th):
+            continue
         if breakpoints and min(
                 abs((th - b + PI) % TWO_PI - PI) for b in breakpoints) <= guard:
             continue
@@ -295,15 +314,17 @@ def monodromy_refine(p: QuadraticPencil, profile: IndexProfile,
 # ---------------------------------------------------------------------------
 
 def verify_analysis(p: QuadraticPencil, cone: PlanarCone,
-                    cfg: ToleranceConfig = DEFAULT_CONFIG) -> dict:
+                    cfg: ToleranceConfig = DEFAULT_CONFIG,
+                    result: AnalysisResult | None = None) -> dict:
     """Run every applicable oracle against the analytic answer.
 
-    Raises OracleDisagreement on any mismatch; otherwise returns a summary of
-    what was checked.
+    result is the AnalysisResult of (p, cone, cfg) when the caller already
+    has it; otherwise the analysis runs here.  Raises OracleDisagreement on
+    any mismatch; otherwise returns a summary of what was checked.
     """
     from .betti import analyze
 
-    res = analyze(p, cone, cfg)
+    res = result if result is not None else analyze(p, cone, cfg)
     out: dict = {}
 
     grid = grid_index_profile(p, cfg)

@@ -9,6 +9,7 @@ every degenerate point simple with unit inertia jumps.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -80,13 +81,28 @@ class QuadraticPencil:
         return self.dim - 1
 
     def scale(self) -> float:
-        """A spectral-norm scale of the pair, used for relative tolerances."""
-        s0 = float(np.linalg.norm(self.q0, 2)) if self.dim else 0.0
-        s1 = float(np.linalg.norm(self.q1, 2)) if self.dim else 0.0
-        return max(s0, s1)
+        """A spectral-norm scale of the pair, used for relative tolerances.
+
+        Computed on first use and kept: the forms are read-only.
+        """
+        s = self.__dict__.get("_scale")
+        if s is None:
+            s = max(float(np.linalg.norm(self.q0, 2)), float(np.linalg.norm(self.q1, 2)))
+            object.__setattr__(self, "_scale", s)
+        return s
 
     def at(self, theta: float) -> np.ndarray:
         return math.cos(theta) * self.q0 + math.sin(theta) * self.q1
+
+    def at_many(self, thetas) -> np.ndarray:
+        """The family at every angle as a (k, d, d) stack.
+
+        The coefficients come from math.cos/math.sin, so slice i is bitwise
+        equal to at(thetas[i]); every slice is exactly symmetric.
+        """
+        c = np.array([math.cos(t) for t in thetas])
+        s = np.array([math.sin(t) for t in thetas])
+        return c[:, None, None] * self.q0 + s[:, None, None] * self.q1
 
     def derivative_at(self, theta: float) -> np.ndarray:
         return -math.sin(theta) * self.q0 + math.cos(theta) * self.q1
@@ -121,6 +137,14 @@ def pencil_at(p: QuadraticPencil, theta: float) -> np.ndarray:
     return p.at(theta)
 
 
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix or a stack of them, ascending."""
+    try:
+        return np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigenvalue solver failed: {exc}") from exc
+
+
 def inertia(m: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG,
             scale: float | None = None) -> InertiaTriple:
     """Eigenvalue sign counts of a symmetric matrix.
@@ -131,16 +155,49 @@ def inertia(m: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG,
     tiny multiple of a definite matrix still reads as degenerate.
     """
     a = _as_symmetric(m, "matrix")
-    try:
-        w = np.linalg.eigvalsh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigenvalue solver failed: {exc}") from exc
+    w = _eigvalsh(a)
     if scale is None:
         scale = float(np.max(np.abs(w))) if w.size else 0.0
     thr = cfg.tol_eig * scale
     plus = int(np.sum(w > thr))
     minus = int(np.sum(w < -thr))
     return InertiaTriple(plus, minus, a.shape[0] - plus - minus)
+
+
+class FamilySpectrum:
+    """Inertia of one symmetric family on the circle, memoized by angle.
+
+    family is a QuadraticPencil or a RegularizedPencil: anything whose
+    at_many(thetas) stacks exactly symmetric members, so no member is
+    re-validated.  Every request solves the angles it has not seen before
+    with one stacked eigvalsh call.  Eigenvalues within cfg.tol_eig * scale
+    of zero count as zero, as in inertia() with the family's scale; the
+    counts are read off the ascending eigenvalues by bisection.
+    """
+
+    def __init__(self, family, scale: float, cfg: ToleranceConfig = DEFAULT_CONFIG):
+        self.family = family
+        self.thr = cfg.tol_eig * scale
+        self._rows: dict[float, list[float]] = {}
+
+    def prefetch(self, thetas) -> None:
+        """Solve every angle not seen yet, in one stacked call."""
+        todo = [t for t in dict.fromkeys(thetas) if t not in self._rows]
+        if todo:
+            w = _eigvalsh(self.family.at_many(todo))
+            self._rows.update(zip(todo, w.tolist()))
+
+    def eigenvalues(self, theta: float) -> list[float]:
+        """The ascending eigenvalues of the member at theta."""
+        if theta not in self._rows:
+            self.prefetch((theta,))
+        return self._rows[theta]
+
+    def __call__(self, theta: float) -> InertiaTriple:
+        w = self.eigenvalues(theta)
+        plus = len(w) - bisect.bisect_right(w, self.thr)
+        minus = bisect.bisect_left(w, -self.thr)
+        return InertiaTriple(plus, minus, len(w) - plus - minus)
 
 
 def sylvester_check(m: np.ndarray, t: np.ndarray,
@@ -202,24 +259,34 @@ def _cluster_periodic(values: list[float], period: float, tol: float) -> list[tu
     return [(sum(c) / len(c) % period, len(c)) for c in clusters]
 
 
-def _polish_simple_root(p: QuadraticPencil, theta: float, eps: float = 0.0,
-                        shift: np.ndarray | None = None, iters: int = 3) -> float:
-    """Newton refinement of a simple zero of the smallest eigenvalue."""
+def _polish_roots(p: QuadraticPencil, thetas: list[float], eps: float = 0.0,
+                  shift: np.ndarray | None = None, iters: int = 3) -> list[float]:
+    """Newton refinement of simple zeros of the smallest eigenvalue.
+
+    Each iteration solves every root still moving with one stacked eigh; a
+    root stops for good at a flat slope or at a step longer than 1e-2.
+    """
     offset = eps * shift if shift is not None else 0.0
+    thetas = list(thetas)
+    active = list(range(len(thetas)))
     for _ in range(iters):
-        m = p.at(theta) - offset
-        w, v = np.linalg.eigh(m)
-        k = int(np.argmin(np.abs(w)))
-        lam = w[k]
-        vec = v[:, k]
-        slope = float(vec @ p.derivative_at(theta) @ vec)
-        if abs(slope) < 1e-9:
+        if not active:
             break
-        step = -lam / slope
-        if abs(step) > 1e-2:
-            break
-        theta += step
-    return theta
+        w, v = np.linalg.eigh(p.at_many([thetas[i] for i in active]) - offset)
+        moving = []
+        for j, i in enumerate(active):
+            k = int(np.argmin(np.abs(w[j])))
+            vec = v[j][:, k]
+            slope = float(vec @ p.derivative_at(thetas[i]) @ vec)
+            if abs(slope) < 1e-9:
+                continue
+            step = -w[j][k] / slope
+            if abs(step) > 1e-2:
+                continue
+            thetas[i] += step
+            moving.append(i)
+        active = moving
+    return thetas
 
 
 def cluster_tol(cfg: ToleranceConfig) -> float:
@@ -255,7 +322,7 @@ def degenerate_locus(p: QuadraticPencil,
         return DegenerateLocus((), 0, True)
 
     nodes = np.cos(PI * (2 * np.arange(dim + 1) + 1) / (2 * (dim + 1)))
-    vals = np.array([np.linalg.det(a0 + t * a1) for t in nodes])
+    vals = np.linalg.det(a0 + nodes[:, None, None] * a1)
     coeffs = cheb.chebfit(nodes, vals, dim)
     top = float(np.max(np.abs(coeffs)))
     trimmed = cheb.chebtrim(coeffs, TRIM_TOL * top)
@@ -274,11 +341,11 @@ def degenerate_locus(p: QuadraticPencil,
         raise NumericalError("unpaired non-real root; tolerances inconsistent")
 
     clusters = _cluster_periodic(proj, PI, cluster_tol(cfg))
+    simple = [center for center, mult in clusters if mult == 1]
+    polished = iter(_polish_roots(p, simple))
     points: list[DegeneratePoint] = []
     for center, mult in clusters:
-        theta = center
-        if mult == 1:
-            theta = _polish_simple_root(p, center) % PI
+        theta = next(polished) % PI if mult == 1 else center
         points.append(DegeneratePoint(canonical_angle(theta), mult))
         points.append(DegeneratePoint(canonical_angle(theta + PI), mult))
     points.sort(key=lambda q: q.theta)
@@ -305,6 +372,9 @@ class RegularizedPencil:
     def at(self, theta: float) -> np.ndarray:
         return self.pencil.at(theta) - self.epsilon * self.shift
 
+    def at_many(self, thetas) -> np.ndarray:
+        return self.pencil.at_many(thetas) - self.epsilon * self.shift
+
 
 def _regularized_root_angles(p: QuadraticPencil, eps: float, shift: np.ndarray,
                              cfg: ToleranceConfig,
@@ -326,27 +396,22 @@ def _regularized_root_angles(p: QuadraticPencil, eps: float, shift: np.ndarray,
     a0, a1 = p.q0 / scale, p.q1 / scale
     sh = (eps / scale) * shift
 
-    def matrix_num(u: float, phi0: float) -> np.ndarray:
-        c = math.cos(phi0) * (1 - u * u) - 2 * u * math.sin(phi0)
-        si = math.sin(phi0) * (1 - u * u) + 2 * u * math.cos(phi0)
-        return c * a0 + si * a1 - (1 + u * u) * sh
-
     # pick a chart center whose antipode is far from singular
-    best_phi, best_gap = 0.0, -1.0
-    for cand in (0.123456, 0.987654, 1.543210, 2.246810, 0.555555):
-        m = p.at(cand + PI) / scale - (eps / scale) * shift
-        gap = float(np.min(np.abs(np.linalg.eigvalsh(m))))
-        if gap > best_gap:
-            best_phi, best_gap = cand, gap
-    phi0 = best_phi
+    cands = (0.123456, 0.987654, 1.543210, 2.246810, 0.555555)
+    m = p.at_many([t + PI for t in cands]) / scale - (eps / scale) * shift
+    gaps = np.min(np.abs(np.linalg.eigvalsh(m)), axis=1)
+    phi0 = cands[int(np.argmax(gaps))]
 
     deg = 2 * dim
-    nodes = np.cos(PI * (2 * np.arange(deg + 1) + 1) / (2 * (deg + 1)))
-    vals = np.array([np.linalg.det(matrix_num(u, phi0)) for u in nodes])
+    u = np.cos(PI * (2 * np.arange(deg + 1) + 1) / (2 * (deg + 1)))
+    c = math.cos(phi0) * (1 - u * u) - 2 * u * math.sin(phi0)
+    si = math.sin(phi0) * (1 - u * u) + 2 * u * math.cos(phi0)
+    vals = np.linalg.det(c[:, None, None] * a0 + si[:, None, None] * a1
+                         - (1 + u * u)[:, None, None] * sh)
     top = float(np.max(np.abs(vals)))
     if top == 0.0:
         raise NumericalError("regularized determinant vanished at all nodes")
-    coeffs = cheb.chebfit(nodes, vals, deg)
+    coeffs = cheb.chebfit(u, vals, deg)
     trimmed = cheb.chebtrim(coeffs, TRIM_TOL * float(np.max(np.abs(coeffs))))
     inf_mult = deg - (len(trimmed) - 1)
     roots = cheb.chebroots(trimmed) if len(trimmed) > 1 else np.array([])
@@ -458,19 +523,17 @@ def _validate_regularization(p: QuadraticPencil, eps: float, shift: np.ndarray,
                              cfg: ToleranceConfig) -> tuple[float, ...] | None:
     """Polish and prune roots, then verify simplicity and unit index jumps."""
     eye_term = eps * shift
-
-    def family(theta: float) -> np.ndarray:
-        return p.at(theta) - eye_term
-
     thr_scale = cfg.tol_eig * max(p.scale(), eps)
     # the interpolated determinant can spray phantom roots; polish every
     # cluster onto the spectrum and drop whatever is not an actual crossing
     # (the caller's root-count accounting guards against over-pruning)
+    zs = [canonical_angle(z)
+          for z in _polish_roots(p, [th for th, _ in clusters], eps, shift)]
     genuine: list[tuple[float, int]] = []
-    for th, mult in clusters:
-        z = canonical_angle(_polish_simple_root(p, th, eps, shift))
-        if float(np.min(np.abs(np.linalg.eigvalsh(family(z))))) <= 1e2 * thr_scale:
-            genuine.append((z, mult))
+    if zs:
+        gaps = np.min(np.abs(np.linalg.eigvalsh(p.at_many(zs) - eye_term)), axis=1)
+        genuine = [(z, mult) for z, gap, (_, mult) in zip(zs, gaps, clusters)
+                   if gap <= 1e2 * thr_scale]
     if any(mult != 1 for _, mult in genuine):
         return None
     kept = sorted(z for z, _ in genuine)
@@ -490,16 +553,17 @@ def _validate_regularization(p: QuadraticPencil, eps: float, shift: np.ndarray,
     m_count = len(polished)
     if m_count == 0:
         return ()
-    minus = []
+    # each crossing and the midpoint of the arc after it, in one stacked solve
+    probes = []
     for i in range(m_count):
         z = polished[i]
         z_next = polished[(i + 1) % m_count] + (TWO_PI if i == m_count - 1 else 0.0)
-        w = np.linalg.eigvalsh(family(z))
-        near_zero = int(np.sum(np.abs(w) <= 1e2 * thr_scale))
-        if near_zero != 1:
+        probes += [z, 0.5 * (z + z_next)]
+    w = np.linalg.eigvalsh(p.at_many(probes) - eye_term)
+    minus = []
+    for wz, wm in zip(w[0::2], w[1::2]):
+        if int(np.sum(np.abs(wz) <= 1e2 * thr_scale)) != 1:
             return None
-        mid = 0.5 * (z + z_next)
-        wm = np.linalg.eigvalsh(family(mid))
         if float(np.min(np.abs(wm))) <= 1e2 * thr_scale:
             return None
         minus.append(int(np.sum(wm < 0.0)))

@@ -248,3 +248,30 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["b"] == [1, 3, 0, 0]
+
+
+def test_verify_every_cone_kind(tmp_path):
+    from quadrics.circle import PlanarCone
+    cones = [PlanarCone.zero(), PlanarCone.full(), PlanarCone.ray(0.7),
+             PlanarCone.line(2.0), PlanarCone.sector(0.3, 1.9),
+             PlanarCone.halfplane(1.1)]
+    for cone in cones:
+        inp = _write_problem(tmp_path, fixtures.tripled_squaring(),
+                             name=f"{cone.kind}.json", cone=cone.to_json())
+        code, out = _run(tmp_path, ["verify", "--input", inp])
+        assert code == 0, cone.kind
+        assert out["oracle"]["grid_disagreements"] == 0
+
+
+def test_member_accepts_negative_exponent_notation(tmp_path):
+    import numpy as np
+    from quadrics.pencil import QuadraticPencil
+    p = QuadraticPencil(np.eye(3), np.diag([1.0, -1.0, 0.0]))
+    inp = _write_problem(tmp_path, p)
+    code, data = _run(tmp_path, ["member", "--input", inp, "--c", "-1e-05", "0.5"])
+    assert code == 0
+    code_plain, plain = _run(tmp_path, ["member", "--input", inp,
+                                        "--c", "-0.00001", "0.5"])
+    assert code_plain == 0
+    assert data == plain
+    assert data["member"] is False

@@ -1,14 +1,17 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from quadrics import fixtures
 from quadrics.applications import LevelProblem, extremal_family, level_set_betti
-from quadrics.circle import CircleSubset, PlanarCone
+from quadrics.betti import analyze
+from quadrics.circle import CircleSubset, PlanarCone, omega_set
 from quadrics.config import ToleranceConfig
-from quadrics.errors import InvalidInputError
-from quadrics.filtration import index_profile
+from quadrics.errors import InvalidInputError, OracleDisagreement
+from quadrics.filtration import IndexProfile, index_profile
+from quadrics.pencil import InertiaTriple
 from quadrics.oracles import (
     FEAS_TOL,
     feasibility_sample,
@@ -263,3 +266,39 @@ def test_verify_analysis_random_small():
         p = fixtures.random_pencil(rng, 3)
         out = verify_analysis(p, ZERO)
         assert out["grid_disagreements"] == 0
+
+
+CONES = [PlanarCone.zero(), PlanarCone.full(), PlanarCone.ray(0.7),
+         PlanarCone.line(2.0), PlanarCone.sector(0.3, 1.9), PlanarCone.halfplane(1.1)]
+
+
+@pytest.mark.parametrize("cone", CONES, ids=lambda c: c.kind)
+def test_verify_analysis_every_cone_kind(cone):
+    for p in [fixtures.tripled_squaring(), extremal_family(4)]:
+        out = verify_analysis(p, cone)
+        assert out["grid_disagreements"] == 0
+
+
+def test_grid_compares_only_the_profile_domain():
+    p = fixtures.bouquet()
+    domain = omega_set(PlanarCone.sector(0.3, 1.9))
+    prof = index_profile(p, domain)
+    grid = grid_index_profile(p)
+    assert grid_profile_disagreements(prof, grid) == []
+    # a profile that records nothing inside its domain disagrees there
+    bad = grid_profile_disagreements(IndexProfile(domain, ()), grid)
+    assert bad and all(domain.contains(th) for th in bad)
+
+
+def test_verify_analysis_rejects_a_corrupted_profile():
+    p = fixtures.tripled_squaring()
+    cone = PlanarCone.sector(0.3, 1.9)
+    res = analyze(p, cone)
+    comp = res.filtration.profile.components[0]
+    v = comp.arc_values[0]
+    wrong = InertiaTriple(v.i_plus + 1, v.i_minus - 1, v.i_zero)
+    corrupted = replace(comp, arc_values=(wrong, *comp.arc_values[1:]))
+    profile = replace(res.filtration.profile, components=(corrupted,))
+    with pytest.raises(OracleDisagreement):
+        verify_analysis(p, cone, result=replace(
+            res, filtration=replace(res.filtration, profile=profile)))
