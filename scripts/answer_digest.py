@@ -2,10 +2,13 @@
 
 One line per input: its label, then the JSON answer or the exception it
 raised.  The inputs are every named fixture and small extremal pencil under
-every cone kind, a seeded sweep of random pencils of dims 3-16, random
-identically singular pencils, and membership and level-set queries.  The
-last line is the SHA-256 of all the others, so two versions of the library
-give the same answers when they print the same digest:
+every cone kind, the regularized profile's breakpoints of each of them, a
+seeded sweep of random pencils of dims 3-16, random identically singular
+pencils, and membership and level-set queries.  An analysis answer carries
+the profile's breakpoints and rows; a membership answer carries the
+certificate's angle and margin.  The last line is the SHA-256 of all the
+others, so two versions of the library give the same answers when they
+print the same digest:
 
     python scripts/answer_digest.py                     # this checkout
     python scripts/answer_digest.py --src OTHER/src     # another checkout
@@ -57,6 +60,7 @@ def inputs(Q):
         for kind, args in CONES:
             cone = getattr(Q.PlanarCone, kind)(*args)
             out.append((f"{name}/{kind}", lambda p=p, cone=cone: analysis(Q, p, cone)))
+        out.append((f"{name}/regularized", lambda p=p: regularized_breakpoints(Q, p)))
     rng = np.random.default_rng(SEED)
     zero = Q.PlanarCone.zero()
     for dim in range(3, 17):
@@ -88,12 +92,19 @@ def analysis(Q, p, cone):
     data = Q.result_json(res)
     data["breakpoints"] = [round(b, 10)
                            for b in res.filtration.profile.breakpoint_angles()]
+    data["rows"] = [list(r) for r in res.filtration.profile.rows()]
     return data
+
+
+def regularized_breakpoints(Q, p):
+    prof = Q.filtration.regularized_profile(Q.regularize(p), Q.CircleSubset.full_circle())
+    return prof.breakpoint_angles()
 
 
 def membership(answer):
     member, cert = answer
-    return {"member": member, "kind": cert.kind, "mu": cert.mu}
+    return {"member": member, "kind": cert.kind, "mu": cert.mu,
+            "theta": cert.theta, "margin": cert.margin}
 
 
 def level(res):

@@ -11,10 +11,8 @@ import os
 
 from quadrics.applications import extremal_family
 from quadrics.betti import analyze
-from quadrics.circle import CircleSubset
+from quadrics.circle import Arc, PlanarCone
 from quadrics.cli import emit_profile_csv
-from quadrics.circle import PlanarCone
-from quadrics.filtration import index_profile
 
 
 def main() -> None:
@@ -28,9 +26,8 @@ def main() -> None:
     for n in range(args.n_min, args.n_max + 1):
         pencil = extremal_family(n)
         res = analyze(pencil, cone)
-        prof = index_profile(pencil, CircleSubset.full_circle())
-        comp = prof.components[0]
-        arcs = [v.i_plus for v in comp.arc_values]
+        prof = res.filtration.profile
+        arcs = [v.i_plus for item, v in prof.cells if isinstance(item, Arc)]
         print(f"n={n}: mu={res.table.mu} nu={res.table.nu} "
               f"arcs={len(arcs)} values={sorted(set(arcs))} "
               f"b={list(res.report.b)} total={res.report.total} "

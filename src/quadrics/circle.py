@@ -46,9 +46,24 @@ def unit(theta: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class Point:
-    """An isolated point of the circle, canonical angle."""
+    """An isolated point of the circle, canonical angle.
+
+    Like a degenerate arc, it starts and ends at its angle.
+    """
 
     theta: float
+
+    @property
+    def start(self) -> float:
+        return self.theta
+
+    @property
+    def end(self) -> float:
+        return self.theta
+
+    def contains(self, theta: float, tol: float = DEFAULT_CONFIG.tol_angle) -> bool:
+        """Whether the angle is this point, up to tol."""
+        return angles_equal(theta, self.theta, tol)
 
 
 @dataclass(frozen=True)
@@ -67,6 +82,11 @@ class Arc:
     @property
     def length(self) -> float:
         return self.end - self.start
+
+    def contains(self, theta: float, tol: float = DEFAULT_CONFIG.tol_angle) -> bool:
+        """Whether the angle lies on the arc; within tol of an endpoint the
+        endpoint's flag decides."""
+        return _rec_contains(_item_to_rec(self), theta, tol)
 
 
 # internal record: (s, e, cs, ce); points are s == e with both flags True

@@ -11,7 +11,9 @@ the first Stiefel-Whitney class of the associated bundle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -36,170 +38,74 @@ from .pencil import (
 )
 
 TWO_PI = 2.0 * math.pi
-PI = math.pi
 
 # hard cap on breakpoints discovered per component during refinement
 _MAX_EXTRA_BREAKPOINTS = 96
 
 
 @dataclass(frozen=True)
-class PointProfile:
-    theta: float
-    value: InertiaTriple
-
-
-@dataclass(frozen=True)
-class FullCircleProfile:
-    """Profile over the whole circle: cyclic arcs between breakpoints.
-
-    arc i runs counterclockwise from breakpoints[i] to breakpoints[(i+1) % m].
-    Without breakpoints the family is constant and arc_values has one entry.
-    """
-
-    breakpoints: tuple[float, ...]
-    arc_values: tuple[InertiaTriple, ...]
-    point_values: tuple[InertiaTriple, ...]
-
-
-@dataclass(frozen=True)
-class ArcComponentProfile:
-    """Profile over one arc component of the domain.
-
-    Interior breakpoints split the arc; endpoint values are present only when
-    the domain includes the endpoint.
-    """
-
-    start: float
-    end: float
-    include_start: bool
-    include_end: bool
-    breakpoints: tuple[float, ...]
-    arc_values: tuple[InertiaTriple, ...]
-    point_values: tuple[InertiaTriple, ...]
-    value_start: InertiaTriple | None
-    value_end: InertiaTriple | None
-
-
-@dataclass(frozen=True)
 class IndexProfile:
-    """Inertia data of a family over a circle domain."""
+    """Inertia data of a family over a circle domain.
+
+    cells pairs circle items with the inertia the family has on them: a
+    Point for each breakpoint and each included domain endpoint, an Arc open
+    at both ends for each stretch between them, and, for a constant family
+    on the full circle, one closed full-turn Arc.  Cells are sorted by start
+    angle; a breakpoint comes before the arc that starts at it.
+    """
 
     domain: CircleSubset
-    components: tuple
+    cells: tuple[tuple[Point | Arc, InertiaTriple], ...]
 
     def all_values(self) -> list[InertiaTriple]:
-        out: list[InertiaTriple] = []
-        for comp in self.components:
-            if isinstance(comp, PointProfile):
-                out.append(comp.value)
-            elif isinstance(comp, FullCircleProfile):
-                out.extend(comp.arc_values)
-                out.extend(comp.point_values)
-            else:
-                out.extend(comp.arc_values)
-                out.extend(comp.point_values)
-                if comp.value_start is not None:
-                    out.append(comp.value_start)
-                if comp.value_end is not None:
-                    out.append(comp.value_end)
-        return out
+        return [v for _, v in self.cells]
 
     def max_positive_index(self) -> int:
-        vals = self.all_values()
-        return max((v.i_plus for v in vals), default=0)
+        return max((v.i_plus for _, v in self.cells), default=0)
 
     def min_positive_index(self) -> int:
-        vals = self.all_values()
-        return min((v.i_plus for v in vals), default=0)
+        return min((v.i_plus for _, v in self.cells), default=0)
 
     def breakpoint_angles(self) -> list[float]:
-        out: list[float] = []
-        for comp in self.components:
-            if isinstance(comp, FullCircleProfile):
-                out.extend(comp.breakpoints)
-            elif isinstance(comp, ArcComponentProfile):
-                out.extend(canonical_angle(b) for b in comp.breakpoints)
-                if comp.include_start:
-                    out.append(canonical_angle(comp.start))
-                if comp.include_end:
-                    out.append(canonical_angle(comp.end))
-            else:
-                out.append(comp.theta)
-        return sorted(out)
+        return [item.theta for item, _ in self.cells if isinstance(item, Point)]
+
+    @cached_property
+    def _starts(self) -> list[float]:
+        return [item.start for item, _ in self.cells]
 
     def value_at_angle(self, theta: float,
                        tol: float = DEFAULT_CONFIG.tol_angle) -> InertiaTriple | None:
-        """The recorded inertia at an angle, or None outside the domain."""
+        """The recorded inertia at an angle, or None outside the domain.
+
+        Only the last cell starting at or before the angle and its two
+        neighbours can hold it: the one before is the breakpoint an arc
+        starts at, the one after a breakpoint within tol ahead.
+        """
+        n = len(self.cells)
+        if n == 0:
+            return None
         t = canonical_angle(theta)
-        for comp in self.components:
-            if isinstance(comp, PointProfile):
-                if abs(t - comp.theta) <= tol or TWO_PI - abs(t - comp.theta) <= tol:
-                    return comp.value
-            elif isinstance(comp, FullCircleProfile):
-                m = len(comp.breakpoints)
-                if m == 0:
-                    return comp.arc_values[0]
-                for i in range(m):
-                    b = comp.breakpoints[i]
-                    if abs(t - b) <= tol or TWO_PI - abs(t - b) <= tol:
-                        return comp.point_values[i]
-                lifted = comp.breakpoints[0] + ((t - comp.breakpoints[0]) % TWO_PI)
-                for i in range(m):
-                    nxt = comp.breakpoints[i + 1] if i + 1 < m else comp.breakpoints[0] + TWO_PI
-                    if comp.breakpoints[i] < lifted < nxt:
-                        return comp.arc_values[i]
-                return comp.arc_values[m - 1]
-            else:
-                d = (t - comp.start) % TWO_PI
-                if d >= TWO_PI - tol:
-                    d = 0.0
-                lifted = comp.start + d
-                if lifted > comp.end + tol:
-                    continue
-                if abs(lifted - comp.start) <= tol:
-                    return comp.value_start
-                if abs(lifted - comp.end) <= tol:
-                    return comp.value_end
-                edges = [comp.start, *comp.breakpoints, comp.end]
-                for b, pv in zip(comp.breakpoints, comp.point_values):
-                    if abs(lifted - b) <= tol:
-                        return pv
-                for i in range(len(comp.arc_values)):
-                    if edges[i] < lifted < edges[i + 1]:
-                        return comp.arc_values[i]
+        i = bisect_right(self._starts, t) - 1
+        for k in (i, i - 1, i + 1):
+            item, value = self.cells[k % n]
+            if item.contains(t, tol):
+                return value
         return None
 
     def rows(self) -> list[tuple[float, int, int, bool]]:
-        """Flat (theta, i_plus, i_minus, is_breakpoint) rows for CSV export."""
+        """Flat (theta, i_plus, i_minus, is_breakpoint) rows for CSV export.
+
+        An arc is listed at its midpoint, the full turn of a constant family
+        at angle zero.
+        """
         rows: list[tuple[float, int, int, bool]] = []
-        for comp in self.components:
-            if isinstance(comp, PointProfile):
-                rows.append((comp.theta, comp.value.i_plus, comp.value.i_minus, True))
-            elif isinstance(comp, FullCircleProfile):
-                m = len(comp.breakpoints)
-                if m == 0:
-                    v = comp.arc_values[0]
-                    rows.append((0.0, v.i_plus, v.i_minus, False))
-                for i in range(m):
-                    b = comp.breakpoints[i]
-                    pv = comp.point_values[i]
-                    rows.append((b, pv.i_plus, pv.i_minus, True))
-                    nxt = comp.breakpoints[(i + 1) % m] + (TWO_PI if i == m - 1 else 0.0)
-                    av = comp.arc_values[i]
-                    rows.append((canonical_angle(0.5 * (b + nxt)), av.i_plus, av.i_minus, False))
+        for item, v in self.cells:
+            if isinstance(item, Point):
+                rows.append((item.theta, v.i_plus, v.i_minus, True))
             else:
-                edges = [comp.start, *comp.breakpoints, comp.end]
-                if comp.value_start is not None:
-                    rows.append((canonical_angle(comp.start),
-                                 comp.value_start.i_plus, comp.value_start.i_minus, True))
-                for i, av in enumerate(comp.arc_values):
-                    mid = 0.5 * (edges[i] + edges[i + 1])
-                    rows.append((canonical_angle(mid), av.i_plus, av.i_minus, False))
-                for b, pv in zip(comp.breakpoints, comp.point_values):
-                    rows.append((canonical_angle(b), pv.i_plus, pv.i_minus, True))
-                if comp.value_end is not None:
-                    rows.append((canonical_angle(comp.end),
-                                 comp.value_end.i_plus, comp.value_end.i_minus, True))
+                mid = 0.0 if item.closed_start else \
+                    canonical_angle(0.5 * (item.start + item.end))
+                rows.append((mid, v.i_plus, v.i_minus, False))
         rows.sort(key=lambda r: r[0])
         return rows
 
@@ -335,37 +241,25 @@ def _refine_partition(p: QuadraticPencil, value_at: FamilySpectrum, edges: list[
     endpoints are domain boundary and the breakpoints are edges[1:-1].
     """
     ctol = cluster_tol(cfg)
+    first = 0 if cyclic else 1
     for _ in range(8):
         edges, arc_vals = _segment_values(value_at, edges, cfg)
         m = len(arc_vals)
-        points = edges[:-1] if cyclic else edges[1:-1]
+        points = edges[first:m]
         value_at.prefetch(points)  # edges the scan inserted
         point_vals = [value_at(b) for b in points]
-        inserts: list[float] = []
-        if find_dips:
-            for dip in _find_dips(p, value_at, edges, arc_vals, ctol):
-                if min(abs(dip - e) for e in edges) > ctol:
-                    inserts.append(dip)
-        for idx in range(len(points)):
-            pv = point_vals[idx]
-            if cyclic:
-                left_lo, left_hi = (edges[m - 1], edges[m]) if idx == 0 else (edges[idx - 1], edges[idx])
-                right_lo, right_hi = edges[idx], edges[idx + 1]
-                left, right = arc_vals[idx - 1], arc_vals[idx]
-            else:
-                left_lo, left_hi = edges[idx], edges[idx + 1]
-                right_lo, right_hi = edges[idx + 1], edges[idx + 2]
-                left, right = arc_vals[idx], arc_vals[idx + 1]
-            if pv.i_plus > left.i_plus or pv.i_minus > left.i_minus:
-                s = left_lo + (left_hi - left_lo) * 2.0 / 3.0
-                z = _find_jump(value_at, s, left_hi, left, pv, cfg.tol_angle)
-                if min(abs(z - e) for e in edges) > ctol:
-                    inserts.append(z)
-            if pv.i_plus > right.i_plus or pv.i_minus > right.i_minus:
-                s = right_lo + (right_hi - right_lo) / 3.0
-                z = _find_jump(value_at, right_lo, s, pv, right, cfg.tol_angle)
-                if min(abs(z - e) for e in edges) > ctol:
-                    inserts.append(z)
+        found = _find_dips(p, value_at, edges, arc_vals, ctol) if find_dips else []
+        for k, pv in enumerate(point_vals, start=first):
+            a = (k - 1) % m  # the arc ending at edge k (cyclically, at edges[m])
+            if _exceeds(pv, arc_vals[a]):
+                s = edges[a] + (edges[a + 1] - edges[a]) * 2.0 / 3.0
+                found.append(_find_jump(value_at, s, edges[a + 1], arc_vals[a], pv,
+                                        cfg.tol_angle))
+            if _exceeds(pv, arc_vals[k]):
+                s = edges[k] + (edges[k + 1] - edges[k]) / 3.0
+                found.append(_find_jump(value_at, edges[k], s, pv, arc_vals[k],
+                                        cfg.tol_angle))
+        inserts = [z for z in found if min(abs(z - e) for e in edges) > ctol]
         if not inserts:
             return edges, arc_vals, point_vals
         edges = sorted(set(edges) | set(inserts))
@@ -392,7 +286,8 @@ def index_profile(p: QuadraticPencil, domain: CircleSubset,
     vanishes identically).  Arcs are verified constant by interior samples;
     disagreements trigger bisection refinement, so missed candidates are
     recovered rather than silently absorbed.  Every inertia value comes from
-    one FamilySpectrum, so each angle is solved once per profile.
+    one FamilySpectrum, so each angle is solved once per profile.  A point
+    whose inertia exceeds that of an arc it bounds raises NumericalError.
     """
     if family is None:
         family = p
@@ -415,7 +310,7 @@ def index_profile(p: QuadraticPencil, domain: CircleSubset,
                 candidates = locus.angles
 
     ctol = cluster_tol(cfg)
-    components: list = []
+    cells: list = []
     if domain.is_full():
         bps = _dedupe_sorted(sorted(canonical_angle(c) for c in candidates), ctol)
         if len(bps) >= 2 and (bps[0] + TWO_PI) - bps[-1] <= ctol:
@@ -423,35 +318,30 @@ def index_profile(p: QuadraticPencil, domain: CircleSubset,
         if not bps:
             found: list[float] = []
             v = _scan_segment(value_at, 0.0, TWO_PI, cfg, found)
-            if found:
-                bps = sorted(canonical_angle(z) for z in found)
-            else:
-                components.append(FullCircleProfile((), (v,), ()))
-        if bps:
-            edges = bps + [bps[0] + TWO_PI]
-            edges, arc_vals, point_vals = _refine_partition(p, value_at, edges, cfg,
-                                                            cyclic=True,
-                                                            find_dips=find_dips)
-            bps = [canonical_angle(e) for e in edges[:-1]]
-            # canonicalization may wrap trailing angles past the seam; rotate
-            # the cyclic data back into ascending order
-            k = 0
-            for i in range(1, len(bps)):
-                if bps[i] < bps[i - 1]:
-                    k = i
-                    break
-            bps = bps[k:] + bps[:k]
-            arc_vals = list(arc_vals[k:]) + list(arc_vals[:k])
-            point_vals = list(point_vals[k:]) + list(point_vals[:k])
-            components.append(FullCircleProfile(tuple(bps), tuple(arc_vals),
-                                                tuple(point_vals)))
-        profile = IndexProfile(domain, tuple(components))
-        _validate_semicontinuity(profile)
-        return profile
+            if not found:
+                return IndexProfile(domain, ((Arc(0.0, TWO_PI, True, True), v),))
+            bps = sorted(canonical_angle(z) for z in found)
+        edges = bps + [bps[0] + TWO_PI]
+        edges, arc_vals, point_vals = _refine_partition(p, value_at, edges, cfg,
+                                                        cyclic=True,
+                                                        find_dips=find_dips)
+        # canonicalization may wrap trailing edges past the seam; sorting the
+        # cells restores ascending order
+        starts = [canonical_angle(e) for e in edges[:-1]]
+        for i, b in enumerate(starts):
+            nxt = starts[(i + 1) % len(starts)]
+            end = nxt if nxt > b else nxt + TWO_PI
+            cells += [(Point(b), point_vals[i]), (Arc(b, end, False, False), arc_vals[i])]
+        cells.sort(key=_cell_key)
+        for k in range(0, len(cells), 2):  # points and arcs alternate
+            point, pv = cells[k]
+            _require_semicontinuous("breakpoint", point.theta, pv,
+                                    cells[k - 1][1], cells[k + 1][1])
+        return IndexProfile(domain, tuple(cells))
 
     for s, e, cs, ce in domain.recs:
         if e == s:
-            components.append(PointProfile(s, value_at(s)))
+            cells.append((Point(s), value_at(s)))
             continue
         inner = []
         for c in candidates:
@@ -463,52 +353,35 @@ def index_profile(p: QuadraticPencil, domain: CircleSubset,
         edges, arc_vals, point_vals = _refine_partition(p, value_at, edges, cfg,
                                                         cyclic=False,
                                                         find_dips=find_dips)
-        inner = edges[1:-1]
-        components.append(ArcComponentProfile(
-            start=s, end=e, include_start=cs, include_end=ce,
-            breakpoints=tuple(inner),
-            arc_values=tuple(arc_vals),
-            point_values=tuple(point_vals),
-            value_start=value_at(s) if cs else None,
-            value_end=value_at(e) if ce else None,
-        ))
-    profile = IndexProfile(domain, tuple(components))
-    _validate_semicontinuity(profile)
-    return profile
+        for i, (b, pv) in enumerate(zip(edges[1:-1], point_vals)):
+            _require_semicontinuous("breakpoint", b, pv, arc_vals[i], arc_vals[i + 1])
+            cells.append((Point(canonical_angle(b)), pv))
+        for lo, hi, av in zip(edges, edges[1:], arc_vals):
+            cl = canonical_angle(lo)
+            cells.append((Arc(cl, cl + (hi - lo), False, False), av))
+        for included, b, arc in ((cs, s, arc_vals[0]), (ce, e, arc_vals[-1])):
+            if included:
+                v = value_at(b)
+                _require_semicontinuous("domain endpoint", b, v, arc)
+                cells.append((Point(canonical_angle(b)), v))
+    cells.sort(key=_cell_key)
+    return IndexProfile(domain, tuple(cells))
 
 
-def _validate_semicontinuity(profile: IndexProfile) -> None:
-    """Breakpoint inertia never exceeds the neighbouring arc inertia."""
-    for comp in profile.components:
-        if isinstance(comp, FullCircleProfile):
-            m = len(comp.breakpoints)
-            for i in range(m):
-                left = comp.arc_values[i - 1]
-                right = comp.arc_values[i]
-                pv = comp.point_values[i]
-                if pv.i_plus > min(left.i_plus, right.i_plus) or \
-                        pv.i_minus > min(left.i_minus, right.i_minus):
-                    raise NumericalError(
-                        f"semicontinuity violated at breakpoint {comp.breakpoints[i]}")
-        elif isinstance(comp, ArcComponentProfile):
-            for i, pv in enumerate(comp.point_values):
-                left = comp.arc_values[i]
-                right = comp.arc_values[i + 1]
-                if pv.i_plus > min(left.i_plus, right.i_plus) or \
-                        pv.i_minus > min(left.i_minus, right.i_minus):
-                    raise NumericalError(
-                        f"semicontinuity violated at breakpoint {comp.breakpoints[i]}")
-            first, last = comp.arc_values[0], comp.arc_values[-1]
-            if comp.value_start is not None and (
-                    comp.value_start.i_plus > first.i_plus
-                    or comp.value_start.i_minus > first.i_minus):
-                raise NumericalError(
-                    f"semicontinuity violated at domain endpoint {comp.start}")
-            if comp.value_end is not None and (
-                    comp.value_end.i_plus > last.i_plus
-                    or comp.value_end.i_minus > last.i_minus):
-                raise NumericalError(
-                    f"semicontinuity violated at domain endpoint {comp.end}")
+def _cell_key(cell) -> tuple[float, float]:
+    """Sort by start; a point comes before the arc that starts at it."""
+    return (cell[0].start, cell[0].end)
+
+
+def _exceeds(point: InertiaTriple, arc: InertiaTriple) -> bool:
+    """Whether a point's inertia breaks semicontinuity against an arc it bounds."""
+    return point.i_plus > arc.i_plus or point.i_minus > arc.i_minus
+
+
+def _require_semicontinuous(where: str, theta: float, value: InertiaTriple,
+                            *arcs: InertiaTriple) -> None:
+    if any(_exceeds(value, arc) for arc in arcs):
+        raise NumericalError(f"semicontinuity violated at {where} {theta}")
 
 
 def regularized_profile(reg: RegularizedPencil, domain: CircleSubset,
@@ -526,44 +399,10 @@ def level_subset(profile: IndexProfile,
                  predicate: Callable[[InertiaTriple], bool]) -> CircleSubset:
     """The subset of the domain where the pointwise inertia satisfies predicate.
 
-    Arcs enter as open arcs and qualifying breakpoints as points; the union is
-    canonicalized, so closures happen exactly where point values qualify.
+    The qualifying cells enter as they are and the union is canonicalized, so
+    arcs close exactly where their endpoint values qualify.
     """
-    items: list = []
-    full_and_constant = False
-    for comp in profile.components:
-        if isinstance(comp, PointProfile):
-            if predicate(comp.value):
-                items.append(Point(comp.theta))
-        elif isinstance(comp, FullCircleProfile):
-            m = len(comp.breakpoints)
-            if m == 0:
-                if predicate(comp.arc_values[0]):
-                    full_and_constant = True
-                continue
-            for i in range(m):
-                b = comp.breakpoints[i]
-                nxt = comp.breakpoints[(i + 1) % m] + (TWO_PI if i == m - 1 else 0.0)
-                if predicate(comp.arc_values[i]):
-                    items.append(Arc(b, nxt, False, False))
-                if predicate(comp.point_values[i]):
-                    items.append(Point(b))
-        else:
-            edges = [comp.start, *comp.breakpoints, comp.end]
-            for i, av in enumerate(comp.arc_values):
-                if predicate(av):
-                    items.append(Arc(canonical_angle(edges[i]),
-                                     canonical_angle(edges[i]) + (edges[i + 1] - edges[i]),
-                                     False, False))
-            for b, pv in zip(comp.breakpoints, comp.point_values):
-                if predicate(pv):
-                    items.append(Point(canonical_angle(b)))
-            if comp.value_start is not None and predicate(comp.value_start):
-                items.append(Point(canonical_angle(comp.start)))
-            if comp.value_end is not None and predicate(comp.value_end):
-                items.append(Point(canonical_angle(comp.end)))
-    if full_and_constant:
-        return CircleSubset.full_circle(profile.domain.tol)
+    items = [item for item, v in profile.cells if predicate(v)]
     return CircleSubset.from_items(items, profile.domain.tol)
 
 
@@ -595,23 +434,48 @@ def sublevel_eps(p: QuadraticPencil, domain: CircleSubset, k: int,
 
 @dataclass(frozen=True)
 class FiltrationReport:
-    """Superlevel filtration data of a pencil over its domain."""
+    """Superlevel filtration data of a pencil over its domain.
 
+    The superlevel sets and the orientation class are computed when first
+    read, once each: a caller that needs only mu and nu runs no transport.
+    """
+
+    pencil: QuadraticPencil
     profile: IndexProfile
-    omega_j: tuple[CircleSubset, ...]  # superlevel sets for j = 1 .. n+1
     mu: int
     nu: int
-    w1_nonzero: bool
-    w1_resolution: int
-    w1_reason: str
+    cfg: ToleranceConfig = DEFAULT_CONFIG
+    _omegas: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def omega(self, j: int) -> CircleSubset:
         """The superlevel set at level j (j = 0 gives the whole domain)."""
-        if j <= 0:
-            return self.profile.domain
-        if j > len(self.omega_j):
-            return CircleSubset.empty(self.profile.domain.tol)
-        return self.omega_j[j - 1]
+        if j not in self._omegas:
+            self._omegas[j] = superlevel(self.profile, j)
+        return self._omegas[j]
+
+    @property
+    def omega_j(self) -> tuple[CircleSubset, ...]:
+        """The superlevel sets for j = 1 .. dim."""
+        return tuple(self.omega(j) for j in range(1, self.pencil.dim + 1))
+
+    @cached_property
+    def _w1(self) -> tuple[bool, int, str]:
+        if self.profile.domain.is_empty():
+            return (False, 0, "empty domain")
+        return stiefel_whitney(self.pencil, self.profile, self.cfg)
+
+    @property
+    def w1_nonzero(self) -> bool:
+        return self._w1[0]
+
+    @property
+    def w1_resolution(self) -> int:
+        """Transport resolution; 0 when no transport was needed."""
+        return self._w1[1]
+
+    @property
+    def w1_reason(self) -> str:
+        return self._w1[2]
 
 
 def stiefel_whitney(p: QuadraticPencil, profile: IndexProfile,
@@ -638,6 +502,9 @@ def stiefel_whitney(p: QuadraticPencil, profile: IndexProfile,
     dim = p.dim
     thr = cfg.tol_eig * p.scale()
     resolution = max(start_resolution, 8 * dim)
+    if resolution > max_resolution:
+        raise NumericalError(
+            f"transport resolution {resolution} exceeds the cap {max_resolution}")
     while resolution <= max_resolution:
         thetas = np.linspace(0.0, TWO_PI, resolution, endpoint=False)
         w, v = np.linalg.eigh(p.at_many(thetas))
@@ -663,22 +530,18 @@ def stiefel_whitney(p: QuadraticPencil, profile: IndexProfile,
 def filtration_report(p: QuadraticPencil, domain: CircleSubset,
                       cfg: ToleranceConfig = DEFAULT_CONFIG,
                       profile: IndexProfile | None = None) -> FiltrationReport:
-    """Compute the superlevel filtration, its extremes and the monodromy class."""
+    """The superlevel filtration of the pencil over the domain and its extremes.
+
+    The superlevel sets and the monodromy class are computed on first read.
+    """
     if profile is None:
         profile = index_profile(p, domain, cfg)
-    dim = p.dim
-    if domain.is_empty():
-        empty = CircleSubset.empty(domain.tol)
-        return FiltrationReport(profile, tuple([empty] * dim), 0, 0,
-                                False, 0, "empty domain")
     mu = profile.max_positive_index()
     nu = profile.min_positive_index()
-    omegas = tuple(superlevel(profile, j) for j in range(1, dim + 1))
-    if mu == nu and domain.is_full() and mu > dim // 2:
+    if mu == nu and domain.is_full() and mu > p.dim // 2:
         raise NumericalError(
             "constant index exceeds half the dimension; tolerances inconsistent")
-    w1, res, reason = stiefel_whitney(p, profile, cfg)
-    return FiltrationReport(profile, omegas, mu, nu, w1, res, reason)
+    return FiltrationReport(p, profile, mu, nu, cfg)
 
 
 def filtration_for_cone(p: QuadraticPencil, cone, cfg: ToleranceConfig = DEFAULT_CONFIG

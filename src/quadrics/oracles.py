@@ -21,7 +21,7 @@ from .betti import AnalysisResult
 from .circle import PlanarCone
 from .config import DEFAULT_CONFIG, ToleranceConfig
 from .errors import InvalidInputError, NumericalError, OracleDisagreement
-from .filtration import IndexProfile, stiefel_whitney
+from .filtration import FiltrationReport, IndexProfile, stiefel_whitney
 from .pencil import InertiaTriple, QuadraticPencil
 
 PI = math.pi
@@ -227,16 +227,16 @@ def _support_margin(problem: LevelProblem, directions: int = 1024) -> float:
     p = problem.pencil
     c = np.asarray(problem.c)
     scale = max(p.scale(), 1e-12)
-    margin = math.inf
-    for th in np.linspace(0.0, TWO_PI, directions, endpoint=False):
-        omega = (math.cos(th), math.sin(th))
-        if problem.mode == "ineq" and (omega[0] > 1e-12 or omega[1] > 1e-12):
-            continue
-        top = float(np.linalg.eigvalsh(p.at(th))[-1])
-        if top > 1e-10 * scale:
-            continue
-        margin = min(margin, -(omega[0] * c[0] + omega[1] * c[1]))
-    return margin
+    thetas = np.linspace(0.0, TWO_PI, directions, endpoint=False)
+    cos = np.array([math.cos(t) for t in thetas])
+    sin = np.array([math.sin(t) for t in thetas])
+    keep = np.ones(directions, dtype=bool)
+    if problem.mode == "ineq":  # only directions in the nonpositive quadrant
+        keep = (cos <= 1e-12) & (sin <= 1e-12)
+    top = np.linalg.eigvalsh(p.at_many(thetas[keep]))[:, -1]
+    supporting = top <= 1e-10 * scale
+    slack = -(cos[keep] * c[0] + sin[keep] * c[1])
+    return float(np.min(slack[supporting], initial=math.inf))
 
 
 def feasibility_sample(problem: LevelProblem,
@@ -297,15 +297,17 @@ class MonodromyCheck:
     base_resolution: int
 
 
-def monodromy_refine(p: QuadraticPencil, profile: IndexProfile,
+def monodromy_refine(p: QuadraticPencil, filtration: FiltrationReport,
                      cfg: ToleranceConfig = DEFAULT_CONFIG) -> MonodromyCheck:
-    """Re-run the orientation transport at twice and four times the resolution."""
-    w1a, res, reason = stiefel_whitney(p, profile, cfg)
-    if "circle" in reason or "rank-zero" in reason:
+    """Re-run the orientation transport at twice and four times the resolution
+    the filtration report's own transport settled on."""
+    res = filtration.w1_resolution
+    if res == 0:
         raise InvalidInputError(
             "monodromy refinement needs the top superlevel set to fill the circle")
-    w1b, _, _ = stiefel_whitney(p, profile, cfg, start_resolution=2 * res)
-    w1c, _, _ = stiefel_whitney(p, profile, cfg, start_resolution=4 * res)
+    w1a = filtration.w1_nonzero
+    w1b, _, _ = stiefel_whitney(p, filtration.profile, cfg, start_resolution=2 * res)
+    w1c, _, _ = stiefel_whitney(p, filtration.profile, cfg, start_resolution=4 * res)
     return MonodromyCheck(w1a == w1b == w1c, (w1a, w1b, w1c), res)
 
 
@@ -346,7 +348,7 @@ def verify_analysis(p: QuadraticPencil, cone: PlanarCone,
 
     mu = res.filtration.mu
     if mu > 0 and res.filtration.omega(mu).is_full():
-        check = monodromy_refine(p, res.filtration.profile, cfg)
+        check = monodromy_refine(p, res.filtration, cfg)
         out["monodromy_values"] = list(check.values)
         if not check.stable:
             raise OracleDisagreement(

@@ -640,8 +640,3 @@ def regularize(p: QuadraticPencil,
         if wmin <= 0.1:
             shift = np.eye(dim)
     raise NumericalError("failed to find a regularizing shift size")
-
-
-def regularized_inertia(reg: RegularizedPencil, theta: float,
-                        cfg: ToleranceConfig = DEFAULT_CONFIG) -> InertiaTriple:
-    return inertia(reg.at(theta), cfg, scale=max(reg.pencil.scale(), reg.epsilon))

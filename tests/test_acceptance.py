@@ -100,7 +100,7 @@ def test_criterion_2_complex_squaring():
     rep = betti_x(table)
     assert all(b == 0 for b in rep.b)
     assert rep.empty is True
-    check = monodromy_refine(p, filt.profile)
+    check = monodromy_refine(p, filt)
     assert check.stable and check.values == (True, True, True)
     elapsed = time.monotonic() - t0
     assert elapsed < 1.0
@@ -136,8 +136,7 @@ def test_criterion_4_extremal_family():
         p = extremal_family(n)
         hi = (n + 2) // 2
         prof = index_profile(p, FULL)
-        comp = prof.components[0]
-        plus = [v.i_plus for v in comp.arc_values]
+        plus = [v.i_plus for item, v in prof.cells if isinstance(item, Arc)]
         if n % 2 == 0:
             assert len(plus) == 2 * (n + 1)
             assert plus.count(hi) == n + 1
@@ -148,8 +147,9 @@ def test_criterion_4_extremal_family():
             # the lower value degenerates to the n+1 double points
             assert len(plus) == n + 1
             assert all(v == hi for v in plus)
-            assert len(comp.point_values) == n + 1
-            assert all(v.i_plus == hi - 1 for v in comp.point_values)
+            points = [v for item, v in prof.cells if isinstance(item, Point)]
+            assert len(points) == n + 1
+            assert all(v.i_plus == hi - 1 for v in points)
         rep = betti_x(build_table(p, ZERO))
         assert rep.total == 2 * n, n
         if n % 2 == 0:

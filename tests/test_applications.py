@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from quadrics import fixtures
+from quadrics import filtration, fixtures
 from quadrics.applications import (
     Certificate,
     LevelProblem,
@@ -17,7 +17,7 @@ from quadrics.applications import (
 )
 from quadrics.betti import betti_x, build_table, check_bounds
 from quadrics.circle import PlanarCone
-from quadrics.errors import InvalidInputError
+from quadrics.errors import InvalidInputError, NumericalError
 from quadrics.filtration import index_profile
 from quadrics.pencil import QuadraticPencil
 
@@ -121,6 +121,18 @@ def test_membership_example_outside_range():
     member, cert = image_membership(p, (1.0, 2.0))
     assert not member
     assert cert.margin > 0
+
+
+def test_membership_runs_no_transport(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise NumericalError("membership should not need the orientation class")
+
+    monkeypatch.setattr(filtration, "stiefel_whitney", refuse)
+    p = _sphere_norm_pencil()
+    member, cert = image_membership(p, (1.0, 0.0))
+    assert member and cert.kind == "membership"
+    member, cert = image_membership(p, (0.0, 0.5))
+    assert not member and cert.margin > 0
 
 
 def test_membership_rejects_two_variables():
@@ -275,23 +287,21 @@ def test_extremal_three_is_four_lines():
 
 
 def test_extremal_profile_structure():
-    from quadrics.circle import CircleSubset
+    from quadrics.circle import Arc, CircleSubset, Point
     for n in (2, 4, 6):
         prof = index_profile(extremal_family(n), CircleSubset.full_circle())
-        comp = prof.components[0]
         hi = (n + 2) // 2
-        plus = [v.i_plus for v in comp.arc_values]
+        plus = [v.i_plus for item, v in prof.cells if isinstance(item, Arc)]
         assert len(plus) == 2 * (n + 1)
         assert plus.count(hi) == n + 1
         assert plus.count(hi - 1) == n + 1
     for n in (3, 5):
         prof = index_profile(extremal_family(n), CircleSubset.full_circle())
-        comp = prof.components[0]
         hi = (n + 2) // 2
-        plus = [v.i_plus for v in comp.arc_values]
+        plus = [v.i_plus for item, v in prof.cells if isinstance(item, Arc)]
         assert len(plus) == n + 1
         assert all(v == hi for v in plus)
-        assert all(v.i_plus == hi - 1 for v in comp.point_values)
+        assert all(v.i_plus == hi - 1 for item, v in prof.cells if isinstance(item, Point))
 
 
 def test_extremal_total_betti():

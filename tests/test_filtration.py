@@ -2,15 +2,19 @@ import math
 
 import numpy as np
 from quadrics import fixtures
+import pytest
 from quadrics.circle import (
+    Arc,
     CircleSubset,
     PlanarCone,
+    Point,
     angles_equal,
     betti_circle,
+    omega_set,
     subsets_equal,
 )
+from quadrics.errors import NumericalError
 from quadrics.filtration import (
-    FullCircleProfile,
     filtration_for_cone,
     index_profile,
     stiefel_whitney,
@@ -24,26 +28,34 @@ TWO_PI = 2 * math.pi
 FULL = CircleSubset.full_circle()
 
 
+def _points(prof):
+    return [(item.theta, v) for item, v in prof.cells if isinstance(item, Point)]
+
+
+def _arc_values(prof):
+    return [v for item, v in prof.cells if isinstance(item, Arc)]
+
+
 # ---------------------------------------------------------------------------
 # profiles
 # ---------------------------------------------------------------------------
 
 def test_bouquet_profile():
     prof = index_profile(fixtures.bouquet(), FULL)
-    comp = prof.components[0]
-    assert isinstance(comp, FullCircleProfile)
-    assert len(comp.breakpoints) == 2
-    assert angles_equal(comp.breakpoints[0], PI / 2, 1e-7)
-    assert all(v.i_plus == 2 for v in comp.arc_values)
-    assert all(v.i_plus == 1 for v in comp.point_values)
+    # a full-circle profile alternates breakpoints and the arcs they start
+    assert [type(item) for item, _ in prof.cells] == [Point, Arc] * 2
+    points = _points(prof)
+    assert len(points) == 2
+    assert angles_equal(points[0][0], PI / 2, 1e-7)
+    assert all(v.i_plus == 2 for v in _arc_values(prof))
+    assert all(v.i_plus == 1 for _, v in points)
 
 
 def test_extremal_profile_n4():
     from quadrics.applications import extremal_family
     prof = index_profile(extremal_family(4), FULL)
-    comp = prof.components[0]
-    assert len(comp.breakpoints) == 10
-    plus = [v.i_plus for v in comp.arc_values]
+    assert len(_points(prof)) == 10
+    plus = [v.i_plus for v in _arc_values(prof)]
     assert sorted(set(plus)) == [2, 3]
     for i in range(10):
         assert plus[i] != plus[(i + 1) % 10]
@@ -53,12 +65,11 @@ def test_extremal_profile_n4():
 def test_definite_profile():
     p = fixtures.definite_form(4)
     prof = index_profile(p, FULL)
-    comp = prof.components[0]
-    assert len(comp.breakpoints) == 2
-    values = {round(b, 6): v for b, v in zip(comp.breakpoints, comp.point_values)}
-    assert all(v.i_plus == 0 for v in values.values())
+    points = _points(prof)
+    assert len(points) == 2
+    assert all(v.i_plus == 0 for _, v in points)
     # right half circle positive definite, left negative definite
-    plus = [v.i_plus for v in comp.arc_values]
+    plus = [v.i_plus for v in _arc_values(prof)]
     assert sorted(plus) == [0, 4]
 
 
@@ -66,24 +77,56 @@ def test_profile_on_arc_domain():
     # domain = closed right half circle for the bouquet pencil
     dom = CircleSubset.arc(-PI / 2, PI / 2, True, True)
     prof = index_profile(fixtures.bouquet(), dom)
-    comp = prof.components[0]
-    assert comp.include_start and comp.include_end
-    # pi/2 is an endpoint here, not an interior breakpoint
-    assert len(comp.breakpoints) == 0
-    assert comp.value_end.i_plus == 1
-    assert comp.arc_values[0].i_plus == 2
+    # both endpoints are included; pi/2 is an endpoint here, not an interior
+    # breakpoint, so one arc spans the domain
+    (arc, arc_value), = [(item, v) for item, v in prof.cells if isinstance(item, Arc)]
+    assert angles_equal(arc.start, -PI / 2) and angles_equal(arc.end, PI / 2)
+    ends = {round(theta, 9): v for theta, v in _points(prof)}
+    assert sorted(ends) == [round(PI / 2, 9), round(3 * PI / 2, 9)]
+    assert ends[round(PI / 2, 9)].i_plus == 1
+    assert arc_value.i_plus == 2
 
 
 def test_profile_point_domain():
     dom = CircleSubset.point(PI / 2)
     prof = index_profile(fixtures.bouquet(), dom)
-    assert prof.components[0].value.i_plus == 1
+    (item, value), = prof.cells
+    assert isinstance(item, Point)
+    assert value.i_plus == 1
 
 
 def test_profile_empty_domain():
     prof = index_profile(fixtures.bouquet(), CircleSubset.empty())
-    assert prof.components == ()
+    assert prof.cells == ()
     assert prof.max_positive_index() == 0
+
+
+def test_value_at_every_breakpoint_is_the_point_value():
+    from quadrics.applications import extremal_family
+    p = extremal_family(3)  # its breakpoints include the seam angle 0.0
+    full = index_profile(p, FULL)
+    assert any(theta == 0.0 for theta, _ in _points(full))
+    # the sector's polar arc runs from 3.7708 to 5.0124, both ends included
+    sector = index_profile(p, omega_set(PlanarCone.sector(0.3, 1.9)))
+    ends = [it for it in sector.domain.items if isinstance(it, Arc)]
+    assert [theta for theta, _ in _points(sector)][0] == ends[0].start
+    for prof in (full, sector):
+        points = _points(prof)
+        assert points
+        for theta, value in points:
+            assert prof.value_at_angle(theta) == value
+            assert prof.value_at_angle(theta + TWO_PI) == value
+
+
+def test_value_at_an_excluded_endpoint_is_none():
+    p = fixtures.bouquet()
+    dom = CircleSubset.arc(0.5, 2.5, False, True)
+    prof = index_profile(p, dom)
+    assert prof.value_at_angle(0.5) is None
+    assert prof.value_at_angle(0.5 + 1e-10) is None
+    assert prof.value_at_angle(0.6) == inertia(p.at(0.6))
+    assert prof.value_at_angle(2.5) == inertia(p.at(2.5))
+    assert prof.value_at_angle(3.0) is None
 
 
 def test_identically_singular_profile_via_refinement():
@@ -132,8 +175,7 @@ def test_grid_agreement_random():
         dim = int(rng.integers(2, 7))
         p = fixtures.random_pencil(rng, dim)
         prof = index_profile(p, FULL)
-        comp = prof.components[0]
-        bps = list(comp.breakpoints)
+        bps = prof.breakpoint_angles()
         for th in np.linspace(0, TWO_PI, 160, endpoint=False):
             if bps and min(abs((th - b + PI) % TWO_PI - PI) for b in bps) < 1e-4:
                 continue
@@ -218,6 +260,13 @@ def test_w1_padded_squaring_nonzero():
     assert prof.max_positive_index() == 1
     w1, _, _ = stiefel_whitney(p, prof)
     assert w1 is True
+
+
+def test_w1_start_resolution_past_the_cap_is_a_numerical_error():
+    p = fixtures.complex_squaring()
+    prof = index_profile(p, FULL)
+    with pytest.raises(NumericalError, match="32768"):
+        stiefel_whitney(p, prof, start_resolution=1 << 15)
 
 
 def test_w1_stable_under_resolution_doubling():

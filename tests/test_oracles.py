@@ -7,10 +7,11 @@ import pytest
 from quadrics import fixtures
 from quadrics.applications import LevelProblem, extremal_family, level_set_betti
 from quadrics.betti import analyze
-from quadrics.circle import CircleSubset, PlanarCone, omega_set
+from quadrics import filtration, oracles
+from quadrics.circle import Arc, CircleSubset, PlanarCone, omega_set
 from quadrics.config import ToleranceConfig
 from quadrics.errors import InvalidInputError, OracleDisagreement
-from quadrics.filtration import IndexProfile, index_profile
+from quadrics.filtration import IndexProfile, filtration_report, index_profile
 from quadrics.pencil import InertiaTriple
 from quadrics.oracles import (
     FEAS_TOL,
@@ -228,25 +229,38 @@ def test_oracle_reproducibility():
 
 def test_monodromy_refine_squaring():
     p = fixtures.complex_squaring()
-    prof = index_profile(p, FULL_CIRCLE)
-    check = monodromy_refine(p, prof)
+    check = monodromy_refine(p, filtration_report(p, FULL_CIRCLE))
     assert check.stable
     assert check.values == (True, True, True)
 
 
 def test_monodromy_refine_doubled():
     p = fixtures.doubled_squaring()
-    prof = index_profile(p, FULL_CIRCLE)
-    check = monodromy_refine(p, prof)
+    check = monodromy_refine(p, filtration_report(p, FULL_CIRCLE))
     assert check.stable
     assert check.values == (False, False, False)
 
 
 def test_monodromy_refine_requires_full_circle():
     p = fixtures.bouquet()
-    prof = index_profile(p, FULL_CIRCLE)
     with pytest.raises(InvalidInputError):
-        monodromy_refine(p, prof)
+        monodromy_refine(p, filtration_report(p, FULL_CIRCLE))
+
+
+def test_monodromy_refine_reuses_the_base_transport(monkeypatch):
+    p = fixtures.complex_squaring()
+    res = analyze(p, ZERO)  # its table reads the base transport
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("start_resolution"))
+        return filtration.stiefel_whitney(*args, **kwargs)
+
+    monkeypatch.setattr(oracles, "stiefel_whitney", counted)
+    check = monodromy_refine(p, res.filtration)
+    base = res.filtration.w1_resolution
+    assert calls == [2 * base, 4 * base]
+    assert check.base_resolution == base and check.values[0] is True
 
 
 # ---------------------------------------------------------------------------
@@ -294,11 +308,12 @@ def test_verify_analysis_rejects_a_corrupted_profile():
     p = fixtures.tripled_squaring()
     cone = PlanarCone.sector(0.3, 1.9)
     res = analyze(p, cone)
-    comp = res.filtration.profile.components[0]
-    v = comp.arc_values[0]
+    cells = res.filtration.profile.cells
+    k = next(i for i, (item, _) in enumerate(cells) if isinstance(item, Arc))
+    item, v = cells[k]
     wrong = InertiaTriple(v.i_plus + 1, v.i_minus - 1, v.i_zero)
-    corrupted = replace(comp, arc_values=(wrong, *comp.arc_values[1:]))
-    profile = replace(res.filtration.profile, components=(corrupted,))
+    corrupted = (*cells[:k], (item, wrong), *cells[k + 1:])
+    profile = replace(res.filtration.profile, cells=corrupted)
     with pytest.raises(OracleDisagreement):
         verify_analysis(p, cone, result=replace(
             res, filtration=replace(res.filtration, profile=profile)))
