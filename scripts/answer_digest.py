@@ -4,7 +4,9 @@ One line per input: its label, then the JSON answer or the exception it
 raised.  The inputs are every named fixture and small extremal pencil under
 every cone kind, the regularized profile's breakpoints of each of them, a
 seeded sweep of random pencils of dims 3-16, random identically singular
-pencils, and membership and level-set queries.  An analysis answer carries
+pencils, membership and level-set queries, and, past dim 20, three random
+pencils each at dims 24, 32 and 48 and the extremal pencils for n = 20 and
+40.  An analysis answer carries
 the profile's breakpoints and rows; a membership answer carries the
 certificate's angle and margin.  The last line is the SHA-256 of all the
 others, so two versions of the library give the same answers when they
@@ -84,6 +86,13 @@ def inputs(Q):
                 apps.level_set_betti(apps.LevelProblem(p, y)))))
             out.append((f"ineq-level-set-{dim}-{i}", lambda p=p, c=c: level(
                 apps.inequality_level_set(apps.LevelProblem(p, c, mode="ineq")))))
+    for dim in (24, 32, 48):
+        for i in range(3):
+            p = Q.QuadraticPencil(*_random_pair(rng, dim))
+            out.append((f"random-{dim}-{i}", lambda p=p: analysis(Q, p, zero)))
+    for n in (20, 40):
+        p = apps.extremal_family(n)
+        out.append((f"extremal-{n}/zero", lambda p=p: analysis(Q, p, zero)))
     return out
 
 

@@ -44,7 +44,7 @@ def unit(theta: float) -> tuple[float, float]:
     return (math.cos(theta), math.sin(theta))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Point:
     """An isolated point of the circle, canonical angle.
 
@@ -66,7 +66,7 @@ class Point:
         return angles_equal(theta, self.theta, tol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arc:
     """A counterclockwise arc.  start is canonical; start < end <= start + 2*pi.
 
@@ -147,7 +147,8 @@ def _try_merge(cur: _Rec, nxt: _Rec, tol: float) -> _Rec | None:
     if ne > e + tol:
         e, ce_ = ne, nce
     elif ne >= e - tol:
-        ce_ = ce_ or nce
+        # the ends agree within tol: keep the farther one, so no coverage is lost
+        e, ce_ = max(e, ne), ce_ or nce
     return (s, e, cs_, ce_)
 
 
@@ -211,7 +212,7 @@ def _rec_contains(rec: _Rec, theta: float, tol: float) -> bool:
     return tol < d < length - tol
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CircleSubset:
     """Canonical finite union of points and arcs of the unit circle."""
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial import chebyshev as cheb
+import scipy.linalg
 
 from .circle import canonical_angle
 from .config import DEFAULT_CONFIG, ToleranceConfig
@@ -29,8 +29,6 @@ TOL_SYM = 1e-12
 # |Im(root)| below IMAG_TOL * (1 + |Re|) counts as a real root; generous enough
 # that a numerically split double root is still recognized as real
 IMAG_TOL = 1e-6
-# relative threshold for trimming trailing interpolation coefficients
-TRIM_TOL = 1e-10
 
 
 def _as_symmetric(m, what: str) -> np.ndarray:
@@ -293,14 +291,35 @@ def cluster_tol(cfg: ToleranceConfig) -> float:
     return max(10.0 * cfg.tol_angle, 3e-6)
 
 
+def _qz_root_angles(a: np.ndarray, b: np.ndarray) -> tuple[list[float], int]:
+    """Real roots of det(a + t*b) = 0 by QZ, as chart angles.
+
+    QZ returns each eigenvalue in homogeneous form t = alpha/beta, so a real
+    root is the angle atan2(alpha, beta) and an infinite eigenvalue (beta =
+    0) is simply the chart's far point.  Returns the angles of the real roots
+    and the count of the non-real ones.
+    """
+    try:
+        alpha, beta = scipy.linalg.eigvals(a, -b, homogeneous_eigvals=True)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"QZ eigenvalue solver failed: {exc}") from exc
+    angles: list[float] = []
+    nonreal = 0
+    for al, be in zip(alpha.tolist(), beta.real.tolist()):
+        if abs(al.imag) <= IMAG_TOL * (abs(be) + abs(al.real)):
+            angles.append(math.atan2(al.real, be))
+        else:
+            nonreal += 1
+    return angles, nonreal
+
+
 def degenerate_locus(p: QuadraticPencil,
                      cfg: ToleranceConfig = DEFAULT_CONFIG) -> DegenerateLocus:
     """Locate all circle angles where the family drops rank.
 
-    The determinant in the affine chart t -> det(Q0 + t*Q1) is interpolated
-    from n+2 Chebyshev nodes; roots come from the companion (colleague)
-    matrix of the fitted polynomial.  A degree drop of d signals a projective
-    root at the vertical direction with multiplicity d.
+    With phi a regular angle, det(M(phi) + t*M(phi + pi/2)) vanishes exactly
+    at the directions phi + atan(t), so QZ on that pair finds every
+    projective root, the one at t = infinity included.
     """
     dim = p.dim
     s = p.scale()
@@ -309,36 +328,20 @@ def degenerate_locus(p: QuadraticPencil,
     a0 = p.q0 / s
     a1 = p.q1 / s
 
-    # a degree-(n+1) form vanishing at n+2 distinct projective points is zero
-    singular_everywhere = True
+    # a degree-(n+1) form vanishing at n+2 distinct projective points is zero;
+    # the first regular angle is the chart's origin
     for i in range(dim + 1):
-        th = PI * (i + 0.5) / (dim + 1)
-        m = math.cos(th) * a0 + math.sin(th) * a1
-        w = np.linalg.eigvalsh(m)
-        if float(np.min(np.abs(w))) > 1e-8:
-            singular_everywhere = False
+        phi = PI * (i + 0.5) / (dim + 1)
+        m = math.cos(phi) * a0 + math.sin(phi) * a1
+        if float(np.min(np.abs(np.linalg.eigvalsh(m)))) > 1e-8:
             break
-    if singular_everywhere:
+    else:
         return DegenerateLocus((), 0, True)
 
-    nodes = np.cos(PI * (2 * np.arange(dim + 1) + 1) / (2 * (dim + 1)))
-    vals = np.linalg.det(a0 + nodes[:, None, None] * a1)
-    coeffs = cheb.chebfit(nodes, vals, dim)
-    top = float(np.max(np.abs(coeffs)))
-    trimmed = cheb.chebtrim(coeffs, TRIM_TOL * top)
-    inf_mult = dim - (len(trimmed) - 1)
-    roots = cheb.chebroots(trimmed) if len(trimmed) > 1 else np.array([])
-
-    proj: list[float] = []
-    nonreal = 0
-    for r in np.atleast_1d(roots):
-        if abs(r.imag) <= IMAG_TOL * (1.0 + abs(r.real)):
-            proj.append(math.atan(float(r.real)) % PI)
-        else:
-            nonreal += 1
-    proj.extend([PI / 2] * inf_mult)
+    roots, nonreal = _qz_root_angles(m, math.cos(phi) * a1 - math.sin(phi) * a0)
     if nonreal % 2 != 0:
         raise NumericalError("unpaired non-real root; tolerances inconsistent")
+    proj = [(phi + r) % PI for r in roots]
 
     clusters = _cluster_periodic(proj, PI, cluster_tol(cfg))
     simple = [center for center, mult in clusters if mult == 1]
@@ -377,145 +380,35 @@ class RegularizedPencil:
 
 
 def _regularized_root_angles(p: QuadraticPencil, eps: float, shift: np.ndarray,
-                             cfg: ToleranceConfig,
-                             anchors: list[float] | None = None
-                             ) -> list[tuple[float, int]]:
+                             cfg: ToleranceConfig) -> list[tuple[float, int]]:
     """Clustered roots of det(omega Q - eps*shift) on the full circle.
 
     Uses a half-angle chart centered away from any root: with
-    theta = phi0 + 2*atan(u), (1+u^2) * M(theta(u)) has polynomial entries in
-    u of degree 2, so its determinant is a polynomial of degree <= 2(n+1).
-    The interpolated determinant loses relative accuracy in high dimension,
-    so crossings are additionally sought by branch-wise Newton anchored at
-    the unshifted family's degenerate points; spurious interpolation roots
-    are pruned downstream against the actual spectrum.
+    theta = phi0 + 2*atan(u), (1+u^2) * (M(theta(u)) - eps*shift) is the
+    quadratic matrix polynomial A0 + u*A1 + u^2*A2 with A0 = M(phi0) - eps*shift,
+    A1 = 2*M(phi0 + pi/2) and A2 = -M(phi0) - eps*shift.  QZ on its 2d x 2d
+    companion pencil [[A1, A0], [-I, 0]] + u*[[A2, 0], [0, I]] finds every
+    root; spurious ones are pruned downstream against the actual spectrum.
     """
     dim = p.dim
-    s = p.scale()
-    scale = max(s, eps)
+    scale = max(p.scale(), eps)
     a0, a1 = p.q0 / scale, p.q1 / scale
     sh = (eps / scale) * shift
 
     # pick a chart center whose antipode is far from singular
     cands = (0.123456, 0.987654, 1.543210, 2.246810, 0.555555)
-    m = p.at_many([t + PI for t in cands]) / scale - (eps / scale) * shift
+    m = p.at_many([t + PI for t in cands]) / scale - sh
     gaps = np.min(np.abs(np.linalg.eigvalsh(m)), axis=1)
     phi0 = cands[int(np.argmax(gaps))]
 
-    deg = 2 * dim
-    u = np.cos(PI * (2 * np.arange(deg + 1) + 1) / (2 * (deg + 1)))
-    c = math.cos(phi0) * (1 - u * u) - 2 * u * math.sin(phi0)
-    si = math.sin(phi0) * (1 - u * u) + 2 * u * math.cos(phi0)
-    vals = np.linalg.det(c[:, None, None] * a0 + si[:, None, None] * a1
-                         - (1 + u * u)[:, None, None] * sh)
-    top = float(np.max(np.abs(vals)))
-    if top == 0.0:
-        raise NumericalError("regularized determinant vanished at all nodes")
-    coeffs = cheb.chebfit(u, vals, deg)
-    trimmed = cheb.chebtrim(coeffs, TRIM_TOL * float(np.max(np.abs(coeffs))))
-    inf_mult = deg - (len(trimmed) - 1)
-    roots = cheb.chebroots(trimmed) if len(trimmed) > 1 else np.array([])
-
-    angles: list[float] = []
-    suspects: list[float] = []
-    for r in np.atleast_1d(roots):
-        if abs(r.imag) <= IMAG_TOL * (1.0 + abs(r.real)):
-            angles.append(canonical_angle(phi0 + 2.0 * math.atan(float(r.real))))
-        elif abs(r.imag) <= 0.05 * (1.0 + abs(r.real)):
-            # a stack of crossings too tight for global interpolation shows
-            # up as a spray of slightly complex roots; keep the location
-            suspects.append(canonical_angle(phi0 + 2.0 * math.atan(float(r.real))))
-    angles.extend([canonical_angle(phi0 + PI)] * inf_mult)
-
-    clusters = _cluster_periodic(angles, TWO_PI, cluster_tol(cfg))
-    suspect_clusters = _cluster_periodic(suspects, TWO_PI, 1e-3)
-    resolved: list[tuple[float, int]] = []
-    handled_suspects: set[int] = set()
-    for center, mult in clusters:
-        near = [i for i, (sc, _) in enumerate(suspect_clusters)
-                if abs((sc - center + PI) % TWO_PI - PI) < 1e-3]
-        if mult == 1 and not near:
-            resolved.append((center, 1))
-            continue
-        handled_suspects.update(near)
-        split = _resolve_crossing_stack(p, eps, shift, center, cfg)
-        if split is not None and len(split) >= mult:
-            resolved.extend((t, 1) for t in split)
-        else:
-            resolved.append((center, mult))
-    for i, (center, _) in enumerate(suspect_clusters):
-        if i in handled_suspects:
-            continue
-        split = _resolve_crossing_stack(p, eps, shift, center, cfg)
-        if split:
-            resolved.extend((t, 1) for t in split)
-    for anchor in anchors or []:
-        split = _resolve_crossing_stack(p, eps, shift, anchor, cfg)
-        if split:
-            resolved.extend((t, 1) for t in split)
-    resolved.sort()
-    # neighbouring members of one stack resolve to the same crossings; keep
-    # one copy of each
-    deduped: list[tuple[float, int]] = []
-    for theta, mult in resolved:
-        if deduped and theta - deduped[-1][0] <= 1e-8:
-            deduped[-1] = (deduped[-1][0], max(deduped[-1][1], mult))
-        else:
-            deduped.append((theta, mult))
-    if len(deduped) >= 2 and (deduped[0][0] + TWO_PI) - deduped[-1][0] <= 1e-8:
-        deduped[0] = (deduped[0][0], max(deduped[0][1], deduped[-1][1]))
-        deduped.pop()
-    return deduped
-
-
-def _resolve_crossing_stack(p: QuadraticPencil, eps: float, shift: np.ndarray,
-                            center: float,
-                            cfg: ToleranceConfig) -> list[float] | None:
-    """Separate near-coincident crossings of the shifted family branch-wise.
-
-    Every eigenvalue branch that is small at the center is followed by
-    Newton steps with eigenvector tracking; branches that converge to a
-    genuine nearby zero yield one crossing each.  Returns the separated
-    angles (well apart by the clustering tolerance), or None when the
-    branches cannot be told apart.
-    """
-    scale = max(p.scale(), eps)
-    m0 = p.at(center) - eps * shift
-    w, v = np.linalg.eigh(m0)
-    band = 100.0 * max(eps, cfg.tol_eig * scale)
-    candidates = [i for i in range(len(w)) if abs(w[i]) <= band]
-    if not candidates:
-        return None
-    roots: list[float] = []
-    for idx in candidates:
-        theta = center
-        lam = float(w[idx])
-        vec = v[:, idx]
-        converged = False
-        for _ in range(6):
-            slope = float(vec @ p.derivative_at(theta) @ vec)
-            if abs(slope) < 1e-10 * scale:
-                break
-            theta -= lam / slope
-            if abs(theta - center) > 5e-3:
-                break
-            w2, v2 = np.linalg.eigh(p.at(theta) - eps * shift)
-            j = int(np.argmax(np.abs(v2.T @ vec)))
-            lam = float(w2[j])
-            vec = v2[:, j]
-            if abs(lam) <= 1e-10 * scale:
-                converged = True
-                break
-        if converged:
-            roots.append(canonical_angle(theta))
-    if not roots:
-        return None
-    roots.sort()
-    sep = 10.0 * cfg.tol_angle
-    for a, b in zip(roots, roots[1:]):
-        if b - a <= sep:
-            return None
-    return roots
+    c, s = math.cos(phi0), math.sin(phi0)
+    m0 = c * a0 + s * a1
+    eye, zero = np.eye(dim), np.zeros((dim, dim))
+    roots, _ = _qz_root_angles(
+        np.block([[2.0 * (c * a1 - s * a0), m0 - sh], [-eye, zero]]),
+        np.block([[-m0 - sh, zero], [zero, eye]]))
+    angles = [canonical_angle(phi0 + 2.0 * r) for r in roots]
+    return _cluster_periodic(angles, TWO_PI, cluster_tol(cfg))
 
 
 def _validate_regularization(p: QuadraticPencil, eps: float, shift: np.ndarray,
@@ -524,7 +417,7 @@ def _validate_regularization(p: QuadraticPencil, eps: float, shift: np.ndarray,
     """Polish and prune roots, then verify simplicity and unit index jumps."""
     eye_term = eps * shift
     thr_scale = cfg.tol_eig * max(p.scale(), eps)
-    # the interpolated determinant can spray phantom roots; polish every
+    # a nearly real pair of non-real roots passes as real; polish every
     # cluster onto the spectrum and drop whatever is not an actual crossing
     # (the caller's root-count accounting guards against over-pruning)
     zs = [canonical_angle(z)
@@ -617,8 +510,7 @@ def regularize(p: QuadraticPencil,
         eps = eps0
         for _ in range(36):
             try:
-                clusters = _regularized_root_angles(p, eps, shift, cfg,
-                                                    anchors=locus.angles)
+                clusters = _regularized_root_angles(p, eps, shift, cfg)
             except NumericalError:
                 eps *= 0.5
                 continue

@@ -19,7 +19,7 @@ from quadrics.betti import betti_x, build_table, check_bounds
 from quadrics.circle import PlanarCone
 from quadrics.errors import InvalidInputError, NumericalError
 from quadrics.filtration import index_profile
-from quadrics.pencil import QuadraticPencil
+from quadrics.pencil import QuadraticPencil, degenerate_locus
 
 PI = math.pi
 ZERO = PlanarCone.zero()
@@ -305,8 +305,11 @@ def test_extremal_profile_structure():
 
 
 def test_extremal_total_betti():
-    for n in range(2, 13):
-        rep = betti_x(build_table(extremal_family(n), ZERO))
+    for n in [*range(2, 13), 25, 40, 80]:
+        p = extremal_family(n)
+        # det = prod cos(theta - 2 pi k/(n+1)): every projective root is real
+        assert degenerate_locus(p).theta_pairs == 0, n
+        rep = betti_x(build_table(p, ZERO))
         assert rep.total == 2 * n, n
         assert check_bounds(rep) == []
 

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from quadrics import fixtures
-from quadrics.circle import angles_equal
+from quadrics.betti import analyze, check_bounds
+from quadrics.circle import PlanarCone, angles_equal
 from quadrics.config import ToleranceConfig
 from quadrics.errors import InvalidInputError
+from quadrics.oracles import grid_index_profile, grid_profile_disagreements
 from quadrics.pencil import (
     InertiaTriple,
     QuadraticPencil,
@@ -280,6 +282,50 @@ def test_antipodal_index_identity():
             it2 = inertia(pencil_at(p, theta + PI))
             assert it.i_plus + it2.i_plus + it.i_zero == dim
             assert it.i_zero == it2.i_zero
+
+
+# ---------------------------------------------------------------------------
+# random pencils past dim 20, where the determinant spans many decades
+# ---------------------------------------------------------------------------
+
+def _seeded_pencils(dim, count):
+    rng = np.random.default_rng(dim)
+    return [fixtures.random_pencil(rng, dim) for _ in range(count)]
+
+
+def _arc_thirds_i_plus(p, locus):
+    """i_plus, sampled directly, at both thirds of each arc after a point."""
+    pts = locus.points
+    thetas = []
+    for i, pt in enumerate(pts):
+        nxt = pts[(i + 1) % len(pts)].theta + (TWO_PI if i == len(pts) - 1 else 0.0)
+        thetas += [pt.theta + (nxt - pt.theta) / 3, pt.theta + 2 * (nxt - pt.theta) / 3]
+    w = np.linalg.eigvalsh(np.array([pencil_at(p, t) for t in thetas]))
+    plus = np.sum(w > CFG.tol_eig * p.scale(), axis=1)
+    return plus[0::2].tolist(), plus[1::2].tolist()
+
+
+@pytest.mark.parametrize("dim", [24, 32, 48, 64])
+def test_high_dim_locus_and_analysis(dim):
+    for p in _seeded_pencils(dim, 5):
+        loc = degenerate_locus(p)
+        assert loc.real_projective_count() + 2 * loc.theta_pairs == dim
+        first, second = _arc_thirds_i_plus(p, loc)
+        # no root is missed inside an arc, and each simple root is a unit jump
+        assert first == second
+        for i, pt in enumerate(loc.points):
+            if pt.multiplicity == 1:
+                assert abs(first[i] - first[i - 1]) == 1, (i, pt)
+        res = analyze(p, PlanarCone.zero())
+        grid = grid_index_profile(p)
+        assert grid_profile_disagreements(res.filtration.profile, grid) == []
+        assert check_bounds(res.report) == []
+
+
+@pytest.mark.parametrize("dim", [24, 32])
+def test_high_dim_regularize_one_breakpoint_per_locus_point(dim):
+    for p in _seeded_pencils(dim, 6):
+        assert len(regularize(p).breakpoints) == len(degenerate_locus(p).points)
 
 
 # ---------------------------------------------------------------------------
