@@ -6,11 +6,11 @@ every cone kind, the regularized profile's breakpoints of each of them, a
 seeded sweep of random pencils of dims 3-16, random identically singular
 pencils, membership and level-set queries, and, past dim 20, three random
 pencils each at dims 24, 32 and 48 and the extremal pencils for n = 20 and
-40.  An analysis answer carries
-the profile's breakpoints and rows; a membership answer carries the
-certificate's angle and margin.  The last line is the SHA-256 of all the
-others, so two versions of the library give the same answers when they
-print the same digest:
+40.  An analysis answer carries the profile's breakpoints and rows, and the
+JSON and component count of each superlevel set; a membership answer carries
+the certificate's angle and margin.  The last line is the SHA-256 of all the
+others, so two versions of the library give the same answers when they print
+the same digest:
 
     python scripts/answer_digest.py                     # this checkout
     python scripts/answer_digest.py --src OTHER/src     # another checkout
@@ -102,6 +102,7 @@ def analysis(Q, p, cone):
     data["breakpoints"] = [round(b, 10)
                            for b in res.filtration.profile.breakpoint_angles()]
     data["rows"] = [list(r) for r in res.filtration.profile.rows()]
+    data["omega"] = [[w.to_json(), w.n_components()] for w in res.filtration.omega_j]
     return data
 
 

@@ -15,7 +15,6 @@ import numpy as np
 
 from .betti import analyze
 from .circle import (
-    Arc,
     CircleSubset,
     PlanarCone,
     betti_pair,
@@ -82,26 +81,16 @@ def _lambda_max(m: np.ndarray) -> float:
 def _arc_midpoints(subset: CircleSubset) -> list[float]:
     if subset.is_full():
         return [0.0, PI / 2, PI, 3 * PI / 2]
-    mids = []
-    for item in subset.items:
-        if isinstance(item, Arc):
-            mids.append(canonical_angle(0.5 * (item.start + item.end)))
-        else:
-            mids.append(item.theta)
-    return mids
+    return [canonical_angle(0.5 * (item.start + item.end)) for item in subset.items]
 
 
 def _longest_arc_midpoint(subset: CircleSubset) -> float:
-    best_theta, best_len = None, -1.0
-    for item in subset.items:
-        if isinstance(item, Arc) and item.length > best_len:
-            best_len = item.length
-            best_theta = canonical_angle(0.5 * (item.start + item.end))
-    if best_theta is None:
-        for item in subset.items:
-            return item.theta
+    """The midpoint of the first longest item; a point only when no arc exists."""
+    items = subset.items
+    if not items:
         raise NumericalError("no arc to certify from")
-    return best_theta
+    item = max(items, key=lambda it: it.end - it.start)
+    return canonical_angle(0.5 * (item.start + item.end))
 
 
 def calabi(p: QuadraticPencil, cfg: ToleranceConfig = DEFAULT_CONFIG,

@@ -2,16 +2,19 @@
 closed convex cones in the plane.
 
 A circle subset is a finite union of isolated points and arcs (with
-endpoint-inclusion flags), or the full circle.  All set operations work on a
-canonical representation: items pairwise disjoint, sorted counterclockwise,
-touching items merged.  Angles are compared modulo 2*pi with a configurable
-tolerance; homotopy-type outputs (component counts, Betti numbers) depend only
-on the canonical structure.
+endpoint-inclusion flags), or the full circle.  It is stored as its indicator
+function: ascending cut angles, and for each cut whether the point and the
+open arc after it belong to the set.  Complement flips the flags; union,
+intersection and building from items are one counting sweep over the cuts.
+Angles are compared modulo 2*pi with a configurable tolerance: cuts closer
+than it are one cut.  Homotopy-type outputs (component counts, Betti numbers)
+depend only on the flags.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .config import DEFAULT_CONFIG
@@ -48,10 +51,11 @@ def unit(theta: float) -> tuple[float, float]:
 class Point:
     """An isolated point of the circle, canonical angle.
 
-    Like a degenerate arc, it starts and ends at its angle.
+    Like a degenerate closed arc, it starts and ends at its angle.
     """
 
     theta: float
+    closed_start = closed_end = True
 
     @property
     def start(self) -> float:
@@ -85,155 +89,100 @@ class Arc:
 
     def contains(self, theta: float, tol: float = DEFAULT_CONFIG.tol_angle) -> bool:
         """Whether the angle lies on the arc; within tol of an endpoint the
-        endpoint's flag decides."""
-        return _rec_contains(_item_to_rec(self), theta, tol)
+        endpoint's flag decides (either flag, for a full turn)."""
+        d = (canonical_angle(theta) - self.start) % TWO_PI
+        if d <= tol or d >= TWO_PI - tol:
+            return self.closed_start or (self.length >= TWO_PI and self.closed_end)
+        if abs(d - self.length) <= tol:
+            return self.closed_end
+        return d < self.length - tol
 
 
-# internal record: (s, e, cs, ce); points are s == e with both flags True
-_Rec = tuple[float, float, bool, bool]
+def _fold(theta: float, tol: float) -> float:
+    """The canonical angle, with the last tol below 2*pi read as 0."""
+    t = theta % TWO_PI
+    return 0.0 if t >= TWO_PI - tol else t
 
 
-def _item_to_rec(item) -> _Rec:
-    if isinstance(item, Point):
-        t = canonical_angle(item.theta)
-        return (t, t, True, True)
-    return (item.start, item.end, item.closed_start, item.closed_end)
-
-
-def _rec_to_item(rec: _Rec):
-    s, e, cs, ce = rec
-    if e == s:
-        return Point(s)
-    return Arc(s, e, cs, ce)
-
-
-def _normalize_rec(s: float, e: float, cs: bool, ce: bool, tol: float):
-    """Normalize one raw record; returns a rec, "full", or None (empty)."""
-    length = e - s
+def _item_cuts(item: Point | Arc, tol: float) -> tuple:
+    """A Point or an Arc as a sweep operand, its cuts more than tol apart."""
+    length = item.end - item.start
     if length < -tol:
         raise InvalidInputError("arc with negative sweep")
-    if length > TWO_PI + tol:
-        # a merged sweep past one full turn covers the seam point as interior
-        return "full"
-    length = min(max(length, 0.0), TWO_PI)
-    s = canonical_angle(s)
-    if length <= tol:
-        if cs or ce:
-            return (s, s, True, True)
-        return None
-    if length >= TWO_PI - tol:
-        # the complementary gap degenerates to a single point
-        if cs or ce:
-            return "full"
-        return (s, s + TWO_PI, False, False)
-    return (s, s + length, cs, ce)
+    s = _fold(item.start, tol)
+    e = s if length <= tol or length >= TWO_PI - tol else _fold(item.end, tol)
+    cs, ce = item.closed_start, item.closed_end
+    if abs(e - s) <= tol:
+        # a point, or the circle with (at most) the point s missing
+        return (((s, cs or ce, length > PI),), length > PI)
+    if e < s:
+        return (((e, ce, False), (s, cs, True)), True)
+    return (((s, cs, True), (e, ce, False)), False)
 
 
-def _try_merge(cur: _Rec, nxt: _Rec, tol: float) -> _Rec | None:
-    """Merge nxt into cur when they overlap or touch at an included point.
+def _sweep(operands: list[tuple], need: int, tol: float) -> "CircleSubset":
+    """The points and arcs that at least `need` operands hold.
 
-    Assumes nxt starts at or after cur in the sweep ordering.  Returns the
-    merged record, or None when the two stay separate components.
+    An operand is its (cut, at, after) triples in ascending order and whether
+    it holds the arc before its first cut (with no cuts, the whole circle).
+    One pass visits all operands' cuts in ascending order.  A cluster holds
+    the cuts within tol of its first cut and becomes one cut of the result.
+    At each cluster the sweep counts the operands holding its point and the
+    arc after it; an operand with no cut in the cluster holds what its
+    current arc holds.
     """
-    s, e, cs_, ce_ = cur
-    ns, ne, ncs, nce = nxt
-    if ns > e + tol:
-        return None
-    if ns >= e - tol and not (ce_ or ncs):
-        # touching at a junction point that belongs to neither side
-        return None
-    if abs(ns - s) <= tol:
-        cs_ = cs_ or ncs
-    if ne > e + tol:
-        e, ce_ = ne, nce
-    elif ne >= e - tol:
-        # the ends agree within tol: keep the farther one, so no coverage is lost
-        e, ce_ = max(e, ne), ce_ or nce
-    return (s, e, cs_, ce_)
-
-
-def _canonicalize(recs: list[_Rec], tol: float) -> tuple[tuple[_Rec, ...], bool]:
-    """Sort, merge and detect full coverage.  Returns (records, full)."""
-    work: list[_Rec] = []
-    for s, e, cs, ce in recs:
-        norm = _normalize_rec(s, e, cs, ce, tol)
-        if norm == "full":
-            return (), True
-        if norm is not None:
-            work.append(norm)
-    if not work:
-        return (), False
-    work.sort(key=lambda r: (r[0], r[1]))
-    out: list[_Rec] = [work[0]]
-    for rec in work[1:]:
-        merged = _try_merge(out[-1], rec, tol)
-        if merged is None:
-            out.append(rec)
-        else:
-            out[-1] = merged
-    # merge the last item with leading items across the 0/2*pi seam
-    while len(out) >= 2:
-        first = out[0]
-        lifted = (first[0] + TWO_PI, first[1] + TWO_PI, first[2], first[3])
-        merged = _try_merge(out[-1], lifted, tol)
-        if merged is None:
-            break
-        out = out[1:-1] + [merged]
-    final: list[_Rec] = []
-    for rec in out:
-        norm = _normalize_rec(rec[0], rec[1], rec[2], rec[3], tol)
-        if norm == "full":
-            return (), True
-        if norm is not None:
-            final.append(norm)
-    return tuple(final), False
-
-
-def _rec_contains(rec: _Rec, theta: float, tol: float) -> bool:
-    s, e, cs, ce = rec
-    t = canonical_angle(theta)
-    d = t - s
-    while d < 0.0:
-        d += TWO_PI
-    if d >= TWO_PI - tol:
-        d = 0.0
-    length = e - s
-    if length == 0.0:
-        return d <= tol
-    if length >= TWO_PI:
-        # full sweep: only the seam point may be excluded
-        if d <= tol or d >= TWO_PI - tol:
-            return cs or ce
-        return True
-    if d <= tol:
-        return cs
-    if abs(d - length) <= tol:
-        return ce
-    return tol < d < length - tol
+    state = [held for _, held in operands]
+    events = sorted([(c, k, a, f) for k, (cuts, _) in enumerate(operands) for c, a, f in cuts])
+    count = sum(state)
+    rows = []  # (first cut, point held, arc after held) of each cluster
+    first, points = None, 0
+    # an operand's cuts are more than tol apart: at most one per cluster
+    for c, k, a, f in events:
+        if first is None or c > first + tol:
+            if first is not None:
+                rows.append((first, points >= need, count >= need))
+            first, points = c, count
+        was = state[k]
+        points += a - was
+        count += f - was
+        state[k] = f
+    if first is not None:
+        rows.append((first, points >= need, count >= need))
+    kept = [r for r, prev in zip(rows, rows[-1:] + rows[:-1]) if not r[1] == r[2] == prev[2]]
+    if not kept:
+        return CircleSubset((), (), (), count >= need, tol)
+    cuts, at, after = zip(*kept)
+    return CircleSubset(cuts, at, after, False, tol)
 
 
 @dataclass(frozen=True, slots=True)
 class CircleSubset:
-    """Canonical finite union of points and arcs of the unit circle."""
+    """A finite union of points and arcs of the unit circle, as its indicator.
 
-    items: tuple = ()
+    cuts are ascending canonical angles, more than tol apart; at[i] says
+    whether the point cuts[i] is in the set, after[i] whether the open arc
+    from cuts[i] to the next cut (cyclically) is.  No cut is redundant; with
+    no cuts, full decides between the empty set and the whole circle.
+    """
+
+    cuts: tuple[float, ...] = ()
+    at: tuple[bool, ...] = ()
+    after: tuple[bool, ...] = ()
     full: bool = False
     tol: float = DEFAULT_CONFIG.tol_angle
 
     # -- constructors -------------------------------------------------
     @staticmethod
     def empty(tol: float = DEFAULT_CONFIG.tol_angle) -> "CircleSubset":
-        return CircleSubset((), False, tol)
+        return CircleSubset((), (), (), False, tol)
 
     @staticmethod
     def full_circle(tol: float = DEFAULT_CONFIG.tol_angle) -> "CircleSubset":
-        return CircleSubset((), True, tol)
+        return CircleSubset((), (), (), True, tol)
 
     @staticmethod
     def from_items(items, tol: float = DEFAULT_CONFIG.tol_angle) -> "CircleSubset":
-        recs = [_item_to_rec(it) for it in items]
-        recs, full = _canonicalize(recs, tol)
-        return CircleSubset(tuple(_rec_to_item(r) for r in recs), full, tol)
+        return _sweep([_item_cuts(it, tol) for it in items], 1, tol)
 
     @staticmethod
     def point(theta: float, tol: float = DEFAULT_CONFIG.tol_angle) -> "CircleSubset":
@@ -254,72 +203,66 @@ class CircleSubset:
 
     # -- basic queries ------------------------------------------------
     @property
-    def recs(self) -> list[_Rec]:
-        return [_item_to_rec(it) for it in self.items]
+    def items(self) -> tuple[Point | Arc, ...]:
+        """The components, sorted by start: a Point, or an Arc with its end lifted
+        past start; one cut with its arc held is the circle minus that point."""
+        c, at, after, n = self.cuts, self.at, self.after, len(self.cuts)
+        out: list[Point | Arc] = []
+        for i in range(n):
+            if after[i]:
+                j = (i + 1) % n
+                out.append(Arc(c[i], c[j] if j > i else c[j] + TWO_PI, at[i], at[j]))
+            elif at[i] and not after[i - 1]:
+                out.append(Point(c[i]))
+        return tuple(out)
 
     def is_empty(self) -> bool:
-        return not self.full and not self.items
+        return not self.full and not self.cuts
 
     def is_full(self) -> bool:
         return self.full
 
     def n_components(self) -> int:
-        return 1 if self.full else len(self.items)
+        """Held arcs plus isolated held points: no held point joins two held arcs."""
+        if not self.cuts:
+            return int(self.full)
+        at, after = self.at, self.after
+        return sum(after) + sum(at[i] and not after[i - 1] and not after[i]
+                                for i in range(len(at)))
 
     def contains(self, theta: float) -> bool:
-        if self.full:
-            return True
-        return any(_rec_contains(r, theta, self.tol) for r in self.recs)
+        cuts, tol = self.cuts, self.tol
+        if not cuts:
+            return self.full
+        t = _fold(theta, tol)
+        i = bisect_right(cuts, t) - 1
+        if i >= 0 and t - cuts[i] <= tol:
+            return self.at[i]
+        if i + 1 < len(cuts) and cuts[i + 1] - t <= tol:
+            return self.at[i + 1]
+        return self.after[i]
 
     def components(self) -> list["CircleSubset"]:
         if self.full:
             return [self]
-        return [CircleSubset((it,), False, self.tol) for it in self.items]
+        return [CircleSubset.from_items([it], self.tol) for it in self.items]
 
     # -- set operations -----------------------------------------------
     def complement(self) -> "CircleSubset":
-        if self.full:
-            return CircleSubset.empty(self.tol)
-        if not self.items:
-            return CircleSubset.full_circle(self.tol)
-        recs = self.recs
-        out: list[_Rec] = []
-        n = len(recs)
-        for i in range(n):
-            cur = recs[i]
-            nxt = recs[(i + 1) % n]
-            ns = nxt[0] + (TWO_PI if i == n - 1 else 0.0)
-            gap_s, gap_e = cur[1], ns
-            open_at_s = not cur[3]
-            open_at_e = not nxt[2]
-            if gap_e - gap_s <= self.tol:
-                if open_at_s and open_at_e:
-                    out.append((canonical_angle(gap_s), canonical_angle(gap_s), True, True))
-            else:
-                out.append((canonical_angle(gap_s),
-                            canonical_angle(gap_s) + (gap_e - gap_s),
-                            open_at_s, open_at_e))
-        recs2, full = _canonicalize(out, self.tol)
-        return CircleSubset(tuple(_rec_to_item(r) for r in recs2), full, self.tol)
+        return CircleSubset(self.cuts, tuple(not a for a in self.at),
+                            tuple(not f for f in self.after),
+                            not (self.full or self.cuts), self.tol)
 
     def union(self, other: "CircleSubset") -> "CircleSubset":
-        if self.full or other.full:
-            return CircleSubset.full_circle(self.tol)
-        recs, full = _canonicalize(self.recs + other.recs, self.tol)
-        return CircleSubset(tuple(_rec_to_item(r) for r in recs), full, self.tol)
+        return _sweep([self._raw(), other._raw()], 1, self.tol)
 
     def intersect(self, other: "CircleSubset") -> "CircleSubset":
-        if self.full:
-            return other
-        if other.full:
-            return self
-        tol = self.tol
-        out: list[_Rec] = []
-        for a in self.recs:
-            for b in other.recs:
-                out.extend(_intersect_recs(a, b, tol))
-        recs, full = _canonicalize(out, tol)
-        return CircleSubset(tuple(_rec_to_item(r) for r in recs), full, tol)
+        return _sweep([self._raw(), other._raw()], 2, self.tol)
+
+    def _raw(self) -> tuple:
+        """This set as a sweep operand."""
+        return (tuple(zip(self.cuts, self.at, self.after)),
+                self.after[-1] if self.cuts else self.full)
 
     def minus_points(self, thetas: list[float]) -> "CircleSubset":
         holes = CircleSubset.from_items([Point(t) for t in thetas], self.tol)
@@ -356,39 +299,6 @@ class CircleSubset:
                     sweep = TWO_PI
                 items.append(Arc(s, s + sweep, d["closed_start"], d["closed_end"]))
         return CircleSubset.from_items(items, tol)
-
-
-def _intersect_recs(a: _Rec, b: _Rec, tol: float) -> list[_Rec]:
-    """Pairwise intersection of two records, as a list of records."""
-    out: list[_Rec] = []
-    a_s, a_e = a[0], a[1]
-    for k in (-1, 0, 1):
-        bs, be = b[0] + k * TWO_PI, b[1] + k * TWO_PI
-        lo = max(a_s, bs)
-        hi = min(a_e, be)
-        if hi - lo < -tol:
-            continue
-        if hi - lo <= tol:
-            m = 0.5 * (lo + hi)
-            if _rec_contains(a, m, tol) and _rec_contains(b, m, tol):
-                t = canonical_angle(m)
-                out.append((t, t, True, True))
-            continue
-        # endpoint flags: binding constraint decides inclusion
-        if abs(lo - a_s) <= tol and abs(lo - bs) <= tol:
-            cs = a[2] and b[2]
-        elif abs(lo - a_s) <= tol:
-            cs = a[2]
-        else:
-            cs = b[2]
-        if abs(hi - a_e) <= tol and abs(hi - be) <= tol:
-            ce = a[3] and b[3]
-        elif abs(hi - a_e) <= tol:
-            ce = a[3]
-        else:
-            ce = b[3]
-        out.append((canonical_angle(lo), canonical_angle(lo) + (hi - lo), cs, ce))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -277,17 +277,18 @@ def _dedupe_sorted(angles: list[float], tol: float) -> list[float]:
 def index_profile(p: QuadraticPencil, domain: CircleSubset,
                   cfg: ToleranceConfig = DEFAULT_CONFIG,
                   family: QuadraticPencil | RegularizedPencil | None = None,
-                  candidates: list[float] | None = None,
-                  find_dips: bool = True) -> IndexProfile:
+                  candidates: list[float] | None = None) -> IndexProfile:
     """Inertia profile of a family over a circle domain.
 
     By default the family is the pencil itself and candidate breakpoints come
     from its degenerate locus (from the regularized locus when the determinant
     vanishes identically).  Arcs are verified constant by interior samples;
     disagreements trigger bisection refinement, so missed candidates are
-    recovered rather than silently absorbed.  Every inertia value comes from
-    one FamilySpectrum, so each angle is solved once per profile.  A point
-    whose inertia exceeds that of an arc it bounds raises NumericalError.
+    recovered rather than silently absorbed.  When the pencil's determinant
+    vanishes identically, a dip search also looks for isolated rank drops
+    inside the arcs.  Every inertia value comes from one FamilySpectrum, so
+    each angle is solved once per profile.  A point whose inertia exceeds
+    that of an arc it bounds raises NumericalError.
     """
     if family is None:
         family = p
@@ -299,12 +300,14 @@ def index_profile(p: QuadraticPencil, domain: CircleSubset,
     if domain.is_empty():
         return IndexProfile(domain, ())
 
+    find_dips = False
     if candidates is None:
         if p.scale() == 0.0:
             candidates = []  # the zero pencil has constant (vanishing) inertia
         else:
             locus = degenerate_locus(p, cfg)
-            if locus.identically_singular:
+            find_dips = locus.identically_singular
+            if find_dips:
                 candidates = list(regularize(p, cfg).breakpoints)
             else:
                 candidates = locus.angles
@@ -339,9 +342,10 @@ def index_profile(p: QuadraticPencil, domain: CircleSubset,
                                     cells[k - 1][1], cells[k + 1][1])
         return IndexProfile(domain, tuple(cells))
 
-    for s, e, cs, ce in domain.recs:
+    for item in domain.items:
+        s, e = item.start, item.end
         if e == s:
-            cells.append((Point(s), value_at(s)))
+            cells.append((item, value_at(s)))
             continue
         inner = []
         for c in candidates:
@@ -359,7 +363,8 @@ def index_profile(p: QuadraticPencil, domain: CircleSubset,
         for lo, hi, av in zip(edges, edges[1:], arc_vals):
             cl = canonical_angle(lo)
             cells.append((Arc(cl, cl + (hi - lo), False, False), av))
-        for included, b, arc in ((cs, s, arc_vals[0]), (ce, e, arc_vals[-1])):
+        for included, b, arc in ((item.closed_start, s, arc_vals[0]),
+                                 (item.closed_end, e, arc_vals[-1])):
             if included:
                 v = value_at(b)
                 _require_semicontinuous("domain endpoint", b, v, arc)
@@ -388,7 +393,7 @@ def regularized_profile(reg: RegularizedPencil, domain: CircleSubset,
                         cfg: ToleranceConfig = DEFAULT_CONFIG) -> IndexProfile:
     """Profile of the shifted family omega Q - eps * p over the domain."""
     return index_profile(reg.pencil, domain, cfg, family=reg,
-                         candidates=list(reg.breakpoints), find_dips=False)
+                         candidates=list(reg.breakpoints))
 
 
 # ---------------------------------------------------------------------------

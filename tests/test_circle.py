@@ -21,6 +21,7 @@ from quadrics.circle import (
     polar_cone,
     subsets_equal,
 )
+from quadrics.config import DEFAULT_CONFIG
 from quadrics.errors import InvalidInputError
 
 PI = math.pi
@@ -275,6 +276,8 @@ def test_exact_sequence_identity_random_pairs():
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.floats(0, TWO_PI), st.floats(0.01, 3.0),
                           st.booleans(), st.booleans()), max_size=5))
+# one arc ends within tol of where the other starts
+@example([(1.0, 1.0, False, False), (1e-09, 1.0, False, False)])
 def test_complement_involution(arcs):
     a = CircleSubset.from_items(
         [Arc(canonical_angle(s), canonical_angle(s) + w, cs, ce)
@@ -289,6 +292,8 @@ def test_complement_involution(arcs):
                           st.booleans(), st.booleans()), max_size=4))
 # ends within tol of each other: the union must keep the farther end
 @example([(0.0, 1.0, False, False)], [(1e-9, 1.0, False, False)])
+# starts within tol with different flags: a = (1, 3), b = [1 + 1e-9, 3)
+@example([(1.0, 2.0, False, False)], [(1.0 + 1e-9, 2.0 - 1e-9, True, False)])
 def test_de_morgan(arcs1, arcs2):
     def build(arcs):
         return CircleSubset.from_items(
@@ -319,6 +324,38 @@ def test_set_algebra_laws(a1, a2, a3):
     assert subsets_equal(a.union(b).union(c), a.union(b.union(c)))
     assert subsets_equal(a.intersect(b.union(c)),
                          a.intersect(b).union(a.intersect(c)))
+
+
+TOL = DEFAULT_CONFIG.tol_angle
+# an angle near one of a few base angles, shifted by 0 or by 0.5-2 tol either way
+_near_base = st.builds(lambda base, sign, mult: base + sign * mult * TOL,
+                       st.sampled_from([0.0, 1.0, 3.0]), st.sampled_from([-1.0, 0.0, 1.0]),
+                       st.floats(0.5, 2.0))
+_tol_scale_arcs = st.lists(st.tuples(_near_base, _near_base, st.booleans(), st.booleans()),
+                           min_size=1, max_size=3)
+
+
+def _arcs_between(arcs) -> CircleSubset:
+    """The union of the counterclockwise arcs from s to e."""
+    items = []
+    for s, e, cs, ce in arcs:
+        start = canonical_angle(s)
+        items.append(Arc(start, start + (e - s) % TWO_PI, cs, ce))
+    return CircleSubset.from_items(items)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tol_scale_arcs, _tol_scale_arcs)
+def test_set_laws_at_tolerance_scale(arcs1, arcs2):
+    """With endpoints a tol or two apart, De Morgan and involution still hold.
+
+    Associativity and distributivity are not exact at this scale: regrouping
+    can change which cuts fall within tol of a cluster's first cut.
+    """
+    a, b = _arcs_between(arcs1), _arcs_between(arcs2)
+    assert subsets_equal(a.complement().complement(), a)
+    assert subsets_equal(a.intersect(b), a.complement().union(b.complement()).complement())
+    assert subsets_equal(a.union(b), a.complement().intersect(b.complement()).complement())
 
 
 def test_disjoint_union_b0_adds():
