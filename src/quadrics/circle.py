@@ -230,22 +230,23 @@ class CircleSubset:
         return sum(after) + sum(at[i] and not after[i - 1] and not after[i]
                                 for i in range(len(at)))
 
-    def contains(self, theta: float) -> bool:
+    def _locate(self, theta: float) -> tuple[int, bool]:
+        """(i, True) when theta is within tol of cuts[i], else (i, False) with
+        theta on the open arc after cuts[i].  Needs at least one cut."""
         cuts, tol = self.cuts, self.tol
-        if not cuts:
-            return self.full
         t = _fold(theta, tol)
         i = bisect_right(cuts, t) - 1
         if i >= 0 and t - cuts[i] <= tol:
-            return self.at[i]
+            return i, True
         if i + 1 < len(cuts) and cuts[i + 1] - t <= tol:
-            return self.at[i + 1]
-        return self.after[i]
+            return i + 1, True
+        return i % len(cuts), False
 
-    def components(self) -> list["CircleSubset"]:
-        if self.full:
-            return [self]
-        return [CircleSubset.from_items([it], self.tol) for it in self.items]
+    def contains(self, theta: float) -> bool:
+        if not self.cuts:
+            return self.full
+        i, on_cut = self._locate(theta)
+        return self.at[i] if on_cut else self.after[i]
 
     # -- set operations -----------------------------------------------
     def complement(self) -> "CircleSubset":
@@ -324,6 +325,29 @@ def euler_circle(a: CircleSubset) -> int:
     return a.n_components()
 
 
+def _components_met(a: CircleSubset, b: CircleSubset) -> set[int]:
+    """The components of a (not full) that meet its subset b.
+
+    A component of a is labelled by its held arc after cuts[i] as i (a held
+    point at an arc's end joins that arc), or as n + i when it is the isolated
+    point cuts[i].  Each held point and open arc of b lies in one component of
+    a, so one pass over b's cuts, bisecting a's at a point of each, finds them.
+    """
+    after, n = a.after, len(a.cuts)
+
+    def label(t: float) -> int:
+        j, on_cut = a._locate(t)
+        if not on_cut or after[j]:
+            return j
+        return (j - 1) % n if after[j - 1] else n + j
+
+    cb, m = b.cuts, len(b.cuts)
+    met = {label(cb[i]) for i in range(m) if b.at[i]}
+    met.update(label(0.5 * (cb[i] + (cb[i + 1] if i + 1 < m else cb[0] + TWO_PI)))
+               for i in range(m) if b.after[i])
+    return met
+
+
 def betti_pair(a: CircleSubset, b: CircleSubset) -> tuple[int, int]:
     """Relative (b0, b1) of a nested pair b <= a of circle subsets.
 
@@ -335,7 +359,7 @@ def betti_pair(a: CircleSubset, b: CircleSubset) -> tuple[int, int]:
     if a.is_full():
         b0_rel = 0 if not b.is_empty() else 1
     else:
-        b0_rel = sum(1 for comp in a.components() if comp.intersect(b).is_empty())
+        b0_rel = a.n_components() - len(_components_met(a, b))
     b1_rel = b0_rel - euler_circle(a) + euler_circle(b)
     if b1_rel < 0:
         raise InvalidInputError("inconsistent pair: negative relative b1")

@@ -5,6 +5,13 @@ This module computes inertia triples, the degenerate locus (angles where the
 determinant of the family vanishes, with multiplicities and the count of
 non-real projective roots), and the small positive-definite shift that makes
 every degenerate point simple with unit inertia jumps.
+
+Both the locus and the shifted family's crossings are the angles of one QZ
+solve, used as QZ gives them.  QZ is backward stable, so a simple root already
+reads as degenerate at the profile's threshold tol_eig * scale (the tests
+measure both kinds of root against it); and a simple
+root is a sign crossing, so one that read as regular would break the
+semicontinuity check downstream rather than give a wrong answer.
 """
 
 from __future__ import annotations
@@ -257,36 +264,6 @@ def _cluster_periodic(values: list[float], period: float, tol: float) -> list[tu
     return [(sum(c) / len(c) % period, len(c)) for c in clusters]
 
 
-def _polish_roots(p: QuadraticPencil, thetas: list[float], eps: float = 0.0,
-                  shift: np.ndarray | None = None, iters: int = 3) -> list[float]:
-    """Newton refinement of simple zeros of the smallest eigenvalue.
-
-    Each iteration solves every root still moving with one stacked eigh; a
-    root stops for good at a flat slope or at a step longer than 1e-2.
-    """
-    offset = eps * shift if shift is not None else 0.0
-    thetas = list(thetas)
-    active = list(range(len(thetas)))
-    for _ in range(iters):
-        if not active:
-            break
-        w, v = np.linalg.eigh(p.at_many([thetas[i] for i in active]) - offset)
-        moving = []
-        for j, i in enumerate(active):
-            k = int(np.argmin(np.abs(w[j])))
-            vec = v[j][:, k]
-            slope = float(vec @ p.derivative_at(thetas[i]) @ vec)
-            if abs(slope) < 1e-9:
-                continue
-            step = -w[j][k] / slope
-            if abs(step) > 1e-2:
-                continue
-            thetas[i] += step
-            moving.append(i)
-        active = moving
-    return thetas
-
-
 def cluster_tol(cfg: ToleranceConfig) -> float:
     return max(10.0 * cfg.tol_angle, 3e-6)
 
@@ -343,14 +320,10 @@ def degenerate_locus(p: QuadraticPencil,
         raise NumericalError("unpaired non-real root; tolerances inconsistent")
     proj = [(phi + r) % PI for r in roots]
 
-    clusters = _cluster_periodic(proj, PI, cluster_tol(cfg))
-    simple = [center for center, mult in clusters if mult == 1]
-    polished = iter(_polish_roots(p, simple))
     points: list[DegeneratePoint] = []
-    for center, mult in clusters:
-        theta = next(polished) % PI if mult == 1 else center
-        points.append(DegeneratePoint(canonical_angle(theta), mult))
-        points.append(DegeneratePoint(canonical_angle(theta + PI), mult))
+    for center, mult in _cluster_periodic(proj, PI, cluster_tol(cfg)):
+        points.append(DegeneratePoint(canonical_angle(center), mult))
+        points.append(DegeneratePoint(canonical_angle(center + PI), mult))
     points.sort(key=lambda q: q.theta)
     return DegenerateLocus(tuple(points), nonreal // 2, False)
 
@@ -414,43 +387,30 @@ def _regularized_root_angles(p: QuadraticPencil, eps: float, shift: np.ndarray,
 def _validate_regularization(p: QuadraticPencil, eps: float, shift: np.ndarray,
                              clusters: list[tuple[float, int]],
                              cfg: ToleranceConfig) -> tuple[float, ...] | None:
-    """Polish and prune roots, then verify simplicity and unit index jumps."""
+    """Prune roots to crossings, then verify simplicity and unit index jumps."""
     eye_term = eps * shift
     thr_scale = cfg.tol_eig * max(p.scale(), eps)
-    # a nearly real pair of non-real roots passes as real; polish every
-    # cluster onto the spectrum and drop whatever is not an actual crossing
+    # a nearly real pair of non-real roots passes as real; drop every QZ
+    # cluster centre at which the spectrum does not actually cross zero
     # (the caller's root-count accounting guards against over-pruning)
-    zs = [canonical_angle(z)
-          for z in _polish_roots(p, [th for th, _ in clusters], eps, shift)]
     genuine: list[tuple[float, int]] = []
-    if zs:
-        gaps = np.min(np.abs(np.linalg.eigvalsh(p.at_many(zs) - eye_term)), axis=1)
-        genuine = [(z, mult) for z, gap, (_, mult) in zip(zs, gaps, clusters)
+    if clusters:
+        gaps = np.min(np.abs(np.linalg.eigvalsh(
+            p.at_many([z for z, _ in clusters]) - eye_term)), axis=1)
+        genuine = [(z, mult) for gap, (z, mult) in zip(gaps, clusters)
                    if gap <= 1e2 * thr_scale]
     if any(mult != 1 for _, mult in genuine):
         return None
-    kept = sorted(z for z, _ in genuine)
-    polished = []
-    for z in kept:
-        if polished and z - polished[-1] <= 1e-8:
-            continue
-        polished.append(z)
-    if len(polished) >= 2 and (polished[0] + TWO_PI) - polished[-1] <= 1e-8:
-        polished.pop()
-    if polished:
-        sep = 10.0 * cfg.tol_angle
-        for i in range(len(polished)):
-            gap = (polished[(i + 1) % len(polished)] - polished[i]) % TWO_PI
-            if len(polished) > 1 and gap <= sep:
-                return None
-    m_count = len(polished)
+    # cluster centres are more than cluster_tol >= 10 * tol_angle apart
+    crossings = sorted(z for z, _ in genuine)
+    m_count = len(crossings)
     if m_count == 0:
         return ()
     # each crossing and the midpoint of the arc after it, in one stacked solve
     probes = []
     for i in range(m_count):
-        z = polished[i]
-        z_next = polished[(i + 1) % m_count] + (TWO_PI if i == m_count - 1 else 0.0)
+        z = crossings[i]
+        z_next = crossings[(i + 1) % m_count] + (TWO_PI if i == m_count - 1 else 0.0)
         probes += [z, 0.5 * (z + z_next)]
     w = np.linalg.eigvalsh(p.at_many(probes) - eye_term)
     minus = []
@@ -463,7 +423,7 @@ def _validate_regularization(p: QuadraticPencil, eps: float, shift: np.ndarray,
     for i in range(m_count):
         if abs(minus[i] - minus[i - 1]) != 1:
             return None
-    return tuple(polished)
+    return tuple(crossings)
 
 
 def regularize(p: QuadraticPencil,

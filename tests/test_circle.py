@@ -273,6 +273,33 @@ def test_exact_sequence_identity_random_pairs():
         checked += 1
 
 
+def _nested_subset(rng: random.Random, a: CircleSubset) -> CircleSubset:
+    """A random subset of a: a's intersection with a random set, a with some
+    points removed, some of a's components, or a's cut points that it holds."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return _random_subset(rng).intersect(a)
+    if kind == 1:
+        return a.minus_points([rng.uniform(0, TWO_PI) for _ in range(3)] + list(a.cuts[:1]))
+    if kind == 2:
+        return CircleSubset.from_items([it for it in a.items if rng.random() < 0.5])
+    return a.intersect(CircleSubset.from_items([Point(c) for c in a.cuts]))
+
+
+def test_betti_pair_b0_matches_per_component_count():
+    # the one-pass count against the definition: components of a missing b
+    rng = random.Random(20261018)
+    for _ in range(1500):
+        a = _random_subset(rng)
+        b = _nested_subset(rng, a)
+        if a.is_full():
+            expected = int(b.is_empty())
+        else:
+            expected = sum(1 for it in a.items
+                           if CircleSubset.from_items([it]).intersect(b).is_empty())
+        assert betti_pair(a, b)[0] == expected
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.floats(0, TWO_PI), st.floats(0.01, 3.0),
                           st.booleans(), st.booleans()), max_size=5))
