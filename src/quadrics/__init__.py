@@ -57,6 +57,7 @@ from .filtration import (
     filtration_report,
     index_profile,
     stiefel_whitney,
+    sublevel,
     sublevel_eps,
     superlevel,
 )

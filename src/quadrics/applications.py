@@ -28,7 +28,7 @@ from .filtration import (
     FiltrationReport,
     filtration_for_cone,
     index_profile,
-    level_subset,
+    sublevel,
 )
 from .pencil import QuadraticPencil
 
@@ -226,8 +226,7 @@ def _level_result(p: QuadraticPencil, domain: CircleSubset,
     nonempty = min_minus != 0
     if not nonempty:
         return LevelSetResult(False, tuple([0] * (n + 1)), min_minus)
-    levels = [level_subset(prof, lambda v, kk=k: v.i_minus <= kk)
-              for k in range(0, n + 3)]
+    levels = [sublevel(prof, k) for k in range(0, n + 3)]
     b_tilde = []
     for k in range(0, n + 1):
         first = betti_pair(levels[k + 1], levels[k])[0]

@@ -79,7 +79,8 @@ def build_table(p: QuadraticPencil, cone: PlanarCone,
     if filt.w1_nonzero:
         c, d = 0, 0
     else:
-        c, d = 1, betti_circle(filt.omega(mu))[1]
+        # b1(Omega_mu) is 1 exactly when Omega_mu is the whole circle
+        c, d = 1, int(filt.profile.domain.is_full() and filt.nu == mu)
     rows = []
     for j in range(0, n + 1):
         e0 = 1 if j > mu else (c if j == mu else 0)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import re
@@ -295,7 +296,10 @@ class _Parser(argparse.ArgumentParser):
             r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args keeps no
+    state between calls, and the parser takes ms to build."""
     parser = _Parser(
         prog="quadrics",
         description="Topological invariants of sets cut out by two quadratic "
@@ -368,8 +372,7 @@ _DISPATCH = {
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
     except InvalidInputError as exc:

@@ -60,11 +60,18 @@ class IndexProfile:
     def all_values(self) -> list[InertiaTriple]:
         return [v for _, v in self.cells]
 
+    @cached_property
+    def _index_range(self) -> tuple[int, int, int, int]:
+        """(min, max) of i_plus, then of i_minus, over the cells; zeros with none."""
+        plus = [v.i_plus for _, v in self.cells] or [0]
+        minus = [v.i_minus for _, v in self.cells] or [0]
+        return (min(plus), max(plus), min(minus), max(minus))
+
     def max_positive_index(self) -> int:
-        return max((v.i_plus for _, v in self.cells), default=0)
+        return self._index_range[1]
 
     def min_positive_index(self) -> int:
-        return min((v.i_plus for _, v in self.cells), default=0)
+        return self._index_range[0]
 
     def breakpoint_angles(self) -> list[float]:
         return [item.theta for item, _ in self.cells if isinstance(item, Point)]
@@ -400,22 +407,41 @@ def regularized_profile(reg: RegularizedPencil, domain: CircleSubset,
 # level subsets
 # ---------------------------------------------------------------------------
 
-def level_subset(profile: IndexProfile,
-                 predicate: Callable[[InertiaTriple], bool]) -> CircleSubset:
-    """The subset of the domain where the pointwise inertia satisfies predicate.
+def _cells_where(profile: IndexProfile,
+                 keep: Callable[[InertiaTriple], bool]) -> CircleSubset:
+    """The union of the cells whose inertia satisfies keep.
 
-    The qualifying cells enter as they are and the union is canonicalized, so
-    arcs close exactly where their endpoint values qualify.
+    The cells enter as they are and the union is canonicalized, so arcs close
+    exactly where their endpoint values qualify.
     """
-    items = [item for item, v in profile.cells if predicate(v)]
+    items = [item for item, v in profile.cells if keep(v)]
     return CircleSubset.from_items(items, profile.domain.tol)
 
 
 def superlevel(profile: IndexProfile, j: int) -> CircleSubset:
-    """{omega in the domain : i_plus(omega) >= j}."""
-    if j <= 0:
+    """{omega in the domain : i_plus(omega) >= j}.
+
+    i_plus ranges over [nu, mu] on the cells, so every level j <= nu is the
+    whole domain and every level j > mu is empty: the union of all cells is
+    the domain and the union of none is empty.  Only the levels in between
+    take a pass over the cells.
+    """
+    nu, mu = profile._index_range[:2]
+    if j <= nu:
         return profile.domain
-    return level_subset(profile, lambda v: v.i_plus >= j)
+    if j > mu:
+        return CircleSubset.empty(profile.domain.tol)
+    return _cells_where(profile, lambda v: v.i_plus >= j)
+
+
+def sublevel(profile: IndexProfile, k: int) -> CircleSubset:
+    """{omega in the domain : i_minus(omega) <= k}, by the same range rule."""
+    lo, hi = profile._index_range[2:]
+    if k >= hi:
+        return profile.domain
+    if k < lo:
+        return CircleSubset.empty(profile.domain.tol)
+    return _cells_where(profile, lambda v: v.i_minus <= k)
 
 
 def sublevel_eps(p: QuadraticPencil, domain: CircleSubset, k: int,
@@ -428,9 +454,7 @@ def sublevel_eps(p: QuadraticPencil, domain: CircleSubset, k: int,
     """
     if reg is None:
         reg = regularize(p, cfg)
-    prof = regularized_profile(reg, domain, cfg)
-    bound = p.n - k
-    return level_subset(prof, lambda v: v.i_minus <= bound)
+    return sublevel(regularized_profile(reg, domain, cfg), p.n - k)
 
 
 # ---------------------------------------------------------------------------
@@ -490,18 +514,18 @@ def stiefel_whitney(p: QuadraticPencil, profile: IndexProfile,
     """Orientability of the bundle of top positive eigenspaces.
 
     Returns (w1_nonzero, resolution, reason).  When the top superlevel set is
-    not the whole circle the class vanishes and no transport is needed.
+    not the whole circle the class vanishes and no transport is needed; it is
+    the whole circle exactly when the domain is and the index is constant.
     Otherwise an orthonormal basis of the positive eigenspace is transported
     around the circle; the sign of the product of overlap determinants decides
     whether the holonomy reverses orientation.  Each overlap must stay well
     conditioned (smallest singular value above one half); the resolution is
     doubled until it does.
     """
-    mu = profile.max_positive_index()
-    omega_mu = superlevel(profile, mu)
+    nu, mu = profile._index_range[:2]
     if mu == 0:
         return (False, 0, "rank-zero bundle")
-    if not omega_mu.is_full():
+    if not (profile.domain.is_full() and nu == mu):
         return (False, 0, "top superlevel set is not the whole circle")
 
     dim = p.dim

@@ -346,9 +346,9 @@ def verify_analysis(p: QuadraticPencil, cone: PlanarCone,
             raise OracleDisagreement(
                 f"sampled component count {b0} differs from b_0 = {expected}")
 
-    mu = res.filtration.mu
-    if mu > 0 and res.filtration.omega(mu).is_full():
-        check = monodromy_refine(p, res.filtration, cfg)
+    filt = res.filtration
+    if filt.mu > 0 and filt.profile.domain.is_full() and filt.nu == filt.mu:
+        check = monodromy_refine(p, filt, cfg)
         out["monodromy_values"] = list(check.values)
         if not check.stable:
             raise OracleDisagreement(

@@ -275,3 +275,19 @@ def test_member_accepts_negative_exponent_notation(tmp_path):
     assert code_plain == 0
     assert data == plain
     assert data["member"] is False
+
+
+def test_shared_parser_leaks_no_state_between_runs(tmp_path):
+    import numpy as np
+    from quadrics.pencil import QuadraticPencil
+    p = QuadraticPencil(np.eye(3), np.diag([1.0, -1.0, 0.0]))
+    inp = _write_problem(tmp_path, p, c=[1.0, 0.5])
+    runs = [["member", "--input", inp, "--c", "-1e-05", "0"],
+            ["member", "--input", inp]]
+    in_process = [_run(tmp_path, argv) for argv in runs]
+    for argv, (code, data) in zip(runs, in_process):
+        proc = subprocess.run([sys.executable, "-m", "quadrics.cli", *argv],
+                              capture_output=True, text=True)
+        assert (code, data) == (proc.returncode, json.loads(proc.stdout))
+    # the second run read c from the problem, not the first run's flag
+    assert [data["member"] for _, data in in_process] == [False, True]

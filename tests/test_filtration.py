@@ -17,15 +17,21 @@ from quadrics.errors import NumericalError
 from quadrics.filtration import (
     filtration_for_cone,
     index_profile,
+    regularized_profile,
     stiefel_whitney,
+    sublevel,
     sublevel_eps,
     superlevel,
 )
-from quadrics.pencil import inertia, regularize
+from quadrics.pencil import QuadraticPencil, inertia, regularize
 
 PI = math.pi
 TWO_PI = 2 * math.pi
 FULL = CircleSubset.full_circle()
+SIX_FIXTURES = (fixtures.bouquet, fixtures.complex_squaring, fixtures.doubled_squaring,
+                fixtures.tripled_squaring, fixtures.padded_squaring, fixtures.four_lines)
+ALL_CONES = (PlanarCone.zero(), PlanarCone.full(), PlanarCone.ray(0.7),
+             PlanarCone.line(2.0), PlanarCone.sector(0.3, 1.9), PlanarCone.halfplane(1.1))
 
 
 def _points(prof):
@@ -183,6 +189,70 @@ def test_grid_agreement_random():
             j = direct.i_plus
             assert superlevel(prof, j).contains(th)
             assert not superlevel(prof, j + 1).contains(th)
+
+
+def _range_rule_profiles():
+    from quadrics.applications import extremal_family
+    for make in SIX_FIXTURES:
+        p = make()
+        for cone in ALL_CONES:
+            yield p, index_profile(p, omega_set(cone))
+        yield p, regularized_profile(regularize(p), FULL)
+    for n in range(1, 13):
+        p = extremal_family(n)
+        yield p, index_profile(p, FULL)
+    rng = np.random.default_rng(77)
+    for dim in range(3, 11):
+        for _ in range(2):
+            p = fixtures.random_pencil(rng, dim)
+            yield p, index_profile(p, FULL)
+
+
+def test_range_rule_equals_the_union_of_cells():
+    """Levels outside [nu, mu] (for i_minus, its own range) are the domain or
+    empty without a pass over the cells; the per-cell union is the reference."""
+    for p, prof in _range_rule_profiles():
+        tol = prof.domain.tol
+        for j in range(0, p.dim + 2):
+            assert superlevel(prof, j) == CircleSubset.from_items(
+                [c for c, v in prof.cells if v.i_plus >= j], tol), (p.dim, j)
+            assert sublevel(prof, j) == CircleSubset.from_items(
+                [c for c, v in prof.cells if v.i_minus <= j], tol), (p.dim, j)
+
+
+def _plus_rotating_block(p):
+    """p plus the root-free block s*(diag(1, -1), [[0, 1], [1, 0]]), s the
+    pencil's scale, so the zero band is unchanged.  The block has one positive
+    and one negative eigenvalue at every angle, and its positive line bundle
+    is a Moebius band."""
+    s = p.scale()
+    z = np.zeros((p.dim, 2))
+    q0 = np.block([[p.q0, z], [z.T, s * np.diag([1.0, -1.0])]])
+    q1 = np.block([[p.q1, z], [z.T, s * np.array([[0.0, 1.0], [1.0, 0.0]])]])
+    return QuadraticPencil(q0, q1)
+
+
+def test_root_free_block_shifts_the_filtration_up_by_one():
+    rng = np.random.default_rng(61)
+    pencils = [make() for make in SIX_FIXTURES]
+    pencils += [fixtures.random_pencil(rng, dim) for dim in range(3, 13) for _ in range(5)]
+    flips = 0
+    for p in pencils:
+        q = _plus_rotating_block(p)
+        for cone in (PlanarCone.zero(), PlanarCone.sector(0.3, 1.9),
+                     PlanarCone.halfplane(1.1)):
+            a = filtration_for_cone(p, cone)
+            b = filtration_for_cone(q, cone)
+            assert (b.mu, b.nu) == (a.mu + 1, a.nu + 1), (p.dim, cone.kind)
+            assert len(b.profile.cells) == len(a.profile.cells)
+            for j in range(0, p.dim + 2):
+                assert subsets_equal(b.omega(j + 1), a.omega(j)), (p.dim, cone.kind, j)
+            if a.omega(a.mu).is_full():
+                assert b.w1_nonzero != a.w1_nonzero
+                flips += 1
+            else:
+                assert not b.w1_nonzero
+    assert flips > 0
 
 
 # ---------------------------------------------------------------------------
