@@ -5,10 +5,13 @@ raised.  The inputs are every named fixture and small extremal pencil under
 every cone kind, the regularized profile's breakpoints of each of them, a
 seeded sweep of random pencils of dims 3-16, random identically singular
 pencils, membership and level-set queries, and, past dim 20, three random
-pencils each at dims 24, 32 and 48 and the extremal pencils for n = 20 and
-40.  An analysis answer carries the profile's breakpoints and rows, and the
-JSON and component count of each superlevel set; a membership answer carries
-the certificate's angle and margin.  The last line is the SHA-256 of all the
+pencils each at dims 24, 32 and 48, the extremal pencils for n = 20 and
+40, Kronecker-singular pencils (an L_eps + L_eps' block for eps = 1, 2, 3
+and a random regular block, after a random congruence) and the pencil
+q0 = 2 x0 x1, q1 = 2 x0 x2 under every cone kind.  An analysis answer
+carries the profile's breakpoints and rows, and the JSON and component count
+of each superlevel set; a membership answer carries the certificate's angle
+and margin.  The last line is the SHA-256 of all the
 others, so two versions of the library give the same answers when they print
 the same digest:
 
@@ -46,6 +49,22 @@ def _singular_pair(rng, dim):
     proj = np.eye(dim) - np.outer(v, v)
     a, b = proj @ q0 @ proj, proj @ q1 @ proj
     return 0.5 * (a + a.T), 0.5 * (b + b.T)
+
+
+def _kronecker_pair(rng, eps, regular_dim):
+    """An L_eps + L_eps' block and a random regular block, after a random
+    congruence: det vanishes identically with no shared kernel.  The same
+    construction as fixtures.kronecker_pair, built here so that a checkout
+    without that fixture digests the same inputs."""
+    k = 2 * eps + 1
+    regular = rng.standard_normal((2, regular_dim, regular_dim))
+    qs = np.zeros((2, k + regular_dim, k + regular_dim))
+    for q, e, r in zip(qs, (np.eye(eps, eps + 1), np.eye(eps, eps + 1, 1)), regular):
+        q[:eps, eps:k] = e
+        q[eps:k, :eps] = e.T
+        q[k:, k:] = 0.5 * (r + r.T)
+    t = rng.standard_normal(qs.shape[1:])
+    return t.T @ qs[0] @ t, t.T @ qs[1] @ t
 
 
 def inputs(Q):
@@ -93,6 +112,18 @@ def inputs(Q):
     for n in (20, 40):
         p = apps.extremal_family(n)
         out.append((f"extremal-{n}/zero", lambda p=p: analysis(Q, p, zero)))
+    rng = np.random.default_rng(SEED + 1)
+    for eps in (1, 2, 3):
+        for regular_dim in (0, 2, 3):
+            p = Q.QuadraticPencil(*_kronecker_pair(rng, eps, regular_dim))
+            out.append((f"kronecker-{eps}-{regular_dim}",
+                        lambda p=p: analysis(Q, p, zero)))
+    q0, q1 = np.zeros((3, 3)), np.zeros((3, 3))
+    q0[0, 1] = q0[1, 0] = q1[0, 2] = q1[2, 0] = 1.0
+    p = Q.QuadraticPencil(q0, q1)
+    for kind, args in CONES:
+        cone = getattr(Q.PlanarCone, kind)(*args)
+        out.append((f"x0x1-x0x2/{kind}", lambda p=p, cone=cone: analysis(Q, p, cone)))
     return out
 
 

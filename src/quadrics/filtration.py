@@ -188,60 +188,16 @@ def _segment_values(spectrum: FamilySpectrum, edges: list[float], cfg: Tolerance
     return work, values
 
 
-def _find_dips(p: QuadraticPencil, spectrum: FamilySpectrum, edges: list[float],
-               arc_vals: list[InertiaTriple], ctol: float) -> list[float]:
-    """Newton search for isolated interior zeros of the smallest eigenvalue.
-
-    A family whose determinant vanishes identically can drop rank at single
-    points strictly inside an arc of the partition; interior samples never
-    land on them.  The zero of the crossing eigenvalue is sought from every
-    arc midpoint at once, one stacked eigh per Newton step; a hit counts only
-    when it changes the inertia triple.  Returns the hits in arc order.
-    """
-    thr = spectrum.thr
-    arcs = list(zip(edges, edges[1:]))
-    theta = [0.5 * (lo + hi) for lo, hi in arcs]
-    missed = [False] * len(arcs)
-    active = list(range(len(arcs)))
-    for _ in range(8):
-        if not active:
-            break
-        w, v = np.linalg.eigh(spectrum.family.at_many([theta[i] for i in active]))
-        moving = []
-        for j, i in enumerate(active):
-            k = int(np.argmin(np.abs(w[j])))
-            lam = float(w[j][k])
-            if abs(lam) <= 0.01 * thr:
-                continue
-            vec = v[j][:, k]
-            slope = float(vec @ p.derivative_at(theta[i]) @ vec)
-            if abs(slope) < 1e-12:
-                missed[i] = True
-                continue
-            theta[i] -= lam / slope
-            lo, hi = arcs[i]
-            if not (lo + ctol < theta[i] < hi - ctol):
-                missed[i] = True
-                continue
-            moving.append(i)
-        active = moving
-    hits = [i for i in range(len(arcs)) if not missed[i]]
-    spectrum.prefetch([theta[i] for i in hits])
-    return [theta[i] for i in hits
-            if min(map(abs, spectrum.eigenvalues(theta[i]))) <= thr
-            and spectrum(theta[i]) != arc_vals[i]]
-
-
-def _refine_partition(p: QuadraticPencil, value_at: FamilySpectrum, edges: list[float],
-                      cfg: ToleranceConfig, cyclic: bool, find_dips: bool
+def _refine_partition(value_at: FamilySpectrum, edges: list[float],
+                      cfg: ToleranceConfig, cyclic: bool
                       ) -> tuple[list[float], list[InertiaTriple], list[InertiaTriple]]:
     """Arc and breakpoint values over a partition, with semicontinuity repair.
 
     A breakpoint whose inertia exceeds a neighbouring arc value signals a jump
     hiding between the arc's interior samples and the breakpoint (candidates
     from a shifted family sit near, not on, the true jumps); such jumps are
-    located by bisection and the partition is rebuilt.  The dip search
-    contributes isolated interior rank drops that sampling cannot see.
+    located by bisection and the partition is rebuilt.  Sampling cannot see a
+    rank drop inside an arc; the candidates must hold every one.
 
     edges is ascending; for a cyclic partition the last edge repeats the first
     plus a full turn and the breakpoints are edges[:-1], otherwise the
@@ -255,7 +211,7 @@ def _refine_partition(p: QuadraticPencil, value_at: FamilySpectrum, edges: list[
         points = edges[first:m]
         value_at.prefetch(points)  # edges the scan inserted
         point_vals = [value_at(b) for b in points]
-        found = _find_dips(p, value_at, edges, arc_vals, ctol) if find_dips else []
+        found = []
         for k, pv in enumerate(point_vals, start=first):
             a = (k - 1) % m  # the arc ending at edge k (cyclically, at edges[m])
             if _exceeds(pv, arc_vals[a]):
@@ -287,15 +243,14 @@ def index_profile(p: QuadraticPencil, domain: CircleSubset,
                   candidates: list[float] | None = None) -> IndexProfile:
     """Inertia profile of a family over a circle domain.
 
-    By default the family is the pencil itself and candidate breakpoints come
-    from its degenerate locus (from the regularized locus when the determinant
-    vanishes identically).  Arcs are verified constant by interior samples;
-    disagreements trigger bisection refinement, so missed candidates are
-    recovered rather than silently absorbed.  When the pencil's determinant
-    vanishes identically, a dip search also looks for isolated rank drops
-    inside the arcs.  Every inertia value comes from one FamilySpectrum, so
-    each angle is solved once per profile.  A point whose inertia exceeds
-    that of an arc it bounds raises NumericalError.
+    By default the family is the pencil itself and candidate breakpoints are
+    its degenerate locus, which degenerate_locus finds by one QZ solve for
+    every pencil, identically singular ones included.  Arcs are verified
+    constant by interior samples; disagreements trigger bisection refinement,
+    so missed candidates are recovered rather than silently absorbed.  Every
+    inertia value comes from one FamilySpectrum, so each angle is solved
+    once per profile.  A point whose inertia exceeds that of an arc it
+    bounds raises NumericalError.
     """
     if family is None:
         family = p
@@ -307,17 +262,8 @@ def index_profile(p: QuadraticPencil, domain: CircleSubset,
     if domain.is_empty():
         return IndexProfile(domain, ())
 
-    find_dips = False
     if candidates is None:
-        if p.scale() == 0.0:
-            candidates = []  # the zero pencil has constant (vanishing) inertia
-        else:
-            locus = degenerate_locus(p, cfg)
-            find_dips = locus.identically_singular
-            if find_dips:
-                candidates = list(regularize(p, cfg).breakpoints)
-            else:
-                candidates = locus.angles
+        candidates = degenerate_locus(p, cfg).angles
 
     ctol = cluster_tol(cfg)
     cells: list = []
@@ -332,9 +278,7 @@ def index_profile(p: QuadraticPencil, domain: CircleSubset,
                 return IndexProfile(domain, ((Arc(0.0, TWO_PI, True, True), v),))
             bps = sorted(canonical_angle(z) for z in found)
         edges = bps + [bps[0] + TWO_PI]
-        edges, arc_vals, point_vals = _refine_partition(p, value_at, edges, cfg,
-                                                        cyclic=True,
-                                                        find_dips=find_dips)
+        edges, arc_vals, point_vals = _refine_partition(value_at, edges, cfg, cyclic=True)
         # canonicalization may wrap trailing edges past the seam; sorting the
         # cells restores ascending order
         starts = [canonical_angle(e) for e in edges[:-1]]
@@ -361,9 +305,7 @@ def index_profile(p: QuadraticPencil, domain: CircleSubset,
                 inner.append(lift)
         inner = _dedupe_sorted(sorted(inner), ctol)
         edges = [s, *inner, e]
-        edges, arc_vals, point_vals = _refine_partition(p, value_at, edges, cfg,
-                                                        cyclic=False,
-                                                        find_dips=find_dips)
+        edges, arc_vals, point_vals = _refine_partition(value_at, edges, cfg, cyclic=False)
         for i, (b, pv) in enumerate(zip(edges[1:-1], point_vals)):
             _require_semicontinuous("breakpoint", b, pv, arc_vals[i], arc_vals[i + 1])
             cells.append((Point(canonical_angle(b)), pv))
@@ -517,10 +459,20 @@ def stiefel_whitney(p: QuadraticPencil, profile: IndexProfile,
     not the whole circle the class vanishes and no transport is needed; it is
     the whole circle exactly when the domain is and the index is constant.
     Otherwise an orthonormal basis of the positive eigenspace is transported
-    around the circle; the sign of the product of overlap determinants decides
-    whether the holonomy reverses orientation.  Each overlap must stay well
-    conditioned (smallest singular value above one half); the resolution is
-    doubled until it does.
+    around the circle from start_resolution equal steps; the sign of the
+    product of overlap determinants decides whether the holonomy reverses
+    orientation.  Steps are halved until each passes its rule; resolution is
+    the final sample count, and more than max_resolution samples raise
+    NumericalError.
+
+    For a regular pencil (dim = 2 mu) every step is halved until every
+    overlap's smallest singular value exceeds one half.  Near the kernel of an
+    identically singular pencil that rule has aliased a half turn, so there
+    each step is certified: |M(t) - M(theta)| <= L h with L = sqrt(2) * scale,
+    so by Weyl and Davis-Kahan (SIAM J. Numer. Anal. 7, 1970) the eigenspace
+    turns less than 30 degrees when 3 L h < gap, the distance from the
+    positive eigenvalues to the rest, at both ends; for regular pencils that
+    is too pessimistic to stay under the cap.
     """
     nu, mu = profile._index_range[:2]
     if mu == 0:
@@ -530,30 +482,34 @@ def stiefel_whitney(p: QuadraticPencil, profile: IndexProfile,
 
     dim = p.dim
     thr = cfg.tol_eig * p.scale()
-    resolution = max(start_resolution, 8 * dim)
-    if resolution > max_resolution:
-        raise NumericalError(
-            f"transport resolution {resolution} exceeds the cap {max_resolution}")
-    while resolution <= max_resolution:
-        thetas = np.linspace(0.0, TWO_PI, resolution, endpoint=False)
-        w, v = np.linalg.eigh(p.at_many(thetas))
+    lip = math.sqrt(2.0) * p.scale()
+    thetas, gaps, frames = np.empty(0), np.empty(0), np.empty((0, dim, mu))
+    new = np.linspace(0.0, TWO_PI, max(start_resolution, 8 * dim), endpoint=False)
+    while len(new):
+        if len(thetas) + len(new) > max_resolution:
+            raise NumericalError(f"transport needs {len(thetas) + len(new)} samples near "
+                                 f"angle {new[0]}, past the cap {max_resolution}")
+        w, v = np.linalg.eigh(p.at_many(new))
         off_rank = np.sum(w > thr, axis=1) != mu
         if np.any(off_rank):
-            th = thetas[int(np.argmax(off_rank))]
+            th = new[int(np.argmax(off_rank))]
             raise NumericalError(
                 f"positive eigenspace rank is not constant at angle {th}")
         # eigenvalues ascend, so the positive eigenspace is the last mu columns
-        frames = np.ascontiguousarray(v[:, :, dim - mu:])
+        order = np.argsort(np.concatenate([thetas, new]), kind="stable")
+        thetas = np.concatenate([thetas, new])[order]
+        gaps = np.concatenate([gaps, w[:, dim - mu] - w[:, dim - mu - 1]])[order]
+        frames = np.concatenate([frames, v[:, :, dim - mu:]])[order]
+        steps = np.diff(thetas, append=TWO_PI)  # the first sample is angle 0
         overlaps = frames.transpose(0, 2, 1) @ np.roll(frames, -1, axis=0)
-        smin = np.linalg.svd(overlaps, compute_uv=False)[:, -1]
-        worst = int(np.argmin(smin))
-        if smin[worst] > 0.5:
-            reversals = int(np.sum(np.signbit(np.linalg.det(overlaps))))
-            return (reversals % 2 == 1, resolution, "monodromy determinant sign")
-        worst_angle = thetas[worst]
-        resolution *= 2
-    raise NumericalError(
-        f"overlap conditioning stayed poor near angle {worst_angle}")
+        if 2 * mu < dim:
+            loose = 3.0 * lip * steps >= np.minimum(gaps, np.roll(gaps, -1))
+        else:
+            smin = np.linalg.svd(overlaps, compute_uv=False)[:, -1]
+            loose = np.full(len(steps), smin.min() <= 0.5)
+        new = thetas[loose] + 0.5 * steps[loose]
+    reversals = int(np.sum(np.signbit(np.linalg.det(overlaps))))
+    return (reversals % 2 == 1, len(thetas), "monodromy determinant sign")
 
 
 def filtration_report(p: QuadraticPencil, domain: CircleSubset,

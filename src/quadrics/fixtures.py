@@ -81,6 +81,23 @@ def random_pencil(rng: np.random.Generator, dim: int) -> QuadraticPencil:
     return QuadraticPencil(0.5 * (a + a.T), 0.5 * (b + b.T))
 
 
+def kronecker_pair(eps: int, regular_dim: int, rng: np.random.Generator) -> QuadraticPencil:
+    """An L_eps + L_eps' block and a random regular block, after a random
+    congruence.  The block [[0, L], [L', 0]], L = cos(t) [I 0] + sin(t) [0 I]
+    of size eps x (eps + 1), has inertia (eps, eps, 1) at every angle and a
+    kernel that turns with it: det vanishes identically, no kernel is shared.
+    """
+    k = 2 * eps + 1
+    regular = rng.standard_normal((2, regular_dim, regular_dim))
+    qs = np.zeros((2, k + regular_dim, k + regular_dim))
+    for q, e, r in zip(qs, (np.eye(eps, eps + 1), np.eye(eps, eps + 1, 1)), regular):
+        q[:eps, eps:k] = e
+        q[eps:k, :eps] = e.T
+        q[k:, k:] = 0.5 * (r + r.T)
+    t = rng.standard_normal(qs.shape[1:])
+    return QuadraticPencil(t.T @ qs[0] @ t, t.T @ qs[1] @ t)
+
+
 NAMED_FIXTURES = {
     "bouquet": bouquet,
     "complex-squaring": complex_squaring,

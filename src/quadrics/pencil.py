@@ -2,15 +2,16 @@
 
 The central object is the family omega -> cos(theta) Q0 + sin(theta) Q1.
 This module computes inertia triples, the degenerate locus (angles where the
-determinant of the family vanishes, with multiplicities and the count of
-non-real projective roots), and the small positive-definite shift that makes
-every degenerate point simple with unit inertia jumps.
+family drops rank, with multiplicities, the count of non-real projective
+roots and the family's rank deficit), and the small positive-definite shift
+that makes every degenerate point simple with unit inertia jumps.
 
 Both the locus and the shifted family's crossings are the angles of one QZ
-solve, used as QZ gives them.  QZ is backward stable, so a simple root already
-reads as degenerate at the profile's threshold tol_eig * scale (the tests
-measure both kinds of root against it); and a simple
-root is a sign crossing, so one that read as regular would break the
+solve, used as QZ gives them; an identically singular family is first made
+regular by a random rank-completing perturbation.  QZ is backward stable, so
+a simple root already reads as degenerate at the profile's threshold
+tol_eig * scale (the tests measure both kinds of root against it); and a
+simple root is a sign crossing, so one that read as regular would break the
 semicontinuity check downstream rather than give a wrong answer.
 """
 
@@ -108,9 +109,6 @@ class QuadraticPencil:
         c = np.array([math.cos(t) for t in thetas])
         s = np.array([math.sin(t) for t in thetas])
         return c[:, None, None] * self.q0 + s[:, None, None] * self.q1
-
-    def derivative_at(self, theta: float) -> np.ndarray:
-        return -math.sin(theta) * self.q0 + math.cos(theta) * self.q1
 
     def evaluate(self, x: np.ndarray) -> tuple[float, float]:
         x = np.asarray(x, dtype=float)
@@ -229,13 +227,18 @@ class DegenerateLocus:
 
     points come in antipodal pairs carrying the algebraic multiplicity of the
     underlying projective root; theta_pairs counts conjugate pairs of
-    non-real projective roots.  identically_singular means the determinant
-    vanishes for every angle.
+    non-real projective roots.  rank_deficit is dim minus the family's
+    normal rank: positive exactly when the determinant vanishes for every
+    angle.
     """
 
     points: tuple[DegeneratePoint, ...]
     theta_pairs: int
-    identically_singular: bool
+    rank_deficit: int
+
+    @property
+    def identically_singular(self) -> bool:
+        return self.rank_deficit > 0
 
     @property
     def angles(self) -> list[float]:
@@ -297,35 +300,57 @@ def degenerate_locus(p: QuadraticPencil,
     With phi a regular angle, det(M(phi) + t*M(phi + pi/2)) vanishes exactly
     at the directions phi + atan(t), so QZ on that pair finds every
     projective root, the one at t = infinity included.
+
+    When the determinant vanishes identically, phi is where the family has
+    its normal rank dim - k, and U diag(d_a) U', U diag(d_b) U' with U a
+    random orthonormal dim x k frame complete the chart pair to a regular one
+    (Hochstenbach, Mehl and Plestenjak, SIAM J. Matrix Anal. Appl. 40, 2019).
+    Its real roots are kept where M(theta) has more than k eigenvalues within
+    1e2 * tol_eig * scale; theta_pairs is 0, as added roots are not told apart.
     """
     dim = p.dim
     s = p.scale()
     if s == 0.0:
-        return DegenerateLocus((), 0, True)
+        return DegenerateLocus((), 0, dim)
     a0 = p.q0 / s
     a1 = p.q1 / s
 
-    # a degree-(n+1) form vanishing at n+2 distinct projective points is zero;
-    # the first regular angle is the chart's origin
+    # a degree-(n+1) form vanishing at n+2 distinct projective points is zero,
+    # so one of these angles is regular unless the determinant vanishes
+    # identically; the first angle of the largest rank is the chart's origin
+    rank = -1
     for i in range(dim + 1):
-        phi = PI * (i + 0.5) / (dim + 1)
-        m = math.cos(phi) * a0 + math.sin(phi) * a1
-        if float(np.min(np.abs(np.linalg.eigvalsh(m)))) > 1e-8:
-            break
-    else:
-        return DegenerateLocus((), 0, True)
+        t = PI * (i + 0.5) / (dim + 1)
+        mt = math.cos(t) * a0 + math.sin(t) * a1
+        r = int(np.sum(np.abs(np.linalg.eigvalsh(mt)) > 1e-8))
+        if r > rank:
+            rank, phi, m = r, t, mt
+            if r == dim:
+                break
+    k = dim - rank
+    dm = math.cos(phi) * a1 - math.sin(phi) * a0
+    if k:
+        rng = np.random.default_rng(cfg.seed)
+        u = np.linalg.qr(rng.standard_normal((dim, k)))[0]
+        m = m + (u * rng.standard_normal(k)) @ u.T
+        dm = dm + (u * rng.standard_normal(k)) @ u.T
 
-    roots, nonreal = _qz_root_angles(m, math.cos(phi) * a1 - math.sin(phi) * a0)
+    roots, nonreal = _qz_root_angles(m, dm)
     if nonreal % 2 != 0:
         raise NumericalError("unpaired non-real root; tolerances inconsistent")
     proj = [(phi + r) % PI for r in roots]
+    if k:
+        w = np.abs(np.linalg.eigvalsh(p.at_many(proj) / s))
+        zeros = np.sum(w <= 1e2 * cfg.tol_eig, axis=1)
+        proj = [z for z, c in zip(proj, zeros) if c > k]
+        nonreal = 0
 
     points: list[DegeneratePoint] = []
     for center, mult in _cluster_periodic(proj, PI, cluster_tol(cfg)):
         points.append(DegeneratePoint(canonical_angle(center), mult))
         points.append(DegeneratePoint(canonical_angle(center + PI), mult))
     points.sort(key=lambda q: q.theta)
-    return DegenerateLocus(tuple(points), nonreal // 2, False)
+    return DegenerateLocus(tuple(points), nonreal // 2, k)
 
 
 # ---------------------------------------------------------------------------

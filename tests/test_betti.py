@@ -18,7 +18,9 @@ from quadrics.betti import (
     result_json,
 )
 from quadrics.circle import PlanarCone
-from quadrics.errors import InvalidInputError
+from quadrics.errors import InvalidInputError, NumericalError
+from quadrics.filtration import stiefel_whitney
+from quadrics.oracles import grid_index_profile, grid_profile_disagreements
 from quadrics.pencil import QuadraticPencil, degenerate_locus
 
 PI = math.pi
@@ -442,6 +444,87 @@ def test_half_circle_bound_random_smooth():
             if n - k <= t.mu:
                 assert bounds[k] >= rep.b[k], (dim, k)
         done += 1
+
+
+# ---------------------------------------------------------------------------
+# identically singular pencils
+# ---------------------------------------------------------------------------
+
+def _shared_kernel_and_quotient(rng, dim, k):
+    """A random pencil whose forms vanish on a random k-plane, and the pencil
+    it induces on the orthogonal complement."""
+    frame, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    rest = frame[:, k:]
+    quotient = fixtures.random_pencil(rng, dim - k)
+    p = QuadraticPencil(rest @ quotient.q0 @ rest.T, rest @ quotient.q1 @ rest.T)
+    return p, quotient
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_shared_kernel_is_a_cone_over_the_quotient(k):
+    # a common kernel of dim k makes X an iterated projective cone over the
+    # quotient's X', so b(X) = (1, ..., 1 [k times], b(X')); no oracle needed
+    rng = np.random.default_rng(40 + k)
+    cones = (ZERO, PlanarCone.halfplane(1.1), PlanarCone.sector(0.3, 1.9))
+    for dim in (4, 5, 6, 8, 12, 16, 24, 32):
+        for _ in range(2):
+            p, quotient = _shared_kernel_and_quotient(rng, dim, k)
+            assert degenerate_locus(p).rank_deficit == k
+            for cone in cones:
+                expected = (1,) * k + analyze(quotient, cone).report.b
+                assert analyze(p, cone).report.b == expected, (dim, cone.kind)
+
+
+def test_kronecker_pencils_agree_with_the_grid():
+    # no shared kernel: the kernel vector of an L_eps + L_eps' block turns
+    # with the angle, and the regular block adds real roots
+    rng = np.random.default_rng(23)
+    for eps in (1, 2, 3):
+        for regular_dim in range(6):
+            for _ in range(3):
+                p = fixtures.kronecker_pair(eps, regular_dim, rng)
+                assert degenerate_locus(p).rank_deficit == 1
+                profile = analyze(p, ZERO).filtration.profile
+                bad = grid_profile_disagreements(profile, grid_index_profile(p))
+                assert bad == [], (eps, regular_dim)
+
+
+def test_line_and_point_pencil():
+    # q0 = 2 x0 x1 and q1 = 2 x0 x2 vanish together on the line x0 = 0 and
+    # at the point [1:0:0] of RP^2
+    q0 = np.zeros((3, 3))
+    q1 = np.zeros((3, 3))
+    q0[0, 1] = q0[1, 0] = q1[0, 2] = q1[2, 0] = 1.0
+    p = QuadraticPencil(q0, q1)
+    assert degenerate_locus(p).rank_deficit == 1
+    assert analyze(p, ZERO).report.b == (2, 1, 0)
+
+
+def test_w1_of_kronecker_pencils_with_root_free_regular_blocks():
+    # the positive bundle of an L_eps + L_eps' block is orientable and each
+    # root-free 2 x 2 block adds a Moebius band, so w1 = (mu - eps) mod 2.
+    # analyze must give that, as must the transport from 4096 samples, or
+    # raise
+    rng = np.random.default_rng(9)
+    checked = raised = 0
+    while checked + raised < 40:
+        eps = int(rng.integers(1, 4))
+        p = fixtures.kronecker_pair(eps, 2 * int(rng.integers(1, 3)), rng)
+        if degenerate_locus(p).points:
+            continue
+        try:
+            res = analyze(p, ZERO)
+        except NumericalError:
+            raised += 1
+            continue
+        filt = res.filtration
+        assert filt.w1_resolution > 0
+        # the certified steps near a dip come on top of the 4096 uniform ones
+        fine, _, _ = stiefel_whitney(p, filt.profile, start_resolution=4096,
+                                     max_resolution=1 << 16)
+        assert res.table.w1_nonzero == fine == ((filt.mu - eps) % 2 == 1), (eps, filt.mu)
+        checked += 1
+    assert checked >= 30
 
 
 # ---------------------------------------------------------------------------

@@ -156,8 +156,24 @@ def test_locus_complex_squaring_no_real_roots():
 
 
 def test_locus_identically_singular():
+    # M(theta) = (cos + sin) diag(1, 0) has normal rank one and drops to
+    # zero where cos + sin vanishes
     loc = degenerate_locus(fixtures.identically_singular_pair())
-    assert loc.identically_singular
+    assert loc.identically_singular and loc.rank_deficit == 1
+    assert len(loc.points) == 2
+    assert angles_equal(loc.points[0].theta, 3 * PI / 4, 1e-7)
+    assert angles_equal(loc.points[1].theta, 7 * PI / 4, 1e-7)
+    assert loc.theta_pairs == 0
+
+
+def test_locus_rank_deficit_is_dim_minus_the_normal_rank():
+    rng = np.random.default_rng(5)
+    assert degenerate_locus(fixtures.random_pencil(rng, 5)).rank_deficit == 0
+    assert degenerate_locus(fixtures.padded_squaring()).rank_deficit == 1
+    assert degenerate_locus(fixtures.kronecker_pair(2, 3, rng)).rank_deficit == 1
+    assert degenerate_locus(_shared_kernel(rng, 8, 2)).rank_deficit == 2
+    zero = degenerate_locus(QuadraticPencil(np.zeros((4, 4)), np.zeros((4, 4))))
+    assert zero.rank_deficit == 4 and zero.points == ()
 
 
 def test_locus_antipodal_symmetry_random():
