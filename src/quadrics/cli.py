@@ -80,8 +80,6 @@ def _config_from(args) -> ToleranceConfig:
     if getattr(args, "tol", None) is not None:
         kw["tol_eig"] = args.tol
         kw["tol_angle"] = args.tol
-    if getattr(args, "epsilon", None) is not None:
-        kw["epsilon_reg"] = args.epsilon
     if getattr(args, "grid", None) is not None:
         kw["grid_n"] = args.grid
     if getattr(args, "seed", None) is not None:
@@ -92,7 +90,6 @@ def _config_from(args) -> ToleranceConfig:
 def _add_common(sp) -> None:
     sp.add_argument("--input", help="problem JSON file (default: stdin)")
     sp.add_argument("--output", help="result JSON file (default: stdout)")
-    sp.add_argument("--epsilon", type=float, help="regularization shift size")
     sp.add_argument("--tol", type=float, help="eigenvalue and angle tolerance")
     sp.add_argument("--grid", type=int, help="oracle grid resolution")
     sp.add_argument("--seed", type=int, help="PRNG seed for oracles")

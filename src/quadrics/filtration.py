@@ -1,7 +1,10 @@
 """Index profiles over circle domains and the level-set machinery built on them.
 
 An index profile records the inertia of a one-parameter symmetric family on
-every arc and breakpoint of a circle domain.  Superlevel sets of the positive
+every arc and breakpoint of a circle domain.  The breakpoints are the
+family's degenerate locus and nothing else: the inertia is constant between
+consecutive roots, so each arc is read once, and a reading that shows a root
+the locus lacks raises NumericalError.  Superlevel sets of the positive
 index give the central filtration; sublevel sets of the shifted family's
 negative index give closed approximations with the same low-degree homology.
 The monodromy of the top positive eigenspace around the full circle decides
@@ -38,10 +41,6 @@ from .pencil import (
 )
 
 TWO_PI = 2.0 * math.pi
-
-# hard cap on breakpoints discovered per component during refinement
-_MAX_EXTRA_BREAKPOINTS = 96
-
 
 @dataclass(frozen=True)
 class IndexProfile:
@@ -121,112 +120,30 @@ class IndexProfile:
 # profile construction
 # ---------------------------------------------------------------------------
 
-def _find_jump(evalf, a: float, b: float, va: InertiaTriple, vb: InertiaTriple,
-               tol: float) -> float:
-    """Bisect a value change of the inertia function down to angle tolerance."""
-    lo, hi = a, b
-    vlo = va
-    while hi - lo > max(tol, 1e-12):
-        mid = 0.5 * (lo + hi)
-        vm = evalf(mid)
-        if vm == vlo:
-            lo, vlo = mid, vm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _read_arcs(spectrum: FamilySpectrum, edges: list[float]) -> list[InertiaTriple]:
+    """The inertia on each open arc between consecutive ascending edges.
 
-
-def _thirds(a: float, b: float) -> tuple[float, float]:
-    length = b - a
-    return a + length / 3.0, a + 2.0 * length / 3.0
-
-
-def _scan_segment(evalf, a: float, b: float, cfg: ToleranceConfig,
-                  found: list[float], depth: int = 0) -> InertiaTriple:
-    """Verify constancy on the open segment (a, b), collecting jump angles.
-
-    Two interior samples at the thirds; a disagreement is located by bisection
-    and both halves are re-scanned.  Samples stay well inside the segment:
-    close to a degenerate endpoint the inertia of a nearly-vanishing
-    eigenvalue is not trustworthy.
+    The edges and both thirds of every arc are solved in one stacked call, and
+    each arc is read at its two thirds.  The family is constant on an arc that
+    holds no root, so the readings agree, except that a third inside the zero
+    band of a nearby multiple root reads extra zeros and no count above the
+    other reading: the arc takes the other reading then.  Any other
+    disagreement is a root the candidates miss and raises NumericalError.
     """
-    if len(found) > _MAX_EXTRA_BREAKPOINTS or depth > 24:
-        raise NumericalError("breakpoint refinement did not converge")
-    samples = _thirds(a, b)
-    values = [evalf(t) for t in samples]
-    if values[0] != values[1]:
-        z = _find_jump(evalf, samples[0], samples[1],
-                       values[0], values[1], cfg.tol_angle)
-        found.append(z)
-        _scan_segment(evalf, a, z, cfg, found, depth + 1)
-        _scan_segment(evalf, z, b, cfg, found, depth + 1)
-    return values[0]
-
-
-def _segment_values(spectrum: FamilySpectrum, edges: list[float], cfg: ToleranceConfig
-                    ) -> tuple[list[float], list[InertiaTriple]]:
-    """Split [edges] further until every open segment carries constant inertia.
-
-    The edges and the thirds of every segment are solved in one stacked call.
-    """
-    work = list(edges)
-    spectrum.prefetch([*work, *(t for a, b in zip(work, work[1:]) for t in _thirds(a, b))])
+    arcs = list(zip(edges, edges[1:]))
+    thirds = [(a + (b - a) / 3.0, a + 2.0 * (b - a) / 3.0) for a, b in arcs]
+    spectrum.prefetch([*edges, *(t for pair in thirds for t in pair)])
     values: list[InertiaTriple] = []
-    i = 0
-    guard = 0
-    while i < len(work) - 1:
-        guard += 1
-        if guard > 4 * _MAX_EXTRA_BREAKPOINTS:
-            raise NumericalError("segment refinement exceeded its budget")
-        found: list[float] = []
-        v = _scan_segment(spectrum, work[i], work[i + 1], cfg, found)
-        if found:
-            work[i + 1:i + 1] = sorted(found)
-            continue
-        values.append(v)
-        i += 1
-    return work, values
-
-
-def _refine_partition(value_at: FamilySpectrum, edges: list[float],
-                      cfg: ToleranceConfig, cyclic: bool
-                      ) -> tuple[list[float], list[InertiaTriple], list[InertiaTriple]]:
-    """Arc and breakpoint values over a partition, with semicontinuity repair.
-
-    A breakpoint whose inertia exceeds a neighbouring arc value signals a jump
-    hiding between the arc's interior samples and the breakpoint (candidates
-    from a shifted family sit near, not on, the true jumps); such jumps are
-    located by bisection and the partition is rebuilt.  Sampling cannot see a
-    rank drop inside an arc; the candidates must hold every one.
-
-    edges is ascending; for a cyclic partition the last edge repeats the first
-    plus a full turn and the breakpoints are edges[:-1], otherwise the
-    endpoints are domain boundary and the breakpoints are edges[1:-1].
-    """
-    ctol = cluster_tol(cfg)
-    first = 0 if cyclic else 1
-    for _ in range(8):
-        edges, arc_vals = _segment_values(value_at, edges, cfg)
-        m = len(arc_vals)
-        points = edges[first:m]
-        value_at.prefetch(points)  # edges the scan inserted
-        point_vals = [value_at(b) for b in points]
-        found = []
-        for k, pv in enumerate(point_vals, start=first):
-            a = (k - 1) % m  # the arc ending at edge k (cyclically, at edges[m])
-            if _exceeds(pv, arc_vals[a]):
-                s = edges[a] + (edges[a + 1] - edges[a]) * 2.0 / 3.0
-                found.append(_find_jump(value_at, s, edges[a + 1], arc_vals[a], pv,
-                                        cfg.tol_angle))
-            if _exceeds(pv, arc_vals[k]):
-                s = edges[k] + (edges[k + 1] - edges[k]) / 3.0
-                found.append(_find_jump(value_at, edges[k], s, pv, arc_vals[k],
-                                        cfg.tol_angle))
-        inserts = [z for z in found if min(abs(z - e) for e in edges) > ctol]
-        if not inserts:
-            return edges, arc_vals, point_vals
-        edges = sorted(set(edges) | set(inserts))
-    raise NumericalError("semicontinuity repair did not converge")
+    for (a, b), (s, t) in zip(arcs, thirds):
+        u, v = spectrum(s), spectrum(t)
+        if not _exceeds(u, v):
+            u = v  # equal, or u read in a zero band
+        elif _exceeds(v, u):
+            raise NumericalError(
+                f"inertia changes inside the arc ({a}, {b}): {tuple(u)} at {s}, "
+                f"{tuple(v)} at {t}; a root is missing from the candidates")
+        values.append(u)
+    return values
 
 
 def _dedupe_sorted(angles: list[float], tol: float) -> list[float]:
@@ -245,12 +162,13 @@ def index_profile(p: QuadraticPencil, domain: CircleSubset,
 
     By default the family is the pencil itself and candidate breakpoints are
     its degenerate locus, which degenerate_locus finds by one QZ solve for
-    every pencil, identically singular ones included.  Arcs are verified
-    constant by interior samples; disagreements trigger bisection refinement,
-    so missed candidates are recovered rather than silently absorbed.  Every
-    inertia value comes from one FamilySpectrum, so each angle is solved
-    once per profile.  A point whose inertia exceeds that of an arc it
-    bounds raises NumericalError.
+    every pencil, identically singular ones included.  The candidates are
+    the only breakpoints: the inertia is constant between them, and
+    _read_arcs reads each arc once, at its two thirds, in one stacked
+    eigvalsh call per domain component, the component's endpoints and
+    breakpoints included.  Readings that disagree other than by a zero band
+    mean a missing candidate and raise NumericalError, as does a point
+    whose inertia exceeds that of an arc it bounds.
     """
     if family is None:
         family = p
@@ -272,25 +190,14 @@ def index_profile(p: QuadraticPencil, domain: CircleSubset,
         if len(bps) >= 2 and (bps[0] + TWO_PI) - bps[-1] <= ctol:
             bps = bps[:-1]
         if not bps:
-            found: list[float] = []
-            v = _scan_segment(value_at, 0.0, TWO_PI, cfg, found)
-            if not found:
-                return IndexProfile(domain, ((Arc(0.0, TWO_PI, True, True), v),))
-            bps = sorted(canonical_angle(z) for z in found)
+            v, = _read_arcs(value_at, [0.0, TWO_PI])
+            return IndexProfile(domain, ((Arc(0.0, TWO_PI, True, True), v),))
         edges = bps + [bps[0] + TWO_PI]
-        edges, arc_vals, point_vals = _refine_partition(value_at, edges, cfg, cyclic=True)
-        # canonicalization may wrap trailing edges past the seam; sorting the
-        # cells restores ascending order
-        starts = [canonical_angle(e) for e in edges[:-1]]
-        for i, b in enumerate(starts):
-            nxt = starts[(i + 1) % len(starts)]
-            end = nxt if nxt > b else nxt + TWO_PI
-            cells += [(Point(b), point_vals[i]), (Arc(b, end, False, False), arc_vals[i])]
-        cells.sort(key=_cell_key)
-        for k in range(0, len(cells), 2):  # points and arcs alternate
-            point, pv = cells[k]
-            _require_semicontinuous("breakpoint", point.theta, pv,
-                                    cells[k - 1][1], cells[k + 1][1])
+        arc_vals = _read_arcs(value_at, edges)
+        for i, b in enumerate(bps):
+            pv = value_at(b)
+            _require_semicontinuous("breakpoint", b, pv, arc_vals[i - 1], arc_vals[i])
+            cells += [(Point(b), pv), (Arc(b, edges[i + 1], False, False), arc_vals[i])]
         return IndexProfile(domain, tuple(cells))
 
     for item in domain.items:
@@ -305,8 +212,9 @@ def index_profile(p: QuadraticPencil, domain: CircleSubset,
                 inner.append(lift)
         inner = _dedupe_sorted(sorted(inner), ctol)
         edges = [s, *inner, e]
-        edges, arc_vals, point_vals = _refine_partition(value_at, edges, cfg, cyclic=False)
-        for i, (b, pv) in enumerate(zip(edges[1:-1], point_vals)):
+        arc_vals = _read_arcs(value_at, edges)
+        for i, b in enumerate(inner):
+            pv = value_at(b)
             _require_semicontinuous("breakpoint", b, pv, arc_vals[i], arc_vals[i + 1])
             cells.append((Point(canonical_angle(b)), pv))
         for lo, hi, av in zip(edges, edges[1:], arc_vals):

@@ -268,7 +268,8 @@ def _cluster_periodic(values: list[float], period: float, tol: float) -> list[tu
 
 
 def cluster_tol(cfg: ToleranceConfig) -> float:
-    return max(10.0 * cfg.tol_angle, 3e-6)
+    """Roots closer than this are one point: ten times the angle tolerance."""
+    return 10.0 * cfg.tol_angle
 
 
 def _qz_root_angles(a: np.ndarray, b: np.ndarray) -> tuple[list[float], int]:

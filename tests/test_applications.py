@@ -188,6 +188,17 @@ def test_support_contains_image():
             assert float(omega @ c) <= support_function(p, th) + 1e-9
 
 
+def test_membership_four_lines_with_two_roots_near_pi_over_4():
+    # the shifted pencil has simple roots at pi/4 + 7.1e-7 and pi/4 + 3.6e-6;
+    # they must stay two breakpoints.  The image is |y0| + |y1| <= 1.
+    c = (-1.2485479466360287, 0.24854618441984738)
+    member, cert = image_membership(fixtures.four_lines(), c)
+    assert not member
+    assert cert.kind == "emptiness"
+    shifted = fixtures.four_lines().shifted(*c)
+    assert np.linalg.eigvalsh(shifted.at(cert.theta))[0] > 0
+
+
 # ---------------------------------------------------------------------------
 # level sets
 # ---------------------------------------------------------------------------
@@ -204,6 +215,16 @@ def test_level_set_at_origin_contractible():
         res = level_set_betti(LevelProblem(p, (0.0, 0.0)))
         assert res.nonempty
         assert all(b == 0 for b in res.b_tilde)
+
+
+def test_bouquet_level_set_with_a_domain_end_in_a_zero_band():
+    # the half circle of directions ends 1.1e-3 past the bouquet's quadruple
+    # root at pi/2; the last arc's third nearest the root reads its smallest
+    # eigenvalue, about 4 delta^3, as zero, and the arc takes the other third
+    for c1 in (-0.013175866519860812, -0.03, -0.1):
+        res = level_set_betti(LevelProblem(fixtures.bouquet(), (-12.220942365392403, c1)))
+        assert res.nonempty
+        assert res.b_tilde == (1, 0, 0, 0)
 
 
 def test_level_set_infeasible():

@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 
+import pytest
 from quadrics import fixtures
 from quadrics.cli import run
 
@@ -291,3 +292,11 @@ def test_shared_parser_leaks_no_state_between_runs(tmp_path):
         assert (code, data) == (proc.returncode, json.loads(proc.stdout))
     # the second run read c from the problem, not the first run's flag
     assert [data["member"] for _, data in in_process] == [False, True]
+
+
+def test_epsilon_flag_is_rejected(tmp_path):
+    # no subcommand reaches the regularizer, so the shift-size flag is gone
+    inp = _write_problem(tmp_path, fixtures.bouquet())
+    with pytest.raises(SystemExit) as exc:
+        run(["betti-x", "--input", inp, "--epsilon", "0.01"])
+    assert exc.value.code == 2

@@ -1,7 +1,8 @@
 import math
+import re
 
 import numpy as np
-from quadrics import fixtures
+from quadrics import fixtures, pencil
 import pytest
 from quadrics.circle import (
     Arc,
@@ -11,6 +12,7 @@ from quadrics.circle import (
     angles_equal,
     betti_circle,
     omega_set,
+    open_half_circle,
     subsets_equal,
 )
 from quadrics.errors import NumericalError
@@ -23,7 +25,7 @@ from quadrics.filtration import (
     sublevel_eps,
     superlevel,
 )
-from quadrics.pencil import QuadraticPencil, inertia, regularize
+from quadrics.pencil import QuadraticPencil, degenerate_locus, inertia, regularize
 
 PI = math.pi
 TWO_PI = 2 * math.pi
@@ -146,6 +148,52 @@ def test_identically_singular_profile_via_refinement():
     assert om1.contains(PI / 4)
     assert not om1.contains(PI)
     assert not om1.contains(3 * PI / 4)
+
+
+def test_a_root_missing_from_the_candidates_raises_naming_its_arc():
+    # dropping a candidate merges the two arcs beside it; a simple root
+    # between the merged arc's thirds makes them read different inertia
+    from quadrics.applications import extremal_family
+    rng = np.random.default_rng(5)
+    pencils = [extremal_family(4)]
+    pencils += [fixtures.random_pencil(rng, dim) for dim in range(3, 9) for _ in range(3)]
+    checked = 0
+    for p in pencils:
+        locus = degenerate_locus(p)
+        angles = locus.angles
+        for k in range(1, len(angles) - 1):
+            a, r, b = angles[k - 1:k + 2]
+            if locus.points[k].multiplicity != 1 or not (
+                    a + (b - a) / 3 < r < a + 2 * (b - a) / 3):
+                continue
+            with pytest.raises(NumericalError, match=re.escape(f"arc ({a}, {b})")):
+                index_profile(p, FULL, candidates=angles[:k] + angles[k + 1:])
+            checked += 1
+    assert checked > 20
+
+
+def test_a_profile_solves_each_domain_component_in_one_stacked_call(monkeypatch):
+    calls = []
+    solve = pencil._eigvalsh
+
+    def counted(stack):
+        calls.append(stack.shape)
+        return solve(stack)
+
+    monkeypatch.setattr(pencil, "_eigvalsh", counted)
+    cases = [(make(), omega_set(cone)) for make in SIX_FIXTURES for cone in ALL_CONES]
+    # the bouquet's half circle of directions ending 1.1e-3 past a quadruple root
+    cases.append((fixtures.bouquet(), open_half_circle(
+        math.atan2(0.013175866519860812, 12.220942365392403))))
+    rng = np.random.default_rng(8)
+    cases += [(fixtures.random_pencil(rng, dim), omega_set(cone))
+              for dim in (3, 5, 8) for cone in ALL_CONES]
+    for p, domain in cases:
+        candidates = degenerate_locus(p).angles
+        calls.clear()
+        index_profile(p, domain, candidates=candidates)
+        assert len(calls) == domain.n_components(), (p.dim, domain)
+        assert all(len(shape) == 3 for shape in calls)
 
 
 # ---------------------------------------------------------------------------

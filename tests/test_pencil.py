@@ -452,16 +452,30 @@ def test_regularized_crossings_are_degenerate_as_qz_gives_them():
     assert checked > 500
 
 
-@pytest.mark.parametrize("cond", [1e2, 1e3])
+def _assert_same_answers(p, q, cones):
+    for cone in cones:
+        a, b = analyze(p, cone), analyze(q, cone)
+        assert (a.report.b, a.table.w1_nonzero) == \
+            (b.report.b, b.table.w1_nonzero), (p.dim, cone.kind)
+
+
+@pytest.mark.parametrize("cond", [1.0, 1e2, 1e3])
 def test_analysis_invariant_under_congruence(cond):
     # T'QT has the same solution set up to a linear change of coordinates
     rng = np.random.default_rng(11)
-    zero = PlanarCone.zero()
     for _ in range(30):
         p = fixtures.random_pencil(rng, int(rng.integers(4, 17)))
-        q = _congruent(p, rng, cond)
-        a, b = analyze(p, zero), analyze(q, zero)
-        assert (a.report.b, a.table.w1_nonzero) == (b.report.b, b.table.w1_nonzero)
+        _assert_same_answers(p, _congruent(p, rng, cond), [PlanarCone.zero()])
+    # a rotation of the bouquet makes QZ split its quadruple root at pi/2
+    # into the root, a real root 1-3e-6 away and a complex pair; both real
+    # roots must stay breakpoints
+    rng = np.random.default_rng(31)
+    cones = (PlanarCone.zero(), PlanarCone.line(2.0), PlanarCone.sector(0.3, 1.9),
+             PlanarCone.halfplane(1.1))
+    pencils = [make() for make in fixtures.NAMED_FIXTURES.values()]
+    for p in pencils + [extremal_family(n) for n in (3, 5, 7)]:
+        for _ in range(10):
+            _assert_same_answers(p, _congruent(p, rng, cond), cones)
 
 
 # ---------------------------------------------------------------------------
