@@ -70,6 +70,11 @@ class Certificate:
         }
 
 
+def _require_finite_point(c: tuple[float, float]) -> None:
+    if not all(math.isfinite(v) for v in c):
+        raise InvalidInputError(f"the point c = {tuple(c)} has a non-finite coordinate")
+
+
 def _lambda_min(m: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(m)[0])
 
@@ -164,6 +169,7 @@ def image_membership(p: QuadraticPencil, c: tuple[float, float],
     """
     if p.dim < 3:
         raise InvalidInputError("image membership requires at least three variables")
+    _require_finite_point(c)
     shifted = p.shifted(c[0], c[1])
     filt = filtration_for_cone(shifted, PlanarCone.zero(), cfg)
     if filt.mu < p.dim:
@@ -194,6 +200,7 @@ class LevelProblem:
     def __post_init__(self):
         if self.mode not in ("eq", "ineq"):
             raise InvalidInputError("mode must be 'eq' or 'ineq'")
+        _require_finite_point(self.c)
 
     @property
     def cone(self) -> PlanarCone | None:

@@ -13,6 +13,7 @@ depend only on the flags.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -173,7 +174,9 @@ class CircleSubset:
 
     # -- constructors -------------------------------------------------
     @staticmethod
+    @functools.cache
     def empty(tol: float = DEFAULT_CONFIG.tol_angle) -> "CircleSubset":
+        """The empty set, one shared instance per tol: subsets are immutable."""
         return CircleSubset((), (), (), False, tol)
 
     @staticmethod

@@ -38,6 +38,7 @@ from .pencil import (
     cluster_tol,
     degenerate_locus,
     regularize,
+    shared_triple,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -124,7 +125,9 @@ def _read_arcs(spectrum: FamilySpectrum, edges: list[float]) -> list[InertiaTrip
     """The inertia on each open arc between consecutive ascending edges.
 
     The edges and both thirds of every arc are solved in one stacked call, and
-    each arc is read at its two thirds.  The family is constant on an arc that
+    each arc is read at its two thirds.  For the pencil's own family on the
+    full circle the edges span only half of it: index_profile mirrors the
+    other half.  The family is constant on an arc that
     holds no root, so the readings agree, except that a third inside the zero
     band of a nearby multiple root reads extra zeros and no count above the
     other reading: the arc takes the other reading then.  Any other
@@ -144,6 +147,18 @@ def _read_arcs(spectrum: FamilySpectrum, edges: list[float]) -> list[InertiaTrip
                 f"{tuple(v)} at {t}; a root is missing from the candidates")
         values.append(u)
     return values
+
+
+def _antipodally_paired(bps: list[float], tol: float) -> bool:
+    """Whether the sorted breakpoints split into halves half a turn apart."""
+    h = len(bps) // 2
+    return len(bps) == 2 * h and all(
+        abs(bps[i + h] - bps[i] - math.pi) <= tol for i in range(h))
+
+
+def _antipode(v: InertiaTriple) -> InertiaTriple:
+    """The inertia of -M given that of M."""
+    return shared_triple(v.i_minus, v.i_plus, v.i_zero)
 
 
 def _dedupe_sorted(angles: list[float], tol: float) -> list[float]:
@@ -169,6 +184,14 @@ def index_profile(p: QuadraticPencil, domain: CircleSubset,
     breakpoints included.  Readings that disagree other than by a zero band
     mean a missing candidate and raise NumericalError, as does a point
     whose inertia exceeds that of an arc it bounds.
+
+    On the full circle the pencil's own family has M(theta + pi) = -M(theta),
+    so i_plus and i_minus swap at antipodes.  When the B sorted breakpoints
+    pair antipodally within cluster_tol, as the locus's always do, only the
+    arcs from bps[0] to bps[B/2] and the first B/2 breakpoints are solved, and
+    the rest are their antipodes' values swapped: 3 B/2 + 1 matrices, not
+    3 B + 1.  The shifted family M(theta) - eps * p is not antisymmetric, and
+    custom candidates need not pair; both are read in full.
     """
     if family is None:
         family = p
@@ -193,9 +216,17 @@ def index_profile(p: QuadraticPencil, domain: CircleSubset,
             v, = _read_arcs(value_at, [0.0, TWO_PI])
             return IndexProfile(domain, ((Arc(0.0, TWO_PI, True, True), v),))
         edges = bps + [bps[0] + TWO_PI]
-        arc_vals = _read_arcs(value_at, edges)
-        for i, b in enumerate(bps):
-            pv = value_at(b)
+        h = len(bps) // 2
+        if family is p and _antipodally_paired(bps, ctol):
+            # M(theta + pi) = -M(theta): the second half is the first, swapped
+            arc_vals = _read_arcs(value_at, edges[:h + 1])
+            point_vals = [value_at(b) for b in bps[:h]]
+            arc_vals += [_antipode(v) for v in arc_vals]
+            point_vals += [_antipode(v) for v in point_vals]
+        else:
+            arc_vals = _read_arcs(value_at, edges)
+            point_vals = [value_at(b) for b in bps]
+        for i, (b, pv) in enumerate(zip(bps, point_vals)):
             _require_semicontinuous("breakpoint", b, pv, arc_vals[i - 1], arc_vals[i])
             cells += [(Point(b), pv), (Arc(b, edges[i + 1], False, False), arc_vals[i])]
         return IndexProfile(domain, tuple(cells))

@@ -18,6 +18,7 @@ semicontinuity check downstream rather than give a wrong answer.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -43,7 +44,10 @@ def _as_symmetric(m, what: str) -> np.ndarray:
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidInputError(f"{what} must be a square matrix")
-    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
+    largest = float(np.max(np.abs(a))) if a.size else 0.0  # nan or inf if an entry is
+    if not math.isfinite(largest):
+        raise InvalidInputError(f"{what} has a non-finite entry")
+    scale = max(1.0, largest)
     if float(np.max(np.abs(a - a.T))) > TOL_SYM * scale:
         raise InvalidInputError(f"{what} is not symmetric within tolerance")
     sym = 0.5 * (a + a.T)
@@ -61,6 +65,16 @@ class InertiaTriple(NamedTuple):
     @property
     def dim(self) -> int:
         return self.i_plus + self.i_minus + self.i_zero
+
+
+@functools.lru_cache(maxsize=4096)
+def shared_triple(plus: int, minus: int, zero: int) -> InertiaTriple:
+    """The one shared InertiaTriple of these counts.
+
+    A profile holds two triples per breakpoint but only a few distinct ones,
+    and a kept analysis keeps its profile.
+    """
+    return InertiaTriple(plus, minus, zero)
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,7 +214,7 @@ class FamilySpectrum:
         w = self.eigenvalues(theta)
         plus = len(w) - bisect.bisect_right(w, self.thr)
         minus = bisect.bisect_left(w, -self.thr)
-        return InertiaTriple(plus, minus, len(w) - plus - minus)
+        return shared_triple(plus, minus, len(w) - plus - minus)
 
 
 def sylvester_check(m: np.ndarray, t: np.ndarray,
@@ -323,7 +337,7 @@ def degenerate_locus(p: QuadraticPencil,
     for i in range(dim + 1):
         t = PI * (i + 0.5) / (dim + 1)
         mt = math.cos(t) * a0 + math.sin(t) * a1
-        r = int(np.sum(np.abs(np.linalg.eigvalsh(mt)) > 1e-8))
+        r = int(np.sum(np.abs(_eigvalsh(mt)) > 1e-8))
         if r > rank:
             rank, phi, m = r, t, mt
             if r == dim:
@@ -341,7 +355,7 @@ def degenerate_locus(p: QuadraticPencil,
         raise NumericalError("unpaired non-real root; tolerances inconsistent")
     proj = [(phi + r) % PI for r in roots]
     if k:
-        w = np.abs(np.linalg.eigvalsh(p.at_many(proj) / s))
+        w = np.abs(_eigvalsh(p.at_many(proj) / s))
         zeros = np.sum(w <= 1e2 * cfg.tol_eig, axis=1)
         proj = [z for z, c in zip(proj, zeros) if c > k]
         nonreal = 0
@@ -397,7 +411,7 @@ def _regularized_root_angles(p: QuadraticPencil, eps: float, shift: np.ndarray,
     # pick a chart center whose antipode is far from singular
     cands = (0.123456, 0.987654, 1.543210, 2.246810, 0.555555)
     m = p.at_many([t + PI for t in cands]) / scale - sh
-    gaps = np.min(np.abs(np.linalg.eigvalsh(m)), axis=1)
+    gaps = np.min(np.abs(_eigvalsh(m)), axis=1)
     phi0 = cands[int(np.argmax(gaps))]
 
     c, s = math.cos(phi0), math.sin(phi0)
@@ -421,7 +435,7 @@ def _validate_regularization(p: QuadraticPencil, eps: float, shift: np.ndarray,
     # (the caller's root-count accounting guards against over-pruning)
     genuine: list[tuple[float, int]] = []
     if clusters:
-        gaps = np.min(np.abs(np.linalg.eigvalsh(
+        gaps = np.min(np.abs(_eigvalsh(
             p.at_many([z for z, _ in clusters]) - eye_term)), axis=1)
         genuine = [(z, mult) for gap, (z, mult) in zip(gaps, clusters)
                    if gap <= 1e2 * thr_scale]
@@ -438,7 +452,7 @@ def _validate_regularization(p: QuadraticPencil, eps: float, shift: np.ndarray,
         z = crossings[i]
         z_next = crossings[(i + 1) % m_count] + (TWO_PI if i == m_count - 1 else 0.0)
         probes += [z, 0.5 * (z + z_next)]
-    w = np.linalg.eigvalsh(p.at_many(probes) - eye_term)
+    w = _eigvalsh(p.at_many(probes) - eye_term)
     minus = []
     for wz, wm in zip(w[0::2], w[1::2]):
         if int(np.sum(np.abs(wz) <= 1e2 * thr_scale)) != 1:
@@ -514,7 +528,7 @@ def regularize(p: QuadraticPencil,
         perturb = rng.standard_normal((dim, dim))
         perturb = 0.5 * (perturb + perturb.T)
         shift = np.eye(dim) + 0.3 * perturb / max(1.0, float(np.linalg.norm(perturb, 2)))
-        wmin = float(np.min(np.linalg.eigvalsh(shift)))
+        wmin = float(np.min(_eigvalsh(shift)))
         if wmin <= 0.1:
             shift = np.eye(dim)
     raise NumericalError("failed to find a regularizing shift size")

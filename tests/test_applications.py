@@ -297,6 +297,15 @@ def test_level_problem_validates_mode():
         level_set_betti(LevelProblem(fixtures.bouquet(), (0.0, 0.0), mode="ineq"))
 
 
+@pytest.mark.parametrize("c", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)])
+def test_a_non_finite_point_is_rejected(c):
+    for mode in ("eq", "ineq"):
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            LevelProblem(fixtures.bouquet(), c, mode=mode)
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        image_membership(fixtures.bouquet(), c)
+
+
 # ---------------------------------------------------------------------------
 # the extremal family
 # ---------------------------------------------------------------------------

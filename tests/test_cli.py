@@ -215,6 +215,24 @@ def test_asymmetric_matrix_exit_code(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command,q0,c", [
+    ("betti-x", [[math.nan, 0.0], [0.0, 1.0]], None),
+    ("table", [[1.0, math.inf], [math.inf, 1.0]], None),
+    ("member", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1.0]], [math.inf, 0.0]),
+    ("level-set", [[1.0, 0.0], [0.0, -1.0]], [0.0, math.nan]),
+])
+def test_non_finite_input_exit_code(tmp_path, capsys, command, q0, c):
+    # json writes nan and inf as NaN and Infinity, which json.load reads back
+    problem = {"Q0": q0, "Q1": [[0.0] * len(q0)] * len(q0)}
+    if c is not None:
+        problem["c"] = c
+    path = tmp_path / "nonfinite.json"
+    path.write_text(json.dumps(problem))
+    code, _ = _run(tmp_path, [command, "--input", str(path)])
+    assert code == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_unknown_fixture_exit_code(tmp_path):
     code, _ = _run(tmp_path, ["fixture", "nonexistent"])
     assert code == 2

@@ -4,6 +4,7 @@ import re
 import numpy as np
 from quadrics import fixtures, pencil
 import pytest
+from quadrics.applications import extremal_family
 from quadrics.circle import (
     Arc,
     CircleSubset,
@@ -15,8 +16,11 @@ from quadrics.circle import (
     open_half_circle,
     subsets_equal,
 )
+from quadrics.config import DEFAULT_CONFIG
 from quadrics.errors import NumericalError
 from quadrics.filtration import (
+    _antipodally_paired,
+    _read_arcs,
     filtration_for_cone,
     index_profile,
     regularized_profile,
@@ -25,7 +29,14 @@ from quadrics.filtration import (
     sublevel_eps,
     superlevel,
 )
-from quadrics.pencil import QuadraticPencil, degenerate_locus, inertia, regularize
+from quadrics.pencil import (
+    FamilySpectrum,
+    QuadraticPencil,
+    cluster_tol,
+    degenerate_locus,
+    inertia,
+    regularize,
+)
 
 PI = math.pi
 TWO_PI = 2 * math.pi
@@ -60,7 +71,6 @@ def test_bouquet_profile():
 
 
 def test_extremal_profile_n4():
-    from quadrics.applications import extremal_family
     prof = index_profile(extremal_family(4), FULL)
     assert len(_points(prof)) == 10
     plus = [v.i_plus for v in _arc_values(prof)]
@@ -110,7 +120,6 @@ def test_profile_empty_domain():
 
 
 def test_value_at_every_breakpoint_is_the_point_value():
-    from quadrics.applications import extremal_family
     p = extremal_family(3)  # its breakpoints include the seam angle 0.0
     full = index_profile(p, FULL)
     assert any(theta == 0.0 for theta, _ in _points(full))
@@ -137,7 +146,7 @@ def test_value_at_an_excluded_endpoint_is_none():
     assert prof.value_at_angle(3.0) is None
 
 
-def test_identically_singular_profile_via_refinement():
+def test_identically_singular_profile_from_the_locus():
     p = fixtures.identically_singular_pair()
     prof = index_profile(p, FULL)
     mu = prof.max_positive_index()
@@ -153,7 +162,6 @@ def test_identically_singular_profile_via_refinement():
 def test_a_root_missing_from_the_candidates_raises_naming_its_arc():
     # dropping a candidate merges the two arcs beside it; a simple root
     # between the merged arc's thirds makes them read different inertia
-    from quadrics.applications import extremal_family
     rng = np.random.default_rng(5)
     pencils = [extremal_family(4)]
     pencils += [fixtures.random_pencil(rng, dim) for dim in range(3, 9) for _ in range(3)]
@@ -188,12 +196,41 @@ def test_a_profile_solves_each_domain_component_in_one_stacked_call(monkeypatch)
     rng = np.random.default_rng(8)
     cases += [(fixtures.random_pencil(rng, dim), omega_set(cone))
               for dim in (3, 5, 8) for cone in ALL_CONES]
+    full_circles = 0
     for p, domain in cases:
         candidates = degenerate_locus(p).angles
         calls.clear()
-        index_profile(p, domain, candidates=candidates)
+        prof = index_profile(p, domain, candidates=candidates)
         assert len(calls) == domain.n_components(), (p.dim, domain)
         assert all(len(shape) == 3 for shape in calls)
+        h = len(prof.breakpoint_angles()) // 2
+        if domain.is_full() and h:
+            # the edges and both thirds of every arc of one half circle
+            assert calls[0][0] == 3 * h + 1, (p.dim, h)
+            full_circles += 1
+    assert full_circles >= 5
+
+
+def test_the_mirrored_half_circle_equals_the_full_read_cell_by_cell():
+    # the profile solves one half circle and mirrors the other, since
+    # M(theta + pi) = -M(theta); reading every arc and breakpoint directly
+    # must give the same inertia on every cell
+    rng = np.random.default_rng(12)
+    pencils = [make() for make in SIX_FIXTURES]
+    pencils += [fixtures.random_pencil(rng, dim) for dim in (3, 4, 6, 9, 16, 24, 32, 48, 64)]
+    pencils += [extremal_family(n) for n in (2, 3, 4, 5, 7, 10, 20, 40, 80)]
+    mirrored = 0
+    for p in pencils:
+        prof = index_profile(p, FULL)
+        bps = prof.breakpoint_angles()
+        if not bps:
+            continue
+        spectrum = FamilySpectrum(p, p.scale())
+        assert [v for _, v in _points(prof)] == [spectrum(b) for b in bps], p.dim
+        assert _arc_values(prof) == _read_arcs(spectrum, bps + [bps[0] + TWO_PI]), p.dim
+        assert _antipodally_paired(bps, cluster_tol(DEFAULT_CONFIG)), p.dim
+        mirrored += 1
+    assert mirrored >= 20
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +277,6 @@ def test_grid_agreement_random():
 
 
 def _range_rule_profiles():
-    from quadrics.applications import extremal_family
     for make in SIX_FIXTURES:
         p = make()
         for cone in ALL_CONES:

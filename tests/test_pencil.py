@@ -9,9 +9,9 @@ from hypothesis.extra.numpy import arrays
 from quadrics import fixtures
 from quadrics.applications import extremal_family
 from quadrics.betti import analyze, check_bounds
-from quadrics.circle import PlanarCone, angles_equal
+from quadrics.circle import PlanarCone, angles_equal, canonical_angle
 from quadrics.config import ToleranceConfig
-from quadrics.errors import InvalidInputError
+from quadrics.errors import InvalidInputError, NumericalError
 from quadrics.oracles import grid_index_profile, grid_profile_disagreements
 from quadrics.pencil import (
     InertiaTriple,
@@ -478,6 +478,42 @@ def test_analysis_invariant_under_congruence(cond):
             _assert_same_answers(p, _congruent(p, rng, cond), cones)
 
 
+def _rotated_cone(cone, angle):
+    if cone.kind in ("zero", "full"):
+        return cone
+    if cone.kind == "line":
+        return PlanarCone.line(cone.start + angle)
+    return PlanarCone(cone.kind, canonical_angle(cone.start + angle), cone.sweep)
+
+
+# the float one ulp below pi; PI - _BELOW_PI is that ulp
+_BELOW_PI = math.nextafter(PI, 0.0)
+
+
+@pytest.mark.parametrize("alpha", [0.0, PI / 2, PI, _BELOW_PI, -_BELOW_PI, PI - _BELOW_PI,
+                                   -(PI - _BELOW_PI), 1e-9, 0.7, 2.3, 4.0])
+def test_analysis_invariant_under_rotation_of_the_pencil_plane(alpha):
+    # (cos a Q0 + sin a Q1, -sin a Q0 + cos a Q1) has the family M(theta + a),
+    # and its map is q rotated by -a, so with the cone rotated by -a the
+    # solution set is the same.  extremal_family(3) has roots at 0, pi/2, pi
+    # and 3pi/2: a = 0 keeps a root exactly at 0, and a = pi - _BELOW_PI
+    # moves them an ulp back, so QZ finds roots a few ulps below pi and below
+    # 2pi, at the seam, and the profile must still pair them antipodally
+    c, s = math.cos(alpha), math.sin(alpha)
+    rng = np.random.default_rng(41)
+    pencils = [make() for make in fixtures.NAMED_FIXTURES.values()]
+    pencils += [extremal_family(n) for n in (3, 4, 5, 7)]
+    pencils += [fixtures.random_pencil(rng, dim) for dim in (3, 5, 8, 12)]
+    cones = (PlanarCone.zero(), PlanarCone.ray(0.7), PlanarCone.line(2.0),
+             PlanarCone.sector(0.3, 1.9), PlanarCone.halfplane(1.1))
+    for p in pencils:
+        q = QuadraticPencil(c * p.q0 + s * p.q1, -s * p.q0 + c * p.q1)
+        for cone in cones:
+            a, b = analyze(p, cone), analyze(q, _rotated_cone(cone, -alpha))
+            assert (a.report.b, a.table.w1_nonzero) == \
+                (b.report.b, b.table.w1_nonzero), (p.dim, cone.kind)
+
+
 # ---------------------------------------------------------------------------
 # serialization and validation
 # ---------------------------------------------------------------------------
@@ -507,3 +543,40 @@ def test_pencil_rejects_bad_n():
     data["n"] = 7
     with pytest.raises(InvalidInputError):
         QuadraticPencil.from_json(data)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_pencil_rejects_non_finite_entries(bad):
+    # max|a - a'| is nan for a nan entry, and nan > tol is False
+    for entry in ((0, 0), (0, 1)):
+        m = np.eye(3)
+        m[entry] = m[entry[::-1]] = bad
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            QuadraticPencil(m, np.eye(3))
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            QuadraticPencil(np.eye(3), m)
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            inertia(m)
+
+
+def test_a_lapack_failure_in_a_pencil_solve_is_a_numerical_error(monkeypatch):
+    # the chart scan solves single matrices; the singular root filter and the
+    # regularizer's chart pick and crossing checks solve stacks
+    solve = np.linalg.eigvalsh
+
+    def fail_on(ndim):
+        def eigvalsh(a):
+            if np.ndim(a) == ndim:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return solve(a)
+        return eigvalsh
+
+    p = fixtures.random_pencil(np.random.default_rng(4), 5)
+    cases = [(2, lambda: degenerate_locus(p), "eigenvalue solver failed"),
+             (3, lambda: degenerate_locus(fixtures.identically_singular_pair()),
+              "eigenvalue solver failed"),
+             (3, lambda: regularize(p), "regularizing shift")]
+    for ndim, call, message in cases:
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail_on(ndim))
+        with pytest.raises(NumericalError, match=message):
+            call()
