@@ -56,7 +56,6 @@ from .filtration import (
     filtration_for_cone,
     filtration_report,
     index_profile,
-    stiefel_whitney,
     sublevel,
     sublevel_eps,
     superlevel,

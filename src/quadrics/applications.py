@@ -30,7 +30,7 @@ from .filtration import (
     index_profile,
     sublevel,
 )
-from .pencil import QuadraticPencil
+from .pencil import QuadraticPencil, _eigvalsh
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -75,14 +75,6 @@ def _require_finite_point(c: tuple[float, float]) -> None:
         raise InvalidInputError(f"the point c = {tuple(c)} has a non-finite coordinate")
 
 
-def _lambda_min(m: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(m)[0])
-
-
-def _lambda_max(m: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(m)[-1])
-
-
 def _arc_midpoints(subset: CircleSubset) -> list[float]:
     if subset.is_full():
         return [0.0, PI / 2, PI, 3 * PI / 2]
@@ -117,18 +109,16 @@ def calabi(p: QuadraticPencil, cfg: ToleranceConfig = DEFAULT_CONFIG,
     if filt.mu == dim:
         top = filt.omega(dim)
         theta = _longest_arc_midpoint(top)
-        margin = _lambda_min(p.at(theta))
+        margin = float(_eigvalsh(p.at(theta))[0])
         if margin <= 0.0:
             raise NumericalError("certificate direction failed verification")
         return Certificate("positive_combination", theta=theta, margin=margin,
                            mu=filt.mu, warning=warning)
-    best_theta, best_margin = 0.0, -math.inf
-    for th in _arc_midpoints(filt.profile.domain) + \
-            [canonical_angle(b) for b in filt.profile.breakpoint_angles()]:
-        m = _lambda_min(p.at(th))
-        if m > best_margin:
-            best_theta, best_margin = th, m
-    return Certificate("refutation", theta=best_theta, margin=best_margin,
+    thetas = _arc_midpoints(filt.profile.domain) + \
+        [canonical_angle(b) for b in filt.profile.breakpoint_angles()]
+    margins = _eigvalsh(p.at_many(thetas))[:, 0].tolist()
+    best = margins.index(max(margins))  # the first of the largest
+    return Certificate("refutation", theta=thetas[best], margin=margins[best],
                        mu=filt.mu, warning=warning)
 
 
@@ -182,7 +172,7 @@ def image_membership(p: QuadraticPencil, c: tuple[float, float],
 def support_function(p: QuadraticPencil, theta: float) -> float:
     """Largest eigenvalue of the family at theta: the support value of the
     sphere image in that direction."""
-    return _lambda_max(p.at(theta))
+    return float(_eigvalsh(p.at(theta))[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +219,7 @@ def _level_result(p: QuadraticPencil, domain: CircleSubset,
         # the level value is already attainable at the origin
         return LevelSetResult(True, tuple([0] * (n + 1)), None)
     prof = index_profile(p, domain, cfg)
-    min_minus = min(v.i_minus for v in prof.all_values())
+    min_minus = min(v.i_minus for _, v in prof.cells)
     nonempty = min_minus != 0
     if not nonempty:
         return LevelSetResult(False, tuple([0] * (n + 1)), min_minus)

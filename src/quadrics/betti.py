@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 
 from .circle import (
+    Arc,
+    CircleSubset,
     PlanarCone,
     betti_circle,
     betti_pair,
@@ -24,7 +26,7 @@ from .circle import (
 )
 from .config import DEFAULT_CONFIG, ToleranceConfig
 from .errors import InvalidInputError, NumericalError
-from .filtration import FiltrationReport, filtration_for_cone
+from .filtration import FiltrationReport, filtration_for_cone, index_profile
 from .pencil import QuadraticPencil, degenerate_locus, inertia
 
 PI = math.pi
@@ -80,12 +82,11 @@ def build_table(p: QuadraticPencil, cone: PlanarCone,
         c, d = 0, 0
     else:
         # b1(Omega_mu) is 1 exactly when Omega_mu is the whole circle
-        c, d = 1, int(filt.profile.domain.is_full() and filt.nu == mu)
+        c, d = 1, int(filt.top_fills_circle)
     rows = []
     for j in range(0, n + 1):
         e0 = 1 if j > mu else (c if j == mu else 0)
-        e1 = 0
-        e2 = 0
+        e1 = e2 = 0
         if j <= mu - 1:
             b0j, b1j = betti_circle(filt.omega(j + 1))
             e1 = b0j - 1
@@ -262,16 +263,16 @@ def index_decomposition(p: QuadraticPencil, eta_theta: float, omega_theta: float
         raise InvalidInputError(
             "omega must lie strictly inside the counterclockwise arc from -eta to eta")
 
-    # split the locus by counterclockwise jump sign
-    step = min(1e-3, _min_gap(angles) / 8.0) if angles else 1e-3
+    # split the locus by the sign of the jump between the arcs on either side
+    profile = index_profile(p, CircleSubset.full_circle(), cfg, candidates=angles)
+    arcs = [v.i_plus for item, v in profile.cells if isinstance(item, Arc)]
     z_plus: list[float] = []
     z_minus: list[float] = []
-    for z in angles:
-        before = inertia(p.at(z - step), cfg, scale=p.scale()).i_plus
-        after = inertia(p.at(z + step), cfg, scale=p.scale()).i_plus
-        if after - before == 1:
+    for i, z in enumerate(profile.breakpoint_angles()):
+        jump = arcs[i] - arcs[i - 1]
+        if jump == 1:
             z_plus.append(z)
-        elif after - before == -1:
+        elif jump == -1:
             z_minus.append(z)
         else:
             raise NumericalError(f"jump at {z} is not unit; locus not simple")
@@ -290,14 +291,6 @@ def index_decomposition(p: QuadraticPencil, eta_theta: float, omega_theta: float
     measured = inertia(p.at(omega), cfg, scale=p.scale()).i_plus
     return IndexDecomposition(rho_plus, rho_minus, lam_plus, lam_minus,
                               theta, predicted, measured)
-
-
-def _min_gap(angles: list[float]) -> float:
-    if len(angles) < 2:
-        return TWO_PI
-    s = sorted(angles)
-    gaps = [(s[(i + 1) % len(s)] - s[i]) % TWO_PI for i in range(len(s))]
-    return min(g for g in gaps if g > 0)
 
 
 def half_circle_bound(p: QuadraticPencil, cone: PlanarCone, eta_theta: float,

@@ -15,6 +15,7 @@ import json
 import math
 import re
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .circle import PlanarCone, omega_set
 from .config import DEFAULT_CONFIG, ToleranceConfig
 from .errors import InvalidInputError, NumericalError, OracleDisagreement
 from .filtration import IndexProfile, index_profile
-from .fixtures import NAMED_FIXTURES
+from .fixtures import NAMED_FIXTURES, cone_zero_problem
 from .oracles import grid_index_profile, verify_analysis
 from .pencil import QuadraticPencil
 
@@ -75,7 +76,6 @@ def _write_output(args, data: dict) -> None:
 
 
 def _config_from(args) -> ToleranceConfig:
-    cfg = DEFAULT_CONFIG
     kw = {}
     if getattr(args, "tol", None) is not None:
         kw["tol_eig"] = args.tol
@@ -84,7 +84,7 @@ def _config_from(args) -> ToleranceConfig:
         kw["grid_n"] = args.grid
     if getattr(args, "seed", None) is not None:
         kw["seed"] = args.seed
-    return cfg.with_(**kw) if kw else cfg
+    return replace(DEFAULT_CONFIG, **kw)
 
 
 def _add_common(sp) -> None:
@@ -160,8 +160,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_level_set(args) -> int:
-    data = _read_input(args)
-    pencil, _, extra = load_problem(data)
+    pencil, _, extra = load_problem(_read_input(args))
     cfg = _config_from(args)
     if "c" not in extra:
         raise InvalidInputError("level-set requires a point 'c' in the problem JSON")
@@ -188,8 +187,7 @@ def _cmd_calabi(args) -> int:
 
 
 def _cmd_member(args) -> int:
-    data = _read_input(args)
-    pencil, _, extra = load_problem(data)
+    pencil, _, extra = load_problem(_read_input(args))
     cfg = _config_from(args)
     if args.c is not None:
         c = args.c
@@ -204,22 +202,15 @@ def _cmd_member(args) -> int:
 
 def _cmd_support(args) -> int:
     pencil, _, _ = load_problem(_read_input(args))
-    if args.theta is not None:
-        values = [{"theta": args.theta,
-                   "value": support_function(pencil, args.theta)}]
-    else:
-        values = [{"theta": th, "value": support_function(pencil, th)}
-                  for th in np.linspace(0.0, TWO_PI, args.directions,
-                                        endpoint=False)]
+    thetas = [args.theta] if args.theta is not None else \
+        np.linspace(0.0, TWO_PI, args.directions, endpoint=False)
+    values = [{"theta": th, "value": support_function(pencil, th)} for th in thetas]
     _write_output(args, {"support": values})
     return 0
 
 
 def _cmd_extremal(args) -> int:
-    pencil = extremal_family(args.n)
-    data = pencil.to_json()
-    data["cone"] = {"kind": "zero", "generators": []}
-    _write_output(args, data)
+    _write_output(args, cone_zero_problem(extremal_family(args.n)))
     return 0
 
 
@@ -230,9 +221,7 @@ def _cmd_fixture(args) -> int:
         raise InvalidInputError(
             f"unknown fixture {args.name!r}; choose from "
             f"{sorted(NAMED_FIXTURES)}") from exc
-    data = pencil.to_json()
-    data["cone"] = {"kind": "zero", "generators": []}
-    _write_output(args, data)
+    _write_output(args, cone_zero_problem(pencil))
     return 0
 
 
@@ -351,27 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DISPATCH = {
-    "betti-x": _cmd_betti_x,
-    "betti-y": _cmd_betti_y,
-    "betti-complement": _cmd_betti_complement,
-    "euler": _cmd_euler,
-    "table": _cmd_table,
-    "level-set": _cmd_level_set,
-    "calabi": _cmd_calabi,
-    "member": _cmd_member,
-    "support": _cmd_support,
-    "extremal": _cmd_extremal,
-    "fixture": _cmd_fixture,
-    "profile": _cmd_profile,
-    "verify": _cmd_verify,
-}
-
-
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return _DISPATCH[args.command](args)
+    try:  # the subcommand "betti-x" runs _cmd_betti_x, and so on
+        return globals()["_cmd_" + args.command.replace("-", "_")](args)
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

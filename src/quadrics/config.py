@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import InvalidInputError
 
@@ -30,9 +30,6 @@ class ToleranceConfig:
             raise InvalidInputError("epsilon_reg must be strictly positive")
         if self.grid_n < 4:
             raise InvalidInputError("grid_n too small")
-
-    def with_(self, **kw) -> "ToleranceConfig":
-        return replace(self, **kw)
 
 
 DEFAULT_CONFIG = ToleranceConfig()

@@ -7,8 +7,10 @@ consecutive roots, so each arc is read once, and a reading that shows a root
 the locus lacks raises NumericalError.  Superlevel sets of the positive
 index give the central filtration; sublevel sets of the shifted family's
 negative index give closed approximations with the same low-degree homology.
-The monodromy of the top positive eigenspace around the full circle decides
-the first Stiefel-Whitney class of the associated bundle.
+When the top superlevel set is the whole circle, the first Stiefel-Whitney
+class of its positive eigenspace bundle is the parity of the conjugate root
+pairs of the pencil's regular part; the eigenspace transport that measures it
+directly is an oracle (quadrics.oracles.stiefel_whitney).
 """
 
 from __future__ import annotations
@@ -56,9 +58,6 @@ class IndexProfile:
 
     domain: CircleSubset
     cells: tuple[tuple[Point | Arc, InertiaTriple], ...]
-
-    def all_values(self) -> list[InertiaTriple]:
-        return [v for _, v in self.cells]
 
     @cached_property
     def _index_range(self) -> tuple[int, int, int, int]:
@@ -347,7 +346,7 @@ class FiltrationReport:
     """Superlevel filtration data of a pencil over its domain.
 
     The superlevel sets and the orientation class are computed when first
-    read, once each: a caller that needs only mu and nu runs no transport.
+    read, once each.
     """
 
     pencil: QuadraticPencil
@@ -368,87 +367,33 @@ class FiltrationReport:
         """The superlevel sets for j = 1 .. dim."""
         return tuple(self.omega(j) for j in range(1, self.pencil.dim + 1))
 
+    @property
+    def top_fills_circle(self) -> bool:
+        """Whether Omega^mu is the circle: the domain is, and i_plus is constant."""
+        return self.profile.domain.is_full() and self.nu == self.mu
+
     @cached_property
-    def _w1(self) -> tuple[bool, int, str]:
-        if self.profile.domain.is_empty():
-            return (False, 0, "empty domain")
-        return stiefel_whitney(self.pencil, self.profile, self.cfg)
-
-    @property
     def w1_nonzero(self) -> bool:
-        return self._w1[0]
+        """The first Stiefel-Whitney class of the top positive eigenspace bundle.
 
-    @property
-    def w1_resolution(self) -> int:
-        """Transport resolution; 0 when no transport was needed."""
-        return self._w1[1]
-
-    @property
-    def w1_reason(self) -> str:
-        return self._w1[2]
-
-
-def stiefel_whitney(p: QuadraticPencil, profile: IndexProfile,
-                    cfg: ToleranceConfig = DEFAULT_CONFIG,
-                    start_resolution: int = 64,
-                    max_resolution: int = 1 << 14) -> tuple[bool, int, str]:
-    """Orientability of the bundle of top positive eigenspaces.
-
-    Returns (w1_nonzero, resolution, reason).  When the top superlevel set is
-    not the whole circle the class vanishes and no transport is needed; it is
-    the whole circle exactly when the domain is and the index is constant.
-    Otherwise an orthonormal basis of the positive eigenspace is transported
-    around the circle from start_resolution equal steps; the sign of the
-    product of overlap determinants decides whether the holonomy reverses
-    orientation.  Steps are halved until each passes its rule; resolution is
-    the final sample count, and more than max_resolution samples raise
-    NumericalError.
-
-    For a regular pencil (dim = 2 mu) every step is halved until every
-    overlap's smallest singular value exceeds one half.  Near the kernel of an
-    identically singular pencil that rule has aliased a half turn, so there
-    each step is certified: |M(t) - M(theta)| <= L h with L = sqrt(2) * scale,
-    so by Weyl and Davis-Kahan (SIAM J. Numer. Anal. 7, 1970) the eigenspace
-    turns less than 30 degrees when 3 L h < gap, the distance from the
-    positive eigenvalues to the rest, at both ends; for regular pencils that
-    is too pessimistic to stay under the cap.
-    """
-    nu, mu = profile._index_range[:2]
-    if mu == 0:
-        return (False, 0, "rank-zero bundle")
-    if not (profile.domain.is_full() and nu == mu):
-        return (False, 0, "top superlevel set is not the whole circle")
-
-    dim = p.dim
-    thr = cfg.tol_eig * p.scale()
-    lip = math.sqrt(2.0) * p.scale()
-    thetas, gaps, frames = np.empty(0), np.empty(0), np.empty((0, dim, mu))
-    new = np.linspace(0.0, TWO_PI, max(start_resolution, 8 * dim), endpoint=False)
-    while len(new):
-        if len(thetas) + len(new) > max_resolution:
-            raise NumericalError(f"transport needs {len(thetas) + len(new)} samples near "
-                                 f"angle {new[0]}, past the cap {max_resolution}")
-        w, v = np.linalg.eigh(p.at_many(new))
-        off_rank = np.sum(w > thr, axis=1) != mu
-        if np.any(off_rank):
-            th = new[int(np.argmax(off_rank))]
+        It vanishes unless mu > 0 and Omega^mu = S^1.  Then every root-free
+        2 x 2 block of the regular part adds a Moebius band and an
+        L_eps + L_eps' block an orientable bundle (Lancaster and Rodman, SIAM
+        Review 47, 2005), so w1 is the parity of the regular part's conjugate
+        root pairs: mu of them when dim = 2 mu, and otherwise the locus's
+        count, with rank deficit dim - 2 mu.
+        """
+        if self.mu == 0 or not self.top_fills_circle:
+            return False
+        dim = self.pencil.dim
+        if dim == 2 * self.mu:
+            return self.mu % 2 == 1
+        locus = degenerate_locus(self.pencil, self.cfg)
+        if locus.rank_deficit != dim - 2 * self.mu:
             raise NumericalError(
-                f"positive eigenspace rank is not constant at angle {th}")
-        # eigenvalues ascend, so the positive eigenspace is the last mu columns
-        order = np.argsort(np.concatenate([thetas, new]), kind="stable")
-        thetas = np.concatenate([thetas, new])[order]
-        gaps = np.concatenate([gaps, w[:, dim - mu] - w[:, dim - mu - 1]])[order]
-        frames = np.concatenate([frames, v[:, :, dim - mu:]])[order]
-        steps = np.diff(thetas, append=TWO_PI)  # the first sample is angle 0
-        overlaps = frames.transpose(0, 2, 1) @ np.roll(frames, -1, axis=0)
-        if 2 * mu < dim:
-            loose = 3.0 * lip * steps >= np.minimum(gaps, np.roll(gaps, -1))
-        else:
-            smin = np.linalg.svd(overlaps, compute_uv=False)[:, -1]
-            loose = np.full(len(steps), smin.min() <= 0.5)
-        new = thetas[loose] + 0.5 * steps[loose]
-    reversals = int(np.sum(np.signbit(np.linalg.det(overlaps))))
-    return (reversals % 2 == 1, len(thetas), "monodromy determinant sign")
+                f"constant index {self.mu} leaves {dim - 2 * self.mu} zeros at every "
+                f"angle, but the rank deficit is {locus.rank_deficit}")
+        return locus.theta_pairs % 2 == 1
 
 
 def filtration_report(p: QuadraticPencil, domain: CircleSubset,
@@ -456,7 +401,7 @@ def filtration_report(p: QuadraticPencil, domain: CircleSubset,
                       profile: IndexProfile | None = None) -> FiltrationReport:
     """The superlevel filtration of the pencil over the domain and its extremes.
 
-    The superlevel sets and the monodromy class are computed on first read.
+    The superlevel sets and the orientation class are computed on first read.
     """
     if profile is None:
         profile = index_profile(p, domain, cfg)

@@ -50,11 +50,7 @@ def padded_squaring() -> QuadraticPencil:
     """The squaring pair on R^3 with a decoupled zero coordinate: the family
     is singular at every angle yet has constant positive index one."""
     sq = complex_squaring()
-    q0 = np.zeros((3, 3))
-    q1 = np.zeros((3, 3))
-    q0[:2, :2] = sq.q0
-    q1[:2, :2] = sq.q1
-    return QuadraticPencil(q0, q1)
+    return QuadraticPencil(np.pad(sq.q0, (0, 1)), np.pad(sq.q1, (0, 1)))
 
 
 def four_lines() -> QuadraticPencil:

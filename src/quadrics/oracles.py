@@ -3,8 +3,9 @@
 Dense-grid inertia sampling cross-checks index profiles; rejection sampling
 on the sphere with union-find recovers component counts of the solution set;
 multi-start descent decides level-set feasibility with a support-function
-margin; the orientation monodromy is re-run at doubled resolutions.  Nothing
-here shares code paths with the combinatorial machinery it verifies.
+margin; the orientation class is measured by transporting the top positive
+eigenspace around the circle.  Nothing here shares code paths with the
+combinatorial machinery it verifies.
 """
 
 from __future__ import annotations
@@ -17,12 +18,12 @@ from scipy.optimize import minimize
 from scipy.spatial import cKDTree
 
 from .applications import LevelProblem
-from .betti import AnalysisResult
+from .betti import AnalysisResult, analyze
 from .circle import PlanarCone
 from .config import DEFAULT_CONFIG, ToleranceConfig
 from .errors import InvalidInputError, NumericalError, OracleDisagreement
-from .filtration import FiltrationReport, IndexProfile, stiefel_whitney
-from .pencil import InertiaTriple, QuadraticPencil
+from .filtration import FiltrationReport, IndexProfile
+from .pencil import InertiaTriple, QuadraticPencil, _lapack
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -46,20 +47,14 @@ def grid_index_profile(p: QuadraticPencil,
                        cfg: ToleranceConfig = DEFAULT_CONFIG) -> GridProfile:
     """Sample the inertia of the family at a uniform angular grid.
 
-    All grid members are solved in one stacked eigvalsh call.  Their
-    coefficients come from math.cos/math.sin, so each member equals
-    QuadraticPencil.at bit for bit and the counts match per-angle sampling.
+    All grid members are solved in one stacked eigvalsh call; each equals
+    QuadraticPencil.at bit for bit, so the counts match per-angle sampling.
     """
     dim = p.dim
     resolution = max(cfg.grid_n, 4 * dim)
     thr = cfg.tol_eig * p.scale()
     thetas = [float(t) for t in np.linspace(0.0, TWO_PI, resolution, endpoint=False)]
-    c = np.array([math.cos(t) for t in thetas])[:, None, None]
-    s = np.array([math.sin(t) for t in thetas])[:, None, None]
-    try:
-        w = np.linalg.eigvalsh(c * p.q0 + s * p.q1)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigenvalue solver failed: {exc}") from exc
+    w = _lapack(np.linalg.eigvalsh, p.at_many(thetas))
     plus = np.count_nonzero(w > thr, axis=1).tolist()
     minus = np.count_nonzero(w < -thr, axis=1).tolist()
     triples = tuple(InertiaTriple(a, b, dim - a - b) for a, b in zip(plus, minus))
@@ -287,8 +282,71 @@ def feasibility_sample(problem: LevelProblem,
 
 
 # ---------------------------------------------------------------------------
-# monodromy stability
+# orientation monodromy
 # ---------------------------------------------------------------------------
+
+def stiefel_whitney(p: QuadraticPencil, profile: IndexProfile,
+                    cfg: ToleranceConfig = DEFAULT_CONFIG,
+                    start_resolution: int = 64,
+                    max_resolution: int = 1 << 14) -> tuple[bool, int, str]:
+    """Orientability of the bundle of top positive eigenspaces, by transport.
+
+    Returns (w1_nonzero, resolution, reason).  The class vanishes unless the
+    domain is the whole circle and the index is constant on it.  Then an
+    orthonormal basis of the positive eigenspace is carried around the
+    circle from start_resolution equal steps, and the sign of the product of
+    the overlap determinants is the orientation of the holonomy.  Steps are
+    halved until each passes its rule; resolution is the final sample count,
+    and more than max_resolution samples raise NumericalError.
+
+    Regular pencils (dim = 2 mu) halve every step until every overlap's
+    smallest singular value exceeds one half.  Near the kernel of a singular
+    pencil that rule has aliased a half turn, so there each step is
+    certified: |M(t) - M(theta)| <= L h with L = sqrt(2) * scale, so by Weyl
+    and Davis-Kahan (SIAM J. Numer. Anal. 7, 1970) the eigenspace turns less
+    than 30 degrees when 3 L h is below the gap between the positive
+    eigenvalues and the rest, at both ends.  For regular pencils that is too
+    pessimistic to stay under the cap.
+    """
+    nu, mu = profile._index_range[:2]
+    if mu == 0:
+        return (False, 0, "rank-zero bundle")
+    if not (profile.domain.is_full() and nu == mu):
+        return (False, 0, "top superlevel set is not the whole circle")
+
+    dim = p.dim
+    thr = cfg.tol_eig * p.scale()
+    lip = math.sqrt(2.0) * p.scale()
+    thetas, gaps, frames = np.empty(0), np.empty(0), np.empty((0, dim, mu))
+    new = np.linspace(0.0, TWO_PI, max(start_resolution, 8 * dim), endpoint=False)
+    while len(new):
+        if len(thetas) + len(new) > max_resolution:
+            raise NumericalError(f"transport needs {len(thetas) + len(new)} samples near "
+                                 f"angle {new[0]}, past the cap {max_resolution}")
+        w, v = _lapack(np.linalg.eigh, p.at_many(new))
+        off_rank = np.sum(w > thr, axis=1) != mu
+        if np.any(off_rank):
+            th = new[int(np.argmax(off_rank))]
+            raise NumericalError(
+                f"positive eigenspace rank is not constant at angle {th}")
+        # eigenvalues ascend, so the positive eigenspace is the last mu columns
+        order = np.argsort(np.concatenate([thetas, new]), kind="stable")
+        thetas = np.concatenate([thetas, new])[order]
+        gaps = np.concatenate([gaps, w[:, dim - mu] - w[:, dim - mu - 1]])[order]
+        frames = np.concatenate([frames, v[:, :, dim - mu:]])[order]
+        steps = np.diff(thetas, append=TWO_PI)  # the first sample is angle 0
+        overlaps = frames.transpose(0, 2, 1) @ np.roll(frames, -1, axis=0)
+        if 2 * mu < dim:
+            loose = 3.0 * lip * steps >= np.minimum(gaps, np.roll(gaps, -1))
+        else:
+            smin = _lapack(np.linalg.svd, overlaps, compute_uv=False,
+                           what="singular value")[:, -1]
+            loose = np.full(len(steps), smin.min() <= 0.5)
+        new = thetas[loose] + 0.5 * steps[loose]
+    det = _lapack(np.linalg.det, overlaps, what="determinant")
+    reversals = int(np.sum(np.signbit(det)))
+    return (reversals % 2 == 1, len(thetas), "monodromy determinant sign")
+
 
 @dataclass(frozen=True)
 class MonodromyCheck:
@@ -299,15 +357,14 @@ class MonodromyCheck:
 
 def monodromy_refine(p: QuadraticPencil, filtration: FiltrationReport,
                      cfg: ToleranceConfig = DEFAULT_CONFIG) -> MonodromyCheck:
-    """Re-run the orientation transport at twice and four times the resolution
-    the filtration report's own transport settled on."""
-    res = filtration.w1_resolution
-    if res == 0:
+    """The analysis's orientation class against two transports: one from the
+    default start, one from twice the resolution (base_resolution) it needs."""
+    if not (filtration.mu > 0 and filtration.top_fills_circle):
         raise InvalidInputError(
             "monodromy refinement needs the top superlevel set to fill the circle")
     w1a = filtration.w1_nonzero
-    w1b, _, _ = stiefel_whitney(p, filtration.profile, cfg, start_resolution=2 * res)
-    w1c, _, _ = stiefel_whitney(p, filtration.profile, cfg, start_resolution=4 * res)
+    w1b, res, _ = stiefel_whitney(p, filtration.profile, cfg)
+    w1c, _, _ = stiefel_whitney(p, filtration.profile, cfg, start_resolution=2 * res)
     return MonodromyCheck(w1a == w1b == w1c, (w1a, w1b, w1c), res)
 
 
@@ -324,8 +381,6 @@ def verify_analysis(p: QuadraticPencil, cone: PlanarCone,
     has it; otherwise the analysis runs here.  Raises OracleDisagreement on
     any mismatch; otherwise returns a summary of what was checked.
     """
-    from .betti import analyze
-
     res = result if result is not None else analyze(p, cone, cfg)
     out: dict = {}
 
@@ -347,7 +402,7 @@ def verify_analysis(p: QuadraticPencil, cone: PlanarCone,
                 f"sampled component count {b0} differs from b_0 = {expected}")
 
     filt = res.filtration
-    if filt.mu > 0 and filt.profile.domain.is_full() and filt.nu == filt.mu:
+    if filt.mu > 0 and filt.top_fills_circle:
         check = monodromy_refine(p, filt, cfg)
         out["monodromy_values"] = list(check.values)
         if not check.stable:

@@ -154,12 +154,17 @@ def pencil_at(p: QuadraticPencil, theta: float) -> np.ndarray:
     return p.at(theta)
 
 
+def _lapack(solve, *args, what: str = "eigenvalue", **kwargs):
+    """Call a LAPACK-backed solver; its LinAlgError becomes a NumericalError."""
+    try:
+        return solve(*args, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"{what} solver failed: {exc}") from exc
+
+
 def _eigvalsh(a: np.ndarray) -> np.ndarray:
     """Eigenvalues of a symmetric matrix or a stack of them, ascending."""
-    try:
-        return np.linalg.eigvalsh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigenvalue solver failed: {exc}") from exc
+    return _lapack(np.linalg.eigvalsh, a)
 
 
 def inertia(m: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG,
@@ -243,7 +248,8 @@ class DegenerateLocus:
     underlying projective root; theta_pairs counts conjugate pairs of
     non-real projective roots.  rank_deficit is dim minus the family's
     normal rank: positive exactly when the determinant vanishes for every
-    angle.
+    angle.  Then the roots are those of the family's regular part, and
+    theta_pairs counts only its pairs, not the ones a rank completion adds.
     """
 
     points: tuple[DegeneratePoint, ...]
@@ -294,18 +300,65 @@ def _qz_root_angles(a: np.ndarray, b: np.ndarray) -> tuple[list[float], int]:
     0) is simply the chart's far point.  Returns the angles of the real roots
     and the count of the non-real ones.
     """
-    try:
-        alpha, beta = scipy.linalg.eigvals(a, -b, homogeneous_eigvals=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"QZ eigenvalue solver failed: {exc}") from exc
+    alpha, beta = _lapack(scipy.linalg.eigvals, a, -b, homogeneous_eigvals=True,
+                          what="QZ eigenvalue")
     angles: list[float] = []
     nonreal = 0
     for al, be in zip(alpha.tolist(), beta.real.tolist()):
-        if abs(al.imag) <= IMAG_TOL * (abs(be) + abs(al.real)):
+        if _is_real(al, be):
             angles.append(math.atan2(al.real, be))
         else:
             nonreal += 1
     return angles, nonreal
+
+
+def _is_real(alpha: complex, beta: float) -> bool:
+    return abs(alpha.imag) <= IMAG_TOL * (abs(beta) + abs(alpha.real))
+
+
+# QZ is backward stable, so an eigenvector of an order-one pair is exact for
+# a pair within about dim * eps of it; the family's own eigenvectors, which lie
+# in the completion frames' complements, leave them by that times their
+# condition, up to OWN_ROOT_BOUND.  Added ones leave them by order one.
+OWN_ROOT_BOUND = 1e4
+ADDED_ROOT_BOUND = 1e6
+
+
+def _own_nonreal_pairs(a: np.ndarray, b: np.ndarray, u: np.ndarray,
+                       rng: np.random.Generator) -> int:
+    """Conjugate pairs of non-real roots of the regular part of a singular pair.
+
+    det(a + t*b) vanishes identically with rank deficit k, and u is an
+    orthonormal dim x k frame.  With V a second random frame, a + U D_a V' and
+    b + U D_b V' are regular; their eigenvalues are the family's own, whose
+    right and left eigenvectors have V'x = 0 and U'y = 0, and added ones
+    (Hochstenbach, Mehl and Plestenjak).  The symmetric completion U = V
+    cannot tell them apart: its added eigenvalues are defective pairs whose
+    computed eigenvectors come as close to U's complement as the own ones.
+    A root whose max(|V'x| / |x|, |U'y| / |y|) lies between the bounds (in
+    units of dim * eps), or an odd own count, raises.
+    """
+    dim, k = u.shape
+    v = np.linalg.qr(rng.standard_normal((dim, k)))[0]
+    a = a + (u * rng.standard_normal(k)) @ v.T
+    b = b + (u * rng.standard_normal(k)) @ v.T
+    (alpha, beta), left, right = _lapack(
+        scipy.linalg.eig, a, -b, left=True, right=True, homogeneous_eigvals=True,
+        what="QZ eigenvalue")
+    ratio = np.maximum(np.linalg.norm(v.T @ right, axis=0) / np.linalg.norm(right, axis=0),
+                       np.linalg.norm(u.T @ left, axis=0) / np.linalg.norm(left, axis=0))
+    unit = dim * float(np.finfo(float).eps)
+    own = 0
+    for al, be, r in zip(alpha.tolist(), beta.real.tolist(), ratio.tolist()):
+        if _is_real(al, be):
+            continue
+        if OWN_ROOT_BOUND * unit < r < ADDED_ROOT_BOUND * unit:
+            raise NumericalError(f"non-real root of the completed pair neither own nor "
+                                 f"added: eigenvector ratio {r:.3g}")
+        own += r <= OWN_ROOT_BOUND * unit
+    if own % 2:
+        raise NumericalError(f"{own} non-real roots of a singular pencil's regular part")
+    return own // 2
 
 
 def degenerate_locus(p: QuadraticPencil,
@@ -321,7 +374,9 @@ def degenerate_locus(p: QuadraticPencil,
     random orthonormal dim x k frame complete the chart pair to a regular one
     (Hochstenbach, Mehl and Plestenjak, SIAM J. Matrix Anal. Appl. 40, 2019).
     Its real roots are kept where M(theta) has more than k eigenvalues within
-    1e2 * tol_eig * scale; theta_pairs is 0, as added roots are not told apart.
+    1e2 * tol_eig * scale.  Its non-real roots include added ones, so
+    theta_pairs comes from a second completion that tells the family's own
+    apart by their eigenvectors (_own_nonreal_pairs).
     """
     dim = p.dim
     s = p.scale()
@@ -344,6 +399,7 @@ def degenerate_locus(p: QuadraticPencil,
                 break
     k = dim - rank
     dm = math.cos(phi) * a1 - math.sin(phi) * a0
+    chart = (m, dm)
     if k:
         rng = np.random.default_rng(cfg.seed)
         u = np.linalg.qr(rng.standard_normal((dim, k)))[0]
@@ -358,7 +414,7 @@ def degenerate_locus(p: QuadraticPencil,
         w = np.abs(_eigvalsh(p.at_many(proj) / s))
         zeros = np.sum(w <= 1e2 * cfg.tol_eig, axis=1)
         proj = [z for z, c in zip(proj, zeros) if c > k]
-        nonreal = 0
+        nonreal = 2 * _own_nonreal_pairs(*chart, u, rng)
 
     points: list[DegeneratePoint] = []
     for center, mult in _cluster_periodic(proj, PI, cluster_tol(cfg)):
@@ -495,12 +551,9 @@ def regularize(p: QuadraticPencil,
     if cfg.epsilon_reg is not None:
         eps0 = cfg.epsilon_reg
     else:
-        gap = TWO_PI
         angs = locus.angles
-        for i in range(len(angs)):
-            d = (angs[(i + 1) % len(angs)] - angs[i]) % TWO_PI
-            if len(angs) > 1 and d > 0:
-                gap = min(gap, d)
+        gaps = [(b - a) % TWO_PI for a, b in zip(angs, angs[1:] + angs[:1])]
+        gap = min([d for d in gaps if d > 0], default=TWO_PI)
         eps0 = s * min(1e-4, gap / 16.0)
         eps0 = max(eps0, s * 1e-8)
 

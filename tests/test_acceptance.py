@@ -94,7 +94,7 @@ def test_criterion_2_complex_squaring():
     p = fixtures.complex_squaring()
     filt = filtration_for_cone(p, ZERO)
     assert filt.w1_nonzero is True
-    assert filt.w1_reason == "monodromy determinant sign"
+    assert filt.top_fills_circle and filt.mu == 1  # one conjugate root pair
     table = build_table(p, ZERO, filtration=filt)
     assert (table.c, table.d) == (0, 0)
     rep = betti_x(table)

@@ -318,3 +318,32 @@ def test_epsilon_flag_is_rejected(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["betti-x", "--input", inp, "--epsilon", "0.01"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv,pencil", [
+    (["calabi"], fixtures.definite_form(3)),  # the certificate's margin
+    (["calabi"], fixtures.bouquet()),  # the refutation scan
+    (["member", "--c", "0", "5"], fixtures.definite_form(3)),  # emptiness certificate
+    (["support", "--theta", "0.3"], fixtures.bouquet()),
+])
+def test_a_lapack_failure_in_a_certificate_exits_3(tmp_path, monkeypatch, capsys, argv,
+                                                     pencil):
+    # the analysis runs as usual; every solve made from quadrics.applications
+    # fails as LAPACK would
+    import numpy as np
+
+    solve = np.linalg.eigvalsh
+
+    def eigvalsh(a):
+        frame = sys._getframe(1)
+        while frame.f_globals["__name__"] == "quadrics.pencil":
+            frame = frame.f_back
+        if frame.f_globals["__name__"] == "quadrics.applications":
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return solve(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    inp = _write_problem(tmp_path, pencil)
+    code, _ = _run(tmp_path, argv + ["--input", inp])
+    assert code == 3
+    assert "eigenvalue solver failed: Eigenvalues did not converge" in capsys.readouterr().err

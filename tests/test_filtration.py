@@ -2,7 +2,7 @@ import math
 import re
 
 import numpy as np
-from quadrics import fixtures, pencil
+from quadrics import filtration, fixtures, pencil
 import pytest
 from quadrics.applications import extremal_family
 from quadrics.circle import (
@@ -24,11 +24,11 @@ from quadrics.filtration import (
     filtration_for_cone,
     index_profile,
     regularized_profile,
-    stiefel_whitney,
     sublevel,
     sublevel_eps,
     superlevel,
 )
+from quadrics.oracles import stiefel_whitney
 from quadrics.pencil import (
     FamilySpectrum,
     QuadraticPencil,
@@ -450,7 +450,7 @@ def test_report_empty_domain():
     rep = filtration_for_cone(fixtures.bouquet(), PlanarCone.full())
     assert rep.mu == 0 and rep.nu == 0
     assert all(om.is_empty() for om in rep.omega_j)
-    assert rep.w1_reason == "empty domain"
+    assert not rep.top_fills_circle and rep.w1_nonzero is False
 
 
 def test_report_constant_index_bound():
@@ -458,6 +458,31 @@ def test_report_constant_index_bound():
     rep = filtration_for_cone(fixtures.complex_squaring(), PlanarCone.zero())
     assert rep.mu == 1 and rep.nu == 1
     assert rep.w1_nonzero is True
+
+
+def test_w1_reads_no_locus_for_a_regular_pencil(monkeypatch):
+    # dim = 2 mu: a regular pencil with no real root has mu conjugate pairs
+    def refuse(*args, **kwargs):
+        raise AssertionError("the locus is not needed")
+
+    for p, w1 in ((fixtures.complex_squaring(), True), (fixtures.doubled_squaring(), False),
+                  (fixtures.tripled_squaring(), True)):
+        rep = filtration_for_cone(p, PlanarCone.zero())
+        monkeypatch.setattr(filtration, "degenerate_locus", refuse)
+        assert rep.top_fills_circle and rep.w1_nonzero is w1
+        monkeypatch.undo()
+
+
+def test_w1_of_a_singular_pencil_needs_the_matching_rank_deficit(monkeypatch):
+    # padded_squaring reads i_zero = 1 = dim - 2 mu at every angle; a locus
+    # with another rank deficit contradicts the profile
+    rep = filtration_for_cone(fixtures.padded_squaring(), PlanarCone.zero())
+    assert rep.w1_nonzero is True
+    rep = filtration_for_cone(fixtures.padded_squaring(), PlanarCone.zero())
+    monkeypatch.setattr(filtration, "degenerate_locus",
+                        lambda p, cfg: pencil.DegenerateLocus((), 1, 2))
+    with pytest.raises(NumericalError, match="rank deficit is 2"):
+        rep.w1_nonzero
 
 
 def test_report_cone_restricts_domain():

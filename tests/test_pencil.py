@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from quadrics import fixtures
+from quadrics import fixtures, pencil
 from quadrics.applications import extremal_family
 from quadrics.betti import analyze, check_bounds
 from quadrics.circle import PlanarCone, angles_equal, canonical_angle
@@ -478,6 +478,21 @@ def test_analysis_invariant_under_congruence(cond):
             _assert_same_answers(p, _congruent(p, rng, cond), cones)
 
 
+@pytest.mark.parametrize("factor", [1e-6, 1e6])
+def test_rescaling_both_forms_keeps_b_and_w1(factor):
+    # every tolerance is relative to the pencil's scale
+    rng = np.random.default_rng(17)
+    cones = (PlanarCone.zero(), PlanarCone.line(2.0), PlanarCone.sector(0.3, 1.9),
+             PlanarCone.halfplane(1.1))
+    pencils = [make() for make in fixtures.NAMED_FIXTURES.values()]
+    pencils += [extremal_family(n) for n in (3, 5, 7, 12)]
+    pencils += [fixtures.random_pencil(rng, int(rng.integers(3, 17))) for _ in range(30)]
+    pencils += [fixtures.kronecker_pair(int(rng.integers(1, 4)), int(rng.integers(0, 6)), rng)
+                for _ in range(30)]
+    for p in pencils:
+        _assert_same_answers(p, QuadraticPencil(factor * p.q0, factor * p.q1), cones)
+
+
 def _rotated_cone(cone, angle):
     if cone.kind in ("zero", "full"):
         return cone
@@ -580,3 +595,72 @@ def test_a_lapack_failure_in_a_pencil_solve_is_a_numerical_error(monkeypatch):
         monkeypatch.setattr(np.linalg, "eigvalsh", fail_on(ndim))
         with pytest.raises(NumericalError, match=message):
             call()
+
+
+# ---------------------------------------------------------------------------
+# identically singular pencils: the family's own roots
+# ---------------------------------------------------------------------------
+
+def test_theta_pairs_of_singular_pencils_count_only_the_regular_part():
+    # the rank completion's added roots are not the family's: a shared kernel
+    # keeps the quotient's pairs, and a Kronecker pencil whose regular block
+    # has no real root has regular_dim / 2
+    rng = np.random.default_rng(5)
+    for dim in (4, 5, 6, 8, 12, 16, 24, 32):
+        for k in (1, 2):
+            frame, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+            rest = frame[:, k:]
+            quotient = fixtures.random_pencil(rng, dim - k)
+            p = QuadraticPencil(rest @ quotient.q0 @ rest.T, rest @ quotient.q1 @ rest.T)
+            loc = degenerate_locus(p)
+            assert loc.rank_deficit == k
+            assert loc.theta_pairs == degenerate_locus(quotient).theta_pairs, (dim, k)
+    checked = 0
+    while checked < 30:
+        eps, regular_dim = int(rng.integers(1, 4)), 2 * int(rng.integers(1, 4))
+        loc = degenerate_locus(fixtures.kronecker_pair(eps, regular_dim, rng))
+        if loc.points:
+            continue
+        assert loc.theta_pairs == regular_dim // 2, (eps, regular_dim)
+        checked += 1
+
+
+def test_an_unclassifiable_root_is_a_numerical_error(monkeypatch):
+    # with no gap between the bounds' classes every non-real root of the
+    # completed pair is ambiguous: the locus raises, and no w1 is returned
+    monkeypatch.setattr(pencil, "OWN_ROOT_BOUND", 0.0)
+    monkeypatch.setattr(pencil, "ADDED_ROOT_BOUND", math.inf)
+    p = fixtures.padded_squaring()
+    with pytest.raises(NumericalError, match="neither own nor added"):
+        degenerate_locus(p)
+    with pytest.raises(NumericalError):
+        analyze(p, PlanarCone.zero())
+    assert degenerate_locus(fixtures.complex_squaring()).theta_pairs == 1  # regular
+
+
+@pytest.mark.parametrize("cond,known_wrong", [(1.0, []), (1e2, [(3, 4, 2)])])
+def test_singular_pencils_under_congruence(cond, known_wrong):
+    # Kronecker pencils L_eps + L_eps' with a regular block of dim 0-5, and
+    # shared kernels of dim 1 and 2.  Measured before w1 was read from the
+    # root count, 13 of these raised at cond(T) = 1e2, each at the transport's
+    # sample cap; none raise now.  One answer is wrong without a raise, as it
+    # was before: after the congruence a second eigenvalue of the third
+    # kronecker_pair(3, 4) dips under the zero band near 0.135 rad, and the
+    # profile reads an extra zero at the locus point there, where two added
+    # roots of the completion merge
+    rng = np.random.default_rng(23)
+    pencils = [((eps, regular_dim, i), fixtures.kronecker_pair(eps, regular_dim, rng))
+               for eps in (1, 2, 3) for regular_dim in range(6) for i in range(3)]
+    pencils += [((dim, k, i), _shared_kernel(rng, dim, k))
+                for k in (1, 2) for dim in (4, 5, 6, 8, 12, 16, 24) for i in range(3)]
+    raised, wrong = [], []
+    for label, p in pencils:
+        q = _congruent(p, rng, cond)
+        try:
+            a, b = analyze(p, PlanarCone.zero()), analyze(q, PlanarCone.zero())
+        except NumericalError as exc:
+            raised.append((label, str(exc)))
+            continue
+        if (a.report.b, a.table.w1_nonzero) != (b.report.b, b.table.w1_nonzero):
+            wrong.append(label)
+    assert raised == [] and wrong == known_wrong

@@ -19,8 +19,8 @@ from quadrics.filtration import (
     IndexProfile,
     index_profile,
     regularized_profile,
-    stiefel_whitney,
 )
+from quadrics.oracles import stiefel_whitney
 from quadrics.pencil import (
     FamilySpectrum,
     QuadraticPencil,
