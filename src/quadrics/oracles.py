@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy.optimize import minimize
@@ -19,11 +20,11 @@ from scipy.spatial import cKDTree
 
 from .applications import LevelProblem
 from .betti import AnalysisResult, analyze
-from .circle import PlanarCone
+from .circle import CircleSubset, PlanarCone
 from .config import DEFAULT_CONFIG, ToleranceConfig
 from .errors import InvalidInputError, NumericalError, OracleDisagreement
 from .filtration import FiltrationReport, IndexProfile
-from .pencil import InertiaTriple, QuadraticPencil, _lapack
+from .pencil import InertiaTriple, QuadraticPencil, _lapack, shared_triple
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -53,12 +54,28 @@ def grid_index_profile(p: QuadraticPencil,
     dim = p.dim
     resolution = max(cfg.grid_n, 4 * dim)
     thr = cfg.tol_eig * p.scale()
-    thetas = [float(t) for t in np.linspace(0.0, TWO_PI, resolution, endpoint=False)]
+    thetas = np.linspace(0.0, TWO_PI, resolution, endpoint=False).tolist()
     w = _lapack(np.linalg.eigvalsh, p.at_many(thetas))
-    plus = np.count_nonzero(w > thr, axis=1).tolist()
-    minus = np.count_nonzero(w < -thr, axis=1).tolist()
-    triples = tuple(InertiaTriple(a, b, dim - a - b) for a, b in zip(plus, minus))
+    plus = np.count_nonzero(w > thr, axis=1)
+    minus = np.count_nonzero(w < -thr, axis=1)
+    triples = tuple(map(shared_triple, plus.tolist(), minus.tolist(),
+                        (dim - plus - minus).tolist()))
     return GridProfile(resolution, tuple(thetas), triples)
+
+
+def _domain_contains(domain: CircleSubset, t: np.ndarray) -> np.ndarray:
+    """CircleSubset.contains at every canonical angle, by _locate's rules."""
+    cuts = np.array(domain.cuts)
+    if not len(cuts):
+        return np.full(len(t), domain.full)
+    tol = domain.tol
+    t = np.where(t >= TWO_PI - tol, 0.0, t)
+    i = np.searchsorted(cuts, t, side="right") - 1
+    nxt = np.minimum(i + 1, len(cuts) - 1)
+    on_cut = (i >= 0) & (t - cuts[i] <= tol)
+    on_next = ~on_cut & (i + 1 < len(cuts)) & (cuts[nxt] - t <= tol)
+    at, after = np.array(domain.at), np.array(domain.after)
+    return np.where(on_cut, at[i], np.where(on_next, at[nxt], after[i % len(cuts)]))
 
 
 def grid_profile_disagreements(profile: IndexProfile, grid: GridProfile,
@@ -69,20 +86,51 @@ def grid_profile_disagreements(profile: IndexProfile, grid: GridProfile,
     profile records no value for counts as a disagreement.  Angles within ten
     angular tolerances of a recorded breakpoint are skipped: there the
     inertia of a nearly-singular matrix is not decidable.
+
+    The grid is checked in one array pass, with the per-angle rules.  Domain
+    membership reads the domain's cuts as CircleSubset.contains does; the
+    guard measures the nearest sorted breakpoint on either side; the value
+    is that of the last cell starting at or before the angle or of one of
+    its two neighbours, as in value_at_angle.  An angle within two angular
+    tolerances of a cell's ends, where the tolerance rules of Point and Arc
+    decide, is looked up by value_at_angle itself.
     """
-    guard = 10.0 * cfg.tol_angle
-    breakpoints = profile.breakpoint_angles()
-    bad: list[float] = []
-    for th, triple in zip(grid.thetas, grid.triples):
-        if not profile.domain.contains(th):
-            continue
-        if breakpoints and min(
-                abs((th - b + PI) % TWO_PI - PI) for b in breakpoints) <= guard:
-            continue
-        recorded = profile.value_at_angle(th, cfg.tol_angle)
-        if recorded is None or recorded != triple:
-            bad.append(th)
-    return bad
+    tol = cfg.tol_angle
+    th = np.array(grid.thetas, dtype=float)
+    t = th % TWO_PI
+    t[t >= TWO_PI] = 0.0  # as canonical_angle
+    todo = _domain_contains(profile.domain, t)
+    bps = np.sort(profile.breakpoint_angles())
+    if len(bps):
+        j = np.searchsorted(bps, t)
+        near = np.minimum(abs((th - bps[j - 1] + PI) % TWO_PI - PI),
+                          abs((th - bps[j % len(bps)] + PI) % TWO_PI - PI))
+        todo &= near > 10.0 * tol
+    n = len(profile.cells)
+    if n == 0:  # nothing recorded: every compared angle disagrees
+        return [grid.thetas[k] for k in np.flatnonzero(todo)]
+
+    starts = np.array(profile._starts)
+    lengths = np.array([item.end for item, _ in profile.cells]) - starts
+    i = np.searchsorted(starts, t, side="right") - 1
+    cell = np.full(len(t), -1)
+    for k in ((i + 1) % n, (i - 1) % n, i % n):  # the last one set is the first tried
+        d = t - starts[k]
+        d[d < 0.0] += TWO_PI
+        cell = np.where(d < lengths[k] - tol, k, cell)
+    values = np.array([v for _, v in profile.cells]).reshape(n, 3)
+    sampled = np.fromiter(chain.from_iterable(grid.triples), dtype=np.int64,
+                          count=3 * len(t)).reshape(-1, 3)
+    bad = todo & ((cell < 0) | np.any(values[cell] != sampled, axis=1))
+
+    ends = np.sort(np.concatenate([starts, (starts + lengths) % TWO_PI]))
+    ends = np.concatenate([ends[-1:] - TWO_PI, ends, ends[:1] + TWO_PI])
+    j = np.searchsorted(ends, t)
+    edgy = todo & (np.minimum(t - ends[j - 1], ends[j] - t) <= 2.0 * tol)
+    for k in np.flatnonzero(edgy).tolist():
+        recorded = profile.value_at_angle(grid.thetas[k], tol)
+        bad[k] = recorded is None or recorded != grid.triples[k]
+    return [grid.thetas[k] for k in np.flatnonzero(bad)]
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +276,7 @@ def _support_margin(problem: LevelProblem, directions: int = 1024) -> float:
     keep = np.ones(directions, dtype=bool)
     if problem.mode == "ineq":  # only directions in the nonpositive quadrant
         keep = (cos <= 1e-12) & (sin <= 1e-12)
-    top = np.linalg.eigvalsh(p.at_many(thetas[keep]))[:, -1]
+    top = _lapack(np.linalg.eigvalsh, p.at_many(thetas[keep]))[:, -1]
     supporting = top <= 1e-10 * scale
     slack = -(cos[keep] * c[0] + sin[keep] * c[1])
     return float(np.min(slack[supporting], initial=math.inf))

@@ -25,6 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from .circle import canonical_angle
 from .config import DEFAULT_CONFIG, ToleranceConfig
@@ -38,6 +39,9 @@ TOL_SYM = 1e-12
 # |Im(root)| below IMAG_TOL * (1 + |Re|) counts as a real root; generous enough
 # that a numerically split double root is still recognized as real
 IMAG_TOL = 1e-6
+# at_many builds its stack in slices of at most this many entries, so the
+# products of a slice stay in cache; a 720 x 6 x 6 grid is one slice
+AT_MANY_SLICE = 1 << 15
 
 
 def _as_symmetric(m, what: str) -> np.ndarray:
@@ -107,7 +111,8 @@ class QuadraticPencil:
         """
         s = self.__dict__.get("_scale")
         if s is None:
-            s = max(float(np.linalg.norm(self.q0, 2)), float(np.linalg.norm(self.q1, 2)))
+            s = max(float(_lapack(np.linalg.norm, q, 2, what="singular value"))
+                    for q in (self.q0, self.q1))
             object.__setattr__(self, "_scale", s)
         return s
 
@@ -117,12 +122,20 @@ class QuadraticPencil:
     def at_many(self, thetas) -> np.ndarray:
         """The family at every angle as a (k, d, d) stack.
 
-        The coefficients come from math.cos/math.sin, so slice i is bitwise
-        equal to at(thetas[i]); every slice is exactly symmetric.
+        The coefficients come from math.cos/math.sin, so member i is bitwise
+        equal to at(thetas[i]); every member is exactly symmetric.  The stack
+        is filled in slices of at most AT_MANY_SLICE entries, with no
+        full-size temporary.
         """
-        c = np.array([math.cos(t) for t in thetas])
-        s = np.array([math.sin(t) for t in thetas])
-        return c[:, None, None] * self.q0 + s[:, None, None] * self.q1
+        c = np.fromiter(map(math.cos, thetas), float)
+        s = np.fromiter(map(math.sin, thetas), float)
+        d = self.dim
+        out = np.empty((len(c), d, d))
+        step = max(1, AT_MANY_SLICE // (d * d))
+        for lo in range(0, len(c), step):
+            part = np.multiply(c[lo:lo + step, None, None], self.q0, out=out[lo:lo + step])
+            part += s[lo:lo + step, None, None] * self.q1
+        return out
 
     def evaluate(self, x: np.ndarray) -> tuple[float, float]:
         x = np.asarray(x, dtype=float)
@@ -299,12 +312,21 @@ def _qz_root_angles(a: np.ndarray, b: np.ndarray) -> tuple[list[float], int]:
     root is the angle atan2(alpha, beta) and an infinite eigenvalue (beta =
     0) is simply the chart's far point.  Returns the angles of the real roots
     and the count of the non-real ones.
+
+    LAPACK's dggev is called as scipy.linalg.eigvals calls it, a workspace
+    query and then the solve, so the roots are its bits; at small dims its
+    wrapper costs three times the solve.  The pair is finite: the pencil's
+    forms are checked on input.
     """
-    alpha, beta = _lapack(scipy.linalg.eigvals, a, -b, homogeneous_eigvals=True,
-                          what="QZ eigenvalue")
+    b = -b
+    lwork = int(lapack.dggev(a, b, lwork=-1)[-2][0])
+    alphar, alphai, beta, _, _, _, info = lapack.dggev(a, b, 0, 0, lwork)
+    if info != 0:
+        raise NumericalError(f"QZ eigenvalue solver failed: dggev info {info}")
+    alpha = alphar + 1j * alphai  # as scipy forms it, signed zeros included
     angles: list[float] = []
     nonreal = 0
-    for al, be in zip(alpha.tolist(), beta.real.tolist()):
+    for al, be in zip(alpha.tolist(), beta.tolist()):
         if _is_real(al, be):
             angles.append(math.atan2(al.real, be))
         else:
@@ -445,7 +467,9 @@ class RegularizedPencil:
         return self.pencil.at(theta) - self.epsilon * self.shift
 
     def at_many(self, thetas) -> np.ndarray:
-        return self.pencil.at_many(thetas) - self.epsilon * self.shift
+        stack = self.pencil.at_many(thetas)
+        stack -= self.epsilon * self.shift
+        return stack
 
 
 def _regularized_root_angles(p: QuadraticPencil, eps: float, shift: np.ndarray,

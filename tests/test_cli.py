@@ -347,3 +347,18 @@ def test_a_lapack_failure_in_a_certificate_exits_3(tmp_path, monkeypatch, capsys
     code, _ = _run(tmp_path, argv + ["--input", inp])
     assert code == 3
     assert "eigenvalue solver failed: Eigenvalues did not converge" in capsys.readouterr().err
+
+
+def test_a_qz_failure_exits_3(tmp_path, monkeypatch, capsys):
+    from scipy.linalg import lapack
+
+    dggev = lapack.dggev
+
+    def failing(*args, **kwargs):
+        return (*dggev(*args, **kwargs)[:-1], 1)  # info > 0: QZ did not converge
+
+    monkeypatch.setattr(lapack, "dggev", failing)
+    inp = _write_problem(tmp_path, fixtures.bouquet())
+    code, _ = _run(tmp_path, ["betti-x", "--input", inp])
+    assert code == 3
+    assert "QZ eigenvalue solver failed: dggev info 1" in capsys.readouterr().err

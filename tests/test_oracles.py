@@ -7,13 +7,14 @@ import pytest
 from quadrics import fixtures, oracles
 from quadrics.applications import LevelProblem, extremal_family, level_set_betti
 from quadrics.betti import analyze
-from quadrics.circle import Arc, CircleSubset, PlanarCone, omega_set
+from quadrics.circle import Arc, CircleSubset, PlanarCone, canonical_angle, omega_set
 from quadrics.config import ToleranceConfig
 from quadrics.errors import InvalidInputError, NumericalError, OracleDisagreement
 from quadrics.filtration import IndexProfile, filtration_report, index_profile
-from quadrics.pencil import InertiaTriple, QuadraticPencil
+from quadrics.pencil import InertiaTriple, QuadraticPencil, inertia
 from quadrics.oracles import (
     FEAS_TOL,
+    GridProfile,
     feasibility_sample,
     grid_index_profile,
     grid_profile_disagreements,
@@ -24,6 +25,7 @@ from quadrics.oracles import (
 )
 
 PI = math.pi
+TWO_PI = 2.0 * math.pi
 ZERO = PlanarCone.zero()
 FULL_CIRCLE = CircleSubset.full_circle()
 
@@ -203,6 +205,16 @@ def test_feasibility_agrees_with_level_set():
         agreements += 1
         trials += 1
     assert agreements > 0
+
+
+def test_a_lapack_failure_in_the_support_margin_is_a_numerical_error(monkeypatch):
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    problem = LevelProblem(fixtures.complex_squaring(), (1.0, 0.0))
+    monkeypatch.setattr(np.linalg, "eigvalsh", broken)
+    with pytest.raises(NumericalError, match="eigenvalue solver failed"):
+        feasibility_sample(problem)
 
 
 # ---------------------------------------------------------------------------
@@ -406,3 +418,124 @@ def test_verify_analysis_rejects_a_corrupted_profile():
     with pytest.raises(OracleDisagreement):
         verify_analysis(p, cone, result=replace(
             res, filtration=replace(res.filtration, profile=profile)))
+
+
+# ---------------------------------------------------------------------------
+# the grid check against its per-angle rules
+# ---------------------------------------------------------------------------
+
+def _disagreements_per_angle(profile, grid, cfg=ToleranceConfig()):
+    """The reference for grid_profile_disagreements: its rules, one angle at a time."""
+    guard = 10.0 * cfg.tol_angle
+    breakpoints = profile.breakpoint_angles()
+    bad = []
+    for th, triple in zip(grid.thetas, grid.triples):
+        if not profile.domain.contains(th):
+            continue
+        if breakpoints and min(
+                abs((th - b + PI) % TWO_PI - PI) for b in breakpoints) <= guard:
+            continue
+        recorded = profile.value_at_angle(th, cfg.tol_angle)
+        if recorded is None or recorded != triple:
+            bad.append(th)
+    return bad
+
+
+def _checked(profile, grid, cfg=ToleranceConfig()):
+    bad = grid_profile_disagreements(profile, grid, cfg)
+    assert bad == _disagreements_per_angle(profile, grid, cfg)
+    return bad
+
+
+FIXTURE_PENCILS = [fixtures.bouquet, fixtures.complex_squaring, fixtures.doubled_squaring,
+                   fixtures.tripled_squaring, fixtures.padded_squaring, fixtures.four_lines,
+                   lambda: fixtures.definite_form(3), fixtures.identically_singular_pair,
+                   lambda: extremal_family(4), lambda: extremal_family(7)]
+
+
+@pytest.mark.parametrize("cone", CONES, ids=lambda c: c.kind)
+def test_grid_check_equals_the_per_angle_rules(cone):
+    rng = np.random.default_rng(61)
+    pencils = [make() for make in FIXTURE_PENCILS]
+    pencils += [fixtures.random_pencil(rng, dim) for dim in (2, 3, 5, 8, 12)]
+    pencils += [extremal_family(n) for n in (10, 20)]
+    for p in pencils:
+        profile = analyze(p, cone).filtration.profile
+        for cfg in (ToleranceConfig(), ToleranceConfig(grid_n=1999)):
+            assert _checked(profile, grid_index_profile(p, cfg), cfg) == []
+
+
+def test_grid_check_reads_a_tuple_built_grid():
+    # plain tuples of floats and of triples from a solve of its own, with no
+    # shared triples, at a resolution of its own
+    rng = np.random.default_rng(62)
+    for p in [fixtures.bouquet(), extremal_family(7), fixtures.random_pencil(rng, 6)]:
+        thetas = np.linspace(0.0, TWO_PI, 2039, endpoint=False)
+        w = np.linalg.eigvalsh(p.at_many(thetas))
+        thr = ToleranceConfig().tol_eig * p.scale()
+        plus, minus = np.sum(w > thr, axis=1), np.sum(w < -thr, axis=1)
+        triples = tuple(InertiaTriple(int(a), int(b), p.dim - int(a) - int(b))
+                        for a, b in zip(plus, minus))
+        grid = GridProfile(len(triples), tuple(map(float, thetas)), triples)
+        assert _checked(analyze(p, ZERO).filtration.profile, grid) == []
+
+
+def test_grid_check_finds_each_corrupted_cell():
+    for p, cone in [(fixtures.tripled_squaring(), PlanarCone.sector(0.3, 1.9)),
+                    (extremal_family(4), ZERO), (fixtures.bouquet(), PlanarCone.halfplane(1.1)),
+                    (fixtures.four_lines(), PlanarCone.ray(0.7))]:
+        profile = analyze(p, cone).filtration.profile
+        grid = grid_index_profile(p)
+        step = TWO_PI / grid.resolution
+        for k, (item, v) in enumerate(profile.cells):
+            wrong = InertiaTriple(v.i_plus + 1, v.i_minus - 1, v.i_zero)
+            cells = (*profile.cells[:k], (item, wrong), *profile.cells[k + 1:])
+            bad = _checked(replace(profile, cells=cells), grid)
+            if isinstance(item, Arc) and item.length > 3 * step:
+                assert bad and all(item.contains(th) for th in bad)
+
+
+def test_grid_check_of_empty_domains_and_profiles():
+    grid = grid_index_profile(fixtures.bouquet())
+    assert _checked(IndexProfile(CircleSubset.empty(), ()), grid) == []
+    assert _checked(index_profile(fixtures.bouquet(), CircleSubset.empty()), grid) == []
+    for domain in [FULL_CIRCLE, omega_set(PlanarCone.sector(0.3, 1.9)),
+                   CircleSubset.point(grid.thetas[7])]:
+        bad = _checked(IndexProfile(domain, ()), grid)
+        assert bad == [th for th in grid.thetas if domain.contains(th)] != []
+
+
+def _ulps_around(x, count=3):
+    out = [x]
+    for direction in (math.inf, -math.inf):
+        y = x
+        for _ in range(count):
+            y = math.nextafter(y, direction)
+            out.append(y)
+    return out
+
+
+def test_grid_check_on_cell_ends_and_domain_endpoints():
+    # grid angles on each cell end (breakpoints, open and closed domain
+    # endpoints, the seam of a full-turn arc) and at the tolerance edges
+    # around them, a few ulps either way, where the per-angle rules decide;
+    # against the true inertia and against a wrong constant one
+    tol = ToleranceConfig().tol_angle
+    offsets = [0.0, 1e-3] + [f * tol for f in (0.5, 1.0, 1.5, 2.0, 2.5, 9.5, 10.0, 10.5, 12.0)]
+    offsets += [-o for o in offsets]
+    rng = np.random.default_rng(63)
+    for p in [extremal_family(4), fixtures.bouquet(), fixtures.complex_squaring(),
+              fixtures.random_pencil(rng, 5)]:
+        for domain in [FULL_CIRCLE, CircleSubset.arc(0.3, 1.9, True, False),
+                       CircleSubset.arc(4.0, 0.5, False, True),
+                       CircleSubset.arc(5.5, 0.0, False, True), CircleSubset.arc(0.0, 1.0, False, True),
+                       CircleSubset.punctured_circle([0.0]),
+                       CircleSubset.point(2.5).union(CircleSubset.arc(3.0, 3.5, True, True))]:
+            profile = index_profile(p, domain)
+            marks = [x for item, _ in profile.cells for x in (item.start, item.end)]
+            thetas = sorted({canonical_angle(y) for m in marks for o in offsets
+                             for y in _ulps_around(m + o)})
+            true = tuple(inertia(p.at(t), scale=p.scale()) for t in thetas)
+            _checked(profile, GridProfile(len(thetas), tuple(thetas), true))
+            wrong = (InertiaTriple(p.dim, 0, 0),) * len(thetas)
+            assert _checked(profile, GridProfile(len(thetas), tuple(thetas), wrong))

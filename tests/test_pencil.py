@@ -1,10 +1,13 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.linalg import lapack
 
 from quadrics import fixtures, pencil
 from quadrics.applications import extremal_family
@@ -595,6 +598,76 @@ def test_a_lapack_failure_in_a_pencil_solve_is_a_numerical_error(monkeypatch):
         monkeypatch.setattr(np.linalg, "eigvalsh", fail_on(ndim))
         with pytest.raises(NumericalError, match=message):
             call()
+
+
+def test_a_failed_spectral_norm_is_a_numerical_error(monkeypatch):
+    def norm(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "norm", norm)
+    with pytest.raises(NumericalError, match="singular value solver failed"):
+        fixtures.random_pencil(np.random.default_rng(4), 5).scale()
+
+
+def _eigvals_root_angles(a, b):
+    """The reference for _qz_root_angles: the same reading of scipy.linalg.eigvals."""
+    alpha, beta = scipy.linalg.eigvals(a, -b, homogeneous_eigvals=True)
+    angles, nonreal = [], 0
+    for al, be in zip(alpha.tolist(), beta.real.tolist()):
+        if pencil._is_real(al, be):
+            angles.append(math.atan2(al.real, be))
+        else:
+            nonreal += 1
+    return angles, nonreal
+
+
+def _bits(angles):
+    return np.array(angles, dtype=float).view(np.uint64).tolist()
+
+
+def test_qz_root_angles_equal_scipy_eigvals_bitwise(monkeypatch):
+    # every pair the locus and the regularizer hand to QZ: chart pairs of
+    # random pencils, of the extremal family and of rank-completed singular
+    # pencils, and the regularizer's 2d x 2d companion pencils
+    pairs = []
+    solve = pencil._qz_root_angles
+
+    def record(a, b):
+        pairs.append((a.copy(), b.copy()))
+        return solve(a, b)
+
+    rng = np.random.default_rng(14)
+    calls = [partial(degenerate_locus, fixtures.random_pencil(rng, dim))
+             for dim in range(1, 65)]
+    calls += [partial(degenerate_locus, extremal_family(n)) for n in (2, 5, 10, 20, 40, 80)]
+    calls += [partial(degenerate_locus, fixtures.kronecker_pair(eps, regular_dim, rng))
+              for eps in (1, 2, 3) for regular_dim in (0, 2, 5)]
+    calls += [partial(regularize, p) for p in (
+        fixtures.bouquet(), fixtures.four_lines(), fixtures.identically_singular_pair(),
+        *(fixtures.random_pencil(rng, dim) for dim in (2, 3, 5, 8, 13)))]
+    monkeypatch.setattr(pencil, "_qz_root_angles", record)
+    for call in calls:
+        call()
+    monkeypatch.undo()
+    dims = {a.shape[0] for a, _ in pairs}
+    assert set(range(1, 65)) | {81, 6, 8, 26} <= dims  # 6, 8, 26: companions
+    for a, b in pairs:
+        angles, nonreal = solve(a, b)
+        expected, expected_nonreal = _eigvals_root_angles(a, b)
+        assert nonreal == expected_nonreal
+        assert _bits(angles) == _bits(expected)
+
+
+def test_a_qz_failure_is_a_numerical_error(monkeypatch):
+    dggev = lapack.dggev
+
+    def failing(*args, **kwargs):
+        return (*dggev(*args, **kwargs)[:-1], 1)  # info > 0: QZ did not converge
+
+    monkeypatch.setattr(lapack, "dggev", failing)
+    for p in (fixtures.bouquet(), fixtures.identically_singular_pair()):
+        with pytest.raises(NumericalError, match="QZ eigenvalue solver failed"):
+            degenerate_locus(p)
 
 
 # ---------------------------------------------------------------------------

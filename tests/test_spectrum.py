@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from quadrics import fixtures
+from quadrics import fixtures, pencil
 from quadrics.applications import extremal_family
 from quadrics.circle import CircleSubset, PlanarCone, omega_set
 from quadrics.config import ToleranceConfig
@@ -107,6 +107,13 @@ def test_at_many_slices_equal_at_bitwise():
     for th, m in zip(thetas, reg.at_many(thetas)):
         assert np.array_equal(m, reg.at(th))
     assert fixtures.bouquet().at_many([]).shape == (0, 4, 4)
+    # stacks filled in several slices, a partial one last at dim 41
+    many = list(rng.uniform(0.0, TWO_PI, 124))
+    for p, angles in [(fixtures.random_pencil(rng, 41), many),
+                      (extremal_family(80), [*thetas, *many, *many])]:
+        assert len(angles) * p.dim ** 2 > 3 * pencil.AT_MANY_SLICE
+        stack = p.at_many(angles)
+        assert all(np.array_equal(m, p.at(th)) for th, m in zip(angles, stack))
 
 
 def test_stacked_inertia_matches_per_angle():
