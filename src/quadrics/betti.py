@@ -11,6 +11,7 @@ cover in low degrees.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -71,6 +72,13 @@ class BettiReport:
     empty: bool
 
 
+@functools.lru_cache(maxsize=4096)
+def _shared_row(e0: int, e1: int, e2: int) -> tuple[int, int, int]:
+    """The one shared table row of these entries: a kept analysis keeps its
+    table, whose rows are mostly (1, 0, 0) and (0, 0, 0)."""
+    return (e0, e1, e2)
+
+
 def build_table(p: QuadraticPencil, cone: PlanarCone,
                 cfg: ToleranceConfig = DEFAULT_CONFIG,
                 filtration: FiltrationReport | None = None) -> SpectralTable:
@@ -91,7 +99,7 @@ def build_table(p: QuadraticPencil, cone: PlanarCone,
             b0j, b1j = betti_circle(filt.omega(j + 1))
             e1 = b0j - 1
             e2 = d if j == mu - 1 else b1j
-        rows.append((e0, e1, e2))
+        rows.append(_shared_row(e0, e1, e2))
     return SpectralTable(n=n, mu=mu, nu=filt.nu, c=c, d=d,
                          rows=tuple(rows), w1_nonzero=filt.w1_nonzero)
 

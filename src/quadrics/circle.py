@@ -100,7 +100,12 @@ class Arc:
 
 
 def _fold(theta: float, tol: float) -> float:
-    """The canonical angle, with the last tol below 2*pi read as 0."""
+    """The canonical angle, with the last tol below 2*pi read as 0.
+
+    An angle already in (0, 2*pi - tol) is returned as it is, not a copy.
+    """
+    if 0.0 < theta < TWO_PI - tol:
+        return theta
     t = theta % TWO_PI
     return 0.0 if t >= TWO_PI - tol else t
 

@@ -120,11 +120,13 @@ class IndexProfile:
 # profile construction
 # ---------------------------------------------------------------------------
 
-def _read_arcs(spectrum: FamilySpectrum, edges: list[float]) -> list[InertiaTriple]:
+def _read_arcs(spectrum: FamilySpectrum, edges: list[float],
+               points: list[float] | tuple = ()) -> list[InertiaTriple]:
     """The inertia on each open arc between consecutive ascending edges.
 
-    The edges and both thirds of every arc are solved in one stacked call, and
-    each arc is read at its two thirds.  For the pencil's own family on the
+    Both thirds of every arc and the points the caller reads next are solved
+    in one stacked pass; an edge that is not one of the points is not solved.
+    Each arc is read at its two thirds.  For the pencil's own family on the
     full circle the edges span only half of it: index_profile mirrors the
     other half.  The family is constant on an arc that
     holds no root, so the readings agree, except that a third inside the zero
@@ -134,7 +136,7 @@ def _read_arcs(spectrum: FamilySpectrum, edges: list[float]) -> list[InertiaTrip
     """
     arcs = list(zip(edges, edges[1:]))
     thirds = [(a + (b - a) / 3.0, a + 2.0 * (b - a) / 3.0) for a, b in arcs]
-    spectrum.prefetch([*edges, *(t for pair in thirds for t in pair)])
+    spectrum.prefetch([*points, *(t for pair in thirds for t in pair)])
     values: list[InertiaTriple] = []
     for (a, b), (s, t) in zip(arcs, thirds):
         u, v = spectrum(s), spectrum(t)
@@ -179,17 +181,17 @@ def index_profile(p: QuadraticPencil, domain: CircleSubset,
     every pencil, identically singular ones included.  The candidates are
     the only breakpoints: the inertia is constant between them, and
     _read_arcs reads each arc once, at its two thirds, in one stacked
-    eigvalsh call per domain component, the component's endpoints and
-    breakpoints included.  Readings that disagree other than by a zero band
-    mean a missing candidate and raise NumericalError, as does a point
-    whose inertia exceeds that of an arc it bounds.
+    FamilySpectrum pass per domain component, together with the component's
+    breakpoints and included endpoints.  Readings that disagree other than
+    by a zero band mean a missing candidate and raise NumericalError, as
+    does a point whose inertia exceeds that of an arc it bounds.
 
     On the full circle the pencil's own family has M(theta + pi) = -M(theta),
     so i_plus and i_minus swap at antipodes.  When the B sorted breakpoints
     pair antipodally within cluster_tol, as the locus's always do, only the
     arcs from bps[0] to bps[B/2] and the first B/2 breakpoints are solved, and
-    the rest are their antipodes' values swapped: 3 B/2 + 1 matrices, not
-    3 B + 1.  The shifted family M(theta) - eps * p is not antisymmetric, and
+    the rest are their antipodes' values swapped: 3 B/2 matrices, not 3 B.
+    The shifted family M(theta) - eps * p is not antisymmetric, and
     custom candidates need not pair; both are read in full.
     """
     if family is None:
@@ -218,12 +220,12 @@ def index_profile(p: QuadraticPencil, domain: CircleSubset,
         h = len(bps) // 2
         if family is p and _antipodally_paired(bps, ctol):
             # M(theta + pi) = -M(theta): the second half is the first, swapped
-            arc_vals = _read_arcs(value_at, edges[:h + 1])
+            arc_vals = _read_arcs(value_at, edges[:h + 1], bps[:h])
             point_vals = [value_at(b) for b in bps[:h]]
             arc_vals += [_antipode(v) for v in arc_vals]
             point_vals += [_antipode(v) for v in point_vals]
         else:
-            arc_vals = _read_arcs(value_at, edges)
+            arc_vals = _read_arcs(value_at, edges, bps)
             point_vals = [value_at(b) for b in bps]
         for i, (b, pv) in enumerate(zip(bps, point_vals)):
             _require_semicontinuous("breakpoint", b, pv, arc_vals[i - 1], arc_vals[i])
@@ -242,7 +244,9 @@ def index_profile(p: QuadraticPencil, domain: CircleSubset,
                 inner.append(lift)
         inner = _dedupe_sorted(sorted(inner), ctol)
         edges = [s, *inner, e]
-        arc_vals = _read_arcs(value_at, edges)
+        ends = [b for included, b in ((item.closed_start, s), (item.closed_end, e))
+                if included]
+        arc_vals = _read_arcs(value_at, edges, [*inner, *ends])
         for i, b in enumerate(inner):
             pv = value_at(b)
             _require_semicontinuous("breakpoint", b, pv, arc_vals[i], arc_vals[i + 1])
@@ -357,7 +361,13 @@ class FiltrationReport:
     _omegas: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def omega(self, j: int) -> CircleSubset:
-        """The superlevel set at level j (j = 0 gives the whole domain)."""
+        """The superlevel set at level j (j = 0 gives the whole domain).
+
+        Only the levels in (nu, mu] are kept: the others are the domain or
+        the empty set, which superlevel returns as they are.
+        """
+        if j <= self.nu or j > self.mu:
+            return superlevel(self.profile, j)
         if j not in self._omegas:
             self._omegas[j] = superlevel(self.profile, j)
         return self._omegas[j]

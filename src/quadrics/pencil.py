@@ -42,6 +42,15 @@ IMAG_TOL = 1e-6
 # at_many builds its stack in slices of at most this many entries, so the
 # products of a slice stay in cache; a 720 x 6 x 6 grid is one slice
 AT_MANY_SLICE = 1 << 15
+# FamilySpectrum counts the inertia of members of at least this dimension by
+# a Sturm pass on their tridiagonal reduction (_sturm_inertia) and solves
+# smaller ones by eigvalsh.  Full-circle index_profile time, count over
+# eigvalsh, one OpenBLAS thread: random pencils 1.0 at dims 12-18, 0.7 at
+# 20-28 and 0.56 at 48-64; diagonal members (extremal_family) 1.3-1.6 up to
+# dim 28 and 1.1 at 32, where numpy's eigvalsh reduces unblocked and skips
+# their zero reflectors, and 0.25-0.37 from dim 33 on
+COUNT_DIM = 24
+_SAFMIN = float(np.finfo(float).tiny)
 
 
 def _as_symmetric(m, what: str) -> np.ndarray:
@@ -199,40 +208,91 @@ def inertia(m: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG,
     return InertiaTriple(plus, minus, a.shape[0] - plus - minus)
 
 
+def _sturm_inertia(stack: np.ndarray, scale: float,
+                   thr: float) -> tuple[np.ndarray, np.ndarray]:
+    """(i_plus, i_minus) of every member of a stack of symmetric matrices.
+
+    LAPACK's dsytrd reduces each member to a tridiagonal matrix T with the
+    same eigenvalues.  With d and e divided by scale, so that e^2 cannot
+    overflow, the pivots q_1 = d_1 - s, q_j = d_j - s - e_(j-1)^2 / q_(j-1)
+    of T - s*I have as many negative ones as T has eigenvalues below s
+    (Sturm's count, backward stable: Barth, Martin and Wilkinson, Numer.
+    Math. 9, 1967).  One pass runs both shifts s = +-thr / scale over the
+    whole stack.  A pivot smaller than dstebz's pivmin is replaced by it,
+    negative at +thr and positive at -thr, so that an eigenvalue exactly at
+    a threshold counts as zero: i_plus counts w > thr and i_minus w < -thr,
+    as inertia() does.
+    """
+    k, dim = stack.shape[:2]
+    d = np.empty((k, dim))
+    e = np.empty((k, dim - 1))
+    for i, m in enumerate(stack):
+        # m.T is the member's Fortran-ordered view, which f2py reduces in place
+        # without a copy; the stack is a temporary that nothing reads after
+        _, d[i], e[i], _, info = lapack.dsytrd(m.T, lower=1, overwrite_a=1)
+        if info != 0:
+            raise NumericalError(f"tridiagonal reduction failed: dsytrd info {info}")
+    if scale > 0.0:
+        d /= scale
+        e /= scale
+        thr /= scale
+    # row j holds pivot j of every member at +thr, then of every member at -thr
+    q = np.concatenate([d.T - thr, d.T + thr], axis=1)
+    e2 = np.square(e.T)
+    e2 = np.concatenate([e2, e2], axis=1)
+    pivmin = _SAFMIN * max(1.0, float(e2.max(initial=0.0)))
+    guard = np.repeat([-pivmin, pivmin], k)
+    ratio = np.empty(2 * k)
+    tiny = np.empty(2 * k, dtype=bool)
+    for j in range(dim):
+        if j:
+            np.divide(e2[j - 1], q[j - 1], out=ratio)
+            q[j] -= ratio
+        np.less(np.abs(q[j], out=ratio), pivmin, out=tiny)
+        np.copyto(q[j], guard, where=tiny)
+    below = np.count_nonzero(q < 0.0, axis=0)
+    return dim - below[:k], below[k:]
+
+
 class FamilySpectrum:
     """Inertia of one symmetric family on the circle, memoized by angle.
 
     family is a QuadraticPencil or a RegularizedPencil: anything whose
     at_many(thetas) stacks exactly symmetric members, so no member is
     re-validated.  Every request solves the angles it has not seen before
-    with one stacked eigvalsh call.  Eigenvalues within cfg.tol_eig * scale
-    of zero count as zero, as in inertia() with the family's scale; the
-    counts are read off the ascending eigenvalues by bisection.
+    in one stacked pass.  Eigenvalues within cfg.tol_eig * scale of zero
+    count as zero, as in inertia() with the family's scale.  Members of
+    dimension COUNT_DIM and up are counted by _sturm_inertia, smaller ones
+    by one stacked eigvalsh call.
     """
 
     def __init__(self, family, scale: float, cfg: ToleranceConfig = DEFAULT_CONFIG):
         self.family = family
+        self.scale = scale
         self.thr = cfg.tol_eig * scale
-        self._rows: dict[float, list[float]] = {}
+        self._triples: dict[float, InertiaTriple] = {}
 
     def prefetch(self, thetas) -> None:
-        """Solve every angle not seen yet, in one stacked call."""
-        todo = [t for t in dict.fromkeys(thetas) if t not in self._rows]
-        if todo:
-            w = _eigvalsh(self.family.at_many(todo))
-            self._rows.update(zip(todo, w.tolist()))
-
-    def eigenvalues(self, theta: float) -> list[float]:
-        """The ascending eigenvalues of the member at theta."""
-        if theta not in self._rows:
-            self.prefetch((theta,))
-        return self._rows[theta]
+        """Solve every angle not seen yet, in one stacked pass."""
+        todo = [t for t in dict.fromkeys(thetas) if t not in self._triples]
+        if not todo:
+            return
+        stack = self.family.at_many(todo)
+        dim = stack.shape[1]
+        if dim >= COUNT_DIM:
+            plus, minus = _sturm_inertia(stack, self.scale, self.thr)
+            counts = zip(plus.tolist(), minus.tolist())
+        else:
+            # bisection on the ascending rows: a small stack has few of them
+            counts = ((dim - bisect.bisect_right(w, self.thr), bisect.bisect_left(w, -self.thr))
+                      for w in _eigvalsh(stack).tolist())
+        self._triples.update(zip(todo, (shared_triple(plus, minus, dim - plus - minus)
+                                        for plus, minus in counts)))
 
     def __call__(self, theta: float) -> InertiaTriple:
-        w = self.eigenvalues(theta)
-        plus = len(w) - bisect.bisect_right(w, self.thr)
-        minus = bisect.bisect_left(w, -self.thr)
-        return shared_triple(plus, minus, len(w) - plus - minus)
+        if theta not in self._triples:
+            self.prefetch((theta,))
+        return self._triples[theta]
 
 
 def sylvester_check(m: np.ndarray, t: np.ndarray,

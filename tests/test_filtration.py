@@ -181,22 +181,28 @@ def test_a_root_missing_from_the_candidates_raises_naming_its_arc():
 
 
 def test_a_profile_solves_each_domain_component_in_one_stacked_call(monkeypatch):
+    # one eigvalsh stack below COUNT_DIM, one Sturm-counted stack from there on
     calls = []
-    solve = pencil._eigvalsh
+    solve, count = pencil._eigvalsh, pencil._sturm_inertia
 
-    def counted(stack):
+    def solved(stack):
         calls.append(stack.shape)
         return solve(stack)
 
-    monkeypatch.setattr(pencil, "_eigvalsh", counted)
+    def counted(stack, *args):
+        calls.append(stack.shape)
+        return count(stack, *args)
+
+    monkeypatch.setattr(pencil, "_eigvalsh", solved)
+    monkeypatch.setattr(pencil, "_sturm_inertia", counted)
     cases = [(make(), omega_set(cone)) for make in SIX_FIXTURES for cone in ALL_CONES]
     # the bouquet's half circle of directions ending 1.1e-3 past a quadruple root
     cases.append((fixtures.bouquet(), open_half_circle(
         math.atan2(0.013175866519860812, 12.220942365392403))))
     rng = np.random.default_rng(8)
     cases += [(fixtures.random_pencil(rng, dim), omega_set(cone))
-              for dim in (3, 5, 8) for cone in ALL_CONES]
-    full_circles = 0
+              for dim in (3, 5, 8, pencil.COUNT_DIM, 32) for cone in ALL_CONES]
+    full_circles = arc_domains = 0
     for p, domain in cases:
         candidates = degenerate_locus(p).angles
         calls.clear()
@@ -205,10 +211,18 @@ def test_a_profile_solves_each_domain_component_in_one_stacked_call(monkeypatch)
         assert all(len(shape) == 3 for shape in calls)
         h = len(prof.breakpoint_angles()) // 2
         if domain.is_full() and h:
-            # the edges and both thirds of every arc of one half circle
-            assert calls[0][0] == 3 * h + 1, (p.dim, h)
+            # the breakpoints and both thirds of every arc of one half circle
+            assert calls[0][0] == 3 * h, (p.dim, h)
             full_circles += 1
+        elif not domain.is_full():
+            # both thirds of every arc, and every point the profile records:
+            # no unread edge is solved
+            arcs = len(_arc_values(prof))
+            assert sum(shape[0] for shape in calls) == 2 * arcs + len(_points(prof)), \
+                (p.dim, domain)
+            arc_domains += 1
     assert full_circles >= 5
+    assert arc_domains >= 20
 
 
 def test_the_mirrored_half_circle_equals_the_full_read_cell_by_cell():

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from quadrics import fixtures, pencil
 from quadrics.applications import extremal_family
@@ -116,21 +117,58 @@ def test_at_many_slices_equal_at_bitwise():
         assert all(np.array_equal(m, p.at(th)) for th, m in zip(angles, stack))
 
 
+THR = CFG.tol_eig * 3.0
+
+
+def _on_threshold_pencil(dim: int) -> QuadraticPencil:
+    """A diagonal pencil of scale 3 whose member at angle 0 has eigenvalues
+    exactly at +-tol_eig * scale: two from dim 4, more every fourth entry."""
+    cycle = (-0.5, 2.0, THR, -THR)
+    q0 = np.diag([-THR, THR, 3.0, -1.0, *(cycle[i % 4] for i in range(dim - 4))])
+    return QuadraticPencil(q0, np.diag(np.linspace(-1.0, 1.0, dim)))
+
+
+def _scaled(p: QuadraticPencil, factor: float) -> QuadraticPencil:
+    return QuadraticPencil(p.q0 * factor, p.q1 * factor)
+
+
+SCALES = (1e150, 1e-150, 1e200, 1e-200)
+
+
+def _count_path_pencils():
+    """Pencils at and past COUNT_DIM, which FamilySpectrum counts by Sturm."""
+    rng = np.random.default_rng(16)
+    dim = pencil.COUNT_DIM
+    big = fixtures.random_pencil(rng, dim + 7)
+    return [fixtures.random_pencil(rng, dim), big, extremal_family(dim - 1),
+            extremal_family(40), _on_threshold_pencil(dim),
+            *(_scaled(big, f) for f in SCALES),
+            QuadraticPencil(np.zeros((dim, dim)), np.zeros((dim, dim)))]
+
+
 def test_stacked_inertia_matches_per_angle():
     rng = np.random.default_rng(6)
     thetas = [0.0, *rng.uniform(0.0, TWO_PI, 50)]
-    # eigenvalues exactly at the zero threshold, on either side of zero
-    thr = CFG.tol_eig * 3.0
-    on_threshold = QuadraticPencil(np.diag([-thr, thr, 3.0, -1.0]), np.zeros((4, 4)))
-    assert inertia(on_threshold.q0, CFG, scale=3.0) == (1, 1, 2)
-    for p in [fixtures.bouquet(), fixtures.four_lines(), fixtures.random_pencil(rng, 9),
-              on_threshold, QuadraticPencil(np.zeros((3, 3)), np.zeros((3, 3)))]:
+    for dim in (4, pencil.COUNT_DIM):
+        w = np.diag(_on_threshold_pencil(dim).q0)
+        ties = int(np.sum(np.abs(w) == THR))
+        assert ties >= dim // 4
+        assert inertia(np.diag(w), CFG, scale=3.0) == \
+            (int(np.sum(w > 0)) - ties // 2, int(np.sum(w < 0)) - ties // 2, ties)
+    small = [fixtures.bouquet(), fixtures.four_lines(), fixtures.random_pencil(rng, 9),
+             _on_threshold_pencil(4), QuadraticPencil(np.zeros((3, 3)), np.zeros((3, 3)))]
+    for p in small + _count_path_pencils():
         scale = p.scale()
         spectrum = FamilySpectrum(p, scale, CFG)
         spectrum.prefetch(thetas[:25])
         for th in thetas:
-            assert spectrum(th) == inertia(p.at(th), CFG, scale=scale)
-            assert spectrum.eigenvalues(th) == np.linalg.eigvalsh(p.at(th)).tolist()
+            assert spectrum(th) == inertia(p.at(th), CFG, scale=scale), (p.dim, th)
+    # the counts do not depend on the pencil's scale
+    big = _count_path_pencils()[1]
+    reference = FamilySpectrum(big, big.scale(), CFG)
+    for f in SCALES:
+        spectrum = FamilySpectrum(_scaled(big, f), big.scale() * f, CFG)
+        assert [spectrum(th) for th in thetas] == [reference(th) for th in thetas], f
 
 
 def test_stacked_and_per_angle_inertia_fail_alike(monkeypatch):
@@ -148,21 +186,80 @@ def test_stacked_and_per_angle_inertia_fail_alike(monkeypatch):
 
 
 def test_spectrum_solves_each_angle_once(monkeypatch):
+    # members below COUNT_DIM are solved by stacked eigvalsh calls, larger ones
+    # by one dsytrd reduction each and no eigvalsh
     calls = []
-    original = np.linalg.eigvalsh
+    eigvalsh, dsytrd = np.linalg.eigvalsh, lapack.dsytrd
 
-    def counting(a, *args, **kwargs):
-        calls.append(np.shape(a)[0])
-        return original(a, *args, **kwargs)
+    def counting_eigvalsh(a, *args, **kwargs):
+        calls.append(("eigvalsh", np.shape(a)[0]))
+        return eigvalsh(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    p = fixtures.bouquet()
-    spectrum = FamilySpectrum(p, p.scale(), CFG)
-    spectrum.prefetch([0.1, 0.2, 0.1])
-    first = [spectrum(0.1), spectrum(0.2), spectrum.eigenvalues(0.2)]
-    spectrum.prefetch([0.2, 0.3])
-    assert [spectrum(0.1), spectrum(0.2), spectrum.eigenvalues(0.2)] == first
-    assert calls == [2, 1]
+    def counting_dsytrd(a, *args, **kwargs):
+        calls.append(("dsytrd", np.shape(a)[0]))
+        return dsytrd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    monkeypatch.setattr(lapack, "dsytrd", counting_dsytrd)
+    dim = pencil.COUNT_DIM
+    for p, solves in [
+            (fixtures.bouquet(), [("eigvalsh", 2), ("eigvalsh", 1), ("eigvalsh", 1)]),
+            (fixtures.random_pencil(np.random.default_rng(9), dim), [("dsytrd", dim)] * 4)]:
+        scale = p.scale()
+        reference = inertia(p.at(0.4), CFG, scale=scale)
+        calls.clear()
+        spectrum = FamilySpectrum(p, scale, CFG)
+        spectrum.prefetch([0.1, 0.2, 0.1])
+        first = [spectrum(0.1), spectrum(0.2)]
+        spectrum.prefetch([0.2, 0.3])
+        assert [spectrum(0.1), spectrum(0.2)] == first
+        assert spectrum(0.4) == spectrum(0.4) == reference
+        assert calls == solves, p.dim
+
+
+def test_a_failed_tridiagonal_reduction_is_a_numerical_error(monkeypatch):
+    dsytrd = lapack.dsytrd
+
+    def failing(*args, **kwargs):
+        return (*dsytrd(*args, **kwargs)[:-1], 1)
+
+    monkeypatch.setattr(lapack, "dsytrd", failing)
+    p = fixtures.random_pencil(np.random.default_rng(10), pencil.COUNT_DIM)
+    with pytest.raises(NumericalError, match="tridiagonal reduction failed: dsytrd info 1"):
+        FamilySpectrum(p, p.scale(), CFG).prefetch([0.3, 0.7])
+    with pytest.raises(NumericalError, match="dsytrd info 1"):
+        index_profile(p, FULL, CFG)
+    # below COUNT_DIM the profile makes no dsytrd call
+    index_profile(fixtures.random_pencil(np.random.default_rng(10), pencil.COUNT_DIM - 1),
+                  FULL, CFG)
+
+
+def _counts_by_eigvalsh(stack: np.ndarray, thr: float) -> list[tuple[int, int]]:
+    w = np.linalg.eigvalsh(stack)
+    return list(zip(np.sum(w > thr, axis=1).tolist(), np.sum(w < -thr, axis=1).tolist()))
+
+
+def test_sturm_counts_match_eigvalsh_across_count_dim():
+    # _sturm_inertia against eigvalsh's counts at every dimension, read at
+    # random angles, exactly at every locus root and 1e-7 and 1e-9 off it
+    rng = np.random.default_rng(15)
+    pencils = [make() for make in FIXTURES]
+    pencils += [fixtures.random_pencil(rng, dim) for dim in
+                (*range(2, 65, 3), *range(pencil.COUNT_DIM - 3, pencil.COUNT_DIM + 4))]
+    pencils += [extremal_family(n) for n in (1, 2, 5, 10, 20, 23, 24, 30, 40)]
+    pencils += _count_path_pencils()
+    angles = 0
+    for p in pencils:
+        s = p.scale()
+        thr = CFG.tol_eig * s
+        roots = degenerate_locus(p, CFG).angles if s > 0.0 else []
+        thetas = [0.0, *rng.uniform(0.0, TWO_PI, 12).tolist()]
+        thetas += [r + d for r in roots for d in (0.0, -1e-7, 1e-7, -1e-9, 1e-9)]
+        plus, minus = pencil._sturm_inertia(p.at_many(thetas), s, thr)
+        assert list(zip(plus.tolist(), minus.tolist())) == \
+            _counts_by_eigvalsh(p.at_many(thetas), thr), p.dim
+        angles += len(thetas)
+    assert angles > 5000
 
 
 @pytest.mark.parametrize("make", FIXTURES)
