@@ -138,7 +138,7 @@ def analysis(Q, p, cone):
 
 
 def regularized_breakpoints(Q, p):
-    prof = Q.filtration.regularized_profile(Q.regularize(p), Q.CircleSubset.full_circle())
+    prof = Q.oracles.regularized_profile(Q.oracles.regularize(p))
     return prof.breakpoint_angles()
 
 
@@ -163,6 +163,7 @@ def main(argv=None) -> int:
     import quadrics as Q
     import quadrics.applications  # noqa: F401  (bound as Q.applications)
     import quadrics.fixtures  # noqa: F401
+    import quadrics.oracles  # noqa: F401
 
     digest = hashlib.sha256()
     for label, thunk in inputs(Q):

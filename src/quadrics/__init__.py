@@ -57,18 +57,14 @@ from .filtration import (
     filtration_report,
     index_profile,
     sublevel,
-    sublevel_eps,
     superlevel,
 )
 from .pencil import (
     DegenerateLocus,
     InertiaTriple,
     QuadraticPencil,
-    RegularizedPencil,
     degenerate_locus,
     inertia,
-    pencil_at,
-    regularize,
     sylvester_check,
 )
 

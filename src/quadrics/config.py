@@ -13,21 +13,17 @@ class ToleranceConfig:
 
     tol_eig is relative: an eigenvalue of M counts as zero when its modulus is
     below tol_eig * ||M||.  tol_angle identifies angles on the circle.
-    epsilon_reg seeds the regularization search (None means auto-scaled).
     grid_n is the oracle sampling resolution, seed drives every PRNG draw.
     """
 
     tol_eig: float = 1e-9
     tol_angle: float = 1e-9
-    epsilon_reg: float | None = None
     grid_n: int = 720
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.tol_eig <= 0 or self.tol_angle <= 0:
             raise InvalidInputError("tolerances must be strictly positive")
-        if self.epsilon_reg is not None and self.epsilon_reg <= 0:
-            raise InvalidInputError("epsilon_reg must be strictly positive")
         if self.grid_n < 4:
             raise InvalidInputError("grid_n too small")
 

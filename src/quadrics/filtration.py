@@ -1,16 +1,17 @@
 """Index profiles over circle domains and the level-set machinery built on them.
 
-An index profile records the inertia of a one-parameter symmetric family on
-every arc and breakpoint of a circle domain.  The breakpoints are the
-family's degenerate locus and nothing else: the inertia is constant between
-consecutive roots, so each arc is read once, and a reading that shows a root
-the locus lacks raises NumericalError.  Superlevel sets of the positive
-index give the central filtration; sublevel sets of the shifted family's
-negative index give closed approximations with the same low-degree homology.
-When the top superlevel set is the whole circle, the first Stiefel-Whitney
-class of its positive eigenspace bundle is the parity of the conjugate root
-pairs of the pencil's regular part; the eigenspace transport that measures it
-directly is an oracle (quadrics.oracles.stiefel_whitney).
+An index profile records the inertia of a pencil's family on every arc and
+breakpoint of a circle domain.  The breakpoints are the family's degenerate
+locus and nothing else: the inertia is constant between consecutive roots,
+so each arc is read once, and a reading that shows a root the locus lacks
+raises NumericalError.  Superlevel sets of the positive index give the
+central filtration.  The paper's closed approximations of them, sublevel
+sets of a positively shifted family's negative index, are a cross-check in
+quadrics.oracles.  When the top superlevel set is the whole circle, the
+first Stiefel-Whitney class of its positive eigenspace bundle is the parity
+of the conjugate root pairs of the pencil's regular part; the eigenspace
+transport that measures it directly is an oracle
+(quadrics.oracles.stiefel_whitney).
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
-
-import numpy as np
 
 from .circle import (
     Arc,
@@ -36,10 +35,8 @@ from .pencil import (
     FamilySpectrum,
     InertiaTriple,
     QuadraticPencil,
-    RegularizedPencil,
     cluster_tol,
     degenerate_locus,
-    regularize,
     shared_triple,
 )
 
@@ -126,13 +123,13 @@ def _read_arcs(spectrum: FamilySpectrum, edges: list[float],
 
     Both thirds of every arc and the points the caller reads next are solved
     in one stacked pass; an edge that is not one of the points is not solved.
-    Each arc is read at its two thirds.  For the pencil's own family on the
-    full circle the edges span only half of it: index_profile mirrors the
-    other half.  The family is constant on an arc that
-    holds no root, so the readings agree, except that a third inside the zero
-    band of a nearby multiple root reads extra zeros and no count above the
-    other reading: the arc takes the other reading then.  Any other
-    disagreement is a root the candidates miss and raises NumericalError.
+    Each arc is read at its two thirds.  On the full circle the edges may
+    span only half of it: index_profile mirrors the other half.  The family
+    is constant on an arc that holds no root, so the readings agree, except
+    that a third inside the zero band of a nearby multiple root reads extra
+    zeros and no count above the other reading: the arc takes the other
+    reading then.  Any other disagreement is a root the candidates miss and
+    raises NumericalError.
     """
     arcs = list(zip(edges, edges[1:]))
     thirds = [(a + (b - a) / 3.0, a + 2.0 * (b - a) / 3.0) for a, b in arcs]
@@ -172,34 +169,27 @@ def _dedupe_sorted(angles: list[float], tol: float) -> list[float]:
 
 def index_profile(p: QuadraticPencil, domain: CircleSubset,
                   cfg: ToleranceConfig = DEFAULT_CONFIG,
-                  family: QuadraticPencil | RegularizedPencil | None = None,
                   candidates: list[float] | None = None) -> IndexProfile:
-    """Inertia profile of a family over a circle domain.
+    """Inertia profile of the pencil's family over a circle domain.
 
-    By default the family is the pencil itself and candidate breakpoints are
-    its degenerate locus, which degenerate_locus finds by one QZ solve for
-    every pencil, identically singular ones included.  The candidates are
-    the only breakpoints: the inertia is constant between them, and
-    _read_arcs reads each arc once, at its two thirds, in one stacked
-    FamilySpectrum pass per domain component, together with the component's
-    breakpoints and included endpoints.  Readings that disagree other than
-    by a zero band mean a missing candidate and raise NumericalError, as
-    does a point whose inertia exceeds that of an arc it bounds.
+    By default the candidate breakpoints are the pencil's degenerate locus,
+    which degenerate_locus finds by one QZ solve for every pencil,
+    identically singular ones included.  The candidates are the only
+    breakpoints: the inertia is constant between them, and _read_arcs reads
+    each arc once, at its two thirds, in one stacked FamilySpectrum pass per
+    domain component, together with the component's breakpoints and
+    included endpoints.  Readings that disagree other than by a zero band
+    mean a missing candidate and raise NumericalError, as does a point whose
+    inertia exceeds that of an arc it bounds.
 
-    On the full circle the pencil's own family has M(theta + pi) = -M(theta),
-    so i_plus and i_minus swap at antipodes.  When the B sorted breakpoints
-    pair antipodally within cluster_tol, as the locus's always do, only the
-    arcs from bps[0] to bps[B/2] and the first B/2 breakpoints are solved, and
-    the rest are their antipodes' values swapped: 3 B/2 matrices, not 3 B.
-    The shifted family M(theta) - eps * p is not antisymmetric, and
-    custom candidates need not pair; both are read in full.
+    On the full circle the family has M(theta + pi) = -M(theta), so i_plus
+    and i_minus swap at antipodes.  When the B sorted breakpoints pair
+    antipodally within cluster_tol, as the locus's always do, only the arcs
+    from bps[0] to bps[B/2] and the first B/2 breakpoints are solved, and the
+    rest are their antipodes' values swapped: 3 B/2 matrices, not 3 B.
+    Custom candidates need not pair; unpaired ones are read in full.
     """
-    if family is None:
-        family = p
-        family_scale = p.scale()  # already bounds the member at 0, which is Q0
-    else:
-        family_scale = max(p.scale(), float(np.linalg.norm(family.at(0.0), 2)))
-    value_at = FamilySpectrum(family, family_scale, cfg)
+    value_at = FamilySpectrum(p, p.scale(), cfg)
 
     if domain.is_empty():
         return IndexProfile(domain, ())
@@ -218,7 +208,7 @@ def index_profile(p: QuadraticPencil, domain: CircleSubset,
             return IndexProfile(domain, ((Arc(0.0, TWO_PI, True, True), v),))
         edges = bps + [bps[0] + TWO_PI]
         h = len(bps) // 2
-        if family is p and _antipodally_paired(bps, ctol):
+        if _antipodally_paired(bps, ctol):
             # M(theta + pi) = -M(theta): the second half is the first, swapped
             arc_vals = _read_arcs(value_at, edges[:h + 1], bps[:h])
             point_vals = [value_at(b) for b in bps[:h]]
@@ -280,13 +270,6 @@ def _require_semicontinuous(where: str, theta: float, value: InertiaTriple,
         raise NumericalError(f"semicontinuity violated at {where} {theta}")
 
 
-def regularized_profile(reg: RegularizedPencil, domain: CircleSubset,
-                        cfg: ToleranceConfig = DEFAULT_CONFIG) -> IndexProfile:
-    """Profile of the shifted family omega Q - eps * p over the domain."""
-    return index_profile(reg.pencil, domain, cfg, family=reg,
-                         candidates=list(reg.breakpoints))
-
-
 # ---------------------------------------------------------------------------
 # level subsets
 # ---------------------------------------------------------------------------
@@ -326,19 +309,6 @@ def sublevel(profile: IndexProfile, k: int) -> CircleSubset:
     if k < lo:
         return CircleSubset.empty(profile.domain.tol)
     return _cells_where(profile, lambda v: v.i_minus <= k)
-
-
-def sublevel_eps(p: QuadraticPencil, domain: CircleSubset, k: int,
-                 cfg: ToleranceConfig = DEFAULT_CONFIG,
-                 reg: RegularizedPencil | None = None) -> CircleSubset:
-    """Closed set where the shifted family has negative index at most n - k.
-
-    For a small enough shift this has the same first two Betti numbers as the
-    open superlevel set at j = k + 1.
-    """
-    if reg is None:
-        reg = regularize(p, cfg)
-    return sublevel(regularized_profile(reg, domain, cfg), p.n - k)
 
 
 # ---------------------------------------------------------------------------

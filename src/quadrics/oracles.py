@@ -5,7 +5,10 @@ on the sphere with union-find recovers component counts of the solution set;
 multi-start descent decides level-set feasibility with a support-function
 margin; the orientation class is measured by transporting the top positive
 eigenspace around the circle.  Nothing here shares code paths with the
-combinatorial machinery it verifies.
+combinatorial machinery it verifies, except the paper's own cross-check:
+the closed sets where a positively shifted family omega Q - eps * p has
+negative index at most n - k (sublevel_eps), read by the profile's arc
+reader, have the Betti numbers of the superlevel sets at j = k + 1.
 """
 
 from __future__ import annotations
@@ -18,13 +21,17 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.spatial import cKDTree
 
+from . import pencil
 from .applications import LevelProblem
 from .betti import AnalysisResult, analyze
-from .circle import CircleSubset, PlanarCone
+from .circle import Arc, CircleSubset, PlanarCone, Point, canonical_angle
 from .config import DEFAULT_CONFIG, ToleranceConfig
 from .errors import InvalidInputError, NumericalError, OracleDisagreement
-from .filtration import FiltrationReport, IndexProfile
-from .pencil import InertiaTriple, QuadraticPencil, _lapack, shared_triple
+from .filtration import (FiltrationReport, IndexProfile, _read_arcs,
+                         _require_semicontinuous, sublevel)
+from .pencil import (AT_MANY_SLICE, FamilySpectrum, InertiaTriple, QuadraticPencil,
+                     _cluster_periodic, _eigvalsh, _lapack, cluster_tol, degenerate_locus,
+                     shared_triple)
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -48,14 +55,19 @@ def grid_index_profile(p: QuadraticPencil,
                        cfg: ToleranceConfig = DEFAULT_CONFIG) -> GridProfile:
     """Sample the inertia of the family at a uniform angular grid.
 
-    All grid members are solved in one stacked eigvalsh call; each equals
-    QuadraticPencil.at bit for bit, so the counts match per-angle sampling.
+    The grid is solved in stacks of at most AT_MANY_SLICE entries, as
+    at_many fills its own, one eigvalsh call each, so no stack grows with
+    the resolution; only the eigenvalues of every member are kept.  Each
+    member equals QuadraticPencil.at bit for bit, so the counts match
+    per-angle sampling.
     """
     dim = p.dim
     resolution = max(cfg.grid_n, 4 * dim)
     thr = cfg.tol_eig * p.scale()
     thetas = np.linspace(0.0, TWO_PI, resolution, endpoint=False).tolist()
-    w = _lapack(np.linalg.eigvalsh, p.at_many(thetas))
+    step = max(1, AT_MANY_SLICE // (dim * dim))
+    w = np.concatenate([_lapack(np.linalg.eigvalsh, p.at_many(thetas[lo:lo + step]))
+                        for lo in range(0, resolution, step)])
     plus = np.count_nonzero(w > thr, axis=1)
     minus = np.count_nonzero(w < -thr, axis=1)
     triples = tuple(map(shared_triple, plus.tolist(), minus.tolist(),
@@ -414,6 +426,200 @@ def monodromy_refine(p: QuadraticPencil, filtration: FiltrationReport,
     w1b, res, _ = stiefel_whitney(p, filtration.profile, cfg)
     w1c, _, _ = stiefel_whitney(p, filtration.profile, cfg, start_resolution=2 * res)
     return MonodromyCheck(w1a == w1b == w1c, (w1a, w1b, w1c), res)
+
+
+# ---------------------------------------------------------------------------
+# the paper's positive-definite shift
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class RegularizedPencil:
+    """The family omega -> omega Q - epsilon * p with p a positive form.
+
+    p is the identity form by default; on repeated failure of the simplicity
+    checks a seeded random positive perturbation of the identity is drawn.
+    """
+
+    pencil: QuadraticPencil
+    epsilon: float
+    shift: np.ndarray  # the positive-definite form p (matrix)
+    breakpoints: tuple[float, ...]
+
+    def at(self, theta: float) -> np.ndarray:
+        return self.pencil.at(theta) - self.epsilon * self.shift
+
+    def at_many(self, thetas) -> np.ndarray:
+        stack = self.pencil.at_many(thetas)
+        stack -= self.epsilon * self.shift
+        return stack
+
+
+def _regularized_root_angles(p: QuadraticPencil, eps: float, shift: np.ndarray,
+                             cfg: ToleranceConfig) -> list[tuple[float, int]]:
+    """Clustered roots of det(omega Q - eps*shift) on the full circle.
+
+    Uses a half-angle chart centered away from any root: with
+    theta = phi0 + 2*atan(u), (1+u^2) * (M(theta(u)) - eps*shift) is the
+    quadratic matrix polynomial A0 + u*A1 + u^2*A2 with A0 = M(phi0) - eps*shift,
+    A1 = 2*M(phi0 + pi/2) and A2 = -M(phi0) - eps*shift.  QZ on its 2d x 2d
+    companion pencil [[A1, A0], [-I, 0]] + u*[[A2, 0], [0, I]] finds every
+    root; spurious ones are pruned downstream against the actual spectrum.
+    """
+    dim = p.dim
+    scale = max(p.scale(), eps)
+    a0, a1 = p.q0 / scale, p.q1 / scale
+    sh = (eps / scale) * shift
+
+    # pick a chart center whose antipode is far from singular
+    cands = (0.123456, 0.987654, 1.543210, 2.246810, 0.555555)
+    m = p.at_many([t + PI for t in cands]) / scale - sh
+    gaps = np.min(np.abs(_eigvalsh(m)), axis=1)
+    phi0 = cands[int(np.argmax(gaps))]
+
+    c, s = math.cos(phi0), math.sin(phi0)
+    m0 = c * a0 + s * a1
+    eye, zero = np.eye(dim), np.zeros((dim, dim))
+    roots, _ = pencil._qz_root_angles(
+        np.block([[2.0 * (c * a1 - s * a0), m0 - sh], [-eye, zero]]),
+        np.block([[-m0 - sh, zero], [zero, eye]]))
+    angles = [canonical_angle(phi0 + 2.0 * r) for r in roots]
+    return _cluster_periodic(angles, TWO_PI, cluster_tol(cfg))
+
+
+def _validate_regularization(p: QuadraticPencil, eps: float, shift: np.ndarray,
+                             clusters: list[tuple[float, int]],
+                             cfg: ToleranceConfig) -> tuple[float, ...] | None:
+    """Prune roots to crossings, then verify simplicity and unit index jumps."""
+    eye_term = eps * shift
+    thr_scale = cfg.tol_eig * max(p.scale(), eps)
+    # a nearly real pair of non-real roots passes as real; drop every QZ
+    # cluster centre at which the spectrum does not actually cross zero
+    # (the caller's root-count accounting guards against over-pruning)
+    genuine: list[tuple[float, int]] = []
+    if clusters:
+        gaps = np.min(np.abs(_eigvalsh(
+            p.at_many([z for z, _ in clusters]) - eye_term)), axis=1)
+        genuine = [(z, mult) for gap, (z, mult) in zip(gaps, clusters)
+                   if gap <= 1e2 * thr_scale]
+    if any(mult != 1 for _, mult in genuine):
+        return None
+    # cluster centres are more than cluster_tol >= 10 * tol_angle apart
+    crossings = sorted(z for z, _ in genuine)
+    if not crossings:
+        return ()
+    # each crossing and the midpoint of the arc after it, in one stacked solve
+    ends = crossings[1:] + [crossings[0] + TWO_PI]
+    probes = [t for z, z_next in zip(crossings, ends) for t in (z, 0.5 * (z + z_next))]
+    w = _eigvalsh(p.at_many(probes) - eye_term)
+    minus = []
+    for wz, wm in zip(w[0::2], w[1::2]):
+        if int(np.sum(np.abs(wz) <= 1e2 * thr_scale)) != 1:
+            return None
+        if float(np.min(np.abs(wm))) <= 1e2 * thr_scale:
+            return None
+        minus.append(int(np.sum(wm < 0.0)))
+    for i in range(len(minus)):
+        if abs(minus[i] - minus[i - 1]) != 1:
+            return None
+    return tuple(crossings)
+
+
+def regularize(p: QuadraticPencil,
+               cfg: ToleranceConfig = DEFAULT_CONFIG) -> RegularizedPencil:
+    """Choose a shift size that makes the degenerate locus simple.
+
+    Starts from a size scaled to the pencil and to the smallest gap of its
+    locus, and halves until the shifted family has only simple roots with
+    inertia jumps of exactly one.  The positive form is the identity; if
+    every halving fails, a seeded random positive perturbation of the
+    identity is tried.
+    """
+    dim = p.dim
+    s = p.scale()
+    if s == 0.0:
+        raise NumericalError("zero pencil cannot be regularized")
+    locus = degenerate_locus(p, cfg)
+    # Root-count accounting against the original locus.  With simple original
+    # roots each contributes exactly one crossing of the shifted family, so
+    # any deficit means the shift exceeds the height of an eigenvalue bump
+    # between two roots (a lost component) and any surplus means a positive
+    # eigenvalue dips below the shift without vanishing (a fake cut); both
+    # violate the spectrum separation the shift must preserve.  Multiple
+    # roots split into several crossings, so only the lower bound applies.
+    if locus.identically_singular:
+        expected_roots, exact_count = None, False
+    else:
+        expected_roots = len(locus.points)
+        exact_count = all(pt.multiplicity == 1 for pt in locus.points)
+    angs = locus.angles
+    gaps = [(b - a) % TWO_PI for a, b in zip(angs, angs[1:] + angs[:1])]
+    gap = min([d for d in gaps if d > 0], default=TWO_PI)
+    eps0 = max(s * min(1e-4, gap / 16.0), s * 1e-8)
+
+    rng = np.random.default_rng(cfg.seed)
+    shift = np.eye(dim)
+    for trial in range(3):
+        eps = eps0
+        for _ in range(36):
+            try:
+                clusters = _regularized_root_angles(p, eps, shift, cfg)
+            except NumericalError:
+                eps *= 0.5
+                continue
+            bp = _validate_regularization(p, eps, shift, clusters, cfg)
+            if bp is not None and (expected_roots is None or (
+                    len(bp) >= expected_roots
+                    and (not exact_count or len(bp) == expected_roots))):
+                return RegularizedPencil(p, eps, shift, bp)
+            eps *= 0.5
+        # crossings of a shifted multiple eigenvalue are separated by the
+        # spread of the perturbation's spectrum times the shift size, so the
+        # perturbation must be generous to clear the clustering tolerance
+        perturb = rng.standard_normal((dim, dim))
+        perturb = 0.5 * (perturb + perturb.T)
+        shift = np.eye(dim) + 0.3 * perturb / max(1.0, float(np.linalg.norm(perturb, 2)))
+        if float(np.min(_eigvalsh(shift))) <= 0.1:
+            shift = np.eye(dim)
+    raise NumericalError("failed to find a regularizing shift size")
+
+
+def regularized_profile(reg: RegularizedPencil,
+                        cfg: ToleranceConfig = DEFAULT_CONFIG) -> IndexProfile:
+    """Profile of the shifted family omega Q - eps * p over the full circle.
+
+    The breakpoints are the shift's crossings.  The family is not
+    antisymmetric, so no half is mirrored: _read_arcs reads every arc and
+    crossing in one FamilySpectrum pass, with the family's scale
+    max(scale, |family at 0|), and each crossing must be semicontinuous
+    against both arcs it bounds.
+    """
+    scale = max(reg.pencil.scale(), float(np.linalg.norm(reg.at(0.0), 2)))
+    value_at = FamilySpectrum(reg, scale, cfg)
+    full = CircleSubset.full_circle()
+    bps = list(reg.breakpoints)
+    if not bps:
+        v, = _read_arcs(value_at, [0.0, TWO_PI])
+        return IndexProfile(full, ((Arc(0.0, TWO_PI, True, True), v),))
+    edges = bps + [bps[0] + TWO_PI]
+    arc_vals = _read_arcs(value_at, edges, bps)
+    cells: list = []
+    for i, b in enumerate(bps):
+        pv = value_at(b)
+        _require_semicontinuous("breakpoint", b, pv, arc_vals[i - 1], arc_vals[i])
+        cells += [(Point(b), pv), (Arc(b, edges[i + 1], False, False), arc_vals[i])]
+    return IndexProfile(full, tuple(cells))
+
+
+def sublevel_eps(p: QuadraticPencil, k: int, cfg: ToleranceConfig = DEFAULT_CONFIG,
+                 reg: RegularizedPencil | None = None) -> CircleSubset:
+    """The closed set where the shifted family has negative index at most n - k.
+
+    For a small enough shift this has the same first two Betti numbers as the
+    open superlevel set at j = k + 1.
+    """
+    if reg is None:
+        reg = regularize(p, cfg)
+    return sublevel(regularized_profile(reg, cfg), p.n - k)
 
 
 # ---------------------------------------------------------------------------

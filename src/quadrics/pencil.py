@@ -1,18 +1,19 @@
 """Linear algebra of a pencil of two symmetric forms over the circle.
 
 The central object is the family omega -> cos(theta) Q0 + sin(theta) Q1.
-This module computes inertia triples, the degenerate locus (angles where the
-family drops rank, with multiplicities, the count of non-real projective
-roots and the family's rank deficit), and the small positive-definite shift
-that makes every degenerate point simple with unit inertia jumps.
+This module computes inertia triples and the degenerate locus: the angles
+where the family drops rank, with multiplicities, the count of non-real
+projective roots and the family's rank deficit.  The paper's small
+positive-definite shift, which makes every degenerate point simple, is a
+cross-check in quadrics.oracles.
 
-Both the locus and the shifted family's crossings are the angles of one QZ
-solve, used as QZ gives them; an identically singular family is first made
-regular by a random rank-completing perturbation.  QZ is backward stable, so
-a simple root already reads as degenerate at the profile's threshold
-tol_eig * scale (the tests measure both kinds of root against it); and a
-simple root is a sign crossing, so one that read as regular would break the
-semicontinuity check downstream rather than give a wrong answer.
+The locus is the angles of one QZ solve, used as QZ gives them; an
+identically singular family is first made regular by a random
+rank-completing perturbation.  QZ is backward stable, so a simple root
+already reads as degenerate at the profile's threshold tol_eig * scale (the
+tests measure it against that); and a simple root is a sign crossing, so one
+that read as regular would break the semicontinuity check downstream rather
+than give a wrong answer.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .circle import canonical_angle
 from .config import DEFAULT_CONFIG, ToleranceConfig
 from .errors import InvalidInputError, NumericalError
 
-TWO_PI = 2.0 * math.pi
 PI = math.pi
 
 # relative symmetry tolerance for input matrices
@@ -171,11 +171,6 @@ class QuadraticPencil:
         return p
 
 
-def pencil_at(p: QuadraticPencil, theta: float) -> np.ndarray:
-    """The symmetric matrix of the family at angle theta."""
-    return p.at(theta)
-
-
 def _lapack(solve, *args, what: str = "eigenvalue", **kwargs):
     """Call a LAPACK-backed solver; its LinAlgError becomes a NumericalError."""
     try:
@@ -257,13 +252,13 @@ def _sturm_inertia(stack: np.ndarray, scale: float,
 class FamilySpectrum:
     """Inertia of one symmetric family on the circle, memoized by angle.
 
-    family is a QuadraticPencil or a RegularizedPencil: anything whose
-    at_many(thetas) stacks exactly symmetric members, so no member is
-    re-validated.  Every request solves the angles it has not seen before
-    in one stacked pass.  Eigenvalues within cfg.tol_eig * scale of zero
-    count as zero, as in inertia() with the family's scale.  Members of
-    dimension COUNT_DIM and up are counted by _sturm_inertia, smaller ones
-    by one stacked eigvalsh call.
+    family is a QuadraticPencil, or anything else whose at_many(thetas)
+    stacks exactly symmetric members, so no member is re-validated.  Every
+    request solves the angles it has not seen before in one stacked pass.
+    Eigenvalues within cfg.tol_eig * scale of zero count as zero, as in
+    inertia() with the family's scale.  Members of dimension COUNT_DIM and
+    up are counted by _sturm_inertia, smaller ones by one stacked eigvalsh
+    call.
     """
 
     def __init__(self, family, scale: float, cfg: ToleranceConfig = DEFAULT_CONFIG):
@@ -504,168 +499,3 @@ def degenerate_locus(p: QuadraticPencil,
         points.append(DegeneratePoint(canonical_angle(center + PI), mult))
     points.sort(key=lambda q: q.theta)
     return DegenerateLocus(tuple(points), nonreal // 2, k)
-
-
-# ---------------------------------------------------------------------------
-# positive-definite regularization
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RegularizedPencil:
-    """The family omega -> omega Q - epsilon * p with p a positive form.
-
-    p is the identity form by default; on repeated failure of the simplicity
-    checks a seeded random positive perturbation of the identity is drawn.
-    """
-
-    pencil: QuadraticPencil
-    epsilon: float
-    shift: np.ndarray  # the positive-definite form p (matrix)
-    breakpoints: tuple[float, ...]
-
-    def at(self, theta: float) -> np.ndarray:
-        return self.pencil.at(theta) - self.epsilon * self.shift
-
-    def at_many(self, thetas) -> np.ndarray:
-        stack = self.pencil.at_many(thetas)
-        stack -= self.epsilon * self.shift
-        return stack
-
-
-def _regularized_root_angles(p: QuadraticPencil, eps: float, shift: np.ndarray,
-                             cfg: ToleranceConfig) -> list[tuple[float, int]]:
-    """Clustered roots of det(omega Q - eps*shift) on the full circle.
-
-    Uses a half-angle chart centered away from any root: with
-    theta = phi0 + 2*atan(u), (1+u^2) * (M(theta(u)) - eps*shift) is the
-    quadratic matrix polynomial A0 + u*A1 + u^2*A2 with A0 = M(phi0) - eps*shift,
-    A1 = 2*M(phi0 + pi/2) and A2 = -M(phi0) - eps*shift.  QZ on its 2d x 2d
-    companion pencil [[A1, A0], [-I, 0]] + u*[[A2, 0], [0, I]] finds every
-    root; spurious ones are pruned downstream against the actual spectrum.
-    """
-    dim = p.dim
-    scale = max(p.scale(), eps)
-    a0, a1 = p.q0 / scale, p.q1 / scale
-    sh = (eps / scale) * shift
-
-    # pick a chart center whose antipode is far from singular
-    cands = (0.123456, 0.987654, 1.543210, 2.246810, 0.555555)
-    m = p.at_many([t + PI for t in cands]) / scale - sh
-    gaps = np.min(np.abs(_eigvalsh(m)), axis=1)
-    phi0 = cands[int(np.argmax(gaps))]
-
-    c, s = math.cos(phi0), math.sin(phi0)
-    m0 = c * a0 + s * a1
-    eye, zero = np.eye(dim), np.zeros((dim, dim))
-    roots, _ = _qz_root_angles(
-        np.block([[2.0 * (c * a1 - s * a0), m0 - sh], [-eye, zero]]),
-        np.block([[-m0 - sh, zero], [zero, eye]]))
-    angles = [canonical_angle(phi0 + 2.0 * r) for r in roots]
-    return _cluster_periodic(angles, TWO_PI, cluster_tol(cfg))
-
-
-def _validate_regularization(p: QuadraticPencil, eps: float, shift: np.ndarray,
-                             clusters: list[tuple[float, int]],
-                             cfg: ToleranceConfig) -> tuple[float, ...] | None:
-    """Prune roots to crossings, then verify simplicity and unit index jumps."""
-    eye_term = eps * shift
-    thr_scale = cfg.tol_eig * max(p.scale(), eps)
-    # a nearly real pair of non-real roots passes as real; drop every QZ
-    # cluster centre at which the spectrum does not actually cross zero
-    # (the caller's root-count accounting guards against over-pruning)
-    genuine: list[tuple[float, int]] = []
-    if clusters:
-        gaps = np.min(np.abs(_eigvalsh(
-            p.at_many([z for z, _ in clusters]) - eye_term)), axis=1)
-        genuine = [(z, mult) for gap, (z, mult) in zip(gaps, clusters)
-                   if gap <= 1e2 * thr_scale]
-    if any(mult != 1 for _, mult in genuine):
-        return None
-    # cluster centres are more than cluster_tol >= 10 * tol_angle apart
-    crossings = sorted(z for z, _ in genuine)
-    m_count = len(crossings)
-    if m_count == 0:
-        return ()
-    # each crossing and the midpoint of the arc after it, in one stacked solve
-    probes = []
-    for i in range(m_count):
-        z = crossings[i]
-        z_next = crossings[(i + 1) % m_count] + (TWO_PI if i == m_count - 1 else 0.0)
-        probes += [z, 0.5 * (z + z_next)]
-    w = _eigvalsh(p.at_many(probes) - eye_term)
-    minus = []
-    for wz, wm in zip(w[0::2], w[1::2]):
-        if int(np.sum(np.abs(wz) <= 1e2 * thr_scale)) != 1:
-            return None
-        if float(np.min(np.abs(wm))) <= 1e2 * thr_scale:
-            return None
-        minus.append(int(np.sum(wm < 0.0)))
-    for i in range(m_count):
-        if abs(minus[i] - minus[i - 1]) != 1:
-            return None
-    return tuple(crossings)
-
-
-def regularize(p: QuadraticPencil,
-               cfg: ToleranceConfig = DEFAULT_CONFIG) -> RegularizedPencil:
-    """Choose a shift size that makes the degenerate locus simple.
-
-    Starts from cfg.epsilon_reg (auto-scaled when unset) and halves until the
-    shifted family has only simple roots with inertia jumps of exactly one.
-    The positive form is the identity; if every halving fails, a seeded random
-    positive perturbation of the identity is tried.
-    """
-    dim = p.dim
-    s = p.scale()
-    if s == 0.0:
-        raise NumericalError("zero pencil cannot be regularized")
-    locus = degenerate_locus(p, cfg)
-    # Root-count accounting against the original locus.  With simple original
-    # roots each contributes exactly one crossing of the shifted family, so
-    # any deficit means the shift exceeds the height of an eigenvalue bump
-    # between two roots (a lost component) and any surplus means a positive
-    # eigenvalue dips below the shift without vanishing (a fake cut); both
-    # violate the spectrum separation the shift must preserve.  Multiple
-    # roots split into several crossings, so only the lower bound applies.
-    if locus.identically_singular:
-        expected_roots, exact_count = None, False
-    else:
-        expected_roots = len(locus.points)
-        exact_count = all(pt.multiplicity == 1 for pt in locus.points)
-    if cfg.epsilon_reg is not None:
-        eps0 = cfg.epsilon_reg
-    else:
-        angs = locus.angles
-        gaps = [(b - a) % TWO_PI for a, b in zip(angs, angs[1:] + angs[:1])]
-        gap = min([d for d in gaps if d > 0], default=TWO_PI)
-        eps0 = s * min(1e-4, gap / 16.0)
-        eps0 = max(eps0, s * 1e-8)
-
-    rng = np.random.default_rng(cfg.seed)
-    shift = np.eye(dim)
-    for trial in range(3):
-        eps = eps0
-        for _ in range(36):
-            try:
-                clusters = _regularized_root_angles(p, eps, shift, cfg)
-            except NumericalError:
-                eps *= 0.5
-                continue
-            bp = _validate_regularization(p, eps, shift, clusters, cfg)
-            if bp is not None:
-                total = len(bp)
-                if expected_roots is None or (
-                        total >= expected_roots
-                        and (not exact_count or total == expected_roots)):
-                    return RegularizedPencil(p, eps, shift, bp)
-            eps *= 0.5
-        # crossings of a shifted multiple eigenvalue are separated by the
-        # spread of the perturbation's spectrum times the shift size, so the
-        # perturbation must be generous to clear the clustering tolerance
-        perturb = rng.standard_normal((dim, dim))
-        perturb = 0.5 * (perturb + perturb.T)
-        shift = np.eye(dim) + 0.3 * perturb / max(1.0, float(np.linalg.norm(perturb, 2)))
-        wmin = float(np.min(_eigvalsh(shift)))
-        if wmin <= 0.1:
-            shift = np.eye(dim)
-    raise NumericalError("failed to find a regularizing shift size")

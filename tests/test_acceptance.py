@@ -46,9 +46,10 @@ from quadrics.oracles import (
     FEAS_TOL,
     feasibility_sample,
     monodromy_refine,
+    regularize,
     sample_components,
 )
-from quadrics.pencil import degenerate_locus, inertia, regularize, sylvester_check
+from quadrics.pencil import degenerate_locus, inertia, sylvester_check
 
 PI = math.pi
 TWO_PI = 2 * math.pi

@@ -23,19 +23,16 @@ from quadrics.filtration import (
     _read_arcs,
     filtration_for_cone,
     index_profile,
-    regularized_profile,
     sublevel,
-    sublevel_eps,
     superlevel,
 )
-from quadrics.oracles import stiefel_whitney
+from quadrics.oracles import regularize, regularized_profile, stiefel_whitney, sublevel_eps
 from quadrics.pencil import (
     FamilySpectrum,
     QuadraticPencil,
     cluster_tol,
     degenerate_locus,
     inertia,
-    regularize,
 )
 
 PI = math.pi
@@ -295,7 +292,7 @@ def _range_rule_profiles():
         p = make()
         for cone in ALL_CONES:
             yield p, index_profile(p, omega_set(cone))
-        yield p, regularized_profile(regularize(p), FULL)
+        yield p, regularized_profile(regularize(p))
     for n in range(1, 13):
         p = extremal_family(n)
         yield p, index_profile(p, FULL)
@@ -360,7 +357,7 @@ def test_root_free_block_shifts_the_filtration_up_by_one():
 def test_bouquet_sublevel_matches_superlevel():
     p = fixtures.bouquet()
     reg = regularize(p)
-    s = sublevel_eps(p, FULL, 1, reg=reg)
+    s = sublevel_eps(p, 1, reg=reg)
     assert betti_circle(s)[0] == 2
     assert betti_circle(s) == betti_circle(superlevel(index_profile(p, FULL), 2))
 
@@ -369,22 +366,26 @@ def test_sublevel_full_and_empty_levels():
     p = fixtures.bouquet()
     reg = regularize(p)
     # k with superlevel(k+1) = domain
-    assert sublevel_eps(p, FULL, 0, reg=reg).is_full()
+    assert sublevel_eps(p, 0, reg=reg).is_full()
     # k with superlevel(k+1) = empty
-    assert sublevel_eps(p, FULL, 3, reg=reg).is_empty()
+    assert sublevel_eps(p, 3, reg=reg).is_empty()
 
 
 def test_sublevel_betti_equals_superlevel_betti_random():
+    # random pencils, then the multiple roots and singular families of the
+    # named fixtures, a definite form and the extremal family
     rng = np.random.default_rng(9)
-    for _ in range(200):
-        dim = int(rng.integers(2, 7))
-        p = fixtures.random_pencil(rng, dim)
+    pencils = [fixtures.random_pencil(rng, int(rng.integers(2, 7))) for _ in range(200)]
+    pencils += [make() for make in SIX_FIXTURES]
+    pencils += [fixtures.identically_singular_pair(), fixtures.definite_form(3)]
+    pencils += [extremal_family(n) for n in range(1, 9)]
+    for p in pencils:
         reg = regularize(p)
         prof = index_profile(p, FULL)
-        for k in range(0, dim):
-            closed = sublevel_eps(p, FULL, k, reg=reg)
+        for k in range(0, p.dim):
+            closed = sublevel_eps(p, k, reg=reg)
             open_ = superlevel(prof, k + 1)
-            assert betti_circle(closed) == betti_circle(open_), (dim, k)
+            assert betti_circle(closed) == betti_circle(open_), (p.dim, k)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from quadrics.circle import Arc, CircleSubset, PlanarCone, canonical_angle, omeg
 from quadrics.config import ToleranceConfig
 from quadrics.errors import InvalidInputError, NumericalError, OracleDisagreement
 from quadrics.filtration import IndexProfile, filtration_report, index_profile
-from quadrics.pencil import InertiaTriple, QuadraticPencil, inertia
+from quadrics.pencil import AT_MANY_SLICE, InertiaTriple, QuadraticPencil, inertia
 from quadrics.oracles import (
     FEAS_TOL,
     GridProfile,
@@ -62,6 +62,29 @@ def test_grid_agreement_random():
         prof = index_profile(p, FULL_CIRCLE, cfg)
         grid = grid_index_profile(p, cfg)
         assert grid_profile_disagreements(prof, grid, cfg) == []
+
+
+def test_grid_is_solved_in_slices_of_bounded_size(monkeypatch):
+    # 2000 members of dim 41 fill about a hundred at_many slices; no stack may
+    # be larger than one, and the counts are those of one stacked solve
+    p = fixtures.random_pencil(np.random.default_rng(41), 41)
+    cfg = ToleranceConfig(grid_n=2000)
+    thr = cfg.tol_eig * p.scale()
+    w = np.linalg.eigvalsh(p.at_many(np.linspace(0.0, TWO_PI, 2000, endpoint=False).tolist()))
+    plus, minus = np.sum(w > thr, axis=1), np.sum(w < -thr, axis=1)
+    expected = [InertiaTriple(a, b, 41 - a - b) for a, b in zip(plus.tolist(), minus.tolist())]
+    sizes = []
+    at_many = QuadraticPencil.at_many
+
+    def recorded(self, thetas):
+        stack = at_many(self, thetas)
+        sizes.append(stack.size)
+        return stack
+
+    monkeypatch.setattr(QuadraticPencil, "at_many", recorded)
+    grid = grid_index_profile(p, cfg)
+    assert len(sizes) > 1 and max(sizes) <= AT_MANY_SLICE
+    assert list(grid.triples) == expected
 
 
 def test_grid_agreement_fixtures():

@@ -15,14 +15,12 @@ from quadrics.betti import analyze, check_bounds
 from quadrics.circle import PlanarCone, angles_equal, canonical_angle
 from quadrics.config import ToleranceConfig
 from quadrics.errors import InvalidInputError, NumericalError
-from quadrics.oracles import grid_index_profile, grid_profile_disagreements
+from quadrics.oracles import grid_index_profile, grid_profile_disagreements, regularize
 from quadrics.pencil import (
     InertiaTriple,
     QuadraticPencil,
     degenerate_locus,
     inertia,
-    pencil_at,
-    regularize,
     sylvester_check,
 )
 
@@ -44,7 +42,7 @@ def test_inertia_zero_matrix():
 
 
 def test_inertia_bouquet_at_vertical():
-    m = pencil_at(fixtures.bouquet(), PI / 2)
+    m = fixtures.bouquet().at(PI / 2)
     assert inertia(m) == InertiaTriple(1, 1, 2)
 
 
@@ -65,12 +63,12 @@ def test_inertia_rejects_asymmetric():
         inertia(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def test_pencil_at_examples():
+def test_at_examples():
     p = fixtures.definite_form(3)
-    assert np.allclose(pencil_at(p, 0.0), np.eye(3))
-    assert np.allclose(pencil_at(p, PI), -np.eye(3))
+    assert np.allclose(p.at(0.0), np.eye(3))
+    assert np.allclose(p.at(PI), -np.eye(3))
     b = fixtures.bouquet()
-    assert np.allclose(pencil_at(b, PI / 2), b.q1)
+    assert np.allclose(b.at(PI / 2), b.q1)
 
 
 def test_sylvester_law():
@@ -199,7 +197,7 @@ def test_locus_roots_really_vanish():
         dim = int(rng.integers(2, 8))
         p = fixtures.random_pencil(rng, dim)
         for pt in degenerate_locus(p).points:
-            m = pencil_at(p, pt.theta)
+            m = p.at(pt.theta)
             w = np.linalg.eigvalsh(m)
             assert np.min(np.abs(w)) < 1e-7 * p.scale()
 
@@ -248,8 +246,9 @@ def test_regularize_shift_respects_eigenvalue_excursions():
     # between and away from roots; each original degenerate point keeps its
     # own crossing and no phantom crossings appear (seeds that once failed)
     from quadrics.circle import CircleSubset
-    from quadrics.filtration import index_profile, sublevel_eps, superlevel
+    from quadrics.filtration import index_profile, superlevel
     from quadrics.circle import betti_circle
+    from quadrics.oracles import sublevel_eps
     full = CircleSubset.full_circle()
     for seed, take_dim in ((4 * 7919, 7), (8 * 7919, 9)):
         rng = np.random.default_rng(seed)
@@ -263,7 +262,7 @@ def test_regularize_shift_respects_eigenvalue_excursions():
             reg = regularize(p)
             prof = index_profile(p, full)
             for k in range(dim):
-                closed = sublevel_eps(p, full, k, reg=reg)
+                closed = sublevel_eps(p, k, reg=reg)
                 open_ = superlevel(prof, k + 1)
                 assert betti_circle(closed) == betti_circle(open_), (seed, dim, k)
             if hit >= 12:
@@ -303,8 +302,8 @@ def test_antipodal_index_identity():
         dim = int(rng.integers(2, 8))
         p = fixtures.random_pencil(rng, dim)
         for theta in rng.uniform(0, TWO_PI, size=8):
-            it = inertia(pencil_at(p, theta))
-            it2 = inertia(pencil_at(p, theta + PI))
+            it = inertia(p.at(theta))
+            it2 = inertia(p.at(theta + PI))
             assert it.i_plus + it2.i_plus + it.i_zero == dim
             assert it.i_zero == it2.i_zero
 
@@ -325,7 +324,7 @@ def _arc_thirds_i_plus(p, locus):
     for i, pt in enumerate(pts):
         nxt = pts[(i + 1) % len(pts)].theta + (TWO_PI if i == len(pts) - 1 else 0.0)
         thetas += [pt.theta + (nxt - pt.theta) / 3, pt.theta + 2 * (nxt - pt.theta) / 3]
-    w = np.linalg.eigvalsh(np.array([pencil_at(p, t) for t in thetas]))
+    w = np.linalg.eigvalsh(np.array([p.at(t) for t in thetas]))
     plus = np.sum(w > CFG.tol_eig * p.scale(), axis=1)
     return plus[0::2].tolist(), plus[1::2].tolist()
 

@@ -19,15 +19,13 @@ from quadrics.errors import NumericalError
 from quadrics.filtration import (
     IndexProfile,
     index_profile,
-    regularized_profile,
 )
-from quadrics.oracles import stiefel_whitney
+from quadrics.oracles import regularize, regularized_profile, stiefel_whitney
 from quadrics.pencil import (
     FamilySpectrum,
     QuadraticPencil,
     degenerate_locus,
     inertia,
-    regularize,
 )
 
 TWO_PI = 2 * math.pi
@@ -85,7 +83,7 @@ def _answers(p):
             lambda: index_profile(p, FULL, CFG),
             lambda: index_profile(p, omega_set(PlanarCone.sector(0.3, 1.9)), CFG),
             lambda: stiefel_whitney(p, index_profile(p, FULL, CFG), CFG),
-            lambda: regularized_profile(regularize(p, CFG), FULL, CFG)
+            lambda: regularized_profile(regularize(p, CFG), CFG)
             if degenerate_locus(p, CFG).identically_singular else None):
         try:
             out.append(thunk())
