@@ -11,7 +11,7 @@ import os
 
 from quadrics.applications import extremal_family
 from quadrics.betti import analyze
-from quadrics.circle import Arc, PlanarCone
+from quadrics.circle import PlanarCone
 from quadrics.cli import emit_profile_csv
 
 
@@ -27,7 +27,7 @@ def main() -> None:
         pencil = extremal_family(n)
         res = analyze(pencil, cone)
         prof = res.filtration.profile
-        arcs = [v.i_plus for item, v in prof.cells if isinstance(item, Arc)]
+        arcs = [v.i_plus for v in prof.after]
         print(f"n={n}: mu={res.table.mu} nu={res.table.nu} "
               f"arcs={len(arcs)} values={sorted(set(arcs))} "
               f"b={list(res.report.b)} total={res.report.total} "

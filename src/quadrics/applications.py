@@ -219,7 +219,7 @@ def _level_result(p: QuadraticPencil, domain: CircleSubset,
         # the level value is already attainable at the origin
         return LevelSetResult(True, tuple([0] * (n + 1)), None)
     prof = index_profile(p, domain, cfg)
-    min_minus = min(v.i_minus for _, v in prof.cells)
+    min_minus = prof._index_range[2]
     nonempty = min_minus != 0
     if not nonempty:
         return LevelSetResult(False, tuple([0] * (n + 1)), min_minus)

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 from .circle import (
-    Arc,
     CircleSubset,
     PlanarCone,
     betti_circle,
@@ -273,11 +272,11 @@ def index_decomposition(p: QuadraticPencil, eta_theta: float, omega_theta: float
 
     # split the locus by the sign of the jump between the arcs on either side
     profile = index_profile(p, CircleSubset.full_circle(), cfg, candidates=angles)
-    arcs = [v.i_plus for item, v in profile.cells if isinstance(item, Arc)]
+    arcs = profile.after
     z_plus: list[float] = []
     z_minus: list[float] = []
-    for i, z in enumerate(profile.breakpoint_angles()):
-        jump = arcs[i] - arcs[i - 1]
+    for i, z in enumerate(profile.cuts):
+        jump = arcs[i].i_plus - arcs[i - 1].i_plus
         if jump == 1:
             z_plus.append(z)
         elif jump == -1:

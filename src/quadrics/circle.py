@@ -126,6 +126,18 @@ def _item_cuts(item: Point | Arc, tol: float) -> tuple:
     return (((s, cs, True), (e, ce, False)), False)
 
 
+def _locate(cuts: tuple[float, ...], theta: float, tol: float) -> tuple[int, bool]:
+    """(i, True) when theta is within tol of cuts[i], else (i, False) with
+    theta on the open arc after cuts[i].  cuts ascend; there is at least one."""
+    t = _fold(theta, tol)
+    i = bisect_right(cuts, t) - 1
+    if i >= 0 and t - cuts[i] <= tol:
+        return i, True
+    if i + 1 < len(cuts) and cuts[i + 1] - t <= tol:
+        return i + 1, True
+    return i % len(cuts), False
+
+
 def _sweep(operands: list[tuple], need: int, tol: float) -> "CircleSubset":
     """The points and arcs that at least `need` operands hold.
 
@@ -154,11 +166,7 @@ def _sweep(operands: list[tuple], need: int, tol: float) -> "CircleSubset":
         state[k] = f
     if first is not None:
         rows.append((first, points >= need, count >= need))
-    kept = [r for r, prev in zip(rows, rows[-1:] + rows[:-1]) if not r[1] == r[2] == prev[2]]
-    if not kept:
-        return CircleSubset((), (), (), count >= need, tol)
-    cuts, at, after = zip(*kept)
-    return CircleSubset(cuts, at, after, False, tol)
+    return CircleSubset.from_steps(rows, count >= need, tol)
 
 
 @dataclass(frozen=True, slots=True)
@@ -191,6 +199,22 @@ class CircleSubset:
     @staticmethod
     def from_items(items, tol: float = DEFAULT_CONFIG.tol_angle) -> "CircleSubset":
         return _sweep([_item_cuts(it, tol) for it in items], 1, tol)
+
+    @staticmethod
+    def from_steps(rows, full: bool = False,
+                   tol: float = DEFAULT_CONFIG.tol_angle) -> "CircleSubset":
+        """The set holding the point (at) and the open arc after it (after) of
+        each (cut, at, after) row, with ascending cuts more than tol apart.
+
+        A cut whose point and arcs on both sides agree is dropped.  With none
+        left the set is the whole circle if its arcs are held, and with no
+        rows if full is.
+        """
+        kept = [r for r, prev in zip(rows, rows[-1:] + rows[:-1]) if not r[1] == r[2] == prev[2]]
+        if not kept:
+            return CircleSubset((), (), (), rows[-1][2] if rows else full, tol)
+        cuts, at, after = zip(*kept)
+        return CircleSubset(cuts, at, after, False, tol)
 
     @staticmethod
     def point(theta: float, tol: float = DEFAULT_CONFIG.tol_angle) -> "CircleSubset":
@@ -238,22 +262,10 @@ class CircleSubset:
         return sum(after) + sum(at[i] and not after[i - 1] and not after[i]
                                 for i in range(len(at)))
 
-    def _locate(self, theta: float) -> tuple[int, bool]:
-        """(i, True) when theta is within tol of cuts[i], else (i, False) with
-        theta on the open arc after cuts[i].  Needs at least one cut."""
-        cuts, tol = self.cuts, self.tol
-        t = _fold(theta, tol)
-        i = bisect_right(cuts, t) - 1
-        if i >= 0 and t - cuts[i] <= tol:
-            return i, True
-        if i + 1 < len(cuts) and cuts[i + 1] - t <= tol:
-            return i + 1, True
-        return i % len(cuts), False
-
     def contains(self, theta: float) -> bool:
         if not self.cuts:
             return self.full
-        i, on_cut = self._locate(theta)
+        i, on_cut = _locate(self.cuts, theta, self.tol)
         return self.at[i] if on_cut else self.after[i]
 
     # -- set operations -----------------------------------------------
@@ -344,7 +356,7 @@ def _components_met(a: CircleSubset, b: CircleSubset) -> set[int]:
     after, n = a.after, len(a.cuts)
 
     def label(t: float) -> int:
-        j, on_cut = a._locate(t)
+        j, on_cut = _locate(a.cuts, t, a.tol)
         if not on_cut or after[j]:
             return j
         return (j - 1) % n if after[j - 1] else n + j

@@ -17,21 +17,15 @@ transport that measures it directly is an oracle
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
-from .circle import (
-    Arc,
-    CircleSubset,
-    Point,
-    canonical_angle,
-    omega_set,
-)
+from .circle import CircleSubset, _locate, canonical_angle, omega_set
 from .config import DEFAULT_CONFIG, ToleranceConfig
 from .errors import NumericalError
 from .pencil import (
+    DegenerateLocus,
     FamilySpectrum,
     InertiaTriple,
     QuadraticPencil,
@@ -44,23 +38,27 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class IndexProfile:
-    """Inertia data of a family over a circle domain.
+    """Inertia of a family over a circle domain, as a step function.
 
-    cells pairs circle items with the inertia the family has on them: a
-    Point for each breakpoint and each included domain endpoint, an Arc open
-    at both ends for each stretch between them, and, for a constant family
-    on the full circle, one closed full-turn Arc.  Cells are sorted by start
-    angle; a breakpoint comes before the arc that starts at it.
+    cuts are ascending canonical angles: the breakpoints inside the domain
+    and the domain's own cuts.  at[i] is the inertia at cuts[i] and after[i]
+    that on the open arc from it to the next cut (cyclically), or None where
+    the domain does not reach.  With no cuts, whole is the inertia of a
+    constant family on the full circle, or None for the empty domain.
     """
 
     domain: CircleSubset
-    cells: tuple[tuple[Point | Arc, InertiaTriple], ...]
+    cuts: tuple[float, ...] = ()
+    at: tuple[InertiaTriple | None, ...] = ()
+    after: tuple[InertiaTriple | None, ...] = ()
+    whole: InertiaTriple | None = None
 
     @cached_property
     def _index_range(self) -> tuple[int, int, int, int]:
-        """(min, max) of i_plus, then of i_minus, over the cells; zeros with none."""
-        plus = [v.i_plus for _, v in self.cells] or [0]
-        minus = [v.i_minus for _, v in self.cells] or [0]
+        """(min, max) of i_plus, then of i_minus, over the values; zeros with none."""
+        values = [v for v in (*self.at, *self.after, self.whole) if v is not None]
+        plus = [v.i_plus for v in values] or [0]
+        minus = [v.i_minus for v in values] or [0]
         return (min(plus), max(plus), min(minus), max(minus))
 
     def max_positive_index(self) -> int:
@@ -70,30 +68,19 @@ class IndexProfile:
         return self._index_range[0]
 
     def breakpoint_angles(self) -> list[float]:
-        return [item.theta for item, _ in self.cells if isinstance(item, Point)]
-
-    @cached_property
-    def _starts(self) -> list[float]:
-        return [item.start for item, _ in self.cells]
+        """The cuts whose point holds a value: breakpoints and included domain ends."""
+        return [c for c, v in zip(self.cuts, self.at) if v is not None]
 
     def value_at_angle(self, theta: float,
                        tol: float = DEFAULT_CONFIG.tol_angle) -> InertiaTriple | None:
         """The recorded inertia at an angle, or None outside the domain.
 
-        Only the last cell starting at or before the angle and its two
-        neighbours can hold it: the one before is the breakpoint an arc
-        starts at, the one after a breakpoint within tol ahead.
+        Within tol of a cut the cut's value holds, as in CircleSubset.contains.
         """
-        n = len(self.cells)
-        if n == 0:
-            return None
-        t = canonical_angle(theta)
-        i = bisect_right(self._starts, t) - 1
-        for k in (i, i - 1, i + 1):
-            item, value = self.cells[k % n]
-            if item.contains(t, tol):
-                return value
-        return None
+        if not self.cuts:
+            return self.whole
+        i, on_cut = _locate(self.cuts, theta, tol)
+        return self.at[i] if on_cut else self.after[i]
 
     def rows(self) -> list[tuple[float, int, int, bool]]:
         """Flat (theta, i_plus, i_minus, is_breakpoint) rows for CSV export.
@@ -101,14 +88,16 @@ class IndexProfile:
         An arc is listed at its midpoint, the full turn of a constant family
         at angle zero.
         """
+        if not self.cuts:
+            w = self.whole
+            return [] if w is None else [(0.0, w.i_plus, w.i_minus, False)]
         rows: list[tuple[float, int, int, bool]] = []
-        for item, v in self.cells:
-            if isinstance(item, Point):
-                rows.append((item.theta, v.i_plus, v.i_minus, True))
-            else:
-                mid = 0.0 if item.closed_start else \
-                    canonical_angle(0.5 * (item.start + item.end))
-                rows.append((mid, v.i_plus, v.i_minus, False))
+        ends = (*self.cuts[1:], self.cuts[0] + TWO_PI)
+        for c, e, v, a in zip(self.cuts, ends, self.at, self.after):
+            if v is not None:
+                rows.append((c, v.i_plus, v.i_minus, True))
+            if a is not None:
+                rows.append((canonical_angle(0.5 * (c + e)), a.i_plus, a.i_minus, False))
         rows.sort(key=lambda r: r[0])
         return rows
 
@@ -117,21 +106,18 @@ class IndexProfile:
 # profile construction
 # ---------------------------------------------------------------------------
 
-def _read_arcs(spectrum: FamilySpectrum, edges: list[float],
+def _read_arcs(spectrum: FamilySpectrum, arcs: list[tuple[float, float]],
                points: list[float] | tuple = ()) -> list[InertiaTriple]:
-    """The inertia on each open arc between consecutive ascending edges.
+    """The inertia on each open arc (start, end), end past start.
 
     Both thirds of every arc and the points the caller reads next are solved
-    in one stacked pass; an edge that is not one of the points is not solved.
-    Each arc is read at its two thirds.  On the full circle the edges may
-    span only half of it: index_profile mirrors the other half.  The family
-    is constant on an arc that holds no root, so the readings agree, except
-    that a third inside the zero band of a nearby multiple root reads extra
-    zeros and no count above the other reading: the arc takes the other
-    reading then.  Any other disagreement is a root the candidates miss and
-    raises NumericalError.
+    in one stacked pass; an arc's ends are not solved unless they are among
+    the points.  The family is constant on an arc that holds no root, so the
+    readings agree, except that a third inside the zero band of a nearby
+    multiple root reads extra zeros and no count above the other reading:
+    the arc takes the other reading then.  Any other disagreement is a root
+    the candidates miss and raises NumericalError.
     """
-    arcs = list(zip(edges, edges[1:]))
     thirds = [(a + (b - a) / 3.0, a + 2.0 * (b - a) / 3.0) for a, b in arcs]
     spectrum.prefetch([*points, *(t for pair in thirds for t in pair)])
     values: list[InertiaTriple] = []
@@ -167,6 +153,75 @@ def _dedupe_sorted(angles: list[float], tol: float) -> list[float]:
     return out
 
 
+def _profile_steps(domain: CircleSubset, candidates: list[float],
+                   ctol: float) -> list[tuple[float, bool, tuple[float, float] | None]]:
+    """(cut, point held, held arc after it or None) in ascending cut order.
+
+    On the full domain the cuts are the candidates, clustered within ctol,
+    and every point and arc is held.  Otherwise they are the domain's cuts
+    and the candidates more than ctol inside its held arcs; an arc's ends
+    are lifted past its start.
+    """
+    if domain.is_full():
+        bps = _dedupe_sorted(sorted(canonical_angle(c) for c in candidates), ctol)
+        if len(bps) >= 2 and (bps[0] + TWO_PI) - bps[-1] <= ctol:
+            bps.pop()
+        return [(b, True, (b, e)) for b, e in zip(bps, [*bps[1:], bps[0] + TWO_PI])] \
+            if bps else []
+    d = domain.cuts
+    steps = []
+    for s, e, held, arc_held in zip(d, (*d[1:], d[0] + TWO_PI), domain.at, domain.after):
+        if not arc_held:
+            steps.append((s, held, None))
+            continue
+        lifts = (s + (canonical_angle(c) - s) % TWO_PI for c in candidates)
+        inner = _dedupe_sorted(sorted(b for b in lifts if s + ctol < b < e - ctol), ctol)
+        edges = [s, *inner, e]
+        steps += [(canonical_angle(a), k > 0 or held, (a, b))
+                  for k, (a, b) in enumerate(zip(edges, edges[1:]))]
+    # the inner cuts of an arc across angle zero come first
+    return sorted(steps, key=lambda step: step[0])
+
+
+def _build_profile(spectrum: FamilySpectrum, domain: CircleSubset,
+                   candidates: list[float], cfg: ToleranceConfig,
+                   mirror: bool) -> IndexProfile:
+    """The profile of spectrum's family over the domain, breakpoints among
+    the candidates: every held point and arc is read in one stacked pass.
+
+    With mirror, the family satisfies M(theta + pi) = -M(theta), and on the
+    full circle with antipodally paired breakpoints only the first half is
+    read; the second is its antipodes' values with i_plus and i_minus swapped.
+    """
+    if domain.is_empty():
+        return IndexProfile(domain)
+    ctol = cluster_tol(cfg)
+    steps = _profile_steps(domain, candidates, ctol)
+    if not steps:
+        whole, = _read_arcs(spectrum, [(0.0, TWO_PI)])
+        return IndexProfile(domain, whole=whole)
+    cuts = [c for c, _, _ in steps]
+    points = [c for c, held, _ in steps if held]
+    arcs = [arc for _, _, arc in steps if arc]
+    h = len(cuts) // 2
+    if mirror and domain.is_full() and _antipodally_paired(cuts, ctol):
+        arc_vals = _read_arcs(spectrum, arcs[:h], points[:h])
+        point_vals = [spectrum(b) for b in points[:h]]
+        arc_vals += [_antipode(v) for v in arc_vals]
+        point_vals += [_antipode(v) for v in point_vals]
+    else:
+        arc_vals = _read_arcs(spectrum, arcs, points)
+        point_vals = [spectrum(b) for b in points]
+    point_vals, arc_vals = iter(point_vals), iter(arc_vals)
+    at = tuple(next(point_vals) if held else None for _, held, _ in steps)
+    after = tuple(next(arc_vals) if arc else None for _, _, arc in steps)
+    for i, (c, v) in enumerate(zip(cuts, at)):
+        if v is not None and any(arc is not None and _exceeds(v, arc)
+                                 for arc in (after[i - 1], after[i])):
+            raise NumericalError(f"semicontinuity violated at breakpoint {c}")
+    return IndexProfile(domain, tuple(cuts), at, after)
+
+
 def index_profile(p: QuadraticPencil, domain: CircleSubset,
                   cfg: ToleranceConfig = DEFAULT_CONFIG,
                   candidates: list[float] | None = None) -> IndexProfile:
@@ -175,12 +230,12 @@ def index_profile(p: QuadraticPencil, domain: CircleSubset,
     By default the candidate breakpoints are the pencil's degenerate locus,
     which degenerate_locus finds by one QZ solve for every pencil,
     identically singular ones included.  The candidates are the only
-    breakpoints: the inertia is constant between them, and _read_arcs reads
-    each arc once, at its two thirds, in one stacked FamilySpectrum pass per
-    domain component, together with the component's breakpoints and
-    included endpoints.  Readings that disagree other than by a zero band
-    mean a missing candidate and raise NumericalError, as does a point whose
-    inertia exceeds that of an arc it bounds.
+    breakpoints: the inertia is constant between them.  The profile's cuts
+    are the domain's cuts and the candidates inside its held arcs; one
+    stacked FamilySpectrum pass reads every held point, and every held arc
+    at its two thirds (_read_arcs).  Readings that disagree other than by a
+    zero band mean a missing candidate and raise NumericalError, as does a
+    point whose inertia exceeds that of a held arc it bounds.
 
     On the full circle the family has M(theta + pi) = -M(theta), so i_plus
     and i_minus swap at antipodes.  When the B sorted breakpoints pair
@@ -189,74 +244,10 @@ def index_profile(p: QuadraticPencil, domain: CircleSubset,
     rest are their antipodes' values swapped: 3 B/2 matrices, not 3 B.
     Custom candidates need not pair; unpaired ones are read in full.
     """
-    value_at = FamilySpectrum(p, p.scale(), cfg)
-
-    if domain.is_empty():
-        return IndexProfile(domain, ())
-
-    if candidates is None:
+    if candidates is None and not domain.is_empty():
         candidates = degenerate_locus(p, cfg).angles
-
-    ctol = cluster_tol(cfg)
-    cells: list = []
-    if domain.is_full():
-        bps = _dedupe_sorted(sorted(canonical_angle(c) for c in candidates), ctol)
-        if len(bps) >= 2 and (bps[0] + TWO_PI) - bps[-1] <= ctol:
-            bps = bps[:-1]
-        if not bps:
-            v, = _read_arcs(value_at, [0.0, TWO_PI])
-            return IndexProfile(domain, ((Arc(0.0, TWO_PI, True, True), v),))
-        edges = bps + [bps[0] + TWO_PI]
-        h = len(bps) // 2
-        if _antipodally_paired(bps, ctol):
-            # M(theta + pi) = -M(theta): the second half is the first, swapped
-            arc_vals = _read_arcs(value_at, edges[:h + 1], bps[:h])
-            point_vals = [value_at(b) for b in bps[:h]]
-            arc_vals += [_antipode(v) for v in arc_vals]
-            point_vals += [_antipode(v) for v in point_vals]
-        else:
-            arc_vals = _read_arcs(value_at, edges, bps)
-            point_vals = [value_at(b) for b in bps]
-        for i, (b, pv) in enumerate(zip(bps, point_vals)):
-            _require_semicontinuous("breakpoint", b, pv, arc_vals[i - 1], arc_vals[i])
-            cells += [(Point(b), pv), (Arc(b, edges[i + 1], False, False), arc_vals[i])]
-        return IndexProfile(domain, tuple(cells))
-
-    for item in domain.items:
-        s, e = item.start, item.end
-        if e == s:
-            cells.append((item, value_at(s)))
-            continue
-        inner = []
-        for c in candidates:
-            lift = s + ((canonical_angle(c) - s) % TWO_PI)
-            if s + ctol < lift < e - ctol:
-                inner.append(lift)
-        inner = _dedupe_sorted(sorted(inner), ctol)
-        edges = [s, *inner, e]
-        ends = [b for included, b in ((item.closed_start, s), (item.closed_end, e))
-                if included]
-        arc_vals = _read_arcs(value_at, edges, [*inner, *ends])
-        for i, b in enumerate(inner):
-            pv = value_at(b)
-            _require_semicontinuous("breakpoint", b, pv, arc_vals[i], arc_vals[i + 1])
-            cells.append((Point(canonical_angle(b)), pv))
-        for lo, hi, av in zip(edges, edges[1:], arc_vals):
-            cl = canonical_angle(lo)
-            cells.append((Arc(cl, cl + (hi - lo), False, False), av))
-        for included, b, arc in ((item.closed_start, s, arc_vals[0]),
-                                 (item.closed_end, e, arc_vals[-1])):
-            if included:
-                v = value_at(b)
-                _require_semicontinuous("domain endpoint", b, v, arc)
-                cells.append((Point(canonical_angle(b)), v))
-    cells.sort(key=_cell_key)
-    return IndexProfile(domain, tuple(cells))
-
-
-def _cell_key(cell) -> tuple[float, float]:
-    """Sort by start; a point comes before the arc that starts at it."""
-    return (cell[0].start, cell[0].end)
+    return _build_profile(FamilySpectrum(p, p.scale(), cfg), domain, candidates or [],
+                          cfg, mirror=True)
 
 
 def _exceeds(point: InertiaTriple, arc: InertiaTriple) -> bool:
@@ -264,41 +255,32 @@ def _exceeds(point: InertiaTriple, arc: InertiaTriple) -> bool:
     return point.i_plus > arc.i_plus or point.i_minus > arc.i_minus
 
 
-def _require_semicontinuous(where: str, theta: float, value: InertiaTriple,
-                            *arcs: InertiaTriple) -> None:
-    if any(_exceeds(value, arc) for arc in arcs):
-        raise NumericalError(f"semicontinuity violated at {where} {theta}")
-
-
 # ---------------------------------------------------------------------------
 # level subsets
 # ---------------------------------------------------------------------------
 
-def _cells_where(profile: IndexProfile,
-                 keep: Callable[[InertiaTriple], bool]) -> CircleSubset:
-    """The union of the cells whose inertia satisfies keep.
+def _where(profile: IndexProfile, keep: Callable[[InertiaTriple], bool]) -> CircleSubset:
+    """The points of the domain whose inertia satisfies keep."""
+    def held(v: InertiaTriple | None) -> bool:
+        return v is not None and keep(v)
 
-    The cells enter as they are and the union is canonicalized, so arcs close
-    exactly where their endpoint values qualify.
-    """
-    items = [item for item, v in profile.cells if keep(v)]
-    return CircleSubset.from_items(items, profile.domain.tol)
+    rows = [(c, held(v), held(a)) for c, v, a in zip(profile.cuts, profile.at, profile.after)]
+    return CircleSubset.from_steps(rows, held(profile.whole), profile.domain.tol)
 
 
 def superlevel(profile: IndexProfile, j: int) -> CircleSubset:
     """{omega in the domain : i_plus(omega) >= j}.
 
-    i_plus ranges over [nu, mu] on the cells, so every level j <= nu is the
-    whole domain and every level j > mu is empty: the union of all cells is
-    the domain and the union of none is empty.  Only the levels in between
-    take a pass over the cells.
+    i_plus ranges over [nu, mu] on the profile, so every level j <= nu is
+    the whole domain and every level j > mu is empty.  Only the levels in
+    between take a pass over the cuts.
     """
     nu, mu = profile._index_range[:2]
     if j <= nu:
         return profile.domain
     if j > mu:
         return CircleSubset.empty(profile.domain.tol)
-    return _cells_where(profile, lambda v: v.i_plus >= j)
+    return _where(profile, lambda v: v.i_plus >= j)
 
 
 def sublevel(profile: IndexProfile, k: int) -> CircleSubset:
@@ -308,7 +290,7 @@ def sublevel(profile: IndexProfile, k: int) -> CircleSubset:
         return profile.domain
     if k < lo:
         return CircleSubset.empty(profile.domain.tol)
-    return _cells_where(profile, lambda v: v.i_minus <= k)
+    return _where(profile, lambda v: v.i_minus <= k)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +302,8 @@ class FiltrationReport:
     """Superlevel filtration data of a pencil over its domain.
 
     The superlevel sets and the orientation class are computed when first
-    read, once each.
+    read, once each.  locus is the degenerate locus the profile was read
+    from, when it is known.
     """
 
     pencil: QuadraticPencil
@@ -328,6 +311,7 @@ class FiltrationReport:
     mu: int
     nu: int
     cfg: ToleranceConfig = DEFAULT_CONFIG
+    locus: DegenerateLocus | None = None
     _omegas: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def omega(self, j: int) -> CircleSubset:
@@ -368,7 +352,8 @@ class FiltrationReport:
         dim = self.pencil.dim
         if dim == 2 * self.mu:
             return self.mu % 2 == 1
-        locus = degenerate_locus(self.pencil, self.cfg)
+        locus = self.locus if self.locus is not None else \
+            degenerate_locus(self.pencil, self.cfg)
         if locus.rank_deficit != dim - 2 * self.mu:
             raise NumericalError(
                 f"constant index {self.mu} leaves {dim - 2 * self.mu} zeros at every "
@@ -382,15 +367,19 @@ def filtration_report(p: QuadraticPencil, domain: CircleSubset,
     """The superlevel filtration of the pencil over the domain and its extremes.
 
     The superlevel sets and the orientation class are computed on first read.
+    Without a given profile, the locus is found once, for the profile and the
+    orientation class alike; an empty domain needs none.
     """
+    locus = None
     if profile is None:
-        profile = index_profile(p, domain, cfg)
+        locus = None if domain.is_empty() else degenerate_locus(p, cfg)
+        profile = index_profile(p, domain, cfg, locus and locus.angles)
     mu = profile.max_positive_index()
     nu = profile.min_positive_index()
     if mu == nu and domain.is_full() and mu > p.dim // 2:
         raise NumericalError(
             "constant index exceeds half the dimension; tolerances inconsistent")
-    return FiltrationReport(p, profile, mu, nu, cfg)
+    return FiltrationReport(p, profile, mu, nu, cfg, locus)
 
 
 def filtration_for_cone(p: QuadraticPencil, cone, cfg: ToleranceConfig = DEFAULT_CONFIG

@@ -24,11 +24,10 @@ from scipy.spatial import cKDTree
 from . import pencil
 from .applications import LevelProblem
 from .betti import AnalysisResult, analyze
-from .circle import Arc, CircleSubset, PlanarCone, Point, canonical_angle
+from .circle import CircleSubset, PlanarCone, canonical_angle
 from .config import DEFAULT_CONFIG, ToleranceConfig
 from .errors import InvalidInputError, NumericalError, OracleDisagreement
-from .filtration import (FiltrationReport, IndexProfile, _read_arcs,
-                         _require_semicontinuous, sublevel)
+from .filtration import FiltrationReport, IndexProfile, _build_profile, sublevel
 from .pencil import (AT_MANY_SLICE, FamilySpectrum, InertiaTriple, QuadraticPencil,
                      _cluster_periodic, _eigvalsh, _lapack, cluster_tol, degenerate_locus,
                      shared_triple)
@@ -75,19 +74,21 @@ def grid_index_profile(p: QuadraticPencil,
     return GridProfile(resolution, tuple(thetas), triples)
 
 
-def _domain_contains(domain: CircleSubset, t: np.ndarray) -> np.ndarray:
-    """CircleSubset.contains at every canonical angle, by _locate's rules."""
-    cuts = np.array(domain.cuts)
-    if not len(cuts):
-        return np.full(len(t), domain.full)
-    tol = domain.tol
+def _steps_at(cuts: tuple, at, after, whole, tol: float, t: np.ndarray) -> np.ndarray:
+    """A step function on the circle at every canonical angle, by the rules
+    of circle._locate: at[i] within tol of cuts[i], after[i] on the open arc
+    after it, whole with no cuts.  Each value is a scalar or a triple."""
+    if not cuts:
+        return np.full((len(t), *np.shape(whole)), whole)
+    c = np.array(cuts)
     t = np.where(t >= TWO_PI - tol, 0.0, t)
-    i = np.searchsorted(cuts, t, side="right") - 1
-    nxt = np.minimum(i + 1, len(cuts) - 1)
-    on_cut = (i >= 0) & (t - cuts[i] <= tol)
-    on_next = ~on_cut & (i + 1 < len(cuts)) & (cuts[nxt] - t <= tol)
-    at, after = np.array(domain.at), np.array(domain.after)
-    return np.where(on_cut, at[i], np.where(on_next, at[nxt], after[i % len(cuts)]))
+    i = np.searchsorted(c, t, side="right") - 1
+    nxt = np.minimum(i + 1, len(c) - 1)
+    on_cut = (i >= 0) & (t - c[i] <= tol)
+    on_next = ~on_cut & (i + 1 < len(c)) & (c[nxt] - t <= tol)
+    i = np.where(on_next, nxt, i % len(c))
+    on_cut = (on_cut | on_next).reshape(-1, *[1] * np.ndim(whole))
+    return np.where(on_cut, np.asarray(at)[i], np.asarray(after)[i])
 
 
 def grid_profile_disagreements(profile: IndexProfile, grid: GridProfile,
@@ -99,49 +100,32 @@ def grid_profile_disagreements(profile: IndexProfile, grid: GridProfile,
     angular tolerances of a recorded breakpoint are skipped: there the
     inertia of a nearly-singular matrix is not decidable.
 
-    The grid is checked in one array pass, with the per-angle rules.  Domain
-    membership reads the domain's cuts as CircleSubset.contains does; the
-    guard measures the nearest sorted breakpoint on either side; the value
-    is that of the last cell starting at or before the angle or of one of
-    its two neighbours, as in value_at_angle.  An angle within two angular
-    tolerances of a cell's ends, where the tolerance rules of Point and Arc
-    decide, is looked up by value_at_angle itself.
+    The grid is checked in one array pass, with the per-angle rules: the
+    domain and the profile are both step functions on cuts, read as
+    CircleSubset.contains and IndexProfile.value_at_angle read them, and
+    the guard measures the nearest sorted breakpoint on either side.
     """
-    tol = cfg.tol_angle
     th = np.array(grid.thetas, dtype=float)
     t = th % TWO_PI
     t[t >= TWO_PI] = 0.0  # as canonical_angle
-    todo = _domain_contains(profile.domain, t)
+    dom = profile.domain
+    todo = _steps_at(dom.cuts, dom.at, dom.after, dom.full, dom.tol, t)
     bps = np.sort(profile.breakpoint_angles())
     if len(bps):
         j = np.searchsorted(bps, t)
         near = np.minimum(abs((th - bps[j - 1] + PI) % TWO_PI - PI),
                           abs((th - bps[j % len(bps)] + PI) % TWO_PI - PI))
-        todo &= near > 10.0 * tol
-    n = len(profile.cells)
-    if n == 0:  # nothing recorded: every compared angle disagrees
-        return [grid.thetas[k] for k in np.flatnonzero(todo)]
+        todo &= near > 10.0 * cfg.tol_angle
 
-    starts = np.array(profile._starts)
-    lengths = np.array([item.end for item, _ in profile.cells]) - starts
-    i = np.searchsorted(starts, t, side="right") - 1
-    cell = np.full(len(t), -1)
-    for k in ((i + 1) % n, (i - 1) % n, i % n):  # the last one set is the first tried
-        d = t - starts[k]
-        d[d < 0.0] += TWO_PI
-        cell = np.where(d < lengths[k] - tol, k, cell)
-    values = np.array([v for _, v in profile.cells]).reshape(n, 3)
+    def triple(v):  # no value recorded: a triple no sample equals
+        return (-1, -1, -1) if v is None else v
+
+    recorded = _steps_at(profile.cuts, [*map(triple, profile.at)],
+                         [*map(triple, profile.after)], triple(profile.whole),
+                         cfg.tol_angle, t)
     sampled = np.fromiter(chain.from_iterable(grid.triples), dtype=np.int64,
                           count=3 * len(t)).reshape(-1, 3)
-    bad = todo & ((cell < 0) | np.any(values[cell] != sampled, axis=1))
-
-    ends = np.sort(np.concatenate([starts, (starts + lengths) % TWO_PI]))
-    ends = np.concatenate([ends[-1:] - TWO_PI, ends, ends[:1] + TWO_PI])
-    j = np.searchsorted(ends, t)
-    edgy = todo & (np.minimum(t - ends[j - 1], ends[j] - t) <= 2.0 * tol)
-    for k in np.flatnonzero(edgy).tolist():
-        recorded = profile.value_at_angle(grid.thetas[k], tol)
-        bad[k] = recorded is None or recorded != grid.triples[k]
+    bad = todo & np.any(recorded != sampled, axis=1)
     return [grid.thetas[k] for k in np.flatnonzero(bad)]
 
 
@@ -587,27 +571,13 @@ def regularized_profile(reg: RegularizedPencil,
                         cfg: ToleranceConfig = DEFAULT_CONFIG) -> IndexProfile:
     """Profile of the shifted family omega Q - eps * p over the full circle.
 
-    The breakpoints are the shift's crossings.  The family is not
-    antisymmetric, so no half is mirrored: _read_arcs reads every arc and
-    crossing in one FamilySpectrum pass, with the family's scale
-    max(scale, |family at 0|), and each crossing must be semicontinuous
-    against both arcs it bounds.
+    The breakpoints are the shift's crossings, read by index_profile's
+    builder with the family's scale max(scale, |family at 0|).  The family
+    is not antisymmetric, so no half is mirrored.
     """
     scale = max(reg.pencil.scale(), float(np.linalg.norm(reg.at(0.0), 2)))
-    value_at = FamilySpectrum(reg, scale, cfg)
-    full = CircleSubset.full_circle()
-    bps = list(reg.breakpoints)
-    if not bps:
-        v, = _read_arcs(value_at, [0.0, TWO_PI])
-        return IndexProfile(full, ((Arc(0.0, TWO_PI, True, True), v),))
-    edges = bps + [bps[0] + TWO_PI]
-    arc_vals = _read_arcs(value_at, edges, bps)
-    cells: list = []
-    for i, b in enumerate(bps):
-        pv = value_at(b)
-        _require_semicontinuous("breakpoint", b, pv, arc_vals[i - 1], arc_vals[i])
-        cells += [(Point(b), pv), (Arc(b, edges[i + 1], False, False), arc_vals[i])]
-    return IndexProfile(full, tuple(cells))
+    return _build_profile(FamilySpectrum(reg, scale, cfg), CircleSubset.full_circle(),
+                          list(reg.breakpoints), cfg, mirror=False)
 
 
 def sublevel_eps(p: QuadraticPencil, k: int, cfg: ToleranceConfig = DEFAULT_CONFIG,

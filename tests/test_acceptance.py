@@ -137,7 +137,7 @@ def test_criterion_4_extremal_family():
         p = extremal_family(n)
         hi = (n + 2) // 2
         prof = index_profile(p, FULL)
-        plus = [v.i_plus for item, v in prof.cells if isinstance(item, Arc)]
+        plus = [v.i_plus for v in prof.after]
         if n % 2 == 0:
             assert len(plus) == 2 * (n + 1)
             assert plus.count(hi) == n + 1
@@ -148,7 +148,7 @@ def test_criterion_4_extremal_family():
             # the lower value degenerates to the n+1 double points
             assert len(plus) == n + 1
             assert all(v == hi for v in plus)
-            points = [v for item, v in prof.cells if isinstance(item, Point)]
+            points = prof.at
             assert len(points) == n + 1
             assert all(v.i_plus == hi - 1 for v in points)
         rep = betti_x(build_table(p, ZERO))

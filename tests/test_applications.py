@@ -317,21 +317,21 @@ def test_extremal_three_is_four_lines():
 
 
 def test_extremal_profile_structure():
-    from quadrics.circle import Arc, CircleSubset, Point
+    from quadrics.circle import CircleSubset
     for n in (2, 4, 6):
         prof = index_profile(extremal_family(n), CircleSubset.full_circle())
         hi = (n + 2) // 2
-        plus = [v.i_plus for item, v in prof.cells if isinstance(item, Arc)]
+        plus = [v.i_plus for v in prof.after]
         assert len(plus) == 2 * (n + 1)
         assert plus.count(hi) == n + 1
         assert plus.count(hi - 1) == n + 1
     for n in (3, 5):
         prof = index_profile(extremal_family(n), CircleSubset.full_circle())
         hi = (n + 2) // 2
-        plus = [v.i_plus for item, v in prof.cells if isinstance(item, Arc)]
+        plus = [v.i_plus for v in prof.after]
         assert len(plus) == n + 1
         assert all(v == hi for v in plus)
-        assert all(v.i_plus == hi - 1 for item, v in prof.cells if isinstance(item, Point))
+        assert all(v.i_plus == hi - 1 for v in prof.at)
 
 
 def test_extremal_total_betti():

@@ -2,7 +2,9 @@ import math
 import re
 
 import numpy as np
-from quadrics import filtration, fixtures, pencil
+from dataclasses import replace
+
+from quadrics import betti, filtration, fixtures, pencil
 import pytest
 from quadrics.applications import extremal_family
 from quadrics.circle import (
@@ -22,6 +24,7 @@ from quadrics.filtration import (
     _antipodally_paired,
     _read_arcs,
     filtration_for_cone,
+    filtration_report,
     index_profile,
     sublevel,
     superlevel,
@@ -45,11 +48,18 @@ ALL_CONES = (PlanarCone.zero(), PlanarCone.full(), PlanarCone.ray(0.7),
 
 
 def _points(prof):
-    return [(item.theta, v) for item, v in prof.cells if isinstance(item, Point)]
+    return [(c, v) for c, v in zip(prof.cuts, prof.at) if v is not None]
+
+
+def _arcs(prof):
+    """(arc, value) for each held open arc between the profile's cuts."""
+    ends = [*prof.cuts[1:], *(c + TWO_PI for c in prof.cuts[:1])]
+    return [(Arc(c, e, False, False), v)
+            for c, e, v in zip(prof.cuts, ends, prof.after) if v is not None]
 
 
 def _arc_values(prof):
-    return [v for item, v in prof.cells if isinstance(item, Arc)]
+    return [v for _, v in _arcs(prof)]
 
 
 # ---------------------------------------------------------------------------
@@ -58,8 +68,8 @@ def _arc_values(prof):
 
 def test_bouquet_profile():
     prof = index_profile(fixtures.bouquet(), FULL)
-    # a full-circle profile alternates breakpoints and the arcs they start
-    assert [type(item) for item, _ in prof.cells] == [Point, Arc] * 2
+    # on the full circle every cut is a breakpoint and starts a held arc
+    assert len(prof.cuts) == 2 and None not in prof.at + prof.after
     points = _points(prof)
     assert len(points) == 2
     assert angles_equal(points[0][0], PI / 2, 1e-7)
@@ -94,7 +104,7 @@ def test_profile_on_arc_domain():
     prof = index_profile(fixtures.bouquet(), dom)
     # both endpoints are included; pi/2 is an endpoint here, not an interior
     # breakpoint, so one arc spans the domain
-    (arc, arc_value), = [(item, v) for item, v in prof.cells if isinstance(item, Arc)]
+    (arc, arc_value), = _arcs(prof)
     assert angles_equal(arc.start, -PI / 2) and angles_equal(arc.end, PI / 2)
     ends = {round(theta, 9): v for theta, v in _points(prof)}
     assert sorted(ends) == [round(PI / 2, 9), round(3 * PI / 2, 9)]
@@ -105,14 +115,13 @@ def test_profile_on_arc_domain():
 def test_profile_point_domain():
     dom = CircleSubset.point(PI / 2)
     prof = index_profile(fixtures.bouquet(), dom)
-    (item, value), = prof.cells
-    assert isinstance(item, Point)
-    assert value.i_plus == 1
+    assert prof.cuts == dom.cuts and prof.after == (None,)
+    assert prof.at[0].i_plus == 1
 
 
 def test_profile_empty_domain():
     prof = index_profile(fixtures.bouquet(), CircleSubset.empty())
-    assert prof.cells == ()
+    assert prof.cuts == () and prof.whole is None
     assert prof.max_positive_index() == 0
 
 
@@ -177,7 +186,7 @@ def test_a_root_missing_from_the_candidates_raises_naming_its_arc():
     assert checked > 20
 
 
-def test_a_profile_solves_each_domain_component_in_one_stacked_call(monkeypatch):
+def test_a_profile_solves_its_domain_in_one_stacked_call(monkeypatch):
     # one eigvalsh stack below COUNT_DIM, one Sturm-counted stack from there on
     calls = []
     solve, count = pencil._eigvalsh, pencil._sturm_inertia
@@ -204,7 +213,7 @@ def test_a_profile_solves_each_domain_component_in_one_stacked_call(monkeypatch)
         candidates = degenerate_locus(p).angles
         calls.clear()
         prof = index_profile(p, domain, candidates=candidates)
-        assert len(calls) == domain.n_components(), (p.dim, domain)
+        assert len(calls) == min(1, domain.n_components()), (p.dim, domain)
         assert all(len(shape) == 3 for shape in calls)
         h = len(prof.breakpoint_angles()) // 2
         if domain.is_full() and h:
@@ -238,7 +247,8 @@ def test_the_mirrored_half_circle_equals_the_full_read_cell_by_cell():
             continue
         spectrum = FamilySpectrum(p, p.scale())
         assert [v for _, v in _points(prof)] == [spectrum(b) for b in bps], p.dim
-        assert _arc_values(prof) == _read_arcs(spectrum, bps + [bps[0] + TWO_PI]), p.dim
+        arcs = list(zip(bps, [*bps[1:], bps[0] + TWO_PI]))
+        assert _arc_values(prof) == _read_arcs(spectrum, arcs), p.dim
         assert _antipodally_paired(bps, cluster_tol(DEFAULT_CONFIG)), p.dim
         mirrored += 1
     assert mirrored >= 20
@@ -288,31 +298,45 @@ def test_grid_agreement_random():
 
 
 def _range_rule_profiles():
-    for make in SIX_FIXTURES:
-        p = make()
+    """Every cone on the eight named fixtures, extremal_family(1..11) and 60
+    random pencils of dims 2-16, then the fixtures' shifted families."""
+    rng = np.random.default_rng(5)
+    pencils = [make() for make in SIX_FIXTURES]
+    pencils += [fixtures.identically_singular_pair(), fixtures.definite_form(3)]
+    pencils += [extremal_family(n) for n in range(1, 12)]
+    pencils += [fixtures.random_pencil(rng, int(dim)) for dim in rng.integers(2, 17, 60)]
+    for p in pencils:
         for cone in ALL_CONES:
             yield p, index_profile(p, omega_set(cone))
+    for make in SIX_FIXTURES:
+        p = make()
         yield p, regularized_profile(regularize(p))
-    for n in range(1, 13):
-        p = extremal_family(n)
-        yield p, index_profile(p, FULL)
-    rng = np.random.default_rng(77)
-    for dim in range(3, 11):
-        for _ in range(2):
-            p = fixtures.random_pencil(rng, dim)
-            yield p, index_profile(p, FULL)
+
+
+def _held_items(prof, keep):
+    """The profile's points and open arcs whose value satisfies keep."""
+    if not prof.cuts:
+        held = prof.whole is not None and keep(prof.whole)
+        return [Arc(0.0, TWO_PI, True, True)] if held else []
+    return [Point(c) for c, v in _points(prof) if keep(v)] + \
+        [arc for arc, v in _arcs(prof) if keep(v)]
 
 
 def test_range_rule_equals_the_union_of_cells():
     """Levels outside [nu, mu] (for i_minus, its own range) are the domain or
-    empty without a pass over the cells; the per-cell union is the reference."""
+    empty without a pass over the cuts, and the levels between map the
+    values to flags; the union of the held points and arcs is the reference."""
+    checked = 0
     for p, prof in _range_rule_profiles():
         tol = prof.domain.tol
         for j in range(0, p.dim + 2):
-            assert superlevel(prof, j) == CircleSubset.from_items(
-                [c for c, v in prof.cells if v.i_plus >= j], tol), (p.dim, j)
-            assert sublevel(prof, j) == CircleSubset.from_items(
-                [c for c, v in prof.cells if v.i_minus <= j], tol), (p.dim, j)
+            for level, keep in ((superlevel(prof, j), lambda v: v.i_plus >= j),
+                                (sublevel(prof, j), lambda v: v.i_minus <= j)):
+                union = CircleSubset.from_items(_held_items(prof, keep), tol)
+                assert level.to_json() == union.to_json(), (p.dim, j)
+                assert level.n_components() == union.n_components(), (p.dim, j)
+                checked += 1
+    assert checked > 9000
 
 
 def _plus_rotating_block(p):
@@ -339,7 +363,7 @@ def test_root_free_block_shifts_the_filtration_up_by_one():
             a = filtration_for_cone(p, cone)
             b = filtration_for_cone(q, cone)
             assert (b.mu, b.nu) == (a.mu + 1, a.nu + 1), (p.dim, cone.kind)
-            assert len(b.profile.cells) == len(a.profile.cells)
+            assert len(b.profile.cuts) == len(a.profile.cuts)
             for j in range(0, p.dim + 2):
                 assert subsets_equal(b.omega(j + 1), a.omega(j)), (p.dim, cone.kind, j)
             if a.omega(a.mu).is_full():
@@ -493,11 +517,40 @@ def test_w1_of_a_singular_pencil_needs_the_matching_rank_deficit(monkeypatch):
     # with another rank deficit contradicts the profile
     rep = filtration_for_cone(fixtures.padded_squaring(), PlanarCone.zero())
     assert rep.w1_nonzero is True
-    rep = filtration_for_cone(fixtures.padded_squaring(), PlanarCone.zero())
+    rep = replace(rep, locus=pencil.DegenerateLocus((), 1, 2))
+    with pytest.raises(NumericalError, match="rank deficit is 2"):
+        rep.w1_nonzero
+    # a report given its profile reads the locus itself
+    rep = filtration_report(rep.pencil, FULL, profile=rep.profile)
     monkeypatch.setattr(filtration, "degenerate_locus",
                         lambda p, cfg: pencil.DegenerateLocus((), 1, 2))
     with pytest.raises(NumericalError, match="rank deficit is 2"):
         rep.w1_nonzero
+
+
+def test_an_analysis_finds_the_locus_once(monkeypatch):
+    # the profile and the orientation class of an identically singular
+    # pencil whose top superlevel set fills the circle share one locus;
+    # an empty domain needs none
+    calls = []
+    find = pencil.degenerate_locus
+
+    def counted(*args):
+        calls.append(args[0])
+        return find(*args)
+
+    for module in (filtration, betti):
+        monkeypatch.setattr(module, "degenerate_locus", counted)
+    rng = np.random.default_rng(1)
+    kronecker = [fixtures.kronecker_pair(eps, 2, rng) for eps in (1, 2, 3)][-1]
+    for p, cone, expected in ((fixtures.padded_squaring(), PlanarCone.zero(), 1),
+                              (kronecker, PlanarCone.zero(), 1),
+                              (kronecker, PlanarCone.full(), 0)):
+        calls.clear()
+        res = betti.analyze(p, cone)
+        if expected:
+            assert res.filtration.top_fills_circle and res.filtration.mu < p.dim / 2
+        assert len(calls) == expected, (p.dim, cone.kind)
 
 
 def test_report_cone_restricts_domain():

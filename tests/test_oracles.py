@@ -424,20 +424,23 @@ def test_grid_compares_only_the_profile_domain():
     grid = grid_index_profile(p)
     assert grid_profile_disagreements(prof, grid) == []
     # a profile that records nothing inside its domain disagrees there
-    bad = grid_profile_disagreements(IndexProfile(domain, ()), grid)
+    bad = grid_profile_disagreements(IndexProfile(domain), grid)
     assert bad and all(domain.contains(th) for th in bad)
+
+
+def _corrupted(values, k):
+    """values with the k-th triple moved one eigenvalue from minus to plus."""
+    v = values[k]
+    return (*values[:k], InertiaTriple(v.i_plus + 1, v.i_minus - 1, v.i_zero), *values[k + 1:])
 
 
 def test_verify_analysis_rejects_a_corrupted_profile():
     p = fixtures.tripled_squaring()
     cone = PlanarCone.sector(0.3, 1.9)
     res = analyze(p, cone)
-    cells = res.filtration.profile.cells
-    k = next(i for i, (item, _) in enumerate(cells) if isinstance(item, Arc))
-    item, v = cells[k]
-    wrong = InertiaTriple(v.i_plus + 1, v.i_minus - 1, v.i_zero)
-    corrupted = (*cells[:k], (item, wrong), *cells[k + 1:])
-    profile = replace(res.filtration.profile, cells=corrupted)
+    profile = res.filtration.profile
+    k = next(i for i, v in enumerate(profile.after) if v is not None)
+    profile = replace(profile, after=_corrupted(profile.after, k))
     with pytest.raises(OracleDisagreement):
         verify_analysis(p, cone, result=replace(
             res, filtration=replace(res.filtration, profile=profile)))
@@ -504,27 +507,32 @@ def test_grid_check_reads_a_tuple_built_grid():
 
 
 def test_grid_check_finds_each_corrupted_cell():
+    # each value at a cut and on the arc after it, corrupted in turn
     for p, cone in [(fixtures.tripled_squaring(), PlanarCone.sector(0.3, 1.9)),
                     (extremal_family(4), ZERO), (fixtures.bouquet(), PlanarCone.halfplane(1.1)),
                     (fixtures.four_lines(), PlanarCone.ray(0.7))]:
         profile = analyze(p, cone).filtration.profile
         grid = grid_index_profile(p)
         step = TWO_PI / grid.resolution
-        for k, (item, v) in enumerate(profile.cells):
-            wrong = InertiaTriple(v.i_plus + 1, v.i_minus - 1, v.i_zero)
-            cells = (*profile.cells[:k], (item, wrong), *profile.cells[k + 1:])
-            bad = _checked(replace(profile, cells=cells), grid)
-            if isinstance(item, Arc) and item.length > 3 * step:
-                assert bad and all(item.contains(th) for th in bad)
+        cuts = profile.cuts
+        for k, c in enumerate(cuts):
+            if profile.at[k] is not None:
+                _checked(replace(profile, at=_corrupted(profile.at, k)), grid)
+            if profile.after[k] is not None:
+                bad = _checked(replace(profile, after=_corrupted(profile.after, k)), grid)
+                arc = Arc(c, cuts[k + 1] if k + 1 < len(cuts) else cuts[0] + TWO_PI,
+                          False, False)
+                if arc.length > 3 * step:
+                    assert bad and all(arc.contains(th) for th in bad)
 
 
 def test_grid_check_of_empty_domains_and_profiles():
     grid = grid_index_profile(fixtures.bouquet())
-    assert _checked(IndexProfile(CircleSubset.empty(), ()), grid) == []
+    assert _checked(IndexProfile(CircleSubset.empty()), grid) == []
     assert _checked(index_profile(fixtures.bouquet(), CircleSubset.empty()), grid) == []
     for domain in [FULL_CIRCLE, omega_set(PlanarCone.sector(0.3, 1.9)),
                    CircleSubset.point(grid.thetas[7])]:
-        bad = _checked(IndexProfile(domain, ()), grid)
+        bad = _checked(IndexProfile(domain), grid)
         assert bad == [th for th in grid.thetas if domain.contains(th)] != []
 
 
@@ -555,7 +563,7 @@ def test_grid_check_on_cell_ends_and_domain_endpoints():
                        CircleSubset.punctured_circle([0.0]),
                        CircleSubset.point(2.5).union(CircleSubset.arc(3.0, 3.5, True, True))]:
             profile = index_profile(p, domain)
-            marks = [x for item, _ in profile.cells for x in (item.start, item.end)]
+            marks = profile.cuts or (0.0,)  # a constant family's seam
             thetas = sorted({canonical_angle(y) for m in marks for o in offsets
                              for y in _ulps_around(m + o)})
             true = tuple(inertia(p.at(t), scale=p.scale()) for t in thetas)
