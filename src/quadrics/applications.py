@@ -8,6 +8,7 @@ family that attains the sharp total-Betti bound.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -17,7 +18,6 @@ from .betti import analyze
 from .circle import (
     CircleSubset,
     PlanarCone,
-    betti_pair,
     canonical_angle,
     omega_set,
     open_half_circle,
@@ -28,7 +28,6 @@ from .filtration import (
     FiltrationReport,
     filtration_for_cone,
     index_profile,
-    sublevel,
 )
 from .pencil import QuadraticPencil, _eigvalsh
 
@@ -214,22 +213,46 @@ def _negative_direction_halfcircle(c: tuple[float, float],
 
 def _level_result(p: QuadraticPencil, domain: CircleSubset,
                   cfg: ToleranceConfig) -> LevelSetResult:
+    """Reduced Betti numbers of the level set from the sublevel sets
+    L_k = {i_minus <= k} of the profile over a level domain.
+
+    b~_k = b0(L_(k+1), L_k) + b1(L_(k+2), L_(k+1)), and for a pair b <= a of
+    sets short of the full circle b1 = b0 - chi(a) + chi(b) with chi the
+    component count.  A level domain is an open half circle, or its
+    intersection with the quadrant's polar arc, never the full circle, so
+    the profile's cyclic cells at[0], after[0], at[1], ... hold at least one
+    None outside it.  Read from just after one, a component of L_k is a
+    maximal run of cells with i_minus <= k.  Grouping the cells into
+    plateaus of equal value, L_k has one component per plateau of value at
+    most k that follows one of value above k, and one component with
+    minimum exactly k per plateau of value k that lies between larger
+    values (a birth).  Then b~_k = births_(k+1) + |L_(k+1)| - |L_(k+2)| +
+    births_(k+2), counted in one pass over the cells.
+    """
     n = p.n
     if domain.is_empty():
         # the level value is already attainable at the origin
         return LevelSetResult(True, tuple([0] * (n + 1)), None)
     prof = index_profile(p, domain, cfg)
     min_minus = prof._index_range[2]
-    nonempty = min_minus != 0
-    if not nonempty:
+    if min_minus == 0:
         return LevelSetResult(False, tuple([0] * (n + 1)), min_minus)
-    levels = [sublevel(prof, k) for k in range(0, n + 3)]
-    b_tilde = []
-    for k in range(0, n + 1):
-        first = betti_pair(levels[k + 1], levels[k])[0]
-        second = betti_pair(levels[k + 2], levels[k + 1])[1]
-        b_tilde.append(first + second)
-    return LevelSetResult(True, tuple(b_tilde), min_minus)
+    top = n + 3  # a cell outside the domain is in no L_k, k <= n + 2
+    cells = [top if v is None else v.i_minus for pair in zip(prof.at, prof.after) for v in pair]
+    start = cells.index(top) + 1
+    plateaus = [v for v, _ in itertools.groupby(cells[start:] + cells[:start])]
+    starts = [0] * (top + 1)  # a component of L_k starts at a plateau v <= k < previous
+    births = [0] * top
+    for prev, v, nxt in zip([top, *plateaus], plateaus, plateaus[1:]):
+        if v < prev:
+            starts[v] += 1
+            starts[prev] -= 1
+            if v < nxt:
+                births[v] += 1
+    components = list(itertools.accumulate(starts))
+    b_tilde = tuple(births[k + 1] + components[k + 1] - components[k + 2] + births[k + 2]
+                    for k in range(n + 1))
+    return LevelSetResult(True, b_tilde, min_minus)
 
 
 def level_set_betti(problem: LevelProblem,

@@ -114,14 +114,14 @@ class QuadraticPencil:
         return self.dim - 1
 
     def scale(self) -> float:
-        """A spectral-norm scale of the pair, used for relative tolerances.
+        """A spectral-norm scale of the pair, used for relative tolerances:
+        the larger spectral norm of the two forms (_spectral_norm).
 
         Computed on first use and kept: the forms are read-only.
         """
         s = self.__dict__.get("_scale")
         if s is None:
-            s = max(float(_lapack(np.linalg.norm, q, 2, what="singular value"))
-                    for q in (self.q0, self.q1))
+            s = max(_spectral_norm(self.q0), _spectral_norm(self.q1))
             object.__setattr__(self, "_scale", s)
         return s
 
@@ -177,6 +177,27 @@ def _lapack(solve, *args, what: str = "eigenvalue", **kwargs):
         return solve(*args, **kwargs)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"{what} solver failed: {exc}") from exc
+
+
+@functools.lru_cache(maxsize=None)
+def _dgesdd_lwork(dim: int) -> int:
+    """dgesdd's optimal workspace for singular values alone of a dim x dim
+    matrix; the query depends only on the shape, so it runs once per dim."""
+    return int(lapack.dgesdd_lwork(dim, dim, compute_uv=0)[0])
+
+
+def _spectral_norm(q: np.ndarray) -> float:
+    """The largest singular value of a square matrix.
+
+    LAPACK's dgesdd is called as np.linalg.norm(q, 2) calls it, singular
+    values only with the optimal workspace, so the result is its bits; at
+    small dims the wrapper costs three times the solve.  The forms are
+    checked finite on input.
+    """
+    _, s, _, info = lapack.dgesdd(q, compute_uv=0, lwork=_dgesdd_lwork(q.shape[0]))
+    if info != 0:
+        raise NumericalError(f"singular value solver failed: dgesdd info {info}")
+    return float(s[0])
 
 
 def _eigvalsh(a: np.ndarray) -> np.ndarray:
@@ -360,6 +381,15 @@ def cluster_tol(cfg: ToleranceConfig) -> float:
     return 10.0 * cfg.tol_angle
 
 
+@functools.lru_cache(maxsize=None)
+def _dggev_lwork(dim: int) -> int:
+    """dggev's optimal workspace for a dim x dim pair, by the query
+    scipy.linalg.eigvals makes; it depends only on the shape, so it runs once
+    per dim."""
+    z = np.zeros((dim, dim))
+    return int(lapack.dggev(z, z, lwork=-1)[-2][0])
+
+
 def _qz_root_angles(a: np.ndarray, b: np.ndarray) -> tuple[list[float], int]:
     """Real roots of det(a + t*b) = 0 by QZ, as chart angles.
 
@@ -368,14 +398,13 @@ def _qz_root_angles(a: np.ndarray, b: np.ndarray) -> tuple[list[float], int]:
     0) is simply the chart's far point.  Returns the angles of the real roots
     and the count of the non-real ones.
 
-    LAPACK's dggev is called as scipy.linalg.eigvals calls it, a workspace
-    query and then the solve, so the roots are its bits; at small dims its
-    wrapper costs three times the solve.  The pair is finite: the pencil's
-    forms are checked on input.
+    LAPACK's dggev is called as scipy.linalg.eigvals calls it, with the
+    workspace its query gives (_dggev_lwork), so the roots are its bits; at
+    small dims its wrapper costs three times the solve.  The pair is finite:
+    the pencil's forms are checked on input.
     """
     b = -b
-    lwork = int(lapack.dggev(a, b, lwork=-1)[-2][0])
-    alphar, alphai, beta, _, _, _, info = lapack.dggev(a, b, 0, 0, lwork)
+    alphar, alphai, beta, _, _, _, info = lapack.dggev(a, b, 0, 0, _dggev_lwork(a.shape[0]))
     if info != 0:
         raise NumericalError(f"QZ eigenvalue solver failed: dggev info {info}")
     alpha = alphar + 1j * alphai  # as scipy forms it, signed zeros included

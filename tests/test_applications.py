@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,6 +8,9 @@ from quadrics import fixtures
 from quadrics.applications import (
     Certificate,
     LevelProblem,
+    LevelSetResult,
+    _level_result,
+    _negative_direction_halfcircle,
     calabi,
     extremal_family,
     image_membership,
@@ -16,13 +20,15 @@ from quadrics.applications import (
     support_function,
 )
 from quadrics.betti import betti_x, build_table, check_bounds
-from quadrics.circle import PlanarCone
+from quadrics.circle import PlanarCone, betti_pair, omega_set
 from quadrics.errors import InvalidInputError, NumericalError
-from quadrics.filtration import index_profile
+from quadrics.config import ToleranceConfig
+from quadrics.filtration import index_profile, sublevel
 from quadrics.pencil import QuadraticPencil, degenerate_locus
 
 PI = math.pi
 ZERO = PlanarCone.zero()
+CFG = ToleranceConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +301,56 @@ def test_level_problem_validates_mode():
         LevelProblem(fixtures.bouquet(), (0.0, 0.0), mode="bogus")
     with pytest.raises(InvalidInputError):
         level_set_betti(LevelProblem(fixtures.bouquet(), (0.0, 0.0), mode="ineq"))
+
+
+def _reference_level_result(p, domain, cfg):
+    """The level-set reading as sublevel sets and betti_pair: the reference
+    for the one-pass count of _level_result."""
+    n = p.n
+    if domain.is_empty():
+        return LevelSetResult(True, tuple([0] * (n + 1)), None)
+    prof = index_profile(p, domain, cfg)
+    min_minus = prof._index_range[2]
+    if min_minus == 0:
+        return LevelSetResult(False, tuple([0] * (n + 1)), min_minus)
+    levels = [sublevel(prof, k) for k in range(0, n + 3)]
+    b_tilde = tuple(betti_pair(levels[k + 1], levels[k])[0] +
+                    betti_pair(levels[k + 2], levels[k + 1])[1] for k in range(n + 1))
+    return LevelSetResult(True, b_tilde, min_minus)
+
+
+def test_level_result_equals_the_betti_pair_reading():
+    # random pencils, the named fixtures and the extremal family, each with 8
+    # draws of an image point, a random point and an image point moved into
+    # the quadrant above it (a feasible q <= c), over the half circle and its
+    # intersection with the quadrant's polar arc
+    rng = np.random.default_rng(3)
+    pencils = [fixtures.random_pencil(rng, int(rng.integers(3, 17))) for _ in range(150)]
+    pencils += [make() for make in fixtures.NAMED_FIXTURES.values()]
+    pencils += [extremal_family(n) for n in range(2, 12)]
+    quadrant_arc = omega_set(PlanarCone.nonpositive_quadrant(), CFG.tol_angle)
+    cases = []
+    for p in pencils:
+        cases.append((p, (0.0, 0.0)))
+        for _ in range(8):
+            x = rng.standard_normal(p.dim)
+            image = p.evaluate(x / np.linalg.norm(x))
+            cases += [(p, image), (p, tuple(p.scale() * rng.standard_normal(2))),
+                      (p, tuple(np.add(image, p.scale() * rng.exponential(size=2))))]
+    outcomes = Counter()
+    differ = []
+    for p, c in cases:
+        half = _negative_direction_halfcircle(c, CFG.tol_angle)
+        for domain in (half, quadrant_arc.intersect(half)):
+            expected = _reference_level_result(p, domain, CFG)
+            if _level_result(p, domain, CFG) != expected:
+                differ.append((p.dim, c, expected))
+            outcomes[expected.min_negative_index is None, expected.nonempty] += 1
+    assert differ == []
+    # both early returns are taken: the empty domain (c = 0) and the empty level set
+    assert outcomes[True, True] >= 2 * len(pencils)
+    assert outcomes[False, False] > 0
+    assert outcomes[False, True] > 5000
 
 
 @pytest.mark.parametrize("c", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)])

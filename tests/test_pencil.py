@@ -600,12 +600,29 @@ def test_a_lapack_failure_in_a_pencil_solve_is_a_numerical_error(monkeypatch):
 
 
 def test_a_failed_spectral_norm_is_a_numerical_error(monkeypatch):
-    def norm(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
+    dgesdd = lapack.dgesdd
 
-    monkeypatch.setattr(np.linalg, "norm", norm)
-    with pytest.raises(NumericalError, match="singular value solver failed"):
+    def failing(*args, **kwargs):
+        return (*dgesdd(*args, **kwargs)[:-1], 1)  # info > 0: the SVD did not converge
+
+    monkeypatch.setattr(lapack, "dgesdd", failing)
+    with pytest.raises(NumericalError, match="singular value solver failed: dgesdd info 1"):
         fixtures.random_pencil(np.random.default_rng(4), 5).scale()
+
+
+def test_spectral_norm_equals_numpy_norm_bitwise():
+    # dgesdd with its optimal workspace is what np.linalg.norm(q, 2) runs;
+    # from dim 129 the wrapper's default workspace changes the bidiagonal
+    # reduction's blocking and the last bits
+    rng = np.random.default_rng(18)
+    matrices = []
+    for dim in (*range(1, 65), 129, 200):
+        a = rng.standard_normal((dim, dim))
+        matrices += [a + a.T, 1e150 * (a + a.T), 1e-150 * (a + a.T)]
+    u = rng.standard_normal((9, 4))
+    matrices += [np.zeros((1, 1)), np.zeros((6, 6)), u @ np.diag([3.0, -2.0, 1.0, 0.5]) @ u.T]
+    for q in matrices:
+        assert pencil._spectral_norm(q) == np.linalg.norm(q, 2), q.shape
 
 
 def _eigvals_root_angles(a, b):
@@ -663,10 +680,34 @@ def test_a_qz_failure_is_a_numerical_error(monkeypatch):
     def failing(*args, **kwargs):
         return (*dggev(*args, **kwargs)[:-1], 1)  # info > 0: QZ did not converge
 
-    monkeypatch.setattr(lapack, "dggev", failing)
-    for p in (fixtures.bouquet(), fixtures.identically_singular_pair()):
-        with pytest.raises(NumericalError, match="QZ eigenvalue solver failed"):
-            degenerate_locus(p)
+    pencils = (fixtures.bouquet(), fixtures.identically_singular_pair())
+    pencil._dggev_lwork.cache_clear()
+    for warm in (False, True):
+        if warm:  # the workspace size of each dim is known: only the solve runs
+            for p in pencils:
+                degenerate_locus(p)
+        monkeypatch.setattr(lapack, "dggev", failing)
+        for p in pencils:
+            with pytest.raises(NumericalError, match="QZ eigenvalue solver failed"):
+                degenerate_locus(p)
+        monkeypatch.undo()
+
+
+def test_the_qz_workspace_query_runs_once_per_dim(monkeypatch):
+    rng = np.random.default_rng(18)
+    calls = []
+    dggev = lapack.dggev
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return dggev(*args, **kwargs)
+
+    monkeypatch.setattr(lapack, "dggev", counting)
+    for dim in (3, 7, 11):
+        degenerate_locus(fixtures.random_pencil(rng, dim))
+        calls.clear()
+        degenerate_locus(fixtures.random_pencil(rng, dim))
+        assert calls == [(dim, dim)]
 
 
 # ---------------------------------------------------------------------------
