@@ -54,7 +54,11 @@ def grid_index_profile(p: QuadraticPencil,
                        cfg: ToleranceConfig = DEFAULT_CONFIG) -> GridProfile:
     """Sample the inertia of the family at a uniform angular grid.
 
-    The grid is solved in stacks of at most AT_MANY_SLICE entries, as
+    M(theta + pi) = -M(theta), so i_plus and i_minus swap at antipodes.  When
+    the resolution R is even, grid angle i + R/2 is theta_i + pi to within an
+    ulp, and only angles 0 .. R/2 - 1 are solved: the other half takes their
+    counts swapped.  An odd R has no antipodal pairs and is solved in full.
+    The solved angles go in stacks of at most AT_MANY_SLICE entries, as
     at_many fills its own, one eigvalsh call each, so no stack grows with
     the resolution; only the eigenvalues of every member are kept.  Each
     member equals QuadraticPencil.at bit for bit, so the counts match
@@ -64,11 +68,14 @@ def grid_index_profile(p: QuadraticPencil,
     resolution = max(cfg.grid_n, 4 * dim)
     thr = cfg.tol_eig * p.scale()
     thetas = np.linspace(0.0, TWO_PI, resolution, endpoint=False).tolist()
+    solved = thetas[:resolution // 2] if resolution % 2 == 0 else thetas
     step = max(1, AT_MANY_SLICE // (dim * dim))
-    w = np.concatenate([_lapack(np.linalg.eigvalsh, p.at_many(thetas[lo:lo + step]))
-                        for lo in range(0, resolution, step)])
+    w = np.concatenate([_lapack(np.linalg.eigvalsh, p.at_many(solved[lo:lo + step]))
+                        for lo in range(0, len(solved), step)])
     plus = np.count_nonzero(w > thr, axis=1)
     minus = np.count_nonzero(w < -thr, axis=1)
+    if len(solved) < resolution:
+        plus, minus = np.concatenate((plus, minus)), np.concatenate((minus, plus))
     triples = tuple(map(shared_triple, plus.tolist(), minus.tolist(),
                         (dim - plus - minus).tolist()))
     return GridProfile(resolution, tuple(thetas), triples)

@@ -51,15 +51,30 @@ AT_MANY_SLICE = 1 << 15
 # their zero reflectors, and 0.25-0.37 from dim 33 on
 COUNT_DIM = 24
 _SAFMIN = float(np.finfo(float).tiny)
+# a pencil's entries are at most ENTRY_BOUND / dim in magnitude.  A form's
+# spectral norm is at most dim times its largest entry, so every form and
+# family member then has norm at most sqrt(2) * 2^1020, and scale() and every
+# eigenvalue stay finite (DBL_MAX is about 2^1024).  Past it scale() could
+# overflow to inf, and with it the zero band: random pencils of dims 9-16
+# with entries of 8.9e307 returned wrong Betti numbers without raising
+ENTRY_BOUND = 2.0 ** 1020
 
 
-def _as_symmetric(m, what: str) -> np.ndarray:
+def _entry_bound_error(what: str) -> InvalidInputError:
+    return InvalidInputError(f"{what} has an entry above 2^1020 / dim in magnitude")
+
+
+def _as_symmetric(m, what: str, bounded: bool = False) -> np.ndarray:
+    """m as a read-only symmetric float matrix; bounded checks the pencil
+    entry bound ENTRY_BOUND / dim."""
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidInputError(f"{what} must be a square matrix")
     largest = float(np.max(np.abs(a))) if a.size else 0.0  # nan or inf if an entry is
     if not math.isfinite(largest):
         raise InvalidInputError(f"{what} has a non-finite entry")
+    if bounded and largest > ENTRY_BOUND / len(a):
+        raise _entry_bound_error(what)
     scale = max(1.0, largest)
     if float(np.max(np.abs(a - a.T))) > TOL_SYM * scale:
         raise InvalidInputError(f"{what} is not symmetric within tolerance")
@@ -98,8 +113,8 @@ class QuadraticPencil:
     q1: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "q0", _as_symmetric(self.q0, "Q0"))
-        object.__setattr__(self, "q1", _as_symmetric(self.q1, "Q1"))
+        object.__setattr__(self, "q0", _as_symmetric(self.q0, "Q0", bounded=True))
+        object.__setattr__(self, "q1", _as_symmetric(self.q1, "Q1", bounded=True))
         if self.q0.shape != self.q1.shape:
             raise InvalidInputError("Q0 and Q1 must have equal dimensions")
         if self.dim < 1:
@@ -151,9 +166,23 @@ class QuadraticPencil:
         return (float(x @ self.q0 @ x), float(x @ self.q1 @ x))
 
     def shifted(self, c0: float, c1: float) -> "QuadraticPencil":
-        """The pencil of (q0 - c0*g, q1 - c1*g) with g the unit-sphere form."""
+        """The pencil of (q0 - c0*g, q1 - c1*g) with g the unit-sphere form.
+
+        Bit for bit QuadraticPencil(q0 - c0*I, q1 - c1*I), without its input
+        checks: the forms were checked, q - c*I stays exactly symmetric, and
+        only the diagonal moves, so only it is checked against the bound.
+        """
+        if not (math.isfinite(c0) and math.isfinite(c1)):
+            raise InvalidInputError("the shift c has a non-finite coordinate")
         eye = np.eye(self.dim)
-        return QuadraticPencil(self.q0 - c0 * eye, self.q1 - c1 * eye)
+        out = object.__new__(QuadraticPencil)
+        for name, q, c in (("q0", self.q0, c0), ("q1", self.q1, c1)):
+            form = q - c * eye
+            if np.max(np.abs(np.diagonal(form))) > ENTRY_BOUND / self.dim:
+                raise _entry_bound_error(f"{name.upper()} - c * I")
+            form.setflags(write=False)
+            object.__setattr__(out, name, form)
+        return out
 
     def to_json(self) -> dict:
         return {"n": self.n, "Q0": self.q0.tolist(), "Q1": self.q1.tolist()}

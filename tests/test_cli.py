@@ -233,6 +233,15 @@ def test_non_finite_input_exit_code(tmp_path, capsys, command, q0, c):
     assert "non-finite" in capsys.readouterr().err
 
 
+def test_an_entry_past_the_bound_exit_code(tmp_path, capsys):
+    # 1e308 is finite but above 2^1020 / dim; 0.5 * (a + a') once stored inf
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"Q0": [[1e308, 0.0], [0.0, 1.0]], "Q1": [[0.0, 1.0], [1.0, 0.0]]}))
+    code, _ = _run(tmp_path, ["betti-x", "--input", str(path)])
+    assert code == 2
+    assert "above 2^1020 / dim" in capsys.readouterr().err
+
+
 def test_unknown_fixture_exit_code(tmp_path):
     code, _ = _run(tmp_path, ["fixture", "nonexistent"])
     assert code == 2

@@ -95,6 +95,48 @@ def test_grid_agreement_fixtures():
         assert grid_profile_disagreements(prof, grid) == []
 
 
+def _grid_per_angle(p, cfg):
+    """The reference for grid_index_profile: the inertia at every grid angle,
+    each solved on its own, the second half circle too."""
+    resolution = max(cfg.grid_n, 4 * p.dim)
+    thetas = np.linspace(0.0, TWO_PI, resolution, endpoint=False).tolist()
+    return thetas, [inertia(p.at(th), cfg, scale=p.scale()) for th in thetas]
+
+
+def test_grid_solves_each_direction_once_and_equals_the_per_angle_solve(monkeypatch):
+    # an even resolution solves the first half circle and swaps i_plus and
+    # i_minus for the second; an odd one has no antipodes and solves all
+    rng = np.random.default_rng(19)
+    pencils = [fixtures.bouquet(), fixtures.complex_squaring(), fixtures.doubled_squaring(),
+               fixtures.tripled_squaring(), fixtures.padded_squaring(), fixtures.four_lines(),
+               fixtures.definite_form(4), fixtures.identically_singular_pair(),
+               *(extremal_family(n) for n in range(1, 13)),
+               *(fixtures.random_pencil(rng, d) for d in range(3, 17) for _ in range(2)),
+               fixtures.kronecker_pair(2, 3, rng), fixtures.kronecker_pair(1, 4, rng)]
+    solved = []
+    at_many = QuadraticPencil.at_many
+
+    def recorded(self, thetas):
+        solved.append(len(thetas))
+        return at_many(self, thetas)
+
+    monkeypatch.setattr(QuadraticPencil, "at_many", recorded)
+    odd = pencils[:8] + pencils[-4:]
+    for cfg, cases in ((ToleranceConfig(), pencils), (ToleranceConfig(grid_n=1999), odd)):
+        for p in cases:
+            thetas, expected = _grid_per_angle(p, cfg)
+            resolution = len(thetas)
+            for slice_size in (AT_MANY_SLICE, 8 * p.dim * p.dim):
+                monkeypatch.setattr(oracles, "AT_MANY_SLICE", slice_size)
+                solved.clear()
+                grid = grid_index_profile(p, cfg)
+                assert grid.resolution == resolution and grid.thetas == tuple(thetas)
+                assert list(grid.triples) == expected
+                assert sum(solved) == (resolution // 2 if resolution % 2 == 0 else resolution)
+                assert max(solved) <= max(1, slice_size // (p.dim * p.dim))
+            assert len(solved) > 1
+
+
 # ---------------------------------------------------------------------------
 # component sampling
 # ---------------------------------------------------------------------------

@@ -576,6 +576,77 @@ def test_pencil_rejects_non_finite_entries(bad):
             inertia(m)
 
 
+def _scaled_to(p: QuadraticPencil, top: float) -> QuadraticPencil:
+    """p times the largest factor that keeps every entry at most top."""
+    m = max(np.max(np.abs(p.q0)), np.max(np.abs(p.q1)))
+    s = top / m
+    while m * s > top:
+        s = np.nextafter(s, 0.0)
+    return QuadraticPencil(p.q0 * s, p.q1 * s)
+
+
+def test_entries_up_to_the_bound_give_the_answer_and_past_it_are_rejected():
+    # past 2^1020 / dim scale() could overflow: at the bound these pencils
+    # give their unscaled b and chi; scaled to entries of 8.9e307, seven of
+    # the twenty random ones gave wrong ones without raising
+    rng = np.random.default_rng(3)
+    pencils = [fixtures.random_pencil(rng, d) for d in (4, 6, 9, 12, 16) for _ in range(4)]
+    pencils += [fixtures.bouquet(), fixtures.four_lines(), fixtures.tripled_squaring(),
+                extremal_family(5)]
+    zero = PlanarCone.zero()
+    for p in pencils:
+        bound = pencil.ENTRY_BOUND / p.dim
+        ref = analyze(p, zero)
+        at = _scaled_to(p, bound)
+        assert max(np.max(np.abs(at.q0)), np.max(np.abs(at.q1))) >= (1 - 1e-15) * bound
+        res = analyze(at, zero)
+        assert (res.report.b, res.chi) == (ref.report.b, ref.chi)
+        past = at.q0.copy()
+        past[0, 0] = -bound
+        assert QuadraticPencil(past, past).q0[0, 0] == -bound
+        for top in (np.nextafter(bound, math.inf), 7e307, 8.9e307):
+            past[0, 0] = -top
+            with pytest.raises(InvalidInputError, match=r"Q0 has an entry above 2\^1020"):
+                QuadraticPencil(past, at.q1)
+            with pytest.raises(InvalidInputError, match=r"Q1 has an entry above 2\^1020"):
+                QuadraticPencil(at.q0, past)
+    # the spectral norm reaches dim times the largest entry, and stays finite
+    q0, q1 = np.ones((8, 8)), np.diag(np.linspace(-1.0, 1.0, 8))
+    top = QuadraticPencil(q0 * (pencil.ENTRY_BOUND / 8), q1 * (pencil.ENTRY_BOUND / 8))
+    assert top.scale() == pencil.ENTRY_BOUND
+    assert analyze(top, zero).report.b == analyze(QuadraticPencil(q0, q1), zero).report.b
+    # 0.5 * (a + a') overflowed here and stored inf
+    with pytest.raises(InvalidInputError, match=r"above 2\^1020 / dim"):
+        QuadraticPencil(np.diag([1e308, 1.0, -1.0]), np.eye(3))
+
+
+def test_shifted_equals_the_checked_constructor_bitwise():
+    rng = np.random.default_rng(5)
+    pencils = [fixtures.bouquet(), fixtures.four_lines(), extremal_family(6),
+               *(fixtures.random_pencil(rng, d) for d in (3, 5, 8))]
+    for p in pencils:
+        eye = np.eye(p.dim)
+        for c0, c1 in [(0.0, 0.0), (-0.0, 0.5), (-1.25, 3.0), (1e300, -1e-300),
+                       tuple(rng.normal(size=2))]:
+            shifted = p.shifted(c0, c1)
+            checked = QuadraticPencil(p.q0 - c0 * eye, p.q1 - c1 * eye)
+            for form, ref in ((shifted.q0, checked.q0), (shifted.q1, checked.q1)):
+                assert form.dtype == ref.dtype and form.tobytes() == ref.tobytes()
+                assert not form.flags.writeable
+            assert shifted.scale() == checked.scale()
+    p = fixtures.bouquet()
+    for c in [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)]:
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            p.shifted(*c)
+    # the bound for dim 4 is 2^1018; the diagonal of q0 is (0, 1, 0, -1)
+    big = 2.0 ** 1018
+    assert p.shifted(big, 0.0).q0[0, 0] == -big
+    for c in [(np.nextafter(big, math.inf), 0.0), (0.0, -2.0 * big),
+              (-np.finfo(float).max, 0.0), (np.finfo(float).max, 0.0)]:
+        with pytest.raises(InvalidInputError, match=r"above 2\^1020 / dim"):
+            p.shifted(*c)
+
+
 def test_a_lapack_failure_in_a_pencil_solve_is_a_numerical_error(monkeypatch):
     # the chart scan solves single matrices; the singular root filter and the
     # regularizer's chart pick and crossing checks solve stacks
