@@ -7,9 +7,9 @@ projective roots and the family's rank deficit.  The paper's small
 positive-definite shift, which makes every degenerate point simple, is a
 cross-check in quadrics.oracles.
 
-The locus is the angles of one QZ solve, used as QZ gives them; an
-identically singular family is first made regular by a random
-rank-completing perturbation.  QZ is backward stable, so a simple root
+The locus is the angles of one QZ solve, used as QZ gives them; the chart
+pair of an identically singular family is first compressed to a pair
+congruent to its regular part.  QZ is backward stable, so a simple root
 already reads as degenerate at the profile's threshold tol_eig * scale (the
 tests measure it against that); and a simple root is a sign crossing, so one
 that read as regular would break the semicontinuity check downstream rather
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg import lapack
 
 from .circle import canonical_angle
@@ -58,6 +57,9 @@ _SAFMIN = float(np.finfo(float).tiny)
 # overflow to inf, and with it the zero band: random pencils of dims 9-16
 # with entries of 8.9e307 returned wrong Betti numbers without raising
 ENTRY_BOUND = 2.0 ** 1020
+# the locus's rank decisions: a singular value of the unit-scale chart pair, or
+# of a matrix built from its orthonormal frames, counts as zero up to RANK_TOL
+RANK_TOL = 1e-8
 
 
 def _entry_bound_error(what: str) -> InvalidInputError:
@@ -68,9 +70,9 @@ def _as_symmetric(m, what: str, bounded: bool = False) -> np.ndarray:
     """m as a read-only symmetric float matrix; bounded checks the pencil
     entry bound ENTRY_BOUND / dim."""
     a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidInputError(f"{what} must be a square matrix")
-    largest = float(np.max(np.abs(a))) if a.size else 0.0  # nan or inf if an entry is
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+        raise InvalidInputError(f"{what} must be a non-empty square matrix")
+    largest = float(np.max(np.abs(a)))  # nan or inf if an entry is
     if not math.isfinite(largest):
         raise InvalidInputError(f"{what} has a non-finite entry")
     if bounded and largest > ENTRY_BOUND / len(a):
@@ -117,8 +119,6 @@ class QuadraticPencil:
         object.__setattr__(self, "q1", _as_symmetric(self.q1, "Q1", bounded=True))
         if self.q0.shape != self.q1.shape:
             raise InvalidInputError("Q0 and Q1 must have equal dimensions")
-        if self.dim < 1:
-            raise InvalidInputError("pencil dimension must be at least 1")
 
     @property
     def dim(self) -> int:
@@ -246,7 +246,7 @@ def inertia(m: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG,
     a = _as_symmetric(m, "matrix")
     w = _eigvalsh(a)
     if scale is None:
-        scale = float(np.max(np.abs(w))) if w.size else 0.0
+        scale = float(np.max(np.abs(w)))
     thr = cfg.tol_eig * scale
     plus = int(np.sum(w > thr))
     minus = int(np.sum(w < -thr))
@@ -366,8 +366,8 @@ class DegenerateLocus:
     underlying projective root; theta_pairs counts conjugate pairs of
     non-real projective roots.  rank_deficit is dim minus the family's
     normal rank: positive exactly when the determinant vanishes for every
-    angle.  Then the roots are those of the family's regular part, and
-    theta_pairs counts only its pairs, not the ones a rank completion adds.
+    angle.  Then the roots and theta_pairs are those of the family's regular
+    part.
     """
 
     points: tuple[DegeneratePoint, ...]
@@ -451,49 +451,51 @@ def _is_real(alpha: complex, beta: float) -> bool:
     return abs(alpha.imag) <= IMAG_TOL * (abs(beta) + abs(alpha.real))
 
 
-# QZ is backward stable, so an eigenvector of an order-one pair is exact for
-# a pair within about dim * eps of it; the family's own eigenvectors, which lie
-# in the completion frames' complements, leave them by that times their
-# condition, up to OWN_ROOT_BOUND.  Added ones leave them by order one.
-OWN_ROOT_BOUND = 1e4
-ADDED_ROOT_BOUND = 1e6
+def _null_space(a: np.ndarray, rank: int | None = None) -> np.ndarray:
+    """An orthonormal basis, as columns, of the vectors a maps to zero.
 
-
-def _own_nonreal_pairs(a: np.ndarray, b: np.ndarray, u: np.ndarray,
-                       rng: np.random.Generator) -> int:
-    """Conjugate pairs of non-real roots of the regular part of a singular pair.
-
-    det(a + t*b) vanishes identically with rank deficit k, and u is an
-    orthonormal dim x k frame.  With V a second random frame, a + U D_a V' and
-    b + U D_b V' are regular; their eigenvalues are the family's own, whose
-    right and left eigenvectors have V'x = 0 and U'y = 0, and added ones
-    (Hochstenbach, Mehl and Plestenjak).  The symmetric completion U = V
-    cannot tell them apart: its added eigenvalues are defective pairs whose
-    computed eigenvectors come as close to U's complement as the own ones.
-    A root whose max(|V'x| / |x|, |U'y| / |y|) lies between the bounds (in
-    units of dim * eps), or an odd own count, raises.
+    The rank is given, or it counts the singular values above RANK_TOL.
+    LAPACK's dgesdd is called directly, as in _spectral_norm.
     """
-    dim, k = u.shape
-    v = np.linalg.qr(rng.standard_normal((dim, k)))[0]
-    a = a + (u * rng.standard_normal(k)) @ v.T
-    b = b + (u * rng.standard_normal(k)) @ v.T
-    (alpha, beta), left, right = _lapack(
-        scipy.linalg.eig, a, -b, left=True, right=True, homogeneous_eigvals=True,
-        what="QZ eigenvalue")
-    ratio = np.maximum(np.linalg.norm(v.T @ right, axis=0) / np.linalg.norm(right, axis=0),
-                       np.linalg.norm(u.T @ left, axis=0) / np.linalg.norm(left, axis=0))
-    unit = dim * float(np.finfo(float).eps)
-    own = 0
-    for al, be, r in zip(alpha.tolist(), beta.real.tolist(), ratio.tolist()):
-        if _is_real(al, be):
-            continue
-        if OWN_ROOT_BOUND * unit < r < ADDED_ROOT_BOUND * unit:
-            raise NumericalError(f"non-real root of the completed pair neither own nor "
-                                 f"added: eigenvector ratio {r:.3g}")
-        own += r <= OWN_ROOT_BOUND * unit
-    if own % 2:
-        raise NumericalError(f"{own} non-real roots of a singular pencil's regular part")
-    return own // 2
+    _, s, vt, info = lapack.dgesdd(a, full_matrices=1)
+    if info != 0:
+        raise NumericalError(f"singular value solver failed: dgesdd info {info}")
+    if rank is None:
+        rank = int(np.count_nonzero(s > RANK_TOL))
+    return vt[rank:].T
+
+
+def _regular_part(m: np.ndarray, dm: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The chart pair of an identically singular family compressed to a pair
+    congruent to its regular part.
+
+    m + t*dm has rank deficit k and m its normal rank.  V grows from ker m by
+    V <- m^-1(dm V), the vectors that m maps into dm V, until its dimension
+    stops growing: it is then the right minimal reducing subspace (Van
+    Dooren, Linear Algebra Appl. 27, 1979), spanned by the coefficients of
+    the family's polynomial kernel vectors.  In the symmetric canonical form
+    (Lancaster and Rodman, SIAM Review 47, 2005) V is the L_eps side of each
+    L_eps + L_eps' block and the shared kernel, so V is isotropic for every
+    member, m V lies in dm V, and V + dm V is the whole singular part.  So
+    the vectors orthogonal to dm V are those every member pairs to zero with
+    V, the family restricted to them has V in its kernel, and compressed to
+    a complement of V there, the orthogonal complement of V + dm V, it is
+    congruent to its regular part.  That part is regular at the chart
+    origin, so a compressed m without full rank at RANK_TOL is a wrong
+    deflation, and raises.
+    """
+    v = _null_space(m, len(m) - k)
+    while True:
+        grown = _null_space(_null_space(v.T @ dm).T @ m)
+        if grown.shape[1] <= v.shape[1]:
+            break
+        v = grown
+    z = _null_space(np.vstack([v.T, v.T @ dm]))
+    m, dm = z.T @ m @ z, z.T @ dm @ z
+    if m.size and _null_space(m).size:
+        raise NumericalError(f"the regular part of a singular pencil (dim {len(m)}, rank "
+                             f"deficit {k}) is singular at the chart origin")
+    return m, dm
 
 
 def degenerate_locus(p: QuadraticPencil,
@@ -505,13 +507,9 @@ def degenerate_locus(p: QuadraticPencil,
     projective root, the one at t = infinity included.
 
     When the determinant vanishes identically, phi is where the family has
-    its normal rank dim - k, and U diag(d_a) U', U diag(d_b) U' with U a
-    random orthonormal dim x k frame complete the chart pair to a regular one
-    (Hochstenbach, Mehl and Plestenjak, SIAM J. Matrix Anal. Appl. 40, 2019).
-    Its real roots are kept where M(theta) has more than k eigenvalues within
-    1e2 * tol_eig * scale.  Its non-real roots include added ones, so
-    theta_pairs comes from a second completion that tells the family's own
-    apart by their eigenvectors (_own_nonreal_pairs).
+    its normal rank dim - k, and QZ runs on the chart pair compressed to the
+    family's regular part (_regular_part): its real roots are the locus and
+    its non-real ones the family's own.
     """
     dim = p.dim
     s = p.scale()
@@ -522,37 +520,31 @@ def degenerate_locus(p: QuadraticPencil,
 
     # a degree-(n+1) form vanishing at n+2 distinct projective points is zero,
     # so one of these angles is regular unless the determinant vanishes
-    # identically; the first angle of the largest rank is the chart's origin
-    rank = -1
+    # identically.  The first regular angle is the chart's origin; failing
+    # one, the angle of largest rank whose smallest nonzero |eigenvalue| is
+    # largest, so that the kernel the deflation starts from is well separated
+    best = (-1, 0.0)
     for i in range(dim + 1):
         t = PI * (i + 0.5) / (dim + 1)
         mt = math.cos(t) * a0 + math.sin(t) * a1
-        r = int(np.sum(np.abs(_eigvalsh(mt)) > 1e-8))
-        if r > rank:
-            rank, phi, m = r, t, mt
+        w = np.sort(np.abs(_eigvalsh(mt)))
+        r = int(np.count_nonzero(w > RANK_TOL))
+        key = (r, float(w[-r]) if r else 0.0)
+        if key > best:
+            best, phi, m = key, t, mt
             if r == dim:
                 break
-    k = dim - rank
+    k = dim - best[0]
     dm = math.cos(phi) * a1 - math.sin(phi) * a0
-    chart = (m, dm)
     if k:
-        rng = np.random.default_rng(cfg.seed)
-        u = np.linalg.qr(rng.standard_normal((dim, k)))[0]
-        m = m + (u * rng.standard_normal(k)) @ u.T
-        dm = dm + (u * rng.standard_normal(k)) @ u.T
-
-    roots, nonreal = _qz_root_angles(m, dm)
+        m, dm = _regular_part(m, dm, k)
+    roots, nonreal = _qz_root_angles(m, dm) if m.size else ([], 0)
     if nonreal % 2 != 0:
         raise NumericalError("unpaired non-real root; tolerances inconsistent")
-    proj = [(phi + r) % PI for r in roots]
-    if k:
-        w = np.abs(_eigvalsh(p.at_many(proj) / s))
-        zeros = np.sum(w <= 1e2 * cfg.tol_eig, axis=1)
-        proj = [z for z, c in zip(proj, zeros) if c > k]
-        nonreal = 2 * _own_nonreal_pairs(*chart, u, rng)
 
     points: list[DegeneratePoint] = []
-    for center, mult in _cluster_periodic(proj, PI, cluster_tol(cfg)):
+    for center, mult in _cluster_periodic([(phi + r) % PI for r in roots], PI,
+                                          cluster_tol(cfg)):
         points.append(DegeneratePoint(canonical_angle(center), mult))
         points.append(DegeneratePoint(canonical_angle(center + PI), mult))
     points.sort(key=lambda q: q.theta)

@@ -8,7 +8,7 @@ import os
 import subprocess
 import sys
 
-ANSWER_DIGEST = "53936221baf11d9682aacc1ee58370b26a6caa1a3476a686906bd0473649ed52"
+ANSWER_DIGEST = "c18f5ec718ce2837d4241049a13967e317a29fa19e8c792e11eae906755f8e3a"
 SCRIPT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                       "scripts", "answer_digest.py")
 

@@ -1,3 +1,4 @@
+import copy
 import math
 from functools import partial
 
@@ -17,6 +18,7 @@ from quadrics.config import ToleranceConfig
 from quadrics.errors import InvalidInputError, NumericalError
 from quadrics.oracles import grid_index_profile, grid_profile_disagreements, regularize
 from quadrics.pencil import (
+    DegenerateLocus,
     InertiaTriple,
     QuadraticPencil,
     degenerate_locus,
@@ -548,6 +550,13 @@ def test_pencil_rejects_mismatched_dims():
         QuadraticPencil(np.eye(3), np.eye(4))
 
 
+def test_pencil_rejects_empty_forms():
+    with pytest.raises(InvalidInputError, match="Q0 must be a non-empty square matrix"):
+        QuadraticPencil(np.zeros((0, 0)), np.zeros((0, 0)))
+    with pytest.raises(InvalidInputError, match="non-empty square matrix"):
+        inertia(np.zeros((0, 0)))
+
+
 def test_pencil_rejects_asymmetric():
     m = np.zeros((3, 3))
     m[0, 1] = 1.0
@@ -648,8 +657,9 @@ def test_shifted_equals_the_checked_constructor_bitwise():
 
 
 def test_a_lapack_failure_in_a_pencil_solve_is_a_numerical_error(monkeypatch):
-    # the chart scan solves single matrices; the singular root filter and the
-    # regularizer's chart pick and crossing checks solve stacks
+    # the chart scan solves single matrices, and the regularizer's chart pick
+    # and crossing checks solve stacks; the deflation of a singular pencil
+    # to its regular part runs dgesdd
     solve = np.linalg.eigvalsh
 
     def fail_on(ndim):
@@ -661,13 +671,23 @@ def test_a_lapack_failure_in_a_pencil_solve_is_a_numerical_error(monkeypatch):
 
     p = fixtures.random_pencil(np.random.default_rng(4), 5)
     cases = [(2, lambda: degenerate_locus(p), "eigenvalue solver failed"),
-             (3, lambda: degenerate_locus(fixtures.identically_singular_pair()),
-              "eigenvalue solver failed"),
              (3, lambda: regularize(p), "regularizing shift")]
     for ndim, call, message in cases:
         monkeypatch.setattr(np.linalg, "eigvalsh", fail_on(ndim))
         with pytest.raises(NumericalError, match=message):
             call()
+    monkeypatch.undo()
+
+    dgesdd = lapack.dgesdd
+
+    def failing(*args, **kwargs):
+        return (*dgesdd(*args, **kwargs)[:-1], 1)  # info > 0: the SVD did not converge
+
+    singular = fixtures.identically_singular_pair()
+    singular.scale()  # kept, so that only the deflation's SVDs run
+    monkeypatch.setattr(lapack, "dgesdd", failing)
+    with pytest.raises(NumericalError, match="singular value solver failed: dgesdd info 1"):
+        degenerate_locus(singular)
 
 
 def test_a_failed_spectral_norm_is_a_numerical_error(monkeypatch):
@@ -714,8 +734,8 @@ def _bits(angles):
 
 def test_qz_root_angles_equal_scipy_eigvals_bitwise(monkeypatch):
     # every pair the locus and the regularizer hand to QZ: chart pairs of
-    # random pencils, of the extremal family and of rank-completed singular
-    # pencils, and the regularizer's 2d x 2d companion pencils
+    # random pencils and of the extremal family, the regular parts of
+    # Kronecker pencils, and the regularizer's 2d x 2d companion pencils
     pairs = []
     solve = pencil._qz_root_angles
 
@@ -785,10 +805,29 @@ def test_the_qz_workspace_query_runs_once_per_dim(monkeypatch):
 # identically singular pencils: the family's own roots
 # ---------------------------------------------------------------------------
 
+def _kronecker_and_block(eps, regular_dim, rng):
+    """fixtures.kronecker_pair(eps, regular_dim, rng) and its regular block,
+    None if empty, from the same draws: the fixture draws the block first."""
+    r = copy.deepcopy(rng).standard_normal((2, regular_dim, regular_dim))
+    block = QuadraticPencil(0.5 * (r[0] + r[0].T), 0.5 * (r[1] + r[1].T)) if regular_dim else None
+    return fixtures.kronecker_pair(eps, regular_dim, rng), block
+
+
+def _assert_locus_of_block(loc, block, label):
+    """loc has the points, multiplicities and theta_pairs of block's own
+    locus, with angles within 1e-9; an empty block has no roots."""
+    own = degenerate_locus(block) if block else DegenerateLocus((), 0, 0)
+    assert loc.theta_pairs == own.theta_pairs, label
+    assert len(loc.points) == len(own.points), (label, loc.angles, own.angles)
+    for q in own.points:
+        assert any(angles_equal(pt.theta, q.theta, 1e-9) and pt.multiplicity == q.multiplicity
+                   for pt in loc.points), (label, q, loc.points)
+
+
 def test_theta_pairs_of_singular_pencils_count_only_the_regular_part():
-    # the rank completion's added roots are not the family's: a shared kernel
-    # keeps the quotient's pairs, and a Kronecker pencil whose regular block
-    # has no real root has regular_dim / 2
+    # a shared kernel keeps the quotient's pairs, a Kronecker pencil whose
+    # regular block has no real root has regular_dim / 2, and one whose block
+    # has real roots has the block's own locus, no more points
     rng = np.random.default_rng(5)
     for dim in (4, 5, 6, 8, 12, 16, 24, 32):
         for k in (1, 2):
@@ -807,31 +846,52 @@ def test_theta_pairs_of_singular_pencils_count_only_the_regular_part():
             continue
         assert loc.theta_pairs == regular_dim // 2, (eps, regular_dim)
         checked += 1
+    with_roots = 0
+    for i in range(60):
+        eps, regular_dim = int(rng.integers(1, 4)), int(rng.integers(1, 7))
+        p, block = _kronecker_and_block(eps, regular_dim, rng)
+        loc = degenerate_locus(p)
+        assert loc.rank_deficit == 1
+        _assert_locus_of_block(loc, block, (eps, regular_dim, i))
+        with_roots += bool(loc.points)
+    assert with_roots >= 40
+    # the Kronecker pencils of test_singular_pencils_under_congruence; a
+    # symmetric rank completion gave the third kronecker_pair(3, 4) 12 points
+    # more than its block's 4
+    rng = np.random.default_rng(23)
+    for eps in (1, 2, 3):
+        for regular_dim in range(6):
+            for i in range(3):
+                p, block = _kronecker_and_block(eps, regular_dim, rng)
+                loc = degenerate_locus(p)
+                _assert_locus_of_block(loc, block, (eps, regular_dim, i))
+                if (eps, regular_dim, i) == (3, 4, 2):
+                    assert len(loc.points) == 4
 
 
-def test_an_unclassifiable_root_is_a_numerical_error(monkeypatch):
-    # with no gap between the bounds' classes every non-real root of the
-    # completed pair is ambiguous: the locus raises, and no w1 is returned
-    monkeypatch.setattr(pencil, "OWN_ROOT_BOUND", 0.0)
-    monkeypatch.setattr(pencil, "ADDED_ROOT_BOUND", math.inf)
-    p = fixtures.padded_squaring()
-    with pytest.raises(NumericalError, match="neither own nor added"):
-        degenerate_locus(p)
-    with pytest.raises(NumericalError):
-        analyze(p, PlanarCone.zero())
-    assert degenerate_locus(fixtures.complex_squaring()).theta_pairs == 1  # regular
+def test_a_wrong_deflation_is_a_numerical_error(monkeypatch):
+    # rank decisions at 0.1 instead of RANK_TOL misjudge this pencil's
+    # reducing subspace; the compressed chart matrix is then singular, and
+    # the locus raises rather than read roots off it
+    rng = np.random.default_rng(1)
+    pencils = [fixtures.kronecker_pair(int(rng.integers(1, 4)), int(rng.integers(1, 6)), rng)
+               for _ in range(3)]
+    assert degenerate_locus(pencils[2]).rank_deficit == 1
+    monkeypatch.setattr(pencil, "RANK_TOL", 0.1)
+    with pytest.raises(NumericalError, match="is singular at the chart origin"):
+        degenerate_locus(pencils[2])
 
 
-@pytest.mark.parametrize("cond,known_wrong", [(1.0, []), (1e2, [(3, 4, 2)])])
+@pytest.mark.parametrize("cond,known_wrong", [(1.0, []), (1e2, [])])
 def test_singular_pencils_under_congruence(cond, known_wrong):
     # Kronecker pencils L_eps + L_eps' with a regular block of dim 0-5, and
     # shared kernels of dim 1 and 2.  Measured before w1 was read from the
     # root count, 13 of these raised at cond(T) = 1e2, each at the transport's
-    # sample cap; none raise now.  One answer is wrong without a raise, as it
-    # was before: after the congruence a second eigenvalue of the third
-    # kronecker_pair(3, 4) dips under the zero band near 0.135 rad, and the
-    # profile reads an extra zero at the locus point there, where two added
-    # roots of the completion merge
+    # sample cap; none raise now.  With a random rank completion for the
+    # regular part one answer was wrong without a raise: two added roots of
+    # the completion merged into a locus point of the third kronecker_pair(3,
+    # 4) near 0.135 rad, where after the congruence a second eigenvalue dips
+    # under the zero band.  The compression to the regular part adds no root
     rng = np.random.default_rng(23)
     pencils = [((eps, regular_dim, i), fixtures.kronecker_pair(eps, regular_dim, rng))
                for eps in (1, 2, 3) for regular_dim in range(6) for i in range(3)]
