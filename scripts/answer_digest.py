@@ -2,18 +2,17 @@
 
 One line per input: its label, then the JSON answer or the exception it
 raised.  The inputs are every named fixture and small extremal pencil under
-every cone kind, the regularized profile's breakpoints of each of them, a
-seeded sweep of random pencils of dims 3-16, random identically singular
-pencils, membership and level-set queries, and, past dim 20, three random
-pencils each at dims 24, 32 and 48, the extremal pencils for n = 20 and
-40, Kronecker-singular pencils (an L_eps + L_eps' block for eps = 1, 2, 3
-and a random regular block, after a random congruence) and the pencil
-q0 = 2 x0 x1, q1 = 2 x0 x2 under every cone kind.  An analysis answer
-carries the profile's breakpoints and rows, and the JSON and component count
-of each superlevel set; a membership answer carries the certificate's angle
-and margin.  The last line is the SHA-256 of all the
-others, so two versions of the library give the same answers when they print
-the same digest:
+every cone kind, a seeded sweep of random pencils of dims 3-16, random
+identically singular pencils, membership and level-set queries, and, past
+dim 20, three random pencils each at dims 24, 32 and 48, the extremal
+pencils for n = 20 and 40, Kronecker-singular pencils (an L_eps + L_eps'
+block for eps = 1, 2, 3 and a random regular block, after a random
+congruence) and the pencil q0 = 2 x0 x1, q1 = 2 x0 x2 under every cone
+kind.  An analysis answer carries the profile's breakpoints and rows, and
+the JSON and component count of each superlevel set; a membership answer
+carries the certificate's angle and margin.  The last line is the SHA-256
+of all the others, so two versions of the library give the same answers
+when they print the same digest:
 
     python scripts/answer_digest.py                     # this checkout
     python scripts/answer_digest.py --src OTHER/src     # another checkout
@@ -81,7 +80,6 @@ def inputs(Q):
         for kind, args in CONES:
             cone = getattr(Q.PlanarCone, kind)(*args)
             out.append((f"{name}/{kind}", lambda p=p, cone=cone: analysis(Q, p, cone)))
-        out.append((f"{name}/regularized", lambda p=p: regularized_breakpoints(Q, p)))
     rng = np.random.default_rng(SEED)
     zero = Q.PlanarCone.zero()
     for dim in range(3, 17):
@@ -137,11 +135,6 @@ def analysis(Q, p, cone):
     return data
 
 
-def regularized_breakpoints(Q, p):
-    prof = Q.oracles.regularized_profile(Q.oracles.regularize(p))
-    return prof.breakpoint_angles()
-
-
 def membership(answer):
     member, cert = answer
     return {"member": member, "kind": cert.kind, "mu": cert.mu,
@@ -163,7 +156,6 @@ def main(argv=None) -> int:
     import quadrics as Q
     import quadrics.applications  # noqa: F401  (bound as Q.applications)
     import quadrics.fixtures  # noqa: F401
-    import quadrics.oracles  # noqa: F401
 
     digest = hashlib.sha256()
     for label, thunk in inputs(Q):

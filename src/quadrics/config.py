@@ -13,8 +13,9 @@ class ToleranceConfig:
 
     tol_eig is relative: an eigenvalue of M counts as zero when its modulus is
     below tol_eig * ||M||.  tol_angle identifies angles on the circle.
-    grid_n is the oracle sampling resolution; seed drives the oracles' random
-    draws, the only ones the library makes.
+    grid_n is the oracle sampling resolution; seed drives the random draws of
+    the oracles sample_components and feasibility_sample, the only ones the
+    library makes.
     """
 
     tol_eig: float = 1e-9

@@ -14,8 +14,8 @@ class InvalidInputError(QuadricsError):
 
 
 class NumericalError(QuadricsError):
-    """A tolerance or solver failure: inconsistent samples, failed regularization,
-    eigen-solver breakdown, monodromy resolution cap exceeded."""
+    """A tolerance or solver failure: inconsistent samples, a root missing from
+    the locus, eigen-solver breakdown, monodromy resolution cap exceeded."""
 
 
 class OracleDisagreement(QuadricsError):

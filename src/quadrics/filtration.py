@@ -5,9 +5,7 @@ breakpoint of a circle domain.  The breakpoints are the family's degenerate
 locus and nothing else: the inertia is constant between consecutive roots,
 so each arc is read once, and a reading that shows a root the locus lacks
 raises NumericalError.  Superlevel sets of the positive index give the
-central filtration.  The paper's closed approximations of them, sublevel
-sets of a positively shifted family's negative index, are a cross-check in
-quadrics.oracles.  When the top superlevel set is the whole circle, the
+central filtration.  When the top superlevel set is the whole circle, the
 first Stiefel-Whitney class of its positive eigenspace bundle is the parity
 of the conjugate root pairs of the pencil's regular part; the eigenspace
 transport that measures it directly is an oracle
@@ -183,45 +181,6 @@ def _profile_steps(domain: CircleSubset, candidates: list[float],
     return sorted(steps, key=lambda step: step[0])
 
 
-def _build_profile(spectrum: FamilySpectrum, domain: CircleSubset,
-                   candidates: list[float], cfg: ToleranceConfig,
-                   mirror: bool) -> IndexProfile:
-    """The profile of spectrum's family over the domain, breakpoints among
-    the candidates: every held point and arc is read in one stacked pass.
-
-    With mirror, the family satisfies M(theta + pi) = -M(theta), and on the
-    full circle with antipodally paired breakpoints only the first half is
-    read; the second is its antipodes' values with i_plus and i_minus swapped.
-    """
-    if domain.is_empty():
-        return IndexProfile(domain)
-    ctol = cluster_tol(cfg)
-    steps = _profile_steps(domain, candidates, ctol)
-    if not steps:
-        whole, = _read_arcs(spectrum, [(0.0, TWO_PI)])
-        return IndexProfile(domain, whole=whole)
-    cuts = [c for c, _, _ in steps]
-    points = [c for c, held, _ in steps if held]
-    arcs = [arc for _, _, arc in steps if arc]
-    h = len(cuts) // 2
-    if mirror and domain.is_full() and _antipodally_paired(cuts, ctol):
-        arc_vals = _read_arcs(spectrum, arcs[:h], points[:h])
-        point_vals = [spectrum(b) for b in points[:h]]
-        arc_vals += [_antipode(v) for v in arc_vals]
-        point_vals += [_antipode(v) for v in point_vals]
-    else:
-        arc_vals = _read_arcs(spectrum, arcs, points)
-        point_vals = [spectrum(b) for b in points]
-    point_vals, arc_vals = iter(point_vals), iter(arc_vals)
-    at = tuple(next(point_vals) if held else None for _, held, _ in steps)
-    after = tuple(next(arc_vals) if arc else None for _, _, arc in steps)
-    for i, (c, v) in enumerate(zip(cuts, at)):
-        if v is not None and any(arc is not None and _exceeds(v, arc)
-                                 for arc in (after[i - 1], after[i])):
-            raise NumericalError(f"semicontinuity violated at breakpoint {c}")
-    return IndexProfile(domain, tuple(cuts), at, after)
-
-
 def index_profile(p: QuadraticPencil, domain: CircleSubset,
                   cfg: ToleranceConfig = DEFAULT_CONFIG,
                   candidates: list[float] | None = None) -> IndexProfile:
@@ -244,10 +203,36 @@ def index_profile(p: QuadraticPencil, domain: CircleSubset,
     rest are their antipodes' values swapped: 3 B/2 matrices, not 3 B.
     Custom candidates need not pair; unpaired ones are read in full.
     """
-    if candidates is None and not domain.is_empty():
+    if domain.is_empty():
+        return IndexProfile(domain)
+    if candidates is None:
         candidates = degenerate_locus(p, cfg).angles
-    return _build_profile(FamilySpectrum(p, p.scale(), cfg), domain, candidates or [],
-                          cfg, mirror=True)
+    spectrum = FamilySpectrum(p, p.scale(), cfg)
+    ctol = cluster_tol(cfg)
+    steps = _profile_steps(domain, candidates, ctol)
+    if not steps:
+        whole, = _read_arcs(spectrum, [(0.0, TWO_PI)])
+        return IndexProfile(domain, whole=whole)
+    cuts = [c for c, _, _ in steps]
+    points = [c for c, held, _ in steps if held]
+    arcs = [arc for _, _, arc in steps if arc]
+    h = len(cuts) // 2
+    if domain.is_full() and _antipodally_paired(cuts, ctol):
+        arc_vals = _read_arcs(spectrum, arcs[:h], points[:h])
+        point_vals = [spectrum(b) for b in points[:h]]
+        arc_vals += [_antipode(v) for v in arc_vals]
+        point_vals += [_antipode(v) for v in point_vals]
+    else:
+        arc_vals = _read_arcs(spectrum, arcs, points)
+        point_vals = [spectrum(b) for b in points]
+    point_vals, arc_vals = iter(point_vals), iter(arc_vals)
+    at = tuple(next(point_vals) if held else None for _, held, _ in steps)
+    after = tuple(next(arc_vals) if arc else None for _, _, arc in steps)
+    for i, (c, v) in enumerate(zip(cuts, at)):
+        if v is not None and any(arc is not None and _exceeds(v, arc)
+                                 for arc in (after[i - 1], after[i])):
+            raise NumericalError(f"semicontinuity violated at breakpoint {c}")
+    return IndexProfile(domain, tuple(cuts), at, after)
 
 
 def _exceeds(point: InertiaTriple, arc: InertiaTriple) -> bool:

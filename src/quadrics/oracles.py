@@ -4,33 +4,32 @@ Dense-grid inertia sampling cross-checks index profiles; rejection sampling
 on the sphere with union-find recovers component counts of the solution set;
 multi-start descent decides level-set feasibility with a support-function
 margin; the orientation class is measured by transporting the top positive
-eigenspace around the circle.  Nothing here shares code paths with the
-combinatorial machinery it verifies, except the paper's own cross-check:
-the closed sets where a positively shifted family omega Q - eps * p has
-negative index at most n - k (sublevel_eps), read by the profile's arc
-reader, have the Betti numbers of the superlevel sets at j = k + 1.
+eigenspace around the circle.  Exact integer arithmetic on the stored
+doubles gives the inertia of a member (exact_inertia) and the real and
+non-real root counts of the determinant (exact_locus_counts), with no
+tolerance at all.  Nothing here shares code paths with the combinatorial
+machinery it verifies.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import minimize
 from scipy.spatial import cKDTree
 
-from . import pencil
 from .applications import LevelProblem
 from .betti import AnalysisResult, analyze
-from .circle import CircleSubset, PlanarCone, canonical_angle
+from .circle import PlanarCone
 from .config import DEFAULT_CONFIG, ToleranceConfig
 from .errors import InvalidInputError, NumericalError, OracleDisagreement
-from .filtration import FiltrationReport, IndexProfile, _build_profile, sublevel
-from .pencil import (AT_MANY_SLICE, FamilySpectrum, InertiaTriple, QuadraticPencil,
-                     _cluster_periodic, _eigvalsh, _lapack, cluster_tol, degenerate_locus,
-                     shared_triple)
+from .filtration import FiltrationReport, IndexProfile
+from .pencil import AT_MANY_SLICE, InertiaTriple, QuadraticPencil, _lapack, shared_triple
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -420,183 +419,173 @@ def monodromy_refine(p: QuadraticPencil, filtration: FiltrationReport,
 
 
 # ---------------------------------------------------------------------------
-# the paper's positive-definite shift
+# exact arithmetic on the stored doubles
 # ---------------------------------------------------------------------------
+# Every double is m * 2^e, so the forms times one power of two are integer
+# matrices.  This section uses Python integers only and shares no code with
+# the pipeline.  A polynomial is a list of integer coefficients, highest
+# first, with no leading zero; the zero polynomial is the empty list.
 
-@dataclass(frozen=True)
-class RegularizedPencil:
-    """The family omega -> omega Q - epsilon * p with p a positive form.
+class ExactLocusCounts(NamedTuple):
+    """Roots of det(x Q0 + y Q1) on RP^1, counted exactly."""
 
-    p is the identity form by default; on repeated failure of the simplicity
-    checks a seeded random positive perturbation of the identity is drawn.
+    real: int  # real roots, with multiplicity
+    distinct: int  # distinct real roots
+    theta_pairs: int  # conjugate pairs of non-real roots, with multiplicity
+    square_free: bool  # every root is simple
+
+
+def _integer_matrices(*forms) -> list[list[list[int]]]:
+    """Nested lists of floats times the one power of two that makes all integers."""
+    ratios = [[[v.as_integer_ratio() for v in row] for row in f] for f in forms]
+    den = max(d for f in ratios for row in f for _, d in row)
+    return [[[n * (den // d) for n, d in row] for row in f] for f in ratios]
+
+
+def _integer_inertia(m: list[list[int]]) -> tuple[int, int, int]:
+    """(i_plus, i_minus, i_zero) of a symmetric integer matrix.
+
+    Symmetric elimination: a nonzero diagonal entry b = m[i][i] is a 1 x 1
+    pivot; with the diagonal all zero, an entry b = m[i][j] != 0 is the pivot
+    block [[0, b], [b, 0]], with one positive and one negative eigenvalue.
+    By Haynsworth the rest is the inertia of the Schur complement
+    m_rc - (m_ri m_jc + m_rj m_ic) / ((1 + [i = j]) b), kept integer by
+    multiplying it with (1 + [i = j]) |b| and dividing it by its content.
     """
+    dim, plus, minus = len(m), 0, 0
+    while m:
+        i, j = next(((i, i) for i in range(len(m)) if m[i][i]), None) or next(
+            ((i, j) for i, row in enumerate(m) for j, v in enumerate(row) if v), (-1, -1))
+        if i < 0:
+            break
+        b = m[i][j]
+        plus, minus = plus + (b > 0 or i != j), minus + (b < 0 or i != j)
+        f, sign = (1 + (i == j)) * abs(b), (1 if b > 0 else -1)
+        rest = [r for r in range(len(m)) if r not in (i, j)]
+        m = [[f * m[r][c] - sign * (m[r][i] * m[j][c] + m[r][j] * m[i][c]) for c in rest]
+             for r in rest]
+        g = math.gcd(*(v for row in m for v in row))
+        m = [[v // g for v in row] for row in m] if g > 1 else m
+    return plus, minus, dim - plus - minus
 
-    pencil: QuadraticPencil
-    epsilon: float
-    shift: np.ndarray  # the positive-definite form p (matrix)
-    breakpoints: tuple[float, ...]
 
-    def at(self, theta: float) -> np.ndarray:
-        return self.pencil.at(theta) - self.epsilon * self.shift
-
-    def at_many(self, thetas) -> np.ndarray:
-        stack = self.pencil.at_many(thetas)
-        stack -= self.epsilon * self.shift
-        return stack
+def exact_inertia(p: QuadraticPencil, x: float, y: float) -> tuple[int, int, int]:
+    """(i_plus, i_minus, i_zero) of x Q0 + y Q1 for the stored doubles, exactly."""
+    a0, a1, ((u, v),) = _integer_matrices(p.q0.tolist(), p.q1.tolist(), [[float(x), float(y)]])
+    return _integer_inertia([[u * s + v * t for s, t in zip(r0, r1)] for r0, r1 in zip(a0, a1)])
 
 
-def _regularized_root_angles(p: QuadraticPencil, eps: float, shift: np.ndarray,
-                             cfg: ToleranceConfig) -> list[tuple[float, int]]:
-    """Clustered roots of det(omega Q - eps*shift) on the full circle.
+def _bareiss_det(m: list[list[int]]) -> int:
+    """The determinant of an integer matrix by fraction-free elimination."""
+    m = [row[:] for row in m]
+    sign, prev = 1, 1
+    for k in range(len(m) - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, len(m)) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap], sign = m[swap], m[k], -sign
+        pk, mk = m[k][k], m[k]
+        for row in m[k + 1:]:
+            rk = row[k]
+            row[k + 1:] = [(pk * a - rk * b) // prev for a, b in zip(row[k + 1:], mk[k + 1:])]
+        prev = pk
+    return sign * m[-1][-1]
 
-    Uses a half-angle chart centered away from any root: with
-    theta = phi0 + 2*atan(u), (1+u^2) * (M(theta(u)) - eps*shift) is the
-    quadratic matrix polynomial A0 + u*A1 + u^2*A2 with A0 = M(phi0) - eps*shift,
-    A1 = 2*M(phi0 + pi/2) and A2 = -M(phi0) - eps*shift.  QZ on its 2d x 2d
-    companion pencil [[A1, A0], [-I, 0]] + u*[[A2, 0], [0, I]] finds every
-    root; spurious ones are pruned downstream against the actual spectrum.
+
+def _trim(a: list[int]) -> list[int]:
+    return a[next((i for i, c in enumerate(a) if c), len(a)):]
+
+
+def _primitive(a: list[int]) -> list[int]:
+    """a divided by its content, which is positive, so no sign changes."""
+    g = math.gcd(*a)
+    return [c // g for c in a] if g > 1 else a
+
+
+def _derivative(a: list[int]) -> list[int]:
+    return _trim([c * (len(a) - 1 - i) for i, c in enumerate(a[:-1])])
+
+
+def _remainder(a: list[int], b: list[int]) -> list[int]:
+    """A positive multiple of the remainder of a by b.
+
+    The remainder by b is the remainder by -b, so b is taken with a positive
+    leading coefficient l and each step multiplies by l.  A negative l would
+    flip the sign of a Sturm sequence's next term, and its count.
     """
-    dim = p.dim
-    scale = max(p.scale(), eps)
-    a0, a1 = p.q0 / scale, p.q1 / scale
-    sh = (eps / scale) * shift
-
-    # pick a chart center whose antipode is far from singular
-    cands = (0.123456, 0.987654, 1.543210, 2.246810, 0.555555)
-    m = p.at_many([t + PI for t in cands]) / scale - sh
-    gaps = np.min(np.abs(_eigvalsh(m)), axis=1)
-    phi0 = cands[int(np.argmax(gaps))]
-
-    c, s = math.cos(phi0), math.sin(phi0)
-    m0 = c * a0 + s * a1
-    eye, zero = np.eye(dim), np.zeros((dim, dim))
-    roots, _ = pencil._qz_root_angles(
-        np.block([[2.0 * (c * a1 - s * a0), m0 - sh], [-eye, zero]]),
-        np.block([[-m0 - sh, zero], [zero, eye]]))
-    angles = [canonical_angle(phi0 + 2.0 * r) for r in roots]
-    return _cluster_periodic(angles, TWO_PI, cluster_tol(cfg))
+    b = b if b[0] > 0 else [-c for c in b]
+    while len(a) >= len(b):
+        a = _trim([b[0] * u - a[0] * v for u, v in zip(a[1:], b[1:] + [0] * len(a))])
+    return a
 
 
-def _validate_regularization(p: QuadraticPencil, eps: float, shift: np.ndarray,
-                             clusters: list[tuple[float, int]],
-                             cfg: ToleranceConfig) -> tuple[float, ...] | None:
-    """Prune roots to crossings, then verify simplicity and unit index jumps."""
-    eye_term = eps * shift
-    thr_scale = cfg.tol_eig * max(p.scale(), eps)
-    # a nearly real pair of non-real roots passes as real; drop every QZ
-    # cluster centre at which the spectrum does not actually cross zero
-    # (the caller's root-count accounting guards against over-pruning)
-    genuine: list[tuple[float, int]] = []
-    if clusters:
-        gaps = np.min(np.abs(_eigvalsh(
-            p.at_many([z for z, _ in clusters]) - eye_term)), axis=1)
-        genuine = [(z, mult) for gap, (z, mult) in zip(gaps, clusters)
-                   if gap <= 1e2 * thr_scale]
-    if any(mult != 1 for _, mult in genuine):
+def _quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b when b divides a; integer when b is primitive, by Gauss's lemma."""
+    a, q = a[:], []
+    for i in range(len(a) - len(b) + 1):
+        q.append(a[i] // b[0])
+        for j, c in enumerate(b):
+            a[i + j] -= q[-1] * c
+    return q
+
+
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """A primitive greatest common divisor, by primitive remainders."""
+    while b:
+        a, b = b, _primitive(_remainder(a, b))
+    return _primitive(a)
+
+
+def _sturm_count(g: list[int]) -> int:
+    """Distinct real roots of a square-free g, by Sturm's theorem."""
+    seq = [g, _derivative(g)]
+    while len(seq[-1]) > 1:
+        seq.append(_primitive([-c for c in _remainder(seq[-2], seq[-1])]))
+    top = [s[0] > 0 for s in seq if s]  # signs at +infinity
+    bottom = [(s[0] > 0) == (len(s) % 2 == 1) for s in seq if s]  # and at -infinity
+    return sum(map(operator.ne, bottom, bottom[1:])) - sum(map(operator.ne, top, top[1:]))
+
+
+def exact_locus_counts(p: QuadraticPencil) -> ExactLocusCounts | None:
+    """The roots of det(x Q0 + y Q1) for the stored doubles, counted exactly.
+
+    f(t) = det(t A0 + A1), A0 and A1 the integer forms, is interpolated from
+    its Bareiss determinants at t = 0 .. dim in Newton's form, whose
+    coefficients are integers.  Yun's square-free factors g_1, g_2, ... of f,
+    f = c g_1 g_2^2 g_3^3 ..., and a Sturm count of each give its real roots
+    with multiplicity; the degree f lacks below dim is the root at infinity.
+    None when the determinant vanishes identically.
+    """
+    a0, a1 = _integer_matrices(p.q0.tolist(), p.q1.tolist())
+    dim = len(a0)
+    diffs = [_bareiss_det([[t * u + v for u, v in zip(r0, r1)] for r0, r1 in zip(a0, a1)])
+             for t in range(dim + 1)]
+    newton = []  # the k-th forward difference at 0, over k!
+    for k in range(dim + 1):
+        newton.append(diffs[0] // math.factorial(k))
+        diffs = [v - u for u, v in zip(diffs, diffs[1:])]
+    f = [newton[-1]]  # f = newton[0] + t (newton[1] + (t - 1) (newton[2] + ...))
+    for k in range(dim - 1, -1, -1):
+        f = [a - k * b for a, b in zip([*f, 0], [0, *f])]
+        f[-1] += newton[k]
+    f = _trim(f)
+    if not f:
         return None
-    # cluster centres are more than cluster_tol >= 10 * tol_angle apart
-    crossings = sorted(z for z, _ in genuine)
-    if not crossings:
-        return ()
-    # each crossing and the midpoint of the arc after it, in one stacked solve
-    ends = crossings[1:] + [crossings[0] + TWO_PI]
-    probes = [t for z, z_next in zip(crossings, ends) for t in (z, 0.5 * (z + z_next))]
-    w = _eigvalsh(p.at_many(probes) - eye_term)
-    minus = []
-    for wz, wm in zip(w[0::2], w[1::2]):
-        if int(np.sum(np.abs(wz) <= 1e2 * thr_scale)) != 1:
-            return None
-        if float(np.min(np.abs(wm))) <= 1e2 * thr_scale:
-            return None
-        minus.append(int(np.sum(wm < 0.0)))
-    for i in range(len(minus)):
-        if abs(minus[i] - minus[i - 1]) != 1:
-            return None
-    return tuple(crossings)
-
-
-def regularize(p: QuadraticPencil,
-               cfg: ToleranceConfig = DEFAULT_CONFIG) -> RegularizedPencil:
-    """Choose a shift size that makes the degenerate locus simple.
-
-    Starts from a size scaled to the pencil and to the smallest gap of its
-    locus, and halves until the shifted family has only simple roots with
-    inertia jumps of exactly one.  The positive form is the identity; if
-    every halving fails, a seeded random positive perturbation of the
-    identity is tried.
-    """
-    dim = p.dim
-    s = p.scale()
-    if s == 0.0:
-        raise NumericalError("zero pencil cannot be regularized")
-    locus = degenerate_locus(p, cfg)
-    # Root-count accounting against the original locus.  With simple original
-    # roots each contributes exactly one crossing of the shifted family, so
-    # any deficit means the shift exceeds the height of an eigenvalue bump
-    # between two roots (a lost component) and any surplus means a positive
-    # eigenvalue dips below the shift without vanishing (a fake cut); both
-    # violate the spectrum separation the shift must preserve.  Multiple
-    # roots split into several crossings, so only the lower bound applies.
-    if locus.identically_singular:
-        expected_roots, exact_count = None, False
-    else:
-        expected_roots = len(locus.points)
-        exact_count = all(pt.multiplicity == 1 for pt in locus.points)
-    angs = locus.angles
-    gaps = [(b - a) % TWO_PI for a, b in zip(angs, angs[1:] + angs[:1])]
-    gap = min([d for d in gaps if d > 0], default=TWO_PI)
-    eps0 = max(s * min(1e-4, gap / 16.0), s * 1e-8)
-
-    rng = np.random.default_rng(cfg.seed)
-    shift = np.eye(dim)
-    for trial in range(3):
-        eps = eps0
-        for _ in range(36):
-            try:
-                clusters = _regularized_root_angles(p, eps, shift, cfg)
-            except NumericalError:
-                eps *= 0.5
-                continue
-            bp = _validate_regularization(p, eps, shift, clusters, cfg)
-            if bp is not None and (expected_roots is None or (
-                    len(bp) >= expected_roots
-                    and (not exact_count or len(bp) == expected_roots))):
-                return RegularizedPencil(p, eps, shift, bp)
-            eps *= 0.5
-        # crossings of a shifted multiple eigenvalue are separated by the
-        # spread of the perturbation's spectrum times the shift size, so the
-        # perturbation must be generous to clear the clustering tolerance
-        perturb = rng.standard_normal((dim, dim))
-        perturb = 0.5 * (perturb + perturb.T)
-        shift = np.eye(dim) + 0.3 * perturb / max(1.0, float(np.linalg.norm(perturb, 2)))
-        if float(np.min(_eigvalsh(shift))) <= 0.1:
-            shift = np.eye(dim)
-    raise NumericalError("failed to find a regularizing shift size")
-
-
-def regularized_profile(reg: RegularizedPencil,
-                        cfg: ToleranceConfig = DEFAULT_CONFIG) -> IndexProfile:
-    """Profile of the shifted family omega Q - eps * p over the full circle.
-
-    The breakpoints are the shift's crossings, read by index_profile's
-    builder with the family's scale max(scale, |family at 0|).  The family
-    is not antisymmetric, so no half is mirrored.
-    """
-    scale = max(reg.pencil.scale(), float(np.linalg.norm(reg.at(0.0), 2)))
-    return _build_profile(FamilySpectrum(reg, scale, cfg), CircleSubset.full_circle(),
-                          list(reg.breakpoints), cfg, mirror=False)
-
-
-def sublevel_eps(p: QuadraticPencil, k: int, cfg: ToleranceConfig = DEFAULT_CONFIG,
-                 reg: RegularizedPencil | None = None) -> CircleSubset:
-    """The closed set where the shifted family has negative index at most n - k.
-
-    For a small enough shift this has the same first two Betti numbers as the
-    open superlevel set at j = k + 1.
-    """
-    if reg is None:
-        reg = regularize(p, cfg)
-    return sublevel(regularized_profile(reg, cfg), p.n - k)
+    df = _derivative(f)  # Yun's algorithm
+    a = _gcd(f, df)
+    factors, b, c = [], _quotient(f, a), _quotient(df, a)
+    while len(b) > 1:
+        db = _derivative(b)
+        n = max(len(c), len(db))
+        d = _trim([u - v for u, v in zip([0] * (n - len(c)) + c, [0] * (n - len(db)) + db)])
+        factors.append(_gcd(b, d))
+        b, c = _quotient(b, factors[-1]), _quotient(d, factors[-1])
+    roots = [_sturm_count(g) if len(g) > 1 else 0 for g in factors]
+    finite = sum(i * r for i, r in enumerate(roots, 1))
+    infinite = dim + 1 - len(f)
+    return ExactLocusCounts(finite + infinite, sum(roots) + (infinite > 0),
+                            (len(f) - 1 - finite) // 2, len(factors) <= 1 and infinite <= 1)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@
 The central object is the family omega -> cos(theta) Q0 + sin(theta) Q1.
 This module computes inertia triples and the degenerate locus: the angles
 where the family drops rank, with multiplicities, the count of non-real
-projective roots and the family's rank deficit.  The paper's small
-positive-definite shift, which makes every degenerate point simple, is a
-cross-check in quadrics.oracles.
+projective roots and the family's rank deficit.  An exact-arithmetic count
+of the same roots, and the exact inertia of a member, are references in
+quadrics.oracles.
 
 The locus is the angles of one QZ solve, used as QZ gives them; the chart
 pair of an identically singular family is first compressed to a pair
@@ -300,19 +300,19 @@ def _sturm_inertia(stack: np.ndarray, scale: float,
 
 
 class FamilySpectrum:
-    """Inertia of one symmetric family on the circle, memoized by angle.
+    """Inertia of a pencil's family on the circle, memoized by angle.
 
-    family is a QuadraticPencil, or anything else whose at_many(thetas)
-    stacks exactly symmetric members, so no member is re-validated.  Every
-    request solves the angles it has not seen before in one stacked pass.
-    Eigenvalues within cfg.tol_eig * scale of zero count as zero, as in
-    inertia() with the family's scale.  Members of dimension COUNT_DIM and
-    up are counted by _sturm_inertia, smaller ones by one stacked eigvalsh
-    call.
+    QuadraticPencil.at_many stacks exactly symmetric members, so no member
+    is re-validated.  Every request solves the angles it has not seen
+    before in one stacked pass.  Eigenvalues within cfg.tol_eig * scale of
+    zero count as zero, as in inertia() with the family's scale.  Members of
+    dimension COUNT_DIM and up are counted by _sturm_inertia, smaller ones by
+    one stacked eigvalsh call.
     """
 
-    def __init__(self, family, scale: float, cfg: ToleranceConfig = DEFAULT_CONFIG):
-        self.family = family
+    def __init__(self, p: QuadraticPencil, scale: float,
+                 cfg: ToleranceConfig = DEFAULT_CONFIG):
+        self.pencil = p
         self.scale = scale
         self.thr = cfg.tol_eig * scale
         self._triples: dict[float, InertiaTriple] = {}
@@ -322,7 +322,7 @@ class FamilySpectrum:
         todo = [t for t in dict.fromkeys(thetas) if t not in self._triples]
         if not todo:
             return
-        stack = self.family.at_many(todo)
+        stack = self.pencil.at_many(todo)
         dim = stack.shape[1]
         if dim >= COUNT_DIM:
             plus, minus = _sturm_inertia(stack, self.scale, self.thr)
@@ -387,11 +387,11 @@ class DegenerateLocus:
         return sum(p.multiplicity for p in self.points) // 2
 
 
-def _cluster_periodic(values: list[float], period: float, tol: float) -> list[tuple[float, int]]:
-    """Cluster near-equal values on a circle of the given period."""
+def _cluster_periodic(values: list[float], tol: float) -> list[tuple[float, int]]:
+    """Cluster near-equal values modulo pi, the period of projective directions."""
     if not values:
         return []
-    vals = sorted(v % period for v in values)
+    vals = sorted(v % PI for v in values)
     clusters: list[list[float]] = [[vals[0]]]
     for v in vals[1:]:
         if v - clusters[-1][-1] <= tol:
@@ -399,10 +399,10 @@ def _cluster_periodic(values: list[float], period: float, tol: float) -> list[tu
         else:
             clusters.append([v])
     # wraparound: last cluster may continue into the first
-    if len(clusters) > 1 and (vals[0] + period) - clusters[-1][-1] <= tol:
+    if len(clusters) > 1 and (vals[0] + PI) - clusters[-1][-1] <= tol:
         first = clusters.pop(0)
-        clusters[-1].extend(v + period for v in first)
-    return [(sum(c) / len(c) % period, len(c)) for c in clusters]
+        clusters[-1].extend(v + PI for v in first)
+    return [(sum(c) / len(c) % PI, len(c)) for c in clusters]
 
 
 def cluster_tol(cfg: ToleranceConfig) -> float:
@@ -543,8 +543,7 @@ def degenerate_locus(p: QuadraticPencil,
         raise NumericalError("unpaired non-real root; tolerances inconsistent")
 
     points: list[DegeneratePoint] = []
-    for center, mult in _cluster_periodic([(phi + r) % PI for r in roots], PI,
-                                          cluster_tol(cfg)):
+    for center, mult in _cluster_periodic([(phi + r) % PI for r in roots], cluster_tol(cfg)):
         points.append(DegeneratePoint(canonical_angle(center), mult))
         points.append(DegeneratePoint(canonical_angle(center + PI), mult))
     points.sort(key=lambda q: q.theta)

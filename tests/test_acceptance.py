@@ -46,10 +46,9 @@ from quadrics.oracles import (
     FEAS_TOL,
     feasibility_sample,
     monodromy_refine,
-    regularize,
     sample_components,
 )
-from quadrics.pencil import degenerate_locus, inertia, sylvester_check
+from quadrics.pencil import degenerate_locus, sylvester_check
 
 PI = math.pi
 TWO_PI = 2 * math.pi
@@ -342,23 +341,17 @@ def test_criterion_11_property_suites():
         assert sylvester_check(a + a.T, t)
         done += 1
 
-    # unit jumps of the negative index after regularization, 200 pencils
+    # unit jumps of the negative index across every simple root, 200 pencils
     for k in range(200):
         rng2 = np.random.default_rng(2000 + k)
         dim = int(rng2.integers(2, 9))
         p = fixtures.random_pencil(rng2, dim)
-        reg = regularize(p)
-        bps = reg.breakpoints
-        if not bps:
-            continue
-        vals = []
-        for i in range(len(bps)):
-            lo = bps[i]
-            hi = bps[(i + 1) % len(bps)] + (TWO_PI if i == len(bps) - 1 else 0.0)
-            vals.append(inertia(reg.at(0.5 * (lo + hi)),
-                                scale=max(p.scale(), reg.epsilon)).i_minus)
-        for i in range(len(vals)):
-            assert abs(vals[i] - vals[i - 1]) == 1
+        locus = degenerate_locus(p)
+        after = index_profile(p, FULL).after
+        assert len(after) == len(locus.points)
+        for i, pt in enumerate(locus.points):
+            if pt.multiplicity == 1:
+                assert abs(after[i].i_minus - after[i - 1].i_minus) == 1
 
     # exact-sequence rank identity on 1000 nested pairs
     rnd = random.Random(311)

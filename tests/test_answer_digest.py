@@ -8,7 +8,7 @@ import os
 import subprocess
 import sys
 
-ANSWER_DIGEST = "c18f5ec718ce2837d4241049a13967e317a29fa19e8c792e11eae906755f8e3a"
+ANSWER_DIGEST = "3b0060947cd67f228dbde475cb820e96518ec64c1e888df344189b1188970e29"
 SCRIPT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                       "scripts", "answer_digest.py")
 

@@ -19,7 +19,8 @@ from quadrics.betti import (
 )
 from quadrics.circle import PlanarCone
 from quadrics.errors import InvalidInputError, NumericalError
-from quadrics.oracles import grid_index_profile, grid_profile_disagreements, stiefel_whitney
+from quadrics.oracles import (exact_locus_counts, grid_index_profile, grid_profile_disagreements,
+                              stiefel_whitney)
 from quadrics.pencil import QuadraticPencil, degenerate_locus
 
 PI = math.pi
@@ -320,6 +321,27 @@ def test_bounds_four_lines():
     rep = betti_x(build_table(fixtures.four_lines(), ZERO))
     assert rep.total == 6 == 2 * 3
     assert check_bounds(rep) == []
+
+
+def test_for_odd_n_only_a_singular_x_attains_2n():
+    # the paper's sharpness claim for odd n.  X is smooth exactly when the
+    # determinant's roots are simple, checked on the stored doubles.
+    # four_lines (n = 3) attains 2n and its exact determinant has double
+    # roots; perturbations of extremal_family(n) by 1e-3 have an exactly
+    # square-free determinant and stay below 2n
+    p = fixtures.four_lines()
+    assert not exact_locus_counts(p).square_free
+    assert betti_x(build_table(p, ZERO)).total == 6
+    rng = np.random.default_rng(5)
+    for n in (3, 5, 7):
+        p = extremal_family(n)
+        for _ in range(10):
+            a, b = rng.standard_normal((2, n + 1, n + 1))
+            q = QuadraticPencil(p.q0 + 5e-4 * (a + a.T), p.q1 + 5e-4 * (b + b.T))
+            assert exact_locus_counts(q).square_free, n
+            rep = betti_x(build_table(q, ZERO))
+            assert rep.total < 2 * n, (n, rep.b)
+            assert check_bounds(rep, smooth=True) == [], n
 
 
 def test_bounds_smooth_per_degree():

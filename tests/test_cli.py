@@ -322,7 +322,7 @@ def test_shared_parser_leaks_no_state_between_runs(tmp_path):
 
 
 def test_epsilon_flag_is_rejected(tmp_path):
-    # no subcommand reaches the regularizer, so the shift-size flag is gone
+    # no subcommand takes a shift size
     inp = _write_problem(tmp_path, fixtures.bouquet())
     with pytest.raises(SystemExit) as exc:
         run(["betti-x", "--input", inp, "--epsilon", "0.01"])

@@ -29,7 +29,7 @@ from quadrics.filtration import (
     sublevel,
     superlevel,
 )
-from quadrics.oracles import regularize, regularized_profile, stiefel_whitney, sublevel_eps
+from quadrics.oracles import exact_inertia, exact_locus_counts, stiefel_whitney
 from quadrics.pencil import (
     FamilySpectrum,
     QuadraticPencil,
@@ -299,7 +299,7 @@ def test_grid_agreement_random():
 
 def _range_rule_profiles():
     """Every cone on the eight named fixtures, extremal_family(1..11) and 60
-    random pencils of dims 2-16, then the fixtures' shifted families."""
+    random pencils of dims 2-16."""
     rng = np.random.default_rng(5)
     pencils = [make() for make in SIX_FIXTURES]
     pencils += [fixtures.identically_singular_pair(), fixtures.definite_form(3)]
@@ -308,9 +308,6 @@ def _range_rule_profiles():
     for p in pencils:
         for cone in ALL_CONES:
             yield p, index_profile(p, omega_set(cone))
-    for make in SIX_FIXTURES:
-        p = make()
-        yield p, regularized_profile(regularize(p))
 
 
 def _held_items(prof, keep):
@@ -375,41 +372,99 @@ def test_root_free_block_shifts_the_filtration_up_by_one():
 
 
 # ---------------------------------------------------------------------------
-# sublevel sets of the shifted family
+# the profile against exact arithmetic on the stored doubles
 # ---------------------------------------------------------------------------
 
-def test_bouquet_sublevel_matches_superlevel():
+def test_bouquet_superlevel_matches_exact_inertia():
+    # the bouquet's one root is the exact direction (0, 1); there, at its
+    # antipode and at both arcs' midpoints the profile is the exact inertia,
+    # and Omega^2 is the circle without the two points
     p = fixtures.bouquet()
-    reg = regularize(p)
-    s = sublevel_eps(p, 1, reg=reg)
-    assert betti_circle(s)[0] == 2
-    assert betti_circle(s) == betti_circle(superlevel(index_profile(p, FULL), 2))
+    prof = index_profile(p, FULL)
+    assert [v for _, v in _points(prof)] == [exact_inertia(p, 0.0, 1.0),
+                                             exact_inertia(p, 0.0, -1.0)]
+    for arc, v in _arcs(prof):
+        mid = 0.5 * (arc.start + arc.end)
+        assert v == exact_inertia(p, math.cos(mid), math.sin(mid))
+    assert betti_circle(superlevel(prof, 2)) == (2, 0)
 
 
-def test_sublevel_full_and_empty_levels():
-    p = fixtures.bouquet()
-    reg = regularize(p)
-    # k with superlevel(k+1) = domain
-    assert sublevel_eps(p, 0, reg=reg).is_full()
-    # k with superlevel(k+1) = empty
-    assert sublevel_eps(p, 3, reg=reg).is_empty()
-
-
-def test_sublevel_betti_equals_superlevel_betti_random():
-    # random pencils, then the multiple roots and singular families of the
-    # named fixtures, a definite form and the extremal family
+def _random_and_named_pencils():
+    """(pencil, whether its stored doubles are the intended input): random
+    pencils of dims 2-6, the named fixtures, a definite form and the
+    extremal family."""
     rng = np.random.default_rng(9)
-    pencils = [fixtures.random_pencil(rng, int(rng.integers(2, 7))) for _ in range(200)]
-    pencils += [make() for make in SIX_FIXTURES]
-    pencils += [fixtures.identically_singular_pair(), fixtures.definite_form(3)]
-    pencils += [extremal_family(n) for n in range(1, 9)]
-    for p in pencils:
-        reg = regularize(p)
+    pencils = [(fixtures.random_pencil(rng, int(rng.integers(2, 7))), False)
+               for _ in range(200)]
+    pencils += [(make(), True) for make in SIX_FIXTURES]
+    pencils += [(fixtures.identically_singular_pair(), True), (fixtures.definite_form(3), True)]
+    pencils += [(extremal_family(n), False) for n in range(1, 9)]
+    return pencils
+
+
+def _random_pencils_at_dims_7_and_9():
+    """12 random pencils each at dims 7 and 9, drawn from seeds whose
+    eigenvalue curves have bumps and dips close to zero between roots."""
+    pencils = []
+    for seed, take_dim in ((4 * 7919, 7), (8 * 7919, 9)):
+        rng = np.random.default_rng(seed)
+        drawn = []
+        while len(drawn) < 12:
+            dim = int(rng.integers(2, 11))
+            p = fixtures.random_pencil(rng, dim)
+            if dim == take_dim:
+                drawn.append(p)
+        pencils += [(p, False) for p in drawn]
+    return pencils
+
+
+def _check_profile_against_exact_arithmetic(pencils):
+    """Every arc of the full-circle profile reads the exact inertia of the
+    stored doubles at its midpoint.  The float locus counts the exact roots
+    where the input is exact or both loci are simple; where only the exact
+    one is, a rounded multiple root may be clustered, and the counts with
+    multiplicity still agree.  Where every root is simple the closed sublevel
+    set {i_minus <= n - k} is the closure of the open superlevel set
+    {i_plus >= k + 1}, so their Betti numbers agree.  Returns the number of
+    arcs checked and of pencils with only simple roots."""
+    arcs = simple = 0
+    for p, exact_input in pencils:
         prof = index_profile(p, FULL)
-        for k in range(0, p.dim):
-            closed = sublevel_eps(p, k, reg=reg)
-            open_ = superlevel(prof, k + 1)
-            assert betti_circle(closed) == betti_circle(open_), (p.dim, k)
+        values = [(0.0, prof.whole)] if not prof.cuts else \
+            [(0.5 * (arc.start + arc.end), v) for arc, v in _arcs(prof)]
+        for mid, v in values:
+            assert v == exact_inertia(p, math.cos(mid), math.sin(mid)), (p.dim, mid)
+            arcs += 1
+        locus = degenerate_locus(p)
+        counts = exact_locus_counts(p)
+        if counts is None:
+            assert locus.identically_singular
+            continue
+        found = (locus.real_projective_count(), len(locus.points) // 2, locus.theta_pairs)
+        if exact_input or (counts.square_free and
+                           all(pt.multiplicity == 1 for pt in locus.points)):
+            assert found == counts[:3], (p.dim, found, counts)
+        elif counts.square_free:
+            assert (found[0], found[2]) == (counts.real, counts.theta_pairs), p.dim
+        if counts.square_free and all(pt.multiplicity == 1 for pt in locus.points):
+            simple += 1
+            for k in range(p.dim):
+                closed = sublevel(prof, p.n - k)
+                open_ = superlevel(prof, k + 1)
+                assert betti_circle(closed) == betti_circle(open_), (p.dim, k)
+    return arcs, simple
+
+
+def test_profile_arcs_equal_exact_inertia():
+    arcs, simple = _check_profile_against_exact_arithmetic(_random_and_named_pencils())
+    assert arcs > 900
+    assert simple >= 200
+
+
+def test_profile_arcs_equal_exact_inertia_at_dims_7_and_9():
+    arcs, simple = _check_profile_against_exact_arithmetic(_random_pencils_at_dims_7_and_9())
+    assert arcs > 100
+    assert simple == 24
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,12 @@ from quadrics.circle import Arc, CircleSubset, PlanarCone, canonical_angle, omeg
 from quadrics.config import ToleranceConfig
 from quadrics.errors import InvalidInputError, NumericalError, OracleDisagreement
 from quadrics.filtration import IndexProfile, filtration_report, index_profile
-from quadrics.pencil import AT_MANY_SLICE, InertiaTriple, QuadraticPencil, inertia
+from quadrics.pencil import AT_MANY_SLICE, InertiaTriple, QuadraticPencil, degenerate_locus, inertia
 from quadrics.oracles import (
     FEAS_TOL,
     GridProfile,
+    exact_inertia,
+    exact_locus_counts,
     feasibility_sample,
     grid_index_profile,
     grid_profile_disagreements,
@@ -612,3 +614,95 @@ def test_grid_check_on_cell_ends_and_domain_endpoints():
             _checked(profile, GridProfile(len(thetas), tuple(thetas), true))
             wrong = (InertiaTriple(p.dim, 0, 0),) * len(thetas)
             assert _checked(profile, GridProfile(len(thetas), tuple(thetas), wrong))
+
+
+# ---------------------------------------------------------------------------
+# exact arithmetic
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("make,counts", [
+    (fixtures.bouquet, (4, 1, 0, False)),
+    (fixtures.four_lines, (4, 2, 0, False)),
+    (fixtures.complex_squaring, (0, 0, 1, True)),
+    (fixtures.doubled_squaring, (0, 0, 2, False)),
+    (lambda: fixtures.definite_form(3), (3, 1, 0, False)),
+])
+def test_exact_locus_counts_of_the_integer_fixtures(make, counts):
+    # (real roots with multiplicity, distinct real roots, theta_pairs, square-free)
+    assert exact_locus_counts(make()) == counts
+
+
+def test_an_identically_singular_determinant_has_no_exact_counts():
+    assert exact_locus_counts(fixtures.identically_singular_pair()) is None
+    assert exact_locus_counts(fixtures.padded_squaring()) is None
+
+
+def _unimodular(rng, dim):
+    """An integer matrix of determinant +-1: a unit triangle, rows permuted."""
+    t = np.triu(rng.integers(-2, 3, (dim, dim)), 1) + np.eye(dim, dtype=int)
+    return t[rng.permutation(dim)].astype(float)
+
+
+def test_exact_locus_counts_of_a_pencil_with_only_non_real_roots():
+    # blocks s (diag(a, -a), [[0, b], [b, 0]]) have det -s^2 (a^2 x^2 + b^2 y^2):
+    # roots at x/y = +-i b/a only.  Mixed by integer congruences, the Sturm
+    # sequences' leading coefficients take both signs; a remainder divided by
+    # a negative content there would read non-real roots as real
+    rng = np.random.default_rng(8)
+    blocks = [(1, 1), (1, 2), (2, 3), (3, 1)]
+    q0 = np.zeros((8, 8))
+    q1 = np.zeros((8, 8))
+    for k, (a, b) in enumerate(blocks):
+        q0[2 * k:2 * k + 2, 2 * k:2 * k + 2] = np.diag([a, -a])
+        q1[2 * k, 2 * k + 1] = q1[2 * k + 1, 2 * k] = b
+    for _ in range(5):
+        t = _unimodular(rng, 8)
+        p = QuadraticPencil(t.T @ q0 @ t, t.T @ q1 @ t)
+        assert np.max(np.abs(p.q0)) < 2.0 ** 53
+        assert exact_locus_counts(p) == (0, 0, 4, True)
+        assert degenerate_locus(p).theta_pairs == 4
+
+
+def test_exact_inertia_equals_inertia_on_integer_matrices():
+    # members x Q0 + y Q1 of integer forms of every rank at integer directions
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        dim = int(rng.integers(1, 9))
+        q0, q1 = (u @ np.diag(rng.choice([-2.0, -1.0, 1.0, 2.0], u.shape[1])) @ u.T
+                  for u in (rng.integers(-3, 4, (dim, int(rng.integers(0, dim + 1))))
+                            for _ in range(2)))
+        x, y = rng.integers(-3, 4, 2).astype(float)
+        assert exact_inertia(QuadraticPencil(q0, q1), x, y) == inertia(x * q0 + y * q1)
+
+
+def test_exact_inertia_pivots_on_a_block_where_the_diagonal_is_zero():
+    # no diagonal entry of these is nonzero, so elimination starts with the
+    # block [[0, b], [b, 0]]; in the first, the Schur complement's diagonal
+    # is zero again
+    for m in ([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 3], [0, 0, 3, 0]],
+              [[0, 1, 2], [1, 0, 3], [2, 3, 0]],
+              [[0, -2, 0], [-2, 0, 0], [0, 0, 0]],
+              [[0, 0.5, 1], [0.5, 0, -0.25], [1, -0.25, 0]]):
+        m = np.array(m, dtype=float)
+        p = QuadraticPencil(np.zeros_like(m), m)
+        assert exact_inertia(p, 0.0, 1.0) == inertia(m)
+        assert exact_inertia(p, 0.0, -3.0) == inertia(-m)
+    assert exact_inertia(QuadraticPencil(np.zeros((4, 4)), np.eye(4)), 1.0, 0.0) == (0, 0, 4)
+
+
+def test_the_exact_oracle_reads_only_its_own_helpers_and_the_standard_library():
+    # the globals the two functions and their helpers read, nested code included
+    own = {"ExactLocusCounts", "math", "operator"}
+    todo = [oracles.exact_inertia.__code__, oracles.exact_locus_counts.__code__]
+    while todo:
+        code = todo.pop()
+        todo += [c for c in code.co_consts if hasattr(c, "co_names")]
+        for name in code.co_names:
+            value = vars(oracles).get(name)
+            if getattr(value, "__module__", None) == oracles.__name__ and \
+                    name.startswith("_") and name not in own:
+                own.add(name)
+                todo.append(value.__code__)
+            elif value is not None:
+                assert name in own, name
+    assert {"_integer_inertia", "_bareiss_det", "_sturm_count", "_gcd"} <= own

@@ -13,10 +13,11 @@ from scipy.linalg import lapack
 from quadrics import fixtures, pencil
 from quadrics.applications import extremal_family
 from quadrics.betti import analyze, check_bounds
-from quadrics.circle import PlanarCone, angles_equal, canonical_angle
+from quadrics.circle import CircleSubset, PlanarCone, angles_equal, canonical_angle
 from quadrics.config import ToleranceConfig
 from quadrics.errors import InvalidInputError, NumericalError
-from quadrics.oracles import grid_index_profile, grid_profile_disagreements, regularize
+from quadrics.filtration import index_profile
+from quadrics.oracles import grid_index_profile, grid_profile_disagreements
 from quadrics.pencil import (
     DegenerateLocus,
     InertiaTriple,
@@ -205,97 +206,26 @@ def test_locus_roots_really_vanish():
 
 
 # ---------------------------------------------------------------------------
-# regularization
+# unit jumps at simple roots
 # ---------------------------------------------------------------------------
 
-def test_regularize_simple_pencil_first_try():
-    rng = np.random.default_rng(11)
-    p = fixtures.random_pencil(rng, 5)
-    reg = regularize(p)
-    assert reg.epsilon > 0
-    assert len(reg.breakpoints) <= 2 * p.dim
-    # unit jumps of the negative index across every breakpoint
-    bps = reg.breakpoints
-    vals = []
-    for i in range(len(bps)):
-        lo = bps[i]
-        hi = bps[(i + 1) % len(bps)] + (TWO_PI if i == len(bps) - 1 else 0.0)
-        vals.append(inertia(reg.at(0.5 * (lo + hi))).i_minus)
-    for i in range(len(vals)):
-        assert abs(vals[i] - vals[i - 1]) == 1
-
-
-def test_regularize_four_lines_splits_double_roots():
-    reg = regularize(fixtures.four_lines())
-    assert len(reg.breakpoints) == 8
-
-
-def test_regularize_resolves_coincident_crossing_stacks():
-    # an identity shift moves all eigenvalues of a definite form together, so
-    # a perturbed positive form must be drawn and its crossings separated
-    for dim in (4, 6):
-        p = fixtures.definite_form(dim)
-        reg = regularize(p)
-        assert len(reg.breakpoints) == 2 * dim
-        assert not np.allclose(reg.shift, np.eye(dim))
-        for z in reg.breakpoints:
-            w = np.linalg.eigvalsh(reg.at(z))
-            assert np.min(np.abs(w)) < 1e-7
-
-
-def test_regularize_shift_respects_eigenvalue_excursions():
-    # the shift size must stay below bumps and dips of the eigenvalue curves
-    # between and away from roots; each original degenerate point keeps its
-    # own crossing and no phantom crossings appear (seeds that once failed)
-    from quadrics.circle import CircleSubset
-    from quadrics.filtration import index_profile, superlevel
-    from quadrics.circle import betti_circle
-    from quadrics.oracles import sublevel_eps
-    full = CircleSubset.full_circle()
-    for seed, take_dim in ((4 * 7919, 7), (8 * 7919, 9)):
-        rng = np.random.default_rng(seed)
-        hit = 0
-        while True:
-            dim = int(rng.integers(2, 11))
-            p = fixtures.random_pencil(rng, dim)
-            if dim != take_dim:
-                continue
-            hit += 1
-            reg = regularize(p)
-            prof = index_profile(p, full)
-            for k in range(dim):
-                closed = sublevel_eps(p, k, reg=reg)
-                open_ = superlevel(prof, k + 1)
-                assert betti_circle(closed) == betti_circle(open_), (seed, dim, k)
-            if hit >= 12:
-                break
-
-
-def test_regularize_identically_singular():
-    p = fixtures.identically_singular_pair()
-    reg = regularize(p)
-    assert len(reg.breakpoints) >= 2
-    # shifted family is nonsingular at generic angles
-    w = np.linalg.eigvalsh(reg.at(0.3))
-    assert np.min(np.abs(w)) > 0
-
-
 def test_jump_law_many_random_pencils():
+    # exactly one eigenvalue changes sign across a simple root, so i_minus
+    # changes by one and the root itself reads one zero
     rng = np.random.default_rng(123)
+    simple = 0
     for _ in range(200):
         dim = int(rng.integers(2, 10))
         p = fixtures.random_pencil(rng, dim)
-        reg = regularize(p)
-        bps = reg.breakpoints
-        if not bps:
-            continue
-        vals = []
-        for i in range(len(bps)):
-            lo = bps[i]
-            hi = bps[(i + 1) % len(bps)] + (TWO_PI if i == len(bps) - 1 else 0.0)
-            vals.append(inertia(reg.at(0.5 * (lo + hi))).i_minus)
-        for i in range(len(vals)):
-            assert abs(vals[i] - vals[i - 1]) == 1, (dim, bps, vals)
+        locus = degenerate_locus(p)
+        prof = index_profile(p, CircleSubset.full_circle())
+        assert list(prof.cuts) == locus.angles
+        for i, pt in enumerate(locus.points):
+            if pt.multiplicity == 1:
+                assert abs(prof.after[i].i_minus - prof.after[i - 1].i_minus) == 1, (dim, i)
+                assert prof.at[i].i_zero == 1, (dim, i)
+                simple += 1
+    assert simple > 900
 
 
 def test_antipodal_index_identity():
@@ -346,12 +276,6 @@ def test_high_dim_locus_and_analysis(dim):
         grid = grid_index_profile(p)
         assert grid_profile_disagreements(res.filtration.profile, grid) == []
         assert check_bounds(res.report) == []
-
-
-@pytest.mark.parametrize("dim", [24, 32])
-def test_high_dim_regularize_one_breakpoint_per_locus_point(dim):
-    for p in _seeded_pencils(dim, 6):
-        assert len(regularize(p).breakpoints) == len(degenerate_locus(p).points)
 
 
 # ---------------------------------------------------------------------------
@@ -415,45 +339,6 @@ def _shared_kernel(rng, dim, k):
     proj = np.eye(dim) - v @ v.T
     a, b = proj @ p.q0 @ proj, proj @ p.q1 @ proj
     return QuadraticPencil(0.5 * (a + a.T), 0.5 * (b + b.T))
-
-
-def _regularize_test_pencils():
-    for make in fixtures.NAMED_FIXTURES.values():
-        yield make()
-    rng = np.random.default_rng(77)
-    for dim in (3, 4, 5, 6, 8, 12, 16, 24, 32):
-        for _ in range(4):
-            yield fixtures.random_pencil(rng, dim)
-    for dim in (3, 4, 6, 8, 12, 16):
-        for k in (1, 2):
-            for _ in range(3):
-                yield _shared_kernel(rng, dim, k)
-    for cond in (1e2, 1e3):
-        for dim in (4, 8, 12):
-            yield _congruent(fixtures.random_pencil(rng, dim), rng, cond)
-    for sep in (1e-4, 1e-3):
-        for dim in (4, 8):
-            yield _near_double_root(rng, dim, sep)
-    for n in (2, 5, 10, 20):
-        yield extremal_family(n)
-
-
-def test_regularized_crossings_are_degenerate_as_qz_gives_them():
-    # the shifted family's crossings are QZ angles of the 2d x 2d companion
-    # pencil, unrefined.  regularize accepts a crossing within 1e2 times the
-    # zero band, but the shifted profile reads a point as degenerate only
-    # within the band itself, tol_eig * max(scale, |family at 0|); each
-    # crossing must sit far inside that tighter band
-    checked = 0
-    for p in _regularize_test_pencils():
-        reg = regularize(p)
-        if not reg.breakpoints:
-            continue
-        family_scale = max(p.scale(), float(np.linalg.norm(reg.at(0.0), 2)))
-        w = np.linalg.eigvalsh(reg.at_many(list(reg.breakpoints)))
-        assert np.max(np.min(np.abs(w), axis=1)) <= 1e-3 * CFG.tol_eig * family_scale
-        checked += len(reg.breakpoints)
-    assert checked > 500
 
 
 def _assert_same_answers(p, q, cones):
@@ -657,9 +542,9 @@ def test_shifted_equals_the_checked_constructor_bitwise():
 
 
 def test_a_lapack_failure_in_a_pencil_solve_is_a_numerical_error(monkeypatch):
-    # the chart scan solves single matrices, and the regularizer's chart pick
-    # and crossing checks solve stacks; the deflation of a singular pencil
-    # to its regular part runs dgesdd
+    # the chart scan solves single matrices, and the profile's arc readings
+    # solve stacks; the deflation of a singular pencil to its regular part
+    # runs dgesdd
     solve = np.linalg.eigvalsh
 
     def fail_on(ndim):
@@ -671,7 +556,8 @@ def test_a_lapack_failure_in_a_pencil_solve_is_a_numerical_error(monkeypatch):
 
     p = fixtures.random_pencil(np.random.default_rng(4), 5)
     cases = [(2, lambda: degenerate_locus(p), "eigenvalue solver failed"),
-             (3, lambda: regularize(p), "regularizing shift")]
+             (3, lambda: index_profile(p, CircleSubset.full_circle()),
+              "eigenvalue solver failed")]
     for ndim, call, message in cases:
         monkeypatch.setattr(np.linalg, "eigvalsh", fail_on(ndim))
         with pytest.raises(NumericalError, match=message):
@@ -733,9 +619,8 @@ def _bits(angles):
 
 
 def test_qz_root_angles_equal_scipy_eigvals_bitwise(monkeypatch):
-    # every pair the locus and the regularizer hand to QZ: chart pairs of
-    # random pencils and of the extremal family, the regular parts of
-    # Kronecker pencils, and the regularizer's 2d x 2d companion pencils
+    # every pair the locus hands to QZ: chart pairs of random pencils and of
+    # the extremal family, and the regular parts of Kronecker pencils
     pairs = []
     solve = pencil._qz_root_angles
 
@@ -749,15 +634,12 @@ def test_qz_root_angles_equal_scipy_eigvals_bitwise(monkeypatch):
     calls += [partial(degenerate_locus, extremal_family(n)) for n in (2, 5, 10, 20, 40, 80)]
     calls += [partial(degenerate_locus, fixtures.kronecker_pair(eps, regular_dim, rng))
               for eps in (1, 2, 3) for regular_dim in (0, 2, 5)]
-    calls += [partial(regularize, p) for p in (
-        fixtures.bouquet(), fixtures.four_lines(), fixtures.identically_singular_pair(),
-        *(fixtures.random_pencil(rng, dim) for dim in (2, 3, 5, 8, 13)))]
     monkeypatch.setattr(pencil, "_qz_root_angles", record)
     for call in calls:
         call()
     monkeypatch.undo()
     dims = {a.shape[0] for a, _ in pairs}
-    assert set(range(1, 65)) | {81, 6, 8, 26} <= dims  # 6, 8, 26: companions
+    assert set(range(1, 65)) | {81} <= dims
     for a, b in pairs:
         angles, nonreal = solve(a, b)
         expected, expected_nonreal = _eigvals_root_angles(a, b)

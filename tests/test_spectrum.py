@@ -16,12 +16,10 @@ from quadrics.applications import extremal_family
 from quadrics.circle import CircleSubset, PlanarCone, omega_set
 from quadrics.config import ToleranceConfig
 from quadrics.errors import NumericalError
-from quadrics.filtration import (
-    IndexProfile,
-    index_profile,
-)
-from quadrics.oracles import regularize, regularized_profile, stiefel_whitney
+from quadrics.filtration import index_profile
+from quadrics.oracles import stiefel_whitney
 from quadrics.pencil import (
+    DegenerateLocus,
     FamilySpectrum,
     QuadraticPencil,
     degenerate_locus,
@@ -74,17 +72,14 @@ def one_matrix_per_call(monkeypatch):
 
 
 def _answers(p):
-    """Locus, full-circle profile, cone profile, monodromy and, for an
-    identically singular pencil, the regularized profile; a raised error
+    """Locus, full-circle profile, cone profile and monodromy; a raised error
     stands in for its answer."""
     out = []
     for thunk in (
             lambda: degenerate_locus(p, CFG),
             lambda: index_profile(p, FULL, CFG),
             lambda: index_profile(p, omega_set(PlanarCone.sector(0.3, 1.9)), CFG),
-            lambda: stiefel_whitney(p, index_profile(p, FULL, CFG), CFG),
-            lambda: regularized_profile(regularize(p, CFG), CFG)
-            if degenerate_locus(p, CFG).identically_singular else None):
+            lambda: stiefel_whitney(p, index_profile(p, FULL, CFG), CFG)):
         try:
             out.append(thunk())
         except NumericalError as exc:
@@ -102,9 +97,6 @@ def test_at_many_slices_equal_at_bitwise():
         for th, m in zip(thetas, stack):
             assert np.array_equal(m, p.at(th))
             assert np.array_equal(m, m.T)
-    reg = regularize(fixtures.identically_singular_pair(), CFG)
-    for th, m in zip(thetas, reg.at_many(thetas)):
-        assert np.array_equal(m, reg.at(th))
     assert fixtures.bouquet().at_many([]).shape == (0, 4, 4)
     # stacks filled in several slices, a partial one last at dim 41
     many = list(rng.uniform(0.0, TWO_PI, 124))
@@ -272,8 +264,9 @@ def test_random_answers_match_one_matrix_per_call(monkeypatch, one_matrix_per_ca
     per_matrix = [_answers(p) for p in pencils]
     monkeypatch.undo()
     assert [_answers(p) for p in pencils] == per_matrix
-    # the sweep covers identically singular pencils through regularization
-    assert any(isinstance(a[4], IndexProfile) for a in per_matrix)
+    # the sweep covers identically singular pencils
+    assert any(isinstance(a[0], DegenerateLocus) and a[0].identically_singular
+               for a in per_matrix)
     assert all(type(a[3][0]) is bool for a in per_matrix if isinstance(a[3], tuple))
 
 
