@@ -43,7 +43,6 @@ from .circle import (
     omega_set,
     polar_cone,
 )
-from .config import DEFAULT_CONFIG, ToleranceConfig
 from .errors import (
     InvalidInputError,
     NumericalError,

@@ -22,7 +22,6 @@ from .circle import (
     omega_set,
     open_half_circle,
 )
-from .config import DEFAULT_CONFIG, ToleranceConfig
 from .errors import InvalidInputError, NumericalError
 from .filtration import (
     FiltrationReport,
@@ -89,7 +88,7 @@ def _longest_arc_midpoint(subset: CircleSubset) -> float:
     return canonical_angle(0.5 * (item.start + item.end))
 
 
-def calabi(p: QuadraticPencil, cfg: ToleranceConfig = DEFAULT_CONFIG,
+def calabi(p: QuadraticPencil,
            filtration: FiltrationReport | None = None) -> Certificate:
     """A positive definite combination of the two forms, or its refutation.
 
@@ -99,7 +98,7 @@ def calabi(p: QuadraticPencil, cfg: ToleranceConfig = DEFAULT_CONFIG,
     with emptiness of the common zero locus fails, so a warning is attached.
     """
     filt = filtration if filtration is not None else \
-        filtration_for_cone(p, PlanarCone.zero(), cfg)
+        filtration_for_cone(p, PlanarCone.zero())
     dim = p.dim
     warning = None
     if dim < 3:
@@ -128,8 +127,7 @@ class EmptinessResult:
     certificate: Certificate | None
 
 
-def is_empty_x(p: QuadraticPencil, cone: PlanarCone,
-               cfg: ToleranceConfig = DEFAULT_CONFIG) -> EmptinessResult:
+def is_empty_x(p: QuadraticPencil, cone: PlanarCone) -> EmptinessResult:
     """Whether the solution set in projective space is empty.
 
     Emptiness is read off the homology: a nonempty compact set has positive
@@ -137,18 +135,17 @@ def is_empty_x(p: QuadraticPencil, cone: PlanarCone,
     emptiness directly.  For the zero cone in at least three variables an
     emptiness verdict carries a positive-combination certificate.
     """
-    res = analyze(p, cone, cfg)
+    res = analyze(p, cone)
     empty = res.report.empty
     cert = None
     if empty and cone.kind == "zero" and p.dim >= 3:
-        cert = calabi(p, cfg, filtration=res.filtration)
+        cert = calabi(p, filtration=res.filtration)
         if cert.kind != "positive_combination":
             raise NumericalError("emptiness verdict without a certificate")
     return EmptinessResult(empty, res.filtration.mu, cert)
 
 
-def image_membership(p: QuadraticPencil, c: tuple[float, float],
-                     cfg: ToleranceConfig = DEFAULT_CONFIG
+def image_membership(p: QuadraticPencil, c: tuple[float, float]
                      ) -> tuple[bool, Certificate]:
     """Whether c lies in the image of the unit sphere under the quadratic map.
 
@@ -160,10 +157,10 @@ def image_membership(p: QuadraticPencil, c: tuple[float, float],
         raise InvalidInputError("image membership requires at least three variables")
     _require_finite_point(c)
     shifted = p.shifted(c[0], c[1])
-    filt = filtration_for_cone(shifted, PlanarCone.zero(), cfg)
+    filt = filtration_for_cone(shifted, PlanarCone.zero())
     if filt.mu < p.dim:
         return (True, Certificate("membership", mu=filt.mu))
-    cert = calabi(shifted, cfg, filtration=filt)
+    cert = calabi(shifted, filtration=filt)
     return (False, Certificate("emptiness", theta=cert.theta, margin=cert.margin,
                                mu=filt.mu))
 
@@ -203,16 +200,14 @@ class LevelSetResult:
     min_negative_index: int | None  # None when the half circle is empty
 
 
-def _negative_direction_halfcircle(c: tuple[float, float],
-                                   tol: float) -> CircleSubset:
+def _negative_direction_halfcircle(c: tuple[float, float]) -> CircleSubset:
     """{omega : <omega, c> < 0}, empty when c = 0."""
     if math.hypot(c[0], c[1]) == 0.0:
-        return CircleSubset.empty(tol)
-    return open_half_circle(math.atan2(-c[1], -c[0]), tol)
+        return CircleSubset.empty()
+    return open_half_circle(math.atan2(-c[1], -c[0]))
 
 
-def _level_result(p: QuadraticPencil, domain: CircleSubset,
-                  cfg: ToleranceConfig) -> LevelSetResult:
+def _level_result(p: QuadraticPencil, domain: CircleSubset) -> LevelSetResult:
     """Reduced Betti numbers of the level set from the sublevel sets
     L_k = {i_minus <= k} of the profile over a level domain.
 
@@ -233,7 +228,7 @@ def _level_result(p: QuadraticPencil, domain: CircleSubset,
     if domain.is_empty():
         # the level value is already attainable at the origin
         return LevelSetResult(True, tuple([0] * (n + 1)), None)
-    prof = index_profile(p, domain, cfg)
+    prof = index_profile(p, domain)
     min_minus = prof._index_range[2]
     if min_minus == 0:
         return LevelSetResult(False, tuple([0] * (n + 1)), min_minus)
@@ -255,8 +250,7 @@ def _level_result(p: QuadraticPencil, domain: CircleSubset,
     return LevelSetResult(True, b_tilde, min_minus)
 
 
-def level_set_betti(problem: LevelProblem,
-                    cfg: ToleranceConfig = DEFAULT_CONFIG) -> LevelSetResult:
+def level_set_betti(problem: LevelProblem) -> LevelSetResult:
     """Nonemptiness and reduced Betti numbers of the affine level set q = c.
 
     The test runs over the open half circle of directions pairing negatively
@@ -266,29 +260,27 @@ def level_set_betti(problem: LevelProblem,
     """
     if problem.mode != "eq":
         raise InvalidInputError("level_set_betti expects an equality problem")
-    domain = _negative_direction_halfcircle(problem.c, cfg.tol_angle)
-    return _level_result(problem.pencil, domain, cfg)
+    domain = _negative_direction_halfcircle(problem.c)
+    return _level_result(problem.pencil, domain)
 
 
-def inequality_level_set(problem: LevelProblem,
-                         cfg: ToleranceConfig = DEFAULT_CONFIG) -> LevelSetResult:
+def inequality_level_set(problem: LevelProblem) -> LevelSetResult:
     """Same as level_set_betti for the componentwise system q <= c.
 
     Directions are restricted to the polar arc of the nonpositive quadrant.
     """
     if problem.mode != "ineq":
         raise InvalidInputError("inequality_level_set expects an inequality problem")
-    half = _negative_direction_halfcircle(problem.c, cfg.tol_angle)
-    quadrant_arc = omega_set(PlanarCone.nonpositive_quadrant(), cfg.tol_angle)
+    half = _negative_direction_halfcircle(problem.c)
+    quadrant_arc = omega_set(PlanarCone.nonpositive_quadrant())
     domain = quadrant_arc.intersect(half)
-    return _level_result(problem.pencil, domain, cfg)
+    return _level_result(problem.pencil, domain)
 
 
-def solve_level_problem(problem: LevelProblem,
-                        cfg: ToleranceConfig = DEFAULT_CONFIG) -> LevelSetResult:
+def solve_level_problem(problem: LevelProblem) -> LevelSetResult:
     if problem.mode == "eq":
-        return level_set_betti(problem, cfg)
-    return inequality_level_set(problem, cfg)
+        return level_set_betti(problem)
+    return inequality_level_set(problem)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from .circle import (
     closed_half_circle,
     euler_circle,
 )
-from .config import DEFAULT_CONFIG, ToleranceConfig
 from .errors import InvalidInputError, NumericalError
 from .filtration import FiltrationReport, filtration_for_cone, index_profile
 from .pencil import QuadraticPencil, degenerate_locus, inertia
@@ -79,10 +78,9 @@ def _shared_row(e0: int, e1: int, e2: int) -> tuple[int, int, int]:
 
 
 def build_table(p: QuadraticPencil, cone: PlanarCone,
-                cfg: ToleranceConfig = DEFAULT_CONFIG,
                 filtration: FiltrationReport | None = None) -> SpectralTable:
     """Assemble the table from the filtration of the pencil over the cone."""
-    filt = filtration if filtration is not None else filtration_for_cone(p, cone, cfg)
+    filt = filtration if filtration is not None else filtration_for_cone(p, cone)
     n = p.n
     mu = filt.mu
     if filt.w1_nonzero:
@@ -121,7 +119,6 @@ def betti_x(table: SpectralTable) -> BettiReport:
 
 
 def betti_complement(p: QuadraticPencil, cone: PlanarCone,
-                     cfg: ToleranceConfig = DEFAULT_CONFIG,
                      filtration: FiltrationReport | None = None) -> list[int]:
     """Betti numbers of the complement of the solution set in projective space.
 
@@ -129,7 +126,7 @@ def betti_complement(p: QuadraticPencil, cone: PlanarCone,
     enters; the literal cycle term would overcount components of a nonempty
     complement.
     """
-    filt = filtration if filtration is not None else filtration_for_cone(p, cone, cfg)
+    filt = filtration if filtration is not None else filtration_for_cone(p, cone)
     n = p.n
     out = []
     for k in range(0, n + 1):
@@ -142,7 +139,6 @@ def betti_complement(p: QuadraticPencil, cone: PlanarCone,
 
 
 def euler_x(p: QuadraticPencil, cone: PlanarCone,
-            cfg: ToleranceConfig = DEFAULT_CONFIG,
             filtration: FiltrationReport | None = None,
             table: SpectralTable | None = None) -> int:
     """Euler characteristic via the alternating sum of superlevel counts.
@@ -151,7 +147,7 @@ def euler_x(p: QuadraticPencil, cone: PlanarCone,
     a mismatch raises, since both must agree exactly for integer inputs.
     A table already built from the same filtration can be passed in.
     """
-    filt = filtration if filtration is not None else filtration_for_cone(p, cone, cfg)
+    filt = filtration if filtration is not None else filtration_for_cone(p, cone)
     n = p.n
     chi_ambient = 1 if n % 2 == 0 else 0
     acc = chi_ambient
@@ -159,7 +155,7 @@ def euler_x(p: QuadraticPencil, cone: PlanarCone,
         acc += (-1) ** (j + 1) * euler_circle(filt.omega(j + 1))
     chi = (-1) ** n * acc
     if table is None:
-        table = build_table(p, cone, cfg, filtration=filt)
+        table = build_table(p, cone, filtration=filt)
     report = betti_x(table)
     if not report.empty and chi != report.chi:
         raise NumericalError(
@@ -185,12 +181,11 @@ class SphereBettiEntry:
 
 
 def betti_y(p: QuadraticPencil, cone: PlanarCone,
-            cfg: ToleranceConfig = DEFAULT_CONFIG,
             filtration: FiltrationReport | None = None) -> list[SphereBettiEntry]:
     """Reduced Betti numbers of the solution set on the sphere, where known."""
-    filt = filtration if filtration is not None else filtration_for_cone(p, cone, cfg)
+    filt = filtration if filtration is not None else filtration_for_cone(p, cone)
     n = p.n
-    table = build_table(p, cone, cfg, filtration=filt)
+    table = build_table(p, cone, filtration=filt)
     report = betti_x(table)
     entries: list[SphereBettiEntry] = []
     if report.empty:
@@ -242,8 +237,8 @@ class IndexDecomposition:
     i_plus_measured: int
 
 
-def index_decomposition(p: QuadraticPencil, eta_theta: float, omega_theta: float,
-                        cfg: ToleranceConfig = DEFAULT_CONFIG) -> IndexDecomposition:
+def index_decomposition(p: QuadraticPencil, eta_theta: float,
+                        omega_theta: float) -> IndexDecomposition:
     """Positive index at omega from root bookkeeping on the split circle.
 
     The degenerate locus is split by the sign of the counterclockwise jump;
@@ -251,7 +246,7 @@ def index_decomposition(p: QuadraticPencil, eta_theta: float, omega_theta: float
     number of conjugate root pairs, reconstruct the positive index.
     Requires a locus of simple real roots with both probe angles regular.
     """
-    locus = degenerate_locus(p, cfg)
+    locus = degenerate_locus(p)
     if locus.identically_singular:
         raise InvalidInputError("index decomposition requires a nonsingular family")
     if any(pt.multiplicity != 1 for pt in locus.points):
@@ -261,7 +256,7 @@ def index_decomposition(p: QuadraticPencil, eta_theta: float, omega_theta: float
     angles = locus.angles
     gap_guard = 1e-6
     for probe in (eta, omega):
-        if inertia(p.at(probe), cfg, scale=p.scale()).i_zero != 0:
+        if inertia(p.at(probe), scale=p.scale()).i_zero != 0:
             raise InvalidInputError("probe angle lies on the degenerate locus")
         if angles and min(abs((probe - z + PI) % TWO_PI - PI) for z in angles) < gap_guard:
             raise InvalidInputError("probe angle too close to the degenerate locus")
@@ -271,7 +266,7 @@ def index_decomposition(p: QuadraticPencil, eta_theta: float, omega_theta: float
             "omega must lie strictly inside the counterclockwise arc from -eta to eta")
 
     # split the locus by the sign of the jump between the arcs on either side
-    profile = index_profile(p, CircleSubset.full_circle(), cfg, candidates=angles)
+    profile = index_profile(p, CircleSubset.full_circle(), candidates=angles)
     arcs = profile.after
     z_plus: list[float] = []
     z_minus: list[float] = []
@@ -295,13 +290,12 @@ def index_decomposition(p: QuadraticPencil, eta_theta: float, omega_theta: float
     lam_minus = count_on_arc(z_minus, omega, PI - pos)
     theta = locus.theta_pairs
     predicted = rho_plus + lam_minus + theta
-    measured = inertia(p.at(omega), cfg, scale=p.scale()).i_plus
+    measured = inertia(p.at(omega), scale=p.scale()).i_plus
     return IndexDecomposition(rho_plus, rho_minus, lam_plus, lam_minus,
                               theta, predicted, measured)
 
 
 def half_circle_bound(p: QuadraticPencil, cone: PlanarCone, eta_theta: float,
-                      cfg: ToleranceConfig = DEFAULT_CONFIG,
                       filtration: FiltrationReport | None = None) -> list[int]:
     """Per-degree bounds from component counts on the two half circles at eta.
 
@@ -310,9 +304,9 @@ def half_circle_bound(p: QuadraticPencil, cone: PlanarCone, eta_theta: float,
     degrees the Betti number is the rank class alone (at most one) and the
     empty superlevel set contributes zero to the table row.
     """
-    if inertia(p.at(eta_theta), cfg, scale=p.scale()).i_zero != 0:
+    if inertia(p.at(eta_theta), scale=p.scale()).i_zero != 0:
         raise InvalidInputError("the splitting angle must be regular")
-    filt = filtration if filtration is not None else filtration_for_cone(p, cone, cfg)
+    filt = filtration if filtration is not None else filtration_for_cone(p, cone)
     n = p.n
     c1 = closed_half_circle(eta_theta)
     c2 = closed_half_circle(eta_theta + PI)
@@ -336,13 +330,12 @@ class AnalysisResult:
     chi: int
 
 
-def analyze(p: QuadraticPencil, cone: PlanarCone,
-            cfg: ToleranceConfig = DEFAULT_CONFIG) -> AnalysisResult:
+def analyze(p: QuadraticPencil, cone: PlanarCone) -> AnalysisResult:
     """The full pipeline: filtration, table, Betti numbers, Euler number."""
-    filt = filtration_for_cone(p, cone, cfg)
-    table = build_table(p, cone, cfg, filtration=filt)
+    filt = filtration_for_cone(p, cone)
+    table = build_table(p, cone, filtration=filt)
     report = betti_x(table)
-    chi = euler_x(p, cone, cfg, filtration=filt, table=table)
+    chi = euler_x(p, cone, filtration=filt, table=table)
     return AnalysisResult(filt, table, report, chi)
 
 

@@ -6,8 +6,8 @@ endpoint-inclusion flags), or the full circle.  It is stored as its indicator
 function: ascending cut angles, and for each cut whether the point and the
 open arc after it belong to the set.  Complement flips the flags; union,
 intersection and building from items are one counting sweep over the cuts.
-Angles are compared modulo 2*pi with a configurable tolerance: cuts closer
-than it are one cut.  Homotopy-type outputs (component counts, Betti numbers)
+Angles are compared modulo 2*pi up to TOL_ANGLE: cuts closer than it are
+one cut.  Homotopy-type outputs (component counts, Betti numbers)
 depend only on the flags.
 """
 
@@ -18,11 +18,12 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .config import DEFAULT_CONFIG
 from .errors import InvalidInputError
 
 TWO_PI = 2.0 * math.pi
 PI = math.pi
+# angles closer than this, modulo 2*pi, are one angle
+TOL_ANGLE = 1e-9
 
 
 def canonical_angle(theta: float) -> float:
@@ -35,7 +36,7 @@ def canonical_angle(theta: float) -> float:
     return t
 
 
-def angles_equal(a: float, b: float, tol: float = DEFAULT_CONFIG.tol_angle) -> bool:
+def angles_equal(a: float, b: float, tol: float = TOL_ANGLE) -> bool:
     d = abs(canonical_angle(a) - canonical_angle(b))
     return d <= tol or TWO_PI - d <= tol
 
@@ -66,9 +67,9 @@ class Point:
     def end(self) -> float:
         return self.theta
 
-    def contains(self, theta: float, tol: float = DEFAULT_CONFIG.tol_angle) -> bool:
-        """Whether the angle is this point, up to tol."""
-        return angles_equal(theta, self.theta, tol)
+    def contains(self, theta: float) -> bool:
+        """Whether the angle is this point, up to TOL_ANGLE."""
+        return angles_equal(theta, self.theta)
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,37 +89,37 @@ class Arc:
     def length(self) -> float:
         return self.end - self.start
 
-    def contains(self, theta: float, tol: float = DEFAULT_CONFIG.tol_angle) -> bool:
-        """Whether the angle lies on the arc; within tol of an endpoint the
-        endpoint's flag decides (either flag, for a full turn)."""
+    def contains(self, theta: float) -> bool:
+        """Whether the angle lies on the arc; within TOL_ANGLE of an endpoint
+        the endpoint's flag decides (either flag, for a full turn)."""
         d = (canonical_angle(theta) - self.start) % TWO_PI
-        if d <= tol or d >= TWO_PI - tol:
+        if d <= TOL_ANGLE or d >= TWO_PI - TOL_ANGLE:
             return self.closed_start or (self.length >= TWO_PI and self.closed_end)
-        if abs(d - self.length) <= tol:
+        if abs(d - self.length) <= TOL_ANGLE:
             return self.closed_end
-        return d < self.length - tol
+        return d < self.length - TOL_ANGLE
 
 
-def _fold(theta: float, tol: float) -> float:
-    """The canonical angle, with the last tol below 2*pi read as 0.
+def _fold(theta: float) -> float:
+    """The canonical angle, with the last TOL_ANGLE below 2*pi read as 0.
 
-    An angle already in (0, 2*pi - tol) is returned as it is, not a copy.
+    An angle already in (0, 2*pi - TOL_ANGLE) is returned as it is, not a copy.
     """
-    if 0.0 < theta < TWO_PI - tol:
+    if 0.0 < theta < TWO_PI - TOL_ANGLE:
         return theta
     t = theta % TWO_PI
-    return 0.0 if t >= TWO_PI - tol else t
+    return 0.0 if t >= TWO_PI - TOL_ANGLE else t
 
 
-def _item_cuts(item: Point | Arc, tol: float) -> tuple:
-    """A Point or an Arc as a sweep operand, its cuts more than tol apart."""
+def _item_cuts(item: Point | Arc) -> tuple:
+    """A Point or an Arc as a sweep operand, its cuts more than TOL_ANGLE apart."""
     length = item.end - item.start
-    if length < -tol:
+    if length < -TOL_ANGLE:
         raise InvalidInputError("arc with negative sweep")
-    s = _fold(item.start, tol)
-    e = s if length <= tol or length >= TWO_PI - tol else _fold(item.end, tol)
+    s = _fold(item.start)
+    e = s if length <= TOL_ANGLE or length >= TWO_PI - TOL_ANGLE else _fold(item.end)
     cs, ce = item.closed_start, item.closed_end
-    if abs(e - s) <= tol:
+    if abs(e - s) <= TOL_ANGLE:
         # a point, or the circle with (at most) the point s missing
         return (((s, cs or ce, length > PI),), length > PI)
     if e < s:
@@ -126,29 +127,32 @@ def _item_cuts(item: Point | Arc, tol: float) -> tuple:
     return (((s, cs, True), (e, ce, False)), False)
 
 
-def _locate(cuts: tuple[float, ...], theta: float, tol: float) -> tuple[int, bool]:
-    """(i, True) when theta is within tol of cuts[i], else (i, False) with
-    theta on the open arc after cuts[i].  cuts ascend; there is at least one."""
-    t = _fold(theta, tol)
+def _locate(cuts: tuple[float, ...], theta: float) -> tuple[int, bool]:
+    """(i, True) when theta is within TOL_ANGLE of cuts[i], else (i, False)
+    with theta on the open arc after cuts[i].  cuts ascend; there is at least
+    one."""
+    t = _fold(theta)
     i = bisect_right(cuts, t) - 1
-    if i >= 0 and t - cuts[i] <= tol:
+    if i >= 0 and t - cuts[i] <= TOL_ANGLE:
         return i, True
-    if i + 1 < len(cuts) and cuts[i + 1] - t <= tol:
+    if i + 1 < len(cuts) and cuts[i + 1] - t <= TOL_ANGLE:
         return i + 1, True
     return i % len(cuts), False
 
 
-def _sweep(operands: list[tuple], need: int, tol: float) -> "CircleSubset":
+def _sweep(operands: list[tuple], need: int) -> "CircleSubset":
     """The points and arcs that at least `need` operands hold.
 
     An operand is its (cut, at, after) triples in ascending order and whether
     it holds the arc before its first cut (with no cuts, the whole circle).
     One pass visits all operands' cuts in ascending order.  A cluster holds
-    the cuts within tol of its first cut and becomes one cut of the result.
+    the cuts within TOL_ANGLE of its first cut and becomes one cut of the
+    result.
     At each cluster the sweep counts the operands holding its point and the
     arc after it; an operand with no cut in the cluster holds what its
     current arc holds.
     """
+    tol = TOL_ANGLE
     state = [held for _, held in operands]
     events = sorted([(c, k, a, f) for k, (cuts, _) in enumerate(operands) for c, a, f in cuts])
     count = sum(state)
@@ -166,14 +170,14 @@ def _sweep(operands: list[tuple], need: int, tol: float) -> "CircleSubset":
         state[k] = f
     if first is not None:
         rows.append((first, points >= need, count >= need))
-    return CircleSubset.from_steps(rows, count >= need, tol)
+    return CircleSubset.from_steps(rows, count >= need)
 
 
 @dataclass(frozen=True, slots=True)
 class CircleSubset:
     """A finite union of points and arcs of the unit circle, as its indicator.
 
-    cuts are ascending canonical angles, more than tol apart; at[i] says
+    cuts are ascending canonical angles, more than TOL_ANGLE apart; at[i] says
     whether the point cuts[i] is in the set, after[i] whether the open arc
     from cuts[i] to the next cut (cyclically) is.  No cut is redundant; with
     no cuts, full decides between the empty set and the whole circle.
@@ -183,28 +187,27 @@ class CircleSubset:
     at: tuple[bool, ...] = ()
     after: tuple[bool, ...] = ()
     full: bool = False
-    tol: float = DEFAULT_CONFIG.tol_angle
 
     # -- constructors -------------------------------------------------
     @staticmethod
     @functools.cache
-    def empty(tol: float = DEFAULT_CONFIG.tol_angle) -> "CircleSubset":
-        """The empty set, one shared instance per tol: subsets are immutable."""
-        return CircleSubset((), (), (), False, tol)
+    def empty() -> "CircleSubset":
+        """The empty set, one shared instance: subsets are immutable."""
+        return CircleSubset()
 
     @staticmethod
-    def full_circle(tol: float = DEFAULT_CONFIG.tol_angle) -> "CircleSubset":
-        return CircleSubset((), (), (), True, tol)
+    def full_circle() -> "CircleSubset":
+        return CircleSubset(full=True)
 
     @staticmethod
-    def from_items(items, tol: float = DEFAULT_CONFIG.tol_angle) -> "CircleSubset":
-        return _sweep([_item_cuts(it, tol) for it in items], 1, tol)
+    def from_items(items) -> "CircleSubset":
+        return _sweep([_item_cuts(it) for it in items], 1)
 
     @staticmethod
-    def from_steps(rows, full: bool = False,
-                   tol: float = DEFAULT_CONFIG.tol_angle) -> "CircleSubset":
+    def from_steps(rows, full: bool = False) -> "CircleSubset":
         """The set holding the point (at) and the open arc after it (after) of
-        each (cut, at, after) row, with ascending cuts more than tol apart.
+        each (cut, at, after) row, with ascending cuts more than TOL_ANGLE
+        apart.
 
         A cut whose point and arcs on both sides agree is dropped.  With none
         left the set is the whole circle if its arcs are held, and with no
@@ -212,26 +215,26 @@ class CircleSubset:
         """
         kept = [r for r, prev in zip(rows, rows[-1:] + rows[:-1]) if not r[1] == r[2] == prev[2]]
         if not kept:
-            return CircleSubset((), (), (), rows[-1][2] if rows else full, tol)
+            return CircleSubset((), (), (), rows[-1][2] if rows else full)
         cuts, at, after = zip(*kept)
-        return CircleSubset(cuts, at, after, False, tol)
+        return CircleSubset(cuts, at, after, False)
 
     @staticmethod
-    def point(theta: float, tol: float = DEFAULT_CONFIG.tol_angle) -> "CircleSubset":
-        return CircleSubset.from_items([Point(theta)], tol)
+    def point(theta: float) -> "CircleSubset":
+        return CircleSubset.from_items([Point(theta)])
 
     @staticmethod
     def arc(start: float, end: float, closed_start: bool = True,
-            closed_end: bool = True, tol: float = DEFAULT_CONFIG.tol_angle) -> "CircleSubset":
+            closed_end: bool = True) -> "CircleSubset":
         """Counterclockwise arc from start to end (sweep taken mod 2*pi)."""
         sweep = (end - start) % TWO_PI
         s = canonical_angle(start)
-        return CircleSubset.from_items([Arc(s, s + sweep, closed_start, closed_end)], tol)
+        return CircleSubset.from_items([Arc(s, s + sweep, closed_start, closed_end)])
 
     @staticmethod
-    def punctured_circle(removed: list[float], tol: float = DEFAULT_CONFIG.tol_angle) -> "CircleSubset":
+    def punctured_circle(removed: list[float]) -> "CircleSubset":
         """The circle minus a finite set of points."""
-        return CircleSubset.full_circle(tol).minus_points(removed)
+        return CircleSubset.full_circle().minus_points(removed)
 
     # -- basic queries ------------------------------------------------
     @property
@@ -265,20 +268,20 @@ class CircleSubset:
     def contains(self, theta: float) -> bool:
         if not self.cuts:
             return self.full
-        i, on_cut = _locate(self.cuts, theta, self.tol)
+        i, on_cut = _locate(self.cuts, theta)
         return self.at[i] if on_cut else self.after[i]
 
     # -- set operations -----------------------------------------------
     def complement(self) -> "CircleSubset":
         return CircleSubset(self.cuts, tuple(not a for a in self.at),
                             tuple(not f for f in self.after),
-                            not (self.full or self.cuts), self.tol)
+                            not (self.full or self.cuts))
 
     def union(self, other: "CircleSubset") -> "CircleSubset":
-        return _sweep([self._raw(), other._raw()], 1, self.tol)
+        return _sweep([self._raw(), other._raw()], 1)
 
     def intersect(self, other: "CircleSubset") -> "CircleSubset":
-        return _sweep([self._raw(), other._raw()], 2, self.tol)
+        return _sweep([self._raw(), other._raw()], 2)
 
     def _raw(self) -> tuple:
         """This set as a sweep operand."""
@@ -286,7 +289,7 @@ class CircleSubset:
                 self.after[-1] if self.cuts else self.full)
 
     def minus_points(self, thetas: list[float]) -> "CircleSubset":
-        holes = CircleSubset.from_items([Point(t) for t in thetas], self.tol)
+        holes = CircleSubset.from_items([Point(t) for t in thetas])
         return self.intersect(holes.complement())
 
     def is_subset_of(self, other: "CircleSubset") -> bool:
@@ -306,9 +309,9 @@ class CircleSubset:
         return {"full": self.full, "items": items}
 
     @staticmethod
-    def from_json(data: dict, tol: float = DEFAULT_CONFIG.tol_angle) -> "CircleSubset":
+    def from_json(data: dict) -> "CircleSubset":
         if data.get("full"):
-            return CircleSubset.full_circle(tol)
+            return CircleSubset.full_circle()
         items = []
         for d in data.get("items", []):
             if d["type"] == "point":
@@ -319,7 +322,7 @@ class CircleSubset:
                 if sweep == 0.0:
                     sweep = TWO_PI
                 items.append(Arc(s, s + sweep, d["closed_start"], d["closed_end"]))
-        return CircleSubset.from_items(items, tol)
+        return CircleSubset.from_items(items)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +359,7 @@ def _components_met(a: CircleSubset, b: CircleSubset) -> set[int]:
     after, n = a.after, len(a.cuts)
 
     def label(t: float) -> int:
-        j, on_cut = _locate(a.cuts, t, a.tol)
+        j, on_cut = _locate(a.cuts, t)
         if not on_cut or after[j]:
             return j
         return (j - 1) % n if after[j - 1] else n + j
@@ -457,7 +460,7 @@ class PlanarCone:
             return [unit(self.start), unit(self.start + PI)]
         return [unit(self.start), unit(self.start + self.sweep)]
 
-    def contains_direction(self, theta: float, tol: float = DEFAULT_CONFIG.tol_angle) -> bool:
+    def contains_direction(self, theta: float, tol: float = TOL_ANGLE) -> bool:
         """Whether the ray at angle theta lies in the cone."""
         if self.kind == "full":
             return True
@@ -499,8 +502,13 @@ class PlanarCone:
 
     @staticmethod
     def from_json(data: dict) -> "PlanarCone":
+        if not isinstance(data, dict):
+            raise InvalidInputError("the cone must be a JSON object")
         kind = data.get("kind")
         gens = data.get("generators", [])
+        if not isinstance(gens, list):
+            raise InvalidInputError("the cone's generators must be a list")
+        gens = [_generator(g) for g in gens]
         if kind == "zero":
             return PlanarCone.zero()
         if kind == "full":
@@ -530,14 +538,23 @@ class PlanarCone:
         raise InvalidInputError(f"unknown cone kind {kind!r}")
 
 
-def cones_equal(k1: PlanarCone, k2: PlanarCone, tol: float = DEFAULT_CONFIG.tol_angle) -> bool:
+def _generator(g) -> tuple[float, float]:
+    """A cone generator from JSON: a pair of finite numbers."""
+    if not (isinstance(g, list) and len(g) == 2 and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+            for v in g)):
+        raise InvalidInputError(f"cone generator {g!r} is not a pair of finite numbers")
+    return (float(g[0]), float(g[1]))
+
+
+def cones_equal(k1: PlanarCone, k2: PlanarCone) -> bool:
     if k1.kind != k2.kind:
         return False
     if k1.kind in ("zero", "full"):
         return True
     if k1.kind == "line":
-        return angles_equal(k1.start, k2.start, tol) or angles_equal(k1.start + PI, k2.start, tol)
-    return angles_equal(k1.start, k2.start, tol) and abs(k1.sweep - k2.sweep) <= tol
+        return angles_equal(k1.start, k2.start) or angles_equal(k1.start + PI, k2.start)
+    return angles_equal(k1.start, k2.start) and abs(k1.sweep - k2.sweep) <= TOL_ANGLE
 
 
 def polar_cone(k: PlanarCone) -> PlanarCone:
@@ -557,29 +574,28 @@ def polar_cone(k: PlanarCone) -> PlanarCone:
     return PlanarCone.sector(new_start, new_sweep)
 
 
-def omega_set(k: PlanarCone, tol: float = DEFAULT_CONFIG.tol_angle) -> CircleSubset:
+def omega_set(k: PlanarCone) -> CircleSubset:
     """The polar cone's trace on the unit circle."""
     p = polar_cone(k)
     if p.kind == "full":
-        return CircleSubset.full_circle(tol)
+        return CircleSubset.full_circle()
     if p.kind == "zero":
-        return CircleSubset.empty(tol)
+        return CircleSubset.empty()
     if p.kind == "line":
         return CircleSubset.from_items(
-            [Point(p.start), Point(canonical_angle(p.start + PI))], tol)
+            [Point(p.start), Point(canonical_angle(p.start + PI))])
     if p.kind == "ray":
-        return CircleSubset.point(p.start, tol)
-    return CircleSubset.from_items(
-        [Arc(p.start, p.start + p.sweep, True, True)], tol)
+        return CircleSubset.point(p.start)
+    return CircleSubset.from_items([Arc(p.start, p.start + p.sweep, True, True)])
 
 
-def closed_half_circle(theta: float, tol: float = DEFAULT_CONFIG.tol_angle) -> CircleSubset:
+def closed_half_circle(theta: float) -> CircleSubset:
     """The closed arc from theta to theta + pi."""
     t = canonical_angle(theta)
-    return CircleSubset.from_items([Arc(t, t + PI, True, True)], tol)
+    return CircleSubset.from_items([Arc(t, t + PI, True, True)])
 
 
-def open_half_circle(center: float, tol: float = DEFAULT_CONFIG.tol_angle) -> CircleSubset:
+def open_half_circle(center: float) -> CircleSubset:
     """{omega : <omega, u(center)> > 0}, an open half circle."""
     s = canonical_angle(center - PI / 2)
-    return CircleSubset.from_items([Arc(s, s + PI, False, False)], tol)
+    return CircleSubset.from_items([Arc(s, s + PI, False, False)])

@@ -15,7 +15,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -29,7 +28,6 @@ from .applications import (
 )
 from .betti import analyze, betti_complement, betti_y, check_bounds, result_json
 from .circle import PlanarCone, omega_set
-from .config import DEFAULT_CONFIG, ToleranceConfig
 from .errors import InvalidInputError, NumericalError, OracleDisagreement
 from .filtration import IndexProfile, index_profile
 from .fixtures import NAMED_FIXTURES, cone_zero_problem
@@ -75,23 +73,24 @@ def _write_output(args, data: dict) -> None:
         sys.stdout.write(text)
 
 
-def _config_from(args) -> ToleranceConfig:
-    kw = {}
-    if getattr(args, "tol", None) is not None:
-        kw["tol_eig"] = args.tol
-        kw["tol_angle"] = args.tol
-    if getattr(args, "grid", None) is not None:
-        kw["grid_n"] = args.grid
-    if getattr(args, "seed", None) is not None:
-        kw["seed"] = args.seed
-    return replace(DEFAULT_CONFIG, **kw)
+def _oracle_options(args) -> dict:
+    """The verify_analysis keywords that --grid and --seed set."""
+    given = {"grid_n": args.grid, "seed": args.seed}
+    return {k: v for k, v in given.items() if v is not None}
+
+
+def _plane_point(c) -> tuple[float, float]:
+    """The point 'c' as a pair of floats; anything but two numbers is invalid."""
+    if not (isinstance(c, (list, tuple)) and len(c) == 2 and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in c)):
+        raise InvalidInputError(f"'c' must be a pair of numbers, not {c!r}")
+    return (float(c[0]), float(c[1]))
 
 
 def _add_common(sp) -> None:
     sp.add_argument("--input", help="problem JSON file (default: stdin)")
     sp.add_argument("--output", help="result JSON file (default: stdout)")
-    sp.add_argument("--tol", type=float, help="eigenvalue and angle tolerance")
-    sp.add_argument("--grid", type=int, help="oracle grid resolution")
+    sp.add_argument("--grid", type=int, help="oracle grid resolution (at least 4)")
     sp.add_argument("--seed", type=int, help="PRNG seed for oracles")
     sp.add_argument("--smooth", action="store_true",
                     help="assert the solution set is a nonsingular intersection")
@@ -103,21 +102,19 @@ def _add_common(sp) -> None:
 
 def _cmd_betti_x(args) -> int:
     pencil, cone, extra = load_problem(_read_input(args))
-    cfg = _config_from(args)
-    res = analyze(pencil, cone, cfg)
+    res = analyze(pencil, cone)
     data = result_json(res)
     smooth = args.smooth or bool(extra.get("smooth"))
     data["violations"] = check_bounds(res.report, smooth=smooth)
     if getattr(args, "verify", False):
-        data["oracle"] = verify_analysis(pencil, cone, cfg, result=res)
+        data["oracle"] = verify_analysis(pencil, cone, result=res, **_oracle_options(args))
     _write_output(args, data)
     return 0
 
 
 def _cmd_betti_y(args) -> int:
     pencil, cone, _ = load_problem(_read_input(args))
-    cfg = _config_from(args)
-    entries = betti_y(pencil, cone, cfg)
+    entries = betti_y(pencil, cone)
     data = {
         "entries": [
             {"k": e.k, "determined": e.determined, "reduced": e.reduced,
@@ -131,23 +128,20 @@ def _cmd_betti_y(args) -> int:
 
 def _cmd_betti_complement(args) -> int:
     pencil, cone, _ = load_problem(_read_input(args))
-    cfg = _config_from(args)
-    _write_output(args, {"b_complement": betti_complement(pencil, cone, cfg)})
+    _write_output(args, {"b_complement": betti_complement(pencil, cone)})
     return 0
 
 
 def _cmd_euler(args) -> int:
     pencil, cone, _ = load_problem(_read_input(args))
-    cfg = _config_from(args)
-    res = analyze(pencil, cone, cfg)
+    res = analyze(pencil, cone)
     _write_output(args, {"chi": res.chi, "chi_alternating": res.report.chi})
     return 0
 
 
 def _cmd_table(args) -> int:
     pencil, cone, _ = load_problem(_read_input(args))
-    cfg = _config_from(args)
-    res = analyze(pencil, cone, cfg)
+    res = analyze(pencil, cone)
     _write_output(args, {
         "table": res.table.display_rows(),
         "mu": res.table.mu,
@@ -161,15 +155,11 @@ def _cmd_table(args) -> int:
 
 def _cmd_level_set(args) -> int:
     pencil, _, extra = load_problem(_read_input(args))
-    cfg = _config_from(args)
     if "c" not in extra:
         raise InvalidInputError("level-set requires a point 'c' in the problem JSON")
-    c = extra["c"]
-    if not (isinstance(c, (list, tuple)) and len(c) == 2):
-        raise InvalidInputError("'c' must be a pair of numbers")
     mode = extra.get("mode", "eq")
-    problem = LevelProblem(pencil, (float(c[0]), float(c[1])), mode=mode)
-    res = solve_level_problem(problem, cfg)
+    problem = LevelProblem(pencil, _plane_point(extra["c"]), mode=mode)
+    res = solve_level_problem(problem)
     _write_output(args, {
         "nonempty": res.nonempty,
         "b_tilde": list(res.b_tilde),
@@ -180,30 +170,34 @@ def _cmd_level_set(args) -> int:
 
 def _cmd_calabi(args) -> int:
     pencil, _, _ = load_problem(_read_input(args))
-    cfg = _config_from(args)
-    cert = calabi(pencil, cfg)
+    cert = calabi(pencil)
     _write_output(args, cert.to_json())
     return 0
 
 
 def _cmd_member(args) -> int:
     pencil, _, extra = load_problem(_read_input(args))
-    cfg = _config_from(args)
     if args.c is not None:
         c = args.c
     elif "c" in extra:
         c = extra["c"]
     else:
         raise InvalidInputError("member requires 'c' (flag or problem JSON)")
-    member, cert = image_membership(pencil, (float(c[0]), float(c[1])), cfg)
+    member, cert = image_membership(pencil, _plane_point(c))
     _write_output(args, {"member": member, "certificate": cert.to_json()})
     return 0
 
 
 def _cmd_support(args) -> int:
     pencil, _, _ = load_problem(_read_input(args))
-    thetas = [args.theta] if args.theta is not None else \
-        np.linspace(0.0, TWO_PI, args.directions, endpoint=False)
+    if args.theta is not None:
+        if not math.isfinite(args.theta):
+            raise InvalidInputError(f"--theta must be finite, not {args.theta}")
+        thetas = [args.theta]
+    elif args.directions < 1:
+        raise InvalidInputError(f"--directions must be positive, not {args.directions}")
+    else:
+        thetas = np.linspace(0.0, TWO_PI, args.directions, endpoint=False)
     values = [{"theta": th, "value": support_function(pencil, th)} for th in thetas]
     _write_output(args, {"support": values})
     return 0
@@ -242,9 +236,8 @@ def emit_profile_csv(profile: IndexProfile, path: str,
 
 def _cmd_profile(args) -> int:
     pencil, cone, _ = load_problem(_read_input(args))
-    cfg = _config_from(args)
-    profile = index_profile(pencil, omega_set(cone, cfg.tol_angle), cfg)
-    grid = grid_index_profile(pencil, cfg) if args.grid else None
+    profile = index_profile(pencil, omega_set(cone))
+    grid = grid_index_profile(pencil, grid_n=args.grid) if args.grid is not None else None
     emit_profile_csv(profile, args.csv, grid)
     _write_output(args, {
         "csv": args.csv,
@@ -255,9 +248,8 @@ def _cmd_profile(args) -> int:
 
 def _cmd_verify(args) -> int:
     pencil, cone, _ = load_problem(_read_input(args))
-    cfg = _config_from(args)
-    res = analyze(pencil, cone, cfg)
-    oracle = verify_analysis(pencil, cone, cfg, result=res)
+    res = analyze(pencil, cone)
+    oracle = verify_analysis(pencil, cone, result=res, **_oracle_options(args))
     data = result_json(res)
     data["oracle"] = oracle
     _write_output(args, data)

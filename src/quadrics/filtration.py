@@ -20,14 +20,13 @@ from functools import cached_property
 from typing import Callable
 
 from .circle import CircleSubset, _locate, canonical_angle, omega_set
-from .config import DEFAULT_CONFIG, ToleranceConfig
 from .errors import NumericalError
 from .pencil import (
+    CLUSTER_TOL,
     DegenerateLocus,
     FamilySpectrum,
     InertiaTriple,
     QuadraticPencil,
-    cluster_tol,
     degenerate_locus,
     shared_triple,
 )
@@ -69,15 +68,15 @@ class IndexProfile:
         """The cuts whose point holds a value: breakpoints and included domain ends."""
         return [c for c, v in zip(self.cuts, self.at) if v is not None]
 
-    def value_at_angle(self, theta: float,
-                       tol: float = DEFAULT_CONFIG.tol_angle) -> InertiaTriple | None:
+    def value_at_angle(self, theta: float) -> InertiaTriple | None:
         """The recorded inertia at an angle, or None outside the domain.
 
-        Within tol of a cut the cut's value holds, as in CircleSubset.contains.
+        Within TOL_ANGLE of a cut the cut's value holds, as in
+        CircleSubset.contains.
         """
         if not self.cuts:
             return self.whole
-        i, on_cut = _locate(self.cuts, theta, tol)
+        i, on_cut = _locate(self.cuts, theta)
         return self.at[i] if on_cut else self.after[i]
 
     def rows(self) -> list[tuple[float, int, int, bool]]:
@@ -131,11 +130,12 @@ def _read_arcs(spectrum: FamilySpectrum, arcs: list[tuple[float, float]],
     return values
 
 
-def _antipodally_paired(bps: list[float], tol: float) -> bool:
-    """Whether the sorted breakpoints split into halves half a turn apart."""
+def _antipodally_paired(bps: list[float]) -> bool:
+    """Whether the sorted breakpoints split into halves half a turn apart,
+    within CLUSTER_TOL."""
     h = len(bps) // 2
     return len(bps) == 2 * h and all(
-        abs(bps[i + h] - bps[i] - math.pi) <= tol for i in range(h))
+        abs(bps[i + h] - bps[i] - math.pi) <= CLUSTER_TOL for i in range(h))
 
 
 def _antipode(v: InertiaTriple) -> InertiaTriple:
@@ -143,26 +143,27 @@ def _antipode(v: InertiaTriple) -> InertiaTriple:
     return shared_triple(v.i_minus, v.i_plus, v.i_zero)
 
 
-def _dedupe_sorted(angles: list[float], tol: float) -> list[float]:
+def _dedupe_sorted(angles: list[float]) -> list[float]:
+    """The sorted angles less those within CLUSTER_TOL of the last one kept."""
     out: list[float] = []
     for a in angles:
-        if not out or a - out[-1] > tol:
+        if not out or a - out[-1] > CLUSTER_TOL:
             out.append(a)
     return out
 
 
-def _profile_steps(domain: CircleSubset, candidates: list[float],
-                   ctol: float) -> list[tuple[float, bool, tuple[float, float] | None]]:
+def _profile_steps(domain: CircleSubset, candidates: list[float]
+                   ) -> list[tuple[float, bool, tuple[float, float] | None]]:
     """(cut, point held, held arc after it or None) in ascending cut order.
 
-    On the full domain the cuts are the candidates, clustered within ctol,
-    and every point and arc is held.  Otherwise they are the domain's cuts
-    and the candidates more than ctol inside its held arcs; an arc's ends
-    are lifted past its start.
+    On the full domain the cuts are the candidates, clustered within
+    CLUSTER_TOL, and every point and arc is held.  Otherwise they are the
+    domain's cuts and the candidates more than CLUSTER_TOL inside its held
+    arcs; an arc's ends are lifted past its start.
     """
     if domain.is_full():
-        bps = _dedupe_sorted(sorted(canonical_angle(c) for c in candidates), ctol)
-        if len(bps) >= 2 and (bps[0] + TWO_PI) - bps[-1] <= ctol:
+        bps = _dedupe_sorted(sorted(canonical_angle(c) for c in candidates))
+        if len(bps) >= 2 and (bps[0] + TWO_PI) - bps[-1] <= CLUSTER_TOL:
             bps.pop()
         return [(b, True, (b, e)) for b, e in zip(bps, [*bps[1:], bps[0] + TWO_PI])] \
             if bps else []
@@ -173,7 +174,8 @@ def _profile_steps(domain: CircleSubset, candidates: list[float],
             steps.append((s, held, None))
             continue
         lifts = (s + (canonical_angle(c) - s) % TWO_PI for c in candidates)
-        inner = _dedupe_sorted(sorted(b for b in lifts if s + ctol < b < e - ctol), ctol)
+        inner = _dedupe_sorted(sorted(b for b in lifts
+                                      if s + CLUSTER_TOL < b < e - CLUSTER_TOL))
         edges = [s, *inner, e]
         steps += [(canonical_angle(a), k > 0 or held, (a, b))
                   for k, (a, b) in enumerate(zip(edges, edges[1:]))]
@@ -182,7 +184,6 @@ def _profile_steps(domain: CircleSubset, candidates: list[float],
 
 
 def index_profile(p: QuadraticPencil, domain: CircleSubset,
-                  cfg: ToleranceConfig = DEFAULT_CONFIG,
                   candidates: list[float] | None = None) -> IndexProfile:
     """Inertia profile of the pencil's family over a circle domain.
 
@@ -198,7 +199,7 @@ def index_profile(p: QuadraticPencil, domain: CircleSubset,
 
     On the full circle the family has M(theta + pi) = -M(theta), so i_plus
     and i_minus swap at antipodes.  When the B sorted breakpoints pair
-    antipodally within cluster_tol, as the locus's always do, only the arcs
+    antipodally within CLUSTER_TOL, as the locus's always do, only the arcs
     from bps[0] to bps[B/2] and the first B/2 breakpoints are solved, and the
     rest are their antipodes' values swapped: 3 B/2 matrices, not 3 B.
     Custom candidates need not pair; unpaired ones are read in full.
@@ -206,10 +207,9 @@ def index_profile(p: QuadraticPencil, domain: CircleSubset,
     if domain.is_empty():
         return IndexProfile(domain)
     if candidates is None:
-        candidates = degenerate_locus(p, cfg).angles
-    spectrum = FamilySpectrum(p, p.scale(), cfg)
-    ctol = cluster_tol(cfg)
-    steps = _profile_steps(domain, candidates, ctol)
+        candidates = degenerate_locus(p).angles
+    spectrum = FamilySpectrum(p, p.scale())
+    steps = _profile_steps(domain, candidates)
     if not steps:
         whole, = _read_arcs(spectrum, [(0.0, TWO_PI)])
         return IndexProfile(domain, whole=whole)
@@ -217,7 +217,7 @@ def index_profile(p: QuadraticPencil, domain: CircleSubset,
     points = [c for c, held, _ in steps if held]
     arcs = [arc for _, _, arc in steps if arc]
     h = len(cuts) // 2
-    if domain.is_full() and _antipodally_paired(cuts, ctol):
+    if domain.is_full() and _antipodally_paired(cuts):
         arc_vals = _read_arcs(spectrum, arcs[:h], points[:h])
         point_vals = [spectrum(b) for b in points[:h]]
         arc_vals += [_antipode(v) for v in arc_vals]
@@ -250,7 +250,7 @@ def _where(profile: IndexProfile, keep: Callable[[InertiaTriple], bool]) -> Circ
         return v is not None and keep(v)
 
     rows = [(c, held(v), held(a)) for c, v, a in zip(profile.cuts, profile.at, profile.after)]
-    return CircleSubset.from_steps(rows, held(profile.whole), profile.domain.tol)
+    return CircleSubset.from_steps(rows, held(profile.whole))
 
 
 def superlevel(profile: IndexProfile, j: int) -> CircleSubset:
@@ -264,7 +264,7 @@ def superlevel(profile: IndexProfile, j: int) -> CircleSubset:
     if j <= nu:
         return profile.domain
     if j > mu:
-        return CircleSubset.empty(profile.domain.tol)
+        return CircleSubset.empty()
     return _where(profile, lambda v: v.i_plus >= j)
 
 
@@ -274,7 +274,7 @@ def sublevel(profile: IndexProfile, k: int) -> CircleSubset:
     if k >= hi:
         return profile.domain
     if k < lo:
-        return CircleSubset.empty(profile.domain.tol)
+        return CircleSubset.empty()
     return _where(profile, lambda v: v.i_minus <= k)
 
 
@@ -288,14 +288,13 @@ class FiltrationReport:
 
     The superlevel sets and the orientation class are computed when first
     read, once each.  locus is the degenerate locus the profile was read
-    from, when it is known.
+    from, None only for the empty domain.
     """
 
     pencil: QuadraticPencil
     profile: IndexProfile
     mu: int
     nu: int
-    cfg: ToleranceConfig = DEFAULT_CONFIG
     locus: DegenerateLocus | None = None
     _omegas: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -337,8 +336,7 @@ class FiltrationReport:
         dim = self.pencil.dim
         if dim == 2 * self.mu:
             return self.mu % 2 == 1
-        locus = self.locus if self.locus is not None else \
-            degenerate_locus(self.pencil, self.cfg)
+        locus = self.locus  # the domain is the full circle
         if locus.rank_deficit != dim - 2 * self.mu:
             raise NumericalError(
                 f"constant index {self.mu} leaves {dim - 2 * self.mu} zeros at every "
@@ -346,27 +344,22 @@ class FiltrationReport:
         return locus.theta_pairs % 2 == 1
 
 
-def filtration_report(p: QuadraticPencil, domain: CircleSubset,
-                      cfg: ToleranceConfig = DEFAULT_CONFIG,
-                      profile: IndexProfile | None = None) -> FiltrationReport:
+def filtration_report(p: QuadraticPencil, domain: CircleSubset) -> FiltrationReport:
     """The superlevel filtration of the pencil over the domain and its extremes.
 
     The superlevel sets and the orientation class are computed on first read.
-    Without a given profile, the locus is found once, for the profile and the
-    orientation class alike; an empty domain needs none.
+    The locus is found once, for the profile and the orientation class alike;
+    an empty domain needs none.
     """
-    locus = None
-    if profile is None:
-        locus = None if domain.is_empty() else degenerate_locus(p, cfg)
-        profile = index_profile(p, domain, cfg, locus and locus.angles)
+    locus = None if domain.is_empty() else degenerate_locus(p)
+    profile = index_profile(p, domain, locus and locus.angles)
     mu = profile.max_positive_index()
     nu = profile.min_positive_index()
     if mu == nu and domain.is_full() and mu > p.dim // 2:
         raise NumericalError(
             "constant index exceeds half the dimension; tolerances inconsistent")
-    return FiltrationReport(p, profile, mu, nu, cfg, locus)
+    return FiltrationReport(p, profile, mu, nu, locus)
 
 
-def filtration_for_cone(p: QuadraticPencil, cone, cfg: ToleranceConfig = DEFAULT_CONFIG
-                        ) -> FiltrationReport:
-    return filtration_report(p, omega_set(cone, cfg.tol_angle), cfg)
+def filtration_for_cone(p: QuadraticPencil, cone) -> FiltrationReport:
+    return filtration_report(p, omega_set(cone))

@@ -25,11 +25,18 @@ from scipy.spatial import cKDTree
 
 from .applications import LevelProblem
 from .betti import AnalysisResult, analyze
-from .circle import PlanarCone
-from .config import DEFAULT_CONFIG, ToleranceConfig
+from .circle import TOL_ANGLE, PlanarCone
 from .errors import InvalidInputError, NumericalError, OracleDisagreement
 from .filtration import FiltrationReport, IndexProfile
-from .pencil import AT_MANY_SLICE, InertiaTriple, QuadraticPencil, _lapack, shared_triple
+from .pencil import (
+    AT_MANY_SLICE,
+    CLUSTER_TOL,
+    TOL_EIG,
+    InertiaTriple,
+    QuadraticPencil,
+    _lapack,
+    shared_triple,
+)
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -49,12 +56,12 @@ class GridProfile:
     triples: tuple[InertiaTriple, ...]
 
 
-def grid_index_profile(p: QuadraticPencil,
-                       cfg: ToleranceConfig = DEFAULT_CONFIG) -> GridProfile:
+def grid_index_profile(p: QuadraticPencil, grid_n: int = 720) -> GridProfile:
     """Sample the inertia of the family at a uniform angular grid.
 
-    M(theta + pi) = -M(theta), so i_plus and i_minus swap at antipodes.  When
-    the resolution R is even, grid angle i + R/2 is theta_i + pi to within an
+    The resolution R is the larger of grid_n and 4 * dim; a grid_n below 4
+    is InvalidInputError.  M(theta + pi) = -M(theta), so i_plus and i_minus
+    swap at antipodes.  When R is even, grid angle i + R/2 is theta_i + pi to within an
     ulp, and only angles 0 .. R/2 - 1 are solved: the other half takes their
     counts swapped.  An odd R has no antipodal pairs and is solved in full.
     The solved angles go in stacks of at most AT_MANY_SLICE entries, as
@@ -63,9 +70,11 @@ def grid_index_profile(p: QuadraticPencil,
     member equals QuadraticPencil.at bit for bit, so the counts match
     per-angle sampling.
     """
+    if grid_n < 4:
+        raise InvalidInputError(f"the oracle grid needs at least 4 angles, not {grid_n}")
     dim = p.dim
-    resolution = max(cfg.grid_n, 4 * dim)
-    thr = cfg.tol_eig * p.scale()
+    resolution = max(grid_n, 4 * dim)
+    thr = TOL_EIG * p.scale()
     thetas = np.linspace(0.0, TWO_PI, resolution, endpoint=False).tolist()
     solved = thetas[:resolution // 2] if resolution % 2 == 0 else thetas
     step = max(1, AT_MANY_SLICE // (dim * dim))
@@ -80,30 +89,30 @@ def grid_index_profile(p: QuadraticPencil,
     return GridProfile(resolution, tuple(thetas), triples)
 
 
-def _steps_at(cuts: tuple, at, after, whole, tol: float, t: np.ndarray) -> np.ndarray:
+def _steps_at(cuts: tuple, at, after, whole, t: np.ndarray) -> np.ndarray:
     """A step function on the circle at every canonical angle, by the rules
-    of circle._locate: at[i] within tol of cuts[i], after[i] on the open arc
-    after it, whole with no cuts.  Each value is a scalar or a triple."""
+    of circle._locate: at[i] within TOL_ANGLE of cuts[i], after[i] on the
+    open arc after it, whole with no cuts.  Each value is a scalar or a
+    triple."""
     if not cuts:
         return np.full((len(t), *np.shape(whole)), whole)
     c = np.array(cuts)
-    t = np.where(t >= TWO_PI - tol, 0.0, t)
+    t = np.where(t >= TWO_PI - TOL_ANGLE, 0.0, t)
     i = np.searchsorted(c, t, side="right") - 1
     nxt = np.minimum(i + 1, len(c) - 1)
-    on_cut = (i >= 0) & (t - c[i] <= tol)
-    on_next = ~on_cut & (i + 1 < len(c)) & (c[nxt] - t <= tol)
+    on_cut = (i >= 0) & (t - c[i] <= TOL_ANGLE)
+    on_next = ~on_cut & (i + 1 < len(c)) & (c[nxt] - t <= TOL_ANGLE)
     i = np.where(on_next, nxt, i % len(c))
     on_cut = (on_cut | on_next).reshape(-1, *[1] * np.ndim(whole))
     return np.where(on_cut, np.asarray(at)[i], np.asarray(after)[i])
 
 
-def grid_profile_disagreements(profile: IndexProfile, grid: GridProfile,
-                               cfg: ToleranceConfig = DEFAULT_CONFIG) -> list[float]:
+def grid_profile_disagreements(profile: IndexProfile, grid: GridProfile) -> list[float]:
     """Grid angles of the profile's domain where it disagrees with sampling.
 
     Grid angles outside the domain are not compared; inside it, an angle the
-    profile records no value for counts as a disagreement.  Angles within ten
-    angular tolerances of a recorded breakpoint are skipped: there the
+    profile records no value for counts as a disagreement.  Angles within
+    CLUSTER_TOL, ten angular tolerances, of a recorded breakpoint are skipped: there the
     inertia of a nearly-singular matrix is not decidable.
 
     The grid is checked in one array pass, with the per-angle rules: the
@@ -115,20 +124,19 @@ def grid_profile_disagreements(profile: IndexProfile, grid: GridProfile,
     t = th % TWO_PI
     t[t >= TWO_PI] = 0.0  # as canonical_angle
     dom = profile.domain
-    todo = _steps_at(dom.cuts, dom.at, dom.after, dom.full, dom.tol, t)
+    todo = _steps_at(dom.cuts, dom.at, dom.after, dom.full, t)
     bps = np.sort(profile.breakpoint_angles())
     if len(bps):
         j = np.searchsorted(bps, t)
         near = np.minimum(abs((th - bps[j - 1] + PI) % TWO_PI - PI),
                           abs((th - bps[j % len(bps)] + PI) % TWO_PI - PI))
-        todo &= near > 10.0 * cfg.tol_angle
+        todo &= near > CLUSTER_TOL
 
     def triple(v):  # no value recorded: a triple no sample equals
         return (-1, -1, -1) if v is None else v
 
     recorded = _steps_at(profile.cuts, [*map(triple, profile.at)],
-                         [*map(triple, profile.after)], triple(profile.whole),
-                         cfg.tol_angle, t)
+                         [*map(triple, profile.after)], triple(profile.whole), t)
     sampled = np.fromiter(chain.from_iterable(grid.triples), dtype=np.int64,
                           count=3 * len(t)).reshape(-1, 3)
     bad = todo & np.any(recorded != sampled, axis=1)
@@ -177,8 +185,7 @@ class _DisjointSet:
 
 
 def sample_components(p: QuadraticPencil, cone: PlanarCone, space: str,
-                      cfg: ToleranceConfig = DEFAULT_CONFIG,
-                      target: int = 900, max_batches: int = 120,
+                      seed: int = 0, target: int = 900, max_batches: int = 120,
                       batch: int = 200_000) -> int:
     """Connected components of the solution set, recovered from point samples.
 
@@ -187,7 +194,7 @@ def sample_components(p: QuadraticPencil, cone: PlanarCone, space: str,
     (taken as a high quantile of the empirical distances, which is robust to
     the transverse scatter of the acceptance band), and counts union-find
     roots.  Projective mode also glues antipodes.  Only component counts are
-    claimed, and only for a handful of variables.
+    claimed, and only for a handful of variables.  seed drives the draws.
     """
     if space not in ("sphere", "projective"):
         raise InvalidInputError("space must be 'sphere' or 'projective'")
@@ -196,7 +203,7 @@ def sample_components(p: QuadraticPencil, cone: PlanarCone, space: str,
     dim = p.dim
     scale = max(p.scale(), 1e-12)
     delta = MEMBERSHIP_DELTA * scale
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     accepted: list[np.ndarray] = []
     total = 0
     for step in range(max_batches):
@@ -284,20 +291,19 @@ def _support_margin(problem: LevelProblem, directions: int = 1024) -> float:
     return float(np.min(slack[supporting], initial=math.inf))
 
 
-def feasibility_sample(problem: LevelProblem,
-                       cfg: ToleranceConfig = DEFAULT_CONFIG,
+def feasibility_sample(problem: LevelProblem, seed: int = 0,
                        starts: int | None = None) -> FeasibilitySample:
     """Multi-start descent on the squared residual of the level problem.
 
     found is True when some run drives the residual below tolerance; the
-    witness is the final iterate.  The margin comes from an independent
+    witness is the final iterate.  seed drives the random starts.  The margin comes from an independent
     support-function scan and is reliable only when it clears the tolerance
     by a healthy factor.
     """
     p = problem.pencil
     c = np.asarray(problem.c, dtype=float)
     dim = p.dim
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     n_starts = starts if starts is not None else 6 + 2 * dim
     ineq = problem.mode == "ineq"
     tol = FEAS_TOL * max(1.0, float(np.linalg.norm(c)), p.scale())
@@ -336,7 +342,6 @@ def feasibility_sample(problem: LevelProblem,
 # ---------------------------------------------------------------------------
 
 def stiefel_whitney(p: QuadraticPencil, profile: IndexProfile,
-                    cfg: ToleranceConfig = DEFAULT_CONFIG,
                     start_resolution: int = 64,
                     max_resolution: int = 1 << 14) -> tuple[bool, int, str]:
     """Orientability of the bundle of top positive eigenspaces, by transport.
@@ -365,7 +370,7 @@ def stiefel_whitney(p: QuadraticPencil, profile: IndexProfile,
         return (False, 0, "top superlevel set is not the whole circle")
 
     dim = p.dim
-    thr = cfg.tol_eig * p.scale()
+    thr = TOL_EIG * p.scale()
     lip = math.sqrt(2.0) * p.scale()
     thetas, gaps, frames = np.empty(0), np.empty(0), np.empty((0, dim, mu))
     new = np.linspace(0.0, TWO_PI, max(start_resolution, 8 * dim), endpoint=False)
@@ -405,16 +410,15 @@ class MonodromyCheck:
     base_resolution: int
 
 
-def monodromy_refine(p: QuadraticPencil, filtration: FiltrationReport,
-                     cfg: ToleranceConfig = DEFAULT_CONFIG) -> MonodromyCheck:
+def monodromy_refine(p: QuadraticPencil, filtration: FiltrationReport) -> MonodromyCheck:
     """The analysis's orientation class against two transports: one from the
     default start, one from twice the resolution (base_resolution) it needs."""
     if not (filtration.mu > 0 and filtration.top_fills_circle):
         raise InvalidInputError(
             "monodromy refinement needs the top superlevel set to fill the circle")
     w1a = filtration.w1_nonzero
-    w1b, res, _ = stiefel_whitney(p, filtration.profile, cfg)
-    w1c, _, _ = stiefel_whitney(p, filtration.profile, cfg, start_resolution=2 * res)
+    w1b, res, _ = stiefel_whitney(p, filtration.profile)
+    w1c, _, _ = stiefel_whitney(p, filtration.profile, start_resolution=2 * res)
     return MonodromyCheck(w1a == w1b == w1c, (w1a, w1b, w1c), res)
 
 
@@ -593,19 +597,21 @@ def exact_locus_counts(p: QuadraticPencil) -> ExactLocusCounts | None:
 # ---------------------------------------------------------------------------
 
 def verify_analysis(p: QuadraticPencil, cone: PlanarCone,
-                    cfg: ToleranceConfig = DEFAULT_CONFIG,
-                    result: AnalysisResult | None = None) -> dict:
+                    result: AnalysisResult | None = None, *,
+                    grid_n: int = 720, seed: int = 0) -> dict:
     """Run every applicable oracle against the analytic answer.
 
-    result is the AnalysisResult of (p, cone, cfg) when the caller already
-    has it; otherwise the analysis runs here.  Raises OracleDisagreement on
-    any mismatch; otherwise returns a summary of what was checked.
+    result is the AnalysisResult of (p, cone) when the caller already has
+    it; otherwise the analysis runs here.  grid_n is the grid oracle's
+    resolution and seed drives the sampling oracle.  Raises
+    OracleDisagreement on any mismatch; otherwise returns a summary of what
+    was checked.
     """
-    res = result if result is not None else analyze(p, cone, cfg)
+    res = result if result is not None else analyze(p, cone)
     out: dict = {}
 
-    grid = grid_index_profile(p, cfg)
-    bad = grid_profile_disagreements(res.filtration.profile, grid, cfg)
+    grid = grid_index_profile(p, grid_n=grid_n)
+    bad = grid_profile_disagreements(res.filtration.profile, grid)
     out["grid_points"] = grid.resolution
     out["grid_disagreements"] = len(bad)
     if bad:
@@ -614,7 +620,7 @@ def verify_analysis(p: QuadraticPencil, cone: PlanarCone,
             f"first at {bad[0]:.6f}")
 
     if p.n <= 3:
-        b0 = sample_components(p, cone, "projective", cfg)
+        b0 = sample_components(p, cone, "projective", seed=seed)
         out["sampled_b0"] = b0
         expected = res.report.b[0] if not res.report.empty else 0
         if b0 != expected:
@@ -623,7 +629,7 @@ def verify_analysis(p: QuadraticPencil, cone: PlanarCone,
 
     filt = res.filtration
     if filt.mu > 0 and filt.top_fills_circle:
-        check = monodromy_refine(p, filt, cfg)
+        check = monodromy_refine(p, filt)
         out["monodromy_values"] = list(check.values)
         if not check.stable:
             raise OracleDisagreement(

@@ -10,7 +10,7 @@ quadrics.oracles.
 The locus is the angles of one QZ solve, used as QZ gives them; the chart
 pair of an identically singular family is first compressed to a pair
 congruent to its regular part.  QZ is backward stable, so a simple root
-already reads as degenerate at the profile's threshold tol_eig * scale (the
+already reads as degenerate at the profile's threshold TOL_EIG * scale (the
 tests measure it against that); and a simple root is a sign crossing, so one
 that read as regular would break the semicontinuity check downstream rather
 than give a wrong answer.
@@ -27,8 +27,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import lapack
 
-from .circle import canonical_angle
-from .config import DEFAULT_CONFIG, ToleranceConfig
+from .circle import TOL_ANGLE, canonical_angle
 from .errors import InvalidInputError, NumericalError
 
 PI = math.pi
@@ -60,6 +59,11 @@ ENTRY_BOUND = 2.0 ** 1020
 # the locus's rank decisions: a singular value of the unit-scale chart pair, or
 # of a matrix built from its orthonormal frames, counts as zero up to RANK_TOL
 RANK_TOL = 1e-8
+# an eigenvalue of a member counts as zero when its modulus is at most TOL_EIG
+# times the scale: the family's (QuadraticPencil.scale), or the matrix's own
+TOL_EIG = 1e-9
+# locus roots closer than this, modulo pi, are one point
+CLUSTER_TOL = 10.0 * TOL_ANGLE
 
 
 def _entry_bound_error(what: str) -> InvalidInputError:
@@ -69,7 +73,10 @@ def _entry_bound_error(what: str) -> InvalidInputError:
 def _as_symmetric(m, what: str, bounded: bool = False) -> np.ndarray:
     """m as a read-only symmetric float matrix; bounded checks the pencil
     entry bound ENTRY_BOUND / dim."""
-    a = np.asarray(m, dtype=float)
+    try:
+        a = np.asarray(m, dtype=float)
+    except (TypeError, ValueError) as exc:  # a string, or ragged rows
+        raise InvalidInputError(f"{what} is not a matrix of numbers") from exc
     if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
         raise InvalidInputError(f"{what} must be a non-empty square matrix")
     largest = float(np.max(np.abs(a)))  # nan or inf if an entry is
@@ -195,8 +202,10 @@ class QuadraticPencil:
         except KeyError as exc:
             raise InvalidInputError(f"problem JSON missing key {exc}") from exc
         p = QuadraticPencil(q0, q1)
-        if "n" in data and int(data["n"]) != p.n:
-            raise InvalidInputError("declared n does not match matrix dimension")
+        n = data.get("n", p.n)
+        if isinstance(n, bool) or not isinstance(n, (int, float)) or n != p.n:
+            raise InvalidInputError(f"declared n = {n!r} is not the matrix dimension "
+                                    f"minus one, {p.n}")
         return p
 
 
@@ -234,11 +243,10 @@ def _eigvalsh(a: np.ndarray) -> np.ndarray:
     return _lapack(np.linalg.eigvalsh, a)
 
 
-def inertia(m: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG,
-            scale: float | None = None) -> InertiaTriple:
+def inertia(m: np.ndarray, scale: float | None = None) -> InertiaTriple:
     """Eigenvalue sign counts of a symmetric matrix.
 
-    Eigenvalues within cfg.tol_eig * scale of zero count as zero; by default
+    Eigenvalues within TOL_EIG * scale of zero count as zero; by default
     the scale is the matrix's own spectral norm.  Evaluations of a matrix
     family must pass the family's scale instead, so that a member that is a
     tiny multiple of a definite matrix still reads as degenerate.
@@ -247,7 +255,7 @@ def inertia(m: np.ndarray, cfg: ToleranceConfig = DEFAULT_CONFIG,
     w = _eigvalsh(a)
     if scale is None:
         scale = float(np.max(np.abs(w)))
-    thr = cfg.tol_eig * scale
+    thr = TOL_EIG * scale
     plus = int(np.sum(w > thr))
     minus = int(np.sum(w < -thr))
     return InertiaTriple(plus, minus, a.shape[0] - plus - minus)
@@ -304,17 +312,16 @@ class FamilySpectrum:
 
     QuadraticPencil.at_many stacks exactly symmetric members, so no member
     is re-validated.  Every request solves the angles it has not seen
-    before in one stacked pass.  Eigenvalues within cfg.tol_eig * scale of
+    before in one stacked pass.  Eigenvalues within TOL_EIG * scale of
     zero count as zero, as in inertia() with the family's scale.  Members of
     dimension COUNT_DIM and up are counted by _sturm_inertia, smaller ones by
     one stacked eigvalsh call.
     """
 
-    def __init__(self, p: QuadraticPencil, scale: float,
-                 cfg: ToleranceConfig = DEFAULT_CONFIG):
+    def __init__(self, p: QuadraticPencil, scale: float):
         self.pencil = p
         self.scale = scale
-        self.thr = cfg.tol_eig * scale
+        self.thr = TOL_EIG * scale
         self._triples: dict[float, InertiaTriple] = {}
 
     def prefetch(self, thetas) -> None:
@@ -340,12 +347,11 @@ class FamilySpectrum:
         return self._triples[theta]
 
 
-def sylvester_check(m: np.ndarray, t: np.ndarray,
-                    cfg: ToleranceConfig = DEFAULT_CONFIG) -> bool:
+def sylvester_check(m: np.ndarray, t: np.ndarray) -> bool:
     """Whether inertia is preserved under the congruence m -> t' m t."""
     a = _as_symmetric(m, "matrix")
     t = np.asarray(t, dtype=float)
-    return inertia(a, cfg) == inertia(t.T @ a @ t, cfg)
+    return inertia(a) == inertia(t.T @ a @ t)
 
 
 # ---------------------------------------------------------------------------
@@ -403,11 +409,6 @@ def _cluster_periodic(values: list[float], tol: float) -> list[tuple[float, int]
         first = clusters.pop(0)
         clusters[-1].extend(v + PI for v in first)
     return [(sum(c) / len(c) % PI, len(c)) for c in clusters]
-
-
-def cluster_tol(cfg: ToleranceConfig) -> float:
-    """Roots closer than this are one point: ten times the angle tolerance."""
-    return 10.0 * cfg.tol_angle
 
 
 @functools.lru_cache(maxsize=None)
@@ -498,8 +499,7 @@ def _regular_part(m: np.ndarray, dm: np.ndarray, k: int) -> tuple[np.ndarray, np
     return m, dm
 
 
-def degenerate_locus(p: QuadraticPencil,
-                     cfg: ToleranceConfig = DEFAULT_CONFIG) -> DegenerateLocus:
+def degenerate_locus(p: QuadraticPencil) -> DegenerateLocus:
     """Locate all circle angles where the family drops rank.
 
     With phi a regular angle, det(M(phi) + t*M(phi + pi/2)) vanishes exactly
@@ -543,7 +543,7 @@ def degenerate_locus(p: QuadraticPencil,
         raise NumericalError("unpaired non-real root; tolerances inconsistent")
 
     points: list[DegeneratePoint] = []
-    for center, mult in _cluster_periodic([(phi + r) % PI for r in roots], cluster_tol(cfg)):
+    for center, mult in _cluster_periodic([(phi + r) % PI for r in roots], CLUSTER_TOL):
         points.append(DegeneratePoint(canonical_angle(center), mult))
         points.append(DegeneratePoint(canonical_angle(center + PI), mult))
     points.sort(key=lambda q: q.theta)

@@ -40,7 +40,6 @@ from quadrics.circle import (
     betti_pair,
     subsets_equal,
 )
-from quadrics.config import ToleranceConfig
 from quadrics.filtration import filtration_for_cone, index_profile
 from quadrics.oracles import (
     FEAS_TOL,
@@ -276,7 +275,6 @@ def test_criterion_9_level_sets():
     assert res0.nonempty and all(b == 0 for b in res0.b_tilde)
 
     rng = np.random.default_rng(99)
-    cfg = ToleranceConfig(seed=99)
     agreed = 0
     attempts = 0
     while agreed < 100:
@@ -286,7 +284,7 @@ def test_criterion_9_level_sets():
         p = fixtures.random_pencil(rng, dim)
         c = (float(rng.standard_normal() * 1.5),
              float(rng.standard_normal() * 1.5))
-        sample = feasibility_sample(LevelProblem(p, c), cfg)
+        sample = feasibility_sample(LevelProblem(p, c), seed=99)
         tol = FEAS_TOL * max(1.0, math.hypot(*c))
         if abs(sample.margin) <= 10 * tol:
             continue

@@ -22,13 +22,11 @@ from quadrics.applications import (
 from quadrics.betti import betti_x, build_table, check_bounds
 from quadrics.circle import PlanarCone, betti_pair, omega_set
 from quadrics.errors import InvalidInputError, NumericalError
-from quadrics.config import ToleranceConfig
 from quadrics.filtration import index_profile, sublevel
 from quadrics.pencil import QuadraticPencil, degenerate_locus
 
 PI = math.pi
 ZERO = PlanarCone.zero()
-CFG = ToleranceConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -303,13 +301,13 @@ def test_level_problem_validates_mode():
         level_set_betti(LevelProblem(fixtures.bouquet(), (0.0, 0.0), mode="ineq"))
 
 
-def _reference_level_result(p, domain, cfg):
+def _reference_level_result(p, domain):
     """The level-set reading as sublevel sets and betti_pair: the reference
     for the one-pass count of _level_result."""
     n = p.n
     if domain.is_empty():
         return LevelSetResult(True, tuple([0] * (n + 1)), None)
-    prof = index_profile(p, domain, cfg)
+    prof = index_profile(p, domain)
     min_minus = prof._index_range[2]
     if min_minus == 0:
         return LevelSetResult(False, tuple([0] * (n + 1)), min_minus)
@@ -328,7 +326,7 @@ def test_level_result_equals_the_betti_pair_reading():
     pencils = [fixtures.random_pencil(rng, int(rng.integers(3, 17))) for _ in range(150)]
     pencils += [make() for make in fixtures.NAMED_FIXTURES.values()]
     pencils += [extremal_family(n) for n in range(2, 12)]
-    quadrant_arc = omega_set(PlanarCone.nonpositive_quadrant(), CFG.tol_angle)
+    quadrant_arc = omega_set(PlanarCone.nonpositive_quadrant())
     cases = []
     for p in pencils:
         cases.append((p, (0.0, 0.0)))
@@ -340,10 +338,10 @@ def test_level_result_equals_the_betti_pair_reading():
     outcomes = Counter()
     differ = []
     for p, c in cases:
-        half = _negative_direction_halfcircle(c, CFG.tol_angle)
+        half = _negative_direction_halfcircle(c)
         for domain in (half, quadrant_arc.intersect(half)):
-            expected = _reference_level_result(p, domain, CFG)
-            if _level_result(p, domain, CFG) != expected:
+            expected = _reference_level_result(p, domain)
+            if _level_result(p, domain) != expected:
                 differ.append((p.dim, c, expected))
             outcomes[expected.min_negative_index is None, expected.nonempty] += 1
     assert differ == []

@@ -158,9 +158,7 @@ def test_ray_cone_vacuous_inequality():
 
 
 def test_ray_and_sector_cones_match_sampling_oracle():
-    from quadrics.config import ToleranceConfig
     from quadrics.oracles import sample_components
-    cfg = ToleranceConfig(seed=3)
     rng = np.random.default_rng(17)
     for trial in range(6):
         p = fixtures.random_pencil(rng, 4)
@@ -171,7 +169,7 @@ def test_ray_and_sector_cones_match_sampling_oracle():
                                      float(rng.uniform(0.5, 2.5)))
         rep = betti_x(build_table(p, cone))
         expected = rep.b[0] if not rep.empty else 0
-        assert sample_components(p, cone, "projective", cfg) == expected
+        assert sample_components(p, cone, "projective", seed=3) == expected
 
 
 def test_betti_point_solution_set():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from quadrics.circle import (
+    TOL_ANGLE,
     Arc,
     CircleSubset,
     PlanarCone,
@@ -21,7 +22,6 @@ from quadrics.circle import (
     polar_cone,
     subsets_equal,
 )
-from quadrics.config import DEFAULT_CONFIG
 from quadrics.errors import InvalidInputError
 
 PI = math.pi
@@ -353,9 +353,8 @@ def test_set_algebra_laws(a1, a2, a3):
                          a.intersect(b).union(a.intersect(c)))
 
 
-TOL = DEFAULT_CONFIG.tol_angle
 # an angle near one of a few base angles, shifted by 0 or by 0.5-2 tol either way
-_near_base = st.builds(lambda base, sign, mult: base + sign * mult * TOL,
+_near_base = st.builds(lambda base, sign, mult: base + sign * mult * TOL_ANGLE,
                        st.sampled_from([0.0, 1.0, 3.0]), st.sampled_from([-1.0, 0.0, 1.0]),
                        st.floats(0.5, 2.0))
 _tol_scale_arcs = st.lists(st.tuples(_near_base, _near_base, st.booleans(), st.booleans()),

@@ -233,6 +233,40 @@ def test_non_finite_input_exit_code(tmp_path, capsys, command, q0, c):
     assert "non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,override", [
+    (["betti-x"], {"n": "three"}),
+    (["betti-x"], {"n": 3.5}),  # the bouquet has n = 3
+    (["betti-x"], {"Q0": "not a matrix"}),
+    (["betti-x"], {"Q0": [[1.0, 0.0], [0.0]]}),
+    (["betti-x"], {"cone": ["zero"]}),
+    (["betti-x"], {"cone": {"kind": "ray", "generators": [[1]]}}),
+    (["betti-x"], {"cone": {"kind": "sector", "generators": [["a", "b"], [0, 1]]}}),
+    (["member"], {"c": ["a", 0]}),
+    (["level-set"], {"c": [[1.0], 0.0]}),
+    (["support", "--directions", "-1"], {}),
+    (["support", "--directions", "0"], {}),
+    (["support", "--theta", "inf"], {}),
+    (["support", "--theta", "nan"], {}),
+    (["verify", "--grid", "3"], {}),
+    (["profile", "--grid", "0"], {}),
+    (["betti-x", "--tol", "1e-9"], {}),  # tolerances are not options
+], ids=["n-string", "n-fraction", "q0-string", "q0-ragged", "cone-list", "generator-short",
+        "generator-strings", "member-c", "level-set-c", "directions-negative",
+        "directions-zero", "theta-inf", "theta-nan", "verify-grid", "profile-grid", "tol"])
+def test_malformed_input_exits_2(tmp_path, capsys, argv, override):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({**fixtures.bouquet().to_json(), **override}))
+    argv = [*argv, "--input", str(path), "--output", str(tmp_path / "out.json")]
+    if argv[0] == "profile":
+        argv += ["--csv", str(tmp_path / "profile.csv")]
+    try:
+        code = run(argv)
+    except SystemExit as exc:  # argparse rejects the arguments
+        code = exc.code
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_an_entry_past_the_bound_exit_code(tmp_path, capsys):
     # 1e308 is finite but above 2^1020 / dim; 0.5 * (a + a') once stored inf
     path = tmp_path / "huge.json"

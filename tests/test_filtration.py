@@ -18,13 +18,11 @@ from quadrics.circle import (
     open_half_circle,
     subsets_equal,
 )
-from quadrics.config import DEFAULT_CONFIG
 from quadrics.errors import NumericalError
 from quadrics.filtration import (
     _antipodally_paired,
     _read_arcs,
     filtration_for_cone,
-    filtration_report,
     index_profile,
     sublevel,
     superlevel,
@@ -33,7 +31,6 @@ from quadrics.oracles import exact_inertia, exact_locus_counts, stiefel_whitney
 from quadrics.pencil import (
     FamilySpectrum,
     QuadraticPencil,
-    cluster_tol,
     degenerate_locus,
     inertia,
 )
@@ -249,7 +246,7 @@ def test_the_mirrored_half_circle_equals_the_full_read_cell_by_cell():
         assert [v for _, v in _points(prof)] == [spectrum(b) for b in bps], p.dim
         arcs = list(zip(bps, [*bps[1:], bps[0] + TWO_PI]))
         assert _arc_values(prof) == _read_arcs(spectrum, arcs), p.dim
-        assert _antipodally_paired(bps, cluster_tol(DEFAULT_CONFIG)), p.dim
+        assert _antipodally_paired(bps), p.dim
         mirrored += 1
     assert mirrored >= 20
 
@@ -325,11 +322,10 @@ def test_range_rule_equals_the_union_of_cells():
     values to flags; the union of the held points and arcs is the reference."""
     checked = 0
     for p, prof in _range_rule_profiles():
-        tol = prof.domain.tol
         for j in range(0, p.dim + 2):
             for level, keep in ((superlevel(prof, j), lambda v: v.i_plus >= j),
                                 (sublevel(prof, j), lambda v: v.i_minus <= j)):
-                union = CircleSubset.from_items(_held_items(prof, keep), tol)
+                union = CircleSubset.from_items(_held_items(prof, keep))
                 assert level.to_json() == union.to_json(), (p.dim, j)
                 assert level.n_components() == union.n_components(), (p.dim, j)
                 checked += 1
@@ -567,18 +563,12 @@ def test_w1_reads_no_locus_for_a_regular_pencil(monkeypatch):
         monkeypatch.undo()
 
 
-def test_w1_of_a_singular_pencil_needs_the_matching_rank_deficit(monkeypatch):
+def test_w1_of_a_singular_pencil_needs_the_matching_rank_deficit():
     # padded_squaring reads i_zero = 1 = dim - 2 mu at every angle; a locus
     # with another rank deficit contradicts the profile
     rep = filtration_for_cone(fixtures.padded_squaring(), PlanarCone.zero())
     assert rep.w1_nonzero is True
     rep = replace(rep, locus=pencil.DegenerateLocus((), 1, 2))
-    with pytest.raises(NumericalError, match="rank deficit is 2"):
-        rep.w1_nonzero
-    # a report given its profile reads the locus itself
-    rep = filtration_report(rep.pencil, FULL, profile=rep.profile)
-    monkeypatch.setattr(filtration, "degenerate_locus",
-                        lambda p, cfg: pencil.DegenerateLocus((), 1, 2))
     with pytest.raises(NumericalError, match="rank deficit is 2"):
         rep.w1_nonzero
 

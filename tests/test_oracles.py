@@ -7,11 +7,18 @@ import pytest
 from quadrics import fixtures, oracles
 from quadrics.applications import LevelProblem, extremal_family, level_set_betti
 from quadrics.betti import analyze
-from quadrics.circle import Arc, CircleSubset, PlanarCone, canonical_angle, omega_set
-from quadrics.config import ToleranceConfig
+from quadrics.circle import TOL_ANGLE, Arc, CircleSubset, PlanarCone, canonical_angle, omega_set
 from quadrics.errors import InvalidInputError, NumericalError, OracleDisagreement
 from quadrics.filtration import IndexProfile, filtration_report, index_profile
-from quadrics.pencil import AT_MANY_SLICE, InertiaTriple, QuadraticPencil, degenerate_locus, inertia
+from quadrics.pencil import (
+    AT_MANY_SLICE,
+    CLUSTER_TOL,
+    TOL_EIG,
+    InertiaTriple,
+    QuadraticPencil,
+    degenerate_locus,
+    inertia,
+)
 from quadrics.oracles import (
     FEAS_TOL,
     GridProfile,
@@ -57,21 +64,19 @@ def test_grid_profile_extremal_blocks():
 
 def test_grid_agreement_random():
     rng = np.random.default_rng(50)
-    cfg = ToleranceConfig(grid_n=240)
     for _ in range(200):
         dim = int(rng.integers(2, 8))
         p = fixtures.random_pencil(rng, dim)
-        prof = index_profile(p, FULL_CIRCLE, cfg)
-        grid = grid_index_profile(p, cfg)
-        assert grid_profile_disagreements(prof, grid, cfg) == []
+        prof = index_profile(p, FULL_CIRCLE)
+        grid = grid_index_profile(p, grid_n=240)
+        assert grid_profile_disagreements(prof, grid) == []
 
 
 def test_grid_is_solved_in_slices_of_bounded_size(monkeypatch):
     # 2000 members of dim 41 fill about a hundred at_many slices; no stack may
     # be larger than one, and the counts are those of one stacked solve
     p = fixtures.random_pencil(np.random.default_rng(41), 41)
-    cfg = ToleranceConfig(grid_n=2000)
-    thr = cfg.tol_eig * p.scale()
+    thr = TOL_EIG * p.scale()
     w = np.linalg.eigvalsh(p.at_many(np.linspace(0.0, TWO_PI, 2000, endpoint=False).tolist()))
     plus, minus = np.sum(w > thr, axis=1), np.sum(w < -thr, axis=1)
     expected = [InertiaTriple(a, b, 41 - a - b) for a, b in zip(plus.tolist(), minus.tolist())]
@@ -84,7 +89,7 @@ def test_grid_is_solved_in_slices_of_bounded_size(monkeypatch):
         return stack
 
     monkeypatch.setattr(QuadraticPencil, "at_many", recorded)
-    grid = grid_index_profile(p, cfg)
+    grid = grid_index_profile(p, grid_n=2000)
     assert len(sizes) > 1 and max(sizes) <= AT_MANY_SLICE
     assert list(grid.triples) == expected
 
@@ -97,12 +102,12 @@ def test_grid_agreement_fixtures():
         assert grid_profile_disagreements(prof, grid) == []
 
 
-def _grid_per_angle(p, cfg):
+def _grid_per_angle(p, grid_n):
     """The reference for grid_index_profile: the inertia at every grid angle,
     each solved on its own, the second half circle too."""
-    resolution = max(cfg.grid_n, 4 * p.dim)
+    resolution = max(grid_n, 4 * p.dim)
     thetas = np.linspace(0.0, TWO_PI, resolution, endpoint=False).tolist()
-    return thetas, [inertia(p.at(th), cfg, scale=p.scale()) for th in thetas]
+    return thetas, [inertia(p.at(th), scale=p.scale()) for th in thetas]
 
 
 def test_grid_solves_each_direction_once_and_equals_the_per_angle_solve(monkeypatch):
@@ -124,14 +129,14 @@ def test_grid_solves_each_direction_once_and_equals_the_per_angle_solve(monkeypa
 
     monkeypatch.setattr(QuadraticPencil, "at_many", recorded)
     odd = pencils[:8] + pencils[-4:]
-    for cfg, cases in ((ToleranceConfig(), pencils), (ToleranceConfig(grid_n=1999), odd)):
+    for grid_n, cases in ((720, pencils), (1999, odd)):
         for p in cases:
-            thetas, expected = _grid_per_angle(p, cfg)
+            thetas, expected = _grid_per_angle(p, grid_n)
             resolution = len(thetas)
             for slice_size in (AT_MANY_SLICE, 8 * p.dim * p.dim):
                 monkeypatch.setattr(oracles, "AT_MANY_SLICE", slice_size)
                 solved.clear()
-                grid = grid_index_profile(p, cfg)
+                grid = grid_index_profile(p, grid_n=grid_n)
                 assert grid.resolution == resolution and grid.thetas == tuple(thetas)
                 assert list(grid.triples) == expected
                 assert sum(solved) == (resolution // 2 if resolution % 2 == 0 else resolution)
@@ -169,7 +174,6 @@ def test_double_cover_general_cones_match_sphere_oracle():
     # inequality cones give full-dimensional solution regions on the sphere,
     # where point sampling counts components reliably
     from quadrics.betti import betti_y
-    cfg = ToleranceConfig(seed=11)
     rng = np.random.default_rng(202)
     done = 0
     while done < 6:
@@ -182,10 +186,10 @@ def test_double_cover_general_cones_match_sphere_oracle():
                                      float(rng.uniform(0.8, 2.2)))
         else:
             cone = PlanarCone.halfplane(float(rng.uniform(0, 2 * PI)))
-        e0 = betti_y(p, cone, cfg)[0]
+        e0 = betti_y(p, cone)[0]
         if not e0.determined:
             continue
-        assert sample_components(p, cone, "sphere", cfg) == e0.absolute
+        assert sample_components(p, cone, "sphere", seed=11) == e0.absolute
         done += 1
 
 
@@ -296,13 +300,12 @@ def test_inequality_feasibility_squaring_origin():
 
 
 def test_oracle_reproducibility():
-    cfg = ToleranceConfig(seed=5)
-    a = sample_components(fixtures.bouquet(), ZERO, "projective", cfg)
-    b = sample_components(fixtures.bouquet(), ZERO, "projective", cfg)
+    a = sample_components(fixtures.bouquet(), ZERO, "projective", seed=5)
+    b = sample_components(fixtures.bouquet(), ZERO, "projective", seed=5)
     assert a == b
     problem = LevelProblem(fixtures.complex_squaring(), (0.3, 0.4))
-    r1 = feasibility_sample(problem, cfg)
-    r2 = feasibility_sample(problem, cfg)
+    r1 = feasibility_sample(problem, seed=5)
+    r2 = feasibility_sample(problem, seed=5)
     assert r1 == r2
 
 
@@ -494,9 +497,9 @@ def test_verify_analysis_rejects_a_corrupted_profile():
 # the grid check against its per-angle rules
 # ---------------------------------------------------------------------------
 
-def _disagreements_per_angle(profile, grid, cfg=ToleranceConfig()):
+def _disagreements_per_angle(profile, grid):
     """The reference for grid_profile_disagreements: its rules, one angle at a time."""
-    guard = 10.0 * cfg.tol_angle
+    guard = CLUSTER_TOL
     breakpoints = profile.breakpoint_angles()
     bad = []
     for th, triple in zip(grid.thetas, grid.triples):
@@ -505,15 +508,15 @@ def _disagreements_per_angle(profile, grid, cfg=ToleranceConfig()):
         if breakpoints and min(
                 abs((th - b + PI) % TWO_PI - PI) for b in breakpoints) <= guard:
             continue
-        recorded = profile.value_at_angle(th, cfg.tol_angle)
+        recorded = profile.value_at_angle(th)
         if recorded is None or recorded != triple:
             bad.append(th)
     return bad
 
 
-def _checked(profile, grid, cfg=ToleranceConfig()):
-    bad = grid_profile_disagreements(profile, grid, cfg)
-    assert bad == _disagreements_per_angle(profile, grid, cfg)
+def _checked(profile, grid):
+    bad = grid_profile_disagreements(profile, grid)
+    assert bad == _disagreements_per_angle(profile, grid)
     return bad
 
 
@@ -531,8 +534,8 @@ def test_grid_check_equals_the_per_angle_rules(cone):
     pencils += [extremal_family(n) for n in (10, 20)]
     for p in pencils:
         profile = analyze(p, cone).filtration.profile
-        for cfg in (ToleranceConfig(), ToleranceConfig(grid_n=1999)):
-            assert _checked(profile, grid_index_profile(p, cfg), cfg) == []
+        for grid_n in (720, 1999):
+            assert _checked(profile, grid_index_profile(p, grid_n=grid_n)) == []
 
 
 def test_grid_check_reads_a_tuple_built_grid():
@@ -542,7 +545,7 @@ def test_grid_check_reads_a_tuple_built_grid():
     for p in [fixtures.bouquet(), extremal_family(7), fixtures.random_pencil(rng, 6)]:
         thetas = np.linspace(0.0, TWO_PI, 2039, endpoint=False)
         w = np.linalg.eigvalsh(p.at_many(thetas))
-        thr = ToleranceConfig().tol_eig * p.scale()
+        thr = TOL_EIG * p.scale()
         plus, minus = np.sum(w > thr, axis=1), np.sum(w < -thr, axis=1)
         triples = tuple(InertiaTriple(int(a), int(b), p.dim - int(a) - int(b))
                         for a, b in zip(plus, minus))
@@ -595,7 +598,7 @@ def test_grid_check_on_cell_ends_and_domain_endpoints():
     # endpoints, the seam of a full-turn arc) and at the tolerance edges
     # around them, a few ulps either way, where the per-angle rules decide;
     # against the true inertia and against a wrong constant one
-    tol = ToleranceConfig().tol_angle
+    tol = TOL_ANGLE
     offsets = [0.0, 1e-3] + [f * tol for f in (0.5, 1.0, 1.5, 2.0, 2.5, 9.5, 10.0, 10.5, 12.0)]
     offsets += [-o for o in offsets]
     rng = np.random.default_rng(63)

@@ -14,11 +14,11 @@ from quadrics import fixtures, pencil
 from quadrics.applications import extremal_family
 from quadrics.betti import analyze, check_bounds
 from quadrics.circle import CircleSubset, PlanarCone, angles_equal, canonical_angle
-from quadrics.config import ToleranceConfig
 from quadrics.errors import InvalidInputError, NumericalError
 from quadrics.filtration import index_profile
 from quadrics.oracles import grid_index_profile, grid_profile_disagreements
 from quadrics.pencil import (
+    TOL_EIG,
     DegenerateLocus,
     InertiaTriple,
     QuadraticPencil,
@@ -29,7 +29,6 @@ from quadrics.pencil import (
 
 PI = math.pi
 TWO_PI = 2 * math.pi
-CFG = ToleranceConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +256,7 @@ def _arc_thirds_i_plus(p, locus):
         nxt = pts[(i + 1) % len(pts)].theta + (TWO_PI if i == len(pts) - 1 else 0.0)
         thetas += [pt.theta + (nxt - pt.theta) / 3, pt.theta + 2 * (nxt - pt.theta) / 3]
     w = np.linalg.eigvalsh(np.array([p.at(t) for t in thetas]))
-    plus = np.sum(w > CFG.tol_eig * p.scale(), axis=1)
+    plus = np.sum(w > TOL_EIG * p.scale(), axis=1)
     return plus[0::2].tolist(), plus[1::2].tolist()
 
 
@@ -320,14 +319,14 @@ def _locus_test_pencils():
 
 def test_simple_locus_angles_are_degenerate_as_qz_gives_them():
     # the locus uses QZ's angles unrefined: at each simple point the smallest
-    # eigenvalue must sit far inside the profile's zero band tol_eig * scale
+    # eigenvalue must sit far inside the profile's zero band TOL_EIG * scale
     checked = 0
     for p in _locus_test_pencils():
         thetas = [pt.theta for pt in degenerate_locus(p).points if pt.multiplicity == 1]
         if not thetas:
             continue
         w = np.linalg.eigvalsh(p.at_many(thetas))
-        assert np.max(np.min(np.abs(w), axis=1)) <= 1e-3 * CFG.tol_eig * p.scale()
+        assert np.max(np.min(np.abs(w), axis=1)) <= 1e-3 * TOL_EIG * p.scale()
         checked += len(thetas)
     assert checked > 500
 

@@ -1,0 +1,25 @@
+"""The experiment scripts run end to end on small inputs."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run_script(name, *args):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          capture_output=True, text=True, env=env)
+
+
+def test_bound_sweep_runs():
+    proc = _run_script("bound_sweep.py", "--per-n", "2", "--n-min", "2", "--n-max", "3")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_extremal_gallery_runs(tmp_path):
+    proc = _run_script("extremal_gallery.py", "--n-max", "3", "--csv-dir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["extremal_2.csv", "extremal_3.csv"]

@@ -14,11 +14,11 @@ from scipy.linalg import lapack
 from quadrics import fixtures, pencil
 from quadrics.applications import extremal_family
 from quadrics.circle import CircleSubset, PlanarCone, omega_set
-from quadrics.config import ToleranceConfig
 from quadrics.errors import NumericalError
 from quadrics.filtration import index_profile
 from quadrics.oracles import stiefel_whitney
 from quadrics.pencil import (
+    TOL_EIG,
     DegenerateLocus,
     FamilySpectrum,
     QuadraticPencil,
@@ -27,7 +27,6 @@ from quadrics.pencil import (
 )
 
 TWO_PI = 2 * math.pi
-CFG = ToleranceConfig()
 FULL = CircleSubset.full_circle()
 
 FIXTURES = [fixtures.bouquet, fixtures.complex_squaring, fixtures.doubled_squaring,
@@ -76,10 +75,10 @@ def _answers(p):
     stands in for its answer."""
     out = []
     for thunk in (
-            lambda: degenerate_locus(p, CFG),
-            lambda: index_profile(p, FULL, CFG),
-            lambda: index_profile(p, omega_set(PlanarCone.sector(0.3, 1.9)), CFG),
-            lambda: stiefel_whitney(p, index_profile(p, FULL, CFG), CFG)):
+            lambda: degenerate_locus(p),
+            lambda: index_profile(p, FULL),
+            lambda: index_profile(p, omega_set(PlanarCone.sector(0.3, 1.9))),
+            lambda: stiefel_whitney(p, index_profile(p, FULL))):
         try:
             out.append(thunk())
         except NumericalError as exc:
@@ -107,12 +106,12 @@ def test_at_many_slices_equal_at_bitwise():
         assert all(np.array_equal(m, p.at(th)) for th, m in zip(angles, stack))
 
 
-THR = CFG.tol_eig * 3.0
+THR = TOL_EIG * 3.0
 
 
 def _on_threshold_pencil(dim: int) -> QuadraticPencil:
     """A diagonal pencil of scale 3 whose member at angle 0 has eigenvalues
-    exactly at +-tol_eig * scale: two from dim 4, more every fourth entry."""
+    exactly at +-TOL_EIG * scale: two from dim 4, more every fourth entry."""
     cycle = (-0.5, 2.0, THR, -THR)
     q0 = np.diag([-THR, THR, 3.0, -1.0, *(cycle[i % 4] for i in range(dim - 4))])
     return QuadraticPencil(q0, np.diag(np.linspace(-1.0, 1.0, dim)))
@@ -143,21 +142,21 @@ def test_stacked_inertia_matches_per_angle():
         w = np.diag(_on_threshold_pencil(dim).q0)
         ties = int(np.sum(np.abs(w) == THR))
         assert ties >= dim // 4
-        assert inertia(np.diag(w), CFG, scale=3.0) == \
+        assert inertia(np.diag(w), scale=3.0) == \
             (int(np.sum(w > 0)) - ties // 2, int(np.sum(w < 0)) - ties // 2, ties)
     small = [fixtures.bouquet(), fixtures.four_lines(), fixtures.random_pencil(rng, 9),
              _on_threshold_pencil(4), QuadraticPencil(np.zeros((3, 3)), np.zeros((3, 3)))]
     for p in small + _count_path_pencils():
         scale = p.scale()
-        spectrum = FamilySpectrum(p, scale, CFG)
+        spectrum = FamilySpectrum(p, scale)
         spectrum.prefetch(thetas[:25])
         for th in thetas:
-            assert spectrum(th) == inertia(p.at(th), CFG, scale=scale), (p.dim, th)
+            assert spectrum(th) == inertia(p.at(th), scale=scale), (p.dim, th)
     # the counts do not depend on the pencil's scale
     big = _count_path_pencils()[1]
-    reference = FamilySpectrum(big, big.scale(), CFG)
+    reference = FamilySpectrum(big, big.scale())
     for f in SCALES:
-        spectrum = FamilySpectrum(_scaled(big, f), big.scale() * f, CFG)
+        spectrum = FamilySpectrum(_scaled(big, f), big.scale() * f)
         assert [spectrum(th) for th in thetas] == [reference(th) for th in thetas], f
 
 
@@ -168,9 +167,9 @@ def test_stacked_and_per_angle_inertia_fail_alike(monkeypatch):
     p = fixtures.bouquet()
     monkeypatch.setattr(np.linalg, "eigvalsh", broken)
     with pytest.raises(NumericalError) as single:
-        inertia(p.at(0.3), CFG, scale=p.scale())
+        inertia(p.at(0.3), scale=p.scale())
     with pytest.raises(NumericalError) as stacked:
-        FamilySpectrum(p, p.scale(), CFG).prefetch([0.3, 0.7])
+        FamilySpectrum(p, p.scale()).prefetch([0.3, 0.7])
     assert str(single.value) == str(stacked.value)
     assert str(single.value) == "eigenvalue solver failed: Eigenvalues did not converge"
 
@@ -196,9 +195,9 @@ def test_spectrum_solves_each_angle_once(monkeypatch):
             (fixtures.bouquet(), [("eigvalsh", 2), ("eigvalsh", 1), ("eigvalsh", 1)]),
             (fixtures.random_pencil(np.random.default_rng(9), dim), [("dsytrd", dim)] * 4)]:
         scale = p.scale()
-        reference = inertia(p.at(0.4), CFG, scale=scale)
+        reference = inertia(p.at(0.4), scale=scale)
         calls.clear()
-        spectrum = FamilySpectrum(p, scale, CFG)
+        spectrum = FamilySpectrum(p, scale)
         spectrum.prefetch([0.1, 0.2, 0.1])
         first = [spectrum(0.1), spectrum(0.2)]
         spectrum.prefetch([0.2, 0.3])
@@ -216,12 +215,12 @@ def test_a_failed_tridiagonal_reduction_is_a_numerical_error(monkeypatch):
     monkeypatch.setattr(lapack, "dsytrd", failing)
     p = fixtures.random_pencil(np.random.default_rng(10), pencil.COUNT_DIM)
     with pytest.raises(NumericalError, match="tridiagonal reduction failed: dsytrd info 1"):
-        FamilySpectrum(p, p.scale(), CFG).prefetch([0.3, 0.7])
+        FamilySpectrum(p, p.scale()).prefetch([0.3, 0.7])
     with pytest.raises(NumericalError, match="dsytrd info 1"):
-        index_profile(p, FULL, CFG)
+        index_profile(p, FULL)
     # below COUNT_DIM the profile makes no dsytrd call
     index_profile(fixtures.random_pencil(np.random.default_rng(10), pencil.COUNT_DIM - 1),
-                  FULL, CFG)
+                  FULL)
 
 
 def _counts_by_eigvalsh(stack: np.ndarray, thr: float) -> list[tuple[int, int]]:
@@ -241,8 +240,8 @@ def test_sturm_counts_match_eigvalsh_across_count_dim():
     angles = 0
     for p in pencils:
         s = p.scale()
-        thr = CFG.tol_eig * s
-        roots = degenerate_locus(p, CFG).angles if s > 0.0 else []
+        thr = TOL_EIG * s
+        roots = degenerate_locus(p).angles if s > 0.0 else []
         thetas = [0.0, *rng.uniform(0.0, TWO_PI, 12).tolist()]
         thetas += [r + d for r in roots for d in (0.0, -1e-7, 1e-7, -1e-9, 1e-9)]
         plus, minus = pencil._sturm_inertia(p.at_many(thetas), s, thr)
@@ -282,8 +281,8 @@ def test_scale_runs_its_svds_once(monkeypatch):
     p = fixtures.random_pencil(np.random.default_rng(8), 5)
     first = p.scale()
     assert calls == [0, 0]
-    index_profile(p, FULL, CFG)
-    stiefel_whitney(p, index_profile(p, FULL, CFG), CFG)
+    index_profile(p, FULL)
+    stiefel_whitney(p, index_profile(p, FULL))
     assert p.scale() == first
     assert calls == [0, 0]
     assert first == max(np.linalg.norm(p.q0, 2), np.linalg.norm(p.q1, 2))
