@@ -8,7 +8,9 @@ dim 20, three random pencils each at dims 24, 32 and 48, the extremal
 pencils for n = 20 and 40, Kronecker-singular pencils (an L_eps + L_eps'
 block for eps = 1, 2, 3 and a random regular block, after a random
 congruence) and the pencil q0 = 2 x0 x1, q1 = 2 x0 x2 under every cone
-kind.  An analysis answer carries the profile's breakpoints and rows, and
+kind; last, the circle subsets that the cones' polar traces and the half
+circles build, the half circles at angles on and near the seam 0.  An
+analysis answer carries the profile's breakpoints and rows, and
 the JSON and component count of each superlevel set; a membership answer
 carries the certificate's angle and margin.  The last line is the SHA-256
 of all the others, so two versions of the library give the same answers
@@ -32,6 +34,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEED = 20110622
 CONES = (("zero", ()), ("full", ()), ("ray", (0.7,)), ("line", (2.0,)),
          ("sector", (0.3, 1.9)), ("halfplane", (1.1,)))
+HALF_CIRCLE_ANGLES = (0.0, np.pi / 2, np.pi, 3 * np.pi / 2, -1e-10, 2 * np.pi - 5e-10, 7.0)
 
 
 def _random_pair(rng, dim):
@@ -122,6 +125,17 @@ def inputs(Q):
     for kind, args in CONES:
         cone = getattr(Q.PlanarCone, kind)(*args)
         out.append((f"x0x1-x0x2/{kind}", lambda p=p, cone=cone: analysis(Q, p, cone)))
+    circle = Q.circle
+    quadrant = Q.PlanarCone.nonpositive_quadrant()
+    cones = [(kind, getattr(Q.PlanarCone, kind)(*args)) for kind, args in CONES]
+    for kind, cone in cones + [("nonpositive_quadrant", quadrant)]:
+        out.append((f"omega_set/{kind}", lambda cone=cone: Q.omega_set(cone).to_json()))
+    for t in HALF_CIRCLE_ANGLES:
+        out.append((f"open_half_circle/{t!r}", lambda t=t: circle.open_half_circle(t).to_json()))
+        out.append((f"closed_half_circle/{t!r}",
+                    lambda t=t: circle.closed_half_circle(t).to_json()))
+        out.append((f"quadrant-open_half_circle/{t!r}", lambda t=t: Q.omega_set(quadrant)
+                    .intersect(circle.open_half_circle(t)).to_json()))
     return out
 
 

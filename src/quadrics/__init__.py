@@ -33,10 +33,8 @@ from .betti import (
     result_json,
 )
 from .circle import (
-    Arc,
     CircleSubset,
     PlanarCone,
-    Point,
     betti_circle,
     betti_pair,
     euler_circle,

@@ -18,6 +18,7 @@ from .betti import analyze
 from .circle import (
     CircleSubset,
     PlanarCone,
+    _finite_angle,
     canonical_angle,
     omega_set,
     open_half_circle,
@@ -76,16 +77,16 @@ def _require_finite_point(c: tuple[float, float]) -> None:
 def _arc_midpoints(subset: CircleSubset) -> list[float]:
     if subset.is_full():
         return [0.0, PI / 2, PI, 3 * PI / 2]
-    return [canonical_angle(0.5 * (item.start + item.end)) for item in subset.items]
+    return [canonical_angle(0.5 * (start + end)) for start, end, _, _ in subset._components()]
 
 
 def _longest_arc_midpoint(subset: CircleSubset) -> float:
-    """The midpoint of the first longest item; a point only when no arc exists."""
-    items = subset.items
-    if not items:
+    """The midpoint of the first longest component; a point only when no arc exists."""
+    components = subset._components()
+    if not components:
         raise NumericalError("no arc to certify from")
-    item = max(items, key=lambda it: it.end - it.start)
-    return canonical_angle(0.5 * (item.start + item.end))
+    start, end, _, _ = max(components, key=lambda c: c[1] - c[0])
+    return canonical_angle(0.5 * (start + end))
 
 
 def calabi(p: QuadraticPencil,
@@ -168,7 +169,7 @@ def image_membership(p: QuadraticPencil, c: tuple[float, float]
 def support_function(p: QuadraticPencil, theta: float) -> float:
     """Largest eigenvalue of the family at theta: the support value of the
     sphere image in that direction."""
-    return float(_eigvalsh(p.at(theta))[-1])
+    return float(_eigvalsh(p.at(_finite_angle(theta)))[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -187,10 +188,6 @@ class LevelProblem:
         if self.mode not in ("eq", "ineq"):
             raise InvalidInputError("mode must be 'eq' or 'ineq'")
         _require_finite_point(self.c)
-
-    @property
-    def cone(self) -> PlanarCone | None:
-        return PlanarCone.nonpositive_quadrant() if self.mode == "ineq" else None
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,11 @@
 """Exact combinatorial arithmetic for subsets of the unit circle and for
 closed convex cones in the plane.
 
-A circle subset is a finite union of isolated points and arcs (with
-endpoint-inclusion flags), or the full circle.  It is stored as its indicator
-function: ascending cut angles, and for each cut whether the point and the
-open arc after it belong to the set.  Complement flips the flags; union,
-intersection and building from items are one counting sweep over the cuts.
+A circle subset is stored as its indicator function: ascending cut
+angles, and for each cut whether the point and the open arc after it belong
+to the set; with no cuts, it is empty or the full circle.  A point or an arc
+is built from its cuts directly; complement flips the flags; union and
+intersection are one counting sweep over the cuts.
 Angles are compared modulo 2*pi up to TOL_ANGLE: cuts closer than it are
 one cut.  Homotopy-type outputs (component counts, Betti numbers)
 depend only on the flags.
@@ -49,55 +49,11 @@ def unit(theta: float) -> tuple[float, float]:
     return (math.cos(theta), math.sin(theta))
 
 
-@dataclass(frozen=True, slots=True)
-class Point:
-    """An isolated point of the circle, canonical angle.
-
-    Like a degenerate closed arc, it starts and ends at its angle.
-    """
-
-    theta: float
-    closed_start = closed_end = True
-
-    @property
-    def start(self) -> float:
-        return self.theta
-
-    @property
-    def end(self) -> float:
-        return self.theta
-
-    def contains(self, theta: float) -> bool:
-        """Whether the angle is this point, up to TOL_ANGLE."""
-        return angles_equal(theta, self.theta)
-
-
-@dataclass(frozen=True, slots=True)
-class Arc:
-    """A counterclockwise arc.  start is canonical; start < end <= start + 2*pi.
-
-    An arc of length exactly 2*pi with both flags False is the circle minus
-    the point at start.
-    """
-
-    start: float
-    end: float
-    closed_start: bool
-    closed_end: bool
-
-    @property
-    def length(self) -> float:
-        return self.end - self.start
-
-    def contains(self, theta: float) -> bool:
-        """Whether the angle lies on the arc; within TOL_ANGLE of an endpoint
-        the endpoint's flag decides (either flag, for a full turn)."""
-        d = (canonical_angle(theta) - self.start) % TWO_PI
-        if d <= TOL_ANGLE or d >= TWO_PI - TOL_ANGLE:
-            return self.closed_start or (self.length >= TWO_PI and self.closed_end)
-        if abs(d - self.length) <= TOL_ANGLE:
-            return self.closed_end
-        return d < self.length - TOL_ANGLE
+def _finite_angle(theta: float) -> float:
+    """theta, checked to be finite: the check of every public angle input."""
+    if not math.isfinite(theta):
+        raise InvalidInputError(f"angle {theta!r} is not finite")
+    return theta
 
 
 def _fold(theta: float) -> float:
@@ -111,20 +67,24 @@ def _fold(theta: float) -> float:
     return 0.0 if t >= TWO_PI - TOL_ANGLE else t
 
 
-def _item_cuts(item: Point | Arc) -> tuple:
-    """A Point or an Arc as a sweep operand, its cuts more than TOL_ANGLE apart."""
-    length = item.end - item.start
-    if length < -TOL_ANGLE:
-        raise InvalidInputError("arc with negative sweep")
-    s = _fold(item.start)
-    e = s if length <= TOL_ANGLE or length >= TWO_PI - TOL_ANGLE else _fold(item.end)
-    cs, ce = item.closed_start, item.closed_end
+def _arc(start: float, sweep: float, closed_start: bool, closed_end: bool) -> "CircleSubset":
+    """The counterclockwise arc from start through sweep >= 0, each end held
+    when its flag is set.
+
+    A sweep within TOL_ANGLE of 0 is the point start (held when either flag
+    is); one within TOL_ANGLE of 2*pi is the circle, less the point start
+    when neither flag is set.
+    """
+    start = canonical_angle(_finite_angle(start))
+    end = start + _finite_angle(sweep)
+    length = end - start
+    s = _fold(start)
+    e = s if length <= TOL_ANGLE or length >= TWO_PI - TOL_ANGLE else _fold(end)
     if abs(e - s) <= TOL_ANGLE:
-        # a point, or the circle with (at most) the point s missing
-        return (((s, cs or ce, length > PI),), length > PI)
+        return CircleSubset.from_steps([(s, closed_start or closed_end, length > PI)])
     if e < s:
-        return (((e, ce, False), (s, cs, True)), True)
-    return (((s, cs, True), (e, ce, False)), False)
+        return CircleSubset.from_steps([(e, closed_end, False), (s, closed_start, True)])
+    return CircleSubset.from_steps([(s, closed_start, True), (e, closed_end, False)])
 
 
 def _locate(cuts: tuple[float, ...], theta: float) -> tuple[int, bool]:
@@ -200,10 +160,6 @@ class CircleSubset:
         return CircleSubset(full=True)
 
     @staticmethod
-    def from_items(items) -> "CircleSubset":
-        return _sweep([_item_cuts(it) for it in items], 1)
-
-    @staticmethod
     def from_steps(rows, full: bool = False) -> "CircleSubset":
         """The set holding the point (at) and the open arc after it (after) of
         each (cut, at, after) row, with ascending cuts more than TOL_ANGLE
@@ -221,35 +177,30 @@ class CircleSubset:
 
     @staticmethod
     def point(theta: float) -> "CircleSubset":
-        return CircleSubset.from_items([Point(theta)])
+        return _arc(theta, 0.0, True, True)
 
     @staticmethod
     def arc(start: float, end: float, closed_start: bool = True,
             closed_end: bool = True) -> "CircleSubset":
         """Counterclockwise arc from start to end (sweep taken mod 2*pi)."""
-        sweep = (end - start) % TWO_PI
-        s = canonical_angle(start)
-        return CircleSubset.from_items([Arc(s, s + sweep, closed_start, closed_end)])
-
-    @staticmethod
-    def punctured_circle(removed: list[float]) -> "CircleSubset":
-        """The circle minus a finite set of points."""
-        return CircleSubset.full_circle().minus_points(removed)
+        return _arc(start, (end - start) % TWO_PI, closed_start, closed_end)
 
     # -- basic queries ------------------------------------------------
-    @property
-    def items(self) -> tuple[Point | Arc, ...]:
-        """The components, sorted by start: a Point, or an Arc with its end lifted
-        past start; one cut with its arc held is the circle minus that point."""
+    def _components(self) -> list[tuple[float, float, bool, bool]]:
+        """(start, end, closed_start, closed_end) of each component, by start.
+
+        A point has end == start; an arc's end is lifted past its start, by a
+        full turn for the circle minus one point.  The full circle has none.
+        """
         c, at, after, n = self.cuts, self.at, self.after, len(self.cuts)
-        out: list[Point | Arc] = []
+        out = []
         for i in range(n):
             if after[i]:
                 j = (i + 1) % n
-                out.append(Arc(c[i], c[j] if j > i else c[j] + TWO_PI, at[i], at[j]))
+                out.append((c[i], c[j] if j > i else c[j] + TWO_PI, at[i], at[j]))
             elif at[i] and not after[i - 1]:
-                out.append(Point(c[i]))
-        return tuple(out)
+                out.append((c[i], c[i], True, True))
+        return out
 
     def is_empty(self) -> bool:
         return not self.full and not self.cuts
@@ -288,41 +239,16 @@ class CircleSubset:
         return (tuple(zip(self.cuts, self.at, self.after)),
                 self.after[-1] if self.cuts else self.full)
 
-    def minus_points(self, thetas: list[float]) -> "CircleSubset":
-        holes = CircleSubset.from_items([Point(t) for t in thetas])
-        return self.intersect(holes.complement())
-
     def is_subset_of(self, other: "CircleSubset") -> bool:
         return self.intersect(other.complement()).is_empty()
 
     # -- serialization -------------------------------------------------
     def to_json(self) -> dict:
-        items = []
-        for it in self.items:
-            if isinstance(it, Point):
-                items.append({"type": "point", "start": it.theta, "end": it.theta,
-                              "closed_start": True, "closed_end": True})
-            else:
-                items.append({"type": "arc", "start": it.start,
-                              "end": canonical_angle(it.end) if it.length < TWO_PI else it.start,
-                              "closed_start": it.closed_start, "closed_end": it.closed_end})
+        items = [{"type": "point" if end == start else "arc", "start": start,
+                  "end": canonical_angle(end) if end - start < TWO_PI else start,
+                  "closed_start": cs, "closed_end": ce}
+                 for start, end, cs, ce in self._components()]
         return {"full": self.full, "items": items}
-
-    @staticmethod
-    def from_json(data: dict) -> "CircleSubset":
-        if data.get("full"):
-            return CircleSubset.full_circle()
-        items = []
-        for d in data.get("items", []):
-            if d["type"] == "point":
-                items.append(Point(canonical_angle(d["start"])))
-            else:
-                s = canonical_angle(d["start"])
-                sweep = (d["end"] - d["start"]) % TWO_PI
-                if sweep == 0.0:
-                    sweep = TWO_PI
-                items.append(Arc(s, s + sweep, d["closed_start"], d["closed_end"]))
-        return CircleSubset.from_items(items)
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +340,8 @@ class PlanarCone:
     def __post_init__(self):
         if self.kind not in VALID_KINDS:
             raise InvalidInputError(f"unknown cone kind {self.kind!r}")
+        _finite_angle(self.start)
+        _finite_angle(self.sweep)
         if self.kind == "sector" and not (0.0 < self.sweep < PI):
             raise InvalidInputError("sector sweep must lie strictly between 0 and pi")
 
@@ -428,21 +356,21 @@ class PlanarCone:
 
     @staticmethod
     def ray(theta: float) -> "PlanarCone":
-        return PlanarCone("ray", canonical_angle(theta), 0.0)
+        return PlanarCone("ray", canonical_angle(_finite_angle(theta)), 0.0)
 
     @staticmethod
     def line(theta: float) -> "PlanarCone":
-        return PlanarCone("line", canonical_angle(theta) % PI, 0.0)
+        return PlanarCone("line", canonical_angle(_finite_angle(theta)) % PI, 0.0)
 
     @staticmethod
     def halfplane(theta: float) -> "PlanarCone":
-        return PlanarCone("halfplane", canonical_angle(theta), PI)
+        return PlanarCone("halfplane", canonical_angle(_finite_angle(theta)), PI)
 
     @staticmethod
     def sector(start: float, sweep: float) -> "PlanarCone":
         if sweep <= 0 or sweep >= PI:
             raise InvalidInputError("sector sweep must lie strictly between 0 and pi")
-        return PlanarCone("sector", canonical_angle(start), sweep)
+        return PlanarCone("sector", canonical_angle(_finite_angle(start)), sweep)
 
     @staticmethod
     def nonpositive_quadrant() -> "PlanarCone":
@@ -459,42 +387,6 @@ class PlanarCone:
         if self.kind == "line":
             return [unit(self.start), unit(self.start + PI)]
         return [unit(self.start), unit(self.start + self.sweep)]
-
-    def contains_direction(self, theta: float, tol: float = TOL_ANGLE) -> bool:
-        """Whether the ray at angle theta lies in the cone."""
-        if self.kind == "full":
-            return True
-        if self.kind == "zero":
-            return False
-        if self.kind == "line":
-            return angles_equal(theta, self.start, tol) or angles_equal(theta, self.start + PI, tol)
-        d = (canonical_angle(theta) - self.start) % TWO_PI
-        return d <= self.sweep + tol or d >= TWO_PI - tol
-
-    def project(self, y: tuple[float, float]) -> tuple[float, float]:
-        """Euclidean projection of a plane point onto the cone."""
-        if self.kind == "full":
-            return y
-        if self.kind == "zero":
-            return (0.0, 0.0)
-        if self.kind == "line":
-            u = unit(self.start)
-            t = y[0] * u[0] + y[1] * u[1]
-            return (t * u[0], t * u[1])
-        r = math.hypot(y[0], y[1])
-        if r == 0.0:
-            return (0.0, 0.0)
-        if self.contains_direction(math.atan2(y[1], y[0]), tol=0.0):
-            return y
-        best = (0.0, 0.0)
-        best_d2 = r * r
-        for u in self.generators:
-            t = max(y[0] * u[0] + y[1] * u[1], 0.0)
-            p = (t * u[0], t * u[1])
-            d2 = (y[0] - p[0]) ** 2 + (y[1] - p[1]) ** 2
-            if d2 < best_d2:
-                best, best_d2 = p, d2
-        return best
 
     # -- serialization -------------------------------------------------
     def to_json(self) -> dict:
@@ -582,20 +474,15 @@ def omega_set(k: PlanarCone) -> CircleSubset:
     if p.kind == "zero":
         return CircleSubset.empty()
     if p.kind == "line":
-        return CircleSubset.from_items(
-            [Point(p.start), Point(canonical_angle(p.start + PI))])
-    if p.kind == "ray":
-        return CircleSubset.point(p.start)
-    return CircleSubset.from_items([Arc(p.start, p.start + p.sweep, True, True)])
+        return CircleSubset.point(p.start).union(CircleSubset.point(p.start + PI))
+    return _arc(p.start, p.sweep, True, True)
 
 
 def closed_half_circle(theta: float) -> CircleSubset:
     """The closed arc from theta to theta + pi."""
-    t = canonical_angle(theta)
-    return CircleSubset.from_items([Arc(t, t + PI, True, True)])
+    return _arc(theta, PI, True, True)
 
 
 def open_half_circle(center: float) -> CircleSubset:
     """{omega : <omega, u(center)> > 0}, an open half circle."""
-    s = canonical_angle(center - PI / 2)
-    return CircleSubset.from_items([Arc(s, s + PI, False, False)])
+    return _arc(center - PI / 2, PI, False, False)

@@ -191,8 +191,6 @@ def _cmd_member(args) -> int:
 def _cmd_support(args) -> int:
     pencil, _, _ = load_problem(_read_input(args))
     if args.theta is not None:
-        if not math.isfinite(args.theta):
-            raise InvalidInputError(f"--theta must be finite, not {args.theta}")
         thetas = [args.theta]
     elif args.directions < 1:
         raise InvalidInputError(f"--directions must be positive, not {args.directions}")

@@ -8,7 +8,7 @@ failure.  Tolerances and budgets are pinned here, not configured elsewhere.
 import math
 import random
 import time
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -32,10 +32,8 @@ from quadrics.betti import (
     index_decomposition,
 )
 from quadrics.circle import (
-    Arc,
     CircleSubset,
     PlanarCone,
-    Point,
     betti_circle,
     betti_pair,
     subsets_equal,
@@ -68,8 +66,8 @@ def test_criterion_1_bouquet():
     p = fixtures.bouquet()
     filt = filtration_for_cone(p, ZERO)
     assert filt.omega(1).is_full()
-    assert subsets_equal(filt.omega(2),
-                         CircleSubset.punctured_circle([PI / 2, 3 * PI / 2]))
+    poles = CircleSubset.point(PI / 2).union(CircleSubset.point(3 * PI / 2))
+    assert subsets_equal(filt.omega(2), poles.complement())
     assert filt.omega(3).is_empty()
     table = build_table(p, ZERO, filtration=filt)
     assert table.display_rows() == [[1, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
@@ -355,17 +353,17 @@ def test_criterion_11_property_suites():
     rnd = random.Random(311)
 
     def random_subset():
-        items = []
+        parts = []
         for _ in range(rnd.randint(0, 4)):
             if rnd.random() < 0.25:
-                items.append(Point(rnd.uniform(0, TWO_PI)))
+                parts.append(CircleSubset.point(rnd.uniform(0, TWO_PI)))
             else:
                 s = rnd.uniform(0, TWO_PI)
-                items.append(Arc(s, s + rnd.uniform(0.05, 2.5),
-                                 rnd.random() < 0.5, rnd.random() < 0.5))
-        if not items and rnd.random() < 0.3:
+                parts.append(CircleSubset.arc(s, s + rnd.uniform(0.05, 2.5),
+                                              rnd.random() < 0.5, rnd.random() < 0.5))
+        if not parts and rnd.random() < 0.3:
             return CircleSubset.full_circle()
-        return CircleSubset.from_items(items)
+        return reduce(CircleSubset.union, parts, CircleSubset.empty())
 
     pairs = 0
     while pairs < 1000:

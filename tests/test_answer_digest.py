@@ -8,7 +8,7 @@ import os
 import subprocess
 import sys
 
-ANSWER_DIGEST = "3b0060947cd67f228dbde475cb820e96518ec64c1e888df344189b1188970e29"
+ANSWER_DIGEST = "b2c172d370f963a0eaccf65e9e65ffcd92d4db4190f98e228547a62119dc1838"
 SCRIPT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                       "scripts", "answer_digest.py")
 

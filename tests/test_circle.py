@@ -1,15 +1,16 @@
+import functools
 import math
 import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from quadrics import fixtures
+from quadrics.applications import support_function
 from quadrics.circle import (
     TOL_ANGLE,
-    Arc,
     CircleSubset,
     PlanarCone,
-    Point,
     angles_equal,
     betti_circle,
     betti_pair,
@@ -26,6 +27,15 @@ from quadrics.errors import InvalidInputError
 
 PI = math.pi
 TWO_PI = 2 * math.pi
+arc, point = CircleSubset.arc, CircleSubset.point
+
+
+def _union(sets) -> CircleSubset:
+    return functools.reduce(CircleSubset.union, sets, CircleSubset.empty())
+
+
+def _is_one_point(a: CircleSubset) -> bool:
+    return len(a.cuts) == 1 and a.after == (False,)
 
 
 # ---------------------------------------------------------------------------
@@ -50,40 +60,37 @@ def test_angles_equal_wraps():
 # ---------------------------------------------------------------------------
 
 def test_overlapping_arcs_merge():
-    a = CircleSubset.from_items([Arc(0.0, 1.0, True, True), Arc(0.5, 2.0, True, True)])
+    a = arc(0.0, 1.0, True, True).union(arc(0.5, 2.0, True, True))
     assert a.n_components() == 1
     assert a.contains(1.7)
     assert not a.contains(2.5)
 
 
 def test_touching_open_arcs_stay_separate():
-    a = CircleSubset.from_items([Arc(0.0, 1.0, True, False), Arc(1.0, 2.0, False, True)])
+    a = arc(0.0, 1.0, True, False).union(arc(1.0, 2.0, False, True))
     assert a.n_components() == 2
     assert not a.contains(1.0)
 
 
 def test_touching_closed_arc_merges():
-    a = CircleSubset.from_items([Arc(0.0, 1.0, True, True), Arc(1.0, 2.0, False, True)])
+    a = arc(0.0, 1.0, True, True).union(arc(1.0, 2.0, False, True))
     assert a.n_components() == 1
     assert a.contains(1.0)
 
 
 def test_point_glues_two_open_arcs():
-    a = CircleSubset.from_items(
-        [Arc(0.0, 1.0, True, False), Point(1.0), Arc(1.0, 2.0, False, True)])
+    a = _union([arc(0.0, 1.0, True, False), point(1.0), arc(1.0, 2.0, False, True)])
     assert a.n_components() == 1
     assert a.contains(1.0)
 
 
 def test_cover_becomes_full():
-    a = CircleSubset.from_items(
-        [Arc(0.0, PI, True, True), Arc(PI, TWO_PI, False, True)])
+    a = arc(0.0, PI, True, True).union(arc(PI, TWO_PI, False, True))
     assert a.is_full()
 
 
 def test_circle_minus_point():
-    a = CircleSubset.from_items(
-        [Arc(0.0, PI, False, True), Arc(PI, TWO_PI, False, False)])
+    a = arc(0.0, PI, False, True).union(arc(PI, TWO_PI, False, False))
     assert not a.is_full()
     assert a.n_components() == 1
     assert not a.contains(0.0)
@@ -92,8 +99,7 @@ def test_circle_minus_point():
 
 
 def test_wraparound_merge():
-    a = CircleSubset.from_items(
-        [Arc(5.5, 5.5 + 1.5, True, True), Arc(0.2, 1.0, True, True)])
+    a = arc(5.5, 5.5 + 1.5, True, True).union(arc(0.2, 1.0, True, True))
     # first arc ends at 5.5+1.5 - 2pi ~ 0.717 > 0.2, so they overlap across 0
     assert a.n_components() == 1
     assert a.contains(0.0)
@@ -102,10 +108,10 @@ def test_wraparound_merge():
 
 
 def test_degenerate_arc_to_point():
-    a = CircleSubset.from_items([Arc(1.0, 1.0 + 1e-12, True, False)])
+    a = arc(1.0, 1.0 + 1e-12, True, False)
     assert a.n_components() == 1
-    assert isinstance(a.items[0], Point)
-    b = CircleSubset.from_items([Arc(1.0, 1.0 + 1e-12, False, False)])
+    assert _is_one_point(a)
+    b = arc(1.0, 1.0 + 1e-12, False, False)
     assert b.is_empty()
 
 
@@ -124,7 +130,7 @@ def test_complement_of_arc():
 
 
 def test_complement_of_points():
-    a = CircleSubset.from_items([Point(0.0), Point(PI)])
+    a = point(0.0).union(point(PI))
     c = a.complement()
     assert c.n_components() == 2
     assert not c.contains(0.0)
@@ -133,11 +139,11 @@ def test_complement_of_points():
 
 
 def test_complement_of_circle_minus_point():
-    a = CircleSubset.punctured_circle([1.0])
+    a = point(1.0).complement()
     assert a.n_components() == 1
     c = a.complement()
     assert c.n_components() == 1
-    assert isinstance(c.items[0], Point)
+    assert _is_one_point(c)
     assert c.contains(1.0)
 
 
@@ -161,7 +167,7 @@ def test_intersection_boundary_flags():
     a2 = CircleSubset.arc(0.0, 1.0, True, True)
     i2 = a2.intersect(b)
     assert i2.n_components() == 1
-    assert isinstance(i2.items[0], Point)
+    assert _is_one_point(i2)
 
 
 def test_union_full_detection():
@@ -183,7 +189,7 @@ def test_subset_checks():
 
 
 def test_minus_points():
-    a = CircleSubset.full_circle().minus_points([PI / 2, 3 * PI / 2])
+    a = point(PI / 2).union(point(3 * PI / 2)).complement()
     assert a.n_components() == 2
     assert not a.contains(PI / 2)
     assert a.contains(0.0)
@@ -195,22 +201,21 @@ def test_minus_points():
 
 def test_betti_circle_examples():
     assert betti_circle(CircleSubset.full_circle()) == (1, 1)
-    two_arcs = CircleSubset.from_items(
-        [Arc(0.0, 1.0, True, True), Arc(2.0, 3.0, True, True)])
+    two_arcs = arc(0.0, 1.0, True, True).union(arc(2.0, 3.0, True, True))
     assert betti_circle(two_arcs) == (2, 0)
     assert betti_circle(CircleSubset.empty()) == (0, 0)
 
 
 def test_euler_examples():
     assert euler_circle(CircleSubset.full_circle()) == 0
-    assert euler_circle(CircleSubset.punctured_circle([0.0, PI])) == 2
-    pts = CircleSubset.from_items([Point(0.0), Point(1.0), Point(2.0)])
+    assert euler_circle(point(0.0).union(point(PI)).complement()) == 2
+    pts = _union([point(0.0), point(1.0), point(2.0)])
     assert euler_circle(pts) == 3
 
 
 def test_chi_is_b0_minus_b1():
     for a in [CircleSubset.full_circle(), CircleSubset.empty(),
-              CircleSubset.arc(0, 1), CircleSubset.punctured_circle([0.0])]:
+              CircleSubset.arc(0, 1), point(0.0).complement()]:
         b0, b1 = betti_circle(a)
         assert euler_circle(a) == b0 - b1
 
@@ -220,13 +225,13 @@ def test_betti_pair_trivial():
 
 
 def test_betti_pair_wedge_of_two_circles():
-    b = CircleSubset.from_items([Arc(0.0, 1.0, True, True), Arc(2.0, 3.0, True, True)])
+    b = arc(0.0, 1.0, True, True).union(arc(2.0, 3.0, True, True))
     assert betti_pair(CircleSubset.full_circle(), b) == (0, 2)
 
 
 def test_betti_pair_arc_with_two_subarcs():
     a = CircleSubset.arc(0.0, 3.0, True, True)
-    b = CircleSubset.from_items([Arc(0.5, 1.0, True, True), Arc(2.0, 2.5, True, True)])
+    b = arc(0.5, 1.0, True, True).union(arc(2.0, 2.5, True, True))
     assert betti_pair(a, b) == (0, 1)
 
 
@@ -239,23 +244,23 @@ def test_betti_pair_rejects_non_nested():
 
 def test_betti_pair_with_empty_is_absolute():
     for a in [CircleSubset.full_circle(), CircleSubset.arc(0, 2),
-              CircleSubset.from_items([Point(0.0), Arc(1, 2, True, True)])]:
+              point(0.0).union(arc(1, 2, True, True))]:
         assert betti_pair(a, CircleSubset.empty()) == betti_circle(a)
 
 
 # random nested pairs: exact-sequence rank identity
 def _random_subset(rng: random.Random) -> CircleSubset:
-    items = []
+    parts = []
     for _ in range(rng.randint(0, 4)):
         if rng.random() < 0.25:
-            items.append(Point(rng.uniform(0, TWO_PI)))
+            parts.append(point(rng.uniform(0, TWO_PI)))
         else:
             s = rng.uniform(0, TWO_PI)
             sweep = rng.uniform(0.05, 2.5)
-            items.append(Arc(s, s + sweep, rng.random() < 0.5, rng.random() < 0.5))
-    if not items and rng.random() < 0.3:
+            parts.append(arc(s, s + sweep, rng.random() < 0.5, rng.random() < 0.5))
+    if not parts and rng.random() < 0.3:
         return CircleSubset.full_circle()
-    return CircleSubset.from_items(items)
+    return _union(parts)
 
 
 def test_exact_sequence_identity_random_pairs():
@@ -273,6 +278,11 @@ def test_exact_sequence_identity_random_pairs():
         checked += 1
 
 
+def _component_sets(a: CircleSubset) -> list[CircleSubset]:
+    """Each component of a, as a set (a point is an arc from start to start)."""
+    return [arc(s, e, cs, ce) for s, e, cs, ce in a._components()]
+
+
 def _nested_subset(rng: random.Random, a: CircleSubset) -> CircleSubset:
     """A random subset of a: a's intersection with a random set, a with some
     points removed, some of a's components, or a's cut points that it holds."""
@@ -280,10 +290,11 @@ def _nested_subset(rng: random.Random, a: CircleSubset) -> CircleSubset:
     if kind == 0:
         return _random_subset(rng).intersect(a)
     if kind == 1:
-        return a.minus_points([rng.uniform(0, TWO_PI) for _ in range(3)] + list(a.cuts[:1]))
+        holes = [rng.uniform(0, TWO_PI) for _ in range(3)] + list(a.cuts[:1])
+        return a.intersect(_union(point(t) for t in holes).complement())
     if kind == 2:
-        return CircleSubset.from_items([it for it in a.items if rng.random() < 0.5])
-    return a.intersect(CircleSubset.from_items([Point(c) for c in a.cuts]))
+        return _union([c for c in _component_sets(a) if rng.random() < 0.5])
+    return a.intersect(_union(point(c) for c in a.cuts))
 
 
 def test_betti_pair_b0_matches_per_component_count():
@@ -295,9 +306,14 @@ def test_betti_pair_b0_matches_per_component_count():
         if a.is_full():
             expected = int(b.is_empty())
         else:
-            expected = sum(1 for it in a.items
-                           if CircleSubset.from_items([it]).intersect(b).is_empty())
+            expected = sum(1 for c in _component_sets(a) if c.intersect(b).is_empty())
         assert betti_pair(a, b)[0] == expected
+
+
+def _from_widths(arcs) -> CircleSubset:
+    """The union of the arcs (start, width, closed_start, closed_end)."""
+    return _union(arc(canonical_angle(s), canonical_angle(s) + w, cs, ce)
+                  for s, w, cs, ce in arcs)
 
 
 @settings(max_examples=200, deadline=None)
@@ -306,9 +322,7 @@ def test_betti_pair_b0_matches_per_component_count():
 # one arc ends within tol of where the other starts
 @example([(1.0, 1.0, False, False), (1e-09, 1.0, False, False)])
 def test_complement_involution(arcs):
-    a = CircleSubset.from_items(
-        [Arc(canonical_angle(s), canonical_angle(s) + w, cs, ce)
-         for s, w, cs, ce in arcs])
+    a = _from_widths(arcs)
     assert subsets_equal(a.complement().complement(), a)
 
 
@@ -322,11 +336,7 @@ def test_complement_involution(arcs):
 # starts within tol with different flags: a = (1, 3), b = [1 + 1e-9, 3)
 @example([(1.0, 2.0, False, False)], [(1.0 + 1e-9, 2.0 - 1e-9, True, False)])
 def test_de_morgan(arcs1, arcs2):
-    def build(arcs):
-        return CircleSubset.from_items(
-            [Arc(canonical_angle(s), canonical_angle(s) + w, cs, ce)
-             for s, w, cs, ce in arcs])
-    a, b = build(arcs1), build(arcs2)
+    a, b = _from_widths(arcs1), _from_widths(arcs2)
     lhs = a.intersect(b)
     rhs = a.complement().union(b.complement()).complement()
     assert subsets_equal(lhs, rhs)
@@ -340,11 +350,7 @@ def test_de_morgan(arcs1, arcs2):
        st.lists(st.tuples(st.floats(0, TWO_PI), st.floats(0.01, 2.5),
                           st.booleans(), st.booleans()), max_size=3))
 def test_set_algebra_laws(a1, a2, a3):
-    def build(arcs):
-        return CircleSubset.from_items(
-            [Arc(canonical_angle(s), canonical_angle(s) + w, cs, ce)
-             for s, w, cs, ce in arcs])
-    a, b, c = build(a1), build(a2), build(a3)
+    a, b, c = _from_widths(a1), _from_widths(a2), _from_widths(a3)
     assert subsets_equal(a.union(a), a)
     assert subsets_equal(a.intersect(a), a)
     assert subsets_equal(a.union(b), b.union(a))
@@ -363,11 +369,7 @@ _tol_scale_arcs = st.lists(st.tuples(_near_base, _near_base, st.booleans(), st.b
 
 def _arcs_between(arcs) -> CircleSubset:
     """The union of the counterclockwise arcs from s to e."""
-    items = []
-    for s, e, cs, ce in arcs:
-        start = canonical_angle(s)
-        items.append(Arc(start, start + (e - s) % TWO_PI, cs, ce))
-    return CircleSubset.from_items(items)
+    return _union(arc(s, e, cs, ce) for s, e, cs, ce in arcs)
 
 
 @settings(max_examples=300, deadline=None)
@@ -411,13 +413,13 @@ def test_polar_examples():
     assert polar_cone(PlanarCone.zero()).kind == "full"
     assert polar_cone(PlanarCone.full()).kind == "zero"
     third_quadrant = PlanarCone.nonpositive_quadrant()
-    p = polar_cone(third_quadrant)
-    assert p.kind == "sector"
+    assert polar_cone(third_quadrant).kind == "sector"
     # first quadrant
-    assert p.contains_direction(PI / 4)
-    assert p.contains_direction(0.0)
-    assert p.contains_direction(PI / 2)
-    assert not p.contains_direction(PI)
+    om = omega_set(third_quadrant)
+    assert om.contains(PI / 4)
+    assert om.contains(0.0)
+    assert om.contains(PI / 2)
+    assert not om.contains(PI)
 
 
 def test_polar_involution_all_kinds():
@@ -442,19 +444,8 @@ def test_omega_set_examples():
     assert om.contains(0.0) and om.contains(PI / 2) and om.contains(PI / 4)
     assert not om.contains(PI)
     # a halfplane cone gives a single point, a line gives two
-    assert isinstance(omega_set(PlanarCone.halfplane(0.0)).items[0], Point)
+    assert _is_one_point(omega_set(PlanarCone.halfplane(0.0)))
     assert omega_set(PlanarCone.line(0.0)).n_components() == 2
-
-
-def test_cone_projection():
-    q = PlanarCone.nonpositive_quadrant()
-    assert q.project((-1.0, -2.0)) == (-1.0, -2.0)
-    p = q.project((1.0, -2.0))
-    assert abs(p[0]) < 1e-12 and abs(p[1] + 2.0) < 1e-12
-    p2 = q.project((1.0, 1.0))
-    assert math.hypot(*p2) < 1e-12
-    z = PlanarCone.zero()
-    assert z.project((3.0, 4.0)) == (0.0, 0.0)
 
 
 def test_cone_json_roundtrip():
@@ -463,17 +454,50 @@ def test_cone_json_roundtrip():
         assert cones_equal(k, k2), (k, k2)
 
 
-def test_subset_json_roundtrip():
-    subsets = [
-        CircleSubset.empty(),
-        CircleSubset.full_circle(),
-        CircleSubset.arc(0.3, 2.0, True, False),
-        CircleSubset.punctured_circle([1.0]),
-        CircleSubset.from_items([Point(0.5), Arc(1.0, 2.0, False, True)]),
+def _item(kind, start, end, closed_start=True, closed_end=True):
+    return {"type": kind, "start": start, "end": end,
+            "closed_start": closed_start, "closed_end": closed_end}
+
+
+def test_subset_to_json():
+    # a component's end is canonical; the circle minus a point ends where it starts
+    punctured = {"full": False, "items": [_item("arc", 1.0, 1.0, False, False)]}
+    cases = [
+        (CircleSubset.empty(), {"full": False, "items": []}),
+        (CircleSubset.full_circle(), {"full": True, "items": []}),
+        (point(0.5), {"full": False, "items": [_item("point", 0.5, 0.5)]}),
+        (arc(0.25, 2.0), {"full": False, "items": [_item("arc", 0.25, 2.0)]}),
+        (arc(0.5, 1.5, True, False),
+         {"full": False, "items": [_item("arc", 0.5, 1.5, True, False)]}),
+        (arc(5.5, 0.5, False, True),
+         {"full": False, "items": [_item("arc", 5.5, 0.5, False, True)]}),
+        (point(1.0).complement(), punctured),
+        # lengths within TOL_ANGLE of 0: a point, or nothing with both ends open
+        (arc(1.0, 1.0 + 0.5 * TOL_ANGLE, False, True),
+         {"full": False, "items": [_item("point", 1.0, 1.0)]}),
+        (arc(1.0, 1.0 + 0.5 * TOL_ANGLE, False, False), {"full": False, "items": []}),
+        # lengths within TOL_ANGLE of 2*pi: the circle, less start with both ends open
+        (arc(1.0, 1.0 - 0.5 * TOL_ANGLE, False, False), punctured),
+        (arc(1.0, 1.0 - 0.5 * TOL_ANGLE, True, False), {"full": True, "items": []}),
     ]
-    for s in subsets:
-        s2 = CircleSubset.from_json(s.to_json())
-        assert subsets_equal(s, s2)
+    for subset, expected in cases:
+        assert subset.to_json() == expected, subset
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_angles_are_invalid_input(bad):
+    calls = [
+        lambda: PlanarCone.ray(bad), lambda: PlanarCone.line(bad),
+        lambda: PlanarCone.halfplane(bad), lambda: PlanarCone.sector(bad, 1.0),
+        lambda: PlanarCone.sector(0.5, bad), lambda: PlanarCone("ray", bad),
+        lambda: PlanarCone("halfplane", 0.0, bad), lambda: PlanarCone("sector", 0.5, bad),
+        lambda: point(bad), lambda: arc(bad, 1.0), lambda: arc(1.0, bad),
+        lambda: open_half_circle(bad), lambda: closed_half_circle(bad),
+        lambda: support_function(fixtures.bouquet(), bad),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidInputError):
+            call()
 
 
 def test_half_circles():

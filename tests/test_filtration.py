@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 
@@ -8,10 +9,8 @@ from quadrics import betti, filtration, fixtures, pencil
 import pytest
 from quadrics.applications import extremal_family
 from quadrics.circle import (
-    Arc,
     CircleSubset,
     PlanarCone,
-    Point,
     angles_equal,
     betti_circle,
     omega_set,
@@ -49,14 +48,14 @@ def _points(prof):
 
 
 def _arcs(prof):
-    """(arc, value) for each held open arc between the profile's cuts."""
+    """(start, end, value) for each held open arc between the profile's cuts,
+    its end lifted past its start."""
     ends = [*prof.cuts[1:], *(c + TWO_PI for c in prof.cuts[:1])]
-    return [(Arc(c, e, False, False), v)
-            for c, e, v in zip(prof.cuts, ends, prof.after) if v is not None]
+    return [(c, e, v) for c, e, v in zip(prof.cuts, ends, prof.after) if v is not None]
 
 
 def _arc_values(prof):
-    return [v for _, v in _arcs(prof)]
+    return [v for _, _, v in _arcs(prof)]
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +100,8 @@ def test_profile_on_arc_domain():
     prof = index_profile(fixtures.bouquet(), dom)
     # both endpoints are included; pi/2 is an endpoint here, not an interior
     # breakpoint, so one arc spans the domain
-    (arc, arc_value), = _arcs(prof)
-    assert angles_equal(arc.start, -PI / 2) and angles_equal(arc.end, PI / 2)
+    (start, end, arc_value), = _arcs(prof)
+    assert angles_equal(start, -PI / 2) and angles_equal(end, PI / 2)
     ends = {round(theta, 9): v for theta, v in _points(prof)}
     assert sorted(ends) == [round(PI / 2, 9), round(3 * PI / 2, 9)]
     assert ends[round(PI / 2, 9)].i_plus == 1
@@ -128,8 +127,7 @@ def test_value_at_every_breakpoint_is_the_point_value():
     assert any(theta == 0.0 for theta, _ in _points(full))
     # the sector's polar arc runs from 3.7708 to 5.0124, both ends included
     sector = index_profile(p, omega_set(PlanarCone.sector(0.3, 1.9)))
-    ends = [it for it in sector.domain.items if isinstance(it, Arc)]
-    assert [theta for theta, _ in _points(sector)][0] == ends[0].start
+    assert [theta for theta, _ in _points(sector)][0] == sector.domain.cuts[0]
     for prof in (full, sector):
         points = _points(prof)
         assert points
@@ -261,7 +259,8 @@ def test_bouquet_superlevels():
     om2 = superlevel(prof, 2)
     om3 = superlevel(prof, 3)
     assert om1.is_full()
-    assert subsets_equal(om2, CircleSubset.punctured_circle([PI / 2, 3 * PI / 2]))
+    poles = CircleSubset.point(PI / 2).union(CircleSubset.point(3 * PI / 2))
+    assert subsets_equal(om2, poles.complement())
     assert om3.is_empty()
     assert superlevel(prof, 0).is_full()
 
@@ -307,13 +306,13 @@ def _range_rule_profiles():
             yield p, index_profile(p, omega_set(cone))
 
 
-def _held_items(prof, keep):
-    """The profile's points and open arcs whose value satisfies keep."""
+def _held_cells(prof, keep):
+    """The profile's points and open arcs whose value satisfies keep, as sets."""
     if not prof.cuts:
         held = prof.whole is not None and keep(prof.whole)
-        return [Arc(0.0, TWO_PI, True, True)] if held else []
-    return [Point(c) for c, v in _points(prof) if keep(v)] + \
-        [arc for arc, v in _arcs(prof) if keep(v)]
+        return [FULL] if held else []
+    return [CircleSubset.point(c) for c, v in _points(prof) if keep(v)] + \
+        [CircleSubset.arc(s, e, False, False) for s, e, v in _arcs(prof) if keep(v)]
 
 
 def test_range_rule_equals_the_union_of_cells():
@@ -325,7 +324,8 @@ def test_range_rule_equals_the_union_of_cells():
         for j in range(0, p.dim + 2):
             for level, keep in ((superlevel(prof, j), lambda v: v.i_plus >= j),
                                 (sublevel(prof, j), lambda v: v.i_minus <= j)):
-                union = CircleSubset.from_items(_held_items(prof, keep))
+                union = functools.reduce(CircleSubset.union, _held_cells(prof, keep),
+                                         CircleSubset.empty())
                 assert level.to_json() == union.to_json(), (p.dim, j)
                 assert level.n_components() == union.n_components(), (p.dim, j)
                 checked += 1
@@ -379,8 +379,8 @@ def test_bouquet_superlevel_matches_exact_inertia():
     prof = index_profile(p, FULL)
     assert [v for _, v in _points(prof)] == [exact_inertia(p, 0.0, 1.0),
                                              exact_inertia(p, 0.0, -1.0)]
-    for arc, v in _arcs(prof):
-        mid = 0.5 * (arc.start + arc.end)
+    for start, end, v in _arcs(prof):
+        mid = 0.5 * (start + end)
         assert v == exact_inertia(p, math.cos(mid), math.sin(mid))
     assert betti_circle(superlevel(prof, 2)) == (2, 0)
 
@@ -427,7 +427,7 @@ def _check_profile_against_exact_arithmetic(pencils):
     for p, exact_input in pencils:
         prof = index_profile(p, FULL)
         values = [(0.0, prof.whole)] if not prof.cuts else \
-            [(0.5 * (arc.start + arc.end), v) for arc, v in _arcs(prof)]
+            [(0.5 * (start + end), v) for start, end, v in _arcs(prof)]
         for mid, v in values:
             assert v == exact_inertia(p, math.cos(mid), math.sin(mid)), (p.dim, mid)
             arcs += 1

@@ -7,7 +7,7 @@ import pytest
 from quadrics import fixtures, oracles
 from quadrics.applications import LevelProblem, extremal_family, level_set_betti
 from quadrics.betti import analyze
-from quadrics.circle import TOL_ANGLE, Arc, CircleSubset, PlanarCone, canonical_angle, omega_set
+from quadrics.circle import TOL_ANGLE, CircleSubset, PlanarCone, canonical_angle, omega_set
 from quadrics.errors import InvalidInputError, NumericalError, OracleDisagreement
 from quadrics.filtration import IndexProfile, filtration_report, index_profile
 from quadrics.pencil import (
@@ -567,10 +567,10 @@ def test_grid_check_finds_each_corrupted_cell():
                 _checked(replace(profile, at=_corrupted(profile.at, k)), grid)
             if profile.after[k] is not None:
                 bad = _checked(replace(profile, after=_corrupted(profile.after, k)), grid)
-                arc = Arc(c, cuts[k + 1] if k + 1 < len(cuts) else cuts[0] + TWO_PI,
-                          False, False)
-                if arc.length > 3 * step:
-                    assert bad and all(arc.contains(th) for th in bad)
+                end = cuts[k + 1] if k + 1 < len(cuts) else cuts[0] + TWO_PI
+                if end - c > 3 * step:
+                    cell = CircleSubset.arc(c, end, False, False)
+                    assert bad and all(cell.contains(th) for th in bad)
 
 
 def test_grid_check_of_empty_domains_and_profiles():
@@ -607,7 +607,7 @@ def test_grid_check_on_cell_ends_and_domain_endpoints():
         for domain in [FULL_CIRCLE, CircleSubset.arc(0.3, 1.9, True, False),
                        CircleSubset.arc(4.0, 0.5, False, True),
                        CircleSubset.arc(5.5, 0.0, False, True), CircleSubset.arc(0.0, 1.0, False, True),
-                       CircleSubset.punctured_circle([0.0]),
+                       CircleSubset.point(0.0).complement(),
                        CircleSubset.point(2.5).union(CircleSubset.arc(3.0, 3.5, True, True))]:
             profile = index_profile(p, domain)
             marks = profile.cuts or (0.0,)  # a constant family's seam
