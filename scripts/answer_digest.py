@@ -8,8 +8,11 @@ dim 20, three random pencils each at dims 24, 32 and 48, the extremal
 pencils for n = 20 and 40, Kronecker-singular pencils (an L_eps + L_eps'
 block for eps = 1, 2, 3 and a random regular block, after a random
 congruence) and the pencil q0 = 2 x0 x1, q1 = 2 x0 x2 under every cone
-kind; last, the circle subsets that the cones' polar traces and the half
-circles build, the half circles at angles on and near the seam 0.  An
+kind; the circle subsets that the cones' polar traces and the half
+circles build, the half circles at angles on and near the seam 0; last,
+betti_y, betti_complement, half_circle_bound at eta = 0.17, euler_x and
+is_empty_x of every named fixture and small extremal pencil under every
+cone kind, and calabi of each.  An
 analysis answer carries the profile's breakpoints and rows, and
 the JSON and component count of each superlevel set; a membership answer
 carries the certificate's angle and margin.  The last line is the SHA-256
@@ -35,6 +38,7 @@ SEED = 20110622
 CONES = (("zero", ()), ("full", ()), ("ray", (0.7,)), ("line", (2.0,)),
          ("sector", (0.3, 1.9)), ("halfplane", (1.1,)))
 HALF_CIRCLE_ANGLES = (0.0, np.pi / 2, np.pi, 3 * np.pi / 2, -1e-10, 2 * np.pi - 5e-10, 7.0)
+ETA = 0.17
 
 
 def _random_pair(rng, dim):
@@ -136,7 +140,25 @@ def inputs(Q):
                     lambda t=t: circle.closed_half_circle(t).to_json()))
         out.append((f"quadrant-open_half_circle/{t!r}", lambda t=t: Q.omega_set(quadrant)
                     .intersect(circle.open_half_circle(t)).to_json()))
+    for name, p in pencils.items():
+        for kind, cone in cones:
+            for call, thunk in homology_calls(Q, p, cone):
+                out.append((f"{call}/{name}/{kind}", thunk))
+        out.append((f"calabi/{name}", lambda p=p: apps.calabi(p).to_json()))
     return out
+
+
+def homology_calls(Q, p, cone):
+    """(name, thunk) of each homology call on the pencil over the cone."""
+    B = Q.betti
+    return [
+        ("betti_y", lambda: [[e.k, e.determined, e.reduced, e.absolute, e.transfer_bound]
+                             for e in B.betti_y(p, cone)]),
+        ("betti_complement", lambda: B.betti_complement(p, cone)),
+        ("half_circle_bound", lambda: B.half_circle_bound(p, cone, ETA)),
+        ("euler_x", lambda: B.euler_x(p, cone)),
+        ("is_empty_x", lambda: emptiness(Q.applications.is_empty_x(p, cone))),
+    ]
 
 
 def analysis(Q, p, cone):
@@ -153,6 +175,12 @@ def membership(answer):
     member, cert = answer
     return {"member": member, "kind": cert.kind, "mu": cert.mu,
             "theta": cert.theta, "margin": cert.margin}
+
+
+def emptiness(res):
+    cert = res.certificate
+    return {"empty": res.empty, "mu": res.mu,
+            "certificate": cert.to_json() if cert is not None else None}
 
 
 def level(res):

@@ -8,7 +8,7 @@ import os
 import subprocess
 import sys
 
-ANSWER_DIGEST = "b2c172d370f963a0eaccf65e9e65ffcd92d4db4190f98e228547a62119dc1838"
+ANSWER_DIGEST = "72268bed59ee7b9f49dbb36feb69e7a51f29db64052700f7d6f65bcff7e6f991"
 SCRIPT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                       "scripts", "answer_digest.py")
 
