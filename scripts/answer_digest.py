@@ -144,19 +144,24 @@ def inputs(Q):
         for kind, cone in cones:
             for call, thunk in homology_calls(Q, p, cone):
                 out.append((f"{call}/{name}/{kind}", thunk))
-        out.append((f"calabi/{name}", lambda p=p: apps.calabi(p).to_json()))
+        out.append((f"calabi/{name}", lambda p=p: apps.calabi(
+            Q.filtration_for_cone(p, Q.PlanarCone.zero())).to_json()))
     return out
 
 
 def homology_calls(Q, p, cone):
     """(name, thunk) of each homology call on the pencil over the cone."""
     B = Q.betti
+
+    def filt():
+        return Q.filtration_for_cone(p, cone)
+
     return [
         ("betti_y", lambda: [[e.k, e.determined, e.reduced, e.absolute, e.transfer_bound]
-                             for e in B.betti_y(p, cone)]),
-        ("betti_complement", lambda: B.betti_complement(p, cone)),
-        ("half_circle_bound", lambda: B.half_circle_bound(p, cone, ETA)),
-        ("euler_x", lambda: B.euler_x(p, cone)),
+                             for e in B.betti_y(filt())]),
+        ("betti_complement", lambda: B.betti_complement(filt())),
+        ("half_circle_bound", lambda: B.half_circle_bound(filt(), ETA)),
+        ("euler_x", lambda: B.euler_x(filt())),
         ("is_empty_x", lambda: emptiness(Q.applications.is_empty_x(p, cone))),
     ]
 

@@ -74,12 +74,6 @@ def _require_finite_point(c: tuple[float, float]) -> None:
         raise InvalidInputError(f"the point c = {tuple(c)} has a non-finite coordinate")
 
 
-def _arc_midpoints(subset: CircleSubset) -> list[float]:
-    if subset.is_full():
-        return [0.0, PI / 2, PI, 3 * PI / 2]
-    return [canonical_angle(0.5 * (start + end)) for start, end, _, _ in subset._components()]
-
-
 def _longest_arc_midpoint(subset: CircleSubset) -> float:
     """The midpoint of the first longest component; a point only when no arc exists."""
     components = subset._components()
@@ -89,17 +83,19 @@ def _longest_arc_midpoint(subset: CircleSubset) -> float:
     return canonical_angle(0.5 * (start + end))
 
 
-def calabi(p: QuadraticPencil,
-           filtration: FiltrationReport | None = None) -> Certificate:
+def calabi(filt: FiltrationReport) -> Certificate:
     """A positive definite combination of the two forms, or its refutation.
 
-    The combination exists exactly when the top superlevel set over the full
-    circle is nonempty; the certificate direction is the midpoint of its
-    longest arc.  For fewer than three variables the certified equivalence
-    with emptiness of the common zero locus fails, so a warning is attached.
+    filt is the pencil's filtration over the full circle, the zero cone's
+    domain.  The combination exists exactly when its top superlevel set is
+    nonempty; the certificate direction is the midpoint of its longest arc.
+    For fewer than three variables the certified equivalence with emptiness
+    of the common zero locus fails, so a warning is attached.
     """
-    filt = filtration if filtration is not None else \
-        filtration_for_cone(p, PlanarCone.zero())
+    if not filt.profile.domain.is_full():
+        raise InvalidInputError("calabi needs the filtration over the full circle "
+                                "(the zero cone)")
+    p = filt.pencil
     dim = p.dim
     warning = None
     if dim < 3:
@@ -113,7 +109,7 @@ def calabi(p: QuadraticPencil,
             raise NumericalError("certificate direction failed verification")
         return Certificate("positive_combination", theta=theta, margin=margin,
                            mu=filt.mu, warning=warning)
-    thetas = _arc_midpoints(filt.profile.domain) + \
+    thetas = [0.0, PI / 2, PI, 3 * PI / 2] + \
         [canonical_angle(b) for b in filt.profile.breakpoint_angles()]
     margins = _eigvalsh(p.at_many(thetas))[:, 0].tolist()
     best = margins.index(max(margins))  # the first of the largest
@@ -140,7 +136,7 @@ def is_empty_x(p: QuadraticPencil, cone: PlanarCone) -> EmptinessResult:
     empty = res.report.empty
     cert = None
     if empty and cone.kind == "zero" and p.dim >= 3:
-        cert = calabi(p, filtration=res.filtration)
+        cert = calabi(res.filtration)
         if cert.kind != "positive_combination":
             raise NumericalError("emptiness verdict without a certificate")
     return EmptinessResult(empty, res.filtration.mu, cert)
@@ -161,7 +157,7 @@ def image_membership(p: QuadraticPencil, c: tuple[float, float]
     filt = filtration_for_cone(shifted, PlanarCone.zero())
     if filt.mu < p.dim:
         return (True, Certificate("membership", mu=filt.mu))
-    cert = calabi(shifted, filtration=filt)
+    cert = calabi(filt)
     return (False, Certificate("emptiness", theta=cert.theta, margin=cert.margin,
                                mu=filt.mu))
 

@@ -77,11 +77,9 @@ def _shared_row(e0: int, e1: int, e2: int) -> tuple[int, int, int]:
     return (e0, e1, e2)
 
 
-def build_table(p: QuadraticPencil, cone: PlanarCone,
-                filtration: FiltrationReport | None = None) -> SpectralTable:
-    """Assemble the table from the filtration of the pencil over the cone."""
-    filt = filtration if filtration is not None else filtration_for_cone(p, cone)
-    n = p.n
+def build_table(filt: FiltrationReport) -> SpectralTable:
+    """Assemble the table from the superlevel filtration of a pencil."""
+    n = filt.pencil.n
     mu = filt.mu
     if filt.w1_nonzero:
         c, d = 0, 0
@@ -118,18 +116,15 @@ def betti_x(table: SpectralTable) -> BettiReport:
     return BettiReport(tuple(b), total, chi, tuple(ranks), total == 0)
 
 
-def betti_complement(p: QuadraticPencil, cone: PlanarCone,
-                     filtration: FiltrationReport | None = None) -> list[int]:
+def betti_complement(filt: FiltrationReport) -> list[int]:
     """Betti numbers of the complement of the solution set in projective space.
 
     In degree zero only the component count of the first superlevel set
     enters; the literal cycle term would overcount components of a nonempty
     complement.
     """
-    filt = filtration if filtration is not None else filtration_for_cone(p, cone)
-    n = p.n
     out = []
-    for k in range(0, n + 1):
+    for k in range(0, filt.pencil.n + 1):
         b0k = betti_circle(filt.omega(k + 1))[0]
         if k == 0:
             out.append(b0k)
@@ -138,31 +133,20 @@ def betti_complement(p: QuadraticPencil, cone: PlanarCone,
     return out
 
 
-def euler_x(p: QuadraticPencil, cone: PlanarCone,
-            filtration: FiltrationReport | None = None,
-            table: SpectralTable | None = None) -> int:
-    """Euler characteristic via the alternating sum of superlevel counts.
+def euler_x(filt: FiltrationReport) -> int:
+    """Euler characteristic via the alternating sum of superlevel counts;
+    0 when the top level fills (mu = n + 1), where the solution set is empty.
 
-    Cross-checked against the alternating sum of the table's Betti numbers;
-    a mismatch raises, since both must agree exactly for integer inputs.
-    A table already built from the same filtration can be passed in.
+    analyze cross-checks it against the alternating sum of the table's
+    Betti numbers.
     """
-    filt = filtration if filtration is not None else filtration_for_cone(p, cone)
-    n = p.n
-    chi_ambient = 1 if n % 2 == 0 else 0
-    acc = chi_ambient
+    n = filt.pencil.n
+    if filt.mu == n + 1:
+        return 0
+    acc = 1 if n % 2 == 0 else 0  # chi of the ambient projective space
     for j in range(0, n + 1):
         acc += (-1) ** (j + 1) * euler_circle(filt.omega(j + 1))
-    chi = (-1) ** n * acc
-    if table is None:
-        table = build_table(p, cone, filtration=filt)
-    report = betti_x(table)
-    if not report.empty and chi != report.chi:
-        raise NumericalError(
-            f"Euler characteristic mismatch: levelwise {chi} vs table {report.chi}")
-    if report.empty:
-        return 0
-    return chi
+    return (-1) ** n * acc
 
 
 @dataclass(frozen=True)
@@ -180,13 +164,10 @@ class SphereBettiEntry:
     transfer_bound: int
 
 
-def betti_y(p: QuadraticPencil, cone: PlanarCone,
-            filtration: FiltrationReport | None = None) -> list[SphereBettiEntry]:
+def betti_y(filt: FiltrationReport) -> list[SphereBettiEntry]:
     """Reduced Betti numbers of the solution set on the sphere, where known."""
-    filt = filtration if filtration is not None else filtration_for_cone(p, cone)
-    n = p.n
-    table = build_table(p, cone, filtration=filt)
-    report = betti_x(table)
+    n = filt.pencil.n
+    report = betti_x(build_table(filt))
     entries: list[SphereBettiEntry] = []
     if report.empty:
         for k in range(0, n + 1):
@@ -295,8 +276,7 @@ def index_decomposition(p: QuadraticPencil, eta_theta: float,
                               theta, predicted, measured)
 
 
-def half_circle_bound(p: QuadraticPencil, cone: PlanarCone, eta_theta: float,
-                      filtration: FiltrationReport | None = None) -> list[int]:
+def half_circle_bound(filt: FiltrationReport, eta_theta: float) -> list[int]:
     """Per-degree bounds from component counts on the two half circles at eta.
 
     For a nonsingular solution set the degree-k Betti number is at most the
@@ -304,9 +284,9 @@ def half_circle_bound(p: QuadraticPencil, cone: PlanarCone, eta_theta: float,
     degrees the Betti number is the rank class alone (at most one) and the
     empty superlevel set contributes zero to the table row.
     """
+    p = filt.pencil
     if inertia(p.at(eta_theta), scale=p.scale()).i_zero != 0:
         raise InvalidInputError("the splitting angle must be regular")
-    filt = filtration if filtration is not None else filtration_for_cone(p, cone)
     n = p.n
     c1 = closed_half_circle(eta_theta)
     c2 = closed_half_circle(eta_theta + PI)
@@ -331,11 +311,18 @@ class AnalysisResult:
 
 
 def analyze(p: QuadraticPencil, cone: PlanarCone) -> AnalysisResult:
-    """The full pipeline: filtration, table, Betti numbers, Euler number."""
+    """The full pipeline: filtration, table, Betti numbers, Euler number.
+
+    The levelwise Euler number must equal the table's alternating sum
+    exactly for integer inputs; a mismatch raises.
+    """
     filt = filtration_for_cone(p, cone)
-    table = build_table(p, cone, filtration=filt)
+    table = build_table(filt)
     report = betti_x(table)
-    chi = euler_x(p, cone, filtration=filt, table=table)
+    chi = euler_x(filt)
+    if not report.empty and chi != report.chi:
+        raise NumericalError(
+            f"Euler characteristic mismatch: levelwise {chi} vs table {report.chi}")
     return AnalysisResult(filt, table, report, chi)
 
 

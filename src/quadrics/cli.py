@@ -29,7 +29,7 @@ from .applications import (
 from .betti import analyze, betti_complement, betti_y, check_bounds, result_json
 from .circle import PlanarCone, omega_set
 from .errors import InvalidInputError, NumericalError, OracleDisagreement
-from .filtration import IndexProfile, index_profile
+from .filtration import IndexProfile, filtration_for_cone, index_profile
 from .fixtures import NAMED_FIXTURES, cone_zero_problem
 from .oracles import grid_index_profile, verify_analysis
 from .pencil import QuadraticPencil
@@ -114,7 +114,7 @@ def _cmd_betti_x(args) -> int:
 
 def _cmd_betti_y(args) -> int:
     pencil, cone, _ = load_problem(_read_input(args))
-    entries = betti_y(pencil, cone)
+    entries = betti_y(filtration_for_cone(pencil, cone))
     data = {
         "entries": [
             {"k": e.k, "determined": e.determined, "reduced": e.reduced,
@@ -128,7 +128,7 @@ def _cmd_betti_y(args) -> int:
 
 def _cmd_betti_complement(args) -> int:
     pencil, cone, _ = load_problem(_read_input(args))
-    _write_output(args, {"b_complement": betti_complement(pencil, cone)})
+    _write_output(args, {"b_complement": betti_complement(filtration_for_cone(pencil, cone))})
     return 0
 
 
@@ -170,7 +170,7 @@ def _cmd_level_set(args) -> int:
 
 def _cmd_calabi(args) -> int:
     pencil, _, _ = load_problem(_read_input(args))
-    cert = calabi(pencil)
+    cert = calabi(filtration_for_cone(pencil, PlanarCone.zero()))
     _write_output(args, cert.to_json())
     return 0
 

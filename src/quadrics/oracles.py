@@ -410,15 +410,15 @@ class MonodromyCheck:
     base_resolution: int
 
 
-def monodromy_refine(p: QuadraticPencil, filtration: FiltrationReport) -> MonodromyCheck:
+def monodromy_refine(filt: FiltrationReport) -> MonodromyCheck:
     """The analysis's orientation class against two transports: one from the
     default start, one from twice the resolution (base_resolution) it needs."""
-    if not (filtration.mu > 0 and filtration.top_fills_circle):
+    if not (filt.mu > 0 and filt.top_fills_circle):
         raise InvalidInputError(
             "monodromy refinement needs the top superlevel set to fill the circle")
-    w1a = filtration.w1_nonzero
-    w1b, res, _ = stiefel_whitney(p, filtration.profile)
-    w1c, _, _ = stiefel_whitney(p, filtration.profile, start_resolution=2 * res)
+    w1a = filt.w1_nonzero
+    w1b, res, _ = stiefel_whitney(filt.pencil, filt.profile)
+    w1c, _, _ = stiefel_whitney(filt.pencil, filt.profile, start_resolution=2 * res)
     return MonodromyCheck(w1a == w1b == w1c, (w1a, w1b, w1c), res)
 
 
@@ -629,7 +629,7 @@ def verify_analysis(p: QuadraticPencil, cone: PlanarCone,
 
     filt = res.filtration
     if filt.mu > 0 and filt.top_fills_circle:
-        check = monodromy_refine(p, filt)
+        check = monodromy_refine(filt)
         out["monodromy_values"] = list(check.values)
         if not check.stable:
             raise OracleDisagreement(

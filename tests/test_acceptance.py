@@ -69,12 +69,12 @@ def test_criterion_1_bouquet():
     poles = CircleSubset.point(PI / 2).union(CircleSubset.point(3 * PI / 2))
     assert subsets_equal(filt.omega(2), poles.complement())
     assert filt.omega(3).is_empty()
-    table = build_table(p, ZERO, filtration=filt)
+    table = build_table(filt)
     assert table.display_rows() == [[1, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
     rep = betti_x(table)
     assert rep.b[0] == 1 and rep.b[1] == 3
     assert rep.ranks[1] == 1
-    chi_levelwise = euler_x(p, ZERO, filtration=filt)
+    chi_levelwise = euler_x(filt)
     assert chi_levelwise == -2
     assert rep.chi == -2
     elapsed = time.monotonic() - t0
@@ -92,12 +92,12 @@ def test_criterion_2_complex_squaring():
     filt = filtration_for_cone(p, ZERO)
     assert filt.w1_nonzero is True
     assert filt.top_fills_circle and filt.mu == 1  # one conjugate root pair
-    table = build_table(p, ZERO, filtration=filt)
+    table = build_table(filt)
     assert (table.c, table.d) == (0, 0)
     rep = betti_x(table)
     assert all(b == 0 for b in rep.b)
     assert rep.empty is True
-    check = monodromy_refine(p, filt)
+    check = monodromy_refine(filt)
     assert check.stable and check.values == (True, True, True)
     elapsed = time.monotonic() - t0
     assert elapsed < 1.0
@@ -113,7 +113,7 @@ def test_criterion_3_four_lines():
     p = fixtures.four_lines()
     locus = degenerate_locus(p)
     assert sorted(pt.multiplicity for pt in locus.points) == [2, 2, 2, 2]
-    rep = betti_x(build_table(p, ZERO))
+    rep = analyze(p, ZERO).report
     assert rep.b[0] == 1 and rep.b[1] == 5
     assert rep.total == 6 == 2 * p.n
     sampled = sample_components(p, ZERO, "projective")
@@ -147,7 +147,7 @@ def test_criterion_4_extremal_family():
             points = prof.at
             assert len(points) == n + 1
             assert all(v.i_plus == hi - 1 for v in points)
-        rep = betti_x(build_table(p, ZERO))
+        rep = analyze(p, ZERO).report
         assert rep.total == 2 * n, n
         if n % 2 == 0:
             assert check_bounds(rep, smooth=True) == []
@@ -213,7 +213,7 @@ def test_criterion_7_calabi_equivalence():
         for _ in range(100):
             p = fixtures.random_pencil(rng, dim)
             res = is_empty_x(p, ZERO)
-            cert = calabi(p)
+            cert = calabi(filtration_for_cone(p, ZERO))
             assert res.empty == (cert.kind == "positive_combination")
             if res.empty:
                 assert cert.margin > 0
@@ -221,7 +221,7 @@ def test_criterion_7_calabi_equivalence():
     # two variables: the zero locus is empty yet no combination is definite
     sq = fixtures.complex_squaring()
     res = is_empty_x(sq, ZERO)
-    cert = calabi(sq)
+    cert = calabi(filtration_for_cone(sq, ZERO))
     assert res.empty is True
     assert cert.kind == "refutation"
     assert cert.warning is not None
@@ -298,7 +298,7 @@ def test_criterion_9_level_sets():
 # ---------------------------------------------------------------------------
 
 def test_criterion_10_spherical_formula():
-    entries = betti_y(extremal_family(4), ZERO)
+    entries = betti_y(filtration_for_cone(extremal_family(4), ZERO))
     by_k = {e.k: e for e in entries}
     assert by_k[0].reduced == 0
     assert by_k[1].reduced == 10
@@ -309,7 +309,7 @@ def test_criterion_10_spherical_formula():
     for p, label in [(fixtures.bouquet(), "bouquet"),
                      (fixtures.four_lines(), "four-lines"),
                      (fixtures.definite_form(4), "empty")]:
-        entries = betti_y(p, ZERO)
+        entries = betti_y(filtration_for_cone(p, ZERO))
         e0 = entries[0]
         assert e0.determined
         expected_b0 = e0.absolute

@@ -19,10 +19,10 @@ from quadrics.applications import (
     level_set_betti,
     support_function,
 )
-from quadrics.betti import betti_x, build_table, check_bounds
+from quadrics.betti import analyze, check_bounds
 from quadrics.circle import PlanarCone, betti_pair, omega_set
 from quadrics.errors import InvalidInputError, NumericalError
-from quadrics.filtration import index_profile, sublevel
+from quadrics.filtration import filtration_for_cone, index_profile, sublevel
 from quadrics.pencil import QuadraticPencil, degenerate_locus
 
 PI = math.pi
@@ -37,7 +37,7 @@ def test_calabi_definite_q0():
     rng = np.random.default_rng(0)
     b = rng.standard_normal((3, 3))
     p = QuadraticPencil(np.eye(3), 0.05 * (b + b.T))
-    cert = calabi(p)
+    cert = calabi(filtration_for_cone(p, ZERO))
     assert cert.kind == "positive_combination"
     assert cert.margin > 0
     assert cert.warning is None
@@ -47,14 +47,14 @@ def test_calabi_definite_q0():
 
 
 def test_calabi_complex_squaring_refuted_with_warning():
-    cert = calabi(fixtures.complex_squaring())
+    cert = calabi(filtration_for_cone(fixtures.complex_squaring(), ZERO))
     assert cert.kind == "refutation"
     assert cert.mu == 1
     assert cert.warning is not None
 
 
 def test_calabi_bouquet_refuted():
-    cert = calabi(fixtures.bouquet())
+    cert = calabi(filtration_for_cone(fixtures.bouquet(), ZERO))
     assert cert.kind == "refutation"
     assert cert.mu == 2
     assert cert.warning is None
@@ -87,7 +87,7 @@ def test_calabi_equivalence_random():
         dim = int(rng.integers(3, 8))
         p = fixtures.random_pencil(rng, dim)
         res = is_empty_x(p, ZERO)
-        cert = calabi(p)
+        cert = calabi(filtration_for_cone(p, ZERO))
         assert res.empty == (cert.kind == "positive_combination")
         if cert.kind == "positive_combination":
             assert np.linalg.eigvalsh(p.at(cert.theta))[0] > 0
@@ -393,7 +393,7 @@ def test_extremal_total_betti():
         p = extremal_family(n)
         # det = prod cos(theta - 2 pi k/(n+1)): every projective root is real
         assert degenerate_locus(p).theta_pairs == 0, n
-        rep = betti_x(build_table(p, ZERO))
+        rep = analyze(p, ZERO).report
         assert rep.total == 2 * n, n
         assert check_bounds(rep) == []
 

@@ -19,6 +19,7 @@ from quadrics.betti import (
 )
 from quadrics.circle import PlanarCone
 from quadrics.errors import InvalidInputError, NumericalError
+from quadrics.filtration import filtration_for_cone
 from quadrics.oracles import (exact_locus_counts, grid_index_profile, grid_profile_disagreements,
                               stiefel_whitney)
 from quadrics.pencil import QuadraticPencil, degenerate_locus
@@ -32,7 +33,7 @@ ZERO = PlanarCone.zero()
 # ---------------------------------------------------------------------------
 
 def test_table_bouquet():
-    t = build_table(fixtures.bouquet(), ZERO)
+    t = build_table(filtration_for_cone(fixtures.bouquet(), ZERO))
     assert t.mu == 2 and t.nu == 1
     assert t.w1_nonzero is False
     assert (t.c, t.d) == (1, 0)
@@ -40,21 +41,21 @@ def test_table_bouquet():
 
 
 def test_table_complex_squaring():
-    t = build_table(fixtures.complex_squaring(), ZERO)
+    t = build_table(filtration_for_cone(fixtures.complex_squaring(), ZERO))
     assert t.w1_nonzero is True
     assert (t.c, t.d) == (0, 0)
     assert t.display_rows() == [[0, 0, 0], [0, 0, 0]]
 
 
 def test_table_empty_domain():
-    t = build_table(fixtures.bouquet(), PlanarCone.full())
+    t = build_table(filtration_for_cone(fixtures.bouquet(), PlanarCone.full()))
     assert t.mu == 0
     rows = t.display_rows()
     assert all(r == [1, 0, 0] for r in rows)
 
 
 def test_table_four_lines():
-    t = build_table(fixtures.four_lines(), ZERO)
+    t = build_table(filtration_for_cone(fixtures.four_lines(), ZERO))
     assert t.mu == 2
     assert t.display_rows() == [[1, 0, 0], [1, 0, 0], [0, 3, 0], [0, 0, 1]]
 
@@ -64,7 +65,7 @@ def test_table_four_lines():
 # ---------------------------------------------------------------------------
 
 def test_betti_bouquet():
-    rep = betti_x(build_table(fixtures.bouquet(), ZERO))
+    rep = analyze(fixtures.bouquet(), ZERO).report
     assert rep.b == (1, 3, 0, 0)
     assert rep.total == 4
     assert rep.ranks[1] == 1
@@ -72,27 +73,27 @@ def test_betti_bouquet():
 
 
 def test_betti_four_lines():
-    rep = betti_x(build_table(fixtures.four_lines(), ZERO))
+    rep = analyze(fixtures.four_lines(), ZERO).report
     assert rep.b == (1, 5, 0, 0)
     assert rep.total == 6
     assert rep.chi == -4
 
 
 def test_betti_complex_squaring_empty():
-    rep = betti_x(build_table(fixtures.complex_squaring(), ZERO))
+    rep = analyze(fixtures.complex_squaring(), ZERO).report
     assert rep.b == (0, 0)
     assert rep.empty is True
 
 
 def test_betti_definite_form_empty():
-    rep = betti_x(build_table(fixtures.definite_form(4), ZERO))
+    rep = analyze(fixtures.definite_form(4), ZERO).report
     assert rep.empty is True
     assert rep.total == 0
 
 
 def test_betti_full_cone_gives_projective_space():
     for dim in (3, 4, 5):
-        rep = betti_x(build_table(fixtures.definite_form(dim), PlanarCone.full()))
+        rep = analyze(fixtures.definite_form(dim), PlanarCone.full()).report
         assert rep.b == tuple([1] * dim)
         assert rep.empty is False
 
@@ -100,7 +101,7 @@ def test_betti_full_cone_gives_projective_space():
 def test_betti_single_quadric_ellipse():
     # signature (2,1) quadric in the projective plane: a circle
     p = QuadraticPencil(np.diag([1.0, 1.0, -1.0]), np.zeros((3, 3)))
-    rep = betti_x(build_table(p, ZERO))
+    rep = analyze(p, ZERO).report
     assert rep.b == (1, 1, 0)
     assert rep.chi == 0
 
@@ -116,7 +117,7 @@ def test_halfplane_cone_single_inequality_retracts():
         rng.shuffle(diag)
         b = rng.standard_normal((dim, dim))
         pencil = QuadraticPencil(np.diag(diag), 0.3 * (b + b.T))
-        res = betti_x(build_table(pencil, PlanarCone.halfplane(PI / 2)))
+        res = analyze(pencil, PlanarCone.halfplane(PI / 2)).report
         n = dim - 1
         expect = tuple(1 if k <= n - p_pos else 0 for k in range(dim))
         assert res.b == expect, (p_pos, q_neg, zeros, res.b)
@@ -138,7 +139,7 @@ def test_line_cone_single_quadric_topology():
         b = rng.standard_normal((dim, dim))
         pencil = QuadraticPencil(np.diag([1.0] * pp + [-1.0] * qq),
                                  0.25 * (b + b.T))
-        res = betti_x(build_table(pencil, PlanarCone.line(PI / 2)))
+        res = analyze(pencil, PlanarCone.line(PI / 2)).report
         assert tuple(res.b) == expect, (pp, qq, res.b)
 
 
@@ -153,7 +154,7 @@ def test_ray_cone_vacuous_inequality():
     for diag1, expect in cases:
         dim = len(diag1)
         pencil = QuadraticPencil(np.eye(dim), np.diag(diag1))
-        res = betti_x(build_table(pencil, PlanarCone.ray(0.0)))
+        res = analyze(pencil, PlanarCone.ray(0.0)).report
         assert tuple(res.b) == expect, (diag1, res.b)
 
 
@@ -167,14 +168,14 @@ def test_ray_and_sector_cones_match_sampling_oracle():
         else:
             cone = PlanarCone.sector(float(rng.uniform(0, 2 * PI)),
                                      float(rng.uniform(0.5, 2.5)))
-        rep = betti_x(build_table(p, cone))
+        rep = analyze(p, cone).report
         expected = rep.b[0] if not rep.empty else 0
         assert sample_components(p, cone, "projective", seed=3) == expected
 
 
 def test_betti_point_solution_set():
     # padded squaring: solution set is a single projective point
-    rep = betti_x(build_table(fixtures.padded_squaring(), ZERO))
+    rep = analyze(fixtures.padded_squaring(), ZERO).report
     assert rep.b == (1, 0, 0)
 
 
@@ -183,45 +184,47 @@ def test_betti_point_solution_set():
 # ---------------------------------------------------------------------------
 
 def test_complement_bouquet():
-    b = betti_complement(fixtures.bouquet(), ZERO)
+    b = betti_complement(filtration_for_cone(fixtures.bouquet(), ZERO))
     assert b[1] == 3
     assert b[0] == 1
 
 
 def test_complement_definite_sphere_form():
     p = QuadraticPencil(np.eye(3), np.zeros((3, 3)))
-    assert betti_complement(p, ZERO) == [1, 1, 1]
+    assert betti_complement(filtration_for_cone(p, ZERO)) == [1, 1, 1]
 
 
 def test_complement_of_conic():
     # the plane minus a conic: a disk and a Moebius band
     p = QuadraticPencil(np.diag([1.0, 1.0, -1.0]), np.zeros((3, 3)))
-    assert betti_complement(p, ZERO) == [2, 1, 0]
+    assert betti_complement(filtration_for_cone(p, ZERO)) == [2, 1, 0]
 
 
 def test_zero_pencil_gives_whole_space():
     for dim in (1, 2, 4):
         p = QuadraticPencil(np.zeros((dim, dim)), np.zeros((dim, dim)))
-        rep = betti_x(build_table(p, ZERO))
+        rep = analyze(p, ZERO).report
         assert rep.b == tuple([1] * dim)
         assert not rep.empty
 
 
 def test_complement_empty_when_cone_full():
-    assert betti_complement(fixtures.bouquet(), PlanarCone.full()) == [0, 0, 0, 0]
+    filt = filtration_for_cone(fixtures.bouquet(), PlanarCone.full())
+    assert betti_complement(filt) == [0, 0, 0, 0]
 
 
 def test_euler_bouquet():
-    assert euler_x(fixtures.bouquet(), ZERO) == -2
+    assert euler_x(filtration_for_cone(fixtures.bouquet(), ZERO)) == -2
 
 
 def test_euler_empty_domain_even_n():
     p = fixtures.definite_form(3)  # n = 2
-    assert euler_x(p, PlanarCone.full()) == 1  # chi of the projective plane
+    # chi of the projective plane
+    assert euler_x(filtration_for_cone(p, PlanarCone.full())) == 1
 
 
 def test_euler_four_lines():
-    assert euler_x(fixtures.four_lines(), ZERO) == -4
+    assert euler_x(filtration_for_cone(fixtures.four_lines(), ZERO)) == -4
 
 
 def test_smooth_odd_projective_intersections_are_manifolds():
@@ -238,7 +241,7 @@ def test_smooth_odd_projective_intersections_are_manifolds():
             if locus.identically_singular or any(
                     pt.multiplicity != 1 for pt in locus.points):
                 continue
-            rep = betti_x(build_table(p, ZERO))
+            rep = analyze(p, ZERO).report
             if rep.empty:
                 continue
             assert rep.chi == 0, (seed, dim, rep.b)
@@ -266,7 +269,7 @@ def test_euler_matches_table_on_random_pencils():
 # ---------------------------------------------------------------------------
 
 def test_betti_y_extremal_n4():
-    entries = betti_y(extremal_family(4), ZERO)
+    entries = betti_y(filtration_for_cone(extremal_family(4), ZERO))
     by_k = {e.k: e for e in entries}
     assert by_k[0].determined and by_k[0].reduced == 0
     assert by_k[0].absolute == 1
@@ -277,7 +280,7 @@ def test_betti_y_extremal_n4():
 
 
 def test_betti_y_empty():
-    entries = betti_y(fixtures.definite_form(4), ZERO)
+    entries = betti_y(filtration_for_cone(fixtures.definite_form(4), ZERO))
     assert all(e.determined and e.reduced == 0 for e in entries)
 
 
@@ -286,22 +289,21 @@ def test_betti_y_transfer_bound_random():
     for _ in range(40):
         dim = int(rng.integers(5, 8))
         p = fixtures.random_pencil(rng, dim)
-        entries = betti_y(p, ZERO)
+        entries = betti_y(filtration_for_cone(p, ZERO))
         for e in entries:
             if e.determined and e.absolute is not None:
                 assert e.absolute <= e.transfer_bound, (dim, e)
 
 
 def test_betti_y_out_of_range_has_bound():
-    entries = betti_y(fixtures.bouquet(), ZERO)
+    entries = betti_y(filtration_for_cone(fixtures.bouquet(), ZERO))
     by_k = {e.k: e for e in entries}
     # n = 3: only k = 0 is in range
     assert by_k[0].determined
     assert by_k[0].absolute == 1
     for k in (1, 2, 3):
         assert not by_k[k].determined
-        assert by_k[k].transfer_bound == 2 * betti_x(
-            build_table(fixtures.bouquet(), ZERO)).b[k]
+        assert by_k[k].transfer_bound == 2 * analyze(fixtures.bouquet(), ZERO).report.b[k]
 
 
 # ---------------------------------------------------------------------------
@@ -310,13 +312,13 @@ def test_betti_y_out_of_range_has_bound():
 
 def test_bounds_extremal_sharp():
     for n in range(2, 9):
-        rep = betti_x(build_table(extremal_family(n), ZERO))
+        rep = analyze(extremal_family(n), ZERO).report
         assert rep.total == 2 * n
         assert check_bounds(rep) == []
 
 
 def test_bounds_four_lines():
-    rep = betti_x(build_table(fixtures.four_lines(), ZERO))
+    rep = analyze(fixtures.four_lines(), ZERO).report
     assert rep.total == 6 == 2 * 3
     assert check_bounds(rep) == []
 
@@ -329,7 +331,7 @@ def test_for_odd_n_only_a_singular_x_attains_2n():
     # square-free determinant and stay below 2n
     p = fixtures.four_lines()
     assert not exact_locus_counts(p).square_free
-    assert betti_x(build_table(p, ZERO)).total == 6
+    assert analyze(p, ZERO).report.total == 6
     rng = np.random.default_rng(5)
     for n in (3, 5, 7):
         p = extremal_family(n)
@@ -337,14 +339,14 @@ def test_for_odd_n_only_a_singular_x_attains_2n():
             a, b = rng.standard_normal((2, n + 1, n + 1))
             q = QuadraticPencil(p.q0 + 5e-4 * (a + a.T), p.q1 + 5e-4 * (b + b.T))
             assert exact_locus_counts(q).square_free, n
-            rep = betti_x(build_table(q, ZERO))
+            rep = analyze(q, ZERO).report
             assert rep.total < 2 * n, (n, rep.b)
             assert check_bounds(rep, smooth=True) == [], n
 
 
 def test_bounds_smooth_per_degree():
     for n in (2, 4, 6):
-        rep = betti_x(build_table(extremal_family(n), ZERO))
+        rep = analyze(extremal_family(n), ZERO).report
         assert check_bounds(rep, smooth=True) == []
 
 
@@ -427,10 +429,10 @@ def test_index_decomposition_random_agreement():
 
 
 def test_half_circle_bound_extremal():
-    p = extremal_family(4)
-    t = build_table(p, ZERO)
+    filt = filtration_for_cone(extremal_family(4), ZERO)
+    t = build_table(filt)
     rep = betti_x(t)
-    bounds = half_circle_bound(p, ZERO, 0.17)
+    bounds = half_circle_bound(filt, 0.17)
     # the bound covers the degrees whose superlevel set is nonempty
     for k in range(5):
         if 4 - k <= t.mu:
@@ -452,12 +454,13 @@ def test_half_circle_bound_random_smooth():
         if locus.angles and min(
                 abs((eta - z + PI) % (2 * PI) - PI) for z in locus.angles) < 1e-3:
             continue
-        t = build_table(p, ZERO)
+        filt = filtration_for_cone(p, ZERO)
+        t = build_table(filt)
         rep = betti_x(t)
         if rep.empty:
             done += 1
             continue
-        bounds = half_circle_bound(p, ZERO, eta)
+        bounds = half_circle_bound(filt, eta)
         n = dim - 1
         for k in range(dim):
             if n - k <= t.mu:

@@ -9,7 +9,7 @@ from quadrics.applications import LevelProblem, extremal_family, level_set_betti
 from quadrics.betti import analyze
 from quadrics.circle import TOL_ANGLE, CircleSubset, PlanarCone, canonical_angle, omega_set
 from quadrics.errors import InvalidInputError, NumericalError, OracleDisagreement
-from quadrics.filtration import IndexProfile, filtration_report, index_profile
+from quadrics.filtration import IndexProfile, filtration_for_cone, filtration_report, index_profile
 from quadrics.pencil import (
     AT_MANY_SLICE,
     CLUSTER_TOL,
@@ -186,7 +186,7 @@ def test_double_cover_general_cones_match_sphere_oracle():
                                      float(rng.uniform(0.8, 2.2)))
         else:
             cone = PlanarCone.halfplane(float(rng.uniform(0, 2 * PI)))
-        e0 = betti_y(p, cone)[0]
+        e0 = betti_y(filtration_for_cone(p, cone))[0]
         if not e0.determined:
             continue
         assert sample_components(p, cone, "sphere", seed=11) == e0.absolute
@@ -201,7 +201,7 @@ def test_double_cover_component_count_bounds():
     done = 0
     while done < 25:
         p = fixtures.random_pencil(rng, 4)
-        e0 = betti_y(p, ZERO)[0]
+        e0 = betti_y(filtration_for_cone(p, ZERO))[0]
         if not e0.determined:
             continue
         rep = analyze(p, ZERO).report
@@ -311,14 +311,14 @@ def test_oracle_reproducibility():
 
 def test_monodromy_refine_squaring():
     p = fixtures.complex_squaring()
-    check = monodromy_refine(p, filtration_report(p, FULL_CIRCLE))
+    check = monodromy_refine(filtration_report(p, FULL_CIRCLE))
     assert check.stable
     assert check.values == (True, True, True)
 
 
 def test_monodromy_refine_doubled():
     p = fixtures.doubled_squaring()
-    check = monodromy_refine(p, filtration_report(p, FULL_CIRCLE))
+    check = monodromy_refine(filtration_report(p, FULL_CIRCLE))
     assert check.stable
     assert check.values == (False, False, False)
 
@@ -326,7 +326,7 @@ def test_monodromy_refine_doubled():
 def test_monodromy_refine_requires_full_circle():
     p = fixtures.bouquet()
     with pytest.raises(InvalidInputError):
-        monodromy_refine(p, filtration_report(p, FULL_CIRCLE))
+        monodromy_refine(filtration_report(p, FULL_CIRCLE))
 
 
 def test_analyze_runs_no_transport_and_monodromy_refine_runs_two(monkeypatch):
@@ -346,7 +346,7 @@ def test_analyze_runs_no_transport_and_monodromy_refine_runs_two(monkeypatch):
     for p in (fixtures.complex_squaring(), fixtures.padded_squaring()):
         res = analyze(p, ZERO)
         assert calls == [] and res.table.w1_nonzero is True
-        check = monodromy_refine(p, res.filtration)
+        check = monodromy_refine(res.filtration)
         base = check.base_resolution
         assert [c for c in calls if isinstance(c, int) or c is None] == [None, 2 * base]
         assert "eigh" in calls and "det" in calls
