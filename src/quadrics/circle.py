@@ -244,8 +244,9 @@ class CircleSubset:
 
     # -- serialization -------------------------------------------------
     def to_json(self) -> dict:
+        # an end lifted past 2*pi is the first cut: print the cut itself
         items = [{"type": "point" if end == start else "arc", "start": start,
-                  "end": canonical_angle(end) if end - start < TWO_PI else start,
+                  "end": end if end < TWO_PI else self.cuts[0],
                   "closed_start": cs, "closed_end": ce}
                  for start, end, cs, ce in self._components()]
         return {"full": self.full, "items": items}

@@ -8,7 +8,7 @@ import os
 import subprocess
 import sys
 
-ANSWER_DIGEST = "72268bed59ee7b9f49dbb36feb69e7a51f29db64052700f7d6f65bcff7e6f991"
+ANSWER_DIGEST = "94e8cadee91bdbf5f0e541a5f09304bac23e030042ec5faefd31c1f6816f9ad1"
 SCRIPT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                       "scripts", "answer_digest.py")
 

@@ -461,6 +461,7 @@ def _item(kind, start, end, closed_start=True, closed_end=True):
 
 def test_subset_to_json():
     # a component's end is canonical; the circle minus a point ends where it starts
+    wraps = 0.178035314566679  # canonical_angle(wraps + 2 * pi) is not wraps
     punctured = {"full": False, "items": [_item("arc", 1.0, 1.0, False, False)]}
     cases = [
         (CircleSubset.empty(), {"full": False, "items": []}),
@@ -472,6 +473,9 @@ def test_subset_to_json():
         (arc(5.5, 0.5, False, True),
          {"full": False, "items": [_item("arc", 5.5, 0.5, False, True)]}),
         (point(1.0).complement(), punctured),
+        # an arc across 0 ends at its own cut, bit for bit
+        (CircleSubset.from_steps([(wraps, True, False), (5.0, False, True)]),
+         {"full": False, "items": [_item("arc", 5.0, wraps, False, True)]}),
         # lengths within TOL_ANGLE of 0: a point, or nothing with both ends open
         (arc(1.0, 1.0 + 0.5 * TOL_ANGLE, False, True),
          {"full": False, "items": [_item("point", 1.0, 1.0)]}),
