@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .circle import (
     CircleSubset,
     PlanarCone,
+    _finite_angle,
     betti_circle,
     betti_pair,
     canonical_angle,
@@ -227,13 +228,13 @@ def index_decomposition(p: QuadraticPencil, eta_theta: float,
     number of conjugate root pairs, reconstruct the positive index.
     Requires a locus of simple real roots with both probe angles regular.
     """
+    eta = canonical_angle(_finite_angle(eta_theta))
+    omega = canonical_angle(_finite_angle(omega_theta))
     locus = degenerate_locus(p)
     if locus.identically_singular:
         raise InvalidInputError("index decomposition requires a nonsingular family")
     if any(pt.multiplicity != 1 for pt in locus.points):
         raise InvalidInputError("index decomposition requires simple roots")
-    eta = canonical_angle(eta_theta)
-    omega = canonical_angle(omega_theta)
     angles = locus.angles
     gap_guard = 1e-6
     for probe in (eta, omega):
@@ -285,7 +286,7 @@ def half_circle_bound(filt: FiltrationReport, eta_theta: float) -> list[int]:
     empty superlevel set contributes zero to the table row.
     """
     p = filt.pencil
-    if inertia(p.at(eta_theta), scale=p.scale()).i_zero != 0:
+    if inertia(p.at(_finite_angle(eta_theta)), scale=p.scale()).i_zero != 0:
         raise InvalidInputError("the splitting angle must be regular")
     n = p.n
     c1 = closed_half_circle(eta_theta)

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from quadrics import fixtures
-from quadrics.applications import support_function
+from quadrics.applications import extremal_family, support_function
+from quadrics.betti import half_circle_bound, index_decomposition
 from quadrics.circle import (
     TOL_ANGLE,
     CircleSubset,
@@ -24,6 +25,7 @@ from quadrics.circle import (
     subsets_equal,
 )
 from quadrics.errors import InvalidInputError
+from quadrics.filtration import filtration_for_cone
 
 PI = math.pi
 TWO_PI = 2 * math.pi
@@ -498,6 +500,10 @@ def test_non_finite_angles_are_invalid_input(bad):
         lambda: point(bad), lambda: arc(bad, 1.0), lambda: arc(1.0, bad),
         lambda: open_half_circle(bad), lambda: closed_half_circle(bad),
         lambda: support_function(fixtures.bouquet(), bad),
+        lambda: half_circle_bound(filtration_for_cone(fixtures.bouquet(), PlanarCone.zero()),
+                                  bad),
+        lambda: index_decomposition(extremal_family(4), bad, 1.0),
+        lambda: index_decomposition(extremal_family(4), 0.17, bad),
     ]
     for call in calls:
         with pytest.raises(InvalidInputError):
