@@ -68,7 +68,7 @@ def test_bouquet_profile():
     assert len(prof.cuts) == 2 and None not in prof.at + prof.after
     points = _points(prof)
     assert len(points) == 2
-    assert angles_equal(points[0][0], PI / 2, 1e-7)
+    assert abs(points[0][0] - PI / 2) <= 1e-7
     assert all(v.i_plus == 2 for v in _arc_values(prof))
     assert all(v.i_plus == 1 for _, v in points)
 
@@ -306,13 +306,20 @@ def _range_rule_profiles():
             yield p, index_profile(p, omega_set(cone))
 
 
+def _open_cell(cuts, i):
+    """The open arc from cuts[i] to the next cut, bounded by the cuts themselves."""
+    j = (i + 1) % len(cuts)
+    start, end = (cuts[i], False, True), (cuts[j], False, False)
+    return CircleSubset.from_steps([start] if i == j else sorted([start, end]))
+
+
 def _held_cells(prof, keep):
     """The profile's points and open arcs whose value satisfies keep, as sets."""
     if not prof.cuts:
         held = prof.whole is not None and keep(prof.whole)
         return [FULL] if held else []
     return [CircleSubset.point(c) for c, v in _points(prof) if keep(v)] + \
-        [CircleSubset.arc(s, e, False, False) for s, e, v in _arcs(prof) if keep(v)]
+        [_open_cell(prof.cuts, i) for i, v in enumerate(prof.after) if v is not None and keep(v)]
 
 
 def test_range_rule_equals_the_union_of_cells():
