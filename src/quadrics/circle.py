@@ -36,9 +36,9 @@ def canonical_angle(theta: float) -> float:
     return t
 
 
-def angles_equal(a: float, b: float, tol: float = TOL_ANGLE) -> bool:
+def angles_equal(a: float, b: float) -> bool:
     d = abs(canonical_angle(a) - canonical_angle(b))
-    return d <= tol or TWO_PI - d <= tol
+    return d <= TOL_ANGLE or TWO_PI - d <= TOL_ANGLE
 
 
 def angle_of(x: float, y: float) -> float:

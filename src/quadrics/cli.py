@@ -1,9 +1,10 @@
 """Command-line front end: JSON problems in, JSON results out.
 
-Subcommands cover every analysis the library offers; all of them read a
-problem description from --input or standard input and write a result object
-to --output or standard output.  Exit codes: 0 success, 2 invalid input,
-3 numeric/tolerance failure, 4 oracle disagreement.
+Subcommands cover every analysis the library offers; all but extremal and
+fixture read a problem description from --input or standard input, and all
+write a result object to --output or standard output.  A flag is accepted
+only by the subcommands that read it.  Exit codes: 0 success, 2 invalid
+input, 3 numeric/tolerance failure, 4 oracle disagreement.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ def _read_input(args) -> dict:
 
 def _write_output(args, data: dict) -> None:
     text = json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
-    if getattr(args, "output", None):
+    if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
@@ -87,13 +88,15 @@ def _plane_point(c) -> tuple[float, float]:
     return (float(c[0]), float(c[1]))
 
 
-def _add_common(sp) -> None:
-    sp.add_argument("--input", help="problem JSON file (default: stdin)")
-    sp.add_argument("--output", help="result JSON file (default: stdout)")
-    sp.add_argument("--grid", type=int, help="oracle grid resolution (at least 4)")
-    sp.add_argument("--seed", type=int, help="PRNG seed for oracles")
-    sp.add_argument("--smooth", action="store_true",
-                    help="assert the solution set is a nonsingular intersection")
+# the flags several subcommands share, each given only where it is read
+_SHARED_FLAGS = {
+    "--input": {"help": "problem JSON file (default: stdin)"},
+    "--output": {"help": "result JSON file (default: stdout)"},
+    "--grid": {"type": int, "help": "oracle grid resolution (at least 4)"},
+    "--seed": {"type": int, "help": "PRNG seed for oracles"},
+    "--smooth": {"action": "store_true",
+                 "help": "assert the solution set is a nonsingular intersection"},
+}
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +109,7 @@ def _cmd_betti_x(args) -> int:
     data = result_json(res)
     smooth = args.smooth or bool(extra.get("smooth"))
     data["violations"] = check_bounds(res.report, smooth=smooth)
-    if getattr(args, "verify", False):
+    if args.verify:
         data["oracle"] = verify_analysis(pencil, cone, result=res, **_oracle_options(args))
     _write_output(args, data)
     return 0
@@ -282,50 +285,42 @@ def build_parser() -> argparse.ArgumentParser:
                     "forms, from inertia analysis over the circle.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    plain = {
-        "betti-x": "Betti numbers of the solution set in projective space",
-        "betti-y": "reduced Betti numbers of the spherical double cover",
-        "betti-complement": "Betti numbers of the projective complement",
-        "euler": "Euler characteristic of the solution set",
-        "table": "the integer table behind the Betti numbers",
-        "calabi": "positive definite combination certificate",
-        "verify": "run the analysis and all applicable oracles",
+    reads = ("--input",)
+    commands = {  # name: (help, the shared flags besides --output it reads)
+        "betti-x": ("Betti numbers of the solution set in projective space",
+                    ("--input", "--grid", "--seed", "--smooth")),
+        "betti-y": ("reduced Betti numbers of the spherical double cover", reads),
+        "betti-complement": ("Betti numbers of the projective complement", reads),
+        "euler": ("Euler characteristic of the solution set", reads),
+        "table": ("the integer table behind the Betti numbers", reads),
+        "calabi": ("positive definite combination certificate", reads),
+        "verify": ("run the analysis and all applicable oracles",
+                   ("--input", "--grid", "--seed")),
+        "level-set": ("level sets of the quadratic map", reads),
+        "member": ("membership of a plane point in the sphere image", reads),
+        "support": ("support function of the sphere image", reads),
+        "extremal": ("emit the extremal family as a problem JSON", ()),
+        "fixture": ("emit a named example problem JSON", ()),
+        "profile": ("index profile as CSV", ("--input", "--grid")),
     }
-    for name, help_text in plain.items():
-        sp = sub.add_parser(name, help=help_text)
-        _add_common(sp)
-        if name == "betti-x":
-            sp.add_argument("--verify", action="store_true",
-                            help="also run the oracles and attach their verdicts")
+    sps = {}
+    for name, (help_text, flags) in commands.items():
+        sp = sps[name] = sub.add_parser(name, help=help_text)
+        for flag, kwargs in _SHARED_FLAGS.items():
+            if flag == "--output" or flag in flags:
+                sp.add_argument(flag, **kwargs)
 
-    sp = sub.add_parser("level-set", help="level sets of the quadratic map")
-    _add_common(sp)
-
-    sp = sub.add_parser("member",
-                        help="membership of a plane point in the sphere image")
-    _add_common(sp)
-    sp.add_argument("--c", type=float, nargs=2, metavar=("C0", "C1"),
-                    help="the plane point to test")
-
-    sp = sub.add_parser("support", help="support function of the sphere image")
-    _add_common(sp)
-    sp.add_argument("--theta", type=float, help="single direction angle")
-    sp.add_argument("--directions", type=int, default=64,
-                    help="number of sampled directions when --theta is absent")
-
-    sp = sub.add_parser("extremal",
-                        help="emit the extremal family as a problem JSON")
-    _add_common(sp)
-    sp.add_argument("--n", type=int, required=True,
-                    help="projective dimension")
-
-    sp = sub.add_parser("fixture", help="emit a named example problem JSON")
-    _add_common(sp)
-    sp.add_argument("name", help="fixture name")
-
-    sp = sub.add_parser("profile", help="index profile as CSV")
-    _add_common(sp)
-    sp.add_argument("--csv", required=True, help="output CSV path")
+    sps["betti-x"].add_argument("--verify", action="store_true",
+                                help="also run the oracles and attach their verdicts")
+    sps["member"].add_argument("--c", type=float, nargs=2, metavar=("C0", "C1"),
+                               help="the plane point to test")
+    sps["support"].add_argument("--theta", type=float, help="single direction angle")
+    sps["support"].add_argument("--directions", type=int, default=64,
+                                help="number of sampled directions when --theta is absent")
+    sps["extremal"].add_argument("--n", type=int, required=True,
+                                 help="projective dimension")
+    sps["fixture"].add_argument("name", help="fixture name")
+    sps["profile"].add_argument("--csv", required=True, help="output CSV path")
 
     return parser
 

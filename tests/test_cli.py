@@ -267,6 +267,33 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv, override):
     assert "error:" in capsys.readouterr().err
 
 
+# each subcommand's required arguments, and the shared flags it does not read
+_REQUIRED = {"extremal": ["--n", "3"], "fixture": ["bouquet"], "profile": ["--csv", "p.csv"]}
+_UNREAD = {
+    "betti-y": ("--grid", "--seed", "--smooth"),
+    "betti-complement": ("--grid", "--seed", "--smooth"),
+    "euler": ("--grid", "--seed", "--smooth"),
+    "table": ("--grid", "--seed", "--smooth"),
+    "calabi": ("--grid", "--seed", "--smooth"),
+    "verify": ("--smooth",),
+    "level-set": ("--grid", "--seed", "--smooth"),
+    "member": ("--grid", "--seed", "--smooth"),
+    "support": ("--grid", "--seed", "--smooth"),
+    "extremal": ("--input", "--grid", "--seed", "--smooth"),
+    "fixture": ("--input", "--grid", "--seed", "--smooth"),
+    "profile": ("--seed", "--smooth"),
+}
+
+
+@pytest.mark.parametrize("command,flag", [(c, f) for c, flags in _UNREAD.items() for f in flags])
+def test_a_flag_the_subcommand_does_not_read_exits_2(capsys, command, flag):
+    value = [] if flag == "--smooth" else ["problem.json" if flag == "--input" else "8"]
+    with pytest.raises(SystemExit) as exc:
+        run([command, *_REQUIRED.get(command, []), flag, *value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 def test_an_entry_past_the_bound_exit_code(tmp_path, capsys):
     # 1e308 is finite but above 2^1020 / dim; 0.5 * (a + a') once stored inf
     path = tmp_path / "huge.json"

@@ -13,7 +13,7 @@ from scipy.linalg import lapack
 from quadrics import fixtures, pencil
 from quadrics.applications import extremal_family
 from quadrics.betti import analyze, check_bounds
-from quadrics.circle import CircleSubset, PlanarCone, angles_equal, canonical_angle
+from quadrics.circle import CircleSubset, PlanarCone, canonical_angle
 from quadrics.errors import InvalidInputError, NumericalError
 from quadrics.filtration import index_profile
 from quadrics.oracles import grid_index_profile, grid_profile_disagreements
@@ -117,6 +117,12 @@ def test_inertia_scaling_invariance(a, factor):
 # degenerate locus
 # ---------------------------------------------------------------------------
 
+def _angles_within(a, b, tol):
+    """Whether two angles agree modulo 2*pi within tol."""
+    d = abs(canonical_angle(a) - canonical_angle(b))
+    return d <= tol or TWO_PI - d <= tol
+
+
 def _angle_set(locus):
     return sorted(p.theta for p in locus.points)
 
@@ -125,8 +131,8 @@ def test_locus_bouquet():
     loc = degenerate_locus(fixtures.bouquet())
     assert not loc.identically_singular
     assert len(loc.points) == 2
-    assert angles_equal(loc.points[0].theta, PI / 2, 1e-7)
-    assert angles_equal(loc.points[1].theta, 3 * PI / 2, 1e-7)
+    assert _angles_within(loc.points[0].theta, PI / 2, 1e-7)
+    assert _angles_within(loc.points[1].theta, 3 * PI / 2, 1e-7)
     # det = cos^4: a single projective root of multiplicity four, no
     # non-real roots
     assert loc.points[0].multiplicity == 4
@@ -138,7 +144,7 @@ def test_locus_definite_form():
     p = fixtures.definite_form(4)
     loc = degenerate_locus(p)
     assert len(loc.points) == 2
-    assert angles_equal(loc.points[0].theta, PI / 2, 1e-7)
+    assert _angles_within(loc.points[0].theta, PI / 2, 1e-7)
     assert loc.points[0].multiplicity == 4
 
 
@@ -147,7 +153,7 @@ def test_locus_four_lines():
     assert len(loc.points) == 4
     expected = [0.0, PI / 2, PI, 3 * PI / 2]
     for pt, exp in zip(loc.points, expected):
-        assert angles_equal(pt.theta, exp, 1e-6)
+        assert _angles_within(pt.theta, exp, 1e-6)
         assert pt.multiplicity == 2
     assert loc.theta_pairs == 0
 
@@ -164,8 +170,8 @@ def test_locus_identically_singular():
     loc = degenerate_locus(fixtures.identically_singular_pair())
     assert loc.identically_singular and loc.rank_deficit == 1
     assert len(loc.points) == 2
-    assert angles_equal(loc.points[0].theta, 3 * PI / 4, 1e-7)
-    assert angles_equal(loc.points[1].theta, 7 * PI / 4, 1e-7)
+    assert _angles_within(loc.points[0].theta, 3 * PI / 4, 1e-7)
+    assert _angles_within(loc.points[1].theta, 7 * PI / 4, 1e-7)
     assert loc.theta_pairs == 0
 
 
@@ -188,7 +194,7 @@ def test_locus_antipodal_symmetry_random():
         assert not loc.identically_singular
         angs = loc.angles
         for a in angs:
-            assert any(angles_equal(a + PI, b, 1e-6) for b in angs)
+            assert any(_angles_within(a + PI, b, 1e-6) for b in angs)
         # projective root count plus conjugate pairs accounts for the degree
         assert loc.real_projective_count() + 2 * loc.theta_pairs == dim
 
@@ -701,7 +707,7 @@ def _assert_locus_of_block(loc, block, label):
     assert loc.theta_pairs == own.theta_pairs, label
     assert len(loc.points) == len(own.points), (label, loc.angles, own.angles)
     for q in own.points:
-        assert any(angles_equal(pt.theta, q.theta, 1e-9) and pt.multiplicity == q.multiplicity
+        assert any(_angles_within(pt.theta, q.theta, 1e-9) and pt.multiplicity == q.multiplicity
                    for pt in loc.points), (label, q, loc.points)
 
 
