@@ -46,6 +46,14 @@ def test_calabi_definite_q0():
     assert np.linalg.eigvalsh(m)[0] > 0
 
 
+@pytest.mark.parametrize("cone", [PlanarCone.ray(0.0), PlanarCone.full()], ids=["ray", "full"])
+def test_calabi_needs_the_full_circle_filtration(cone):
+    # Q0 = I is definite: a ray's filtration once gave a refutation, and the
+    # full cone's empty domain a bare ValueError
+    with pytest.raises(InvalidInputError, match="full circle"):
+        calabi(filtration_for_cone(fixtures.definite_form(4), cone))
+
+
 def test_calabi_complex_squaring_refuted_with_warning():
     cert = calabi(filtration_for_cone(fixtures.complex_squaring(), ZERO))
     assert cert.kind == "refutation"
