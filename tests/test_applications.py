@@ -48,8 +48,8 @@ def test_calabi_definite_q0():
 
 @pytest.mark.parametrize("cone", [PlanarCone.ray(0.0), PlanarCone.full()], ids=["ray", "full"])
 def test_calabi_needs_the_full_circle_filtration(cone):
-    # Q0 = I is definite: a ray's filtration once gave a refutation, and the
-    # full cone's empty domain a bare ValueError
+    # Q0 = I is definite, so a refutation read off a ray's domain would be
+    # wrong, and the full cone's domain is empty
     with pytest.raises(InvalidInputError, match="full circle"):
         calabi(filtration_for_cone(fixtures.definite_form(4), cone))
 
