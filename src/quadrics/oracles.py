@@ -8,7 +8,9 @@ eigenspace around the circle.  Exact integer arithmetic on the stored
 doubles gives the inertia of a member (exact_inertia) and the real and
 non-real root counts of the determinant (exact_locus_counts), with no
 tolerance at all.  Nothing here shares code paths with the combinatorial
-machinery it verifies.
+machinery it verifies.  The sampling and descent oracles import
+scipy.spatial and scipy.optimize on their first call, so importing this
+module does not load them.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.spatial import cKDTree
 
 from .applications import LevelProblem
 from .betti import AnalysisResult, analyze
@@ -200,6 +200,8 @@ def sample_components(p: QuadraticPencil, cone: PlanarCone, space: str,
         raise InvalidInputError("space must be 'sphere' or 'projective'")
     if p.n > 3:
         raise InvalidInputError("sampling oracle is limited to n <= 3")
+    # imported on first use, not with the module: scipy.spatial costs about 7 MB and 0.1 s
+    from scipy.spatial import cKDTree
     dim = p.dim
     scale = max(p.scale(), 1e-12)
     delta = MEMBERSHIP_DELTA * scale
@@ -300,6 +302,8 @@ def feasibility_sample(problem: LevelProblem, seed: int = 0,
     support-function scan and is reliable only when it clears the tolerance
     by a healthy factor.
     """
+    # imported on first use, not with the module: scipy.optimize costs about 18 MB and 0.2 s
+    from scipy.optimize import minimize
     p = problem.pencil
     c = np.asarray(problem.c, dtype=float)
     dim = p.dim

@@ -43,10 +43,12 @@ AT_MANY_SLICE = 1 << 15
 # FamilySpectrum counts the inertia of members of at least this dimension by
 # a Sturm pass on their tridiagonal reduction (_sturm_inertia) and solves
 # smaller ones by eigvalsh.  Full-circle index_profile time, count over
-# eigvalsh, one OpenBLAS thread: random pencils 1.0 at dims 12-18, 0.7 at
-# 20-28 and 0.56 at 48-64; diagonal members (extremal_family) 1.3-1.6 up to
-# dim 28 and 1.1 at 32, where numpy's eigvalsh reduces unblocked and skips
-# their zero reflectors, and 0.25-0.37 from dim 33 on
+# eigvalsh, one OpenBLAS thread: random pencils 0.84-0.95 at dims 16-22 and
+# 0.7-0.9 at 24-48; diagonal members (extremal_family) 1.2-1.3 at dims 17-21
+# and 1.0-1.15 at 24-32, where numpy's eigvalsh reduces unblocked and skips
+# their zero reflectors, and 0.3 from dim 33 on.  So this bound stays at 24:
+# at 16, random pencils of dims 16-22 would gain 5-16% and extremal_family(20)
+# would lose about 20%
 COUNT_DIM = 24
 _SAFMIN = float(np.finfo(float).tiny)
 # a pencil's entries are at most ENTRY_BOUND / dim in magnitude.  A form's
@@ -274,7 +276,10 @@ def _sturm_inertia(stack: np.ndarray, scale: float,
     whole stack.  A pivot smaller than dstebz's pivmin is replaced by it,
     negative at +thr and positive at -thr, so that an eigenvalue exactly at
     a threshold counts as zero: i_plus counts w > thr and i_minus w < -thr,
-    as inertia() does.
+    as inertia() does.  The pass first runs without that guard and is rerun
+    with it only when some pivot came out below pivmin (or NaN): otherwise
+    the guard never fires and both passes compute the same pivots.  No
+    pivot overflows, since |q| >= pivmin keeps e^2 / q below 1 / SAFMIN.
     """
     k, dim = stack.shape[:2]
     d = np.empty((k, dim))
@@ -290,19 +295,25 @@ def _sturm_inertia(stack: np.ndarray, scale: float,
         e /= scale
         thr /= scale
     # row j holds pivot j of every member at +thr, then of every member at -thr
-    q = np.concatenate([d.T - thr, d.T + thr], axis=1)
+    shifted = np.concatenate([d.T - thr, d.T + thr], axis=1)
     e2 = np.square(e.T)
     e2 = np.concatenate([e2, e2], axis=1)
     pivmin = _SAFMIN * max(1.0, float(e2.max(initial=0.0)))
-    guard = np.repeat([-pivmin, pivmin], k)
-    ratio = np.empty(2 * k)
-    tiny = np.empty(2 * k, dtype=bool)
-    for j in range(dim):
-        if j:
-            np.divide(e2[j - 1], q[j - 1], out=ratio)
-            q[j] -= ratio
-        np.less(np.abs(q[j], out=ratio), pivmin, out=tiny)
-        np.copyto(q[j], guard, where=tiny)
+    q = shifted.copy()
+    with np.errstate(all="ignore"):
+        for j in range(1, dim):
+            q[j] -= e2[j - 1] / q[j - 1]
+    if not (np.abs(q) >= pivmin).all():
+        q = shifted
+        guard = np.repeat([-pivmin, pivmin], k)
+        ratio = np.empty(2 * k)
+        tiny = np.empty(2 * k, dtype=bool)
+        for j in range(dim):
+            if j:
+                np.divide(e2[j - 1], q[j - 1], out=ratio)
+                q[j] -= ratio
+            np.less(np.abs(q[j], out=ratio), pivmin, out=tiny)
+            np.copyto(q[j], guard, where=tiny)
     below = np.count_nonzero(q < 0.0, axis=0)
     return dim - below[:k], below[k:]
 

@@ -339,6 +339,17 @@ def test_console_entry_point(tmp_path):
     assert json.loads(proc.stdout)["b"] == [1, 3, 0, 0]
 
 
+def test_a_cold_import_loads_no_sampling_dependency():
+    # scipy.optimize and scipy.spatial load on a sampling oracle's first call,
+    # not with the library, so a CLI call that samples nothing never pays them
+    code = ("import sys, quadrics, quadrics.cli, quadrics.oracles, quadrics.fixtures\n"
+            "print(sorted(m for m in sys.modules"
+            " if m.startswith(('scipy.optimize', 'scipy.spatial'))))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_verify_every_cone_kind(tmp_path):
     from quadrics.circle import PlanarCone
     cones = [PlanarCone.zero(), PlanarCone.full(), PlanarCone.ray(0.7),

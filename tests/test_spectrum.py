@@ -251,6 +251,18 @@ def test_sturm_counts_match_eigvalsh_across_count_dim():
     assert angles > 5000
 
 
+def test_sturm_counts_after_a_zero_pivot_match_eigvalsh():
+    # the member at angle 0 is diagonal with entries exactly +-thr: exactly
+    # zero pivots, and NaN pivots (0/0) after them in the pass without the
+    # pivmin guard, so only the guarded rerun counts those eigenvalues as
+    # zero, as eigvalsh does; the generic member beside it is counted alike
+    p = _on_threshold_pencil(pencil.COUNT_DIM)
+    thetas = [0.0, 0.5]
+    plus, minus = pencil._sturm_inertia(p.at_many(thetas), p.scale(), THR)
+    assert list(zip(plus.tolist(), minus.tolist())) == \
+        _counts_by_eigvalsh(p.at_many(thetas), THR)
+
+
 @pytest.mark.parametrize("make", FIXTURES)
 def test_fixture_answers_match_one_matrix_per_call(make, monkeypatch, one_matrix_per_call):
     per_matrix = _answers(make())
