@@ -26,6 +26,7 @@ from .circle import (
 from .errors import InvalidInputError, NumericalError
 from .filtration import (
     FiltrationReport,
+    _plateaus,
     filtration_for_cone,
     index_profile,
 )
@@ -227,8 +228,7 @@ def _level_result(p: QuadraticPencil, domain: CircleSubset) -> LevelSetResult:
         return LevelSetResult(False, tuple([0] * (n + 1)), min_minus)
     top = n + 3  # a cell outside the domain is in no L_k, k <= n + 2
     cells = [top if v is None else v.i_minus for pair in zip(prof.at, prof.after) for v in pair]
-    start = cells.index(top) + 1
-    plateaus = [v for v, _ in itertools.groupby(cells[start:] + cells[:start])]
+    plateaus = _plateaus(cells, top)
     starts = [0] * (top + 1)  # a component of L_k starts at a plateau v <= k < previous
     births = [0] * top
     for prev, v, nxt in zip([top, *plateaus], plateaus, plateaus[1:]):

@@ -23,7 +23,6 @@ from .circle import (
     betti_pair,
     canonical_angle,
     closed_half_circle,
-    euler_circle,
 )
 from .errors import InvalidInputError, NumericalError
 from .filtration import FiltrationReport, filtration_for_cone, index_profile
@@ -87,12 +86,13 @@ def build_table(filt: FiltrationReport) -> SpectralTable:
     else:
         # b1(Omega_mu) is 1 exactly when Omega_mu is the whole circle
         c, d = 1, int(filt.top_fills_circle)
+    levels = filt.betti_levels
     rows = []
     for j in range(0, n + 1):
         e0 = 1 if j > mu else (c if j == mu else 0)
         e1 = e2 = 0
         if j <= mu - 1:
-            b0j, b1j = betti_circle(filt.omega(j + 1))
+            b0j, b1j = levels[j + 1]
             e1 = b0j - 1
             e2 = d if j == mu - 1 else b1j
         rows.append(_shared_row(e0, e1, e2))
@@ -124,14 +124,15 @@ def betti_complement(filt: FiltrationReport) -> list[int]:
     enters; the literal cycle term would overcount components of a nonempty
     complement.
     """
-    out = []
-    for k in range(0, filt.pencil.n + 1):
-        b0k = betti_circle(filt.omega(k + 1))[0]
-        if k == 0:
-            out.append(b0k)
-        else:
-            out.append(b0k + betti_circle(filt.omega(k))[1])
-    return out
+    levels = filt.betti_levels
+    return [levels[k + 1][0] + (levels[k][1] if k else 0)
+            for k in range(0, filt.pencil.n + 1)]
+
+
+def _level_euler(b0: int, b1: int) -> int:
+    """The Euler characteristic of a superlevel set from its Betti numbers:
+    the levelwise sum's own step, which the table does not take."""
+    return b0 - b1
 
 
 def euler_x(filt: FiltrationReport) -> int:
@@ -144,9 +145,10 @@ def euler_x(filt: FiltrationReport) -> int:
     n = filt.pencil.n
     if filt.mu == n + 1:
         return 0
+    levels = filt.betti_levels
     acc = 1 if n % 2 == 0 else 0  # chi of the ambient projective space
     for j in range(0, n + 1):
-        acc += (-1) ** (j + 1) * euler_circle(filt.omega(j + 1))
+        acc += (-1) ** (j + 1) * _level_euler(*levels[j + 1])
     return (-1) ** n * acc
 
 

@@ -14,6 +14,7 @@ transport that measures it directly is an oracle
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -253,6 +254,13 @@ def _where(profile: IndexProfile, keep: Callable[[InertiaTriple], bool]) -> Circ
     return CircleSubset.from_steps(rows, held(profile.whole))
 
 
+def _plateaus(cells: list[int], edge: int) -> list[int]:
+    """The values of the runs of equal cells of a cyclic sequence, read from
+    just after its first cell equal to edge, so the last run holds that cell."""
+    start = cells.index(edge) + 1
+    return [v for v, _ in itertools.groupby(cells[start:] + cells[:start])]
+
+
 def superlevel(profile: IndexProfile, j: int) -> CircleSubset:
     """{omega in the domain : i_plus(omega) >= j}.
 
@@ -286,9 +294,9 @@ def sublevel(profile: IndexProfile, k: int) -> CircleSubset:
 class FiltrationReport:
     """Superlevel filtration data of a pencil over its domain.
 
-    The superlevel sets and the orientation class are computed when first
-    read, once each.  locus is the degenerate locus the profile was read
-    from, None only for the empty domain.
+    The superlevel sets, their Betti numbers and the orientation class are
+    computed when first read, once each.  locus is the degenerate locus the
+    profile was read from, None only for the empty domain.
     """
 
     pencil: QuadraticPencil
@@ -309,6 +317,36 @@ class FiltrationReport:
         if j not in self._omegas:
             self._omegas[j] = superlevel(self.profile, j)
         return self._omegas[j]
+
+    @cached_property
+    def betti_levels(self) -> tuple[tuple[int, int], ...]:
+        """(b0, b1) of the superlevel set at each level j = 0 .. dim + 1, as
+        betti_circle(self.omega(j)) gives them, in one pass over the profile.
+
+        The profile's cyclic cells at[0], after[0], at[1], ... carry i_plus,
+        or -1 outside the domain.  Read from just after a cell of least value
+        low, a component of {i_plus >= j} is a maximal run of cells of value
+        at least j, and a plateau of value v after one of value prev < v
+        starts a run at every level in (prev, v]: a prefix sum counts them.
+        Levels j <= low hold every cell, so low >= 0 and the domain is the
+        circle; only then is b1 = 1.
+        """
+        prof = self.profile
+        top = self.pencil.dim + 2
+        if not prof.cuts:
+            low = -1 if prof.whole is None else prof.whole.i_plus
+            return tuple((1, 1) if j <= low else (0, 0) for j in range(top))
+        cells = [-1 if v is None else v.i_plus for pair in zip(prof.at, prof.after)
+                 for v in pair]
+        low = min(cells)
+        plateaus = _plateaus(cells, low)
+        starts = [0] * (top + 1)
+        for prev, v in zip([low, *plateaus], plateaus):
+            if v > prev:
+                starts[prev + 1] += 1
+                starts[v + 1] -= 1
+        return tuple((1, 1) if j <= low else (runs, 0)
+                     for j, runs in zip(range(top), itertools.accumulate(starts)))
 
     @property
     def omega_j(self) -> tuple[CircleSubset, ...]:

@@ -41,14 +41,15 @@ IMAG_TOL = 1e-6
 # products of a slice stay in cache; a 720 x 6 x 6 grid is one slice
 AT_MANY_SLICE = 1 << 15
 # FamilySpectrum counts the inertia of members of at least this dimension by
-# a Sturm pass on their tridiagonal reduction (_sturm_inertia) and solves
-# smaller ones by eigvalsh.  Full-circle index_profile time, count over
-# eigvalsh, one OpenBLAS thread: random pencils 0.84-0.95 at dims 16-22 and
-# 0.7-0.9 at 24-48; diagonal members (extremal_family) 1.2-1.3 at dims 17-21
-# and 1.0-1.15 at 24-32, where numpy's eigvalsh reduces unblocked and skips
-# their zero reflectors, and 0.3 from dim 33 on.  So this bound stays at 24:
-# at 16, random pencils of dims 16-22 would gain 5-16% and extremal_family(20)
-# would lose about 20%
+# a Sturm pass on their tridiagonal reduction (_sturm_inertia), building and
+# reducing one member at a time, and solves smaller ones by eigvalsh on their
+# stack.  Full-circle index_profile time, count over eigvalsh, one OpenBLAS
+# thread: random pencils 1.02-1.08 at dims 11-14, 0.91-0.94 at 15-17,
+# 0.75-0.86 at 18-23 and 0.57-0.80 at 24-32; diagonal members
+# (extremal_family) 1.2-1.8 at dims 11-24, 0.64-1.2 at 25-32, where numpy's
+# eigvalsh reduces unblocked and skips their zero reflectors, and 0.3 from
+# dim 33 on.  So this bound stays at 24: at 16, random pencils of dims 16-23
+# would gain 7-25% and extremal_family(20) would lose about a third
 COUNT_DIM = 24
 _SAFMIN = float(np.finfo(float).tiny)
 # a pencil's entries are at most ENTRY_BOUND / dim in magnitude.  A form's
@@ -263,33 +264,67 @@ def inertia(m: np.ndarray, scale: float | None = None) -> InertiaTriple:
     return InertiaTriple(plus, minus, a.shape[0] - plus - minus)
 
 
-def _sturm_inertia(stack: np.ndarray, scale: float,
-                   thr: float) -> tuple[np.ndarray, np.ndarray]:
-    """(i_plus, i_minus) of every member of a stack of symmetric matrices.
+def _members(p: QuadraticPencil, thetas):
+    """The family at each angle, built in one reused dim x dim buffer.
 
-    LAPACK's dsytrd reduces each member to a tridiagonal matrix T with the
+    Each member is bitwise p.at(theta): cos(theta) * q0 and sin(theta) * q1
+    are formed as at() forms them and added once.  The next member
+    overwrites the buffer, so a caller keeps nothing it yields.
+    """
+    member = np.empty_like(p.q0)
+    term = np.empty_like(p.q1)
+    for t in thetas:
+        np.multiply(math.cos(t), p.q0, out=member)
+        member += np.multiply(math.sin(t), p.q1, out=term)
+        yield member
+
+
+def _tridiagonal(p: QuadraticPencil, thetas) -> tuple[np.ndarray, np.ndarray]:
+    """(d, e): the diagonals and subdiagonals, one row per angle, of the
+    tridiagonal matrices LAPACK's dsytrd reduces the members to.
+
+    Members are built one at a time (_members) and reduced in place, so
+    memory holds one member, not a stack: the rows are the ones dsytrd
+    gives each member of p.at_many(thetas), bit for bit.
+    """
+    k, dim = len(thetas), p.dim
+    d = np.empty((k, dim))
+    e = np.empty((k, dim - 1))
+    for i, m in enumerate(_members(p, thetas)):
+        # m.T is the member's Fortran-ordered view, which f2py reduces in place
+        # without a copy; the next member overwrites it
+        _, d[i], e[i], _, info = lapack.dsytrd(m.T, lower=1, overwrite_a=1)
+        if info != 0:
+            raise NumericalError(f"tridiagonal reduction failed: dsytrd info {info}")
+    return d, e
+
+
+def _sturm_inertia(p: QuadraticPencil, thetas, scale: float,
+                   thr: float) -> tuple[np.ndarray, np.ndarray]:
+    """(i_plus, i_minus) of the family's member at every angle.
+
+    _tridiagonal reduces each member to a tridiagonal matrix T with the
     same eigenvalues.  With d and e divided by scale, so that e^2 cannot
     overflow, the pivots q_1 = d_1 - s, q_j = d_j - s - e_(j-1)^2 / q_(j-1)
     of T - s*I have as many negative ones as T has eigenvalues below s
     (Sturm's count, backward stable: Barth, Martin and Wilkinson, Numer.
-    Math. 9, 1967).  One pass runs both shifts s = +-thr / scale over the
-    whole stack.  A pivot smaller than dstebz's pivmin is replaced by it,
+    Math. 9, 1967).  One pass runs both shifts s = +-thr / scale over every
+    member.  A pivot smaller than dstebz's pivmin is replaced by it,
     negative at +thr and positive at -thr, so that an eigenvalue exactly at
     a threshold counts as zero: i_plus counts w > thr and i_minus w < -thr,
     as inertia() does.  The pass first runs without that guard and is rerun
     with it only when some pivot came out below pivmin (or NaN): otherwise
     the guard never fires and both passes compute the same pivots.  No
     pivot overflows, since |q| >= pivmin keeps e^2 / q below 1 / SAFMIN.
+
+    Memory is O(k * dim) for k angles, not O(k * dim^2): the full-circle
+    profile of extremal_family(255) counts 768 members of dim 256, and
+    analyze on it peaks at 8.1 MB under tracemalloc and takes 58 ms, where
+    reducing one at_many stack peaked at 209 MB and took 145-160 ms (one
+    OpenBLAS thread, 2-core x86-64 host).
     """
-    k, dim = stack.shape[:2]
-    d = np.empty((k, dim))
-    e = np.empty((k, dim - 1))
-    for i, m in enumerate(stack):
-        # m.T is the member's Fortran-ordered view, which f2py reduces in place
-        # without a copy; the stack is a temporary that nothing reads after
-        _, d[i], e[i], _, info = lapack.dsytrd(m.T, lower=1, overwrite_a=1)
-        if info != 0:
-            raise NumericalError(f"tridiagonal reduction failed: dsytrd info {info}")
+    d, e = _tridiagonal(p, thetas)
+    k, dim = d.shape
     if scale > 0.0:
         d /= scale
         e /= scale
@@ -321,12 +356,13 @@ def _sturm_inertia(stack: np.ndarray, scale: float,
 class FamilySpectrum:
     """Inertia of a pencil's family on the circle, memoized by angle.
 
-    QuadraticPencil.at_many stacks exactly symmetric members, so no member
-    is re-validated.  Every request solves the angles it has not seen
-    before in one stacked pass.  Eigenvalues within TOL_EIG * scale of
-    zero count as zero, as in inertia() with the family's scale.  Members of
-    dimension COUNT_DIM and up are counted by _sturm_inertia, smaller ones by
-    one stacked eigvalsh call.
+    The family's members are exactly symmetric, so no member is
+    re-validated.  Every request solves the angles it has not seen before
+    in one pass.  Eigenvalues within TOL_EIG * scale of zero count as zero,
+    as in inertia() with the family's scale.  Members of dimension
+    COUNT_DIM and up are counted by _sturm_inertia, which builds and
+    reduces them one at a time; smaller ones are solved by one eigvalsh
+    call on their at_many stack.
     """
 
     def __init__(self, p: QuadraticPencil, scale: float):
@@ -336,19 +372,18 @@ class FamilySpectrum:
         self._triples: dict[float, InertiaTriple] = {}
 
     def prefetch(self, thetas) -> None:
-        """Solve every angle not seen yet, in one stacked pass."""
+        """Solve every angle not seen yet, in one pass."""
         todo = [t for t in dict.fromkeys(thetas) if t not in self._triples]
         if not todo:
             return
-        stack = self.pencil.at_many(todo)
-        dim = stack.shape[1]
+        dim = self.pencil.dim
         if dim >= COUNT_DIM:
-            plus, minus = _sturm_inertia(stack, self.scale, self.thr)
+            plus, minus = _sturm_inertia(self.pencil, todo, self.scale, self.thr)
             counts = zip(plus.tolist(), minus.tolist())
         else:
             # bisection on the ascending rows: a small stack has few of them
             counts = ((dim - bisect.bisect_right(w, self.thr), bisect.bisect_left(w, -self.thr))
-                      for w in _eigvalsh(stack).tolist())
+                      for w in _eigvalsh(self.pencil.at_many(todo)).tolist())
         self._triples.update(zip(todo, (shared_triple(plus, minus, dim - plus - minus)
                                         for plus, minus in counts)))
 

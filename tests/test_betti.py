@@ -17,7 +17,7 @@ from quadrics.betti import (
     index_decomposition,
     result_json,
 )
-from quadrics.circle import PlanarCone, euler_circle
+from quadrics.circle import PlanarCone
 from quadrics.errors import InvalidInputError, NumericalError
 from quadrics.filtration import filtration_for_cone
 from quadrics.oracles import (exact_locus_counts, grid_index_profile, grid_profile_disagreements,
@@ -229,8 +229,8 @@ def test_euler_four_lines():
 
 def test_analyze_raises_on_an_euler_mismatch(monkeypatch):
     # one extra component on each of the n + 1 = 5 levels moves the levelwise
-    # alternating sum by one; the table does not read euler_circle
-    monkeypatch.setattr("quadrics.betti.euler_circle", lambda a: euler_circle(a) + 1)
+    # alternating sum by one; the table does not read _level_euler
+    monkeypatch.setattr("quadrics.betti._level_euler", lambda b0, b1: b0 - b1 + 1)
     with pytest.raises(NumericalError, match="Euler characteristic mismatch"):
         analyze(extremal_family(4), ZERO)
 

@@ -182,7 +182,7 @@ def test_a_root_missing_from_the_candidates_raises_naming_its_arc():
 
 
 def test_a_profile_solves_its_domain_in_one_stacked_call(monkeypatch):
-    # one eigvalsh stack below COUNT_DIM, one Sturm-counted stack from there on
+    # one eigvalsh stack below COUNT_DIM, one Sturm-counted pass from there on
     calls = []
     solve, count = pencil._eigvalsh, pencil._sturm_inertia
 
@@ -190,9 +190,9 @@ def test_a_profile_solves_its_domain_in_one_stacked_call(monkeypatch):
         calls.append(stack.shape)
         return solve(stack)
 
-    def counted(stack, *args):
-        calls.append(stack.shape)
-        return count(stack, *args)
+    def counted(p, thetas, *args):
+        calls.append((len(thetas), p.dim, p.dim))
+        return count(p, thetas, *args)
 
     monkeypatch.setattr(pencil, "_eigvalsh", solved)
     monkeypatch.setattr(pencil, "_sturm_inertia", counted)
@@ -337,6 +337,29 @@ def test_range_rule_equals_the_union_of_cells():
                 assert level.n_components() == union.n_components(), (p.dim, j)
                 checked += 1
     assert checked > 9000
+
+
+def test_the_level_table_equals_the_betti_numbers_of_every_superlevel_set():
+    # one pass over the profile's cells against a CircleSubset per level, on
+    # every level 0 .. dim + 1: the domain, the levels between nu and mu, and
+    # the empty ones above
+    rng = np.random.default_rng(26)
+    pencils = [make() for make in SIX_FIXTURES]
+    pencils += [fixtures.random_pencil(rng, dim) for dim in range(3, 17)]
+    pencils += [extremal_family(n) for n in range(1, 11)]
+    pencils += [fixtures.identically_singular_pair(),
+                *(fixtures.kronecker_pair(eps, regular, rng)
+                  for eps in (1, 2, 3) for regular in (0, 2, 5))]
+    kinds = set()
+    for p in pencils:
+        for cone in ALL_CONES:
+            filt = filtration_for_cone(p, cone)
+            assert len(filt.betti_levels) == p.dim + 2
+            for j in range(p.dim + 2):
+                assert filt.betti_levels[j] == betti_circle(filt.omega(j)), (p.dim, cone, j)
+            kinds.update(filt.betti_levels)
+    # full circles, empty sets and sets of several components all occur
+    assert {(1, 1), (0, 0), (1, 0), (2, 0), (3, 0)} <= kinds
 
 
 def _plus_rotating_block(p):

@@ -6,6 +6,7 @@ reference runs below solve stacks one matrix per call.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from scipy.linalg import lapack
 
 from quadrics import fixtures, pencil
 from quadrics.applications import extremal_family
+from quadrics.betti import analyze
 from quadrics.circle import CircleSubset, PlanarCone, omega_set
 from quadrics.errors import NumericalError
 from quadrics.filtration import index_profile
@@ -244,7 +246,7 @@ def test_sturm_counts_match_eigvalsh_across_count_dim():
         roots = degenerate_locus(p).angles if s > 0.0 else []
         thetas = [0.0, *rng.uniform(0.0, TWO_PI, 12).tolist()]
         thetas += [r + d for r in roots for d in (0.0, -1e-7, 1e-7, -1e-9, 1e-9)]
-        plus, minus = pencil._sturm_inertia(p.at_many(thetas), s, thr)
+        plus, minus = pencil._sturm_inertia(p, thetas, s, thr)
         assert list(zip(plus.tolist(), minus.tolist())) == \
             _counts_by_eigvalsh(p.at_many(thetas), thr), p.dim
         angles += len(thetas)
@@ -258,10 +260,46 @@ def test_sturm_counts_after_a_zero_pivot_match_eigvalsh():
     # zero, as eigvalsh does; the generic member beside it is counted alike
     p = _on_threshold_pencil(pencil.COUNT_DIM)
     thetas = [0.0, 0.5]
-    plus, minus = pencil._sturm_inertia(p.at_many(thetas), p.scale(), THR)
+    plus, minus = pencil._sturm_inertia(p, thetas, p.scale(), THR)
     assert list(zip(plus.tolist(), minus.tolist())) == \
         _counts_by_eigvalsh(p.at_many(thetas), THR)
 
+
+def test_a_buffer_built_member_equals_at_bit_for_bit():
+    rng = np.random.default_rng(27)
+    thetas = [0.0, math.pi / 2, math.pi, -1.0, *rng.uniform(-10.0, 10.0, 20).tolist()]
+    big = fixtures.random_pencil(rng, pencil.COUNT_DIM + 5)
+    for p in [fixtures.bouquet(), fixtures.identically_singular_pair(), big,
+              _scaled(big, 1e-200), extremal_family(40)]:
+        members = [m.copy() for m in pencil._members(p, thetas)]
+        assert [m.tobytes() for m in members] == [p.at(t).tobytes() for t in thetas], p.dim
+
+
+def test_streamed_tridiagonals_equal_the_stacked_reduction():
+    # one member at a time, reduced in its reused buffer, against dsytrd on
+    # each member of the at_many stack
+    rng = np.random.default_rng(28)
+    for dim in (24, 41, 48, 64):
+        for p in (fixtures.random_pencil(rng, dim), extremal_family(dim - 1)):
+            thetas = [0.0, *rng.uniform(0.0, TWO_PI, 20).tolist()]
+            d, e = pencil._tridiagonal(p, thetas)
+            for i, m in enumerate(p.at_many(thetas)):
+                _, ds, es, _, info = lapack.dsytrd(m.T, lower=1, overwrite_a=1)
+                assert info == 0
+                assert (d[i].tobytes(), e[i].tobytes()) == (ds.tobytes(), es.tobytes()), dim
+
+
+def test_the_count_path_holds_one_member_at_a_time():
+    # the full-circle profile of extremal_family(128) counts 387 members of
+    # dim 129, whose stack alone would take 51.5 MB
+    p = extremal_family(128)
+    tracemalloc.start()
+    try:
+        analyze(p, PlanarCone.zero())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 @pytest.mark.parametrize("make", FIXTURES)
 def test_fixture_answers_match_one_matrix_per_call(make, monkeypatch, one_matrix_per_call):
