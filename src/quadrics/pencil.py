@@ -20,17 +20,46 @@ from __future__ import annotations
 
 import bisect
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .circle import TOL_ANGLE, canonical_angle
 from .errors import InvalidInputError, NumericalError
 
 PI = math.pi
+
+
+def _load_flapack():
+    """scipy's LAPACK extension, scipy.linalg._flapack, the module whose
+    dggev, dsytrd, dgesdd and dgesdd_lwork scipy.linalg.lapack re-exports.
+
+    The scipy.linalg package is not imported: its __init__ loads about 330
+    modules and 26 MB more, and the library calls these routines alone.  A
+    process that has loaded the extension, by either route, keeps its one
+    copy in sys.modules, so both routes call the same Fortran objects.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")
+    where = [os.path.join(d, "linalg") for d in scipy.submodule_search_locations] if scipy else []
+    spec = importlib.machinery.PathFinder.find_spec(name, where)
+    if spec is None:
+        raise ImportError(f"no {name} extension in {where}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+lapack = _load_flapack()
 
 # relative symmetry tolerance for input matrices
 TOL_SYM = 1e-12

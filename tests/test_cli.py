@@ -341,13 +341,32 @@ def test_console_entry_point(tmp_path):
 
 def test_a_cold_import_loads_no_sampling_dependency():
     # scipy.optimize and scipy.spatial load on a sampling oracle's first call,
-    # not with the library, so a CLI call that samples nothing never pays them
+    # not with the library, so a CLI call that samples nothing never pays them.
+    # Of scipy.linalg the library loads its LAPACK extension alone: the
+    # package's __init__ would pull in numpy.f2py among some 330 modules
     code = ("import sys, quadrics, quadrics.cli, quadrics.oracles, quadrics.fixtures\n"
             "print(sorted(m for m in sys.modules"
-            " if m.startswith(('scipy.optimize', 'scipy.spatial'))))")
+            " if m.startswith(('scipy.optimize', 'scipy.spatial', 'scipy.linalg', 'numpy.f2py'))"
+            " and m != 'scipy.linalg._flapack'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("first, second", [("scipy.linalg", "quadrics.pencil"),
+                                           ("quadrics.pencil", "scipy.linalg")])
+def test_the_library_and_scipy_linalg_share_one_lapack_extension(first, second):
+    # whichever is imported first, quadrics.pencil calls the very routines that
+    # scipy.linalg.lapack exports, so its answers are theirs bit for bit
+    code = (f"import sys, {first}, {second}\n"
+            "lapack = quadrics.pencil.lapack\n"
+            "print([getattr(scipy.linalg.lapack, r) is getattr(lapack, r)"
+            " for r in ('dggev', 'dsytrd', 'dgesdd', 'dgesdd_lwork')],"
+            " sys.modules['scipy.linalg._flapack'] is lapack,"
+            " scipy.linalg.lapack._flapack is lapack)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[True, True, True, True] True True\n"
 
 
 def test_verify_every_cone_kind(tmp_path):
@@ -431,7 +450,7 @@ def test_a_lapack_failure_in_a_certificate_exits_3(tmp_path, monkeypatch, capsys
 
 
 def test_a_qz_failure_exits_3(tmp_path, monkeypatch, capsys):
-    from scipy.linalg import lapack
+    from quadrics.pencil import lapack
 
     dggev = lapack.dggev
 

@@ -8,7 +8,6 @@ import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.linalg import lapack
 
 from quadrics import fixtures, pencil
 from quadrics.applications import extremal_family
@@ -24,6 +23,7 @@ from quadrics.pencil import (
     QuadraticPencil,
     degenerate_locus,
     inertia,
+    lapack,
     sylvester_check,
 )
 

@@ -23,3 +23,10 @@ def test_extremal_gallery_runs(tmp_path):
     proc = _run_script("extremal_gallery.py", "--n-max", "3", "--csv-dir", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == ["extremal_2.csv", "extremal_3.csv"]
+
+
+def test_cold_start_runs():
+    proc = _run_script("cold_start.py", "--runs", "2", "--src", str(ROOT / "src"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("betti-x median") == 2
+    assert "byte-identical across trees: yes" in proc.stdout

@@ -10,7 +10,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import lapack
 
 from quadrics import fixtures, pencil
 from quadrics.applications import extremal_family
@@ -26,6 +25,7 @@ from quadrics.pencil import (
     QuadraticPencil,
     degenerate_locus,
     inertia,
+    lapack,
 )
 
 TWO_PI = 2 * math.pi
