@@ -32,7 +32,7 @@ from .circle import PlanarCone, omega_set
 from .errors import InvalidInputError, NumericalError, OracleDisagreement
 from .filtration import IndexProfile, filtration_for_cone, index_profile
 from .fixtures import NAMED_FIXTURES, cone_zero_problem
-from .oracles import grid_index_profile, verify_analysis
+from .oracles import MAX_ANGLES, grid_index_profile, verify_analysis
 from .pencil import QuadraticPencil
 
 TWO_PI = 2.0 * math.pi
@@ -92,7 +92,7 @@ def _plane_point(c) -> tuple[float, float]:
 _SHARED_FLAGS = {
     "--input": {"help": "problem JSON file (default: stdin)"},
     "--output": {"help": "result JSON file (default: stdout)"},
-    "--grid": {"type": int, "help": "oracle grid resolution (at least 4)"},
+    "--grid": {"type": int, "help": "oracle grid resolution (4 to 2^20)"},
     "--seed": {"type": int, "help": "PRNG seed for oracles"},
     "--smooth": {"action": "store_true",
                  "help": "assert the solution set is a nonsingular intersection"},
@@ -195,8 +195,8 @@ def _cmd_support(args) -> int:
     pencil, _, _ = load_problem(_read_input(args))
     if args.theta is not None:
         thetas = [args.theta]
-    elif args.directions < 1:
-        raise InvalidInputError(f"--directions must be positive, not {args.directions}")
+    elif not 1 <= args.directions <= MAX_ANGLES:
+        raise InvalidInputError(f"--directions must be 1 to {MAX_ANGLES}, not {args.directions}")
     else:
         thetas = np.linspace(0.0, TWO_PI, args.directions, endpoint=False)
     values = [{"theta": th, "value": support_function(pencil, th)} for th in thetas]
@@ -316,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
                                help="the plane point to test")
     sps["support"].add_argument("--theta", type=float, help="single direction angle")
     sps["support"].add_argument("--directions", type=int, default=64,
-                                help="number of sampled directions when --theta is absent")
+                                help="number of sampled directions when --theta is absent "
+                                     "(1 to 2^20)")
     sps["extremal"].add_argument("--n", type=int, required=True,
                                  help="projective dimension")
     sps["fixture"].add_argument("name", help="fixture name")

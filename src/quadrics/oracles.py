@@ -8,7 +8,11 @@ eigenspace around the circle.  Exact integer arithmetic on the stored
 doubles gives the inertia of a member (exact_inertia) and the real and
 non-real root counts of the determinant (exact_locus_counts), with no
 tolerance at all.  Nothing here shares code paths with the combinatorial
-machinery it verifies.  The sampling and descent oracles import
+machinery it verifies.  The grid counts members below GRID_SOLVE_DIM by a
+Householder reduction of its own and the Sturm pass that the pipeline runs
+only from COUNT_DIM up, so there it shares no solver with the pipeline;
+larger members it solves by eigvalsh on stacks of its own, as the pipeline
+does below COUNT_DIM.  The sampling and descent oracles import
 scipy.spatial and scipy.optimize on their first call, so importing this
 module does not load them.
 """
@@ -35,6 +39,8 @@ from .pencil import (
     InertiaTriple,
     QuadraticPencil,
     _lapack,
+    _SAFMIN,
+    _sturm_pass,
     shared_triple,
 )
 
@@ -45,6 +51,20 @@ TWO_PI = 2.0 * math.pi
 MEMBERSHIP_DELTA = 5e-3
 # absolute residual scale below which a descent iterate counts as a witness
 FEAS_TOL = 1e-6
+# the largest grid_n the grid oracle takes, and the largest support
+# --directions of the CLI: a billion would ask numpy for gigabytes before
+# anything is solved, and README's dim-256 grid example uses 20000
+MAX_ANGLES = 1 << 20
+# grid_index_profile counts the inertia of members below this dimension by
+# reducing each stack to tridiagonal form and running a Sturm pass on it
+# (_counted_inertia), and solves larger ones by eigvalsh on the stack.  Grid
+# time at 720 angles, count over eigvalsh (scripts/grid_timing.py, best of
+# 15 x 5 rounds, one OpenBLAS thread): random pencils 0.45-0.72 at dims 2-9,
+# 0.67-0.85 at 10-15, 0.90 at 16, 1.01 at 17 and 1.09-1.41 at 18-24;
+# diagonal members (extremal_family) 0.73-1.07 at dims 2-15 and 1.06-1.31 at
+# 16-20.  So the bound is 16, where both cross.  It must stay below
+# pencil.COUNT_DIM, from which the pipeline itself counts by the same pass
+GRID_SOLVE_DIM = 16
 
 
 @dataclass(frozen=True)
@@ -56,32 +76,104 @@ class GridProfile:
     triples: tuple[InertiaTriple, ...]
 
 
+def _tridiagonal_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(d, e) of a (dim, dim, k) stack of symmetric matrices, member i in
+    a[:, :, i]: the diagonals and subdiagonals, one column per member, of
+    tridiagonal matrices with the members' eigenvalues.
+
+    Householder reflections as LAPACK's dsytd2 forms them (dlarfg) reduce
+    column j of every member at once, and a is overwritten.  A column that
+    is zero below the subdiagonal in every member gets no reflector, so
+    diagonal members cost no reduction; in a member whose column there has
+    a squared norm below the smallest normal double, that part is dropped,
+    which moves an eigenvalue by less than 1e-154 of a stack of unit scale.
+    """
+    dim, _, k = a.shape
+    e = np.empty((max(dim - 1, 0), k))
+    for j in range(dim - 2):
+        x = a[j + 1:, j]
+        alpha, tail = x[0], x[1:]
+        if not tail.any():
+            e[j] = alpha
+            continue
+        tail2 = np.einsum("ik,ik->k", tail, tail)
+        beta = -np.copysign(np.sqrt(alpha * alpha + tail2), alpha)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            tau = (beta - alpha) / beta
+            v = x / (alpha - beta)
+        skip = tail2 < _SAFMIN
+        if skip.any():
+            np.copyto(beta, alpha, where=skip)
+            np.copyto(tau, 0.0, where=skip)
+            np.copyto(v, 0.0, where=skip)
+        v[0] = 1.0
+        e[j] = beta
+        # H = I - tau v v' applied on both sides: B - v w' - w v', with
+        # p = tau B v and w = p - (tau / 2)(p'v) v
+        b = a[j + 1:, j + 1:]
+        w = np.einsum("ijk,jk->ik", b, v)
+        w *= tau
+        w -= (0.5 * tau * np.einsum("ik,ik->k", w, v)) * v
+        b -= v[:, None] * w[None]
+        b -= w[:, None] * v[None]
+    if dim > 1:
+        e[-1] = a[-1, -2]
+    return a.reshape(dim * dim, k)[::dim + 1], e
+
+
+def _counted_inertia(stack: np.ndarray, scale: float,
+                     thr: float) -> tuple[np.ndarray, np.ndarray]:
+    """(i_plus, i_minus) of every member of a (k, dim, dim) stack, by
+    _tridiagonal_stack and pencil._sturm_pass.
+
+    The stack and thr are first multiplied by 2^-E, scale = m 2^E with
+    1/2 <= m < 1: exact, and the members then have norm about 1, so no
+    squared column norm under- or overflows."""
+    k, dim, _ = stack.shape
+    exp = math.frexp(scale)[1]
+    a = np.ldexp(stack.transpose(1, 2, 0), -exp, out=np.empty((dim, dim, k)))
+    return _sturm_pass(*_tridiagonal_stack(a), math.ldexp(thr, -exp))
+
+
+def _solved_inertia(stack: np.ndarray, scale: float,
+                    thr: float) -> tuple[np.ndarray, np.ndarray]:
+    """(i_plus, i_minus) of every member of a stack, by one eigvalsh call."""
+    w = _lapack(np.linalg.eigvalsh, stack)
+    return np.count_nonzero(w > thr, axis=1), np.count_nonzero(w < -thr, axis=1)
+
+
 def grid_index_profile(p: QuadraticPencil, grid_n: int = 720) -> GridProfile:
     """Sample the inertia of the family at a uniform angular grid.
 
     The resolution R is the larger of grid_n and 4 * dim; a grid_n below 4
-    is InvalidInputError.  M(theta + pi) = -M(theta), so i_plus and i_minus
-    swap at antipodes.  When R is even, grid angle i + R/2 is theta_i + pi to within an
-    ulp, and only angles 0 .. R/2 - 1 are solved: the other half takes their
-    counts swapped.  An odd R has no antipodal pairs and is solved in full.
-    The solved angles go in stacks of at most AT_MANY_SLICE entries, as
-    at_many fills its own, one eigvalsh call each, so no stack grows with
-    the resolution; only the eigenvalues of every member are kept.  Each
-    member equals QuadraticPencil.at bit for bit, so the counts match
-    per-angle sampling.
+    or above MAX_ANGLES is InvalidInputError.  M(theta + pi) = -M(theta), so
+    i_plus and i_minus swap at antipodes.  When R is even, grid angle
+    i + R/2 is theta_i + pi to within an ulp, and only angles 0 .. R/2 - 1
+    are solved: the other half takes their counts swapped.  An odd R has no
+    antipodal pairs and is solved in full.  The solved angles go in stacks
+    of at most AT_MANY_SLICE entries, as at_many fills its own, so no stack
+    grows with the resolution; only the counts of every member are kept.
+    Each member equals QuadraticPencil.at bit for bit.
+
+    Members below GRID_SOLVE_DIM are reduced to tridiagonal form a stack at
+    a time and counted at +-TOL_EIG * scale by a Sturm pass
+    (_counted_inertia); larger ones are solved by one eigvalsh call per
+    stack.  The counts equal those of per-angle inertia() on every fixture,
+    random, extremal and shared-kernel pencil the tests run.
     """
-    if grid_n < 4:
-        raise InvalidInputError(f"the oracle grid needs at least 4 angles, not {grid_n}")
+    if not 4 <= grid_n <= MAX_ANGLES:
+        raise InvalidInputError(
+            f"the oracle grid needs 4 to {MAX_ANGLES} angles, not {grid_n}")
     dim = p.dim
     resolution = max(grid_n, 4 * dim)
-    thr = TOL_EIG * p.scale()
+    scale = p.scale()
+    thr = TOL_EIG * scale
     thetas = np.linspace(0.0, TWO_PI, resolution, endpoint=False).tolist()
     solved = thetas[:resolution // 2] if resolution % 2 == 0 else thetas
     step = max(1, AT_MANY_SLICE // (dim * dim))
-    w = np.concatenate([_lapack(np.linalg.eigvalsh, p.at_many(solved[lo:lo + step]))
-                        for lo in range(0, len(solved), step)])
-    plus = np.count_nonzero(w > thr, axis=1)
-    minus = np.count_nonzero(w < -thr, axis=1)
+    count = _counted_inertia if dim < GRID_SOLVE_DIM else _solved_inertia
+    plus, minus = map(np.concatenate, zip(*(count(p.at_many(solved[lo:lo + step]), scale, thr)
+                                            for lo in range(0, len(solved), step))))
     if len(solved) < resolution:
         plus, minus = np.concatenate((plus, minus)), np.concatenate((minus, plus))
     triples = tuple(map(shared_triple, plus.tolist(), minus.tolist(),

@@ -328,39 +328,27 @@ def _tridiagonal(p: QuadraticPencil, thetas) -> tuple[np.ndarray, np.ndarray]:
     return d, e
 
 
-def _sturm_inertia(p: QuadraticPencil, thetas, scale: float,
-                   thr: float) -> tuple[np.ndarray, np.ndarray]:
-    """(i_plus, i_minus) of the family's member at every angle.
+def _sturm_pass(d: np.ndarray, e: np.ndarray, thr: float) -> tuple[np.ndarray, np.ndarray]:
+    """(i_plus, i_minus) of symmetric tridiagonal matrices T, one per column:
+    column i of d holds the diagonal of one, of e its subdiagonal.
 
-    _tridiagonal reduces each member to a tridiagonal matrix T with the
-    same eigenvalues.  With d and e divided by scale, so that e^2 cannot
-    overflow, the pivots q_1 = d_1 - s, q_j = d_j - s - e_(j-1)^2 / q_(j-1)
-    of T - s*I have as many negative ones as T has eigenvalues below s
-    (Sturm's count, backward stable: Barth, Martin and Wilkinson, Numer.
-    Math. 9, 1967).  One pass runs both shifts s = +-thr / scale over every
-    member.  A pivot smaller than dstebz's pivmin is replaced by it,
-    negative at +thr and positive at -thr, so that an eigenvalue exactly at
-    a threshold counts as zero: i_plus counts w > thr and i_minus w < -thr,
-    as inertia() does.  The pass first runs without that guard and is rerun
-    with it only when some pivot came out below pivmin (or NaN): otherwise
-    the guard never fires and both passes compute the same pivots.  No
-    pivot overflows, since |q| >= pivmin keeps e^2 / q below 1 / SAFMIN.
-
-    Memory is O(k * dim) for k angles, not O(k * dim^2): the full-circle
-    profile of extremal_family(255) counts 768 members of dim 256, and
-    analyze on it peaks at 8.1 MB under tracemalloc and takes 58 ms, where
-    reducing one at_many stack peaked at 209 MB and took 145-160 ms (one
-    OpenBLAS thread, 2-core x86-64 host).
+    d, e and thr must be scaled so that e^2 cannot overflow.  The pivots
+    q_1 = d_1 - s, q_j = d_j - s - e_(j-1)^2 / q_(j-1) of T - s*I have as
+    many negative ones as T has eigenvalues below s (Sturm's count, backward
+    stable: Barth, Martin and Wilkinson, Numer. Math. 9, 1967).  One pass
+    runs both shifts s = +-thr over every matrix.  A pivot smaller than
+    dstebz's pivmin is replaced by it, negative at +thr and positive at
+    -thr, so that an eigenvalue exactly at a threshold counts as zero:
+    i_plus counts w > thr and i_minus w < -thr, as inertia() does.  The pass
+    first runs without that guard and is rerun with it only when some pivot
+    came out below pivmin (or NaN): otherwise the guard never fires and both
+    passes compute the same pivots.  No pivot overflows, since |q| >= pivmin
+    keeps e^2 / q below 1 / SAFMIN.
     """
-    d, e = _tridiagonal(p, thetas)
-    k, dim = d.shape
-    if scale > 0.0:
-        d /= scale
-        e /= scale
-        thr /= scale
-    # row j holds pivot j of every member at +thr, then of every member at -thr
-    shifted = np.concatenate([d.T - thr, d.T + thr], axis=1)
-    e2 = np.square(e.T)
+    dim, k = d.shape
+    # row j holds pivot j of every matrix at +thr, then of every matrix at -thr
+    shifted = np.concatenate([d - thr, d + thr], axis=1)
+    e2 = np.square(e)
     e2 = np.concatenate([e2, e2], axis=1)
     pivmin = _SAFMIN * max(1.0, float(e2.max(initial=0.0)))
     q = shifted.copy()
@@ -380,6 +368,28 @@ def _sturm_inertia(p: QuadraticPencil, thetas, scale: float,
             np.copyto(q[j], guard, where=tiny)
     below = np.count_nonzero(q < 0.0, axis=0)
     return dim - below[:k], below[k:]
+
+
+def _sturm_inertia(p: QuadraticPencil, thetas, scale: float,
+                   thr: float) -> tuple[np.ndarray, np.ndarray]:
+    """(i_plus, i_minus) of the family's member at every angle.
+
+    _tridiagonal reduces each member to a tridiagonal matrix T with the
+    same eigenvalues, and _sturm_pass counts them at +-thr, with d, e and
+    thr divided by scale so that e^2 cannot overflow.
+
+    Memory is O(k * dim) for k angles, not O(k * dim^2): the full-circle
+    profile of extremal_family(255) counts 768 members of dim 256, and
+    analyze on it peaks at 8.1 MB under tracemalloc and takes 58 ms, where
+    reducing one at_many stack peaked at 209 MB and took 145-160 ms (one
+    OpenBLAS thread, 2-core x86-64 host).
+    """
+    d, e = _tridiagonal(p, thetas)
+    if scale > 0.0:
+        d /= scale
+        e /= scale
+        thr /= scale
+    return _sturm_pass(d.T, e.T, thr)
 
 
 class FamilySpectrum:

@@ -245,14 +245,17 @@ def test_non_finite_input_exit_code(tmp_path, capsys, command, q0, c):
     (["level-set"], {"c": [[1.0], 0.0]}),
     (["support", "--directions", "-1"], {}),
     (["support", "--directions", "0"], {}),
+    (["support", "--directions", str(2 ** 20 + 1)], {}),  # rejected before any allocation
     (["support", "--theta", "inf"], {}),
     (["support", "--theta", "nan"], {}),
     (["verify", "--grid", "3"], {}),
+    (["verify", "--grid", "2000000000"], {}),  # rejected before any allocation
     (["profile", "--grid", "0"], {}),
     (["betti-x", "--tol", "1e-9"], {}),  # tolerances are not options
 ], ids=["n-string", "n-fraction", "q0-string", "q0-ragged", "cone-list", "generator-short",
         "generator-strings", "member-c", "level-set-c", "directions-negative",
-        "directions-zero", "theta-inf", "theta-nan", "verify-grid", "profile-grid", "tol"])
+        "directions-zero", "directions-huge", "theta-inf", "theta-nan", "verify-grid",
+        "verify-grid-huge", "profile-grid", "tol"])
 def test_malformed_input_exits_2(tmp_path, capsys, argv, override):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps({**fixtures.bouquet().to_json(), **override}))

@@ -13,6 +13,7 @@ from quadrics.filtration import IndexProfile, filtration_for_cone, filtration_re
 from quadrics.pencil import (
     AT_MANY_SLICE,
     CLUSTER_TOL,
+    ENTRY_BOUND,
     TOL_EIG,
     InertiaTriple,
     QuadraticPencil,
@@ -21,6 +22,7 @@ from quadrics.pencil import (
 )
 from quadrics.oracles import (
     FEAS_TOL,
+    GRID_SOLVE_DIM,
     GridProfile,
     exact_inertia,
     exact_locus_counts,
@@ -73,25 +75,36 @@ def test_grid_agreement_random():
 
 
 def test_grid_is_solved_in_slices_of_bounded_size(monkeypatch):
-    # 2000 members of dim 41 fill about a hundred at_many slices; no stack may
-    # be larger than one, and the counts are those of one stacked solve
-    p = fixtures.random_pencil(np.random.default_rng(41), 41)
-    thr = TOL_EIG * p.scale()
-    w = np.linalg.eigvalsh(p.at_many(np.linspace(0.0, TWO_PI, 2000, endpoint=False).tolist()))
-    plus, minus = np.sum(w > thr, axis=1), np.sum(w < -thr, axis=1)
-    expected = [InertiaTriple(a, b, 41 - a - b) for a, b in zip(plus.tolist(), minus.tolist())]
-    sizes = []
-    at_many = QuadraticPencil.at_many
+    # 2000 members fill many at_many slices; no stack may be larger than
+    # one, and the counts are those of one stacked solve.  Below
+    # GRID_SOLVE_DIM the members are counted, with no eigvalsh call; at dim
+    # 41 (about a hundred slices) each slice is one eigvalsh call
+    thetas = np.linspace(0.0, TWO_PI, 2000, endpoint=False).tolist()
+    at_many, eigvalsh = QuadraticPencil.at_many, np.linalg.eigvalsh
+    for dim in (GRID_SOLVE_DIM - 1, 41):
+        p = fixtures.random_pencil(np.random.default_rng(41), dim)
+        thr = TOL_EIG * p.scale()
+        w = eigvalsh(at_many(p, thetas))
+        plus, minus = np.sum(w > thr, axis=1), np.sum(w < -thr, axis=1)
+        expected = [InertiaTriple(a, b, dim - a - b) for a, b in zip(plus.tolist(), minus.tolist())]
+        sizes, solves = [], []
 
-    def recorded(self, thetas):
-        stack = at_many(self, thetas)
-        sizes.append(stack.size)
-        return stack
+        def recorded(self, thetas):
+            stack = at_many(self, thetas)
+            sizes.append(stack.size)
+            return stack
 
-    monkeypatch.setattr(QuadraticPencil, "at_many", recorded)
-    grid = grid_index_profile(p, grid_n=2000)
-    assert len(sizes) > 1 and max(sizes) <= AT_MANY_SLICE
-    assert list(grid.triples) == expected
+        def solve(a):
+            solves.append(len(a))
+            return eigvalsh(a)
+
+        monkeypatch.setattr(QuadraticPencil, "at_many", recorded)
+        monkeypatch.setattr(np.linalg, "eigvalsh", solve)
+        grid = grid_index_profile(p, grid_n=2000)
+        monkeypatch.undo()
+        assert len(sizes) > 1 and max(sizes) <= AT_MANY_SLICE
+        assert solves == ([] if dim < GRID_SOLVE_DIM else [size // (dim * dim) for size in sizes])
+        assert list(grid.triples) == expected
 
 
 def test_grid_agreement_fixtures():
@@ -110,6 +123,43 @@ def _grid_per_angle(p, grid_n):
     return thetas, [inertia(p.at(th), scale=p.scale()) for th in thetas]
 
 
+def _shared_kernel(rng, dim):
+    """A random pencil with a shared kernel vector."""
+    p = fixtures.random_pencil(rng, dim)
+    v = rng.standard_normal(dim)
+    proj = np.eye(dim) - np.outer(v, v) / (v @ v)
+    a, b = proj @ p.q0 @ proj, proj @ p.q1 @ proj
+    return QuadraticPencil(0.5 * (a + a.T), 0.5 * (b + b.T))
+
+
+def _counted_path_pencils(rng):
+    """Inputs for the grid's Householder and Sturm count: dims with no
+    reflector, the zero pencil, random pencils on both sides of
+    GRID_SOLVE_DIM, shared kernels, a stack with one diagonal member,
+    congruence-sweep draws and pencils scaled toward both ends of the
+    double range."""
+    from scipy.stats import ortho_group
+
+    yield from (fixtures.random_pencil(rng, d) for d in (1, 2))
+    yield QuadraticPencil(np.zeros((3, 3)), np.zeros((3, 3)))
+    yield from (fixtures.random_pencil(rng, d) for d in range(GRID_SOLVE_DIM - 1, GRID_SOLVE_DIM + 2))
+    yield from (_shared_kernel(rng, d) for d in range(4, 10))
+    p = fixtures.random_pencil(rng, 6)  # the member at angle 0 is diagonal, the rest not
+    yield QuadraticPencil(np.diag(np.diag(p.q0)), p.q1)
+    sweep = np.random.default_rng(11)  # cond(T) = 1e4
+    for _ in range(3):
+        d = int(sweep.integers(4, 17))
+        p = fixtures.random_pencil(sweep, d)
+        t = (ortho_group.rvs(d, random_state=sweep) @ np.diag(np.logspace(0.0, -4.0, d))
+             @ ortho_group.rvs(d, random_state=sweep))
+        yield QuadraticPencil(t.T @ p.q0 @ t, t.T @ p.q1 @ t)
+    p = fixtures.random_pencil(rng, 7)
+    yield QuadraticPencil(p.q0 * 2.0 ** -900, p.q1 * 2.0 ** -900)
+    # a power of two puts the largest entry within a factor 2 of ENTRY_BOUND / dim
+    big = 2.0 ** math.floor(math.log2(ENTRY_BOUND / 7 / max(np.abs(p.q0).max(), np.abs(p.q1).max())))
+    yield QuadraticPencil(p.q0 * big, p.q1 * big)
+
+
 def test_grid_solves_each_direction_once_and_equals_the_per_angle_solve(monkeypatch):
     # an even resolution solves the first half circle and swaps i_plus and
     # i_minus for the second; an odd one has no antipodes and solves all
@@ -119,6 +169,7 @@ def test_grid_solves_each_direction_once_and_equals_the_per_angle_solve(monkeypa
                fixtures.definite_form(4), fixtures.identically_singular_pair(),
                *(extremal_family(n) for n in range(1, 13)),
                *(fixtures.random_pencil(rng, d) for d in range(3, 17) for _ in range(2)),
+               *_counted_path_pencils(np.random.default_rng(7)),
                fixtures.kronecker_pair(2, 3, rng), fixtures.kronecker_pair(1, 4, rng)]
     solved = []
     at_many = QuadraticPencil.at_many

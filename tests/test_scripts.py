@@ -30,3 +30,12 @@ def test_cold_start_runs():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("betti-x median") == 2
     assert "byte-identical across trees: yes" in proc.stdout
+
+
+def test_grid_timing_runs():
+    proc = _run_script("grid_timing.py", "--dims", "2-3", "--repeat", "1", "--rounds", "2",
+                       "--src", str(ROOT / "src"), "--solve-dim", "2")
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.splitlines()
+    assert rows[0].split()[:2] == ["dim", "random"]
+    assert [row.split()[0] for row in rows[1:]] == ["2", "3"]
