@@ -8,7 +8,6 @@ family that attains the sharp total-Betti bound.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,7 +25,7 @@ from .circle import (
 from .errors import InvalidInputError, NumericalError
 from .filtration import (
     FiltrationReport,
-    _plateaus,
+    _runs_and_births,
     filtration_for_cone,
     index_profile,
 )
@@ -208,15 +207,13 @@ def _level_result(p: QuadraticPencil, domain: CircleSubset) -> LevelSetResult:
     b~_k = b0(L_(k+1), L_k) + b1(L_(k+2), L_(k+1)), and for a pair b <= a of
     sets short of the full circle b1 = b0 - chi(a) + chi(b) with chi the
     component count.  A level domain is an open half circle, or its
-    intersection with the quadrant's polar arc, never the full circle, so
-    the profile's cyclic cells at[0], after[0], at[1], ... hold at least one
-    None outside it.  Read from just after one, a component of L_k is a
-    maximal run of cells with i_minus <= k.  Grouping the cells into
-    plateaus of equal value, L_k has one component per plateau of value at
-    most k that follows one of value above k, and one component with
-    minimum exactly k per plateau of value k that lies between larger
-    values (a birth).  Then b~_k = births_(k+1) + |L_(k+1)| - |L_(k+2)| +
-    births_(k+2), counted in one pass over the cells.
+    intersection with the quadrant's polar arc, never the full circle.  On
+    the profile's cyclic cells at[0], after[0], at[1], ..., mirrored to
+    top - i_minus and to 0 outside the domain, L_k is the superlevel set at
+    level top - k, so its components are the runs _runs_and_births counts
+    there, and b0(L_(k+1), L_k) its births, the components of L_(k+1) whose
+    smallest i_minus is k + 1.  Then b~_k = births_(k+1) + |L_(k+1)| -
+    |L_(k+2)| + births_(k+2).
     """
     n = p.n
     if domain.is_empty():
@@ -226,20 +223,12 @@ def _level_result(p: QuadraticPencil, domain: CircleSubset) -> LevelSetResult:
     min_minus = prof._index_range[2]
     if min_minus == 0:
         return LevelSetResult(False, tuple([0] * (n + 1)), min_minus)
-    top = n + 3  # a cell outside the domain is in no L_k, k <= n + 2
-    cells = [top if v is None else v.i_minus for pair in zip(prof.at, prof.after) for v in pair]
-    plateaus = _plateaus(cells, top)
-    starts = [0] * (top + 1)  # a component of L_k starts at a plateau v <= k < previous
-    births = [0] * top
-    for prev, v, nxt in zip([top, *plateaus], plateaus, plateaus[1:]):
-        if v < prev:
-            starts[v] += 1
-            starts[prev] -= 1
-            if v < nxt:
-                births[v] += 1
-    components = list(itertools.accumulate(starts))
-    b_tilde = tuple(births[k + 1] + components[k + 1] - components[k + 2] + births[k + 2]
-                    for k in range(n + 1))
+    top = n + 3  # above every i_minus <= dim = n + 1, so every held cell is above 0
+    cells = [0 if v is None else top - v.i_minus for pair in zip(prof.at, prof.after) for v in pair]
+    runs, births = _runs_and_births(cells, top)
+    # L_(k+1) is the level j = top - k - 1, for k = 0 .. n
+    b_tilde = tuple(births[j] + runs[j] - runs[j - 1] + births[j - 1]
+                    for j in range(top - 1, 1, -1))
     return LevelSetResult(True, b_tilde, min_minus)
 
 
@@ -280,14 +269,19 @@ def solve_level_problem(problem: LevelProblem) -> LevelSetResult:
 # the extremal diagonal family
 # ---------------------------------------------------------------------------
 
+# the largest n extremal_family builds: two dense forms of dim 1024, 8 MB each,
+# where n = 20000 would ask for 3.2 GB each
+MAX_EXTREMAL_N = 1023
+
+
 def extremal_family(n: int) -> QuadraticPencil:
     """The diagonal pair with k-th entries at the (n+1)-st roots of unity.
 
     Its index profile alternates between the two middle values, each attained
     n+1 times around the circle, and its solution set attains the sharp total
-    Betti number 2n.
+    Betti number 2n.  n outside 1 .. MAX_EXTREMAL_N is InvalidInputError.
     """
-    if n < 1:
-        raise InvalidInputError("the extremal family needs n >= 1")
+    if not 1 <= n <= MAX_EXTREMAL_N:
+        raise InvalidInputError(f"the extremal family needs 1 <= n <= {MAX_EXTREMAL_N}, not {n}")
     angles = 2.0 * PI * np.arange(n + 1) / (n + 1)
     return QuadraticPencil(np.diag(np.cos(angles)), np.diag(np.sin(angles)))

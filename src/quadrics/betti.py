@@ -20,7 +20,6 @@ from .circle import (
     PlanarCone,
     _finite_angle,
     betti_circle,
-    betti_pair,
     canonical_angle,
     closed_half_circle,
 )
@@ -176,12 +175,11 @@ def betti_y(filt: FiltrationReport) -> list[SphereBettiEntry]:
         for k in range(0, n + 1):
             entries.append(SphereBettiEntry(k, True, 0, 0, 0))
         return entries
+    pairs = filt.betti_pairs
     for k in range(0, n + 1):
         bound = 2 * report.b[k]
         if k < n - 2:
-            pair1 = betti_pair(filt.omega(n - k), filt.omega(n - k + 1))[0]
-            pair2 = betti_pair(filt.omega(n - k - 1), filt.omega(n - k))[1]
-            reduced = pair1 + pair2
+            reduced = pairs[n - k][0] + pairs[n - k - 1][1]
             absolute = reduced + (1 if k == 0 else 0)
             entries.append(SphereBettiEntry(k, True, reduced, absolute, bound))
         else:
@@ -250,7 +248,7 @@ def index_decomposition(p: QuadraticPencil, eta_theta: float,
             "omega must lie strictly inside the counterclockwise arc from -eta to eta")
 
     # split the locus by the sign of the jump between the arcs on either side
-    profile = index_profile(p, CircleSubset.full_circle(), candidates=angles)
+    profile = index_profile(p, CircleSubset.full_circle(), locus)
     arcs = profile.after
     z_plus: list[float] = []
     z_minus: list[float] = []
@@ -311,6 +309,7 @@ class AnalysisResult:
     table: SpectralTable
     report: BettiReport
     chi: int
+    cone: PlanarCone
 
 
 def analyze(p: QuadraticPencil, cone: PlanarCone) -> AnalysisResult:
@@ -326,7 +325,7 @@ def analyze(p: QuadraticPencil, cone: PlanarCone) -> AnalysisResult:
     if not report.empty and chi != report.chi:
         raise NumericalError(
             f"Euler characteristic mismatch: levelwise {chi} vs table {report.chi}")
-    return AnalysisResult(filt, table, report, chi)
+    return AnalysisResult(filt, table, report, chi, cone)
 
 
 def result_json(res: AnalysisResult) -> dict:

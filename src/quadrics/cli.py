@@ -20,6 +20,7 @@ import sys
 import numpy as np
 
 from .applications import (
+    MAX_EXTREMAL_N,
     LevelProblem,
     calabi,
     extremal_family,
@@ -110,7 +111,7 @@ def _cmd_betti_x(args) -> int:
     smooth = args.smooth or bool(extra.get("smooth"))
     data["violations"] = check_bounds(res.report, smooth=smooth)
     if args.verify:
-        data["oracle"] = verify_analysis(pencil, cone, result=res, **_oracle_options(args))
+        data["oracle"] = verify_analysis(res, **_oracle_options(args))
     _write_output(args, data)
     return 0
 
@@ -250,7 +251,7 @@ def _cmd_profile(args) -> int:
 def _cmd_verify(args) -> int:
     pencil, cone, _ = load_problem(_read_input(args))
     res = analyze(pencil, cone)
-    oracle = verify_analysis(pencil, cone, result=res, **_oracle_options(args))
+    oracle = verify_analysis(res, **_oracle_options(args))
     data = result_json(res)
     data["oracle"] = oracle
     _write_output(args, data)
@@ -319,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="number of sampled directions when --theta is absent "
                                      "(1 to 2^20)")
     sps["extremal"].add_argument("--n", type=int, required=True,
-                                 help="projective dimension")
+                                 help=f"projective dimension (1 to {MAX_EXTREMAL_N})")
     sps["fixture"].add_argument("name", help="fixture name")
     sps["profile"].add_argument("--csv", required=True, help="output CSV path")
 

@@ -1,11 +1,14 @@
 """Index profiles over circle domains and the level-set machinery built on them.
 
 An index profile records the inertia of a pencil's family on every arc and
-breakpoint of a circle domain.  The breakpoints are the family's degenerate
-locus and nothing else: the inertia is constant between consecutive roots,
-so each arc is read once, and a reading that shows a root the locus lacks
-raises NumericalError.  Superlevel sets of the positive index give the
-central filtration.  When the top superlevel set is the whole circle, the
+breakpoint of a circle domain.  The breakpoints are the angles of the
+family's degenerate locus and nothing else: the inertia is constant between
+consecutive roots, so each arc is read once, and a reading that shows a root
+the locus lacks raises NumericalError.  Superlevel sets of the positive index
+give the central filtration.  One pass over the plateaus of the profile's
+cells counts the Betti numbers of every superlevel set and of every pair of
+consecutive ones, and, on the negative index, of every sublevel set a level
+set is read from (quadrics.applications).  When the top superlevel set is the whole circle, the
 first Stiefel-Whitney class of its positive eigenspace bundle is the parity
 of the conjugate root pairs of the pencil's regular part; the eigenspace
 transport that measures it directly is an oracle
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -114,7 +117,7 @@ def _read_arcs(spectrum: FamilySpectrum, arcs: list[tuple[float, float]],
     readings agree, except that a third inside the zero band of a nearby
     multiple root reads extra zeros and no count above the other reading:
     the arc takes the other reading then.  Any other disagreement is a root
-    the candidates miss and raises NumericalError.
+    the locus misses and raises NumericalError.
     """
     thirds = [(a + (b - a) / 3.0, a + 2.0 * (b - a) / 3.0) for a, b in arcs]
     spectrum.prefetch([*points, *(t for pair in thirds for t in pair)])
@@ -126,17 +129,9 @@ def _read_arcs(spectrum: FamilySpectrum, arcs: list[tuple[float, float]],
         elif _exceeds(v, u):
             raise NumericalError(
                 f"inertia changes inside the arc ({a}, {b}): {tuple(u)} at {s}, "
-                f"{tuple(v)} at {t}; a root is missing from the candidates")
+                f"{tuple(v)} at {t}; a root is missing from the locus")
         values.append(u)
     return values
-
-
-def _antipodally_paired(bps: list[float]) -> bool:
-    """Whether the sorted breakpoints split into halves half a turn apart,
-    within CLUSTER_TOL."""
-    h = len(bps) // 2
-    return len(bps) == 2 * h and all(
-        abs(bps[i + h] - bps[i] - math.pi) <= CLUSTER_TOL for i in range(h))
 
 
 def _antipode(v: InertiaTriple) -> InertiaTriple:
@@ -144,40 +139,26 @@ def _antipode(v: InertiaTriple) -> InertiaTriple:
     return shared_triple(v.i_minus, v.i_plus, v.i_zero)
 
 
-def _dedupe_sorted(angles: list[float]) -> list[float]:
-    """The sorted angles less those within CLUSTER_TOL of the last one kept."""
-    out: list[float] = []
-    for a in angles:
-        if not out or a - out[-1] > CLUSTER_TOL:
-            out.append(a)
-    return out
-
-
-def _profile_steps(domain: CircleSubset, candidates: list[float]
+def _profile_steps(domain: CircleSubset, angles: list[float]
                    ) -> list[tuple[float, bool, tuple[float, float] | None]]:
     """(cut, point held, held arc after it or None) in ascending cut order.
 
-    On the full domain the cuts are the candidates, clustered within
-    CLUSTER_TOL, and every point and arc is held.  Otherwise they are the
-    domain's cuts and the candidates more than CLUSTER_TOL inside its held
-    arcs; an arc's ends are lifted past its start.
+    On the full domain the cuts are the locus angles, and every point and arc
+    is held.  Otherwise they are the domain's cuts and the locus angles more
+    than CLUSTER_TOL inside its held arcs; an arc's ends are lifted past its
+    start.
     """
     if domain.is_full():
-        bps = _dedupe_sorted(sorted(canonical_angle(c) for c in candidates))
-        if len(bps) >= 2 and (bps[0] + TWO_PI) - bps[-1] <= CLUSTER_TOL:
-            bps.pop()
-        return [(b, True, (b, e)) for b, e in zip(bps, [*bps[1:], bps[0] + TWO_PI])] \
-            if bps else []
+        return [(b, True, (b, e)) for b, e in zip(angles, [*angles[1:], angles[0] + TWO_PI])] \
+            if angles else []
     d = domain.cuts
     steps = []
     for s, e, held, arc_held in zip(d, (*d[1:], d[0] + TWO_PI), domain.at, domain.after):
         if not arc_held:
             steps.append((s, held, None))
             continue
-        lifts = (s + (canonical_angle(c) - s) % TWO_PI for c in candidates)
-        inner = _dedupe_sorted(sorted(b for b in lifts
-                                      if s + CLUSTER_TOL < b < e - CLUSTER_TOL))
-        edges = [s, *inner, e]
+        lifts = (s + (c - s) % TWO_PI for c in angles)
+        edges = [s, *sorted(b for b in lifts if s + CLUSTER_TOL < b < e - CLUSTER_TOL), e]
         steps += [(canonical_angle(a), k > 0 or held, (a, b))
                   for k, (a, b) in enumerate(zip(edges, edges[1:]))]
     # the inner cuts of an arc across angle zero come first
@@ -185,40 +166,39 @@ def _profile_steps(domain: CircleSubset, candidates: list[float]
 
 
 def index_profile(p: QuadraticPencil, domain: CircleSubset,
-                  candidates: list[float] | None = None) -> IndexProfile:
+                  locus: DegenerateLocus | None = None) -> IndexProfile:
     """Inertia profile of the pencil's family over a circle domain.
 
-    By default the candidate breakpoints are the pencil's degenerate locus,
-    which degenerate_locus finds by one QZ solve for every pencil,
-    identically singular ones included.  The candidates are the only
-    breakpoints: the inertia is constant between them.  The profile's cuts
-    are the domain's cuts and the candidates inside its held arcs; one
-    stacked FamilySpectrum pass reads every held point, and every held arc
-    at its two thirds (_read_arcs).  Readings that disagree other than by a
-    zero band mean a missing candidate and raise NumericalError, as does a
-    point whose inertia exceeds that of a held arc it bounds.
+    locus is the pencil's degenerate locus, found here by one QZ solve when
+    not given.  Its angles, ascending, canonical, more than CLUSTER_TOL apart
+    and in antipodal pairs, are the only breakpoints: the inertia is constant
+    between them.  The profile's cuts are the domain's cuts and the locus
+    angles inside its held arcs; one stacked FamilySpectrum pass reads every
+    held point, and every held arc at its two thirds (_read_arcs).  Readings
+    that disagree other than by a zero band mean a root the locus misses and
+    raise NumericalError, as does a point whose inertia exceeds that of a
+    held arc it bounds.
 
     On the full circle the family has M(theta + pi) = -M(theta), so i_plus
-    and i_minus swap at antipodes.  When the B sorted breakpoints pair
-    antipodally within CLUSTER_TOL, as the locus's always do, only the arcs
-    from bps[0] to bps[B/2] and the first B/2 breakpoints are solved, and the
-    rest are their antipodes' values swapped: 3 B/2 matrices, not 3 B.
-    Custom candidates need not pair; unpaired ones are read in full.
+    and i_minus swap at antipodes.  The B locus angles pair as angles[i] and
+    angles[i + B/2], so only the arcs from angles[0] to angles[B/2] and the
+    first B/2 breakpoints are solved, and the rest are their antipodes'
+    values swapped: 3 B/2 matrices, not 3 B.  An arc domain is read in full.
     """
     if domain.is_empty():
         return IndexProfile(domain)
-    if candidates is None:
-        candidates = degenerate_locus(p).angles
+    if locus is None:
+        locus = degenerate_locus(p)
     spectrum = FamilySpectrum(p, p.scale())
-    steps = _profile_steps(domain, candidates)
+    steps = _profile_steps(domain, locus.angles)
     if not steps:
         whole, = _read_arcs(spectrum, [(0.0, TWO_PI)])
         return IndexProfile(domain, whole=whole)
     cuts = [c for c, _, _ in steps]
     points = [c for c, held, _ in steps if held]
     arcs = [arc for _, _, arc in steps if arc]
-    h = len(cuts) // 2
-    if domain.is_full() and _antipodally_paired(cuts):
+    if domain.is_full():
+        h = len(cuts) // 2
         arc_vals = _read_arcs(spectrum, arcs[:h], points[:h])
         point_vals = [spectrum(b) for b in points[:h]]
         arc_vals += [_antipode(v) for v in arc_vals]
@@ -254,11 +234,32 @@ def _where(profile: IndexProfile, keep: Callable[[InertiaTriple], bool]) -> Circ
     return CircleSubset.from_steps(rows, held(profile.whole))
 
 
-def _plateaus(cells: list[int], edge: int) -> list[int]:
-    """The values of the runs of equal cells of a cyclic sequence, read from
-    just after its first cell equal to edge, so the last run holds that cell."""
-    start = cells.index(edge) + 1
-    return [v for v, _ in itertools.groupby(cells[start:] + cells[:start])]
+def _runs_and_births(cells: list[int], top: int) -> tuple[list[int], list[int]]:
+    """(runs, births) at each level j = 0 .. top of a cyclic sequence of
+    integer cells, none above top.
+
+    runs[j] counts the maximal runs of cells of value at least j, and
+    births[j] those of them whose largest cell is exactly j, at every level
+    above the least cell; a level at or below it holds every cell and reads
+    0 for both.  Read from just after a cell of least value, the cells group
+    into plateaus of equal value, and the last holds that cell.  A plateau
+    of value v after one of value prev < v starts a run at every level in
+    (prev, v], which a prefix sum counts, and when the next plateau is lower
+    too it is a run of its own at level v: a birth.
+    """
+    low = min(cells)
+    start = cells.index(low) + 1
+    plateaus = [v for v, _ in itertools.groupby(cells[start:] + cells[:start])]
+    starts = [0] * (top + 2)
+    births = [0] * (top + 1)
+    # the last plateau, of value low, starts no run, so zip may drop it
+    for prev, v, nxt in zip([low, *plateaus], plateaus, plateaus[1:]):
+        if v > prev:
+            starts[prev + 1] += 1
+            starts[v + 1] -= 1
+            if v > nxt:
+                births[v] += 1
+    return list(itertools.accumulate(starts))[:top + 1], births
 
 
 def superlevel(profile: IndexProfile, j: int) -> CircleSubset:
@@ -294,8 +295,9 @@ def sublevel(profile: IndexProfile, k: int) -> CircleSubset:
 class FiltrationReport:
     """Superlevel filtration data of a pencil over its domain.
 
-    The superlevel sets, their Betti numbers and the orientation class are
-    computed when first read, once each.  locus is the degenerate locus the
+    omega(j) builds a superlevel set each time it is asked for; the Betti
+    numbers of every level and of every pair of consecutive levels, and the
+    orientation class, are computed when first read, once each.  locus is the degenerate locus the
     profile was read from, None only for the empty domain.
     """
 
@@ -304,49 +306,54 @@ class FiltrationReport:
     mu: int
     nu: int
     locus: DegenerateLocus | None = None
-    _omegas: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def omega(self, j: int) -> CircleSubset:
-        """The superlevel set at level j (j = 0 gives the whole domain).
+        """The superlevel set at level j (j = 0 gives the whole domain)."""
+        return superlevel(self.profile, j)
 
-        Only the levels in (nu, mu] are kept: the others are the domain or
-        the empty set, which superlevel returns as they are.
-        """
-        if j <= self.nu or j > self.mu:
-            return superlevel(self.profile, j)
-        if j not in self._omegas:
-            self._omegas[j] = superlevel(self.profile, j)
-        return self._omegas[j]
+    @cached_property
+    def _superlevel_counts(self) -> tuple[int, list[int], list[int]]:
+        """The least of the profile's cyclic cells at[0], after[0], at[1], ...,
+        which carry i_plus or -1 outside the domain (a profile with no cuts is
+        one cell), and their _runs_and_births up to level dim + 1."""
+        prof = self.profile
+        values = [v for pair in zip(prof.at, prof.after) for v in pair] if prof.cuts \
+            else [prof.whole]
+        cells = [-1 if v is None else v.i_plus for v in values]
+        return (min(cells), *_runs_and_births(cells, self.pencil.dim + 1))
 
     @cached_property
     def betti_levels(self) -> tuple[tuple[int, int], ...]:
         """(b0, b1) of the superlevel set at each level j = 0 .. dim + 1, as
-        betti_circle(self.omega(j)) gives them, in one pass over the profile.
+        betti_circle(self.omega(j)) gives them.
 
-        The profile's cyclic cells at[0], after[0], at[1], ... carry i_plus,
-        or -1 outside the domain.  Read from just after a cell of least value
-        low, a component of {i_plus >= j} is a maximal run of cells of value
-        at least j, and a plateau of value v after one of value prev < v
-        starts a run at every level in (prev, v]: a prefix sum counts them.
-        Levels j <= low hold every cell, so low >= 0 and the domain is the
-        circle; only then is b1 = 1.
+        A component of {i_plus >= j} is a maximal run of cells of value at
+        least j.  Levels j at or below the least cell hold every cell, so
+        that cell is not -1 and the domain is the circle; only then is
+        b1 = 1.
         """
-        prof = self.profile
-        top = self.pencil.dim + 2
-        if not prof.cuts:
-            low = -1 if prof.whole is None else prof.whole.i_plus
-            return tuple((1, 1) if j <= low else (0, 0) for j in range(top))
-        cells = [-1 if v is None else v.i_plus for pair in zip(prof.at, prof.after)
-                 for v in pair]
-        low = min(cells)
-        plateaus = _plateaus(cells, low)
-        starts = [0] * (top + 1)
-        for prev, v in zip([low, *plateaus], plateaus):
-            if v > prev:
-                starts[prev + 1] += 1
-                starts[v + 1] -= 1
-        return tuple((1, 1) if j <= low else (runs, 0)
-                     for j, runs in zip(range(top), itertools.accumulate(starts)))
+        low, runs, _ = self._superlevel_counts
+        return tuple((1, 1) if j <= low else (runs[j], 0) for j in range(self.pencil.dim + 2))
+
+    @cached_property
+    def betti_pairs(self) -> tuple[tuple[int, int], ...]:
+        """(b0, b1) of the pair (Omega^j, Omega^(j+1)) at each level
+        j = 0 .. dim, as betti_pair(self.omega(j), self.omega(j + 1)) gives
+        them.
+
+        b0 counts the components of Omega^j that miss Omega^(j+1): the runs
+        whose largest cell is j, or, when Omega^j holds every cell, one
+        exactly when Omega^(j+1) is empty.  b1 follows by exactness,
+        chi(A, B) = chi(A) - chi(B).
+        """
+        low, _, births = self._superlevel_counts
+        levels = self.betti_levels
+        pairs = []
+        for j in range(self.pencil.dim + 1):
+            b0 = int(levels[j + 1] == (0, 0)) if j <= low else births[j]
+            (a0, a1), (c0, c1) = levels[j], levels[j + 1]
+            pairs.append((b0, b0 - a0 + a1 + c0 - c1))
+        return tuple(pairs)
 
     @property
     def omega_j(self) -> tuple[CircleSubset, ...]:
@@ -390,7 +397,7 @@ def filtration_report(p: QuadraticPencil, domain: CircleSubset) -> FiltrationRep
     an empty domain needs none.
     """
     locus = None if domain.is_empty() else degenerate_locus(p)
-    profile = index_profile(p, domain, locus and locus.angles)
+    profile = index_profile(p, domain, locus)
     mu = profile.max_positive_index()
     nu = profile.min_positive_index()
     if mu == nu and domain.is_full() and mu > p.dim // 2:

@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .applications import LevelProblem
-from .betti import AnalysisResult, analyze
+from .betti import AnalysisResult
 from .circle import TOL_ANGLE, PlanarCone
 from .errors import InvalidInputError, NumericalError, OracleDisagreement
 from .filtration import FiltrationReport, IndexProfile
@@ -692,22 +692,20 @@ def exact_locus_counts(p: QuadraticPencil) -> ExactLocusCounts | None:
 # aggregate verification
 # ---------------------------------------------------------------------------
 
-def verify_analysis(p: QuadraticPencil, cone: PlanarCone,
-                    result: AnalysisResult | None = None, *,
-                    grid_n: int = 720, seed: int = 0) -> dict:
-    """Run every applicable oracle against the analytic answer.
+def verify_analysis(result: AnalysisResult, *, grid_n: int = 720, seed: int = 0) -> dict:
+    """Run every applicable oracle against an analysis's answer.
 
-    result is the AnalysisResult of (p, cone) when the caller already has
-    it; otherwise the analysis runs here.  grid_n is the grid oracle's
+    The pencil and cone are the result's own.  grid_n is the grid oracle's
     resolution and seed drives the sampling oracle.  Raises
     OracleDisagreement on any mismatch; otherwise returns a summary of what
     was checked.
     """
-    res = result if result is not None else analyze(p, cone)
+    filt = result.filtration
+    p = filt.pencil
     out: dict = {}
 
     grid = grid_index_profile(p, grid_n=grid_n)
-    bad = grid_profile_disagreements(res.filtration.profile, grid)
+    bad = grid_profile_disagreements(filt.profile, grid)
     out["grid_points"] = grid.resolution
     out["grid_disagreements"] = len(bad)
     if bad:
@@ -716,20 +714,19 @@ def verify_analysis(p: QuadraticPencil, cone: PlanarCone,
             f"first at {bad[0]:.6f}")
 
     if p.n <= 3:
-        b0 = sample_components(p, cone, "projective", seed=seed)
+        b0 = sample_components(p, result.cone, "projective", seed=seed)
         out["sampled_b0"] = b0
-        expected = res.report.b[0] if not res.report.empty else 0
+        expected = result.report.b[0] if not result.report.empty else 0
         if b0 != expected:
             raise OracleDisagreement(
                 f"sampled component count {b0} differs from b_0 = {expected}")
 
-    filt = res.filtration
     if filt.mu > 0 and filt.top_fills_circle:
         check = monodromy_refine(filt)
         out["monodromy_values"] = list(check.values)
         if not check.stable:
             raise OracleDisagreement(
                 "orientation monodromy changed under resolution refinement")
-        if check.values[0] != res.table.w1_nonzero:
+        if check.values[0] != result.table.w1_nonzero:
             raise OracleDisagreement("orientation class mismatch")
     return out

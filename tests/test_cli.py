@@ -252,14 +252,17 @@ def test_non_finite_input_exit_code(tmp_path, capsys, command, q0, c):
     (["verify", "--grid", "2000000000"], {}),  # rejected before any allocation
     (["profile", "--grid", "0"], {}),
     (["betti-x", "--tol", "1e-9"], {}),  # tolerances are not options
+    (["extremal", "--n", "1024"], {}),  # rejected before any allocation
 ], ids=["n-string", "n-fraction", "q0-string", "q0-ragged", "cone-list", "generator-short",
         "generator-strings", "member-c", "level-set-c", "directions-negative",
         "directions-zero", "directions-huge", "theta-inf", "theta-nan", "verify-grid",
-        "verify-grid-huge", "profile-grid", "tol"])
+        "verify-grid-huge", "profile-grid", "tol", "extremal-n-huge"])
 def test_malformed_input_exits_2(tmp_path, capsys, argv, override):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps({**fixtures.bouquet().to_json(), **override}))
-    argv = [*argv, "--input", str(path), "--output", str(tmp_path / "out.json")]
+    argv = [*argv, "--output", str(tmp_path / "out.json")]
+    if argv[0] != "extremal":  # extremal reads no problem
+        argv += ["--input", str(path)]
     if argv[0] == "profile":
         argv += ["--csv", str(tmp_path / "profile.csv")]
     try:

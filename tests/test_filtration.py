@@ -13,13 +13,14 @@ from quadrics.circle import (
     PlanarCone,
     angles_equal,
     betti_circle,
+    betti_pair,
+    canonical_angle,
     omega_set,
     open_half_circle,
     subsets_equal,
 )
 from quadrics.errors import NumericalError
 from quadrics.filtration import (
-    _antipodally_paired,
     _read_arcs,
     filtration_for_cone,
     index_profile,
@@ -28,6 +29,7 @@ from quadrics.filtration import (
 )
 from quadrics.oracles import exact_inertia, exact_locus_counts, stiefel_whitney
 from quadrics.pencil import (
+    CLUSTER_TOL,
     FamilySpectrum,
     QuadraticPencil,
     degenerate_locus,
@@ -161,22 +163,25 @@ def test_identically_singular_profile_from_the_locus():
 
 
 def test_a_root_missing_from_the_candidates_raises_naming_its_arc():
-    # dropping a candidate merges the two arcs beside it; a simple root
-    # between the merged arc's thirds makes them read different inertia
+    # dropping a root and its antipode from the locus merges the two arcs
+    # beside each; a simple root between the merged arc's thirds makes them
+    # read different inertia on the half circle the profile solves
     rng = np.random.default_rng(5)
     pencils = [extremal_family(4)]
-    pencils += [fixtures.random_pencil(rng, dim) for dim in range(3, 9) for _ in range(3)]
+    pencils += [fixtures.random_pencil(rng, dim) for dim in range(3, 13) for _ in range(3)]
     checked = 0
     for p in pencils:
         locus = degenerate_locus(p)
-        angles = locus.angles
-        for k in range(1, len(angles) - 1):
+        angles, h = locus.angles, len(locus.points) // 2
+        for k in range(1, h):
             a, r, b = angles[k - 1:k + 2]
             if locus.points[k].multiplicity != 1 or not (
                     a + (b - a) / 3 < r < a + 2 * (b - a) / 3):
                 continue
+            missing = replace(locus, points=tuple(
+                pt for i, pt in enumerate(locus.points) if i not in (k, k + h)))
             with pytest.raises(NumericalError, match=re.escape(f"arc ({a}, {b})")):
-                index_profile(p, FULL, candidates=angles[:k] + angles[k + 1:])
+                index_profile(p, FULL, missing)
             checked += 1
     assert checked > 20
 
@@ -205,9 +210,9 @@ def test_a_profile_solves_its_domain_in_one_stacked_call(monkeypatch):
               for dim in (3, 5, 8, pencil.COUNT_DIM, 32) for cone in ALL_CONES]
     full_circles = arc_domains = 0
     for p, domain in cases:
-        candidates = degenerate_locus(p).angles
+        locus = degenerate_locus(p)
         calls.clear()
-        prof = index_profile(p, domain, candidates=candidates)
+        prof = index_profile(p, domain, locus)
         assert len(calls) == min(1, domain.n_components()), (p.dim, domain)
         assert all(len(shape) == 3 for shape in calls)
         h = len(prof.breakpoint_angles()) // 2
@@ -240,11 +245,17 @@ def test_the_mirrored_half_circle_equals_the_full_read_cell_by_cell():
         bps = prof.breakpoint_angles()
         if not bps:
             continue
+        # the locus the profile mirrors: ascending canonical angles more than
+        # CLUSTER_TOL apart, across the seam too, in pairs half a turn apart
+        assert bps == degenerate_locus(p).angles, p.dim
+        h = len(bps) // 2
+        assert len(bps) == 2 * h and bps == sorted(map(canonical_angle, bps)), p.dim
+        assert all(b - a > CLUSTER_TOL for a, b in zip(bps, [*bps[1:], bps[0] + TWO_PI])), p.dim
+        assert all(abs(bps[i + h] - bps[i] - PI) <= CLUSTER_TOL for i in range(h)), p.dim
         spectrum = FamilySpectrum(p, p.scale())
         assert [v for _, v in _points(prof)] == [spectrum(b) for b in bps], p.dim
         arcs = list(zip(bps, [*bps[1:], bps[0] + TWO_PI]))
         assert _arc_values(prof) == _read_arcs(spectrum, arcs), p.dim
-        assert _antipodally_paired(bps), p.dim
         mirrored += 1
     assert mirrored >= 20
 
@@ -357,6 +368,10 @@ def test_the_level_table_equals_the_betti_numbers_of_every_superlevel_set():
             assert len(filt.betti_levels) == p.dim + 2
             for j in range(p.dim + 2):
                 assert filt.betti_levels[j] == betti_circle(filt.omega(j)), (p.dim, cone, j)
+            assert len(filt.betti_pairs) == p.dim + 1
+            for j in range(p.dim + 1):
+                assert filt.betti_pairs[j] == betti_pair(filt.omega(j), filt.omega(j + 1)), \
+                    (p.dim, cone, j)
             kinds.update(filt.betti_levels)
     # full circles, empty sets and sets of several components all occur
     assert {(1, 1), (0, 0), (1, 0), (2, 0), (3, 0)} <= kinds

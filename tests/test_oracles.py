@@ -492,7 +492,7 @@ def test_a_lapack_failure_in_the_transport_is_a_numerical_error(monkeypatch, sol
 def test_verify_analysis_fixtures():
     for p in [fixtures.bouquet(), fixtures.four_lines(),
               fixtures.complex_squaring()]:
-        out = verify_analysis(p, ZERO)
+        out = verify_analysis(analyze(p, ZERO))
         assert out["grid_disagreements"] == 0
 
 
@@ -500,7 +500,7 @@ def test_verify_analysis_random_small():
     rng = np.random.default_rng(60)
     for _ in range(2):
         p = fixtures.random_pencil(rng, 3)
-        out = verify_analysis(p, ZERO)
+        out = verify_analysis(analyze(p, ZERO))
         assert out["grid_disagreements"] == 0
 
 
@@ -511,7 +511,7 @@ CONES = [PlanarCone.zero(), PlanarCone.full(), PlanarCone.ray(0.7),
 @pytest.mark.parametrize("cone", CONES, ids=lambda c: c.kind)
 def test_verify_analysis_every_cone_kind(cone):
     for p in [fixtures.tripled_squaring(), extremal_family(4)]:
-        out = verify_analysis(p, cone)
+        out = verify_analysis(analyze(p, cone))
         assert out["grid_disagreements"] == 0
 
 
@@ -540,8 +540,7 @@ def test_verify_analysis_rejects_a_corrupted_profile():
     k = next(i for i, v in enumerate(profile.after) if v is not None)
     profile = replace(profile, after=_corrupted(profile.after, k))
     with pytest.raises(OracleDisagreement):
-        verify_analysis(p, cone, result=replace(
-            res, filtration=replace(res.filtration, profile=profile)))
+        verify_analysis(replace(res, filtration=replace(res.filtration, profile=profile)))
 
 
 # ---------------------------------------------------------------------------
