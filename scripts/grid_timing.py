@@ -1,12 +1,18 @@
-"""Time the grid oracle, grid_index_profile, per dimension.
+"""Time the grid oracle, grid_index_profile, and verify_analysis per dimension.
 
 For each dim the script takes the best of N calls of grid_index_profile at
 the default 720 angles, on random_pencil(default_rng(dim), dim) and on
-extremal_family(dim - 1), whose members are diagonal.  Each tree is timed
-in a fresh interpreter on one OpenBLAS thread, --rounds times, and each
-time is the least over the rounds.  With --src, the rounds alternate
-between this checkout and the other one, in turn first, and the script
-prints this tree's time over the other's.  --solve-dim sets this tree's
+extremal_family(dim - 1), whose members are diagonal, and the best of N
+calls of verify_analysis(analyze(p, zero)) on the same two pencils from
+dim 5, the analysis made once and not timed.  verify_analysis runs the
+grid check on arrays of its own, not through grid_index_profile, and the
+monodromy refinement when the top superlevel set fills the circle; up to
+dim 4 it also runs the sampling oracle, which takes seconds, so those
+dims print nan there.  Each tree is timed in a fresh
+interpreter on one OpenBLAS thread, --rounds times, and each time is the
+least over the rounds.  With --src, the rounds alternate between this
+checkout and the other one, in turn first, and the script prints this
+tree's time over the other's.  --solve-dim sets this tree's
 oracles.GRID_SOLVE_DIM for the run, so the count path can be timed past
 its bound; that is how the bound's crossover was measured:
 
@@ -31,27 +37,42 @@ import json, sys, time
 import numpy as np
 from quadrics import fixtures, oracles
 from quadrics.applications import extremal_family
+from quadrics.betti import analyze
+from quadrics.circle import PlanarCone
 
 dims, repeat, solve_dim = json.loads(sys.argv[1])
 if solve_dim is not None:
     oracles.GRID_SOLVE_DIM = solve_dim
 
-def best_ms(p):
-    p.scale()  # computed once per pencil and kept, so it is not timed
+def best_ms(call):
     best = float("inf")
     for _ in range(repeat):
         start = time.perf_counter()
-        oracles.grid_index_profile(p)
+        call()
         best = min(best, time.perf_counter() - start)
     return 1e3 * best
 
-print(json.dumps([(best_ms(fixtures.random_pencil(np.random.default_rng(d), d)),
-                   best_ms(extremal_family(d - 1))) for d in dims]))
+def grid_ms(p):
+    p.scale()  # computed once per pencil and kept, so it is not timed
+    return best_ms(lambda: oracles.grid_index_profile(p))
+
+def verify_ms(p):
+    if p.n <= 3:  # the sampling oracle's seconds would hide the rest
+        return float("nan")
+    result = analyze(p, PlanarCone.zero())
+    return best_ms(lambda: oracles.verify_analysis(result))
+
+pencils = [(fixtures.random_pencil(np.random.default_rng(d), d), extremal_family(d - 1))
+           for d in dims]
+print(json.dumps([[*map(grid_ms, pair), *map(verify_ms, pair)] for pair in pencils]))
 """
+
+COLUMNS = ("random", "extremal", "verify random", "verify extremal")
 
 
 def _times(src: str, solve_dim: int | None, dims: list[int], repeat: int) -> list:
-    """[(random ms, extremal ms)] per dim, timed in a fresh interpreter."""
+    """[the COLUMNS in ms] per dim, timed in a fresh interpreter: the grid on
+    the random and the extremal pencil, then verify_analysis on each."""
     env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
     proc = subprocess.run([sys.executable, "-c", WORKER, json.dumps([dims, repeat, solve_dim])],
                           capture_output=True, text=True, env=env, check=False)
@@ -90,14 +111,14 @@ def main(argv=None) -> int:
         for i in range(len(trees))[::1 if r % 2 == 0 else -1]:
             times = np.array(_times(*trees[i], args.dims, args.repeat))
             best[i] = times if best[i] is None else np.minimum(best[i], times)
-    here, other = best[0].tolist(), (best[1].tolist() if args.src else None)
-    head = f"{'dim':>4} {'random ms':>10} {'extremal ms':>12}"
-    print(head + (f" {'other random':>13} {'other extremal':>15} {'ratios':>12}" if other else ""))
-    for i, (dim, (rand, ext)) in enumerate(zip(args.dims, here)):
-        line = f"{dim:>4} {rand:>10.3f} {ext:>12.3f}"
+    head = f"{'dim':>4}" + "".join(f" {c + ' ms':>18}" for c in COLUMNS)
+    if args.src:
+        head += "   this over other: " + " ".join(f"{c:>15}" for c in COLUMNS)
+    print(head)
+    for dim, here, *other in zip(args.dims, *best):
+        line = f"{dim:>4}" + "".join(f" {t:>18.3f}" for t in here)
         if other:
-            o_rand, o_ext = other[i]
-            line += f" {o_rand:>13.3f} {o_ext:>15.3f} {rand / o_rand:>5.2f} {ext / o_ext:>5.2f}"
+            line += " " * 20 + " ".join(f"{t / o:>15.2f}" for t, o in zip(here, other[0]))
         print(line)
     return 0
 

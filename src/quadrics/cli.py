@@ -66,10 +66,19 @@ def _read_input(args) -> dict:
         raise InvalidInputError(f"cannot read input: {exc}") from exc
 
 
+def _open_for_writing(path: str, **kwargs):
+    """path opened for writing text; an OSError is invalid input, as in
+    _read_input."""
+    try:
+        return open(path, "w", encoding="utf-8", **kwargs)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write output: {exc}") from exc
+
+
 def _write_output(args, data: dict) -> None:
     text = json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
+        with _open_for_writing(args.output) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -106,10 +115,12 @@ _SHARED_FLAGS = {
 
 def _cmd_betti_x(args) -> int:
     pencil, cone, extra = load_problem(_read_input(args))
+    smooth = extra.get("smooth", False)
+    if not isinstance(smooth, bool):
+        raise InvalidInputError(f"'smooth' must be true or false, not {smooth!r}")
     res = analyze(pencil, cone)
     data = result_json(res)
-    smooth = args.smooth or bool(extra.get("smooth"))
-    data["violations"] = check_bounds(res.report, smooth=smooth)
+    data["violations"] = check_bounds(res.report, smooth=args.smooth or smooth)
     if args.verify:
         data["oracle"] = verify_analysis(res, **_oracle_options(args))
     _write_output(args, data)
@@ -229,7 +240,7 @@ def emit_profile_csv(profile: IndexProfile, path: str,
         rows.extend((th, t.i_plus, t.i_minus, False)
                     for th, t in zip(grid.thetas, grid.triples))
         rows.sort(key=lambda r: r[0])
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _open_for_writing(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["theta", "i_plus", "i_minus", "is_breakpoint"])
         for theta, ip, im, is_bp in rows:

@@ -28,10 +28,10 @@ from .errors import NumericalError
 from .pencil import (
     CLUSTER_TOL,
     DegenerateLocus,
-    FamilySpectrum,
     InertiaTriple,
     QuadraticPencil,
     degenerate_locus,
+    family_inertia,
     shared_triple,
 )
 
@@ -107,31 +107,34 @@ class IndexProfile:
 # profile construction
 # ---------------------------------------------------------------------------
 
-def _read_arcs(spectrum: FamilySpectrum, arcs: list[tuple[float, float]],
-               points: list[float] | tuple = ()) -> list[InertiaTriple]:
-    """The inertia on each open arc (start, end), end past start.
+def _read_arcs(p: QuadraticPencil, arcs: list[tuple[float, float]],
+               points: list[float] | tuple = ()
+               ) -> tuple[list[InertiaTriple], list[InertiaTriple]]:
+    """(the inertia on each open arc (start, end), end past start, the
+    inertia at each point).
 
-    Both thirds of every arc and the points the caller reads next are solved
-    in one stacked pass; an arc's ends are not solved unless they are among
+    The points and both thirds of every arc are solved in one stacked pass
+    (family_inertia); an arc's ends are not solved unless they are among
     the points.  The family is constant on an arc that holds no root, so the
     readings agree, except that a third inside the zero band of a nearby
     multiple root reads extra zeros and no count above the other reading:
     the arc takes the other reading then.  Any other disagreement is a root
     the locus misses and raises NumericalError.
     """
-    thirds = [(a + (b - a) / 3.0, a + 2.0 * (b - a) / 3.0) for a, b in arcs]
-    spectrum.prefetch([*points, *(t for pair in thirds for t in pair)])
-    values: list[InertiaTriple] = []
-    for (a, b), (s, t) in zip(arcs, thirds):
-        u, v = spectrum(s), spectrum(t)
+    thirds = [t for a, b in arcs for t in (a + (b - a) / 3.0, a + 2.0 * (b - a) / 3.0)]
+    values = family_inertia(p, [*points, *thirds], p.scale())
+    k = len(points)
+    arc_values: list[InertiaTriple] = []
+    for i, (a, b) in enumerate(arcs):
+        u, v = values[k + 2 * i], values[k + 2 * i + 1]
         if not _exceeds(u, v):
             u = v  # equal, or u read in a zero band
         elif _exceeds(v, u):
             raise NumericalError(
-                f"inertia changes inside the arc ({a}, {b}): {tuple(u)} at {s}, "
-                f"{tuple(v)} at {t}; a root is missing from the locus")
-        values.append(u)
-    return values
+                f"inertia changes inside the arc ({a}, {b}): {tuple(u)} at {thirds[2 * i]}, "
+                f"{tuple(v)} at {thirds[2 * i + 1]}; a root is missing from the locus")
+        arc_values.append(u)
+    return arc_values, values[:k]
 
 
 def _antipode(v: InertiaTriple) -> InertiaTriple:
@@ -173,7 +176,7 @@ def index_profile(p: QuadraticPencil, domain: CircleSubset,
     not given.  Its angles, ascending, canonical, more than CLUSTER_TOL apart
     and in antipodal pairs, are the only breakpoints: the inertia is constant
     between them.  The profile's cuts are the domain's cuts and the locus
-    angles inside its held arcs; one stacked FamilySpectrum pass reads every
+    angles inside its held arcs; one stacked family_inertia pass reads every
     held point, and every held arc at its two thirds (_read_arcs).  Readings
     that disagree other than by a zero band mean a root the locus misses and
     raise NumericalError, as does a point whose inertia exceeds that of a
@@ -189,30 +192,29 @@ def index_profile(p: QuadraticPencil, domain: CircleSubset,
         return IndexProfile(domain)
     if locus is None:
         locus = degenerate_locus(p)
-    spectrum = FamilySpectrum(p, p.scale())
     steps = _profile_steps(domain, locus.angles)
     if not steps:
-        whole, = _read_arcs(spectrum, [(0.0, TWO_PI)])
+        (whole,), _ = _read_arcs(p, [(0.0, TWO_PI)])
         return IndexProfile(domain, whole=whole)
     cuts = [c for c, _, _ in steps]
     points = [c for c, held, _ in steps if held]
     arcs = [arc for _, _, arc in steps if arc]
     if domain.is_full():
         h = len(cuts) // 2
-        arc_vals = _read_arcs(spectrum, arcs[:h], points[:h])
-        point_vals = [spectrum(b) for b in points[:h]]
+        arc_vals, point_vals = _read_arcs(p, arcs[:h], points[:h])
         arc_vals += [_antipode(v) for v in arc_vals]
         point_vals += [_antipode(v) for v in point_vals]
     else:
-        arc_vals = _read_arcs(spectrum, arcs, points)
-        point_vals = [spectrum(b) for b in points]
+        arc_vals, point_vals = _read_arcs(p, arcs, points)
     point_vals, arc_vals = iter(point_vals), iter(arc_vals)
     at = tuple(next(point_vals) if held else None for _, held, _ in steps)
     after = tuple(next(arc_vals) if arc else None for _, _, arc in steps)
-    for i, (c, v) in enumerate(zip(cuts, at)):
-        if v is not None and any(arc is not None and _exceeds(v, arc)
-                                 for arc in (after[i - 1], after[i])):
-            raise NumericalError(f"semicontinuity violated at breakpoint {c}")
+    for i, v in enumerate(at):
+        if v is None:
+            continue
+        for arc in (after[i - 1], after[i]):
+            if arc is not None and _exceeds(v, arc):
+                raise NumericalError(f"semicontinuity violated at breakpoint {cuts[i]}")
     return IndexProfile(domain, tuple(cuts), at, after)
 
 

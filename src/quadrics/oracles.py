@@ -8,13 +8,17 @@ eigenspace around the circle.  Exact integer arithmetic on the stored
 doubles gives the inertia of a member (exact_inertia) and the real and
 non-real root counts of the determinant (exact_locus_counts), with no
 tolerance at all.  Nothing here shares code paths with the combinatorial
-machinery it verifies.  The grid counts members below GRID_SOLVE_DIM by a
-Householder reduction of its own and the Sturm pass that the pipeline runs
-only from COUNT_DIM up, so there it shares no solver with the pipeline;
-larger members it solves by eigvalsh on stacks of its own, as the pipeline
-does below COUNT_DIM.  The sampling and descent oracles import
-scipy.spatial and scipy.optimize on their first call, so importing this
-module does not load them.
+machinery it verifies.  The grid builds its stacks of members itself, as
+(dim, dim, k) arrays equal to QuadraticPencil.at bit for bit.  It counts
+members below GRID_SOLVE_DIM by a Householder reduction of its own and the
+Sturm pass that the pipeline runs only from COUNT_DIM up, so there it
+shares no solver with the pipeline; larger members it solves by eigvalsh,
+as the pipeline does below COUNT_DIM.  verify_analysis keeps the grid's
+counts in arrays from the solve to the comparison with the profile
+(_grid_check); grid_index_profile and grid_profile_disagreements put the
+same counts in and out of a GridProfile of triples.  The sampling and
+descent oracles import scipy.spatial and scipy.optimize on their first
+call, so importing this module does not load them.
 """
 
 from __future__ import annotations
@@ -121,25 +125,58 @@ def _tridiagonal_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a.reshape(dim * dim, k)[::dim + 1], e
 
 
-def _counted_inertia(stack: np.ndarray, scale: float,
+def _counted_inertia(a: np.ndarray, scale: float,
                      thr: float) -> tuple[np.ndarray, np.ndarray]:
-    """(i_plus, i_minus) of every member of a (k, dim, dim) stack, by
-    _tridiagonal_stack and pencil._sturm_pass.
+    """(i_plus, i_minus) of every member of a (dim, dim, k) stack, member i
+    in a[:, :, i], by _tridiagonal_stack and pencil._sturm_pass.
 
-    The stack and thr are first multiplied by 2^-E, scale = m 2^E with
-    1/2 <= m < 1: exact, and the members then have norm about 1, so no
+    The stack, in place, and thr are first multiplied by 2^-E, scale = m 2^E
+    with 1/2 <= m < 1: exact, and the members then have norm about 1, so no
     squared column norm under- or overflows."""
-    k, dim, _ = stack.shape
     exp = math.frexp(scale)[1]
-    a = np.ldexp(stack.transpose(1, 2, 0), -exp, out=np.empty((dim, dim, k)))
+    np.ldexp(a, -exp, out=a)
     return _sturm_pass(*_tridiagonal_stack(a), math.ldexp(thr, -exp))
 
 
-def _solved_inertia(stack: np.ndarray, scale: float,
+def _solved_inertia(a: np.ndarray, scale: float,
                     thr: float) -> tuple[np.ndarray, np.ndarray]:
-    """(i_plus, i_minus) of every member of a stack, by one eigvalsh call."""
-    w = _lapack(np.linalg.eigvalsh, stack)
+    """(i_plus, i_minus) of every member of a (dim, dim, k) stack, by one
+    eigvalsh call."""
+    w = _lapack(np.linalg.eigvalsh, a.transpose(2, 0, 1))
     return np.count_nonzero(w > thr, axis=1), np.count_nonzero(w < -thr, axis=1)
+
+
+def _grid_members(p: QuadraticPencil, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The members c[i] Q0 + s[i] Q1 as a (dim, dim, k) stack, member i in
+    a[:, :, i]: the products and sums QuadraticPencil.at forms, so with c
+    and s from math.cos and math.sin each member is at() bit for bit."""
+    a = p.q0[:, :, None] * c
+    a += p.q1[:, :, None] * s
+    return a
+
+
+def _grid_counts(p: QuadraticPencil, grid_n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(thetas, i_plus, i_minus) at the grid's angles, as arrays: the grid
+    that grid_index_profile describes."""
+    if not 4 <= grid_n <= MAX_ANGLES:
+        raise InvalidInputError(
+            f"the oracle grid needs 4 to {MAX_ANGLES} angles, not {grid_n}")
+    dim = p.dim
+    resolution = max(grid_n, 4 * dim)
+    scale = p.scale()
+    thr = TOL_EIG * scale
+    thetas = np.linspace(0.0, TWO_PI, resolution, endpoint=False)
+    solved = (thetas[:resolution // 2] if resolution % 2 == 0 else thetas).tolist()
+    c = np.fromiter(map(math.cos, solved), float, len(solved))
+    s = np.fromiter(map(math.sin, solved), float, len(solved))
+    step = max(1, AT_MANY_SLICE // (dim * dim))
+    count = _counted_inertia if dim < GRID_SOLVE_DIM else _solved_inertia
+    plus, minus = map(np.concatenate, zip(*(
+        count(_grid_members(p, c[lo:lo + step], s[lo:lo + step]), scale, thr)
+        for lo in range(0, len(solved), step))))
+    if len(solved) < resolution:
+        plus, minus = np.concatenate((plus, minus)), np.concatenate((minus, plus))
+    return thetas, plus, minus
 
 
 def grid_index_profile(p: QuadraticPencil, grid_n: int = 720) -> GridProfile:
@@ -153,7 +190,7 @@ def grid_index_profile(p: QuadraticPencil, grid_n: int = 720) -> GridProfile:
     antipodal pairs and is solved in full.  The solved angles go in stacks
     of at most AT_MANY_SLICE entries, as at_many fills its own, so no stack
     grows with the resolution; only the counts of every member are kept.
-    Each member equals QuadraticPencil.at bit for bit.
+    Each member equals QuadraticPencil.at bit for bit (_grid_members).
 
     Members below GRID_SOLVE_DIM are reduced to tridiagonal form a stack at
     a time and counted at +-TOL_EIG * scale by a Sturm pass
@@ -161,24 +198,10 @@ def grid_index_profile(p: QuadraticPencil, grid_n: int = 720) -> GridProfile:
     stack.  The counts equal those of per-angle inertia() on every fixture,
     random, extremal and shared-kernel pencil the tests run.
     """
-    if not 4 <= grid_n <= MAX_ANGLES:
-        raise InvalidInputError(
-            f"the oracle grid needs 4 to {MAX_ANGLES} angles, not {grid_n}")
-    dim = p.dim
-    resolution = max(grid_n, 4 * dim)
-    scale = p.scale()
-    thr = TOL_EIG * scale
-    thetas = np.linspace(0.0, TWO_PI, resolution, endpoint=False).tolist()
-    solved = thetas[:resolution // 2] if resolution % 2 == 0 else thetas
-    step = max(1, AT_MANY_SLICE // (dim * dim))
-    count = _counted_inertia if dim < GRID_SOLVE_DIM else _solved_inertia
-    plus, minus = map(np.concatenate, zip(*(count(p.at_many(solved[lo:lo + step]), scale, thr)
-                                            for lo in range(0, len(solved), step))))
-    if len(solved) < resolution:
-        plus, minus = np.concatenate((plus, minus)), np.concatenate((minus, plus))
+    thetas, plus, minus = _grid_counts(p, grid_n)
     triples = tuple(map(shared_triple, plus.tolist(), minus.tolist(),
-                        (dim - plus - minus).tolist()))
-    return GridProfile(resolution, tuple(thetas), triples)
+                        (p.dim - plus - minus).tolist()))
+    return GridProfile(len(thetas), tuple(thetas.tolist()), triples)
 
 
 def _steps_at(cuts: tuple, at, after, whole, t: np.ndarray) -> np.ndarray:
@@ -199,6 +222,40 @@ def _steps_at(cuts: tuple, at, after, whole, t: np.ndarray) -> np.ndarray:
     return np.where(on_cut, np.asarray(at)[i], np.asarray(after)[i])
 
 
+def _disagreeing(profile: IndexProfile, thetas: np.ndarray,
+                 sampled: np.ndarray) -> np.ndarray:
+    """The indices of the grid angles where the profile disagrees with the
+    sampled triples, one row of sampled per angle, by the rules of
+    grid_profile_disagreements."""
+    t = thetas % TWO_PI
+    t[t >= TWO_PI] = 0.0  # as canonical_angle
+    dom = profile.domain
+    todo = _steps_at(dom.cuts, dom.at, dom.after, dom.full, t)
+    bps = np.sort(profile.breakpoint_angles())
+    if len(bps):
+        j = np.searchsorted(bps, t)
+        near = np.minimum(abs((thetas - bps[j - 1] + PI) % TWO_PI - PI),
+                          abs((thetas - bps[j % len(bps)] + PI) % TWO_PI - PI))
+        todo &= near > CLUSTER_TOL
+
+    def triple(v):  # no value recorded: a triple no sample equals
+        return (-1, -1, -1) if v is None else v
+
+    recorded = _steps_at(profile.cuts, [*map(triple, profile.at)],
+                         [*map(triple, profile.after)], triple(profile.whole), t)
+    return np.flatnonzero(todo & np.any(recorded != sampled, axis=1))
+
+
+def _grid_check(profile: IndexProfile, p: QuadraticPencil,
+                grid_n: int) -> tuple[int, np.ndarray]:
+    """(R, the angles where the profile disagrees): grid_profile_disagreements
+    against grid_index_profile(p, grid_n), of resolution R, with the counts
+    kept in arrays from the solve to the comparison."""
+    thetas, plus, minus = _grid_counts(p, grid_n)
+    bad = _disagreeing(profile, thetas, np.stack((plus, minus, p.dim - plus - minus), 1))
+    return len(thetas), thetas[bad]
+
+
 def grid_profile_disagreements(profile: IndexProfile, grid: GridProfile) -> list[float]:
     """Grid angles of the profile's domain where it disagrees with sampling.
 
@@ -207,32 +264,15 @@ def grid_profile_disagreements(profile: IndexProfile, grid: GridProfile) -> list
     CLUSTER_TOL, ten angular tolerances, of a recorded breakpoint are skipped: there the
     inertia of a nearly-singular matrix is not decidable.
 
-    The grid is checked in one array pass, with the per-angle rules: the
-    domain and the profile are both step functions on cuts, read as
-    CircleSubset.contains and IndexProfile.value_at_angle read them, and
+    The grid is checked in one array pass (_disagreeing), with the per-angle
+    rules: the domain and the profile are both step functions on cuts, read
+    as CircleSubset.contains and IndexProfile.value_at_angle read them, and
     the guard measures the nearest sorted breakpoint on either side.
     """
-    th = np.array(grid.thetas, dtype=float)
-    t = th % TWO_PI
-    t[t >= TWO_PI] = 0.0  # as canonical_angle
-    dom = profile.domain
-    todo = _steps_at(dom.cuts, dom.at, dom.after, dom.full, t)
-    bps = np.sort(profile.breakpoint_angles())
-    if len(bps):
-        j = np.searchsorted(bps, t)
-        near = np.minimum(abs((th - bps[j - 1] + PI) % TWO_PI - PI),
-                          abs((th - bps[j % len(bps)] + PI) % TWO_PI - PI))
-        todo &= near > CLUSTER_TOL
-
-    def triple(v):  # no value recorded: a triple no sample equals
-        return (-1, -1, -1) if v is None else v
-
-    recorded = _steps_at(profile.cuts, [*map(triple, profile.at)],
-                         [*map(triple, profile.after)], triple(profile.whole), t)
     sampled = np.fromiter(chain.from_iterable(grid.triples), dtype=np.int64,
-                          count=3 * len(t)).reshape(-1, 3)
-    bad = todo & np.any(recorded != sampled, axis=1)
-    return [grid.thetas[k] for k in np.flatnonzero(bad)]
+                          count=3 * len(grid.thetas)).reshape(-1, 3)
+    bad = _disagreeing(profile, np.array(grid.thetas, dtype=float), sampled)
+    return [grid.thetas[k] for k in bad]
 
 
 # ---------------------------------------------------------------------------
@@ -704,11 +744,9 @@ def verify_analysis(result: AnalysisResult, *, grid_n: int = 720, seed: int = 0)
     p = filt.pencil
     out: dict = {}
 
-    grid = grid_index_profile(p, grid_n=grid_n)
-    bad = grid_profile_disagreements(filt.profile, grid)
-    out["grid_points"] = grid.resolution
+    out["grid_points"], bad = _grid_check(filt.profile, p, grid_n)
     out["grid_disagreements"] = len(bad)
-    if bad:
+    if len(bad):
         raise OracleDisagreement(
             f"index profile disagrees with the grid at {len(bad)} angles, "
             f"first at {bad[0]:.6f}")

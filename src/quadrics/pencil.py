@@ -69,7 +69,7 @@ IMAG_TOL = 1e-6
 # at_many builds its stack in slices of at most this many entries, so the
 # products of a slice stay in cache; a 720 x 6 x 6 grid is one slice
 AT_MANY_SLICE = 1 << 15
-# FamilySpectrum counts the inertia of members of at least this dimension by
+# family_inertia counts the inertia of members of at least this dimension by
 # a Sturm pass on their tridiagonal reduction (_sturm_inertia), building and
 # reducing one member at a time, and solves smaller ones by eigvalsh on their
 # stack.  Full-circle index_profile time, count over eigvalsh, one OpenBLAS
@@ -392,44 +392,29 @@ def _sturm_inertia(p: QuadraticPencil, thetas, scale: float,
     return _sturm_pass(d.T, e.T, thr)
 
 
-class FamilySpectrum:
-    """Inertia of a pencil's family on the circle, memoized by angle.
+def family_inertia(p: QuadraticPencil, thetas: list[float],
+                   scale: float) -> list[InertiaTriple]:
+    """The inertia of the family's member at each angle, in the order given.
 
     The family's members are exactly symmetric, so no member is
-    re-validated.  Every request solves the angles it has not seen before
-    in one pass.  Eigenvalues within TOL_EIG * scale of zero count as zero,
-    as in inertia() with the family's scale.  Members of dimension
+    re-validated, and every angle is solved in one pass, a repeated one as
+    often as it appears.  Eigenvalues within TOL_EIG * scale of zero count
+    as zero, as in inertia() with the family's scale.  Members of dimension
     COUNT_DIM and up are counted by _sturm_inertia, which builds and
     reduces them one at a time; smaller ones are solved by one eigvalsh
     call on their at_many stack.
     """
-
-    def __init__(self, p: QuadraticPencil, scale: float):
-        self.pencil = p
-        self.scale = scale
-        self.thr = TOL_EIG * scale
-        self._triples: dict[float, InertiaTriple] = {}
-
-    def prefetch(self, thetas) -> None:
-        """Solve every angle not seen yet, in one pass."""
-        todo = [t for t in dict.fromkeys(thetas) if t not in self._triples]
-        if not todo:
-            return
-        dim = self.pencil.dim
-        if dim >= COUNT_DIM:
-            plus, minus = _sturm_inertia(self.pencil, todo, self.scale, self.thr)
-            counts = zip(plus.tolist(), minus.tolist())
-        else:
-            # bisection on the ascending rows: a small stack has few of them
-            counts = ((dim - bisect.bisect_right(w, self.thr), bisect.bisect_left(w, -self.thr))
-                      for w in _eigvalsh(self.pencil.at_many(todo)).tolist())
-        self._triples.update(zip(todo, (shared_triple(plus, minus, dim - plus - minus)
-                                        for plus, minus in counts)))
-
-    def __call__(self, theta: float) -> InertiaTriple:
-        if theta not in self._triples:
-            self.prefetch((theta,))
-        return self._triples[theta]
+    if not thetas:
+        return []
+    dim, thr = p.dim, TOL_EIG * scale
+    if dim >= COUNT_DIM:
+        plus, minus = _sturm_inertia(p, thetas, scale, thr)
+        counts = zip(plus.tolist(), minus.tolist())
+    else:
+        # bisection on the ascending rows: a small stack has few of them
+        counts = ((dim - bisect.bisect_right(w, thr), bisect.bisect_left(w, -thr))
+                  for w in _eigvalsh(p.at_many(thetas)).tolist())
+    return [shared_triple(plus, minus, dim - plus - minus) for plus, minus in counts]
 
 
 def sylvester_check(m: np.ndarray, t: np.ndarray) -> bool:
@@ -443,8 +428,9 @@ def sylvester_check(m: np.ndarray, t: np.ndarray) -> bool:
 # degenerate locus of the pencil
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DegeneratePoint:
+class DegeneratePoint(NamedTuple):
+    """A root of the family's determinant on the circle."""
+
     theta: float
     multiplicity: int
 
@@ -523,18 +509,11 @@ def _qz_root_angles(a: np.ndarray, b: np.ndarray) -> tuple[list[float], int]:
     if info != 0:
         raise NumericalError(f"QZ eigenvalue solver failed: dggev info {info}")
     alpha = alphar + 1j * alphai  # as scipy forms it, signed zeros included
-    angles: list[float] = []
-    nonreal = 0
-    for al, be in zip(alpha.tolist(), beta.tolist()):
-        if _is_real(al, be):
-            angles.append(math.atan2(al.real, be))
-        else:
-            nonreal += 1
-    return angles, nonreal
-
-
-def _is_real(alpha: complex, beta: float) -> bool:
-    return abs(alpha.imag) <= IMAG_TOL * (abs(beta) + abs(alpha.real))
+    # one pass over the roots: at 6 roots it takes 4 us where the same test
+    # as numpy array operations takes 6 us; the two are even at 24 roots
+    angles = [math.atan2(al.real, be) for al, be in zip(alpha.tolist(), beta.tolist())
+              if abs(al.imag) <= IMAG_TOL * (abs(be) + abs(al.real))]
+    return angles, len(beta) - len(angles)
 
 
 def _null_space(a: np.ndarray, rank: int | None = None) -> np.ndarray:

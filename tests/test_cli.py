@@ -253,10 +253,11 @@ def test_non_finite_input_exit_code(tmp_path, capsys, command, q0, c):
     (["profile", "--grid", "0"], {}),
     (["betti-x", "--tol", "1e-9"], {}),  # tolerances are not options
     (["extremal", "--n", "1024"], {}),  # rejected before any allocation
+    (["betti-x"], {"smooth": "false"}),  # a string, which bool() reads as true
 ], ids=["n-string", "n-fraction", "q0-string", "q0-ragged", "cone-list", "generator-short",
         "generator-strings", "member-c", "level-set-c", "directions-negative",
         "directions-zero", "directions-huge", "theta-inf", "theta-nan", "verify-grid",
-        "verify-grid-huge", "profile-grid", "tol", "extremal-n-huge"])
+        "verify-grid-huge", "profile-grid", "tol", "extremal-n-huge", "smooth-string"])
 def test_malformed_input_exits_2(tmp_path, capsys, argv, override):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps({**fixtures.bouquet().to_json(), **override}))
@@ -271,6 +272,20 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv, override):
         code = exc.code
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["betti-x", "--output", "{missing}/x.json"],
+    ["profile", "--csv", "{missing}/x.csv", "--output", "{tmp}/out.json"],
+], ids=["output", "csv"])
+def test_an_unwritable_output_exits_2(tmp_path, capsys, argv):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(fixtures.bouquet().to_json()))
+    argv = [a.format(missing=tmp_path / "no-such-dir", tmp=tmp_path) for a in argv]
+    assert run([*argv, "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output:") and "no-such-dir" in err
+    assert not (tmp_path / "out.json").exists()  # the CSV failed before the JSON
 
 
 # each subcommand's required arguments, and the shared flags it does not read

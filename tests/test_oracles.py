@@ -75,22 +75,22 @@ def test_grid_agreement_random():
 
 
 def test_grid_is_solved_in_slices_of_bounded_size(monkeypatch):
-    # 2000 members fill many at_many slices; no stack may be larger than
-    # one, and the counts are those of one stacked solve.  Below
-    # GRID_SOLVE_DIM the members are counted, with no eigvalsh call; at dim
-    # 41 (about a hundred slices) each slice is one eigvalsh call
+    # 2000 members fill many slices; no stack may be larger than one, and
+    # the counts are those of one stacked solve.  Below GRID_SOLVE_DIM the
+    # members are counted, with no eigvalsh call; at dim 41 (about a
+    # hundred slices) each slice is one eigvalsh call
     thetas = np.linspace(0.0, TWO_PI, 2000, endpoint=False).tolist()
-    at_many, eigvalsh = QuadraticPencil.at_many, np.linalg.eigvalsh
+    members, eigvalsh = oracles._grid_members, np.linalg.eigvalsh
     for dim in (GRID_SOLVE_DIM - 1, 41):
         p = fixtures.random_pencil(np.random.default_rng(41), dim)
         thr = TOL_EIG * p.scale()
-        w = eigvalsh(at_many(p, thetas))
+        w = eigvalsh(p.at_many(thetas))
         plus, minus = np.sum(w > thr, axis=1), np.sum(w < -thr, axis=1)
         expected = [InertiaTriple(a, b, dim - a - b) for a, b in zip(plus.tolist(), minus.tolist())]
         sizes, solves = [], []
 
-        def recorded(self, thetas):
-            stack = at_many(self, thetas)
+        def recorded(p, c, s):
+            stack = members(p, c, s)
             sizes.append(stack.size)
             return stack
 
@@ -98,13 +98,28 @@ def test_grid_is_solved_in_slices_of_bounded_size(monkeypatch):
             solves.append(len(a))
             return eigvalsh(a)
 
-        monkeypatch.setattr(QuadraticPencil, "at_many", recorded)
+        monkeypatch.setattr(oracles, "_grid_members", recorded)
         monkeypatch.setattr(np.linalg, "eigvalsh", solve)
         grid = grid_index_profile(p, grid_n=2000)
         monkeypatch.undo()
         assert len(sizes) > 1 and max(sizes) <= AT_MANY_SLICE
         assert solves == ([] if dim < GRID_SOLVE_DIM else [size // (dim * dim) for size in sizes])
         assert list(grid.triples) == expected
+
+
+def test_grid_members_equal_at_bitwise():
+    # the grid builds its stacks itself, from math.cos and math.sin as at() does
+    rng = np.random.default_rng(65)
+    thetas = np.linspace(0.0, TWO_PI, 37, endpoint=False).tolist()
+    c = np.array([math.cos(t) for t in thetas])
+    s = np.array([math.sin(t) for t in thetas])
+    tiny = fixtures.random_pencil(rng, 7)
+    for p in [fixtures.bouquet(), extremal_family(5), fixtures.random_pencil(rng, 9),
+              QuadraticPencil(tiny.q0 * 2.0 ** -1060, tiny.q1 * 2.0 ** -1060)]:
+        a = oracles._grid_members(p, c, s)
+        assert a.shape == (p.dim, p.dim, len(thetas))
+        for i, t in enumerate(thetas):
+            assert a[:, :, i].tobytes() == p.at(t).tobytes(), (p.dim, t)
 
 
 def test_grid_agreement_fixtures():
@@ -172,13 +187,13 @@ def test_grid_solves_each_direction_once_and_equals_the_per_angle_solve(monkeypa
                *_counted_path_pencils(np.random.default_rng(7)),
                fixtures.kronecker_pair(2, 3, rng), fixtures.kronecker_pair(1, 4, rng)]
     solved = []
-    at_many = QuadraticPencil.at_many
+    members = oracles._grid_members
 
-    def recorded(self, thetas):
-        solved.append(len(thetas))
-        return at_many(self, thetas)
+    def recorded(p, c, s):
+        solved.append(len(c))
+        return members(p, c, s)
 
-    monkeypatch.setattr(QuadraticPencil, "at_many", recorded)
+    monkeypatch.setattr(oracles, "_grid_members", recorded)
     odd = pencils[:8] + pencils[-4:]
     for grid_n, cases in ((720, pencils), (1999, odd)):
         for p in cases:
@@ -586,6 +601,38 @@ def test_grid_check_equals_the_per_angle_rules(cone):
         profile = analyze(p, cone).filtration.profile
         for grid_n in (720, 1999):
             assert _checked(profile, grid_index_profile(p, grid_n=grid_n)) == []
+
+
+def test_the_verify_grid_check_flags_the_angles_of_the_public_one():
+    # verify_analysis keeps the grid's counts in arrays (_grid_check); the
+    # public entry points build a GridProfile and read it back, and both
+    # must flag the same angles, at even and odd resolutions
+    rng = np.random.default_rng(64)
+    pencils = [make() for make in FIXTURE_PENCILS]
+    pencils += [fixtures.random_pencil(rng, dim) for dim in range(3, 18)]
+    sector = omega_set(PlanarCone.sector(0.3, 1.9))
+    for p in pencils:
+        for domain in (FULL_CIRCLE, sector):
+            profile = index_profile(p, domain)
+            # the longest held arc's triple moved by one eigenvalue
+            cuts = profile.cuts
+            if cuts:
+                ends = [*cuts[1:], cuts[0] + TWO_PI]
+                k = max((i for i, v in enumerate(profile.after) if v is not None),
+                        key=lambda i: ends[i] - cuts[i])
+                corrupted = replace(profile, after=_corrupted(profile.after, k))
+            else:
+                corrupted = replace(profile, whole=_corrupted((profile.whole,), 0)[0])
+            variants = [profile, IndexProfile(domain), corrupted]
+            for grid_n in (720, 1999):
+                grid = grid_index_profile(p, grid_n=grid_n)
+                for i, prof in enumerate(variants):
+                    resolution, bad = oracles._grid_check(prof, p, grid_n)
+                    public = grid_profile_disagreements(prof, grid)
+                    assert resolution == grid.resolution
+                    assert bad.tolist() == public, (p.dim, i, grid_n)
+                    # only the true profile agrees with the grid
+                    assert (public == []) == (i == 0), (p.dim, i, grid_n)
 
 
 def test_grid_check_reads_a_tuple_built_grid():

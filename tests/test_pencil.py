@@ -608,11 +608,12 @@ def test_spectral_norm_equals_numpy_norm_bitwise():
 
 
 def _eigvals_root_angles(a, b):
-    """The reference for _qz_root_angles: the same reading of scipy.linalg.eigvals."""
+    """The reference for _qz_root_angles: the same reading of scipy.linalg.eigvals,
+    one root at a time."""
     alpha, beta = scipy.linalg.eigvals(a, -b, homogeneous_eigvals=True)
     angles, nonreal = [], 0
     for al, be in zip(alpha.tolist(), beta.real.tolist()):
-        if pencil._is_real(al, be):
+        if abs(al.imag) <= pencil.IMAG_TOL * (abs(be) + abs(al.real)):
             angles.append(math.atan2(al.real, be))
         else:
             nonreal += 1

@@ -33,9 +33,11 @@ def test_cold_start_runs():
 
 
 def test_grid_timing_runs():
-    proc = _run_script("grid_timing.py", "--dims", "2-3", "--repeat", "1", "--rounds", "2",
+    proc = _run_script("grid_timing.py", "--dims", "2-5", "--repeat", "1", "--rounds", "2",
                        "--src", str(ROOT / "src"), "--solve-dim", "2")
     assert proc.returncode == 0, proc.stderr
     rows = proc.stdout.splitlines()
-    assert rows[0].split()[:2] == ["dim", "random"]
-    assert [row.split()[0] for row in rows[1:]] == ["2", "3"]
+    assert rows[0].split()[:2] == ["dim", "random"] and "verify random" in rows[0]
+    assert [row.split()[0] for row in rows[1:]] == ["2", "3", "4", "5"]
+    # verify is timed from dim 5, where the sampling oracle does not run
+    assert "nan" in rows[3] and "nan" not in rows[4]

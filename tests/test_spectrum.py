@@ -1,4 +1,4 @@
-"""The batched, memoized evaluation of a family's spectrum.
+"""The batched evaluation of a family's spectrum.
 
 Stacked LAPACK calls solve each matrix of a stack on its own, so every
 result must equal the one-angle-at-a-time computation bit for bit.  The
@@ -21,9 +21,9 @@ from quadrics.oracles import stiefel_whitney
 from quadrics.pencil import (
     TOL_EIG,
     DegenerateLocus,
-    FamilySpectrum,
     QuadraticPencil,
     degenerate_locus,
+    family_inertia,
     inertia,
     lapack,
 )
@@ -127,7 +127,7 @@ SCALES = (1e150, 1e-150, 1e200, 1e-200)
 
 
 def _count_path_pencils():
-    """Pencils at and past COUNT_DIM, which FamilySpectrum counts by Sturm."""
+    """Pencils at and past COUNT_DIM, which family_inertia counts by Sturm."""
     rng = np.random.default_rng(16)
     dim = pencil.COUNT_DIM
     big = fixtures.random_pencil(rng, dim + 7)
@@ -150,16 +150,16 @@ def test_stacked_inertia_matches_per_angle():
              _on_threshold_pencil(4), QuadraticPencil(np.zeros((3, 3)), np.zeros((3, 3)))]
     for p in small + _count_path_pencils():
         scale = p.scale()
-        spectrum = FamilySpectrum(p, scale)
-        spectrum.prefetch(thetas[:25])
-        for th in thetas:
-            assert spectrum(th) == inertia(p.at(th), scale=scale), (p.dim, th)
+        # the first 25 angles in one stack, the rest one per call
+        values = family_inertia(p, thetas[:25], scale)
+        values += [v for th in thetas[25:] for v in family_inertia(p, [th], scale)]
+        for th, v in zip(thetas, values, strict=True):
+            assert v == inertia(p.at(th), scale=scale), (p.dim, th)
     # the counts do not depend on the pencil's scale
     big = _count_path_pencils()[1]
-    reference = FamilySpectrum(big, big.scale())
+    reference = family_inertia(big, thetas, big.scale())
     for f in SCALES:
-        spectrum = FamilySpectrum(_scaled(big, f), big.scale() * f)
-        assert [spectrum(th) for th in thetas] == [reference(th) for th in thetas], f
+        assert family_inertia(_scaled(big, f), thetas, big.scale() * f) == reference, f
 
 
 def test_stacked_and_per_angle_inertia_fail_alike(monkeypatch):
@@ -171,14 +171,15 @@ def test_stacked_and_per_angle_inertia_fail_alike(monkeypatch):
     with pytest.raises(NumericalError) as single:
         inertia(p.at(0.3), scale=p.scale())
     with pytest.raises(NumericalError) as stacked:
-        FamilySpectrum(p, p.scale()).prefetch([0.3, 0.7])
+        family_inertia(p, [0.3, 0.7], p.scale())
     assert str(single.value) == str(stacked.value)
     assert str(single.value) == "eigenvalue solver failed: Eigenvalues did not converge"
 
 
 def test_spectrum_solves_each_angle_once(monkeypatch):
-    # members below COUNT_DIM are solved by stacked eigvalsh calls, larger ones
-    # by one dsytrd reduction each and no eigvalsh
+    # every angle given, a repeated one too, is solved once and in order:
+    # members below COUNT_DIM by one stacked eigvalsh call, larger ones by
+    # one dsytrd reduction each and no eigvalsh
     calls = []
     eigvalsh, dsytrd = np.linalg.eigvalsh, lapack.dsytrd
 
@@ -194,18 +195,16 @@ def test_spectrum_solves_each_angle_once(monkeypatch):
     monkeypatch.setattr(lapack, "dsytrd", counting_dsytrd)
     dim = pencil.COUNT_DIM
     for p, solves in [
-            (fixtures.bouquet(), [("eigvalsh", 2), ("eigvalsh", 1), ("eigvalsh", 1)]),
+            (fixtures.bouquet(), [("eigvalsh", 4)]),
             (fixtures.random_pencil(np.random.default_rng(9), dim), [("dsytrd", dim)] * 4)]:
         scale = p.scale()
-        reference = inertia(p.at(0.4), scale=scale)
+        thetas = [0.1, 0.2, 0.1, 0.4]
+        reference = [inertia(p.at(th), scale=scale) for th in thetas]
         calls.clear()
-        spectrum = FamilySpectrum(p, scale)
-        spectrum.prefetch([0.1, 0.2, 0.1])
-        first = [spectrum(0.1), spectrum(0.2)]
-        spectrum.prefetch([0.2, 0.3])
-        assert [spectrum(0.1), spectrum(0.2)] == first
-        assert spectrum(0.4) == spectrum(0.4) == reference
+        assert family_inertia(p, thetas, scale) == reference
         assert calls == solves, p.dim
+        calls.clear()
+        assert family_inertia(p, [], scale) == [] and calls == [], p.dim
 
 
 def test_a_failed_tridiagonal_reduction_is_a_numerical_error(monkeypatch):
@@ -217,7 +216,7 @@ def test_a_failed_tridiagonal_reduction_is_a_numerical_error(monkeypatch):
     monkeypatch.setattr(lapack, "dsytrd", failing)
     p = fixtures.random_pencil(np.random.default_rng(10), pencil.COUNT_DIM)
     with pytest.raises(NumericalError, match="tridiagonal reduction failed: dsytrd info 1"):
-        FamilySpectrum(p, p.scale()).prefetch([0.3, 0.7])
+        family_inertia(p, [0.3, 0.7], p.scale())
     with pytest.raises(NumericalError, match="dsytrd info 1"):
         index_profile(p, FULL)
     # below COUNT_DIM the profile makes no dsytrd call
