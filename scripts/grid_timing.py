@@ -18,6 +18,17 @@ its bound; that is how the bound's crossover was measured:
 
     python scripts/grid_timing.py                                 # this checkout
     python scripts/grid_timing.py --src OTHER/src --solve-dim 33  # against another
+
+With --profile the script times the pipeline's count path instead: the best
+of N full-circle index_profile calls per dim, the locus found once and
+given, with pencil.COUNT_DIM set so that family_inertia counts every member
+by its Sturm pass (on) or solves every member by eigvalsh (off), on
+random_pencil(default_rng(dim), dim), extremal_family(dim - 1) and a random
+tridiagonal pencil drawn next from the same generator.  The last columns are
+each class's time on over its time off; where they cross 1 is where
+COUNT_DIM belongs:
+
+    python scripts/grid_timing.py --profile --dims 8-40
 """
 
 from __future__ import annotations
@@ -35,12 +46,13 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKER = """
 import json, sys, time
 import numpy as np
-from quadrics import fixtures, oracles
+from quadrics import fixtures, oracles, pencil
 from quadrics.applications import extremal_family
 from quadrics.betti import analyze
-from quadrics.circle import PlanarCone
+from quadrics.circle import CircleSubset, PlanarCone
+from quadrics.filtration import index_profile
 
-dims, repeat, solve_dim = json.loads(sys.argv[1])
+dims, repeat, solve_dim, profile = json.loads(sys.argv[1])
 if solve_dim is not None:
     oracles.GRID_SOLVE_DIM = solve_dim
 
@@ -62,19 +74,48 @@ def verify_ms(p):
     result = analyze(p, PlanarCone.zero())
     return best_ms(lambda: oracles.verify_analysis(result))
 
-pencils = [(fixtures.random_pencil(np.random.default_rng(d), d), extremal_family(d - 1))
-           for d in dims]
-print(json.dumps([[*map(grid_ms, pair), *map(verify_ms, pair)] for pair in pencils]))
+def profile_ms(p):
+    # [count path on, off]: every dim counts from COUNT_DIM 0, none from maxsize
+    locus = pencil.degenerate_locus(p)
+    full = CircleSubset.full_circle()
+    times = []
+    for count_dim in (0, sys.maxsize):
+        pencil.COUNT_DIM = count_dim
+        times.append(best_ms(lambda: index_profile(p, full, locus)))
+    return times
+
+def tridiagonal_pencil(rng, dim):
+    forms = []
+    for _ in range(2):
+        sub = rng.standard_normal(dim - 1)
+        forms.append(np.diag(rng.standard_normal(dim)) + np.diag(sub, 1) + np.diag(sub, -1))
+    return pencil.QuadraticPencil(*forms)
+
+rows = []
+for d in dims:
+    rng = np.random.default_rng(d)
+    if profile:
+        ps = (fixtures.random_pencil(rng, d), extremal_family(d - 1), tridiagonal_pencil(rng, d))
+        rows.append([t for p in ps for t in profile_ms(p)])
+    else:
+        ps = (fixtures.random_pencil(rng, d), extremal_family(d - 1))
+        rows.append([*map(grid_ms, ps), *map(verify_ms, ps)])
+print(json.dumps(rows))
 """
 
 COLUMNS = ("random", "extremal", "verify random", "verify extremal")
+PROFILE_CLASSES = ("random", "extremal", "tridiagonal")
+PROFILE_COLUMNS = tuple(f"{c} {way}" for c in PROFILE_CLASSES for way in ("on", "off"))
 
 
-def _times(src: str, solve_dim: int | None, dims: list[int], repeat: int) -> list:
+def _times(src: str, solve_dim: int | None, dims: list[int], repeat: int,
+           profile: bool) -> list:
     """[the COLUMNS in ms] per dim, timed in a fresh interpreter: the grid on
-    the random and the extremal pencil, then verify_analysis on each."""
+    the random and the extremal pencil, then verify_analysis on each; with
+    profile, the PROFILE_COLUMNS instead."""
     env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
-    proc = subprocess.run([sys.executable, "-c", WORKER, json.dumps([dims, repeat, solve_dim])],
+    task = json.dumps([dims, repeat, solve_dim, profile])
+    proc = subprocess.run([sys.executable, "-c", WORKER, task],
                           capture_output=True, text=True, env=env, check=False)
     if proc.returncode != 0:
         raise SystemExit(f"{src}: timing exited {proc.returncode}:\n{proc.stderr}")
@@ -100,23 +141,33 @@ def main(argv=None) -> int:
     parser.add_argument("--src", help="another checkout's src directory to time as well")
     parser.add_argument("--solve-dim", type=int,
                         help="this tree's GRID_SOLVE_DIM for the run (default: its own)")
+    parser.add_argument("--profile", action="store_true",
+                        help="time full-circle index_profile with the count path on and off")
     args = parser.parse_args(argv)
     if args.repeat < 1 or args.rounds < 1:
         parser.error("--repeat and --rounds must be at least 1")
+    if args.profile and args.solve_dim is not None:
+        parser.error("--solve-dim sets the grid's bound, which --profile does not time")
 
     trees = [(os.path.join(ROOT, "src"), args.solve_dim)]
     trees += [(os.path.abspath(args.src), None)] if args.src else []
     best: list = [None] * len(trees)
     for r in range(args.rounds):
         for i in range(len(trees))[::1 if r % 2 == 0 else -1]:
-            times = np.array(_times(*trees[i], args.dims, args.repeat))
+            times = np.array(_times(*trees[i], args.dims, args.repeat, args.profile))
             best[i] = times if best[i] is None else np.minimum(best[i], times)
-    head = f"{'dim':>4}" + "".join(f" {c + ' ms':>18}" for c in COLUMNS)
+    columns = PROFILE_COLUMNS if args.profile else COLUMNS
+    head = f"{'dim':>4}" + "".join(f" {c + ' ms':>18}" for c in columns)
+    if args.profile:
+        head += "   on over off: " + " ".join(f"{c:>11}" for c in PROFILE_CLASSES)
     if args.src:
-        head += "   this over other: " + " ".join(f"{c:>15}" for c in COLUMNS)
+        head += "   this over other: " + " ".join(f"{c:>15}" for c in columns)
     print(head)
     for dim, here, *other in zip(args.dims, *best):
         line = f"{dim:>4}" + "".join(f" {t:>18.3f}" for t in here)
+        if args.profile:
+            ratios = (on / off for on, off in zip(here[::2], here[1::2]))
+            line += " " * 16 + " ".join(f"{r:>11.2f}" for r in ratios)
         if other:
             line += " " * 20 + " ".join(f"{t / o:>15.2f}" for t, o in zip(here, other[0]))
         print(line)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
 import math
 import re
@@ -33,7 +34,7 @@ from .circle import PlanarCone, omega_set
 from .errors import InvalidInputError, NumericalError, OracleDisagreement
 from .filtration import IndexProfile, filtration_for_cone, index_profile
 from .fixtures import NAMED_FIXTURES, cone_zero_problem
-from .oracles import MAX_ANGLES, grid_index_profile, verify_analysis
+from .oracles import MAX_ANGLES, _grid_counts, verify_analysis
 from .pencil import QuadraticPencil
 
 TWO_PI = 2.0 * math.pi
@@ -232,25 +233,28 @@ def _cmd_fixture(args) -> int:
     return 0
 
 
-def emit_profile_csv(profile: IndexProfile, path: str,
-                     grid=None) -> None:
-    """Write profile rows as CSV: theta, i_plus, i_minus, is_breakpoint."""
+def emit_profile_csv(profile: IndexProfile, path: str, grid=None) -> None:
+    """Write profile rows as CSV: theta, i_plus, i_minus, is_breakpoint.
+
+    grid, when given, is the (thetas, i_plus, i_minus) arrays of sampled
+    rows that oracles._grid_counts returns; they are merged by angle.
+    """
     rows = list(profile.rows())
     if grid is not None:
-        rows.extend((th, t.i_plus, t.i_minus, False)
-                    for th, t in zip(grid.thetas, grid.triples))
+        thetas, plus, minus = grid
+        rows.extend(zip(thetas.tolist(), plus.tolist(), minus.tolist(), itertools.repeat(False)))
         rows.sort(key=lambda r: r[0])
     with _open_for_writing(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["theta", "i_plus", "i_minus", "is_breakpoint"])
-        for theta, ip, im, is_bp in rows:
-            writer.writerow([f"{theta:.12f}", ip, im, str(is_bp).lower()])
+        writer.writerows([f"{theta:.12f}", ip, im, "true" if is_bp else "false"]
+                         for theta, ip, im, is_bp in rows)
 
 
 def _cmd_profile(args) -> int:
     pencil, cone, _ = load_problem(_read_input(args))
     profile = index_profile(pencil, omega_set(cone))
-    grid = grid_index_profile(pencil, grid_n=args.grid) if args.grid is not None else None
+    grid = _grid_counts(pencil, args.grid) if args.grid is not None else None
     emit_profile_csv(profile, args.csv, grid)
     _write_output(args, {
         "csv": args.csv,

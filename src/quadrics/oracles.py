@@ -11,12 +11,14 @@ tolerance at all.  Nothing here shares code paths with the combinatorial
 machinery it verifies.  The grid builds its stacks of members itself, as
 (dim, dim, k) arrays equal to QuadraticPencil.at bit for bit.  It counts
 members below GRID_SOLVE_DIM by a Householder reduction of its own and the
-Sturm pass that the pipeline runs only from COUNT_DIM up, so there it
-shares no solver with the pipeline; larger members it solves by eigvalsh,
-as the pipeline does below COUNT_DIM.  verify_analysis keeps the grid's
-counts in arrays from the solve to the comparison with the profile
-(_grid_check); grid_index_profile and grid_profile_disagreements put the
-same counts in and out of a GridProfile of triples.  The sampling and
+Sturm pass that the pipeline runs only from COUNT_DIM up, and solves larger
+members by eigvalsh, which the pipeline runs only below COUNT_DIM; with
+GRID_SOLVE_DIM <= COUNT_DIM the two share a solver at no dimension.
+verify_analysis keeps the grid's counts in arrays from the solve to the
+comparison with the profile (_grid_check), and the CLI's profile --grid
+writes them as they are (_grid_counts); grid_index_profile and
+grid_profile_disagreements put the same counts in and out of a GridProfile
+of triples.  The sampling and
 descent oracles import scipy.spatial and scipy.optimize on their first
 call, so importing this module does not load them.
 """
@@ -66,8 +68,9 @@ MAX_ANGLES = 1 << 20
 # 15 x 5 rounds, one OpenBLAS thread): random pencils 0.45-0.72 at dims 2-9,
 # 0.67-0.85 at 10-15, 0.90 at 16, 1.01 at 17 and 1.09-1.41 at 18-24;
 # diagonal members (extremal_family) 0.73-1.07 at dims 2-15 and 1.06-1.31 at
-# 16-20.  So the bound is 16, where both cross.  It must stay below
-# pencil.COUNT_DIM, from which the pipeline itself counts by the same pass
+# 16-20.  So the bound is 16, where both cross.  It must stay at most
+# pencil.COUNT_DIM, from which the pipeline itself counts by the same pass,
+# so that the grid never counts a dimension the way the pipeline does
 GRID_SOLVE_DIM = 16
 
 
@@ -204,46 +207,48 @@ def grid_index_profile(p: QuadraticPencil, grid_n: int = 720) -> GridProfile:
     return GridProfile(len(thetas), tuple(thetas.tolist()), triples)
 
 
-def _steps_at(cuts: tuple, at, after, whole, t: np.ndarray) -> np.ndarray:
-    """A step function on the circle at every canonical angle, by the rules
-    of circle._locate: at[i] within TOL_ANGLE of cuts[i], after[i] on the
-    open arc after it, whole with no cuts.  Each value is a scalar or a
-    triple."""
+def _cells(cuts: tuple, t: np.ndarray) -> np.ndarray:
+    """The cell of a step function on the circle holding each canonical
+    angle, by the rules of circle._locate: 2i within TOL_ANGLE of cuts[i],
+    2i + 1 on the open arc after it, and cell 0 for all with no cuts."""
     if not cuts:
-        return np.full((len(t), *np.shape(whole)), whole)
+        return np.zeros(len(t), dtype=np.intp)
     c = np.array(cuts)
     t = np.where(t >= TWO_PI - TOL_ANGLE, 0.0, t)
     i = np.searchsorted(c, t, side="right") - 1
     nxt = np.minimum(i + 1, len(c) - 1)
     on_cut = (i >= 0) & (t - c[i] <= TOL_ANGLE)
     on_next = ~on_cut & (i + 1 < len(c)) & (c[nxt] - t <= TOL_ANGLE)
-    i = np.where(on_next, nxt, i % len(c))
-    on_cut = (on_cut | on_next).reshape(-1, *[1] * np.ndim(whole))
-    return np.where(on_cut, np.asarray(at)[i], np.asarray(after)[i])
+    return np.where(on_next, 2 * nxt, 2 * (i % len(c)) + ~on_cut)
 
 
-def _disagreeing(profile: IndexProfile, thetas: np.ndarray,
-                 sampled: np.ndarray) -> np.ndarray:
+def _cell_values(cuts: tuple, at: tuple, after: tuple, whole) -> list:
+    """A step function's values, one per cell as _cells numbers them."""
+    return [v for pair in zip(at, after) for v in pair] if cuts else [whole]
+
+
+def _disagreeing(profile: IndexProfile, thetas: np.ndarray, sampled) -> np.ndarray:
     """The indices of the grid angles where the profile disagrees with the
-    sampled triples, one row of sampled per angle, by the rules of
-    grid_profile_disagreements."""
+    sampled counts, (i_plus, i_minus, i_zero) arrays with one entry per
+    angle, by the rules of grid_profile_disagreements."""
     t = thetas % TWO_PI
     t[t >= TWO_PI] = 0.0  # as canonical_angle
     dom = profile.domain
-    todo = _steps_at(dom.cuts, dom.at, dom.after, dom.full, t)
+    todo = np.array(_cell_values(dom.cuts, dom.at, dom.after, dom.full))[_cells(dom.cuts, t)]
     bps = np.sort(profile.breakpoint_angles())
     if len(bps):
         j = np.searchsorted(bps, t)
         near = np.minimum(abs((thetas - bps[j - 1] + PI) % TWO_PI - PI),
                           abs((thetas - bps[j % len(bps)] + PI) % TWO_PI - PI))
         todo &= near > CLUSTER_TOL
-
-    def triple(v):  # no value recorded: a triple no sample equals
-        return (-1, -1, -1) if v is None else v
-
-    recorded = _steps_at(profile.cuts, [*map(triple, profile.at)],
-                         [*map(triple, profile.after)], triple(profile.whole), t)
-    return np.flatnonzero(todo & np.any(recorded != sampled, axis=1))
+    # each count of each cell, -1 where no value is recorded: no sample equals it
+    values = _cell_values(profile.cuts, profile.at, profile.after, profile.whole)
+    recorded = np.array([(-1, -1, -1) if v is None else v for v in values]).T
+    cell = _cells(profile.cuts, t)
+    wrong = np.zeros(len(t), dtype=bool)
+    for counts, got in zip(recorded, sampled):
+        wrong |= counts[cell] != got
+    return np.flatnonzero(todo & wrong)
 
 
 def _grid_check(profile: IndexProfile, p: QuadraticPencil,
@@ -252,7 +257,7 @@ def _grid_check(profile: IndexProfile, p: QuadraticPencil,
     against grid_index_profile(p, grid_n), of resolution R, with the counts
     kept in arrays from the solve to the comparison."""
     thetas, plus, minus = _grid_counts(p, grid_n)
-    bad = _disagreeing(profile, thetas, np.stack((plus, minus, p.dim - plus - minus), 1))
+    bad = _disagreeing(profile, thetas, (plus, minus, p.dim - plus - minus))
     return len(thetas), thetas[bad]
 
 
@@ -271,7 +276,7 @@ def grid_profile_disagreements(profile: IndexProfile, grid: GridProfile) -> list
     """
     sampled = np.fromiter(chain.from_iterable(grid.triples), dtype=np.int64,
                           count=3 * len(grid.thetas)).reshape(-1, 3)
-    bad = _disagreeing(profile, np.array(grid.thetas, dtype=float), sampled)
+    bad = _disagreeing(profile, np.array(grid.thetas, dtype=float), sampled.T)
     return [grid.thetas[k] for k in bad]
 
 
@@ -736,10 +741,12 @@ def verify_analysis(result: AnalysisResult, *, grid_n: int = 720, seed: int = 0)
     """Run every applicable oracle against an analysis's answer.
 
     The pencil and cone are the result's own.  grid_n is the grid oracle's
-    resolution and seed drives the sampling oracle.  Raises
-    OracleDisagreement on any mismatch; otherwise returns a summary of what
-    was checked.
+    resolution and seed, a non-negative integer whether or not the sampling
+    oracle runs, drives that oracle.  Raises OracleDisagreement on any
+    mismatch; otherwise returns a summary of what was checked.
     """
+    if seed < 0:  # numpy's generators take none, and only n <= 3 would reach one
+        raise InvalidInputError(f"the oracle seed must be non-negative, not {seed}")
     filt = result.filtration
     p = filt.pencil
     out: dict = {}

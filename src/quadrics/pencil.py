@@ -70,16 +70,17 @@ IMAG_TOL = 1e-6
 # products of a slice stay in cache; a 720 x 6 x 6 grid is one slice
 AT_MANY_SLICE = 1 << 15
 # family_inertia counts the inertia of members of at least this dimension by
-# a Sturm pass on their tridiagonal reduction (_sturm_inertia), building and
-# reducing one member at a time, and solves smaller ones by eigvalsh on their
-# stack.  Full-circle index_profile time, count over eigvalsh, one OpenBLAS
-# thread: random pencils 1.02-1.08 at dims 11-14, 0.91-0.94 at 15-17,
-# 0.75-0.86 at 18-23 and 0.57-0.80 at 24-32; diagonal members
-# (extremal_family) 1.2-1.8 at dims 11-24, 0.64-1.2 at 25-32, where numpy's
-# eigvalsh reduces unblocked and skips their zero reflectors, and 0.3 from
-# dim 33 on.  So this bound stays at 24: at 16, random pencils of dims 16-23
-# would gain 7-25% and extremal_family(20) would lose about a third
-COUNT_DIM = 24
+# a Sturm pass on their tridiagonal form (_sturm_inertia), and solves smaller
+# ones by eigvalsh on their stack.  Full-circle index_profile time, the locus
+# given, count over eigvalsh (scripts/grid_timing.py --profile, best of 30 x
+# 5 rounds, one OpenBLAS thread): random pencils 1.04-1.40 at dims 10-13,
+# 0.85-0.92 at 14-15, 0.57-0.75 at 16-23 and 0.40-0.62 at 24-40; diagonal
+# members (extremal_family), which _tridiagonal reads without a reduction,
+# 0.74-1.35 at dims 10-15, 0.45-0.98 at 16-23 and 0.07-0.59 at 24-40; random
+# tridiagonal pencils 0.36-0.65 at dims 11-15 and 0.05-0.54 from 16.  Random
+# pencils cross at 14, but the bound may not go below oracles.GRID_SOLVE_DIM,
+# under which the grid oracle counts by the same pass; so it is 16
+COUNT_DIM = 16
 _SAFMIN = float(np.finfo(float).tiny)
 # a pencil's entries are at most ENTRY_BOUND / dim in magnitude.  A form's
 # spectral norm is at most dim times its largest entry, so every form and
@@ -308,15 +309,35 @@ def _members(p: QuadraticPencil, thetas):
         yield member
 
 
+def _is_tridiagonal(q: np.ndarray) -> bool:
+    """Whether a symmetric matrix is zero off its three middle diagonals:
+    all its nonzeros lie on its diagonal and its two equal off-diagonals."""
+    band = np.count_nonzero(np.diagonal(q)) + 2 * np.count_nonzero(np.diagonal(q, 1))
+    return np.count_nonzero(q) == band
+
+
 def _tridiagonal(p: QuadraticPencil, thetas) -> tuple[np.ndarray, np.ndarray]:
     """(d, e): the diagonals and subdiagonals, one row per angle, of the
     tridiagonal matrices LAPACK's dsytrd reduces the members to.
 
-    Members are built one at a time (_members) and reduced in place, so
-    memory holds one member, not a stack: the rows are the ones dsytrd
-    gives each member of p.at_many(thetas), bit for bit.
+    When both forms are tridiagonal, so is every member, and dsytrd leaves
+    it as it is: each column's part below the subdiagonal is zero, so dlarfg
+    gives tau = 0 and the reflector is the identity.  The rows are then the
+    members' own diagonals and subdiagonals, formed for every angle at once
+    with the products and sums at() forms.  Otherwise members are built one
+    at a time (_members) and reduced in place, so memory holds one member,
+    not a stack.  Either way the rows are the ones dsytrd gives each member
+    of p.at_many(thetas), bit for bit.
     """
     k, dim = len(thetas), p.dim
+    if _is_tridiagonal(p.q0) and _is_tridiagonal(p.q1):
+        c = np.fromiter(map(math.cos, thetas), float, k)[:, None]
+        s = np.fromiter(map(math.sin, thetas), float, k)[:, None]
+        d = c * np.diagonal(p.q0)
+        d += s * np.diagonal(p.q1)
+        e = c * np.diagonal(p.q0, -1)
+        e += s * np.diagonal(p.q1, -1)
+        return d, e
     d = np.empty((k, dim))
     e = np.empty((k, dim - 1))
     for i, m in enumerate(_members(p, thetas)):
@@ -375,14 +396,16 @@ def _sturm_inertia(p: QuadraticPencil, thetas, scale: float,
     """(i_plus, i_minus) of the family's member at every angle.
 
     _tridiagonal reduces each member to a tridiagonal matrix T with the
-    same eigenvalues, and _sturm_pass counts them at +-thr, with d, e and
-    thr divided by scale so that e^2 cannot overflow.
+    same eigenvalues, or reads it when the pencil is tridiagonal, and
+    _sturm_pass counts them at +-thr, with d, e and thr divided by scale so
+    that e^2 cannot overflow.
 
     Memory is O(k * dim) for k angles, not O(k * dim^2): the full-circle
     profile of extremal_family(255) counts 768 members of dim 256, and
-    analyze on it peaks at 8.1 MB under tracemalloc and takes 58 ms, where
-    reducing one at_many stack peaked at 209 MB and took 145-160 ms (one
-    OpenBLAS thread, 2-core x86-64 host).
+    analyze on it peaks at 9.2 MB under tracemalloc and takes 10 ms, its
+    diagonal members read without a reduction; one dsytrd call per member
+    took 44 ms, and reducing one at_many stack peaked at 209 MB and took
+    145-160 ms (one OpenBLAS thread, 2-core x86-64 host).
     """
     d, e = _tridiagonal(p, thetas)
     if scale > 0.0:

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 from quadrics import fixtures
+from quadrics.applications import extremal_family
 from quadrics.cli import run
 
 PI = math.pi
@@ -254,10 +255,14 @@ def test_non_finite_input_exit_code(tmp_path, capsys, command, q0, c):
     (["betti-x", "--tol", "1e-9"], {}),  # tolerances are not options
     (["extremal", "--n", "1024"], {}),  # rejected before any allocation
     (["betti-x"], {"smooth": "false"}),  # a string, which bool() reads as true
+    (["verify", "--seed", "-1"], {}),  # the sampling oracle runs at n = 3
+    (["betti-x", "--verify", "--seed", "-1"], {}),
+    (["verify", "--seed", "-1"], extremal_family(5).to_json()),  # and not at n = 5
 ], ids=["n-string", "n-fraction", "q0-string", "q0-ragged", "cone-list", "generator-short",
         "generator-strings", "member-c", "level-set-c", "directions-negative",
         "directions-zero", "directions-huge", "theta-inf", "theta-nan", "verify-grid",
-        "verify-grid-huge", "profile-grid", "tol", "extremal-n-huge", "smooth-string"])
+        "verify-grid-huge", "profile-grid", "tol", "extremal-n-huge", "smooth-string",
+        "verify-seed", "betti-x-verify-seed", "verify-seed-n5"])
 def test_malformed_input_exits_2(tmp_path, capsys, argv, override):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps({**fixtures.bouquet().to_json(), **override}))

@@ -17,7 +17,7 @@ from quadrics.betti import analyze
 from quadrics.circle import CircleSubset, PlanarCone, omega_set
 from quadrics.errors import NumericalError
 from quadrics.filtration import index_profile
-from quadrics.oracles import stiefel_whitney
+from quadrics.oracles import GRID_SOLVE_DIM, stiefel_whitney
 from quadrics.pencil import (
     TOL_EIG,
     DegenerateLocus,
@@ -286,6 +286,88 @@ def test_streamed_tridiagonals_equal_the_stacked_reduction():
                 _, ds, es, _, info = lapack.dsytrd(m.T, lower=1, overwrite_a=1)
                 assert info == 0
                 assert (d[i].tobytes(), e[i].tobytes()) == (ds.tobytes(), es.tobytes()), dim
+
+
+def _tridiagonal_pencil(rng, dim: int) -> QuadraticPencil:
+    forms = []
+    for _ in range(2):
+        sub = rng.standard_normal(dim - 1)
+        forms.append(np.diag(rng.standard_normal(dim)) + np.diag(sub, 1) + np.diag(sub, -1))
+    return QuadraticPencil(*forms)
+
+
+def _dsytrd_rows(p: QuadraticPencil, thetas) -> tuple[bytes, bytes]:
+    """The rows dsytrd gives each member, as bytes."""
+    d = np.empty((len(thetas), p.dim))
+    e = np.empty((len(thetas), p.dim - 1))
+    for i, m in enumerate(p.at_many(thetas)):
+        _, d[i], e[i], _, info = lapack.dsytrd(m.T, lower=1, overwrite_a=1)
+        assert info == 0
+    return d.tobytes(), e.tobytes()
+
+
+def _counting_dsytrd(monkeypatch) -> list:
+    """Patch lapack.dsytrd to record each call; returns the record."""
+    calls = []
+    dsytrd = lapack.dsytrd
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a)[0])
+        return dsytrd(a, *args, **kwargs)
+
+    monkeypatch.setattr(lapack, "dsytrd", counting)
+    return calls
+
+
+def test_tridiagonal_pencils_are_read_without_a_reduction(monkeypatch):
+    # both forms tridiagonal: _tridiagonal reads every member's rows, with no
+    # dsytrd call, and they are dsytrd's bit for bit, at dims on both sides
+    # of LAPACK's blocked reduction; the counts are per-angle inertia()'s
+    rng = np.random.default_rng(31)
+    square = fixtures.complex_squaring()
+    dim = pencil.COUNT_DIM
+    pencils = [extremal_family(n) for n in (*range(dim - 1, dim + 4), 127)]
+    pencils += [QuadraticPencil(np.kron(np.eye(k), square.q0), np.kron(np.eye(k), square.q1))
+                for k in (dim // 2, 20, 65)]
+    pencils += [_tridiagonal_pencil(rng, d) for d in (16, 17, 31, 32, 33, 64, 65, 129, 200)]
+    pencils += [_scaled(pencils[-1], 1e-200), _scaled(pencils[-3], 1e200)]
+    for p in pencils:
+        thetas = [0.0, math.pi / 2, math.pi, 4.0, *rng.uniform(0.0, TWO_PI, 12).tolist()]
+        thetas += [r + t for r in degenerate_locus(p).angles[:8] for t in (0.0, 1e-9)]
+        reference = _dsytrd_rows(p, thetas)
+        scale = p.scale()
+        per_angle = [inertia(p.at(th), scale=scale) for th in thetas]
+        calls = _counting_dsytrd(monkeypatch)
+        d, e = pencil._tridiagonal(p, thetas)
+        assert (d.tobytes(), e.tobytes()) == reference, p.dim
+        assert family_inertia(p, thetas, scale) == per_angle, p.dim
+        assert calls == [], p.dim
+        monkeypatch.undo()
+
+
+def test_a_pencil_tridiagonal_in_one_form_is_reduced_member_by_member(monkeypatch):
+    rng = np.random.default_rng(32)
+    dim = pencil.COUNT_DIM + 1
+    band = _tridiagonal_pencil(rng, dim)
+    dense = fixtures.random_pencil(rng, dim)
+    thetas = [0.0, 0.3, 2.0, math.pi, 5.0]
+    for p in (dense, QuadraticPencil(band.q0, dense.q1), QuadraticPencil(dense.q0, band.q1),
+              QuadraticPencil(np.diag(np.diag(band.q0)), dense.q1)):
+        reference = _dsytrd_rows(p, thetas)
+        scale = p.scale()
+        per_angle = [inertia(p.at(th), scale=scale) for th in thetas]
+        calls = _counting_dsytrd(monkeypatch)
+        d, e = pencil._tridiagonal(p, thetas)
+        assert calls == [dim] * len(thetas)
+        assert (d.tobytes(), e.tobytes()) == reference
+        assert family_inertia(p, thetas, scale) == per_angle
+        monkeypatch.undo()
+
+
+def test_the_pipeline_counts_from_where_the_grid_solves():
+    # the grid oracle counts by the Sturm pass below GRID_SOLVE_DIM, the
+    # pipeline from COUNT_DIM up: the two splits must not overlap
+    assert GRID_SOLVE_DIM <= pencil.COUNT_DIM
 
 
 def test_the_count_path_holds_one_member_at_a_time():
