@@ -8,12 +8,10 @@ eigenspace around the circle.  Exact integer arithmetic on the stored
 doubles gives the inertia of a member (exact_inertia) and the real and
 non-real root counts of the determinant (exact_locus_counts), with no
 tolerance at all.  Nothing here shares code paths with the combinatorial
-machinery it verifies.  The grid builds its stacks of members itself, as
-(dim, dim, k) arrays equal to QuadraticPencil.at bit for bit.  It counts
-members below GRID_SOLVE_DIM by a Householder reduction of its own and the
-Sturm pass that the pipeline runs only from COUNT_DIM up, and solves larger
-members by eigvalsh, which the pipeline runs only below COUNT_DIM; with
-GRID_SOLVE_DIM <= COUNT_DIM the two share a solver at no dimension.
+machinery it verifies but the grid's counts: they take its zero band and
+Sturm pass, below pencil.COUNT_DIM after a Householder reduction of their
+own and from there up by the profile's own counter.  The references for a
+count are inertia() and the exact oracle.
 verify_analysis keeps the grid's counts in arrays from the solve to the
 comparison with the profile (_grid_check), and the CLI's profile --grid
 writes them as they are (_grid_counts); grid_index_profile and
@@ -37,6 +35,7 @@ from .applications import LevelProblem
 from .betti import AnalysisResult
 from .circle import TOL_ANGLE, PlanarCone
 from .errors import InvalidInputError, NumericalError, OracleDisagreement
+from . import pencil
 from .filtration import FiltrationReport, IndexProfile
 from .pencil import (
     AT_MANY_SLICE,
@@ -57,21 +56,16 @@ TWO_PI = 2.0 * math.pi
 MEMBERSHIP_DELTA = 5e-3
 # absolute residual scale below which a descent iterate counts as a witness
 FEAS_TOL = 1e-6
+# sampling draws up to SAMPLE_BATCHES batches of SAMPLE_BATCH points; descent
+# runs DESCENT_STARTS + 2 * dim starts, its margin SUPPORT_DIRECTIONS angles
+SAMPLE_BATCHES = 120
+SAMPLE_BATCH = 200_000
+DESCENT_STARTS = 6
+SUPPORT_DIRECTIONS = 1024
 # the largest grid_n the grid oracle takes, and the largest support
 # --directions of the CLI: a billion would ask numpy for gigabytes before
 # anything is solved, and README's dim-256 grid example uses 20000
 MAX_ANGLES = 1 << 20
-# grid_index_profile counts the inertia of members below this dimension by
-# reducing each stack to tridiagonal form and running a Sturm pass on it
-# (_counted_inertia), and solves larger ones by eigvalsh on the stack.  Grid
-# time at 720 angles, count over eigvalsh (scripts/grid_timing.py, best of
-# 15 x 5 rounds, one OpenBLAS thread): random pencils 0.45-0.72 at dims 2-9,
-# 0.67-0.85 at 10-15, 0.90 at 16, 1.01 at 17 and 1.09-1.41 at 18-24;
-# diagonal members (extremal_family) 0.73-1.07 at dims 2-15 and 1.06-1.31 at
-# 16-20.  So the bound is 16, where both cross.  It must stay at most
-# pencil.COUNT_DIM, from which the pipeline itself counts by the same pass,
-# so that the grid never counts a dimension the way the pipeline does
-GRID_SOLVE_DIM = 16
 
 
 @dataclass(frozen=True)
@@ -141,14 +135,6 @@ def _counted_inertia(a: np.ndarray, scale: float,
     return _sturm_pass(*_tridiagonal_stack(a), math.ldexp(thr, -exp))
 
 
-def _solved_inertia(a: np.ndarray, scale: float,
-                    thr: float) -> tuple[np.ndarray, np.ndarray]:
-    """(i_plus, i_minus) of every member of a (dim, dim, k) stack, by one
-    eigvalsh call."""
-    w = _lapack(np.linalg.eigvalsh, a.transpose(2, 0, 1))
-    return np.count_nonzero(w > thr, axis=1), np.count_nonzero(w < -thr, axis=1)
-
-
 def _grid_members(p: QuadraticPencil, c: np.ndarray, s: np.ndarray) -> np.ndarray:
     """The members c[i] Q0 + s[i] Q1 as a (dim, dim, k) stack, member i in
     a[:, :, i]: the products and sums QuadraticPencil.at forms, so with c
@@ -161,22 +147,27 @@ def _grid_members(p: QuadraticPencil, c: np.ndarray, s: np.ndarray) -> np.ndarra
 def _grid_counts(p: QuadraticPencil, grid_n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(thetas, i_plus, i_minus) at the grid's angles, as arrays: the grid
     that grid_index_profile describes."""
-    if not 4 <= grid_n <= MAX_ANGLES:
+    if isinstance(grid_n, bool) or not isinstance(grid_n, int) or not 4 <= grid_n <= MAX_ANGLES:
         raise InvalidInputError(
-            f"the oracle grid needs 4 to {MAX_ANGLES} angles, not {grid_n}")
+            f"the oracle grid needs 4 to {MAX_ANGLES} angles, not {grid_n!r}")
     dim = p.dim
     resolution = max(grid_n, 4 * dim)
     scale = p.scale()
     thr = TOL_EIG * scale
     thetas = np.linspace(0.0, TWO_PI, resolution, endpoint=False)
     solved = (thetas[:resolution // 2] if resolution % 2 == 0 else thetas).tolist()
-    c = np.fromiter(map(math.cos, solved), float, len(solved))
-    s = np.fromiter(map(math.sin, solved), float, len(solved))
-    step = max(1, AT_MANY_SLICE // (dim * dim))
-    count = _counted_inertia if dim < GRID_SOLVE_DIM else _solved_inertia
-    plus, minus = map(np.concatenate, zip(*(
-        count(_grid_members(p, c[lo:lo + step], s[lo:lo + step]), scale, thr)
-        for lo in range(0, len(solved), step))))
+    if dim >= pencil.COUNT_DIM:
+        # the profile's counter holds O(k * dim) numbers for k members
+        step = max(1, AT_MANY_SLICE // dim)
+        parts = (pencil._sturm_inertia(p, solved[lo:lo + step], scale, thr)
+                 for lo in range(0, len(solved), step))
+    else:
+        c = np.fromiter(map(math.cos, solved), float, len(solved))
+        s = np.fromiter(map(math.sin, solved), float, len(solved))
+        step = max(1, AT_MANY_SLICE // (dim * dim))
+        parts = (_counted_inertia(_grid_members(p, c[lo:lo + step], s[lo:lo + step]), scale, thr)
+                 for lo in range(0, len(solved), step))
+    plus, minus = map(np.concatenate, zip(*parts))
     if len(solved) < resolution:
         plus, minus = np.concatenate((plus, minus)), np.concatenate((minus, plus))
     return thetas, plus, minus
@@ -185,21 +176,18 @@ def _grid_counts(p: QuadraticPencil, grid_n: int) -> tuple[np.ndarray, np.ndarra
 def grid_index_profile(p: QuadraticPencil, grid_n: int = 720) -> GridProfile:
     """Sample the inertia of the family at a uniform angular grid.
 
-    The resolution R is the larger of grid_n and 4 * dim; a grid_n below 4
-    or above MAX_ANGLES is InvalidInputError.  M(theta + pi) = -M(theta), so
+    The resolution R is the larger of grid_n and 4 * dim; a grid_n that is
+    not an int from 4 to MAX_ANGLES is InvalidInputError.  M(theta + pi) = -M(theta), so
     i_plus and i_minus swap at antipodes.  When R is even, grid angle
     i + R/2 is theta_i + pi to within an ulp, and only angles 0 .. R/2 - 1
     are solved: the other half takes their counts swapped.  An odd R has no
-    antipodal pairs and is solved in full.  The solved angles go in stacks
-    of at most AT_MANY_SLICE entries, as at_many fills its own, so no stack
-    grows with the resolution; only the counts of every member are kept.
-    Each member equals QuadraticPencil.at bit for bit (_grid_members).
+    antipodal pairs and is solved in full.  Only the counts are kept.
 
-    Members below GRID_SOLVE_DIM are reduced to tridiagonal form a stack at
-    a time and counted at +-TOL_EIG * scale by a Sturm pass
-    (_counted_inertia); larger ones are solved by one eigvalsh call per
-    stack.  The counts equal those of per-angle inertia() on every fixture,
-    random, extremal and shared-kernel pencil the tests run.
+    Members below pencil.COUNT_DIM go in stacks of at most AT_MANY_SLICE
+    entries, each member at() bit for bit (_grid_members), and are counted
+    at +-TOL_EIG * scale by _counted_inertia; from COUNT_DIM up,
+    AT_MANY_SLICE // dim at a time, by the profile's pencil._sturm_inertia.
+    The counts equal per-angle inertia()'s on every pencil the tests run.
     """
     thetas, plus, minus = _grid_counts(p, grid_n)
     triples = tuple(map(shared_triple, plus.tolist(), minus.tolist(),
@@ -322,8 +310,7 @@ class _DisjointSet:
 
 
 def sample_components(p: QuadraticPencil, cone: PlanarCone, space: str,
-                      seed: int = 0, target: int = 900, max_batches: int = 120,
-                      batch: int = 200_000) -> int:
+                      seed: int = 0, target: int = 900) -> int:
     """Connected components of the solution set, recovered from point samples.
 
     Accepts sphere points whose image lies within a thin band around the
@@ -345,8 +332,8 @@ def sample_components(p: QuadraticPencil, cone: PlanarCone, space: str,
     rng = np.random.default_rng(seed)
     accepted: list[np.ndarray] = []
     total = 0
-    for step in range(max_batches):
-        x = rng.standard_normal((batch, dim))
+    for step in range(SAMPLE_BATCHES):
+        x = rng.standard_normal((SAMPLE_BATCH, dim))
         x /= np.linalg.norm(x, axis=1, keepdims=True)
         y0 = np.einsum("ij,jk,ik->i", x, p.q0, x)
         y1 = np.einsum("ij,jk,ik->i", x, p.q1, x)
@@ -408,7 +395,7 @@ class FeasibilitySample:
     residual: float
 
 
-def _support_margin(problem: LevelProblem, directions: int = 1024) -> float:
+def _support_margin(problem: LevelProblem) -> float:
     """Signed slack of c against the supporting halfplanes of the image.
 
     Positive margins mean every sampled supporting constraint holds strictly;
@@ -418,10 +405,10 @@ def _support_margin(problem: LevelProblem, directions: int = 1024) -> float:
     p = problem.pencil
     c = np.asarray(problem.c)
     scale = max(p.scale(), 1e-12)
-    thetas = np.linspace(0.0, TWO_PI, directions, endpoint=False)
+    thetas = np.linspace(0.0, TWO_PI, SUPPORT_DIRECTIONS, endpoint=False)
     cos = np.array([math.cos(t) for t in thetas])
     sin = np.array([math.sin(t) for t in thetas])
-    keep = np.ones(directions, dtype=bool)
+    keep = np.ones(SUPPORT_DIRECTIONS, dtype=bool)
     if problem.mode == "ineq":  # only directions in the nonpositive quadrant
         keep = (cos <= 1e-12) & (sin <= 1e-12)
     top = _lapack(np.linalg.eigvalsh, p.at_many(thetas[keep]))[:, -1]
@@ -430,8 +417,7 @@ def _support_margin(problem: LevelProblem, directions: int = 1024) -> float:
     return float(np.min(slack[supporting], initial=math.inf))
 
 
-def feasibility_sample(problem: LevelProblem, seed: int = 0,
-                       starts: int | None = None) -> FeasibilitySample:
+def feasibility_sample(problem: LevelProblem, seed: int = 0) -> FeasibilitySample:
     """Multi-start descent on the squared residual of the level problem.
 
     found is True when some run drives the residual below tolerance; the
@@ -445,7 +431,6 @@ def feasibility_sample(problem: LevelProblem, seed: int = 0,
     c = np.asarray(problem.c, dtype=float)
     dim = p.dim
     rng = np.random.default_rng(seed)
-    n_starts = starts if starts is not None else 6 + 2 * dim
     ineq = problem.mode == "ineq"
     tol = FEAS_TOL * max(1.0, float(np.linalg.norm(c)), p.scale())
 
@@ -461,7 +446,7 @@ def feasibility_sample(problem: LevelProblem, seed: int = 0,
 
     best_val = math.inf
     best_x = np.zeros(dim)
-    for k in range(n_starts):
+    for k in range(DESCENT_STARTS + 2 * dim):
         radius = (0.3, 1.0, 3.0)[k % 3]
         x0 = radius * rng.standard_normal(dim)
         res = minimize(objective, x0, jac=True, method="L-BFGS-B",
@@ -745,6 +730,8 @@ def verify_analysis(result: AnalysisResult, *, grid_n: int = 720, seed: int = 0)
     oracle runs, drives that oracle.  Raises OracleDisagreement on any
     mismatch; otherwise returns a summary of what was checked.
     """
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise InvalidInputError(f"the oracle seed must be an integer, not {seed!r}")
     if seed < 0:  # numpy's generators take none, and only n <= 3 would reach one
         raise InvalidInputError(f"the oracle seed must be non-negative, not {seed}")
     filt = result.filtration

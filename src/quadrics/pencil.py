@@ -69,17 +69,15 @@ IMAG_TOL = 1e-6
 # at_many builds its stack in slices of at most this many entries, so the
 # products of a slice stay in cache; a 720 x 6 x 6 grid is one slice
 AT_MANY_SLICE = 1 << 15
-# family_inertia counts the inertia of members of at least this dimension by
-# a Sturm pass on their tridiagonal form (_sturm_inertia), and solves smaller
-# ones by eigvalsh on their stack.  Full-circle index_profile time, the locus
-# given, count over eigvalsh (scripts/grid_timing.py --profile, best of 30 x
-# 5 rounds, one OpenBLAS thread): random pencils 1.04-1.40 at dims 10-13,
-# 0.85-0.92 at 14-15, 0.57-0.75 at 16-23 and 0.40-0.62 at 24-40; diagonal
-# members (extremal_family), which _tridiagonal reads without a reduction,
-# 0.74-1.35 at dims 10-15, 0.45-0.98 at 16-23 and 0.07-0.59 at 24-40; random
-# tridiagonal pencils 0.36-0.65 at dims 11-15 and 0.05-0.54 from 16.  Random
-# pencils cross at 14, but the bound may not go below oracles.GRID_SOLVE_DIM,
-# under which the grid oracle counts by the same pass; so it is 16
+# family_inertia, and the grid oracle, which reads this at call time, count
+# members of at least this dimension by a Sturm pass on their tridiagonal form
+# (_sturm_inertia); below it the profile solves a stack by eigvalsh and the
+# grid counts one by its own batched reduction.  Streamed count over the other
+# path (scripts/grid_timing.py, one OpenBLAS thread): full-circle profile,
+# random pencils 1.04-1.40 at dims 10-13, 0.85-0.92 at 14-15 and 0.40-0.75 at
+# 16-40, diagonal members 0.74-1.35 at 10-15; 720-angle grid, random pencils
+# 1.16 at 13 and 0.79-0.92 at 14-16.  Both cross at 14; the bound is 16,
+# where it was when the grid took it over
 COUNT_DIM = 16
 _SAFMIN = float(np.finfo(float).tiny)
 # a pencil's entries are at most ENTRY_BOUND / dim in magnitude.  A form's

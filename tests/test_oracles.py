@@ -1,10 +1,11 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from quadrics import fixtures, oracles
+from quadrics import fixtures, oracles, pencil
 from quadrics.applications import LevelProblem, extremal_family, level_set_betti
 from quadrics.betti import analyze
 from quadrics.circle import TOL_ANGLE, CircleSubset, PlanarCone, canonical_angle, omega_set
@@ -19,10 +20,10 @@ from quadrics.pencil import (
     QuadraticPencil,
     degenerate_locus,
     inertia,
+    lapack,
 )
 from quadrics.oracles import (
     FEAS_TOL,
-    GRID_SOLVE_DIM,
     GridProfile,
     exact_inertia,
     exact_locus_counts,
@@ -75,35 +76,48 @@ def test_grid_agreement_random():
 
 
 def test_grid_is_solved_in_slices_of_bounded_size(monkeypatch):
-    # 2000 members fill many slices; no stack may be larger than one, and
-    # the counts are those of one stacked solve.  Below GRID_SOLVE_DIM the
-    # members are counted, with no eigvalsh call; at dim 41 (about a
-    # hundred slices) each slice is one eigvalsh call
+    # 2000 angles fill many slices; no slice may hold more than
+    # AT_MANY_SLICE entries, and the counts are those of one stacked solve.
+    # Below COUNT_DIM the members are built in stacks and counted, with no
+    # eigvalsh call; at dim 41 the profile's streaming counter counts them,
+    # with one dsytrd call per solved member and no eigvalsh call
     thetas = np.linspace(0.0, TWO_PI, 2000, endpoint=False).tolist()
-    members, eigvalsh = oracles._grid_members, np.linalg.eigvalsh
-    for dim in (GRID_SOLVE_DIM - 1, 41):
+    members, sturm = oracles._grid_members, pencil._sturm_inertia
+    eigvalsh, dsytrd = np.linalg.eigvalsh, lapack.dsytrd
+    for dim in (pencil.COUNT_DIM - 1, 41):
         p = fixtures.random_pencil(np.random.default_rng(41), dim)
         thr = TOL_EIG * p.scale()
         w = eigvalsh(p.at_many(thetas))
         plus, minus = np.sum(w > thr, axis=1), np.sum(w < -thr, axis=1)
         expected = [InertiaTriple(a, b, dim - a - b) for a, b in zip(plus.tolist(), minus.tolist())]
-        sizes, solves = [], []
+        sizes, solves, reductions = [], [], []
 
         def recorded(p, c, s):
             stack = members(p, c, s)
             sizes.append(stack.size)
             return stack
 
+        def streamed(p, angles, *args):
+            sizes.append(len(angles) * p.dim)  # the rows the counter holds
+            return sturm(p, angles, *args)
+
         def solve(a):
             solves.append(len(a))
             return eigvalsh(a)
 
+        def reduce(a, *args, **kwargs):
+            reductions.append(np.shape(a)[0])
+            return dsytrd(a, *args, **kwargs)
+
         monkeypatch.setattr(oracles, "_grid_members", recorded)
+        monkeypatch.setattr(pencil, "_sturm_inertia", streamed)
         monkeypatch.setattr(np.linalg, "eigvalsh", solve)
+        monkeypatch.setattr(lapack, "dsytrd", reduce)
         grid = grid_index_profile(p, grid_n=2000)
         monkeypatch.undo()
         assert len(sizes) > 1 and max(sizes) <= AT_MANY_SLICE
-        assert solves == ([] if dim < GRID_SOLVE_DIM else [size // (dim * dim) for size in sizes])
+        assert solves == []
+        assert reductions == ([] if dim < pencil.COUNT_DIM else [dim] * 1000)
         assert list(grid.triples) == expected
 
 
@@ -150,14 +164,14 @@ def _shared_kernel(rng, dim):
 def _counted_path_pencils(rng):
     """Inputs for the grid's Householder and Sturm count: dims with no
     reflector, the zero pencil, random pencils on both sides of
-    GRID_SOLVE_DIM, shared kernels, a stack with one diagonal member,
+    COUNT_DIM, shared kernels, a stack with one diagonal member,
     congruence-sweep draws and pencils scaled toward both ends of the
     double range."""
     from scipy.stats import ortho_group
 
     yield from (fixtures.random_pencil(rng, d) for d in (1, 2))
     yield QuadraticPencil(np.zeros((3, 3)), np.zeros((3, 3)))
-    yield from (fixtures.random_pencil(rng, d) for d in range(GRID_SOLVE_DIM - 1, GRID_SOLVE_DIM + 2))
+    yield from (fixtures.random_pencil(rng, d) for d in range(pencil.COUNT_DIM - 1, pencil.COUNT_DIM + 2))
     yield from (_shared_kernel(rng, d) for d in range(4, 10))
     p = fixtures.random_pencil(rng, 6)  # the member at angle 0 is diagonal, the rest not
     yield QuadraticPencil(np.diag(np.diag(p.q0)), p.q1)
@@ -175,9 +189,21 @@ def _counted_path_pencils(rng):
     yield QuadraticPencil(p.q0 * big, p.q1 * big)
 
 
+def _streamed_path_pencils(rng):
+    """Inputs from COUNT_DIM up, where the grid counts by the profile's
+    streaming counter: dense members, diagonal ones read without a
+    reduction, the zero pencil and a Kronecker pencil."""
+    yield from (fixtures.random_pencil(rng, d) for d in (16, 17, 24, 41))
+    yield from (extremal_family(n) for n in (15, 20, 40))
+    yield QuadraticPencil(np.zeros((16, 16)), np.zeros((16, 16)))
+    yield fixtures.kronecker_pair(3, 12, rng)
+
+
 def test_grid_solves_each_direction_once_and_equals_the_per_angle_solve(monkeypatch):
     # an even resolution solves the first half circle and swaps i_plus and
-    # i_minus for the second; an odd one has no antipodes and solves all
+    # i_minus for the second; an odd one has no antipodes and solves all.
+    # Below COUNT_DIM a slice is a stack of at most AT_MANY_SLICE entries,
+    # from it the rows of at most AT_MANY_SLICE // dim members
     rng = np.random.default_rng(19)
     pencils = [fixtures.bouquet(), fixtures.complex_squaring(), fixtures.doubled_squaring(),
                fixtures.tripled_squaring(), fixtures.padded_squaring(), fixtures.four_lines(),
@@ -186,27 +212,35 @@ def test_grid_solves_each_direction_once_and_equals_the_per_angle_solve(monkeypa
                *(fixtures.random_pencil(rng, d) for d in range(3, 17) for _ in range(2)),
                *_counted_path_pencils(np.random.default_rng(7)),
                fixtures.kronecker_pair(2, 3, rng), fixtures.kronecker_pair(1, 4, rng)]
+    streamed = list(_streamed_path_pencils(np.random.default_rng(23)))
+    assert all(p.dim >= pencil.COUNT_DIM for p in streamed)
     solved = []
-    members = oracles._grid_members
+    members, sturm = oracles._grid_members, pencil._sturm_inertia
 
     def recorded(p, c, s):
         solved.append(len(c))
         return members(p, c, s)
 
+    def counted(p, angles, *args):
+        solved.append(len(angles))
+        return sturm(p, angles, *args)
+
     monkeypatch.setattr(oracles, "_grid_members", recorded)
+    monkeypatch.setattr(pencil, "_sturm_inertia", counted)
     odd = pencils[:8] + pencils[-4:]
-    for grid_n, cases in ((720, pencils), (1999, odd)):
+    for grid_n, cases in ((720, pencils + streamed), (1999, odd + streamed)):
         for p in cases:
             thetas, expected = _grid_per_angle(p, grid_n)
             resolution = len(thetas)
+            entries = p.dim if p.dim >= pencil.COUNT_DIM else p.dim * p.dim
             for slice_size in (AT_MANY_SLICE, 8 * p.dim * p.dim):
                 monkeypatch.setattr(oracles, "AT_MANY_SLICE", slice_size)
                 solved.clear()
                 grid = grid_index_profile(p, grid_n=grid_n)
                 assert grid.resolution == resolution and grid.thetas == tuple(thetas)
-                assert list(grid.triples) == expected
+                assert list(grid.triples) == expected, (p.dim, grid_n)
                 assert sum(solved) == (resolution // 2 if resolution % 2 == 0 else resolution)
-                assert max(solved) <= max(1, slice_size // (p.dim * p.dim))
+                assert max(solved) <= max(1, slice_size // entries)
             assert len(solved) > 1
 
 
@@ -548,14 +582,31 @@ def _corrupted(values, k):
 
 
 def test_verify_analysis_rejects_a_corrupted_profile():
-    p = fixtures.tripled_squaring()
-    cone = PlanarCone.sector(0.3, 1.9)
-    res = analyze(p, cone)
-    profile = res.filtration.profile
-    k = next(i for i, v in enumerate(profile.after) if v is not None)
-    profile = replace(profile, after=_corrupted(profile.after, k))
-    with pytest.raises(OracleDisagreement):
-        verify_analysis(replace(res, filtration=replace(res.filtration, profile=profile)))
+    # from COUNT_DIM up the grid counts by the profile's own counter; a
+    # corrupted arc is still flagged there
+    for p, cone in [(fixtures.tripled_squaring(), PlanarCone.sector(0.3, 1.9)),
+                    (fixtures.random_pencil(np.random.default_rng(66), pencil.COUNT_DIM), ZERO),
+                    (extremal_family(31), ZERO)]:
+        res = analyze(p, cone)
+        profile = res.filtration.profile
+        k = next(i for i, v in enumerate(profile.after) if v is not None)
+        profile = replace(profile, after=_corrupted(profile.after, k))
+        with pytest.raises(OracleDisagreement):
+            verify_analysis(replace(res, filtration=replace(res.filtration, profile=profile)))
+
+
+@pytest.mark.parametrize("options", [{"grid_n": 720.5}, {"grid_n": "720"}, {"grid_n": True},
+                                     {"seed": 1.5}, {"seed": "1"}, {"seed": False}],
+                         ids=["grid-float", "grid-str", "grid-bool",
+                              "seed-float", "seed-str", "seed-bool"])
+def test_verify_analysis_rejects_an_oracle_option_that_is_not_an_int(options):
+    res = analyze(extremal_family(4), ZERO)
+    named = re.escape(f"not {next(iter(options.values()))!r}")
+    with pytest.raises(InvalidInputError, match=named):
+        verify_analysis(res, **options)
+    if "grid_n" in options:
+        with pytest.raises(InvalidInputError, match=named):
+            grid_index_profile(res.filtration.pencil, **options)
 
 
 # ---------------------------------------------------------------------------

@@ -34,11 +34,14 @@ def test_cold_start_runs():
 
 def test_grid_timing_runs():
     proc = _run_script("grid_timing.py", "--dims", "2-5", "--repeat", "1", "--rounds", "2",
-                       "--src", str(ROOT / "src"), "--solve-dim", "2")
+                       "--src", str(ROOT / "src"))
     assert proc.returncode == 0, proc.stderr
     rows = proc.stdout.splitlines()
-    assert rows[0].split()[:2] == ["dim", "random"] and "verify random" in rows[0]
+    assert rows[0].split()[:3] == ["dim", "random", "on"] and "verify extremal off" in rows[0]
+    assert "on over off" in rows[0] and "this over other" in rows[0]
     assert [row.split()[0] for row in rows[1:]] == ["2", "3", "4", "5"]
+    # eight times, four on/off ratios and eight ratios to the other tree
+    assert all(len(row.split()) == 21 for row in rows[1:])
     # verify is timed from dim 5, where the sampling oracle does not run
     assert "nan" in rows[3] and "nan" not in rows[4]
 
@@ -53,4 +56,3 @@ def test_grid_timing_profile_mode_runs():
     assert [row.split()[0] for row in rows[1:]] == ["3", "4"]
     # six times, three on/off ratios and six ratios to the other tree
     assert all(len(row.split()) == 16 for row in rows[1:])
-    assert _run_script("grid_timing.py", "--profile", "--solve-dim", "2").returncode == 2

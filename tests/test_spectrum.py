@@ -11,13 +11,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from quadrics import fixtures, pencil
+from quadrics import fixtures, oracles, pencil
 from quadrics.applications import extremal_family
 from quadrics.betti import analyze
 from quadrics.circle import CircleSubset, PlanarCone, omega_set
 from quadrics.errors import NumericalError
 from quadrics.filtration import index_profile
-from quadrics.oracles import GRID_SOLVE_DIM, stiefel_whitney
+from quadrics.oracles import stiefel_whitney
 from quadrics.pencil import (
     TOL_EIG,
     DegenerateLocus,
@@ -364,10 +364,46 @@ def test_a_pencil_tridiagonal_in_one_form_is_reduced_member_by_member(monkeypatc
         monkeypatch.undo()
 
 
-def test_the_pipeline_counts_from_where_the_grid_solves():
-    # the grid oracle counts by the Sturm pass below GRID_SOLVE_DIM, the
-    # pipeline from COUNT_DIM up: the two splits must not overlap
-    assert GRID_SOLVE_DIM <= pencil.COUNT_DIM
+def test_one_bound_splits_the_count_paths_of_the_grid_and_the_profile(monkeypatch):
+    # below COUNT_DIM the grid oracle counts with its own Householder
+    # reduction (no eigvalsh or dsytrd call) and the profile solves by
+    # eigvalsh (no dsytrd call); from COUNT_DIM up neither calls eigvalsh.
+    # The grid reads the bound at call time, so one assignment moves both
+    calls = []
+    eigvalsh, dsytrd = np.linalg.eigvalsh, lapack.dsytrd
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        calls.append("eigvalsh")
+        return eigvalsh(a, *args, **kwargs)
+
+    def counting_dsytrd(a, *args, **kwargs):
+        calls.append("dsytrd")
+        return dsytrd(a, *args, **kwargs)
+
+    def paths(p):
+        """The solvers the grid, then the full-circle profile, call on p."""
+        locus = degenerate_locus(p)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        monkeypatch.setattr(lapack, "dsytrd", counting_dsytrd)
+        calls.clear()
+        oracles._grid_counts(p, 720)
+        grid = set(calls)
+        calls.clear()
+        index_profile(p, FULL, locus)
+        profile = set(calls)
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        monkeypatch.setattr(lapack, "dsytrd", dsytrd)
+        return grid, profile
+
+    rng = np.random.default_rng(36)
+    dim = pencil.COUNT_DIM
+    for p in (fixtures.random_pencil(rng, dim - 1), extremal_family(dim - 2)):
+        assert paths(p) == (set(), {"eigvalsh"}), p.dim
+    for p in (fixtures.random_pencil(rng, dim), fixtures.random_pencil(rng, dim + 8)):
+        assert paths(p) == ({"dsytrd"}, {"dsytrd"}), p.dim
+    assert paths(extremal_family(dim - 1)) == (set(), set())  # read without a reduction
+    monkeypatch.setattr(pencil, "COUNT_DIM", 0)
+    assert paths(fixtures.random_pencil(rng, 5)) == ({"dsytrd"}, {"dsytrd"})
 
 
 def test_the_count_path_holds_one_member_at_a_time():
