@@ -1,5 +1,5 @@
-"""Time the grid oracle, verify_analysis and index_profile per dimension,
-with the count path on and off.
+"""Time the grid oracle, verify_analysis, index_profile and analyze per
+dimension, the first three with the count path on and off.
 
 The one bound pencil.COUNT_DIM decides how both the pipeline and the grid
 oracle count a member's inertia: from COUNT_DIM up by the streaming Sturm
@@ -26,6 +26,15 @@ full-circle index_profile calls per dim, the locus found once and given,
 on random_pencil(default_rng(dim), dim), extremal_family(dim - 1) and a
 random tridiagonal pencil drawn next from the same generator.
 
+With --analyze it times the whole pipeline instead, with no on/off: the
+best of N analyze(p, zero cone) calls per dim on random_pencil(
+default_rng(dim), dim) and extremal_family(dim - 1), and the best of N of
+each of its three stages on the same pencil: the locus (degenerate_locus),
+the full-circle profile read from it (index_profile, the locus given) and
+the table (build_table, betti_x and euler_x on a fresh FiltrationReport of
+that profile).  Each pencil's scale is computed once and kept, as analyze
+keeps it.
+
 Each tree is timed in a fresh interpreter on one OpenBLAS thread, --rounds
 times, and each time is the least over the rounds.  With --src, the rounds
 alternate between this checkout and the other one, in turn first, and the
@@ -36,6 +45,7 @@ grid columns.
     python scripts/grid_timing.py                                  # this checkout
     python scripts/grid_timing.py --dims 14-48 --src OTHER/src     # against another
     python scripts/grid_timing.py --profile --dims 8-40
+    python scripts/grid_timing.py --analyze --dims 8-48 --src OTHER/src
 """
 
 from __future__ import annotations
@@ -55,11 +65,11 @@ import json, sys, time
 import numpy as np
 from quadrics import fixtures, oracles, pencil
 from quadrics.applications import extremal_family
-from quadrics.betti import analyze
+from quadrics.betti import analyze, betti_x, build_table, euler_x
 from quadrics.circle import CircleSubset, PlanarCone
-from quadrics.filtration import index_profile
+from quadrics.filtration import FiltrationReport, filtration_report, index_profile
 
-dims, repeat, profile = json.loads(sys.argv[1])
+dims, repeat, mode = json.loads(sys.argv[1])
 
 def best_ms(call):
     best = float("inf")
@@ -92,6 +102,21 @@ def profile_ms(p):
     full = CircleSubset.full_circle()
     return on_off_ms(lambda: index_profile(p, full, locus))
 
+def analyze_ms(p):
+    # [analyze, locus, profile, table]
+    p.scale()
+    full, zero = CircleSubset.full_circle(), PlanarCone.zero()
+    locus = pencil.degenerate_locus(p)
+    filt = filtration_report(p, full)
+
+    def table():
+        fresh = FiltrationReport(p, filt.profile, filt.mu, filt.nu, filt.locus)
+        betti_x(build_table(fresh))
+        euler_x(fresh)
+
+    return [best_ms(lambda: analyze(p, zero)), best_ms(lambda: pencil.degenerate_locus(p)),
+            best_ms(lambda: index_profile(p, full, locus)), best_ms(table)]
+
 def tridiagonal_pencil(rng, dim):
     forms = []
     for _ in range(2):
@@ -102,7 +127,10 @@ def tridiagonal_pencil(rng, dim):
 rows = []
 for d in dims:
     rng = np.random.default_rng(d)
-    if profile:
+    if mode == "analyze":
+        ps = (fixtures.random_pencil(rng, d), extremal_family(d - 1))
+        rows.append([t for p in ps for t in analyze_ms(p)])
+    elif mode == "profile":
         ps = (fixtures.random_pencil(rng, d), extremal_family(d - 1), tridiagonal_pencil(rng, d))
         rows.append([t for p in ps for t in profile_ms(p)])
     else:
@@ -111,17 +139,22 @@ for d in dims:
 print(json.dumps(rows))
 """
 
-GRID_CLASSES = ("random", "extremal", "verify random", "verify extremal")
-PROFILE_CLASSES = ("random", "extremal", "tridiagonal")
+# mode: (classes, the times taken of each class)
+MODES = {
+    "grid": (("random", "extremal", "verify random", "verify extremal"), ("on", "off")),
+    "profile": (("random", "extremal", "tridiagonal"), ("on", "off")),
+    "analyze": (("random", "extremal"), ("analyze", "locus", "profile", "table")),
+}
 
 
-def _times(src: str, dims: list[int], repeat: int, profile: bool) -> list:
-    """[each class's time on and off, in ms] per dim, timed in a fresh
-    interpreter: the grid on the random and the extremal pencil, then
-    verify_analysis on each; with profile, index_profile on the
-    PROFILE_CLASSES instead."""
+def _times(src: str, dims: list[int], repeat: int, mode: str) -> list:
+    """[each of the mode's times of each class, in ms] per dim, timed in a
+    fresh interpreter: in grid mode the grid on the random and the extremal
+    pencil, then verify_analysis on each, count path on and off; in profile
+    mode index_profile on its classes, on and off; in analyze mode analyze
+    and its three stages."""
     env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
-    task = json.dumps([dims, repeat, profile])
+    task = json.dumps([dims, repeat, mode])
     proc = subprocess.run([sys.executable, "-c", WORKER, task],
                           capture_output=True, text=True, env=env, check=False)
     if proc.returncode != 0:
@@ -146,8 +179,12 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=3,
                         help="fresh interpreters per tree (default 3)")
     parser.add_argument("--src", help="another checkout's src directory to time as well")
-    parser.add_argument("--profile", action="store_true",
-                        help="time full-circle index_profile with the count path on and off")
+    modes = parser.add_mutually_exclusive_group()
+    modes.add_argument("--profile", action="store_const", dest="mode", const="profile",
+                       default="grid",
+                       help="time full-circle index_profile with the count path on and off")
+    modes.add_argument("--analyze", action="store_const", dest="mode", const="analyze",
+                       help="time analyze with the zero cone and its locus, profile and table")
     args = parser.parse_args(argv)
     if args.repeat < 1 or args.rounds < 1:
         parser.error("--repeat and --rounds must be at least 1")
@@ -156,19 +193,22 @@ def main(argv=None) -> int:
     best: list = [None] * len(trees)
     for r in range(args.rounds):
         for i in range(len(trees))[::1 if r % 2 == 0 else -1]:
-            times = np.array(_times(trees[i], args.dims, args.repeat, args.profile))
+            times = np.array(_times(trees[i], args.dims, args.repeat, args.mode))
             best[i] = times if best[i] is None else np.minimum(best[i], times)
-    classes = PROFILE_CLASSES if args.profile else GRID_CLASSES
-    columns = tuple(f"{c} {way}" for c in classes for way in ("on", "off"))
+    classes, ways = MODES[args.mode]
+    on_off = ways == ("on", "off")
+    columns = tuple(f"{c} {way}" for c in classes for way in ways)
     head = f"{'dim':>4}" + "".join(f" {c + ' ms':>22}" for c in columns)
-    head += "   on over off: " + " ".join(f"{c:>15}" for c in classes)
+    if on_off:
+        head += "   on over off: " + " ".join(f"{c:>15}" for c in classes)
     if args.src:
         head += "   this over other: " + " ".join(f"{c:>15}" for c in columns)
     print(head)
     for dim, here, *other in zip(args.dims, *best):
         line = f"{dim:>4}" + "".join(f" {t:>22.3f}" for t in here)
-        ratios = (on / off for on, off in zip(here[::2], here[1::2]))
-        line += " " * 16 + " ".join(f"{r:>15.2f}" for r in ratios)
+        if on_off:
+            ratios = (on / off for on, off in zip(here[::2], here[1::2]))
+            line += " " * 16 + " ".join(f"{r:>15.2f}" for r in ratios)
         if other:
             line += " " * 20 + " ".join(f"{t / o:>15.2f}" for t, o in zip(here, other[0]))
         print(line)

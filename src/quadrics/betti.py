@@ -105,15 +105,12 @@ def betti_x(table: SpectralTable) -> BettiReport:
     if table.mu == n + 1:
         zeros = tuple([0] * (n + 1))
         return BettiReport(zeros, 0, 0, zeros, True)
-    b = []
-    ranks = []
-    for k in range(0, n + 1):
-        b.append(table.entry(0, n - k) + table.entry(1, n - k - 1)
-                 + table.entry(2, n - k - 2))
-        ranks.append(table.entry(0, n - k))
+    # b_k = entry(0, n - k) + entry(1, n - k - 1) + entry(2, n - k - 2):
+    # each column read from row n down, the later ones shifted past their end
+    ranks, e1, e2 = (column[::-1] for column in zip(*table.rows))
+    b = tuple(map(sum, zip(ranks, (*e1[1:], 0), (*e2[2:], 0, 0))))
     total = sum(b)
-    chi = sum((-1) ** k * bk for k, bk in enumerate(b))
-    return BettiReport(tuple(b), total, chi, tuple(ranks), total == 0)
+    return BettiReport(b, total, sum(b[::2]) - sum(b[1::2]), ranks, total == 0)
 
 
 def betti_complement(filt: FiltrationReport) -> list[int]:
@@ -144,11 +141,10 @@ def euler_x(filt: FiltrationReport) -> int:
     n = filt.pencil.n
     if filt.mu == n + 1:
         return 0
-    levels = filt.betti_levels
-    acc = 1 if n % 2 == 0 else 0  # chi of the ambient projective space
-    for j in range(0, n + 1):
-        acc += (-1) ** (j + 1) * _level_euler(*levels[j + 1])
-    return (-1) ** n * acc
+    chis = [_level_euler(b0, b1) for b0, b1 in filt.betti_levels[1:n + 2]]
+    # chi of the ambient projective space, then levels 1 .. n + 1 with signs -, +, ...
+    acc = (1 if n % 2 == 0 else 0) + sum(chis[1::2]) - sum(chis[::2])
+    return acc if n % 2 == 0 else -acc
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 from .circle import CircleSubset, _locate, canonical_angle, omega_set
@@ -31,7 +31,7 @@ from .pencil import (
     InertiaTriple,
     QuadraticPencil,
     degenerate_locus,
-    family_inertia,
+    family_counts,
     shared_triple,
 )
 
@@ -57,7 +57,7 @@ class IndexProfile:
     @cached_property
     def _index_range(self) -> tuple[int, int, int, int]:
         """(min, max) of i_plus, then of i_minus, over the values; zeros with none."""
-        values = [v for v in (*self.at, *self.after, self.whole) if v is not None]
+        values = {*self.at, *self.after, self.whole} - {None}  # few distinct, shared triples
         plus = [v.i_plus for v in values] or [0]
         minus = [v.i_minus for v in values] or [0]
         return (min(plus), max(plus), min(minus), max(minus))
@@ -109,12 +109,12 @@ class IndexProfile:
 
 def _read_arcs(p: QuadraticPencil, arcs: list[tuple[float, float]],
                points: list[float] | tuple = ()
-               ) -> tuple[list[InertiaTriple], list[InertiaTriple]]:
-    """(the inertia on each open arc (start, end), end past start, the
-    inertia at each point).
+               ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """((i_plus, i_minus) on each open arc (start, end), end past start,
+    (i_plus, i_minus) at each point).
 
-    The points and both thirds of every arc are solved in one stacked pass
-    (family_inertia); an arc's ends are not solved unless they are among
+    The points and both thirds of every arc are counted in one stacked pass
+    (family_counts); an arc's ends are not solved unless they are among
     the points.  The family is constant on an arc that holds no root, so the
     readings agree, except that a third inside the zero band of a nearby
     multiple root reads extra zeros and no count above the other reading:
@@ -122,24 +122,20 @@ def _read_arcs(p: QuadraticPencil, arcs: list[tuple[float, float]],
     the locus misses and raises NumericalError.
     """
     thirds = [t for a, b in arcs for t in (a + (b - a) / 3.0, a + 2.0 * (b - a) / 3.0)]
-    values = family_inertia(p, [*points, *thirds], p.scale())
+    values = list(zip(*family_counts(p, [*points, *thirds], p.scale())))
     k = len(points)
-    arc_values: list[InertiaTriple] = []
-    for i, (a, b) in enumerate(arcs):
-        u, v = values[k + 2 * i], values[k + 2 * i + 1]
-        if not _exceeds(u, v):
-            u = v  # equal, or u read in a zero band
-        elif _exceeds(v, u):
-            raise NumericalError(
-                f"inertia changes inside the arc ({a}, {b}): {tuple(u)} at {thirds[2 * i]}, "
-                f"{tuple(v)} at {thirds[2 * i + 1]}; a root is missing from the locus")
-        arc_values.append(u)
+    arc_values = []
+    for i, (u, v) in enumerate(zip(values[k::2], values[k + 1::2])):
+        if u[0] > v[0] or u[1] > v[1]:
+            if v[0] > u[0] or v[1] > u[1]:
+                (a, b), dim = arcs[i], p.dim
+                raise NumericalError(
+                    f"inertia changes inside the arc ({a}, {b}): {(*u, dim - sum(u))} at "
+                    f"{thirds[2 * i]}, {(*v, dim - sum(v))} at {thirds[2 * i + 1]}; "
+                    "a root is missing from the locus")
+            v = u  # v read in a zero band
+        arc_values.append(v)
     return arc_values, values[:k]
-
-
-def _antipode(v: InertiaTriple) -> InertiaTriple:
-    """The inertia of -M given that of M."""
-    return shared_triple(v.i_minus, v.i_plus, v.i_zero)
 
 
 def _profile_steps(domain: CircleSubset, angles: list[float]
@@ -176,51 +172,55 @@ def index_profile(p: QuadraticPencil, domain: CircleSubset,
     not given.  Its angles, ascending, canonical, more than CLUSTER_TOL apart
     and in antipodal pairs, are the only breakpoints: the inertia is constant
     between them.  The profile's cuts are the domain's cuts and the locus
-    angles inside its held arcs; one stacked family_inertia pass reads every
+    angles inside its held arcs; one stacked family_counts pass reads every
     held point, and every held arc at its two thirds (_read_arcs).  Readings
     that disagree other than by a zero band mean a root the locus misses and
     raise NumericalError, as does a point whose inertia exceeds that of a
-    held arc it bounds.
+    held arc it bounds.  The counts stay plain ints until the end, where
+    each cell gets its shared triple.
 
     On the full circle the family has M(theta + pi) = -M(theta), so i_plus
     and i_minus swap at antipodes.  The B locus angles pair as angles[i] and
     angles[i + B/2], so only the arcs from angles[0] to angles[B/2] and the
     first B/2 breakpoints are solved, and the rest are their antipodes'
-    values swapped: 3 B/2 matrices, not 3 B.  An arc domain is read in full.
+    counts swapped: 3 B/2 matrices, not 3 B.  Semicontinuity is checked at
+    the solved breakpoints only: at a mirrored one it is the same
+    inequalities swapped, so the first breakpoint that fails is the same.
+    An arc domain is read in full.
     """
     if domain.is_empty():
         return IndexProfile(domain)
     if locus is None:
         locus = degenerate_locus(p)
     steps = _profile_steps(domain, locus.angles)
+    dim = p.dim
     if not steps:
-        (whole,), _ = _read_arcs(p, [(0.0, TWO_PI)])
-        return IndexProfile(domain, whole=whole)
+        ((plus, minus),), _ = _read_arcs(p, [(0.0, TWO_PI)])
+        return IndexProfile(domain, whole=shared_triple(plus, minus, dim - plus - minus))
     cuts = [c for c, _, _ in steps]
     points = [c for c, held, _ in steps if held]
     arcs = [arc for _, _, arc in steps if arc]
-    if domain.is_full():
-        h = len(cuts) // 2
-        arc_vals, point_vals = _read_arcs(p, arcs[:h], points[:h])
-        arc_vals += [_antipode(v) for v in arc_vals]
-        point_vals += [_antipode(v) for v in point_vals]
-    else:
-        arc_vals, point_vals = _read_arcs(p, arcs, points)
+    # the full circle holds every point and arc and solves the first half of
+    # each; an arc domain solves all of them
+    solved = len(steps) // 2 if domain.is_full() else len(steps)
+    arc_vals, point_vals = _read_arcs(p, arcs[:solved], points[:solved])
+    if solved < len(steps):
+        arc_vals += [(minus, plus) for plus, minus in arc_vals]
+        point_vals += [(minus, plus) for plus, minus in point_vals]
     point_vals, arc_vals = iter(point_vals), iter(arc_vals)
-    at = tuple(next(point_vals) if held else None for _, held, _ in steps)
-    after = tuple(next(arc_vals) if arc else None for _, _, arc in steps)
-    for i, v in enumerate(at):
+    at = [next(point_vals) if held else None for _, held, _ in steps]
+    after = [next(arc_vals) if arc else None for _, _, arc in steps]
+    for i, v in enumerate(at[:solved]):
         if v is None:
             continue
         for arc in (after[i - 1], after[i]):
-            if arc is not None and _exceeds(v, arc):
+            if arc is not None and (v[0] > arc[0] or v[1] > arc[1]):
                 raise NumericalError(f"semicontinuity violated at breakpoint {cuts[i]}")
-    return IndexProfile(domain, tuple(cuts), at, after)
 
+    def triple(v: tuple[int, int] | None) -> InertiaTriple | None:
+        return None if v is None else shared_triple(v[0], v[1], dim - v[0] - v[1])
 
-def _exceeds(point: InertiaTriple, arc: InertiaTriple) -> bool:
-    """Whether a point's inertia breaks semicontinuity against an arc it bounds."""
-    return point.i_plus > arc.i_plus or point.i_minus > arc.i_minus
+    return IndexProfile(domain, tuple(cuts), tuple(map(triple, at)), tuple(map(triple, after)))
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +293,13 @@ def sublevel(profile: IndexProfile, k: int) -> CircleSubset:
 # filtration report
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=4096)
+def _shared_pair(b0: int, b1: int) -> tuple[int, int]:
+    """The one shared pair of these Betti numbers: a kept analysis keeps its
+    levels, which hold few distinct pairs."""
+    return (b0, b1)
+
+
 @dataclass(frozen=True)
 class FiltrationReport:
     """Superlevel filtration data of a pencil over its domain.
@@ -319,9 +326,9 @@ class FiltrationReport:
         which carry i_plus or -1 outside the domain (a profile with no cuts is
         one cell), and their _runs_and_births up to level dim + 1."""
         prof = self.profile
-        values = [v for pair in zip(prof.at, prof.after) for v in pair] if prof.cuts \
-            else [prof.whole]
-        cells = [-1 if v is None else v.i_plus for v in values]
+        cells = [-1 if v is None else v.i_plus
+                 for pair in (zip(prof.at, prof.after) if prof.cuts else [(prof.whole,)])
+                 for v in pair]
         return (min(cells), *_runs_and_births(cells, self.pencil.dim + 1))
 
     @cached_property
@@ -335,7 +342,8 @@ class FiltrationReport:
         b1 = 1.
         """
         low, runs, _ = self._superlevel_counts
-        return tuple((1, 1) if j <= low else (runs[j], 0) for j in range(self.pencil.dim + 2))
+        top = low + 1  # the levels below it hold every cell
+        return ((1, 1),) * top + tuple(_shared_pair(b0, 0) for b0 in runs[top:])
 
     @cached_property
     def betti_pairs(self) -> tuple[tuple[int, int], ...]:
@@ -354,7 +362,7 @@ class FiltrationReport:
         for j in range(self.pencil.dim + 1):
             b0 = int(levels[j + 1] == (0, 0)) if j <= low else births[j]
             (a0, a1), (c0, c1) = levels[j], levels[j + 1]
-            pairs.append((b0, b0 - a0 + a1 + c0 - c1))
+            pairs.append(_shared_pair(b0, b0 - a0 + a1 + c0 - c1))
         return tuple(pairs)
 
     @property

@@ -225,9 +225,20 @@ def _disagreeing(profile: IndexProfile, thetas: np.ndarray, sampled) -> np.ndarr
     todo = np.array(_cell_values(dom.cuts, dom.at, dom.after, dom.full))[_cells(dom.cuts, t)]
     bps = np.sort(profile.breakpoint_angles())
     if len(bps):
+        # the distance to the nearest breakpoint on either side, across the
+        # seam too, by subtraction on the breakpoints extended by a turn
         j = np.searchsorted(bps, t)
-        near = np.minimum(abs((thetas - bps[j - 1] + PI) % TWO_PI - PI),
-                          abs((thetas - bps[j % len(bps)] + PI) % TWO_PI - PI))
+        ext = np.concatenate(([bps[-1] - TWO_PI], bps, [bps[0] + TWO_PI]))
+        near = np.minimum(t - ext[j], ext[j + 1] - t)
+        # the per-angle rule measures abs((theta - b + PI) % TWO_PI - PI),
+        # which rounds otherwise, by a few ulps of the angles: where that can
+        # decide the guard, it is measured as the rule measures it
+        slack = 16.0 * np.spacing(max(2.0 * TWO_PI, float(np.abs(thetas).max(initial=0.0))))
+        edge = np.flatnonzero(abs(near - CLUSTER_TOL) <= slack)
+        if len(edge):
+            th, k = thetas[edge], j[edge]
+            near[edge] = np.minimum(abs((th - bps[k - 1] + PI) % TWO_PI - PI),
+                                    abs((th - bps[k % len(bps)] + PI) % TWO_PI - PI))
         todo &= near > CLUSTER_TOL
     # each count of each cell, -1 where no value is recorded: no sample equals it
     values = _cell_values(profile.cuts, profile.at, profile.after, profile.whole)

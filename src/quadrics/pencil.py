@@ -69,7 +69,7 @@ IMAG_TOL = 1e-6
 # at_many builds its stack in slices of at most this many entries, so the
 # products of a slice stay in cache; a 720 x 6 x 6 grid is one slice
 AT_MANY_SLICE = 1 << 15
-# family_inertia, and the grid oracle, which reads this at call time, count
+# family_counts, and the grid oracle, which reads this at call time, count
 # members of at least this dimension by a Sturm pass on their tridiagonal form
 # (_sturm_inertia); below it the profile solves a stack by eigvalsh and the
 # grid counts one by its own batched reduction.  Streamed count over the other
@@ -310,7 +310,7 @@ def _members(p: QuadraticPencil, thetas):
 def _is_tridiagonal(q: np.ndarray) -> bool:
     """Whether a symmetric matrix is zero off its three middle diagonals:
     all its nonzeros lie on its diagonal and its two equal off-diagonals."""
-    band = np.count_nonzero(np.diagonal(q)) + 2 * np.count_nonzero(np.diagonal(q, 1))
+    band = np.count_nonzero(q.diagonal()) + 2 * np.count_nonzero(q.diagonal(1))
     return np.count_nonzero(q) == band
 
 
@@ -331,10 +331,10 @@ def _tridiagonal(p: QuadraticPencil, thetas) -> tuple[np.ndarray, np.ndarray]:
     if _is_tridiagonal(p.q0) and _is_tridiagonal(p.q1):
         c = np.fromiter(map(math.cos, thetas), float, k)[:, None]
         s = np.fromiter(map(math.sin, thetas), float, k)[:, None]
-        d = c * np.diagonal(p.q0)
-        d += s * np.diagonal(p.q1)
-        e = c * np.diagonal(p.q0, -1)
-        e += s * np.diagonal(p.q1, -1)
+        d = c * p.q0.diagonal()
+        d += s * p.q1.diagonal()
+        e = c * p.q0.diagonal(-1)
+        e += s * p.q1.diagonal(-1)
         return d, e
     d = np.empty((k, dim))
     e = np.empty((k, dim - 1))
@@ -363,16 +363,23 @@ def _sturm_pass(d: np.ndarray, e: np.ndarray, thr: float) -> tuple[np.ndarray, n
     came out below pivmin (or NaN): otherwise the guard never fires and both
     passes compute the same pivots.  No pivot overflows, since |q| >= pivmin
     keeps e^2 / q below 1 / SAFMIN.
+
+    The first pass eliminates only the rows j whose e_(j-1) is nonzero in
+    some matrix.  On the others the step subtracts 0 / q_(j-1), an exact
+    zero unless q_(j-1) is 0 or NaN, and then the guarded rerun runs either
+    way; so the counts are those of the full recurrence, bit for bit, and
+    diagonal matrices take no step at all.
     """
     dim, k = d.shape
     # row j holds pivot j of every matrix at +thr, then of every matrix at -thr
     shifted = np.concatenate([d - thr, d + thr], axis=1)
     e2 = np.square(e)
+    coupled = (np.flatnonzero(e2.any(axis=1)) + 1).tolist()
     e2 = np.concatenate([e2, e2], axis=1)
     pivmin = _SAFMIN * max(1.0, float(e2.max(initial=0.0)))
     q = shifted.copy()
     with np.errstate(all="ignore"):
-        for j in range(1, dim):
+        for j in coupled:
             q[j] -= e2[j - 1] / q[j - 1]
     if not (np.abs(q) >= pivmin).all():
         q = shifted
@@ -413,9 +420,10 @@ def _sturm_inertia(p: QuadraticPencil, thetas, scale: float,
     return _sturm_pass(d.T, e.T, thr)
 
 
-def family_inertia(p: QuadraticPencil, thetas: list[float],
-                   scale: float) -> list[InertiaTriple]:
-    """The inertia of the family's member at each angle, in the order given.
+def family_counts(p: QuadraticPencil, thetas: list[float],
+                  scale: float) -> tuple[list[int], list[int]]:
+    """(i_plus, i_minus) of the family's member at each angle, as two lists
+    in the order given.
 
     The family's members are exactly symmetric, so no member is
     re-validated, and every angle is solved in one pass, a repeated one as
@@ -426,16 +434,24 @@ def family_inertia(p: QuadraticPencil, thetas: list[float],
     call on their at_many stack.
     """
     if not thetas:
-        return []
+        return [], []
     dim, thr = p.dim, TOL_EIG * scale
     if dim >= COUNT_DIM:
         plus, minus = _sturm_inertia(p, thetas, scale, thr)
-        counts = zip(plus.tolist(), minus.tolist())
-    else:
-        # bisection on the ascending rows: a small stack has few of them
-        counts = ((dim - bisect.bisect_right(w, thr), bisect.bisect_left(w, -thr))
-                  for w in _eigvalsh(p.at_many(thetas)).tolist())
-    return [shared_triple(plus, minus, dim - plus - minus) for plus, minus in counts]
+        return plus.tolist(), minus.tolist()
+    # bisection on the ascending rows: a small stack has few of them
+    rows = _eigvalsh(p.at_many(thetas)).tolist()
+    return ([dim - bisect.bisect_right(w, thr) for w in rows],
+            [bisect.bisect_left(w, -thr) for w in rows])
+
+
+def family_inertia(p: QuadraticPencil, thetas: list[float],
+                   scale: float) -> list[InertiaTriple]:
+    """The inertia of the family's member at each angle, in the order given:
+    family_counts as shared triples."""
+    dim = p.dim
+    return [shared_triple(plus, minus, dim - plus - minus)
+            for plus, minus in zip(*family_counts(p, thetas, scale))]
 
 
 def sylvester_check(m: np.ndarray, t: np.ndarray) -> bool:
@@ -627,9 +643,10 @@ def degenerate_locus(p: QuadraticPencil) -> DegenerateLocus:
     if nonreal % 2 != 0:
         raise NumericalError("unpaired non-real root; tolerances inconsistent")
 
-    points: list[DegeneratePoint] = []
-    for center, mult in _cluster_periodic([(phi + r) % PI for r in roots], CLUSTER_TOL):
-        points.append(DegeneratePoint(canonical_angle(center), mult))
-        points.append(DegeneratePoint(canonical_angle(center + PI), mult))
-    points.sort(key=lambda q: q.theta)
+    # clusters are more than CLUSTER_TOL apart modulo pi, so no two points
+    # share an angle and the points sort by it
+    clusters = _cluster_periodic([(phi + r) % PI for r in roots], CLUSTER_TOL)
+    points = [DegeneratePoint(canonical_angle(center + half), mult)
+              for half in (0.0, PI) for center, mult in clusters]
+    points.sort()
     return DegenerateLocus(tuple(points), nonreal // 2, k)

@@ -186,6 +186,77 @@ def test_a_root_missing_from_the_candidates_raises_naming_its_arc():
     assert checked > 20
 
 
+def _corrupt_member(monkeypatch, member, counts):
+    """Count every member by _sturm_inertia, with the counts of one member of
+    the stack, by its index, replaced by counts(i_plus, i_minus)."""
+    count = pencil._sturm_inertia
+
+    def corrupted(p, thetas, *args):
+        plus, minus = count(p, thetas, *args)
+        plus[member], minus[member] = counts(int(plus[member]), int(minus[member]))
+        return plus, minus
+
+    monkeypatch.setattr(pencil, "COUNT_DIM", 0)
+    monkeypatch.setattr(pencil, "_sturm_inertia", corrupted)
+
+
+def test_a_corrupted_count_raises_naming_its_arc_or_breakpoint(monkeypatch):
+    # the stack holds the solved points, then both thirds of each solved arc:
+    # the first half of the breakpoints and arcs on the full circle, all of
+    # them on an arc domain.  A third read one eigenvalue over from the other
+    # third names its arc, both thirds and both readings; a point read above
+    # an arc it bounds names the first such breakpoint, which on the full
+    # circle is a solved one, at cut 0 against the antipode of the last
+    # solved arc
+    rng = np.random.default_rng(33)
+    sector = omega_set(PlanarCone.sector(0.3, 1.9))
+    cases = [(make(), FULL) for make in (fixtures.bouquet, fixtures.four_lines)]
+    cases += [(extremal_family(4), FULL), (fixtures.random_pencil(rng, 6), FULL)]
+    cases += [(extremal_family(4), sector), (fixtures.random_pencil(rng, 6), sector)]
+    checked = seam = 0
+    for p, domain in cases:
+        prof = index_profile(p, domain)
+        points, arcs = _points(prof), _arcs(prof)
+        if domain.is_full():
+            points, arcs = points[:len(points) // 2], arcs[:len(arcs) // 2]
+        assert all(a < b < TWO_PI for a, b, _ in arcs)  # no solved arc across the seam
+        dim, k = p.dim, len(points)
+        for i, (a, b, v) in enumerate(arcs):
+            plus, minus = v.i_plus, v.i_minus
+            wrong = (plus + 1, minus - 1) if minus else (plus - 1, minus + 1)
+            thirds = (a + (b - a) / 3.0, a + 2.0 * (b - a) / 3.0)
+            for third in (0, 1):
+                read = [(plus, minus, dim - plus - minus)] * 2
+                read[third] = (*wrong, dim - plus - minus)
+                message = (f"inertia changes inside the arc ({a}, {b}): {read[0]} at "
+                           f"{thirds[0]}, {read[1]} at {thirds[1]}; "
+                           "a root is missing from the locus")
+                with monkeypatch.context() as m:
+                    _corrupt_member(m, k + 2 * i + third, lambda *_: wrong)
+                    with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
+                        index_profile(p, domain)
+                checked += 1
+        # the first solved point is at cut 0 on the full circle; there it reads
+        # the arc after it, where that exceeds the arc before it in one count
+        after, before = prof.after[0], prof.after[-1]
+        if domain.is_full() and (after.i_plus > before.i_plus or after.i_minus > before.i_minus):
+            seam += 1
+            with monkeypatch.context() as m:
+                _corrupt_member(m, 0, lambda *_: (after.i_plus, after.i_minus))
+                message = f"semicontinuity violated at breakpoint {prof.cuts[0]}"
+                with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
+                    index_profile(p, domain)
+            checked += 1
+        for i, (c, _) in enumerate(points):
+            with monkeypatch.context() as m:
+                _corrupt_member(m, i, lambda plus, minus: (plus + dim, minus))
+                message = f"semicontinuity violated at breakpoint {c}"
+                with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
+                    index_profile(p, domain)
+            checked += 1
+    assert checked > 50 and seam >= 2
+
+
 def test_a_profile_solves_its_domain_in_one_stacked_call(monkeypatch):
     # one eigvalsh stack below COUNT_DIM, one Sturm-counted pass from there on
     calls = []
@@ -254,7 +325,7 @@ def test_the_mirrored_half_circle_equals_the_full_read_cell_by_cell():
         assert all(abs(bps[i + h] - bps[i] - PI) <= CLUSTER_TOL for i in range(h)), p.dim
         assert [v for _, v in _points(prof)] == family_inertia(p, bps, p.scale()), p.dim
         arcs = list(zip(bps, [*bps[1:], bps[0] + TWO_PI]))
-        assert _arc_values(prof) == _read_arcs(p, arcs)[0], p.dim
+        assert [v[:2] for v in _arc_values(prof)] == _read_arcs(p, arcs)[0], p.dim
         mirrored += 1
     assert mirrored >= 20
 

@@ -767,6 +767,39 @@ def test_grid_check_on_cell_ends_and_domain_endpoints():
             assert _checked(profile, GridProfile(len(thetas), tuple(thetas), wrong))
 
 
+def _diagonal_pencil_with_roots(roots):
+    """A diagonal pencil whose member at theta is singular exactly where
+    cos(theta) sin(-r) + sin(theta) cos(r) = 0: at each r and r + pi."""
+    return QuadraticPencil(np.diag([math.sin(-r) for r in roots]),
+                           np.diag([math.cos(r) for r in roots]))
+
+
+def test_grid_check_at_the_guard_distance_and_across_the_seam():
+    # grid angles exactly CLUSTER_TOL either side of each breakpoint, and a
+    # few ulps either way, with breakpoints on the seam and within CLUSTER_TOL
+    # of it on either side, so that the guard's distances reach across it;
+    # the check measures them by subtraction and must skip and flag the
+    # angles the per-angle rule does, against the true and a wrong inertia
+    seams = [0.0, 3e-9, -4e-9, 0.6 * CLUSTER_TOL, -CLUSTER_TOL, 2.5 * CLUSTER_TOL]
+    checked = 0
+    for near_seam in seams:
+        p = _diagonal_pencil_with_roots([near_seam, 0.7, 2.0])
+        for domain in [FULL_CIRCLE, CircleSubset.arc(5.0, 1.0, False, True)]:
+            profile = index_profile(p, domain)
+            bps = profile.breakpoint_angles()
+            assert min(min(b, TWO_PI - b) for b in bps) < 3 * CLUSTER_TOL
+            thetas = sorted({canonical_angle(y) for b in bps for o in (-CLUSTER_TOL, CLUSTER_TOL)
+                             for y in _ulps_around(b + o, 4)})
+            true = tuple(inertia(p.at(t), scale=p.scale()) for t in thetas)
+            _checked(profile, GridProfile(len(thetas), tuple(thetas), true))
+            wrong = (InertiaTriple(p.dim, 0, 0),) * len(thetas)
+            bad = _checked(profile, GridProfile(len(thetas), tuple(thetas), wrong))
+            # both sides of the guard are reached
+            assert 0 < len(bad) < len([t for t in thetas if domain.contains(t)])
+            checked += 1
+    assert checked == 12
+
+
 # ---------------------------------------------------------------------------
 # exact arithmetic
 # ---------------------------------------------------------------------------

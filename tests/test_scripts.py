@@ -56,3 +56,16 @@ def test_grid_timing_profile_mode_runs():
     assert [row.split()[0] for row in rows[1:]] == ["3", "4"]
     # six times, three on/off ratios and six ratios to the other tree
     assert all(len(row.split()) == 16 for row in rows[1:])
+
+
+def test_grid_timing_analyze_mode_runs():
+    proc = _run_script("grid_timing.py", "--analyze", "--dims", "3-4", "--repeat", "1",
+                       "--rounds", "2", "--src", str(ROOT / "src"))
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.splitlines()
+    assert rows[0].split()[:3] == ["dim", "random", "analyze"] and "extremal table" in rows[0]
+    assert "on over off" not in rows[0] and "this over other" in rows[0]
+    assert [row.split()[0] for row in rows[1:]] == ["3", "4"]
+    # analyze, locus, profile and table of each class, then their ratios to the other tree
+    assert all(len(row.split()) == 17 for row in rows[1:])
+    assert all(float(t) > 0.0 for row in rows[1:] for t in row.split()[1:])

@@ -264,6 +264,64 @@ def test_sturm_counts_after_a_zero_pivot_match_eigvalsh():
         _counts_by_eigvalsh(p.at_many(thetas), THR)
 
 
+def _sturm_pass_every_row(d, e, thr):
+    """The reference for pencil._sturm_pass: the recurrence of Barth, Martin
+    and Wilkinson with its first pass stepping every row, and whether the
+    pivmin-guarded rerun ran."""
+    dim, k = d.shape
+    shifted = np.concatenate([d - thr, d + thr], axis=1)
+    e2 = np.square(e)
+    e2 = np.concatenate([e2, e2], axis=1)
+    pivmin = float(np.finfo(float).tiny) * max(1.0, float(e2.max(initial=0.0)))
+    q = shifted.copy()
+    with np.errstate(all="ignore"):
+        for j in range(1, dim):
+            q[j] -= e2[j - 1] / q[j - 1]
+    rerun = not (np.abs(q) >= pivmin).all()
+    if rerun:
+        q = shifted.copy()
+        with np.errstate(all="ignore"):
+            for j in range(dim):
+                if j:
+                    q[j] -= e2[j - 1] / q[j - 1]
+                tiny = np.abs(q[j]) < pivmin
+                q[j, :k][tiny[:k]] = -pivmin
+                q[j, k:][tiny[k:]] = pivmin
+    below = np.count_nonzero(q < 0.0, axis=0)
+    return dim - below[:k], below[k:], rerun
+
+
+def test_the_sturm_pass_skips_only_uncoupled_rows():
+    # the pass steps only rows whose subdiagonal is nonzero in some member;
+    # on stacks with rows uncoupled in every member, in some members only,
+    # pivots exactly at +-thr and exact zero pivots that force the guarded
+    # rerun, it must count as the full recurrence does, count for count
+    rng = np.random.default_rng(33)
+    thr = 0.25
+    values = np.array([-1.0, -thr, 0.0, thr, 1.0, 2.5])
+    reruns = set()
+    stacks = 0
+    for dim in (1, 2, 3, 5, 8, 17):
+        for trial in range(40):
+            k = int(rng.integers(1, 9))
+            d = rng.standard_normal((dim, k))
+            e = rng.standard_normal((dim - 1, k))
+            if trial % 4 != 3:  # entries exactly at 0 and +-thr
+                d = np.where(rng.random((dim, k)) < 0.4, rng.choice(values, (dim, k)), d)
+            e[rng.random(dim - 1) < 0.5] = 0.0  # uncoupled in every member
+            if trial % 2:  # and some entries uncoupled in some members only
+                e[rng.random((dim - 1, k)) < 0.3] = 0.0
+            if trial % 5 == 0:  # diagonal, as extremal_family's members
+                e[:] = 0.0
+            plus, minus = pencil._sturm_pass(d, e, thr)
+            ref_plus, ref_minus, rerun = _sturm_pass_every_row(d, e, thr)
+            assert plus.tolist() == ref_plus.tolist(), (dim, trial)
+            assert minus.tolist() == ref_minus.tolist(), (dim, trial)
+            reruns.add(rerun)
+            stacks += 1
+    assert reruns == {False, True} and stacks == 240
+
+
 def test_a_buffer_built_member_equals_at_bit_for_bit():
     rng = np.random.default_rng(27)
     thetas = [0.0, math.pi / 2, math.pi, -1.0, *rng.uniform(-10.0, 10.0, 20).tolist()]
