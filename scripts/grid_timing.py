@@ -6,11 +6,12 @@ oracle count a member's inertia: from COUNT_DIM up by the streaming Sturm
 counter (pencil._sturm_inertia, one dsytrd per member, or a direct read
 when both forms are tridiagonal); below it the profile solves a stack by
 eigvalsh and the grid counts a stack by its own batched Householder
-reduction (oracles._counted_inertia).  The grid reads the bound at call
-time, so the script times every call twice, with COUNT_DIM set to 0 (on:
-every member counted by the streaming counter) and to sys.maxsize (off),
-and prints each time and then each class's time on over its time off;
-where the ratios cross 1 is where COUNT_DIM belongs.
+reduction (oracles._counted_inertia), except that the grid reads a pencil
+of two tridiagonal forms by the streaming counter at every dim.  The grid
+reads the bound at call time, so the script times every call twice, with
+COUNT_DIM set to 0 (on: every member counted by the streaming counter) and
+to sys.maxsize (off), and prints each time and then each class's time on
+over its time off; where the ratios cross 1 is where COUNT_DIM belongs.
 
 By default it takes, per dim, the best of N calls of grid_index_profile at
 the default 720 angles on random_pencil(default_rng(dim), dim) and on
@@ -35,12 +36,16 @@ the table (build_table, betti_x and euler_x on a fresh FiltrationReport of
 that profile).  Each pencil's scale is computed once and kept, as analyze
 keeps it.
 
-Each tree is timed in a fresh interpreter on one OpenBLAS thread, --rounds
-times, and each time is the least over the rounds.  With --src, the rounds
-alternate between this checkout and the other one, in turn first, and the
-script prints this tree's time over the other's, column by column.  A tree
-whose grid does not read COUNT_DIM times its own grid path in both of its
-grid columns.
+Each round is one fresh interpreter on one OpenBLAS thread.  It imports
+this checkout's package and, with --src, the other checkout's under
+another name, builds each pencil in both from the same forms, and times
+the two trees call by call in turn, the first in turn alternating from call
+to call and from round to round.  Each time is the best over the N calls
+and the --rounds rounds, and with --src the script prints this tree's time
+over the other's, column by column.  Timing both trees in one process
+removes the spread between interpreters, which read several percent apart
+on the same code.  A tree whose grid does not read COUNT_DIM times its own
+grid path in both of its grid columns.
 
     python scripts/grid_timing.py                                  # this checkout
     python scripts/grid_timing.py --dims 14-48 --src OTHER/src     # against another
@@ -61,81 +66,116 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 WORKER = """
-import json, sys, time
+import importlib, importlib.util, json, os, sys, time
 import numpy as np
-from quadrics import fixtures, oracles, pencil
-from quadrics.applications import extremal_family
-from quadrics.betti import analyze, betti_x, build_table, euler_x
-from quadrics.circle import CircleSubset, PlanarCone
-from quadrics.filtration import FiltrationReport, filtration_report, index_profile
 
-dims, repeat, mode = json.loads(sys.argv[1])
+trees, dims, repeat, mode = json.loads(sys.argv[1])
 
-def best_ms(call):
-    best = float("inf")
-    for _ in range(repeat):
-        start = time.perf_counter()
-        call()
-        best = min(best, time.perf_counter() - start)
-    return 1e3 * best
+def load(name, src):
+    # the package in src/quadrics, imported as name: its imports are relative
+    where = os.path.join(src, "quadrics")
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(where, "__init__.py"), submodule_search_locations=[where])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return {m: importlib.import_module(f"{name}.{m}")
+            for m in ("applications", "betti", "circle", "filtration", "fixtures", "oracles",
+                      "pencil")}
 
-def on_off_ms(call):
-    # [count path on, off]: every dim counts from COUNT_DIM 0, none from maxsize
+Q = [load(f"quadrics_{i}", src) for i, src in enumerate(trees)]
+
+def best_ms(calls):
+    # [the best of repeat calls of each tree's call]: the trees take turns call
+    # by call, in turn first
+    best = [float("inf")] * len(calls)
+    for r in range(repeat):
+        for i in range(len(calls))[::1 if r % 2 == 0 else -1]:
+            start = time.perf_counter()
+            calls[i]()
+            best[i] = min(best[i], time.perf_counter() - start)
+    return [1e3 * b for b in best]
+
+def on_off_ms(calls):
+    # [count path on, off] per tree: every dim counts from COUNT_DIM 0, none from maxsize
     times = []
     for count_dim in (0, sys.maxsize):
-        pencil.COUNT_DIM = count_dim
-        times.append(best_ms(call))
-    return times
+        for q in Q:
+            q["pencil"].COUNT_DIM = count_dim
+        times.append(best_ms(calls))
+    return [list(t) for t in zip(*times)]
 
-def grid_ms(p):
-    p.scale()  # computed once per pencil and kept, so it is not timed
-    return on_off_ms(lambda: oracles.grid_index_profile(p))
+def grid_ms(ps):
+    for p in ps:
+        p.scale()  # computed once per pencil and kept, so it is not timed
+    return on_off_ms([lambda q=q, p=p: q["oracles"].grid_index_profile(p) for q, p in zip(Q, ps)])
 
-def verify_ms(p):
-    if p.n <= 3:  # the sampling oracle's seconds would hide the rest
-        return [float("nan")] * 2
-    result = analyze(p, PlanarCone.zero())
-    return on_off_ms(lambda: oracles.verify_analysis(result))
+def verify_ms(ps):
+    if ps[0].n <= 3:  # the sampling oracle's seconds would hide the rest
+        return [[float("nan")] * 2 for _ in ps]
+    results = [q["betti"].analyze(p, q["circle"].PlanarCone.zero()) for q, p in zip(Q, ps)]
+    return on_off_ms([lambda q=q, r=r: q["oracles"].verify_analysis(r)
+                      for q, r in zip(Q, results)])
 
-def profile_ms(p):
-    locus = pencil.degenerate_locus(p)
-    full = CircleSubset.full_circle()
-    return on_off_ms(lambda: index_profile(p, full, locus))
+def profile_ms(ps):
+    calls = []
+    for q, p in zip(Q, ps):
+        locus = q["pencil"].degenerate_locus(p)
+        full = q["circle"].CircleSubset.full_circle()
+        calls.append(lambda q=q, p=p, full=full, locus=locus:
+                     q["filtration"].index_profile(p, full, locus))
+    return on_off_ms(calls)
 
-def analyze_ms(p):
-    # [analyze, locus, profile, table]
-    p.scale()
-    full, zero = CircleSubset.full_circle(), PlanarCone.zero()
-    locus = pencil.degenerate_locus(p)
-    filt = filtration_report(p, full)
+def analyze_ms(ps):
+    # [analyze, locus, profile, table] per tree
+    stages = []
+    for q, p in zip(Q, ps):
+        p.scale()
+        pencil, betti, filtration = q["pencil"], q["betti"], q["filtration"]
+        full, zero = q["circle"].CircleSubset.full_circle(), q["circle"].PlanarCone.zero()
+        locus = pencil.degenerate_locus(p)
+        filt = filtration.filtration_report(p, full)
 
-    def table():
-        fresh = FiltrationReport(p, filt.profile, filt.mu, filt.nu, filt.locus)
-        betti_x(build_table(fresh))
-        euler_x(fresh)
+        def table(p=p, betti=betti, filt=filt, report=filtration.FiltrationReport):
+            fresh = report(p, filt.profile, filt.mu, filt.nu, filt.locus)
+            betti.betti_x(betti.build_table(fresh))
+            betti.euler_x(fresh)
 
-    return [best_ms(lambda: analyze(p, zero)), best_ms(lambda: pencil.degenerate_locus(p)),
-            best_ms(lambda: index_profile(p, full, locus)), best_ms(table)]
+        stages.append([lambda p=p, betti=betti, zero=zero: betti.analyze(p, zero),
+                       lambda p=p, pencil=pencil: pencil.degenerate_locus(p),
+                       lambda p=p, f=filtration, full=full, locus=locus:
+                           f.index_profile(p, full, locus),
+                       table])
+    return [list(t) for t in zip(*(best_ms(calls) for calls in zip(*stages)))]
 
-def tridiagonal_pencil(rng, dim):
+def tridiagonal_forms(rng, dim):
     forms = []
     for _ in range(2):
         sub = rng.standard_normal(dim - 1)
         forms.append(np.diag(rng.standard_normal(dim)) + np.diag(sub, 1) + np.diag(sub, -1))
-    return pencil.QuadraticPencil(*forms)
+    return forms
 
-rows = []
+def each_tree(q0, q1):
+    # the same pencil, built by every tree
+    return [q["pencil"].QuadraticPencil(q0, q1) for q in Q]
+
+rows = [[] for _ in Q]  # rows[tree][dim]
 for d in dims:
     rng = np.random.default_rng(d)
-    if mode == "analyze":
-        ps = (fixtures.random_pencil(rng, d), extremal_family(d - 1))
-        rows.append([t for p in ps for t in analyze_ms(p)])
-    elif mode == "profile":
-        ps = (fixtures.random_pencil(rng, d), extremal_family(d - 1), tridiagonal_pencil(rng, d))
-        rows.append([t for p in ps for t in profile_ms(p)])
-    else:
-        ps = (fixtures.random_pencil(rng, d), extremal_family(d - 1))
-        rows.append([t for timed in (grid_ms, verify_ms) for p in ps for t in timed(p)])
+    random = Q[0]["fixtures"].random_pencil(rng, d)
+    extremal = Q[0]["applications"].extremal_family(d - 1)
+    classes = [each_tree(random.q0, random.q1), each_tree(extremal.q0, extremal.q1)]
+    if mode == "profile":
+        classes.append(each_tree(*tridiagonal_forms(rng, d)))
+    timed = {"analyze": (analyze_ms,), "profile": (profile_ms,),
+             "grid": (grid_ms, verify_ms)}[mode]
+    per_tree = [[] for _ in Q]
+    for how in timed:
+        for ps in classes:
+            for mine, times in zip(per_tree, how(ps)):
+                mine += times
+    for row, mine in zip(rows, per_tree):
+        row.append(mine)
 print(json.dumps(rows))
 """
 
@@ -147,18 +187,19 @@ MODES = {
 }
 
 
-def _times(src: str, dims: list[int], repeat: int, mode: str) -> list:
-    """[each of the mode's times of each class, in ms] per dim, timed in a
-    fresh interpreter: in grid mode the grid on the random and the extremal
-    pencil, then verify_analysis on each, count path on and off; in profile
-    mode index_profile on its classes, on and off; in analyze mode analyze
-    and its three stages."""
-    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
-    task = json.dumps([dims, repeat, mode])
+def _times(trees: list[str], dims: list[int], repeat: int, mode: str) -> list:
+    """[[each of the mode's times of each class, in ms] per dim] per tree,
+    every tree timed in one fresh interpreter, call by call in turn: in grid
+    mode the grid on the random and the extremal pencil, then
+    verify_analysis on each, count path on and off; in profile mode
+    index_profile on its classes, on and off; in analyze mode analyze and
+    its three stages."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    task = json.dumps([trees, dims, repeat, mode])
     proc = subprocess.run([sys.executable, "-c", WORKER, task],
                           capture_output=True, text=True, env=env, check=False)
     if proc.returncode != 0:
-        raise SystemExit(f"{src}: timing exited {proc.returncode}:\n{proc.stderr}")
+        raise SystemExit(f"timing of {trees} exited {proc.returncode}:\n{proc.stderr}")
     return json.loads(proc.stdout)
 
 
@@ -177,7 +218,7 @@ def main(argv=None) -> int:
     parser.add_argument("--repeat", type=int, default=15,
                         help="calls per pencil, the best is kept (default 15)")
     parser.add_argument("--rounds", type=int, default=3,
-                        help="fresh interpreters per tree (default 3)")
+                        help="fresh interpreters, each timing every tree (default 3)")
     parser.add_argument("--src", help="another checkout's src directory to time as well")
     modes = parser.add_mutually_exclusive_group()
     modes.add_argument("--profile", action="store_const", dest="mode", const="profile",
@@ -192,9 +233,10 @@ def main(argv=None) -> int:
     trees = [os.path.join(ROOT, "src")] + ([os.path.abspath(args.src)] if args.src else [])
     best: list = [None] * len(trees)
     for r in range(args.rounds):
-        for i in range(len(trees))[::1 if r % 2 == 0 else -1]:
-            times = np.array(_times(trees[i], args.dims, args.repeat, args.mode))
-            best[i] = times if best[i] is None else np.minimum(best[i], times)
+        order = list(range(len(trees)))[::1 if r % 2 == 0 else -1]
+        for i, times in zip(order, _times([trees[i] for i in order], args.dims, args.repeat,
+                                          args.mode)):
+            best[i] = np.minimum(best[i], times) if r else np.array(times)
     classes, ways = MODES[args.mode]
     on_off = ways == ("on", "off")
     columns = tuple(f"{c} {way}" for c in classes for way in ways)

@@ -76,8 +76,19 @@ def _shared_row(e0: int, e1: int, e2: int) -> tuple[int, int, int]:
     return (e0, e1, e2)
 
 
+def _circle_levels(filt: FiltrationReport) -> int:
+    """How many levels j = 1, 2, ... are the whole circle: nu on the full
+    domain, where i_plus >= nu everywhere, and none on an arc domain."""
+    return filt.nu if filt.profile.domain.is_full() else 0
+
+
 def build_table(filt: FiltrationReport) -> SpectralTable:
-    """Assemble the table from the superlevel filtration of a pencil."""
+    """Assemble the table from the superlevel filtration of a pencil.
+
+    Row j < mu - 1 reads level j + 1, and is (0, 0, 1) while that level is
+    the whole circle; row mu - 1 reads level mu, row mu is (c, 0, 0) and
+    every row past it (1, 0, 0).  The constant rows are repeated.
+    """
     n = filt.pencil.n
     mu = filt.mu
     if filt.w1_nonzero:
@@ -86,15 +97,14 @@ def build_table(filt: FiltrationReport) -> SpectralTable:
         # b1(Omega_mu) is 1 exactly when Omega_mu is the whole circle
         c, d = 1, int(filt.top_fills_circle)
     levels = filt.betti_levels
-    rows = []
-    for j in range(0, n + 1):
-        e0 = 1 if j > mu else (c if j == mu else 0)
-        e1 = e2 = 0
-        if j <= mu - 1:
-            b0j, b1j = levels[j + 1]
-            e1 = b0j - 1
-            e2 = d if j == mu - 1 else b1j
-        rows.append(_shared_row(e0, e1, e2))
+    whole = min(_circle_levels(filt), max(mu - 1, 0))
+    rows = [_shared_row(0, 0, 1)] * whole
+    rows += [_shared_row(0, b0 - 1, b1) for b0, b1 in levels[whole + 1:mu]]
+    if mu >= 1:
+        rows.append(_shared_row(0, levels[mu][0] - 1, d))
+    if mu <= n:
+        rows.append(_shared_row(c, 0, 0))
+    rows += [_shared_row(1, 0, 0)] * (n - mu)
     return SpectralTable(n=n, mu=mu, nu=filt.nu, c=c, d=d,
                          rows=tuple(rows), w1_nonzero=filt.w1_nonzero)
 
@@ -141,9 +151,13 @@ def euler_x(filt: FiltrationReport) -> int:
     n = filt.pencil.n
     if filt.mu == n + 1:
         return 0
-    chis = [_level_euler(b0, b1) for b0, b1 in filt.betti_levels[1:n + 2]]
-    # chi of the ambient projective space, then levels 1 .. n + 1 with signs -, +, ...
-    acc = (1 if n % 2 == 0 else 0) + sum(chis[1::2]) - sum(chis[::2])
+    # chi of the ambient projective space, then levels 1 .. n + 1 with signs
+    # -, +, ...; a level that is the whole circle or past mu (empty) has
+    # b0 = b1, so only the levels between add anything
+    first = _circle_levels(filt) + 1
+    chis = [_level_euler(b0, b1) for b0, b1 in filt.betti_levels[first:filt.mu + 1]]
+    odd = first % 2  # chis[0] is level first
+    acc = (1 if n % 2 == 0 else 0) + sum(chis[odd::2]) - sum(chis[1 - odd::2])
     return acc if n % 2 == 0 else -acc
 
 

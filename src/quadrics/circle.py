@@ -432,10 +432,15 @@ class PlanarCone:
 
 
 def _generator(g) -> tuple[float, float]:
-    """A cone generator from JSON: a pair of finite numbers."""
-    if not (isinstance(g, list) and len(g) == 2 and all(
+    """A cone generator from JSON: a pair of finite numbers.  An integer
+    past the float range is not one: math.isfinite overflows on it."""
+    try:
+        ok = isinstance(g, list) and len(g) == 2 and all(
             isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-            for v in g)):
+            for v in g)
+    except OverflowError:
+        ok = False
+    if not ok:
         raise InvalidInputError(f"cone generator {g!r} is not a pair of finite numbers")
     return (float(g[0]), float(g[1]))
 

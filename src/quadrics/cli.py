@@ -61,7 +61,8 @@ def _read_input(args) -> dict:
             with open(args.input, "r", encoding="utf-8") as fh:
                 return json.load(fh)
         return json.load(sys.stdin)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # bad JSON, bytes that are not UTF-8, or nesting past the recursion limit
         raise InvalidInputError(f"malformed problem JSON: {exc}") from exc
     except OSError as exc:
         raise InvalidInputError(f"cannot read input: {exc}") from exc
@@ -92,11 +93,15 @@ def _oracle_options(args) -> dict:
 
 
 def _plane_point(c) -> tuple[float, float]:
-    """The point 'c' as a pair of floats; anything but two numbers is invalid."""
+    """The point 'c' as a pair of floats; anything but two numbers is
+    invalid, and so is an integer past the float range."""
     if not (isinstance(c, (list, tuple)) and len(c) == 2 and all(
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in c)):
         raise InvalidInputError(f"'c' must be a pair of numbers, not {c!r}")
-    return (float(c[0]), float(c[1]))
+    try:
+        return (float(c[0]), float(c[1]))
+    except OverflowError as exc:
+        raise InvalidInputError("'c' has a coordinate past the float range") from exc
 
 
 # the flags several subcommands share, each given only where it is read

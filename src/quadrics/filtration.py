@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable
@@ -109,9 +110,9 @@ class IndexProfile:
 
 def _read_arcs(p: QuadraticPencil, arcs: list[tuple[float, float]],
                points: list[float] | tuple = ()
-               ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """((i_plus, i_minus) on each open arc (start, end), end past start,
-    (i_plus, i_minus) at each point).
+               ) -> tuple[list[int], list[int], list[int], list[int]]:
+    """(i_plus, i_minus) on each open arc (start, end), end past start, then
+    (i_plus, i_minus) at each point, as four int lists.
 
     The points and both thirds of every arc are counted in one stacked pass
     (family_counts); an arc's ends are not solved unless they are among
@@ -119,37 +120,36 @@ def _read_arcs(p: QuadraticPencil, arcs: list[tuple[float, float]],
     readings agree, except that a third inside the zero band of a nearby
     multiple root reads extra zeros and no count above the other reading:
     the arc takes the other reading then.  Any other disagreement is a root
-    the locus misses and raises NumericalError.
+    the locus misses and raises NumericalError.  When the two thirds' lists
+    agree, as they do on most pencils, no arc is read on its own.
     """
     thirds = [t for a, b in arcs for t in (a + (b - a) / 3.0, a + 2.0 * (b - a) / 3.0)]
-    values = list(zip(*family_counts(p, [*points, *thirds], p.scale())))
+    plus, minus = family_counts(p, [*points, *thirds], p.scale())
     k = len(points)
-    arc_values = []
-    for i, (u, v) in enumerate(zip(values[k::2], values[k + 1::2])):
-        if u[0] > v[0] or u[1] > v[1]:
-            if v[0] > u[0] or v[1] > u[1]:
-                (a, b), dim = arcs[i], p.dim
-                raise NumericalError(
-                    f"inertia changes inside the arc ({a}, {b}): {(*u, dim - sum(u))} at "
-                    f"{thirds[2 * i]}, {(*v, dim - sum(v))} at {thirds[2 * i + 1]}; "
-                    "a root is missing from the locus")
-            v = u  # v read in a zero band
-        arc_values.append(v)
-    return arc_values, values[:k]
+    first_plus, first_minus = plus[k::2], minus[k::2]
+    arc_plus, arc_minus = plus[k + 1::2], minus[k + 1::2]
+    if first_plus != arc_plus or first_minus != arc_minus:
+        for i, u in enumerate(zip(first_plus, first_minus)):
+            v = (arc_plus[i], arc_minus[i])
+            if u[0] > v[0] or u[1] > v[1]:
+                if v[0] > u[0] or v[1] > u[1]:
+                    (a, b), dim = arcs[i], p.dim
+                    raise NumericalError(
+                        f"inertia changes inside the arc ({a}, {b}): {(*u, dim - sum(u))} at "
+                        f"{thirds[2 * i]}, {(*v, dim - sum(v))} at {thirds[2 * i + 1]}; "
+                        "a root is missing from the locus")
+                arc_plus[i], arc_minus[i] = u  # v read in a zero band
+    return arc_plus, arc_minus, plus[:k], minus[:k]
 
 
 def _profile_steps(domain: CircleSubset, angles: list[float]
                    ) -> list[tuple[float, bool, tuple[float, float] | None]]:
-    """(cut, point held, held arc after it or None) in ascending cut order.
+    """(cut, point held, held arc after it or None) in ascending cut order,
+    on an arc domain (none on the full circle).
 
-    On the full domain the cuts are the locus angles, and every point and arc
-    is held.  Otherwise they are the domain's cuts and the locus angles more
-    than CLUSTER_TOL inside its held arcs; an arc's ends are lifted past its
-    start.
+    The cuts are the domain's cuts and the locus angles more than CLUSTER_TOL
+    inside its held arcs; an arc's ends are lifted past its start.
     """
-    if domain.is_full():
-        return [(b, True, (b, e)) for b, e in zip(angles, [*angles[1:], angles[0] + TWO_PI])] \
-            if angles else []
     d = domain.cuts
     steps = []
     for s, e, held, arc_held in zip(d, (*d[1:], d[0] + TWO_PI), domain.at, domain.after):
@@ -162,6 +162,38 @@ def _profile_steps(domain: CircleSubset, angles: list[float]
                   for k, (a, b) in enumerate(zip(edges, edges[1:]))]
     # the inner cuts of an arc across angle zero come first
     return sorted(steps, key=lambda step: step[0])
+
+
+def _full_circle_profile(p: QuadraticPencil, domain: CircleSubset,
+                         angles: list[float]) -> IndexProfile:
+    """The profile on the full circle, whose cuts are the B > 0 locus angles.
+
+    Only the first B/2 points and the arcs between angles[0] and angles[B/2]
+    are read (_read_arcs); the rest are their antipodes' counts swapped.
+    Semicontinuity is checked at the read points, against the read arc after
+    each and the arc before it, which at point 0 is the antipode of the last
+    read arc.  Every pass is over whole int lists; the mirrored half's
+    triples are made from the same lists, swapped.
+    """
+    h = len(angles) // 2
+    starts = angles[:h]
+    arc_plus, arc_minus, at_plus, at_minus = _read_arcs(p, list(zip(starts, angles[1:h + 1])),
+                                                        starts)
+    before_plus = [arc_minus[-1], *arc_plus[:-1]]
+    before_minus = [arc_plus[-1], *arc_minus[:-1]]
+    if not (all(map(operator.le, at_plus, arc_plus)) and all(map(operator.le, at_minus, arc_minus))
+            and all(map(operator.le, at_plus, before_plus))
+            and all(map(operator.le, at_minus, before_minus))):
+        i = next(i for i, (a, b, c, d, e, f) in enumerate(zip(
+            at_plus, at_minus, arc_plus, arc_minus, before_plus, before_minus))
+            if a > min(c, e) or b > min(d, f))
+        raise NumericalError(f"semicontinuity violated at breakpoint {angles[i]}")
+    dim = p.dim
+    at_zero = [dim - a - b for a, b in zip(at_plus, at_minus)]
+    arc_zero = [dim - a - b for a, b in zip(arc_plus, arc_minus)]
+    at = map(shared_triple, at_plus + at_minus, at_minus + at_plus, at_zero + at_zero)
+    after = map(shared_triple, arc_plus + arc_minus, arc_minus + arc_plus, arc_zero + arc_zero)
+    return IndexProfile(domain, tuple(angles), tuple(at), tuple(after))
 
 
 def index_profile(p: QuadraticPencil, domain: CircleSubset,
@@ -183,34 +215,30 @@ def index_profile(p: QuadraticPencil, domain: CircleSubset,
     and i_minus swap at antipodes.  The B locus angles pair as angles[i] and
     angles[i + B/2], so only the arcs from angles[0] to angles[B/2] and the
     first B/2 breakpoints are solved, and the rest are their antipodes'
-    counts swapped: 3 B/2 matrices, not 3 B.  Semicontinuity is checked at
-    the solved breakpoints only: at a mirrored one it is the same
-    inequalities swapped, so the first breakpoint that fails is the same.
-    An arc domain is read in full.
+    counts swapped: 3 B/2 matrices, not 3 B (_full_circle_profile).
+    Semicontinuity is checked at the solved breakpoints only: at a mirrored
+    one it is the same inequalities swapped, so the first breakpoint that
+    fails is the same.  An arc domain is read in full.
     """
     if domain.is_empty():
         return IndexProfile(domain)
     if locus is None:
         locus = degenerate_locus(p)
-    steps = _profile_steps(domain, locus.angles)
+    angles = locus.angles
     dim = p.dim
-    if not steps:
-        ((plus, minus),), _ = _read_arcs(p, [(0.0, TWO_PI)])
+    if domain.is_full():
+        if angles:
+            return _full_circle_profile(p, domain, angles)
+        (plus,), (minus,), _, _ = _read_arcs(p, [(0.0, TWO_PI)])
         return IndexProfile(domain, whole=shared_triple(plus, minus, dim - plus - minus))
+    steps = _profile_steps(domain, angles)
     cuts = [c for c, _, _ in steps]
-    points = [c for c, held, _ in steps if held]
-    arcs = [arc for _, _, arc in steps if arc]
-    # the full circle holds every point and arc and solves the first half of
-    # each; an arc domain solves all of them
-    solved = len(steps) // 2 if domain.is_full() else len(steps)
-    arc_vals, point_vals = _read_arcs(p, arcs[:solved], points[:solved])
-    if solved < len(steps):
-        arc_vals += [(minus, plus) for plus, minus in arc_vals]
-        point_vals += [(minus, plus) for plus, minus in point_vals]
-    point_vals, arc_vals = iter(point_vals), iter(arc_vals)
+    arc_plus, arc_minus, point_plus, point_minus = _read_arcs(
+        p, [arc for _, _, arc in steps if arc], [c for c, held, _ in steps if held])
+    point_vals, arc_vals = zip(point_plus, point_minus), zip(arc_plus, arc_minus)
     at = [next(point_vals) if held else None for _, held, _ in steps]
     after = [next(arc_vals) if arc else None for _, _, arc in steps]
-    for i, v in enumerate(at[:solved]):
+    for i, v in enumerate(at):
         if v is None:
             continue
         for arc in (after[i - 1], after[i]):
@@ -339,11 +367,12 @@ class FiltrationReport:
         A component of {i_plus >= j} is a maximal run of cells of value at
         least j.  Levels j at or below the least cell hold every cell, so
         that cell is not -1 and the domain is the circle; only then is
-        b1 = 1.
+        b1 = 1.  Levels past mu hold none.
         """
         low, runs, _ = self._superlevel_counts
-        top = low + 1  # the levels below it hold every cell
-        return ((1, 1),) * top + tuple(_shared_pair(b0, 0) for b0 in runs[top:])
+        top = low + 1  # the levels below it hold every cell, those past mu none
+        return (((1, 1),) * top + tuple(_shared_pair(b0, 0) for b0 in runs[top:self.mu + 1])
+                + ((0, 0),) * (self.pencil.dim + 1 - self.mu))
 
     @cached_property
     def betti_pairs(self) -> tuple[tuple[int, int], ...]:

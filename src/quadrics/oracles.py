@@ -10,7 +10,8 @@ non-real root counts of the determinant (exact_locus_counts), with no
 tolerance at all.  Nothing here shares code paths with the combinatorial
 machinery it verifies but the grid's counts: they take its zero band and
 Sturm pass, below pencil.COUNT_DIM after a Householder reduction of their
-own and from there up by the profile's own counter.  The references for a
+own and from there up, or when both forms are tridiagonal, by the
+profile's own counter.  The references for a
 count are inertia() and the exact oracle.
 verify_analysis keeps the grid's counts in arrays from the solve to the
 comparison with the profile (_grid_check), and the CLI's profile --grid
@@ -156,8 +157,10 @@ def _grid_counts(p: QuadraticPencil, grid_n: int) -> tuple[np.ndarray, np.ndarra
     thr = TOL_EIG * scale
     thetas = np.linspace(0.0, TWO_PI, resolution, endpoint=False)
     solved = (thetas[:resolution // 2] if resolution % 2 == 0 else thetas).tolist()
-    if dim >= pencil.COUNT_DIM:
-        # the profile's counter holds O(k * dim) numbers for k members
+    if dim >= pencil.COUNT_DIM or (pencil._is_tridiagonal(p.q0)
+                                   and pencil._is_tridiagonal(p.q1)):
+        # the profile's counter holds O(k * dim) numbers for k members, and
+        # reads tridiagonal ones with no reduction at every dim
         step = max(1, AT_MANY_SLICE // dim)
         parts = (pencil._sturm_inertia(p, solved[lo:lo + step], scale, thr)
                  for lo in range(0, len(solved), step))
@@ -185,8 +188,9 @@ def grid_index_profile(p: QuadraticPencil, grid_n: int = 720) -> GridProfile:
 
     Members below pencil.COUNT_DIM go in stacks of at most AT_MANY_SLICE
     entries, each member at() bit for bit (_grid_members), and are counted
-    at +-TOL_EIG * scale by _counted_inertia; from COUNT_DIM up,
-    AT_MANY_SLICE // dim at a time, by the profile's pencil._sturm_inertia.
+    at +-TOL_EIG * scale by _counted_inertia; from COUNT_DIM up, and at
+    every dim when both forms are tridiagonal, AT_MANY_SLICE // dim at a
+    time, by the profile's pencil._sturm_inertia.
     The counts equal per-angle inertia()'s on every pencil the tests run.
     """
     thetas, plus, minus = _grid_counts(p, grid_n)

@@ -34,6 +34,7 @@ from .circle import TOL_ANGLE, canonical_angle
 from .errors import InvalidInputError, NumericalError
 
 PI = math.pi
+TWO_PI = 2.0 * math.pi
 
 
 def _load_flapack():
@@ -108,6 +109,8 @@ def _as_symmetric(m, what: str, bounded: bool = False) -> np.ndarray:
         a = np.asarray(m, dtype=float)
     except (TypeError, ValueError) as exc:  # a string, or ragged rows
         raise InvalidInputError(f"{what} is not a matrix of numbers") from exc
+    except OverflowError as exc:  # an integer past the float range
+        raise InvalidInputError(f"{what} has an entry past the float range") from exc
     if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
         raise InvalidInputError(f"{what} must be a non-empty square matrix")
     largest = float(np.max(np.abs(a)))  # nan or inf if an entry is
@@ -367,10 +370,16 @@ def _sturm_pass(d: np.ndarray, e: np.ndarray, thr: float) -> tuple[np.ndarray, n
     The first pass eliminates only the rows j whose e_(j-1) is nonzero in
     some matrix.  On the others the step subtracts 0 / q_(j-1), an exact
     zero unless q_(j-1) is 0 or NaN, and then the guarded rerun runs either
-    way; so the counts are those of the full recurrence, bit for bit, and
-    diagonal matrices take no step at all.
+    way; so the counts are those of the full recurrence, bit for bit.
+    Diagonal matrices (e = 0) take no step and build no recurrence state:
+    their pivots are d -+ thr, guarded, so each count is one comparison.
     """
     dim, k = d.shape
+    if not e.any():
+        # each pivot is its shifted diagonal entry, and pivmin is SAFMIN: a
+        # pivot below it in magnitude is guarded negative at +thr, positive at -thr
+        return (dim - np.count_nonzero(d - thr < _SAFMIN, axis=0),
+                np.count_nonzero(d + thr <= -_SAFMIN, axis=0))
     # row j holds pivot j of every matrix at +thr, then of every matrix at -thr
     shifted = np.concatenate([d - thr, d + thr], axis=1)
     e2 = np.square(e)
@@ -644,9 +653,11 @@ def degenerate_locus(p: QuadraticPencil) -> DegenerateLocus:
         raise NumericalError("unpaired non-real root; tolerances inconsistent")
 
     # clusters are more than CLUSTER_TOL apart modulo pi, so no two points
-    # share an angle and the points sort by it
+    # share an angle and the points sort by it.  canonical_angle is the
+    # identity on [0, 2 pi): a center is in [0, pi), and only an antipode
+    # that rounds to 2 pi needs folding
     clusters = _cluster_periodic([(phi + r) % PI for r in roots], CLUSTER_TOL)
-    points = [DegeneratePoint(canonical_angle(center + half), mult)
-              for half in (0.0, PI) for center, mult in clusters]
+    points = clusters + [(t, mult) if t < TWO_PI else (canonical_angle(t), mult)
+                         for t, mult in ((center + PI, mult) for center, mult in clusters)]
     points.sort()
-    return DegenerateLocus(tuple(points), nonreal // 2, k)
+    return DegenerateLocus(tuple(map(DegeneratePoint._make, points)), nonreal // 2, k)

@@ -510,6 +510,12 @@ def test_non_finite_angles_are_invalid_input(bad):
             call()
 
 
+@pytest.mark.parametrize("generator", [[10 ** 400, 0], [1, -10 ** 400]])
+def test_a_generator_past_the_float_range_is_invalid_input(generator):
+    with pytest.raises(InvalidInputError, match="finite numbers"):
+        PlanarCone.from_json({"kind": "ray", "generators": [generator]})
+
+
 def test_half_circles():
     c1 = closed_half_circle(0.0)
     assert c1.contains(0.0) and c1.contains(PI) and c1.contains(PI / 2)

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import subprocess
@@ -277,6 +278,36 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv, override):
         code = exc.code
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000],
+                         ids=["not-utf8", "nested-past-the-recursion-limit"])
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_unreadable_problem_json_exits_2(tmp_path, capsys, monkeypatch, content, source):
+    path = tmp_path / "problem.json"
+    path.write_bytes(content)
+    argv = ["betti-x", "--output", str(tmp_path / "out.json")]
+    if source == "file":
+        argv += ["--input", str(path)]
+    else:
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(content), encoding="utf-8"))
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error: malformed problem JSON:")
+
+
+@pytest.mark.parametrize("argv,override", [
+    (["betti-x"], {"Q1": [[1, 0, 0, 0], [0, 10 ** 400, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}),
+    (["betti-x"], {"cone": {"kind": "ray", "generators": [[10 ** 400, 1]]}}),
+    (["level-set"], {"c": [10 ** 400, 0]}),
+    (["member"], {"c": [0, -10 ** 400]}),
+], ids=["q1", "generator", "level-set-c", "member-c"])
+def test_an_integer_past_the_float_range_exits_2(tmp_path, capsys, argv, override):
+    # json.dumps writes the int in full, and json.load reads it back as an int
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({**fixtures.bouquet().to_json(), **override}))
+    assert "0" * 400 in path.read_text()
+    assert run([*argv, "--input", str(path), "--output", str(tmp_path / "out.json")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 @pytest.mark.parametrize("argv", [

@@ -325,7 +325,7 @@ def test_the_mirrored_half_circle_equals_the_full_read_cell_by_cell():
         assert all(abs(bps[i + h] - bps[i] - PI) <= CLUSTER_TOL for i in range(h)), p.dim
         assert [v for _, v in _points(prof)] == family_inertia(p, bps, p.scale()), p.dim
         arcs = list(zip(bps, [*bps[1:], bps[0] + TWO_PI]))
-        assert [v[:2] for v in _arc_values(prof)] == _read_arcs(p, arcs)[0], p.dim
+        assert [v[:2] for v in _arc_values(prof)] == list(zip(*_read_arcs(p, arcs)[:2])), p.dim
         mirrored += 1
     assert mirrored >= 20
 

@@ -199,6 +199,31 @@ def _streamed_path_pencils(rng):
     yield fixtures.kronecker_pair(3, 12, rng)
 
 
+def test_tridiagonal_grids_take_the_streamed_read_at_every_dim(monkeypatch):
+    # below COUNT_DIM too, a pencil of two tridiagonal forms is read by
+    # _sturm_inertia's diagonal read, with no Householder stack; its counts
+    # are per-angle inertia()'s
+    rng = np.random.default_rng(29)
+    sub = rng.standard_normal((2, 6))
+    tridiagonal = QuadraticPencil(*(np.diag(rng.standard_normal(7)) + np.diag(e, 1) + np.diag(e, -1)
+                                    for e in sub))
+    stacked, counted = [], oracles._counted_inertia
+
+    def recorded(a, *args):
+        stacked.append(a.shape)
+        return counted(a, *args)
+
+    monkeypatch.setattr(oracles, "_counted_inertia", recorded)
+    assert tridiagonal.dim < pencil.COUNT_DIM
+    for p in [*(extremal_family(n) for n in range(4, 16)), tridiagonal]:
+        thetas, expected = _grid_per_angle(p, 720)
+        read, plus, minus = oracles._grid_counts(p, 720)
+        assert read.tolist() == thetas
+        assert list(zip(plus.tolist(), minus.tolist(), (p.dim - plus - minus).tolist())) \
+            == expected, p.dim
+    assert stacked == []
+
+
 def test_grid_solves_each_direction_once_and_equals_the_per_angle_solve(monkeypatch):
     # an even resolution solves the first half circle and swaps i_plus and
     # i_minus for the second; an odd one has no antipodes and solves all.
@@ -232,7 +257,9 @@ def test_grid_solves_each_direction_once_and_equals_the_per_angle_solve(monkeypa
         for p in cases:
             thetas, expected = _grid_per_angle(p, grid_n)
             resolution = len(thetas)
-            entries = p.dim if p.dim >= pencil.COUNT_DIM else p.dim * p.dim
+            streams = p.dim >= pencil.COUNT_DIM or (pencil._is_tridiagonal(p.q0)
+                                                    and pencil._is_tridiagonal(p.q1))
+            entries = p.dim if streams else p.dim * p.dim
             for slice_size in (AT_MANY_SLICE, 8 * p.dim * p.dim):
                 monkeypatch.setattr(oracles, "AT_MANY_SLICE", slice_size)
                 solved.clear()

@@ -461,6 +461,15 @@ def test_pencil_rejects_bad_n():
         QuadraticPencil.from_json(data)
 
 
+def test_an_integer_past_the_float_range_is_invalid_input():
+    # JSON reads 10**400 as a Python int, which float() cannot hold
+    huge = [[1, 0], [0, 10 ** 400]]
+    with pytest.raises(InvalidInputError, match="float range"):
+        QuadraticPencil(huge, np.eye(2))
+    with pytest.raises(InvalidInputError, match="float range"):
+        QuadraticPencil.from_json({"n": 1, "Q0": np.eye(2).tolist(), "Q1": huge})
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_pencil_rejects_non_finite_entries(bad):
     # max|a - a'| is nan for a nan entry, and nan > tol is False

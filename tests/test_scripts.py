@@ -1,6 +1,7 @@
 """The experiment scripts run end to end on small inputs."""
 
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -58,9 +59,16 @@ def test_grid_timing_profile_mode_runs():
     assert all(len(row.split()) == 16 for row in rows[1:])
 
 
-def test_grid_timing_analyze_mode_runs():
-    proc = _run_script("grid_timing.py", "--analyze", "--dims", "3-4", "--repeat", "1",
-                       "--rounds", "2", "--src", str(ROOT / "src"))
+def test_grid_timing_analyze_mode_runs(tmp_path):
+    # the other tree is a copy whose analyze sleeps 5 ms a call: imported
+    # in the same process under another name, it reads that much slower
+    shutil.copytree(ROOT / "src" / "quadrics", tmp_path / "quadrics",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tmp_path / "quadrics" / "betti.py", "a", encoding="utf-8") as fh:
+        fh.write("\n\nimport time as _time\n_analyze = analyze\n\n\n"
+                 "def analyze(p, cone):\n    _time.sleep(0.005)\n    return _analyze(p, cone)\n")
+    proc = _run_script("grid_timing.py", "--analyze", "--dims", "3-4", "--repeat", "2",
+                       "--rounds", "2", "--src", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     rows = proc.stdout.splitlines()
     assert rows[0].split()[:3] == ["dim", "random", "analyze"] and "extremal table" in rows[0]
@@ -69,3 +77,7 @@ def test_grid_timing_analyze_mode_runs():
     # analyze, locus, profile and table of each class, then their ratios to the other tree
     assert all(len(row.split()) == 17 for row in rows[1:])
     assert all(float(t) > 0.0 for row in rows[1:] for t in row.split()[1:])
+    for row in rows[1:]:
+        ratios = [float(t) for t in row.split()[9:]]
+        # this tree's analyze takes well under the copy's 5 ms of sleep
+        assert ratios[0] < 0.5 and ratios[4] < 0.5, row
