@@ -36,8 +36,6 @@ from .circle import (
     CircleSubset,
     PlanarCone,
     betti_circle,
-    betti_pair,
-    euler_circle,
     omega_set,
     polar_cone,
 )
@@ -62,7 +60,6 @@ from .pencil import (
     QuadraticPencil,
     degenerate_locus,
     inertia,
-    sylvester_check,
 )
 
 __version__ = "0.1.0"

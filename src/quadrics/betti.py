@@ -48,11 +48,6 @@ class SpectralTable:
     rows: tuple[tuple[int, int, int], ...]
     w1_nonzero: bool
 
-    def entry(self, i: int, j: int) -> int:
-        if 0 <= j <= self.n and 0 <= i <= 2:
-            return self.rows[j][i]
-        return 0
-
     def display_rows(self) -> list[list[int]]:
         """Rows ordered top to bottom from j = n down to j = 0."""
         return [list(self.rows[j]) for j in range(self.n, -1, -1)]
@@ -200,12 +195,15 @@ def betti_y(filt: FiltrationReport) -> list[SphereBettiEntry]:
 def check_bounds(report: BettiReport, smooth: bool = False) -> list[str]:
     """Violated complexity bounds, empty when all hold.
 
-    The total is compared against twice the ambient dimension; for smooth
-    inputs each Betti number is compared against its dimension-free bound.
+    The total is compared against twice the ambient dimension n, from n = 1
+    up: the paper's b(X) <= 2n is stated for n >= 1, and at n = 0 X lies in
+    RP^0, a point, so it is empty or that point, with total 0 or 1.  For
+    smooth inputs each Betti number is compared against its dimension-free
+    bound.
     """
     n = len(report.b) - 1
     violations = []
-    if report.total > 2 * n:
+    if n >= 1 and report.total > 2 * n:
         violations.append(f"total Betti number {report.total} exceeds {2 * n}")
     if smooth:
         for k, bk in enumerate(report.b):

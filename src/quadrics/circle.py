@@ -36,11 +36,6 @@ def canonical_angle(theta: float) -> float:
     return t
 
 
-def angles_equal(a: float, b: float) -> bool:
-    d = abs(canonical_angle(a) - canonical_angle(b))
-    return d <= TOL_ANGLE or TWO_PI - d <= TOL_ANGLE
-
-
 def angle_of(x: float, y: float) -> float:
     return canonical_angle(math.atan2(y, x))
 
@@ -253,67 +248,14 @@ class CircleSubset:
 
 
 # ---------------------------------------------------------------------------
-# Betti numbers and Euler characteristics of circle subsets and pairs
+# Betti numbers of circle subsets
 # ---------------------------------------------------------------------------
-
-def subsets_equal(a: CircleSubset, b: CircleSubset) -> bool:
-    """Set-level equality up to the angular tolerance."""
-    return a.is_subset_of(b) and b.is_subset_of(a)
-
 
 def betti_circle(a: CircleSubset) -> tuple[int, int]:
     """(b0, b1) of a circle subset: component count, and 1 only for the full circle."""
     if a.is_full():
         return (1, 1)
     return (a.n_components(), 0)
-
-
-def euler_circle(a: CircleSubset) -> int:
-    """Euler characteristic: number of contractible components (full circle: 0)."""
-    if a.is_full():
-        return 0
-    return a.n_components()
-
-
-def _components_met(a: CircleSubset, b: CircleSubset) -> set[int]:
-    """The components of a (not full) that meet its subset b.
-
-    A component of a is labelled by its held arc after cuts[i] as i (a held
-    point at an arc's end joins that arc), or as n + i when it is the isolated
-    point cuts[i].  Each held point and open arc of b lies in one component of
-    a, so one pass over b's cuts, bisecting a's at a point of each, finds them.
-    """
-    after, n = a.after, len(a.cuts)
-
-    def label(t: float) -> int:
-        j, on_cut = _locate(a.cuts, t)
-        if not on_cut or after[j]:
-            return j
-        return (j - 1) % n if after[j - 1] else n + j
-
-    cb, m = b.cuts, len(b.cuts)
-    met = {label(cb[i]) for i in range(m) if b.at[i]}
-    met.update(label(0.5 * (cb[i] + (cb[i + 1] if i + 1 < m else cb[0] + TWO_PI)))
-               for i in range(m) if b.after[i])
-    return met
-
-
-def betti_pair(a: CircleSubset, b: CircleSubset) -> tuple[int, int]:
-    """Relative (b0, b1) of a nested pair b <= a of circle subsets.
-
-    b0 counts components of a missing b entirely; b1 follows from exactness
-    of the homology sequence of the pair.
-    """
-    if not b.is_subset_of(a):
-        raise InvalidInputError("betti_pair requires b to be contained in a")
-    if a.is_full():
-        b0_rel = 0 if not b.is_empty() else 1
-    else:
-        b0_rel = a.n_components() - len(_components_met(a, b))
-    b1_rel = b0_rel - euler_circle(a) + euler_circle(b)
-    if b1_rel < 0:
-        raise InvalidInputError("inconsistent pair: negative relative b1")
-    return (b0_rel, b1_rel)
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +353,11 @@ class PlanarCone:
                 raise InvalidInputError("ray cone needs exactly one generator")
             return PlanarCone.ray(angle_of(*gens[0]))
         if kind == "line":
-            if not gens:
-                raise InvalidInputError("line cone needs a generator")
+            # one direction of the line, or both, as to_json writes it
+            if not 1 <= len(gens) <= 2 or (
+                    len(gens) == 2 and not _antipodal(angle_of(*gens[0]), angle_of(*gens[1]))):
+                raise InvalidInputError(
+                    "line cone needs one generator or two antipodal ones")
             return PlanarCone.line(angle_of(*gens[0]))
         if kind in ("sector", "halfplane"):
             if len(gens) != 2:
@@ -420,7 +365,7 @@ class PlanarCone:
             a1, a2 = angle_of(*gens[0]), angle_of(*gens[1])
             sweep = (a2 - a1) % TWO_PI
             if kind == "halfplane":
-                if not abs(sweep - PI) < 1e-9:
+                if not _antipodal(a1, a2):
                     raise InvalidInputError("halfplane generators must be antipodal")
                 return PlanarCone.halfplane(a1)
             if sweep > PI:
@@ -432,8 +377,10 @@ class PlanarCone:
 
 
 def _generator(g) -> tuple[float, float]:
-    """A cone generator from JSON: a pair of finite numbers.  An integer
-    past the float range is not one: math.isfinite overflows on it."""
+    """A cone generator from JSON: a pair of finite numbers, not both zero.
+    An integer past the float range is not one: math.isfinite overflows on
+    it.  The zero vector has no direction, and atan2(0, 0) would read it as
+    angle 0."""
     try:
         ok = isinstance(g, list) and len(g) == 2 and all(
             isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
@@ -442,17 +389,15 @@ def _generator(g) -> tuple[float, float]:
         ok = False
     if not ok:
         raise InvalidInputError(f"cone generator {g!r} is not a pair of finite numbers")
-    return (float(g[0]), float(g[1]))
+    x, y = float(g[0]), float(g[1])
+    if x == 0.0 and y == 0.0:
+        raise InvalidInputError(f"cone generator {g!r} is the zero vector")
+    return (x, y)
 
 
-def cones_equal(k1: PlanarCone, k2: PlanarCone) -> bool:
-    if k1.kind != k2.kind:
-        return False
-    if k1.kind in ("zero", "full"):
-        return True
-    if k1.kind == "line":
-        return angles_equal(k1.start, k2.start) or angles_equal(k1.start + PI, k2.start)
-    return angles_equal(k1.start, k2.start) and abs(k1.sweep - k2.sweep) <= TOL_ANGLE
+def _antipodal(a1: float, a2: float) -> bool:
+    """Whether the canonical angles a1 and a2 are half a turn apart, to 1e-9."""
+    return abs((a2 - a1) % TWO_PI - PI) < 1e-9
 
 
 def polar_cone(k: PlanarCone) -> PlanarCone:

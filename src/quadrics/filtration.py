@@ -377,8 +377,8 @@ class FiltrationReport:
     @cached_property
     def betti_pairs(self) -> tuple[tuple[int, int], ...]:
         """(b0, b1) of the pair (Omega^j, Omega^(j+1)) at each level
-        j = 0 .. dim, as betti_pair(self.omega(j), self.omega(j + 1)) gives
-        them.
+        j = 0 .. dim: the relative Betti numbers of the nested pair of circle
+        subsets self.omega(j) and self.omega(j + 1).
 
         b0 counts the components of Omega^j that miss Omega^(j+1): the runs
         whose largest cell is j, or, when Omega^j holds every cell, one

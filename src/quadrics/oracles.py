@@ -2,8 +2,7 @@
 
 Dense-grid inertia sampling cross-checks index profiles; rejection sampling
 on the sphere with union-find recovers component counts of the solution set;
-multi-start descent decides level-set feasibility with a support-function
-margin; the orientation class is measured by transporting the top positive
+the orientation class is measured by transporting the top positive
 eigenspace around the circle.  Exact integer arithmetic on the stored
 doubles gives the inertia of a member (exact_inertia) and the real and
 non-real root counts of the determinant (exact_locus_counts), with no
@@ -17,9 +16,8 @@ verify_analysis keeps the grid's counts in arrays from the solve to the
 comparison with the profile (_grid_check), and the CLI's profile --grid
 writes them as they are (_grid_counts); grid_index_profile and
 grid_profile_disagreements put the same counts in and out of a GridProfile
-of triples.  The sampling and
-descent oracles import scipy.spatial and scipy.optimize on their first
-call, so importing this module does not load them.
+of triples.  The sampling oracle imports scipy.spatial on its first call,
+so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .applications import LevelProblem
 from .betti import AnalysisResult
 from .circle import TOL_ANGLE, PlanarCone
 from .errors import InvalidInputError, NumericalError, OracleDisagreement
@@ -55,14 +52,9 @@ TWO_PI = 2.0 * math.pi
 
 # acceptance band for sampling the solution variety, relative to form scale
 MEMBERSHIP_DELTA = 5e-3
-# absolute residual scale below which a descent iterate counts as a witness
-FEAS_TOL = 1e-6
-# sampling draws up to SAMPLE_BATCHES batches of SAMPLE_BATCH points; descent
-# runs DESCENT_STARTS + 2 * dim starts, its margin SUPPORT_DIRECTIONS angles
+# sampling draws up to SAMPLE_BATCHES batches of SAMPLE_BATCH points
 SAMPLE_BATCHES = 120
 SAMPLE_BATCH = 200_000
-DESCENT_STARTS = 6
-SUPPORT_DIRECTIONS = 1024
 # the largest grid_n the grid oracle takes, and the largest support
 # --directions of the CLI: a billion would ask numpy for gigabytes before
 # anything is solved, and README's dim-256 grid example uses 20000
@@ -396,86 +388,6 @@ def sample_components(p: QuadraticPencil, cone: PlanarCone, space: str,
             return cur
         prev = cur
     return prev
-
-
-# ---------------------------------------------------------------------------
-# level-set feasibility by descent
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FeasibilitySample:
-    found: bool
-    witness: tuple | None
-    margin: float
-    residual: float
-
-
-def _support_margin(problem: LevelProblem) -> float:
-    """Signed slack of c against the supporting halfplanes of the image.
-
-    Positive margins mean every sampled supporting constraint holds strictly;
-    negative means some constraint is violated by that amount.  Infinity when
-    no sampled direction supports the image at the origin.
-    """
-    p = problem.pencil
-    c = np.asarray(problem.c)
-    scale = max(p.scale(), 1e-12)
-    thetas = np.linspace(0.0, TWO_PI, SUPPORT_DIRECTIONS, endpoint=False)
-    cos = np.array([math.cos(t) for t in thetas])
-    sin = np.array([math.sin(t) for t in thetas])
-    keep = np.ones(SUPPORT_DIRECTIONS, dtype=bool)
-    if problem.mode == "ineq":  # only directions in the nonpositive quadrant
-        keep = (cos <= 1e-12) & (sin <= 1e-12)
-    top = _lapack(np.linalg.eigvalsh, p.at_many(thetas[keep]))[:, -1]
-    supporting = top <= 1e-10 * scale
-    slack = -(cos[keep] * c[0] + sin[keep] * c[1])
-    return float(np.min(slack[supporting], initial=math.inf))
-
-
-def feasibility_sample(problem: LevelProblem, seed: int = 0) -> FeasibilitySample:
-    """Multi-start descent on the squared residual of the level problem.
-
-    found is True when some run drives the residual below tolerance; the
-    witness is the final iterate.  seed drives the random starts.  The margin comes from an independent
-    support-function scan and is reliable only when it clears the tolerance
-    by a healthy factor.
-    """
-    # imported on first use, not with the module: scipy.optimize costs about 18 MB and 0.2 s
-    from scipy.optimize import minimize
-    p = problem.pencil
-    c = np.asarray(problem.c, dtype=float)
-    dim = p.dim
-    rng = np.random.default_rng(seed)
-    ineq = problem.mode == "ineq"
-    tol = FEAS_TOL * max(1.0, float(np.linalg.norm(c)), p.scale())
-
-    def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
-        r0 = float(x @ p.q0 @ x) - c[0]
-        r1 = float(x @ p.q1 @ x) - c[1]
-        if ineq:
-            r0 = max(r0, 0.0)
-            r1 = max(r1, 0.0)
-        val = r0 * r0 + r1 * r1
-        grad = 4.0 * (r0 * (p.q0 @ x) + r1 * (p.q1 @ x))
-        return val, grad
-
-    best_val = math.inf
-    best_x = np.zeros(dim)
-    for k in range(DESCENT_STARTS + 2 * dim):
-        radius = (0.3, 1.0, 3.0)[k % 3]
-        x0 = radius * rng.standard_normal(dim)
-        res = minimize(objective, x0, jac=True, method="L-BFGS-B",
-                       options={"maxiter": 200})
-        if res.fun < best_val:
-            best_val = float(res.fun)
-            best_x = np.asarray(res.x)
-        if math.sqrt(max(best_val, 0.0)) < tol:
-            break
-    residual = math.sqrt(max(best_val, 0.0))
-    found = residual < tol
-    margin = _support_margin(problem)
-    return FeasibilitySample(found, tuple(best_x) if found else None,
-                             margin, residual)
 
 
 # ---------------------------------------------------------------------------

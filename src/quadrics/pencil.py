@@ -454,22 +454,6 @@ def family_counts(p: QuadraticPencil, thetas: list[float],
             [bisect.bisect_left(w, -thr) for w in rows])
 
 
-def family_inertia(p: QuadraticPencil, thetas: list[float],
-                   scale: float) -> list[InertiaTriple]:
-    """The inertia of the family's member at each angle, in the order given:
-    family_counts as shared triples."""
-    dim = p.dim
-    return [shared_triple(plus, minus, dim - plus - minus)
-            for plus, minus in zip(*family_counts(p, thetas, scale))]
-
-
-def sylvester_check(m: np.ndarray, t: np.ndarray) -> bool:
-    """Whether inertia is preserved under the congruence m -> t' m t."""
-    a = _as_symmetric(m, "matrix")
-    t = np.asarray(t, dtype=float)
-    return inertia(a) == inertia(t.T @ a @ t)
-
-
 # ---------------------------------------------------------------------------
 # degenerate locus of the pencil
 # ---------------------------------------------------------------------------

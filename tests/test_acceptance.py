@@ -35,17 +35,11 @@ from quadrics.circle import (
     CircleSubset,
     PlanarCone,
     betti_circle,
-    betti_pair,
-    subsets_equal,
 )
 from quadrics.filtration import filtration_for_cone, index_profile
-from quadrics.oracles import (
-    FEAS_TOL,
-    feasibility_sample,
-    monodromy_refine,
-    sample_components,
-)
-from quadrics.pencil import degenerate_locus, sylvester_check
+from quadrics.oracles import monodromy_refine, sample_components
+from quadrics.pencil import degenerate_locus
+from references import FEAS_TOL, betti_pair, feasibility_sample, subsets_equal, sylvester_check
 
 PI = math.pi
 TWO_PI = 2 * math.pi

@@ -20,10 +20,11 @@ from quadrics.applications import (
     support_function,
 )
 from quadrics.betti import analyze, check_bounds
-from quadrics.circle import PlanarCone, betti_pair, omega_set
+from quadrics.circle import PlanarCone, omega_set
 from quadrics.errors import InvalidInputError, NumericalError
 from quadrics.filtration import filtration_for_cone, index_profile, sublevel
 from quadrics.pencil import QuadraticPencil, degenerate_locus
+from references import betti_pair
 
 PI = math.pi
 ZERO = PlanarCone.zero()

@@ -366,6 +366,22 @@ def test_bounds_flag_violations():
     assert any("b_0" in msg for msg in v)
 
 
+def test_the_total_bound_holds_from_n_1_up():
+    # at n = 0, X lies in RP^0: it is the point or empty, and neither breaks
+    # b(X) <= 2n, which the paper states for n >= 1
+    from quadrics.betti import BettiReport
+    zero, one = np.zeros((1, 1)), np.eye(1)
+    for p, cone, b in [(QuadraticPencil(zero, zero), ZERO, (1,)),
+                       (QuadraticPencil(one, zero), PlanarCone.full(), (1,)),
+                       (QuadraticPencil(one, zero), ZERO, (0,))]:
+        rep = analyze(p, cone).report
+        assert rep.b == b
+        assert check_bounds(rep) == [] and check_bounds(rep, smooth=True) == []
+    for n in (1, 2, 5):
+        fake = BettiReport((2 * n + 1,) + (0,) * n, 2 * n + 1, 2 * n + 1, (1,) * (n + 1), False)
+        assert check_bounds(fake) == [f"total Betti number {2 * n + 1} exceeds {2 * n}"], n
+
+
 # ---------------------------------------------------------------------------
 # index decomposition and half-circle bound
 # ---------------------------------------------------------------------------

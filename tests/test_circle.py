@@ -12,20 +12,16 @@ from quadrics.circle import (
     TOL_ANGLE,
     CircleSubset,
     PlanarCone,
-    angles_equal,
     betti_circle,
-    betti_pair,
     canonical_angle,
     closed_half_circle,
-    cones_equal,
-    euler_circle,
     omega_set,
     open_half_circle,
     polar_cone,
-    subsets_equal,
 )
 from quadrics.errors import InvalidInputError
 from quadrics.filtration import filtration_for_cone
+from references import angles_equal, betti_pair, cones_equal, euler_circle, subsets_equal
 
 PI = math.pi
 TWO_PI = 2 * math.pi
@@ -514,6 +510,36 @@ def test_non_finite_angles_are_invalid_input(bad):
 def test_a_generator_past_the_float_range_is_invalid_input(generator):
     with pytest.raises(InvalidInputError, match="finite numbers"):
         PlanarCone.from_json({"kind": "ray", "generators": [generator]})
+
+
+@pytest.mark.parametrize("kind, generators", [
+    ("ray", [[0, 0]]), ("ray", [[-0.0, 0.0]]), ("line", [[0, 0]]),
+    ("sector", [[0, 0], [0, 1]]), ("halfplane", [[0, 0], [-1, 0]])])
+def test_a_zero_generator_is_invalid_input(kind, generators):
+    # the zero vector has no direction: atan2(0, 0) would read it as angle 0
+    with pytest.raises(InvalidInputError, match="zero vector"):
+        PlanarCone.from_json({"kind": kind, "generators": generators})
+
+
+@pytest.mark.parametrize("generators", [
+    [[1, 0], [0, 1]], [[1, 0], [1, 0]], [[1, 0], [-1, 1e-6]], [[1, 0], [-1, 0], [1, 0]]])
+def test_a_line_needs_one_generator_or_two_antipodal_ones(generators):
+    with pytest.raises(InvalidInputError, match="antipodal"):
+        PlanarCone.from_json({"kind": "line", "generators": generators})
+
+
+def test_a_line_reads_back_from_its_json():
+    # to_json writes both directions of the line; they parse back to it
+    for t in (0.0, 1e-12, -1e-12, 0.4, PI / 2, 2.0, PI - 1e-12, PI, PI + 1e-12, 5.0,
+              TWO_PI - 1e-12):
+        k = PlanarCone.line(t)
+        k2 = PlanarCone.from_json(k.to_json())
+        assert len(k.to_json()["generators"]) == 2
+        assert cones_equal(k2, k) and abs(k2.start - k.start) <= 1e-15, (t, k, k2)
+    # one generator, or two within 1e-9 of antipodal, is the line through the first
+    assert PlanarCone.from_json({"kind": "line", "generators": [[0, 2]]}) == PlanarCone.line(PI / 2)
+    near = {"kind": "line", "generators": [[1, 0], [-1, 1e-12]]}
+    assert PlanarCone.from_json(near) == PlanarCone.line(0.0)
 
 
 def test_half_circles():

@@ -1,10 +1,13 @@
+import ast
 import io
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+import quadrics
 from quadrics import fixtures
 from quadrics.applications import extremal_family
 from quadrics.cli import run
@@ -243,6 +246,8 @@ def test_non_finite_input_exit_code(tmp_path, capsys, command, q0, c):
     (["betti-x"], {"cone": ["zero"]}),
     (["betti-x"], {"cone": {"kind": "ray", "generators": [[1]]}}),
     (["betti-x"], {"cone": {"kind": "sector", "generators": [["a", "b"], [0, 1]]}}),
+    (["betti-x"], {"cone": {"kind": "ray", "generators": [[0, 0]]}}),
+    (["betti-x"], {"cone": {"kind": "line", "generators": [[1, 0], [0, 1]]}}),
     (["member"], {"c": ["a", 0]}),
     (["level-set"], {"c": [[1.0], 0.0]}),
     (["support", "--directions", "-1"], {}),
@@ -260,10 +265,10 @@ def test_non_finite_input_exit_code(tmp_path, capsys, command, q0, c):
     (["betti-x", "--verify", "--seed", "-1"], {}),
     (["verify", "--seed", "-1"], extremal_family(5).to_json()),  # and not at n = 5
 ], ids=["n-string", "n-fraction", "q0-string", "q0-ragged", "cone-list", "generator-short",
-        "generator-strings", "member-c", "level-set-c", "directions-negative",
-        "directions-zero", "directions-huge", "theta-inf", "theta-nan", "verify-grid",
-        "verify-grid-huge", "profile-grid", "tol", "extremal-n-huge", "smooth-string",
-        "verify-seed", "betti-x-verify-seed", "verify-seed-n5"])
+        "generator-strings", "generator-zero", "line-not-antipodal", "member-c",
+        "level-set-c", "directions-negative", "directions-zero", "directions-huge", "theta-inf",
+        "theta-nan", "verify-grid", "verify-grid-huge", "profile-grid", "tol", "extremal-n-huge",
+        "smooth-string", "verify-seed", "betti-x-verify-seed", "verify-seed-n5"])
 def test_malformed_input_exits_2(tmp_path, capsys, argv, override):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps({**fixtures.bouquet().to_json(), **override}))
@@ -397,8 +402,9 @@ def test_console_entry_point(tmp_path):
 
 
 def test_a_cold_import_loads_no_sampling_dependency():
-    # scipy.optimize and scipy.spatial load on a sampling oracle's first call,
-    # not with the library, so a CLI call that samples nothing never pays them.
+    # scipy.spatial loads on the sampling oracle's first call, not with the
+    # library, so a CLI call that samples nothing never pays it; no library
+    # call loads scipy.optimize.
     # Of scipy.linalg the library loads its LAPACK extension alone: the
     # package's __init__ would pull in numpy.f2py among some 330 modules
     code = ("import sys, quadrics, quadrics.cli, quadrics.oracles, quadrics.fixtures\n"
@@ -408,6 +414,23 @@ def test_a_cold_import_loads_no_sampling_dependency():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_no_library_module_imports_scipy_optimize():
+    # the descent feasibility oracle, its one user, is a test reference
+    # (tests/references.py): no library call, however deferred, can load it
+    importers = []
+    for path in sorted(Path(quadrics.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module, *(f"{node.module}.{a.name}" for a in node.names)]
+            else:
+                continue
+            if any(n == "scipy.optimize" or n.startswith("scipy.optimize.") for n in names):
+                importers.append((path.name, node.lineno))
+    assert importers == []
 
 
 @pytest.mark.parametrize("first, second", [("scipy.linalg", "quadrics.pencil"),

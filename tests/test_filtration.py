@@ -11,13 +11,10 @@ from quadrics.applications import extremal_family
 from quadrics.circle import (
     CircleSubset,
     PlanarCone,
-    angles_equal,
     betti_circle,
-    betti_pair,
     canonical_angle,
     omega_set,
     open_half_circle,
-    subsets_equal,
 )
 from quadrics.errors import NumericalError
 from quadrics.filtration import (
@@ -32,9 +29,10 @@ from quadrics.pencil import (
     CLUSTER_TOL,
     QuadraticPencil,
     degenerate_locus,
-    family_inertia,
+    family_counts,
     inertia,
 )
+from references import angles_equal, betti_pair, subsets_equal
 
 PI = math.pi
 TWO_PI = 2 * math.pi
@@ -323,7 +321,8 @@ def test_the_mirrored_half_circle_equals_the_full_read_cell_by_cell():
         assert len(bps) == 2 * h and bps == sorted(map(canonical_angle, bps)), p.dim
         assert all(b - a > CLUSTER_TOL for a, b in zip(bps, [*bps[1:], bps[0] + TWO_PI])), p.dim
         assert all(abs(bps[i + h] - bps[i] - PI) <= CLUSTER_TOL for i in range(h)), p.dim
-        assert [v for _, v in _points(prof)] == family_inertia(p, bps, p.scale()), p.dim
+        counts = list(zip(*family_counts(p, bps, p.scale())))
+        assert [v[:2] for _, v in _points(prof)] == counts, p.dim
         arcs = list(zip(bps, [*bps[1:], bps[0] + TWO_PI]))
         assert [v[:2] for v in _arc_values(prof)] == list(zip(*_read_arcs(p, arcs)[:2])), p.dim
         mirrored += 1

@@ -23,11 +23,9 @@ from quadrics.pencil import (
     lapack,
 )
 from quadrics.oracles import (
-    FEAS_TOL,
     GridProfile,
     exact_inertia,
     exact_locus_counts,
-    feasibility_sample,
     grid_index_profile,
     grid_profile_disagreements,
     monodromy_refine,
@@ -35,6 +33,7 @@ from quadrics.oracles import (
     stiefel_whitney,
     verify_analysis,
 )
+from references import FEAS_TOL, feasibility_sample
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi

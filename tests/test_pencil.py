@@ -24,8 +24,8 @@ from quadrics.pencil import (
     degenerate_locus,
     inertia,
     lapack,
-    sylvester_check,
 )
+from references import sylvester_check
 
 PI = math.pi
 TWO_PI = 2 * math.pi

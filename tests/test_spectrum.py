@@ -23,7 +23,7 @@ from quadrics.pencil import (
     DegenerateLocus,
     QuadraticPencil,
     degenerate_locus,
-    family_inertia,
+    family_counts,
     inertia,
     lapack,
 )
@@ -119,6 +119,11 @@ def _on_threshold_pencil(dim: int) -> QuadraticPencil:
     return QuadraticPencil(q0, np.diag(np.linspace(-1.0, 1.0, dim)))
 
 
+def _counts(triples) -> tuple[list[int], list[int]]:
+    """The (i_plus, i_minus) lists of inertia triples, as family_counts gives them."""
+    return [t.i_plus for t in triples], [t.i_minus for t in triples]
+
+
 def _scaled(p: QuadraticPencil, factor: float) -> QuadraticPencil:
     return QuadraticPencil(p.q0 * factor, p.q1 * factor)
 
@@ -127,7 +132,7 @@ SCALES = (1e150, 1e-150, 1e200, 1e-200)
 
 
 def _count_path_pencils():
-    """Pencils at and past COUNT_DIM, which family_inertia counts by Sturm."""
+    """Pencils at and past COUNT_DIM, which family_counts counts by Sturm."""
     rng = np.random.default_rng(16)
     dim = pencil.COUNT_DIM
     big = fixtures.random_pencil(rng, dim + 7)
@@ -151,15 +156,15 @@ def test_stacked_inertia_matches_per_angle():
     for p in small + _count_path_pencils():
         scale = p.scale()
         # the first 25 angles in one stack, the rest one per call
-        values = family_inertia(p, thetas[:25], scale)
-        values += [v for th in thetas[25:] for v in family_inertia(p, [th], scale)]
+        values = list(zip(*family_counts(p, thetas[:25], scale)))
+        values += [v for th in thetas[25:] for v in zip(*family_counts(p, [th], scale))]
         for th, v in zip(thetas, values, strict=True):
-            assert v == inertia(p.at(th), scale=scale), (p.dim, th)
+            assert v == inertia(p.at(th), scale=scale)[:2], (p.dim, th)
     # the counts do not depend on the pencil's scale
     big = _count_path_pencils()[1]
-    reference = family_inertia(big, thetas, big.scale())
+    reference = family_counts(big, thetas, big.scale())
     for f in SCALES:
-        assert family_inertia(_scaled(big, f), thetas, big.scale() * f) == reference, f
+        assert family_counts(_scaled(big, f), thetas, big.scale() * f) == reference, f
 
 
 def test_stacked_and_per_angle_inertia_fail_alike(monkeypatch):
@@ -171,7 +176,7 @@ def test_stacked_and_per_angle_inertia_fail_alike(monkeypatch):
     with pytest.raises(NumericalError) as single:
         inertia(p.at(0.3), scale=p.scale())
     with pytest.raises(NumericalError) as stacked:
-        family_inertia(p, [0.3, 0.7], p.scale())
+        family_counts(p, [0.3, 0.7], p.scale())
     assert str(single.value) == str(stacked.value)
     assert str(single.value) == "eigenvalue solver failed: Eigenvalues did not converge"
 
@@ -201,10 +206,10 @@ def test_spectrum_solves_each_angle_once(monkeypatch):
         thetas = [0.1, 0.2, 0.1, 0.4]
         reference = [inertia(p.at(th), scale=scale) for th in thetas]
         calls.clear()
-        assert family_inertia(p, thetas, scale) == reference
+        assert family_counts(p, thetas, scale) == _counts(reference)
         assert calls == solves, p.dim
         calls.clear()
-        assert family_inertia(p, [], scale) == [] and calls == [], p.dim
+        assert family_counts(p, [], scale) == ([], []) and calls == [], p.dim
 
 
 def test_a_failed_tridiagonal_reduction_is_a_numerical_error(monkeypatch):
@@ -216,7 +221,7 @@ def test_a_failed_tridiagonal_reduction_is_a_numerical_error(monkeypatch):
     monkeypatch.setattr(lapack, "dsytrd", failing)
     p = fixtures.random_pencil(np.random.default_rng(10), pencil.COUNT_DIM)
     with pytest.raises(NumericalError, match="tridiagonal reduction failed: dsytrd info 1"):
-        family_inertia(p, [0.3, 0.7], p.scale())
+        family_counts(p, [0.3, 0.7], p.scale())
     with pytest.raises(NumericalError, match="dsytrd info 1"):
         index_profile(p, FULL)
     # below COUNT_DIM the profile makes no dsytrd call
@@ -398,7 +403,7 @@ def test_tridiagonal_pencils_are_read_without_a_reduction(monkeypatch):
         calls = _counting_dsytrd(monkeypatch)
         d, e = pencil._tridiagonal(p, thetas)
         assert (d.tobytes(), e.tobytes()) == reference, p.dim
-        assert family_inertia(p, thetas, scale) == per_angle, p.dim
+        assert family_counts(p, thetas, scale) == _counts(per_angle), p.dim
         assert calls == [], p.dim
         monkeypatch.undo()
 
@@ -418,7 +423,7 @@ def test_a_pencil_tridiagonal_in_one_form_is_reduced_member_by_member(monkeypatc
         d, e = pencil._tridiagonal(p, thetas)
         assert calls == [dim] * len(thetas)
         assert (d.tobytes(), e.tobytes()) == reference
-        assert family_inertia(p, thetas, scale) == per_angle
+        assert family_counts(p, thetas, scale) == _counts(per_angle)
         monkeypatch.undo()
 
 
