@@ -7,7 +7,9 @@ counter (pencil._sturm_inertia, one dsytrd per member, or a direct read
 when both forms are tridiagonal); below it the profile solves a stack by
 eigvalsh and the grid counts a stack by its own batched Householder
 reduction (oracles._counted_inertia), except that the grid reads a pencil
-of two tridiagonal forms by the streaming counter at every dim.  The grid
+of two tridiagonal forms by the streaming counter at every dim, and both
+read a diagonal pencil, such as extremal_family, off its diagonals at
+every dim, so its times on and off take the same path.  The grid
 reads the bound at call time, so the script times every call twice, with
 COUNT_DIM set to 0 (on: every member counted by the streaming counter) and
 to sys.maxsize (off), and prints each time and then each class's time on

@@ -344,10 +344,10 @@ class PlanarCone:
         if not isinstance(gens, list):
             raise InvalidInputError("the cone's generators must be a list")
         gens = [_generator(g) for g in gens]
-        if kind == "zero":
-            return PlanarCone.zero()
-        if kind == "full":
-            return PlanarCone.full()
+        if kind in ("zero", "full"):
+            if gens:
+                raise InvalidInputError(f"{kind} cone takes no generators")
+            return PlanarCone.zero() if kind == "zero" else PlanarCone.full()
         if kind == "ray":
             if len(gens) != 1:
                 raise InvalidInputError("ray cone needs exactly one generator")

@@ -359,6 +359,10 @@ def sample_components(p: QuadraticPencil, cone: PlanarCone, space: str,
     if len(pts) < 40:
         raise NumericalError(
             f"undersampled variety: only {len(pts)} accepted points")
+    if dim == 1:
+        # every sample is +-1, the two points of S^0 and the one of RP^0; a
+        # point and its antipode have one image, so both were accepted
+        return 2 if space == "sphere" else 1
     if len(pts) > 4 * target:
         pts = pts[rng.choice(len(pts), 4 * target, replace=False)]
     if space == "projective":

@@ -13,7 +13,9 @@ congruent to its regular part.  QZ is backward stable, so a simple root
 already reads as degenerate at the profile's threshold TOL_EIG * scale (the
 tests measure it against that); and a simple root is a sign crossing, so one
 that read as regular would break the semicontinuity check downstream rather
-than give a wrong answer.
+than give a wrong answer.  A pencil of two diagonal forms is read, not
+solved: its roots are the angles QZ gives a diagonal chart pair, and its
+members' counts are the signs of their diagonals.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import functools
 import importlib.machinery
 import importlib.util
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass
@@ -211,7 +214,8 @@ class QuadraticPencil:
 
         Bit for bit QuadraticPencil(q0 - c0*I, q1 - c1*I), without its input
         checks: the forms were checked, q - c*I stays exactly symmetric, and
-        only the diagonal moves, so only it is checked against the bound.
+        only the diagonal moves, so only it is checked against the bound,
+        and the shifted pencil is diagonal exactly when this one is.
         """
         if not (math.isfinite(c0) and math.isfinite(c1)):
             raise InvalidInputError("the shift c has a non-finite coordinate")
@@ -223,6 +227,7 @@ class QuadraticPencil:
                 raise _entry_bound_error(f"{name.upper()} - c * I")
             form.setflags(write=False)
             object.__setattr__(out, name, form)
+        object.__setattr__(out, "_diagonal", _is_diagonal(self))
         return out
 
     def to_json(self) -> dict:
@@ -310,6 +315,28 @@ def _members(p: QuadraticPencil, thetas):
         yield member
 
 
+def _is_diagonal(p: QuadraticPencil) -> bool:
+    """Whether both forms of p are diagonal.
+
+    Tested on first use and kept, as scale() is: the forms are read-only.
+    Q0 is tested first, and most pencils that are not diagonal fail there.
+    """
+    diagonal = p.__dict__.get("_diagonal")
+    if diagonal is None:
+        diagonal = (np.count_nonzero(p.q0) == np.count_nonzero(p.q0.diagonal())
+                    and np.count_nonzero(p.q1) == np.count_nonzero(p.q1.diagonal()))
+        object.__setattr__(p, "_diagonal", diagonal)
+    return diagonal
+
+
+def _coefficients(thetas) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of every angle, from math.cos and math.sin as at() takes
+    them, as (k, 1) columns."""
+    k = len(thetas)
+    return (np.fromiter(map(math.cos, thetas), float, k)[:, None],
+            np.fromiter(map(math.sin, thetas), float, k)[:, None])
+
+
 def _is_tridiagonal(q: np.ndarray) -> bool:
     """Whether a symmetric matrix is zero off its three middle diagonals:
     all its nonzeros lie on its diagonal and its two equal off-diagonals."""
@@ -332,8 +359,7 @@ def _tridiagonal(p: QuadraticPencil, thetas) -> tuple[np.ndarray, np.ndarray]:
     """
     k, dim = len(thetas), p.dim
     if _is_tridiagonal(p.q0) and _is_tridiagonal(p.q1):
-        c = np.fromiter(map(math.cos, thetas), float, k)[:, None]
-        s = np.fromiter(map(math.sin, thetas), float, k)[:, None]
+        c, s = _coefficients(thetas)
         d = c * p.q0.diagonal()
         d += s * p.q1.diagonal()
         e = c * p.q0.diagonal(-1)
@@ -371,15 +397,8 @@ def _sturm_pass(d: np.ndarray, e: np.ndarray, thr: float) -> tuple[np.ndarray, n
     some matrix.  On the others the step subtracts 0 / q_(j-1), an exact
     zero unless q_(j-1) is 0 or NaN, and then the guarded rerun runs either
     way; so the counts are those of the full recurrence, bit for bit.
-    Diagonal matrices (e = 0) take no step and build no recurrence state:
-    their pivots are d -+ thr, guarded, so each count is one comparison.
     """
     dim, k = d.shape
-    if not e.any():
-        # each pivot is its shifted diagonal entry, and pivmin is SAFMIN: a
-        # pivot below it in magnitude is guarded negative at +thr, positive at -thr
-        return (dim - np.count_nonzero(d - thr < _SAFMIN, axis=0),
-                np.count_nonzero(d + thr <= -_SAFMIN, axis=0))
     # row j holds pivot j of every matrix at +thr, then of every matrix at -thr
     shifted = np.concatenate([d - thr, d + thr], axis=1)
     e2 = np.square(e)
@@ -409,6 +428,9 @@ def _sturm_inertia(p: QuadraticPencil, thetas, scale: float,
                    thr: float) -> tuple[np.ndarray, np.ndarray]:
     """(i_plus, i_minus) of the family's member at every angle.
 
+    A diagonal member's eigenvalues are its diagonal entries, so when both
+    forms are diagonal the counts compare the members' diagonals, formed
+    as at() forms them, with +-thr: inertia()'s rule.  Otherwise
     _tridiagonal reduces each member to a tridiagonal matrix T with the
     same eigenvalues, or reads it when the pencil is tridiagonal, and
     _sturm_pass counts them at +-thr, with d, e and thr divided by scale so
@@ -416,11 +438,16 @@ def _sturm_inertia(p: QuadraticPencil, thetas, scale: float,
 
     Memory is O(k * dim) for k angles, not O(k * dim^2): the full-circle
     profile of extremal_family(255) counts 768 members of dim 256, and
-    analyze on it peaks at 9.2 MB under tracemalloc and takes 10 ms, its
-    diagonal members read without a reduction; one dsytrd call per member
-    took 44 ms, and reducing one at_many stack peaked at 209 MB and took
-    145-160 ms (one OpenBLAS thread, 2-core x86-64 host).
+    analyze on it peaks at 2.8 MB under tracemalloc, its members read off
+    their diagonals; one dsytrd call per member took 44 ms, and
+    reducing one at_many stack peaked at 209 MB and took 145-160 ms (one
+    OpenBLAS thread, 2-core x86-64 host).
     """
+    if _is_diagonal(p):
+        c, s = _coefficients(thetas)
+        d = c * p.q0.diagonal()
+        d += s * p.q1.diagonal()
+        return np.count_nonzero(d > thr, axis=1), np.count_nonzero(d < -thr, axis=1)
     d, e = _tridiagonal(p, thetas)
     if scale > 0.0:
         d /= scale
@@ -438,14 +465,15 @@ def family_counts(p: QuadraticPencil, thetas: list[float],
     re-validated, and every angle is solved in one pass, a repeated one as
     often as it appears.  Eigenvalues within TOL_EIG * scale of zero count
     as zero, as in inertia() with the family's scale.  Members of dimension
-    COUNT_DIM and up are counted by _sturm_inertia, which builds and
-    reduces them one at a time; smaller ones are solved by one eigvalsh
-    call on their at_many stack.
+    COUNT_DIM and up, and diagonal ones at every dimension, are counted by
+    _sturm_inertia, which reads diagonal members and builds and reduces
+    others one at a time; smaller ones are solved by one eigvalsh call on
+    their at_many stack.
     """
     if not thetas:
         return [], []
     dim, thr = p.dim, TOL_EIG * scale
-    if dim >= COUNT_DIM:
+    if dim >= COUNT_DIM or _is_diagonal(p):
         plus, minus = _sturm_inertia(p, thetas, scale, thr)
         return plus.tolist(), minus.tolist()
     # bisection on the ascending rows: a small stack has few of them
@@ -499,6 +527,8 @@ def _cluster_periodic(values: list[float], tol: float) -> list[tuple[float, int]
     if not values:
         return []
     vals = sorted(v % PI for v in values)
+    if min(map(operator.sub, vals[1:], vals), default=PI) > tol and vals[0] + PI - vals[-1] > tol:
+        return [(v, 1) for v in vals]  # nothing merges: each value is its own center
     clusters: list[list[float]] = [[vals[0]]]
     for v in vals[1:]:
         if v - clusters[-1][-1] <= tol:
@@ -593,22 +623,31 @@ def _regular_part(m: np.ndarray, dm: np.ndarray, k: int) -> tuple[np.ndarray, np
     return m, dm
 
 
-def degenerate_locus(p: QuadraticPencil) -> DegenerateLocus:
-    """Locate all circle angles where the family drops rank.
+def _diagonal_roots(p: QuadraticPencil, s: float) -> tuple[float, list[float], int, int] | None:
+    """degenerate_locus's chart angle, real root angles, non-real root count
+    and rank deficit for a diagonal pencil, read off the diagonals of its
+    unit-scale forms; None when the first chart member lacks full rank.
 
-    With phi a regular angle, det(M(phi) + t*M(phi + pi/2)) vanishes exactly
-    at the directions phi + atan(t), so QZ on that pair finds every
-    projective root, the one at t = infinity included.
-
-    When the determinant vanishes identically, phi is where the family has
-    its normal rank dim - k, and QZ runs on the chart pair compressed to the
-    family's regular part (_regular_part): its real roots are the locus and
-    its non-real ones the family's own.
+    That member's eigenvalues are its diagonal entries, which is what
+    eigvalsh returns for it.  For a diagonal pair (m, dm) dggev returns
+    (alpha, beta) = +-(m_ii, -dm_ii), signed so that beta >= 0, so each root
+    is the angle atan2(alpha, beta) that _qz_root_angles takes, bit for bit.
     """
+    d0 = p.q0.diagonal() / s
+    d1 = p.q1.diagonal() / s
+    phi = PI * 0.5 / (p.dim + 1)
+    m = math.cos(phi) * d0 + math.sin(phi) * d1
+    if not (np.abs(m) > RANK_TOL).all():
+        return None
+    dm = math.cos(phi) * d1 - math.sin(phi) * d0
+    return phi, [math.atan2(a, -b) if b <= 0.0 else math.atan2(-a, b)
+                 for a, b in zip(m.tolist(), dm.tolist())], 0, 0
+
+
+def _chart_roots(p: QuadraticPencil, s: float) -> tuple[float, list[float], int, int]:
+    """degenerate_locus's chart angle, real root angles, non-real root count
+    and rank deficit, by a scan for a regular angle and one QZ solve."""
     dim = p.dim
-    s = p.scale()
-    if s == 0.0:
-        return DegenerateLocus((), 0, dim)
     a0 = p.q0 / s
     a1 = p.q1 / s
 
@@ -633,6 +672,27 @@ def degenerate_locus(p: QuadraticPencil) -> DegenerateLocus:
     if k:
         m, dm = _regular_part(m, dm, k)
     roots, nonreal = _qz_root_angles(m, dm) if m.size else ([], 0)
+    return phi, roots, nonreal, k
+
+
+def degenerate_locus(p: QuadraticPencil) -> DegenerateLocus:
+    """Locate all circle angles where the family drops rank.
+
+    With phi a regular angle, det(M(phi) + t*M(phi + pi/2)) vanishes exactly
+    at the directions phi + atan(t), so QZ on that pair finds every
+    projective root, the one at t = infinity included.  A diagonal pencil
+    regular at the first chart angle reads those roots off its diagonals
+    (_diagonal_roots).
+
+    When the determinant vanishes identically, phi is where the family has
+    its normal rank dim - k, and QZ runs on the chart pair compressed to the
+    family's regular part (_regular_part): its real roots are the locus and
+    its non-real ones the family's own.
+    """
+    s = p.scale()
+    if s == 0.0:
+        return DegenerateLocus((), 0, p.dim)
+    phi, roots, nonreal, k = (_is_diagonal(p) and _diagonal_roots(p, s)) or _chart_roots(p, s)
     if nonreal % 2 != 0:
         raise NumericalError("unpaired non-real root; tolerances inconsistent")
 

@@ -10,6 +10,7 @@ import pytest
 import quadrics
 from quadrics import fixtures
 from quadrics.applications import extremal_family
+from quadrics.circle import PlanarCone
 from quadrics.cli import run
 
 PI = math.pi
@@ -248,6 +249,8 @@ def test_non_finite_input_exit_code(tmp_path, capsys, command, q0, c):
     (["betti-x"], {"cone": {"kind": "sector", "generators": [["a", "b"], [0, 1]]}}),
     (["betti-x"], {"cone": {"kind": "ray", "generators": [[0, 0]]}}),
     (["betti-x"], {"cone": {"kind": "line", "generators": [[1, 0], [0, 1]]}}),
+    (["betti-x"], {"cone": {"kind": "zero", "generators": [[1, 0], [0, 1], [5, 5]]}}),
+    (["betti-x"], {"cone": {"kind": "full", "generators": [[1, 0]]}}),
     (["member"], {"c": ["a", 0]}),
     (["level-set"], {"c": [[1.0], 0.0]}),
     (["support", "--directions", "-1"], {}),
@@ -265,7 +268,8 @@ def test_non_finite_input_exit_code(tmp_path, capsys, command, q0, c):
     (["betti-x", "--verify", "--seed", "-1"], {}),
     (["verify", "--seed", "-1"], extremal_family(5).to_json()),  # and not at n = 5
 ], ids=["n-string", "n-fraction", "q0-string", "q0-ragged", "cone-list", "generator-short",
-        "generator-strings", "generator-zero", "line-not-antipodal", "member-c",
+        "generator-strings", "generator-zero", "line-not-antipodal", "zero-generators",
+        "full-generators", "member-c",
         "level-set-c", "directions-negative", "directions-zero", "directions-huge", "theta-inf",
         "theta-nan", "verify-grid", "verify-grid-huge", "profile-grid", "tol", "extremal-n-huge",
         "smooth-string", "verify-seed", "betti-x-verify-seed", "verify-seed-n5"])
@@ -283,6 +287,21 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv, override):
         code = exc.code
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_a_zero_or_full_cone_takes_no_generators(tmp_path, capsys):
+    # generators on these kinds used to be dropped: betti-x answered for the
+    # zero cone and exited 0.  to_json writes none, and that reads back
+    for kind in ("zero", "full"):
+        cone = {"kind": kind, "generators": [[1, 0], [0, 1], [5, 5]]}
+        inp = _write_problem(tmp_path, fixtures.complex_squaring(), cone=cone)
+        code, _ = _run(tmp_path, ["betti-x", "--input", inp])
+        assert code == 2
+        assert f"{kind} cone takes no generators" in capsys.readouterr().err
+        written = getattr(PlanarCone, kind)().to_json()
+        assert written == {"kind": kind, "generators": []}
+        inp = _write_problem(tmp_path, fixtures.complex_squaring(), cone=written)
+        assert _run(tmp_path, ["betti-x", "--input", inp])[0] == 0
 
 
 @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000],

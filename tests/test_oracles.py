@@ -355,6 +355,26 @@ def test_sample_components_antipodal_gluing():
     assert proj == 1
 
 
+def test_sampling_at_n_0_links_no_coincident_samples(monkeypatch):
+    # every sample of S^0 is +-1, so the samples coincide, the linking radius
+    # fell to its floor and the tree returned 13 M pairs: verify took 38 s
+    import scipy.spatial
+    sizes = []
+    tree = scipy.spatial.cKDTree
+
+    def recorded(data, *args, **kwargs):
+        sizes.append(len(data))
+        return tree(data, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.spatial, "cKDTree", recorded)
+    p = QuadraticPencil([[1.0]], [[0.0]])
+    assert verify_analysis(analyze(p, PlanarCone.full()))["sampled_b0"] == 1
+    assert sample_components(p, PlanarCone.full(), "sphere") == 2
+    assert sample_components(p, PlanarCone.ray(0.0), "projective", seed=4) == 1
+    assert sample_components(p, ZERO, "projective") == 0
+    assert max(sizes, default=0) <= 2
+
+
 # ---------------------------------------------------------------------------
 # feasibility
 # ---------------------------------------------------------------------------

@@ -634,8 +634,11 @@ def _bits(angles):
 
 
 def test_qz_root_angles_equal_scipy_eigvals_bitwise(monkeypatch):
-    # every pair the locus hands to QZ: chart pairs of random pencils and of
-    # the extremal family, and the regular parts of Kronecker pencils
+    # every pair the locus hands to QZ: chart pairs of random pencils, and the
+    # regular parts of Kronecker pencils.  A diagonal pencil regular at the
+    # chart origin, as the extremal family and every dim-1 pencil are, reaches
+    # no QZ solve; test_a_diagonal_pencil_reads_the_roots_qz_gives_it checks
+    # the read against QZ on such chart pairs
     pairs = []
     solve = pencil._qz_root_angles
 
@@ -646,7 +649,6 @@ def test_qz_root_angles_equal_scipy_eigvals_bitwise(monkeypatch):
     rng = np.random.default_rng(14)
     calls = [partial(degenerate_locus, fixtures.random_pencil(rng, dim))
              for dim in range(1, 65)]
-    calls += [partial(degenerate_locus, extremal_family(n)) for n in (2, 5, 10, 20, 40, 80)]
     calls += [partial(degenerate_locus, fixtures.kronecker_pair(eps, regular_dim, rng))
               for eps in (1, 2, 3) for regular_dim in (0, 2, 5)]
     monkeypatch.setattr(pencil, "_qz_root_angles", record)
@@ -654,12 +656,80 @@ def test_qz_root_angles_equal_scipy_eigvals_bitwise(monkeypatch):
         call()
     monkeypatch.undo()
     dims = {a.shape[0] for a, _ in pairs}
-    assert set(range(1, 65)) | {81} <= dims
+    assert set(range(2, 65)) <= dims
     for a, b in pairs:
         angles, nonreal = solve(a, b)
         expected, expected_nonreal = _eigvals_root_angles(a, b)
         assert nonreal == expected_nonreal
         assert _bits(angles) == _bits(expected)
+
+
+def _diagonal_pencils() -> list[QuadraticPencil]:
+    """extremal_family(1..80), four_lines, and seeded random diagonal pencils:
+    small integers, magnitudes from 1e-8 to 1e8, parallel (a_i, b_i), which
+    make multiple roots, and zero entries."""
+    out = [extremal_family(n) for n in range(1, 81)] + [fixtures.four_lines()]
+    rng = np.random.default_rng(36)
+    for _ in range(60):
+        dim = int(rng.integers(1, 41))
+        ints = rng.integers(-3, 4, (2, dim)).astype(float)
+        spread = rng.standard_normal((2, dim)) * 10.0 ** rng.uniform(-8.0, 8.0, (2, dim))
+        parallel = (rng.integers(-3, 4, (2, 3))[:, rng.integers(0, 3, dim)]
+                    * rng.integers(1, 4, dim)).astype(float)
+        sparse = np.where(rng.random((2, dim)) < 0.3, 0.0, rng.standard_normal((2, dim)))
+        out += [QuadraticPencil(np.diag(a), np.diag(b)) for a, b in (ints, spread, parallel, sparse)]
+    return out
+
+
+def test_a_diagonal_pencil_reads_the_roots_qz_gives_it():
+    # the read against the scan and QZ solve of the same pencil: the same
+    # chart angle, and on that chart pair the same root angles bit for bit,
+    # in QZ's order.  A pencil whose first chart member lacks full rank is
+    # not read, and the scan moves on or deflates
+    read, scanned, dims = 0, 0, set()
+    for p in _diagonal_pencils():
+        s = p.scale()
+        if s == 0.0:
+            continue
+        phi, roots, nonreal, k = pencil._chart_roots(p, s)
+        diagonal = pencil._diagonal_roots(p, s)
+        if diagonal is None:
+            assert k > 0 or phi != PI * 0.5 / (p.dim + 1)
+            scanned += 1
+            continue
+        assert diagonal[0] == phi and diagonal[2:] == (nonreal, k) == (0, 0)
+        assert _bits(diagonal[1]) == _bits(roots), p.dim
+        read += 1
+        dims.add(p.dim)
+    assert read > 150 and scanned > 50 and {1, 2, 81} <= dims, (read, scanned, sorted(dims))
+
+
+def test_a_regular_diagonal_pencil_is_analyzed_without_a_solve(monkeypatch):
+    # its locus and its member counts are read, under every cone kind; a
+    # diagonal pencil singular at the first chart angle still scans and solves
+    calls = []
+
+    def counted(name, solve):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return solve(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(lapack, "dggev", counted("dggev", lapack.dggev))
+    monkeypatch.setattr(lapack, "dsytrd", counted("dsytrd", lapack.dsytrd))
+    cones = (PlanarCone.zero(), PlanarCone.full(), PlanarCone.ray(0.3), PlanarCone.line(1.0),
+             PlanarCone.sector(0.2, 2.0), PlanarCone.halfplane(4.0))
+    regular = [extremal_family(n) for n in (1, 2, 7, 14, 15, 16, 40)]
+    regular += [fixtures.four_lines(), QuadraticPencil(np.diag([3.0, -1.0, 2.0, 0.0, 5.0]),
+                                                      np.diag([1.0, 4.0, -2.0, 1.0, 0.0]))]
+    for p in regular:
+        assert not degenerate_locus(p).identically_singular
+        for cone in cones:
+            analyze(p, cone)
+    assert calls == []
+    analyze(fixtures.identically_singular_pair(), PlanarCone.zero())
+    assert {"eigvalsh", "dggev"} <= set(calls)
 
 
 def test_a_qz_failure_is_a_numerical_error(monkeypatch):

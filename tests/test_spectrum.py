@@ -257,6 +257,33 @@ def test_sturm_counts_match_eigvalsh_across_count_dim():
     assert angles > 5000
 
 
+def test_diagonal_counts_match_eigvalsh():
+    # a diagonal pencil's members are counted off their diagonals at every
+    # dim; against eigvalsh's counts at random angles, exactly at every locus
+    # root and 1e-7 and 1e-9 off it, and at members with entries exactly +-thr
+    rng = np.random.default_rng(36)
+    pencils = [extremal_family(n) for n in (1, 2, 3, 5, 10, 14, 15, 16, 20, 40, 80)]
+    pencils += [fixtures.four_lines(), fixtures.identically_singular_pair(),
+                QuadraticPencil(np.zeros((3, 3)), np.diag([0.0, 1.0, -2.0]))]
+    for dim in (1, 4, 9, 15, 16, 33):
+        a, b = rng.integers(-3, 4, (2, dim)).astype(float)
+        pencils.append(QuadraticPencil(np.diag(a), np.diag(b)))
+        a, b = rng.standard_normal((2, dim)) * 10.0 ** rng.uniform(-8.0, 8.0, (2, dim))
+        pencils.append(QuadraticPencil(np.diag(a), np.diag(b)))
+    pencils += [_on_threshold_pencil(dim) for dim in (4, 9, pencil.COUNT_DIM)]
+    for p in pencils:
+        assert pencil._is_diagonal(p)
+        s = p.scale()
+        thr = TOL_EIG * s
+        roots = degenerate_locus(p).angles if s > 0.0 else []
+        thetas = [0.0, *rng.uniform(0.0, TWO_PI, 12).tolist()]
+        thetas += [r + d for r in roots for d in (0.0, -1e-7, 1e-7, -1e-9, 1e-9)]
+        expected = _counts_by_eigvalsh(p.at_many(thetas), thr)
+        plus, minus = pencil._sturm_inertia(p, thetas, s, thr)
+        assert list(zip(plus.tolist(), minus.tolist())) == expected, p.dim
+        assert list(zip(*family_counts(p, thetas, s))) == expected, p.dim
+
+
 def test_sturm_counts_after_a_zero_pivot_match_eigvalsh():
     # the member at angle 0 is diagonal with entries exactly +-thr: exactly
     # zero pivots, and NaN pivots (0/0) after them in the pass without the
@@ -431,6 +458,7 @@ def test_one_bound_splits_the_count_paths_of_the_grid_and_the_profile(monkeypatc
     # below COUNT_DIM the grid oracle counts with its own Householder
     # reduction (no eigvalsh or dsytrd call) and the profile solves by
     # eigvalsh (no dsytrd call); from COUNT_DIM up neither calls eigvalsh.
+    # Diagonal pencils are read by both at every dim, with neither call.
     # The grid reads the bound at call time, so one assignment moves both
     calls = []
     eigvalsh, dsytrd = np.linalg.eigvalsh, lapack.dsytrd
@@ -460,11 +488,11 @@ def test_one_bound_splits_the_count_paths_of_the_grid_and_the_profile(monkeypatc
 
     rng = np.random.default_rng(36)
     dim = pencil.COUNT_DIM
-    for p in (fixtures.random_pencil(rng, dim - 1), extremal_family(dim - 2)):
-        assert paths(p) == (set(), {"eigvalsh"}), p.dim
+    assert paths(fixtures.random_pencil(rng, dim - 1)) == (set(), {"eigvalsh"})
     for p in (fixtures.random_pencil(rng, dim), fixtures.random_pencil(rng, dim + 8)):
         assert paths(p) == ({"dsytrd"}, {"dsytrd"}), p.dim
-    assert paths(extremal_family(dim - 1)) == (set(), set())  # read without a reduction
+    for p in (extremal_family(dim - 2), extremal_family(dim - 1)):
+        assert paths(p) == (set(), set()), p.dim  # read without a solve or a reduction
     monkeypatch.setattr(pencil, "COUNT_DIM", 0)
     assert paths(fixtures.random_pencil(rng, 5)) == ({"dsytrd"}, {"dsytrd"})
 
