@@ -27,7 +27,7 @@ def main() -> None:
         pencil = extremal_family(n)
         res = analyze(pencil, cone)
         prof = res.filtration.profile
-        arcs = [v.i_plus for v in prof.after]
+        arcs = [v.i_plus for v in prof.cells[1::2]]
         print(f"n={n}: mu={res.table.mu} nu={res.table.nu} "
               f"arcs={len(arcs)} values={sorted(set(arcs))} "
               f"b={list(res.report.b)} total={res.report.total} "

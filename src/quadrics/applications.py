@@ -208,12 +208,12 @@ def _level_result(p: QuadraticPencil, domain: CircleSubset) -> LevelSetResult:
     sets short of the full circle b1 = b0 - chi(a) + chi(b) with chi the
     component count.  A level domain is an open half circle, or its
     intersection with the quadrant's polar arc, never the full circle.  On
-    the profile's cyclic cells at[0], after[0], at[1], ..., mirrored to
-    top - i_minus and to 0 outside the domain, L_k is the superlevel set at
-    level top - k, so its components are the runs _runs_and_births counts
-    there, and b0(L_(k+1), L_k) its births, the components of L_(k+1) whose
-    smallest i_minus is k + 1.  Then b~_k = births_(k+1) + |L_(k+1)| -
-    |L_(k+2)| + births_(k+2).
+    the profile's cyclic cells, mirrored to top - i_minus and to 0 outside
+    the domain, L_k is the superlevel set at level top - k, so its
+    components are the runs _runs_and_births counts there, and
+    b0(L_(k+1), L_k) its births, the components of L_(k+1) whose smallest
+    i_minus is k + 1.  Then b~_k = births_(k+1) + |L_(k+1)| - |L_(k+2)| +
+    births_(k+2).
     """
     n = p.n
     if domain.is_empty():
@@ -224,7 +224,7 @@ def _level_result(p: QuadraticPencil, domain: CircleSubset) -> LevelSetResult:
     if min_minus == 0:
         return LevelSetResult(False, tuple([0] * (n + 1)), min_minus)
     top = n + 3  # above every i_minus <= dim = n + 1, so every held cell is above 0
-    cells = [0 if v is None else top - v.i_minus for pair in zip(prof.at, prof.after) for v in pair]
+    cells = [0 if v is None else top - v.i_minus for v in prof.cells]
     runs, births = _runs_and_births(cells, top)
     # L_(k+1) is the level j = top - k - 1, for k = 0 .. n
     b_tilde = tuple(births[j] + runs[j] - runs[j - 1] + births[j - 1]

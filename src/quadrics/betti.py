@@ -257,7 +257,7 @@ def index_decomposition(p: QuadraticPencil, eta_theta: float,
 
     # split the locus by the sign of the jump between the arcs on either side
     profile = index_profile(p, CircleSubset.full_circle(), locus)
-    arcs = profile.after
+    arcs = profile.cells[1::2]
     z_plus: list[float] = []
     z_minus: list[float] = []
     for i, z in enumerate(profile.cuts):

@@ -2,21 +2,24 @@
 closed convex cones in the plane.
 
 A circle subset is stored as its indicator function: ascending cut
-angles, and for each cut whether the point and the open arc after it belong
-to the set; with no cuts, it is empty or the full circle.  A point or an arc
-is built from its cuts directly; complement flips the flags; union and
-intersection are one counting sweep over the cuts.
-Angles are compared modulo 2*pi up to TOL_ANGLE: cuts closer than it are
-one cut.  Homotopy-type outputs (component counts, Betti numbers)
-depend only on the flags.
+angles, and one cyclic tuple of cells, the point at each cut and the open
+arc after it, each held or not; with no cuts, the one cell says whether the
+set is empty or the full circle.  An index profile (quadrics.filtration)
+stores its values in the same layout, and _cells finds the cell holding an
+angle for both.  A point or an arc is built from its cuts directly;
+complement flips the cells; union and intersection are one counting sweep
+over the cuts.  Angles are compared modulo 2*pi up to TOL_ANGLE: cuts closer
+than it are one cut.  Homotopy-type outputs (component counts, Betti
+numbers) depend only on the cells' cyclic order.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InvalidInputError
 
@@ -62,17 +65,16 @@ def _fold(theta: float) -> float:
     return 0.0 if t >= TWO_PI - TOL_ANGLE else t
 
 
-def _arc(start: float, sweep: float, closed_start: bool, closed_end: bool) -> "CircleSubset":
-    """The counterclockwise arc from start through sweep >= 0, each end held
-    when its flag is set.
+def _arc(start: float, end: float, closed_start: bool, closed_end: bool) -> "CircleSubset":
+    """The counterclockwise arc from the canonical angle start to the angle
+    end, each end held when its flag is set; the end cut is end's own folded
+    angle.
 
-    A sweep within TOL_ANGLE of 0 is the point start (held when either flag
-    is); one within TOL_ANGLE of 2*pi is the circle, less the point start
-    when neither flag is set.
+    A sweep (end - start) mod 2*pi within TOL_ANGLE of 0 is the point start
+    (held when either flag is); one within TOL_ANGLE of 2*pi is the circle,
+    less the point start when neither flag is set.
     """
-    start = canonical_angle(_finite_angle(start))
-    end = start + _finite_angle(sweep)
-    length = end - start
+    length = (_finite_angle(end) - start) % TWO_PI
     s = _fold(start)
     e = s if length <= TOL_ANGLE or length >= TWO_PI - TOL_ANGLE else _fold(end)
     if abs(e - s) <= TOL_ANGLE:
@@ -82,17 +84,31 @@ def _arc(start: float, sweep: float, closed_start: bool, closed_end: bool) -> "C
     return CircleSubset.from_steps([(s, closed_start, True), (e, closed_end, False)])
 
 
-def _locate(cuts: tuple[float, ...], theta: float) -> tuple[int, bool]:
-    """(i, True) when theta is within TOL_ANGLE of cuts[i], else (i, False)
-    with theta on the open arc after cuts[i].  cuts ascend; there is at least
-    one."""
-    t = _fold(theta)
-    i = bisect_right(cuts, t) - 1
-    if i >= 0 and t - cuts[i] <= TOL_ANGLE:
-        return i, True
-    if i + 1 < len(cuts) and cuts[i + 1] - t <= TOL_ANGLE:
-        return i + 1, True
-    return i % len(cuts), False
+def _cells(cuts: tuple[float, ...], theta) -> np.ndarray:
+    """The cell of a step function on the ascending cuts that holds each
+    angle of theta, a float or an array: 2i within TOL_ANGLE of cuts[i],
+    2i + 1 on the open arc after it, and 0 for every angle with no cuts.
+    The angles are taken modulo 2*pi, with the last TOL_ANGLE below 2*pi
+    read as 0, as _fold reads them.
+    """
+    t = np.asarray(theta, dtype=float) % TWO_PI
+    if not cuts:
+        return np.zeros(t.shape, dtype=np.intp)
+    c = np.array(cuts)
+    t = np.where(t >= TWO_PI - TOL_ANGLE, 0.0, t)
+    i = np.searchsorted(c, t, side="right") - 1
+    nxt = np.minimum(i + 1, len(c) - 1)
+    on_cut = (i >= 0) & (t - c[i] <= TOL_ANGLE)
+    on_next = ~on_cut & (i + 1 < len(c)) & (c[nxt] - t <= TOL_ANGLE)
+    return np.where(on_next, 2 * nxt, 2 * (i % len(c)) + ~on_cut)
+
+
+def _interleave(at, after) -> tuple:
+    """The cyclic cells at[0], after[0], at[1], ... of a step function on
+    cuts: the value at each cut, then the value on the open arc after it."""
+    cells = [None] * (2 * len(at))
+    cells[::2], cells[1::2] = at, after
+    return tuple(cells)
 
 
 def _sweep(operands: list[tuple], need: int) -> "CircleSubset":
@@ -132,16 +148,15 @@ def _sweep(operands: list[tuple], need: int) -> "CircleSubset":
 class CircleSubset:
     """A finite union of points and arcs of the unit circle, as its indicator.
 
-    cuts are ascending canonical angles, more than TOL_ANGLE apart; at[i] says
-    whether the point cuts[i] is in the set, after[i] whether the open arc
-    from cuts[i] to the next cut (cyclically) is.  No cut is redundant; with
-    no cuts, full decides between the empty set and the whole circle.
+    cuts are ascending canonical angles, more than TOL_ANGLE apart.
+    cells[2i] says whether the point cuts[i] is in the set, cells[2i + 1]
+    whether the open arc from cuts[i] to the next cut (cyclically) is.  No
+    cut is redundant; with no cuts, the one cell decides between the empty
+    set and the whole circle.
     """
 
     cuts: tuple[float, ...] = ()
-    at: tuple[bool, ...] = ()
-    after: tuple[bool, ...] = ()
-    full: bool = False
+    cells: tuple[bool, ...] = (False,)
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -152,7 +167,7 @@ class CircleSubset:
 
     @staticmethod
     def full_circle() -> "CircleSubset":
-        return CircleSubset(full=True)
+        return CircleSubset((), (True,))
 
     @staticmethod
     def from_steps(rows, full: bool = False) -> "CircleSubset":
@@ -166,19 +181,20 @@ class CircleSubset:
         """
         kept = [r for r, prev in zip(rows, rows[-1:] + rows[:-1]) if not r[1] == r[2] == prev[2]]
         if not kept:
-            return CircleSubset((), (), (), rows[-1][2] if rows else full)
+            return CircleSubset((), (rows[-1][2] if rows else full,))
         cuts, at, after = zip(*kept)
-        return CircleSubset(cuts, at, after, False)
+        return CircleSubset(cuts, _interleave(at, after))
 
     @staticmethod
     def point(theta: float) -> "CircleSubset":
-        return _arc(theta, 0.0, True, True)
+        t = canonical_angle(_finite_angle(theta))
+        return _arc(t, t, True, True)
 
     @staticmethod
     def arc(start: float, end: float, closed_start: bool = True,
             closed_end: bool = True) -> "CircleSubset":
         """Counterclockwise arc from start to end (sweep taken mod 2*pi)."""
-        return _arc(start, (end - start) % TWO_PI, closed_start, closed_end)
+        return _arc(canonical_angle(_finite_angle(start)), end, closed_start, closed_end)
 
     # -- basic queries ------------------------------------------------
     def _components(self) -> list[tuple[float, float, bool, bool]]:
@@ -187,41 +203,34 @@ class CircleSubset:
         A point has end == start; an arc's end is lifted past its start, by a
         full turn for the circle minus one point.  The full circle has none.
         """
-        c, at, after, n = self.cuts, self.at, self.after, len(self.cuts)
+        c, cells, n = self.cuts, self.cells, len(self.cuts)
         out = []
         for i in range(n):
-            if after[i]:
+            if cells[2 * i + 1]:
                 j = (i + 1) % n
-                out.append((c[i], c[j] if j > i else c[j] + TWO_PI, at[i], at[j]))
-            elif at[i] and not after[i - 1]:
+                out.append((c[i], c[j] if j > i else c[j] + TWO_PI, cells[2 * i], cells[2 * j]))
+            elif cells[2 * i] and not cells[2 * i - 1]:
                 out.append((c[i], c[i], True, True))
         return out
 
     def is_empty(self) -> bool:
-        return not self.full and not self.cuts
+        return self.cells == (False,)
 
     def is_full(self) -> bool:
-        return self.full
+        return self.cells == (True,)
 
     def n_components(self) -> int:
-        """Held arcs plus isolated held points: no held point joins two held arcs."""
-        if not self.cuts:
-            return int(self.full)
-        at, after = self.at, self.after
-        return sum(after) + sum(at[i] and not after[i - 1] and not after[i]
-                                for i in range(len(at)))
+        """The maximal runs of held cells, cyclically; the full circle is one."""
+        cells = self.cells
+        return int(self.is_full()) + sum(v and not prev
+                                         for v, prev in zip(cells, cells[-1:] + cells[:-1]))
 
     def contains(self, theta: float) -> bool:
-        if not self.cuts:
-            return self.full
-        i, on_cut = _locate(self.cuts, theta)
-        return self.at[i] if on_cut else self.after[i]
+        return self.cells[_cells(self.cuts, _finite_angle(theta))]
 
     # -- set operations -----------------------------------------------
     def complement(self) -> "CircleSubset":
-        return CircleSubset(self.cuts, tuple(not a for a in self.at),
-                            tuple(not f for f in self.after),
-                            not (self.full or self.cuts))
+        return CircleSubset(self.cuts, tuple(not v for v in self.cells))
 
     def union(self, other: "CircleSubset") -> "CircleSubset":
         return _sweep([self._raw(), other._raw()], 1)
@@ -230,9 +239,8 @@ class CircleSubset:
         return _sweep([self._raw(), other._raw()], 2)
 
     def _raw(self) -> tuple:
-        """This set as a sweep operand."""
-        return (tuple(zip(self.cuts, self.at, self.after)),
-                self.after[-1] if self.cuts else self.full)
+        """This set as a sweep operand: the arc before the first cut is the last cell."""
+        return tuple(zip(self.cuts, self.cells[::2], self.cells[1::2])), self.cells[-1]
 
     def is_subset_of(self, other: "CircleSubset") -> bool:
         return self.intersect(other.complement()).is_empty()
@@ -244,7 +252,7 @@ class CircleSubset:
                   "end": end if end < TWO_PI else self.cuts[0],
                   "closed_start": cs, "closed_end": ce}
                  for start, end, cs, ce in self._components()]
-        return {"full": self.full, "items": items}
+        return {"full": self.is_full(), "items": items}
 
 
 # ---------------------------------------------------------------------------
@@ -426,14 +434,16 @@ def omega_set(k: PlanarCone) -> CircleSubset:
         return CircleSubset.empty()
     if p.kind == "line":
         return CircleSubset.point(p.start).union(CircleSubset.point(p.start + PI))
-    return _arc(p.start, p.sweep, True, True)
+    return _arc(p.start, p.start + p.sweep, True, True)
 
 
 def closed_half_circle(theta: float) -> CircleSubset:
     """The closed arc from theta to theta + pi."""
-    return _arc(theta, PI, True, True)
+    t = canonical_angle(_finite_angle(theta))
+    return _arc(t, t + PI, True, True)
 
 
 def open_half_circle(center: float) -> CircleSubset:
     """{omega : <omega, u(center)> > 0}, an open half circle."""
-    return _arc(center - PI / 2, PI, False, False)
+    t = canonical_angle(_finite_angle(center - PI / 2))
+    return _arc(t, t + PI, False, False)

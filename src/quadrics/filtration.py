@@ -1,17 +1,20 @@
 """Index profiles over circle domains and the level-set machinery built on them.
 
 An index profile records the inertia of a pencil's family on every arc and
-breakpoint of a circle domain.  The breakpoints are the angles of the
-family's degenerate locus and nothing else: the inertia is constant between
-consecutive roots, so each arc is read once, and a reading that shows a root
-the locus lacks raises NumericalError.  Superlevel sets of the positive index
-give the central filtration.  One pass over the plateaus of the profile's
-cells counts the Betti numbers of every superlevel set and of every pair of
-consecutive ones, and, on the negative index, of every sublevel set a level
-set is read from (quadrics.applications).  When the top superlevel set is the whole circle, the
-first Stiefel-Whitney class of its positive eigenspace bundle is the parity
-of the conjugate root pairs of the pencil's regular part; the eigenspace
-transport that measures it directly is an oracle
+breakpoint of a circle domain, in the cyclic cell layout of a circle subset
+(quadrics.circle): the value at each cut, then on the open arc after it.
+The breakpoints are the angles of the family's degenerate locus and nothing
+else: the inertia is constant between consecutive roots, so each arc is read
+once, and a reading that shows a root the locus lacks raises NumericalError.
+Superlevel sets of the positive index give the central filtration.  The
+homology reads only the cells' cyclic order, never the angles between them:
+one pass over the plateaus of the profile's cells counts the Betti numbers
+of every superlevel set and of every pair of consecutive ones, and, on the
+negative index, of every sublevel set a level set is read from
+(quadrics.applications).  When the top superlevel set is the whole circle,
+the first Stiefel-Whitney class of its positive eigenspace bundle is the
+parity of the conjugate root pairs of the pencil's regular part; the
+eigenspace transport that measures it directly is an oracle
 (quadrics.oracles.stiefel_whitney).
 """
 
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable
 
-from .circle import CircleSubset, _locate, canonical_angle, omega_set
+from .circle import CircleSubset, _cells, _finite_angle, _interleave, canonical_angle, omega_set
 from .errors import NumericalError
 from .pencil import (
     CLUSTER_TOL,
@@ -43,22 +46,21 @@ class IndexProfile:
     """Inertia of a family over a circle domain, as a step function.
 
     cuts are ascending canonical angles: the breakpoints inside the domain
-    and the domain's own cuts.  at[i] is the inertia at cuts[i] and after[i]
-    that on the open arc from it to the next cut (cyclically), or None where
-    the domain does not reach.  With no cuts, whole is the inertia of a
-    constant family on the full circle, or None for the empty domain.
+    and the domain's own cuts.  cells[2i] is the inertia at cuts[i] and
+    cells[2i + 1] that on the open arc from it to the next cut (cyclically),
+    or None where the domain does not reach.  With no cuts, the one cell is
+    the inertia of a constant family on the full circle, or None for the
+    empty domain.
     """
 
     domain: CircleSubset
     cuts: tuple[float, ...] = ()
-    at: tuple[InertiaTriple | None, ...] = ()
-    after: tuple[InertiaTriple | None, ...] = ()
-    whole: InertiaTriple | None = None
+    cells: tuple[InertiaTriple | None, ...] = (None,)
 
     @cached_property
     def _index_range(self) -> tuple[int, int, int, int]:
         """(min, max) of i_plus, then of i_minus, over the values; zeros with none."""
-        values = {*self.at, *self.after, self.whole} - {None}  # few distinct, shared triples
+        values = set(self.cells) - {None}  # few distinct, shared triples
         plus = [v.i_plus for v in values] or [0]
         minus = [v.i_minus for v in values] or [0]
         return (min(plus), max(plus), min(minus), max(minus))
@@ -71,7 +73,7 @@ class IndexProfile:
 
     def breakpoint_angles(self) -> list[float]:
         """The cuts whose point holds a value: breakpoints and included domain ends."""
-        return [c for c, v in zip(self.cuts, self.at) if v is not None]
+        return [c for c, v in zip(self.cuts, self.cells[::2]) if v is not None]
 
     def value_at_angle(self, theta: float) -> InertiaTriple | None:
         """The recorded inertia at an angle, or None outside the domain.
@@ -79,10 +81,7 @@ class IndexProfile:
         Within TOL_ANGLE of a cut the cut's value holds, as in
         CircleSubset.contains.
         """
-        if not self.cuts:
-            return self.whole
-        i, on_cut = _locate(self.cuts, theta)
-        return self.at[i] if on_cut else self.after[i]
+        return self.cells[_cells(self.cuts, _finite_angle(theta))]
 
     def rows(self) -> list[tuple[float, int, int, bool]]:
         """Flat (theta, i_plus, i_minus, is_breakpoint) rows for CSV export.
@@ -91,11 +90,11 @@ class IndexProfile:
         at angle zero.
         """
         if not self.cuts:
-            w = self.whole
+            w = self.cells[0]
             return [] if w is None else [(0.0, w.i_plus, w.i_minus, False)]
         rows: list[tuple[float, int, int, bool]] = []
         ends = (*self.cuts[1:], self.cuts[0] + TWO_PI)
-        for c, e, v, a in zip(self.cuts, ends, self.at, self.after):
+        for c, e, v, a in zip(self.cuts, ends, self.cells[::2], self.cells[1::2]):
             if v is not None:
                 rows.append((c, v.i_plus, v.i_minus, True))
             if a is not None:
@@ -152,7 +151,8 @@ def _profile_steps(domain: CircleSubset, angles: list[float]
     """
     d = domain.cuts
     steps = []
-    for s, e, held, arc_held in zip(d, (*d[1:], d[0] + TWO_PI), domain.at, domain.after):
+    for s, e, held, arc_held in zip(d, (*d[1:], d[0] + TWO_PI), domain.cells[::2],
+                                    domain.cells[1::2]):
         if not arc_held:
             steps.append((s, held, None))
             continue
@@ -193,7 +193,7 @@ def _full_circle_profile(p: QuadraticPencil, domain: CircleSubset,
     arc_zero = [dim - a - b for a, b in zip(arc_plus, arc_minus)]
     at = map(shared_triple, at_plus + at_minus, at_minus + at_plus, at_zero + at_zero)
     after = map(shared_triple, arc_plus + arc_minus, arc_minus + arc_plus, arc_zero + arc_zero)
-    return IndexProfile(domain, tuple(angles), tuple(at), tuple(after))
+    return IndexProfile(domain, tuple(angles), _interleave(list(at), list(after)))
 
 
 def index_profile(p: QuadraticPencil, domain: CircleSubset,
@@ -230,7 +230,7 @@ def index_profile(p: QuadraticPencil, domain: CircleSubset,
         if angles:
             return _full_circle_profile(p, domain, angles)
         (plus,), (minus,), _, _ = _read_arcs(p, [(0.0, TWO_PI)])
-        return IndexProfile(domain, whole=shared_triple(plus, minus, dim - plus - minus))
+        return IndexProfile(domain, (), (shared_triple(plus, minus, dim - plus - minus),))
     steps = _profile_steps(domain, angles)
     cuts = [c for c, _, _ in steps]
     arc_plus, arc_minus, point_plus, point_minus = _read_arcs(
@@ -248,7 +248,8 @@ def index_profile(p: QuadraticPencil, domain: CircleSubset,
     def triple(v: tuple[int, int] | None) -> InertiaTriple | None:
         return None if v is None else shared_triple(v[0], v[1], dim - v[0] - v[1])
 
-    return IndexProfile(domain, tuple(cuts), tuple(map(triple, at)), tuple(map(triple, after)))
+    return IndexProfile(domain, tuple(cuts),
+                        _interleave(list(map(triple, at)), list(map(triple, after))))
 
 
 # ---------------------------------------------------------------------------
@@ -257,11 +258,8 @@ def index_profile(p: QuadraticPencil, domain: CircleSubset,
 
 def _where(profile: IndexProfile, keep: Callable[[InertiaTriple], bool]) -> CircleSubset:
     """The points of the domain whose inertia satisfies keep."""
-    def held(v: InertiaTriple | None) -> bool:
-        return v is not None and keep(v)
-
-    rows = [(c, held(v), held(a)) for c, v, a in zip(profile.cuts, profile.at, profile.after)]
-    return CircleSubset.from_steps(rows, held(profile.whole))
+    held = [v is not None and keep(v) for v in profile.cells]
+    return CircleSubset.from_steps(list(zip(profile.cuts, held[::2], held[1::2])), held[-1])
 
 
 def _runs_and_births(cells: list[int], top: int) -> tuple[list[int], list[int]]:
@@ -350,13 +348,9 @@ class FiltrationReport:
 
     @cached_property
     def _superlevel_counts(self) -> tuple[int, list[int], list[int]]:
-        """The least of the profile's cyclic cells at[0], after[0], at[1], ...,
-        which carry i_plus or -1 outside the domain (a profile with no cuts is
-        one cell), and their _runs_and_births up to level dim + 1."""
-        prof = self.profile
-        cells = [-1 if v is None else v.i_plus
-                 for pair in (zip(prof.at, prof.after) if prof.cuts else [(prof.whole,)])
-                 for v in pair]
+        """The least of the profile's cyclic cells, read as i_plus or -1
+        outside the domain, and their _runs_and_births up to level dim + 1."""
+        cells = [-1 if v is None else v.i_plus for v in self.profile.cells]
         return (min(cells), *_runs_and_births(cells, self.pencil.dim + 1))
 
     @cached_property

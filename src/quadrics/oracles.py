@@ -7,11 +7,13 @@ eigenspace around the circle.  Exact integer arithmetic on the stored
 doubles gives the inertia of a member (exact_inertia) and the real and
 non-real root counts of the determinant (exact_locus_counts), with no
 tolerance at all.  Nothing here shares code paths with the combinatorial
-machinery it verifies but the grid's counts: they take its zero band and
-Sturm pass, below pencil.COUNT_DIM after a Householder reduction of their
-own and from there up, or when both forms are tridiagonal, by the
-profile's own counter.  The references for a
-count are inertia() and the exact oracle.
+machinery it verifies but the grid's counts and its locate rule.  The
+counts take its zero band and Sturm pass, below pencil.COUNT_DIM after a
+Householder reduction of their own and from there up, or when both forms
+are tridiagonal, by the profile's own counter; the references for a count
+are inertia() and the exact oracle.  The grid reads the profile's and the
+domain's cells at each angle by circle._cells, the rule of
+CircleSubset.contains and IndexProfile.value_at_angle.
 verify_analysis keeps the grid's counts in arrays from the solve to the
 comparison with the profile (_grid_check), and the CLI's profile --grid
 writes them as they are (_grid_counts); grid_index_profile and
@@ -31,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .betti import AnalysisResult
-from .circle import TOL_ANGLE, PlanarCone
+from .circle import PlanarCone, _cells
 from .errors import InvalidInputError, NumericalError, OracleDisagreement
 from . import pencil
 from .filtration import FiltrationReport, IndexProfile
@@ -191,26 +193,6 @@ def grid_index_profile(p: QuadraticPencil, grid_n: int = 720) -> GridProfile:
     return GridProfile(len(thetas), tuple(thetas.tolist()), triples)
 
 
-def _cells(cuts: tuple, t: np.ndarray) -> np.ndarray:
-    """The cell of a step function on the circle holding each canonical
-    angle, by the rules of circle._locate: 2i within TOL_ANGLE of cuts[i],
-    2i + 1 on the open arc after it, and cell 0 for all with no cuts."""
-    if not cuts:
-        return np.zeros(len(t), dtype=np.intp)
-    c = np.array(cuts)
-    t = np.where(t >= TWO_PI - TOL_ANGLE, 0.0, t)
-    i = np.searchsorted(c, t, side="right") - 1
-    nxt = np.minimum(i + 1, len(c) - 1)
-    on_cut = (i >= 0) & (t - c[i] <= TOL_ANGLE)
-    on_next = ~on_cut & (i + 1 < len(c)) & (c[nxt] - t <= TOL_ANGLE)
-    return np.where(on_next, 2 * nxt, 2 * (i % len(c)) + ~on_cut)
-
-
-def _cell_values(cuts: tuple, at: tuple, after: tuple, whole) -> list:
-    """A step function's values, one per cell as _cells numbers them."""
-    return [v for pair in zip(at, after) for v in pair] if cuts else [whole]
-
-
 def _disagreeing(profile: IndexProfile, thetas: np.ndarray, sampled) -> np.ndarray:
     """The indices of the grid angles where the profile disagrees with the
     sampled counts, (i_plus, i_minus, i_zero) arrays with one entry per
@@ -218,7 +200,7 @@ def _disagreeing(profile: IndexProfile, thetas: np.ndarray, sampled) -> np.ndarr
     t = thetas % TWO_PI
     t[t >= TWO_PI] = 0.0  # as canonical_angle
     dom = profile.domain
-    todo = np.array(_cell_values(dom.cuts, dom.at, dom.after, dom.full))[_cells(dom.cuts, t)]
+    todo = np.array(dom.cells)[_cells(dom.cuts, t)]
     bps = np.sort(profile.breakpoint_angles())
     if len(bps):
         # the distance to the nearest breakpoint on either side, across the
@@ -237,8 +219,7 @@ def _disagreeing(profile: IndexProfile, thetas: np.ndarray, sampled) -> np.ndarr
                                     abs((th - bps[k % len(bps)] + PI) % TWO_PI - PI))
         todo &= near > CLUSTER_TOL
     # each count of each cell, -1 where no value is recorded: no sample equals it
-    values = _cell_values(profile.cuts, profile.at, profile.after, profile.whole)
-    recorded = np.array([(-1, -1, -1) if v is None else v for v in values]).T
+    recorded = np.array([(-1, -1, -1) if v is None else v for v in profile.cells]).T
     cell = _cells(profile.cuts, t)
     wrong = np.zeros(len(t), dtype=bool)
     for counts, got in zip(recorded, sampled):
@@ -265,9 +246,10 @@ def grid_profile_disagreements(profile: IndexProfile, grid: GridProfile) -> list
     inertia of a nearly-singular matrix is not decidable.
 
     The grid is checked in one array pass (_disagreeing), with the per-angle
-    rules: the domain and the profile are both step functions on cuts, read
-    as CircleSubset.contains and IndexProfile.value_at_angle read them, and
-    the guard measures the nearest sorted breakpoint on either side.
+    rules: the domain and the profile are both cyclic cell tuples on cuts,
+    each angle's cell found by circle._cells, the rule of
+    CircleSubset.contains and IndexProfile.value_at_angle, and the guard
+    measures the nearest sorted breakpoint on either side.
     """
     sampled = np.fromiter(chain.from_iterable(grid.triples), dtype=np.int64,
                           count=3 * len(grid.thetas)).reshape(-1, 3)

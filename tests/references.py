@@ -10,6 +10,8 @@ another route, and no library module calls them.
   subsets from the sets themselves: the components of the larger set that
   miss the smaller, and the exact sequence of the pair.
 - sylvester_check tests Sylvester's law of inertia on one congruence.
+- locate finds the cell of a step function on the circle holding one angle,
+  by bisection: the scalar reference for circle._cells.
 - angles_equal, subsets_equal and cones_equal compare angles, circle subsets
   and cones up to the angular tolerance.
 
@@ -20,6 +22,7 @@ pytest puts this directory on sys.path, so test modules import it as
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +34,6 @@ from quadrics.circle import (
     TWO_PI,
     CircleSubset,
     PlanarCone,
-    _locate,
     canonical_angle,
 )
 from quadrics.errors import InvalidInputError
@@ -68,6 +70,24 @@ def cones_equal(k1: PlanarCone, k2: PlanarCone) -> bool:
     return angles_equal(k1.start, k2.start) and abs(k1.sweep - k2.sweep) <= TOL_ANGLE
 
 
+def locate(cuts: tuple[float, ...], theta: float) -> int:
+    """The cell of a step function on the ascending cuts that holds theta:
+    2i when theta is within TOL_ANGLE of cuts[i], else 2i + 1 with theta on
+    the open arc after cuts[i]; 0 with no cuts.  theta is read modulo 2*pi,
+    the last TOL_ANGLE below 2*pi as 0."""
+    if not cuts:
+        return 0
+    t = theta % TWO_PI
+    if t >= TWO_PI - TOL_ANGLE:
+        t = 0.0
+    i = bisect_right(cuts, t) - 1
+    if i >= 0 and t - cuts[i] <= TOL_ANGLE:
+        return 2 * i
+    if i + 1 < len(cuts) and cuts[i + 1] - t <= TOL_ANGLE:
+        return 2 * i + 2
+    return 2 * (i % len(cuts)) + 1
+
+
 # ---------------------------------------------------------------------------
 # Euler characteristics of circle subsets and Betti numbers of pairs
 # ---------------------------------------------------------------------------
@@ -87,18 +107,19 @@ def _components_met(a: CircleSubset, b: CircleSubset) -> set[int]:
     point cuts[i].  Each held point and open arc of b lies in one component of
     a, so one pass over b's cuts, bisecting a's at a point of each, finds them.
     """
-    after, n = a.after, len(a.cuts)
+    cells, n = a.cells, len(a.cuts)
 
     def label(t: float) -> int:
-        j, on_cut = _locate(a.cuts, t)
-        if not on_cut or after[j]:
+        k = locate(a.cuts, t)
+        j = k // 2
+        if k % 2 or cells[k + 1]:
             return j
-        return (j - 1) % n if after[j - 1] else n + j
+        return (j - 1) % n if cells[k - 1] else n + j
 
     cb, m = b.cuts, len(b.cuts)
-    met = {label(cb[i]) for i in range(m) if b.at[i]}
+    met = {label(cb[i]) for i in range(m) if b.cells[2 * i]}
     met.update(label(0.5 * (cb[i] + (cb[i + 1] if i + 1 < m else cb[0] + TWO_PI)))
-               for i in range(m) if b.after[i])
+               for i in range(m) if b.cells[2 * i + 1])
     return met
 
 

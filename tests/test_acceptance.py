@@ -127,7 +127,7 @@ def test_criterion_4_extremal_family():
         p = extremal_family(n)
         hi = (n + 2) // 2
         prof = index_profile(p, FULL)
-        plus = [v.i_plus for v in prof.after]
+        plus = [v.i_plus for v in prof.cells[1::2]]
         if n % 2 == 0:
             assert len(plus) == 2 * (n + 1)
             assert plus.count(hi) == n + 1
@@ -138,7 +138,7 @@ def test_criterion_4_extremal_family():
             # the lower value degenerates to the n+1 double points
             assert len(plus) == n + 1
             assert all(v == hi for v in plus)
-            points = prof.at
+            points = prof.cells[::2]
             assert len(points) == n + 1
             assert all(v.i_plus == hi - 1 for v in points)
         rep = analyze(p, ZERO).report
@@ -337,7 +337,7 @@ def test_criterion_11_property_suites():
         dim = int(rng2.integers(2, 9))
         p = fixtures.random_pencil(rng2, dim)
         locus = degenerate_locus(p)
-        after = index_profile(p, FULL).after
+        after = index_profile(p, FULL).cells[1::2]
         assert len(after) == len(locus.points)
         for i, pt in enumerate(locus.points):
             if pt.multiplicity == 1:

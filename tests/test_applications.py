@@ -384,17 +384,17 @@ def test_extremal_profile_structure():
     for n in (2, 4, 6):
         prof = index_profile(extremal_family(n), CircleSubset.full_circle())
         hi = (n + 2) // 2
-        plus = [v.i_plus for v in prof.after]
+        plus = [v.i_plus for v in prof.cells[1::2]]
         assert len(plus) == 2 * (n + 1)
         assert plus.count(hi) == n + 1
         assert plus.count(hi - 1) == n + 1
     for n in (3, 5):
         prof = index_profile(extremal_family(n), CircleSubset.full_circle())
         hi = (n + 2) // 2
-        plus = [v.i_plus for v in prof.after]
+        plus = [v.i_plus for v in prof.cells[1::2]]
         assert len(plus) == n + 1
         assert all(v == hi for v in plus)
-        assert all(v.i_plus == hi - 1 for v in prof.at)
+        assert all(v.i_plus == hi - 1 for v in prof.cells[::2])
 
 
 def test_extremal_total_betti():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from quadrics.oracles import (exact_locus_counts, grid_index_profile, grid_profi
 from quadrics.pencil import QuadraticPencil, degenerate_locus
 
 PI = math.pi
+TWO_PI = 2.0 * math.pi
 ZERO = PlanarCone.zero()
 
 
@@ -270,6 +272,33 @@ def test_euler_matches_table_on_random_pencils():
         res = analyze(p, ZERO)
         if not res.report.empty:
             assert res.chi == res.report.chi
+
+
+ALL_CONES = (PlanarCone.zero(), PlanarCone.full(), PlanarCone.ray(0.7),
+             PlanarCone.line(2.0), PlanarCone.sector(0.3, 1.9), PlanarCone.halfplane(1.1))
+
+
+def test_the_homology_reads_only_the_cyclic_order_of_the_cells():
+    # the same cells on evenly spaced stand-in cuts give the same levels,
+    # pairs, table, Betti numbers and Euler number as on the true cuts
+    rng = np.random.default_rng(371)
+    pencils = [fixtures.bouquet(), fixtures.complex_squaring(), fixtures.doubled_squaring(),
+               fixtures.tripled_squaring(), fixtures.padded_squaring(), fixtures.four_lines(),
+               fixtures.definite_form(3)]
+    pencils += [extremal_family(n) for n in range(1, 9)]
+    pencils += [fixtures.random_pencil(rng, dim) for dim in range(2, 11)]
+    reads = (lambda f: f.betti_levels, lambda f: f.betti_pairs, build_table,
+             lambda f: betti_x(build_table(f)), euler_x)
+    moved = 0
+    for p in pencils:
+        for cone in ALL_CONES:
+            filt = filtration_for_cone(p, cone)
+            cuts = filt.profile.cuts
+            standins = tuple(TWO_PI * i / len(cuts) for i in range(len(cuts)))
+            other = replace(filt, profile=replace(filt.profile, cuts=standins))
+            assert [read(other) for read in reads] == [read(filt) for read in reads], (p.dim, cone)
+            moved += standins != cuts
+    assert moved > 100
 
 
 # ---------------------------------------------------------------------------

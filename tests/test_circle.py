@@ -2,6 +2,7 @@ import functools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -12,6 +13,7 @@ from quadrics.circle import (
     TOL_ANGLE,
     CircleSubset,
     PlanarCone,
+    _cells,
     betti_circle,
     canonical_angle,
     closed_half_circle,
@@ -20,8 +22,9 @@ from quadrics.circle import (
     polar_cone,
 )
 from quadrics.errors import InvalidInputError
-from quadrics.filtration import filtration_for_cone
-from references import angles_equal, betti_pair, cones_equal, euler_circle, subsets_equal
+from quadrics.filtration import filtration_for_cone, index_profile
+from references import (angles_equal, betti_pair, cones_equal, euler_circle, locate,
+                        subsets_equal)
 
 PI = math.pi
 TWO_PI = 2 * math.pi
@@ -33,7 +36,7 @@ def _union(sets) -> CircleSubset:
 
 
 def _is_one_point(a: CircleSubset) -> bool:
-    return len(a.cuts) == 1 and a.after == (False,)
+    return len(a.cuts) == 1 and a.cells[1::2] == (False,)
 
 
 # ---------------------------------------------------------------------------
@@ -504,6 +507,83 @@ def test_non_finite_angles_are_invalid_input(bad):
     for call in calls:
         with pytest.raises(InvalidInputError):
             call()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_membership_and_profile_values_at_non_finite_angles_are_invalid_input(bad):
+    bouquet = fixtures.bouquet()
+    sets = [arc(5.0, 1.0), point(1.0), CircleSubset.full_circle(), CircleSubset.empty()]
+    profiles = [filtration_for_cone(bouquet, PlanarCone.zero()).profile,
+                index_profile(bouquet, arc(5.0, 1.0)),
+                index_profile(bouquet, CircleSubset.empty())]
+    for call in [s.contains for s in sets] + [prof.value_at_angle for prof in profiles]:
+        with pytest.raises(InvalidInputError, match="not finite"):
+            call(bad)
+
+
+def _folded(theta):
+    """theta's canonical angle, the last TOL_ANGLE below 2*pi read as 0."""
+    t = canonical_angle(theta)
+    return 0.0 if t >= TWO_PI - TOL_ANGLE else t
+
+
+def test_arc_cuts_keep_the_bits_of_their_ends():
+    # start plus the sweep (end - start) mod 2*pi can differ from end in its
+    # last bit; each cut is the folded angle of the end it was given
+    assert arc(5.0, 2.356194490192345).cuts == (2.356194490192345, 5.0)
+    rnd = random.Random(0)
+    checked = 0
+    for _ in range(20000):
+        start, end = rnd.uniform(-10.0, 10.0), rnd.uniform(-10.0, 10.0)
+        closed = (rnd.random() < 0.5, rnd.random() < 0.5)
+        s, e = _folded(start), _folded(end)
+        if min(abs(e - s), TWO_PI - abs(e - s)) <= 2 * TOL_ANGLE:
+            continue
+        assert arc(start, end, *closed).cuts == tuple(sorted((s, e))), (start, end)
+        checked += 1
+    assert checked > 19900
+
+
+def _digest_subsets():
+    """The circle subsets of scripts/answer_digest.py: the polar traces of
+    every cone kind and of the nonpositive quadrant, and the half circles on
+    and near the seam, alone and cut by the quadrant's trace."""
+    quadrant = omega_set(PlanarCone.nonpositive_quadrant())
+    cones = [PlanarCone.zero(), PlanarCone.full(), PlanarCone.ray(0.7), PlanarCone.line(2.0),
+             PlanarCone.sector(0.3, 1.9), PlanarCone.halfplane(1.1)]
+    out = [omega_set(k) for k in cones] + [quadrant]
+    for t in (0.0, PI / 2, PI, 3 * PI / 2, -1e-10, TWO_PI - 5e-10, 7.0):
+        out += [open_half_circle(t), closed_half_circle(t),
+                quadrant.intersect(open_half_circle(t))]
+    return out
+
+
+def _probes(cuts):
+    """Each cut, the angles TOL_ANGLE (1 +- 1e-6) either side of it, and
+    angles on and near the seam and past a turn."""
+    out = [-1e-10, TWO_PI - 5e-10, TWO_PI, 7.0, -7.0]
+    for c in cuts:
+        out += [c] + [c + sign * f * TOL_ANGLE for sign in (1, -1) for f in (1 - 1e-6, 1 + 1e-6)]
+    return out
+
+
+def test_the_locate_rule_equals_the_reference_bisection():
+    rng = np.random.default_rng(37)
+    cones = [PlanarCone.zero(), PlanarCone.ray(0.7), PlanarCone.line(2.0),
+             PlanarCone.sector(0.3, 1.9), PlanarCone.halfplane(1.1)]
+    pencils = [fixtures.bouquet(), extremal_family(3), extremal_family(7)]
+    pencils += [fixtures.random_pencil(rng, dim) for dim in range(2, 9) for _ in range(2)]
+    profiles = [index_profile(p, omega_set(k)) for p in pencils for k in cones]
+    subsets = _digest_subsets() + [prof.domain for prof in profiles]
+    steps = [(s.cuts, s.cells, s.contains) for s in subsets]
+    steps += [(prof.cuts, prof.cells, prof.value_at_angle) for prof in profiles]
+    for cuts, cells, read in steps:
+        probes = _probes(cuts)
+        expected = [locate(cuts, t) for t in probes]
+        assert _cells(cuts, np.array(probes)).tolist() == expected, cuts
+        assert [int(_cells(cuts, t)) for t in probes] == expected, cuts
+        assert [read(t) for t in probes] == [cells[k] for k in expected], cuts
+    assert sum(len(cuts) for cuts, _, _ in steps) > 400
 
 
 @pytest.mark.parametrize("generator", [[10 ** 400, 0], [1, -10 ** 400]])

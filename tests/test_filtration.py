@@ -44,14 +44,14 @@ ALL_CONES = (PlanarCone.zero(), PlanarCone.full(), PlanarCone.ray(0.7),
 
 
 def _points(prof):
-    return [(c, v) for c, v in zip(prof.cuts, prof.at) if v is not None]
+    return [(c, v) for c, v in zip(prof.cuts, prof.cells[::2]) if v is not None]
 
 
 def _arcs(prof):
     """(start, end, value) for each held open arc between the profile's cuts,
     its end lifted past its start."""
     ends = [*prof.cuts[1:], *(c + TWO_PI for c in prof.cuts[:1])]
-    return [(c, e, v) for c, e, v in zip(prof.cuts, ends, prof.after) if v is not None]
+    return [(c, e, v) for c, e, v in zip(prof.cuts, ends, prof.cells[1::2]) if v is not None]
 
 
 def _arc_values(prof):
@@ -65,7 +65,7 @@ def _arc_values(prof):
 def test_bouquet_profile():
     prof = index_profile(fixtures.bouquet(), FULL)
     # on the full circle every cut is a breakpoint and starts a held arc
-    assert len(prof.cuts) == 2 and None not in prof.at + prof.after
+    assert len(prof.cuts) == 2 and None not in prof.cells
     points = _points(prof)
     assert len(points) == 2
     assert abs(points[0][0] - PI / 2) <= 1e-7
@@ -111,13 +111,13 @@ def test_profile_on_arc_domain():
 def test_profile_point_domain():
     dom = CircleSubset.point(PI / 2)
     prof = index_profile(fixtures.bouquet(), dom)
-    assert prof.cuts == dom.cuts and prof.after == (None,)
-    assert prof.at[0].i_plus == 1
+    assert prof.cuts == dom.cuts and prof.cells[1::2] == (None,)
+    assert prof.cells[0].i_plus == 1
 
 
 def test_profile_empty_domain():
     prof = index_profile(fixtures.bouquet(), CircleSubset.empty())
-    assert prof.cuts == () and prof.whole is None
+    assert prof.cuts == () and prof.cells == (None,)
     assert prof.max_positive_index() == 0
 
 
@@ -236,7 +236,7 @@ def test_a_corrupted_count_raises_naming_its_arc_or_breakpoint(monkeypatch):
                 checked += 1
         # the first solved point is at cut 0 on the full circle; there it reads
         # the arc after it, where that exceeds the arc before it in one count
-        after, before = prof.after[0], prof.after[-1]
+        after, before = prof.cells[1], prof.cells[-1]
         if domain.is_full() and (after.i_plus > before.i_plus or after.i_minus > before.i_minus):
             seam += 1
             with monkeypatch.context() as m:
@@ -396,10 +396,11 @@ def _open_cell(cuts, i):
 def _held_cells(prof, keep):
     """The profile's points and open arcs whose value satisfies keep, as sets."""
     if not prof.cuts:
-        held = prof.whole is not None and keep(prof.whole)
+        held = prof.cells[0] is not None and keep(prof.cells[0])
         return [FULL] if held else []
     return [CircleSubset.point(c) for c, v in _points(prof) if keep(v)] + \
-        [_open_cell(prof.cuts, i) for i, v in enumerate(prof.after) if v is not None and keep(v)]
+        [_open_cell(prof.cuts, i) for i, v in enumerate(prof.cells[1::2])
+         if v is not None and keep(v)]
 
 
 def test_range_rule_equals_the_union_of_cells():
@@ -540,7 +541,7 @@ def _check_profile_against_exact_arithmetic(pencils):
     arcs = simple = 0
     for p, exact_input in pencils:
         prof = index_profile(p, FULL)
-        values = [(0.0, prof.whole)] if not prof.cuts else \
+        values = [(0.0, prof.cells[0])] if not prof.cuts else \
             [(0.5 * (start + end), v) for start, end, v in _arcs(prof)]
         for mid, v in values:
             assert v == exact_inertia(p, math.cos(mid), math.sin(mid)), (p.dim, mid)

@@ -33,7 +33,7 @@ from quadrics.oracles import (
     stiefel_whitney,
     verify_analysis,
 )
-from references import FEAS_TOL, feasibility_sample
+from references import FEAS_TOL, feasibility_sample, locate
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -635,8 +635,8 @@ def test_verify_analysis_rejects_a_corrupted_profile():
                     (extremal_family(31), ZERO)]:
         res = analyze(p, cone)
         profile = res.filtration.profile
-        k = next(i for i, v in enumerate(profile.after) if v is not None)
-        profile = replace(profile, after=_corrupted(profile.after, k))
+        k = next(i for i, v in enumerate(profile.cells) if i % 2 and v is not None)
+        profile = replace(profile, cells=_corrupted(profile.cells, k))
         with pytest.raises(OracleDisagreement):
             verify_analysis(replace(res, filtration=replace(res.filtration, profile=profile)))
 
@@ -660,17 +660,19 @@ def test_verify_analysis_rejects_an_oracle_option_that_is_not_an_int(options):
 # ---------------------------------------------------------------------------
 
 def _disagreements_per_angle(profile, grid):
-    """The reference for grid_profile_disagreements: its rules, one angle at a time."""
+    """The reference for grid_profile_disagreements: its rules, one angle at a
+    time, each cell found by the reference bisection."""
     guard = CLUSTER_TOL
     breakpoints = profile.breakpoint_angles()
+    domain = profile.domain
     bad = []
     for th, triple in zip(grid.thetas, grid.triples):
-        if not profile.domain.contains(th):
+        if not domain.cells[locate(domain.cuts, th)]:
             continue
         if breakpoints and min(
                 abs((th - b + PI) % TWO_PI - PI) for b in breakpoints) <= guard:
             continue
-        recorded = profile.value_at_angle(th)
+        recorded = profile.cells[locate(profile.cuts, th)]
         if recorded is None or recorded != triple:
             bad.append(th)
     return bad
@@ -715,11 +717,11 @@ def test_the_verify_grid_check_flags_the_angles_of_the_public_one():
             cuts = profile.cuts
             if cuts:
                 ends = [*cuts[1:], cuts[0] + TWO_PI]
-                k = max((i for i, v in enumerate(profile.after) if v is not None),
+                k = max((i for i, v in enumerate(profile.cells[1::2]) if v is not None),
                         key=lambda i: ends[i] - cuts[i])
-                corrupted = replace(profile, after=_corrupted(profile.after, k))
+                corrupted = replace(profile, cells=_corrupted(profile.cells, 2 * k + 1))
             else:
-                corrupted = replace(profile, whole=_corrupted((profile.whole,), 0)[0])
+                corrupted = replace(profile, cells=_corrupted(profile.cells, 0))
             variants = [profile, IndexProfile(domain), corrupted]
             for grid_n in (720, 1999):
                 grid = grid_index_profile(p, grid_n=grid_n)
@@ -757,10 +759,10 @@ def test_grid_check_finds_each_corrupted_cell():
         step = TWO_PI / grid.resolution
         cuts = profile.cuts
         for k, c in enumerate(cuts):
-            if profile.at[k] is not None:
-                _checked(replace(profile, at=_corrupted(profile.at, k)), grid)
-            if profile.after[k] is not None:
-                bad = _checked(replace(profile, after=_corrupted(profile.after, k)), grid)
+            if profile.cells[2 * k] is not None:
+                _checked(replace(profile, cells=_corrupted(profile.cells, 2 * k)), grid)
+            if profile.cells[2 * k + 1] is not None:
+                bad = _checked(replace(profile, cells=_corrupted(profile.cells, 2 * k + 1)), grid)
                 end = cuts[k + 1] if k + 1 < len(cuts) else cuts[0] + TWO_PI
                 if end - c > 3 * step:
                     cell = CircleSubset.arc(c, end, False, False)

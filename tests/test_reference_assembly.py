@@ -97,7 +97,8 @@ def _reference_steps(domain, angles):
             if angles else []
     d = domain.cuts
     steps = []
-    for s, e, held, arc_held in zip(d, (*d[1:], d[0] + TWO_PI), domain.at, domain.after):
+    for s, e, held, arc_held in zip(d, (*d[1:], d[0] + TWO_PI), domain.cells[::2],
+                                    domain.cells[1::2]):
         if not arc_held:
             steps.append((s, held, None))
             continue
@@ -116,7 +117,7 @@ def reference_profile(p, domain, locus):
     dim = p.dim
     if not steps:
         ((plus, minus),), _ = _reference_read_arcs(p, [(0.0, TWO_PI)])
-        return IndexProfile(domain, whole=shared_triple(plus, minus, dim - plus - minus))
+        return IndexProfile(domain, (), (shared_triple(plus, minus, dim - plus - minus),))
     cuts = [c for c, _, _ in steps]
     points = [c for c, held, _ in steps if held]
     arcs = [arc for _, _, arc in steps if arc]
@@ -138,14 +139,13 @@ def reference_profile(p, domain, locus):
     def triple(v):
         return None if v is None else shared_triple(v[0], v[1], dim - v[0] - v[1])
 
-    return IndexProfile(domain, tuple(cuts), tuple(map(triple, at)), tuple(map(triple, after)))
+    return IndexProfile(domain, tuple(cuts),
+                        tuple(triple(v) for cell in zip(at, after) for v in cell))
 
 
 def reference_levels(profile, dim):
     """(b0, b1) of every superlevel set j = 0 .. dim + 1, level by level."""
-    cells = [-1 if v is None else v.i_plus
-             for pair in (zip(profile.at, profile.after) if profile.cuts else [(profile.whole,)])
-             for v in pair]
+    cells = [-1 if v is None else v.i_plus for v in profile.cells]
     low = min(cells)
     runs, _ = _runs_and_births(cells, dim + 1)
     return ((1, 1),) * (low + 1) + tuple((b0, 0) for b0 in runs[low + 1:])
@@ -178,7 +178,7 @@ def reference_analysis(p, cone):
     locus = reference_locus(p)
     domain = omega_set(cone)
     profile = reference_profile(p, domain, locus)
-    values = {*profile.at, *profile.after, profile.whole} - {None}
+    values = set(profile.cells) - {None}
     plus = [v.i_plus for v in values] or [0]
     mu, nu = max(plus), min(plus)
     if mu == nu and domain.is_full() and mu > p.dim // 2:
