@@ -281,7 +281,8 @@ class PlanarCone:
     angle in [start, start + sweep] counterclockwise, sweep in [0, pi].
     A halfplane's boundary line has directions start and start + pi with the
     cone on the counterclockwise side.  A line is the degenerate pair of
-    opposite rays at start and start + pi.
+    opposite rays at start and start + pi.  The sweep is pi for a halfplane,
+    strictly between 0 and pi for a sector and 0 for every other kind.
     """
 
     kind: str
@@ -293,8 +294,15 @@ class PlanarCone:
             raise InvalidInputError(f"unknown cone kind {self.kind!r}")
         _finite_angle(self.start)
         _finite_angle(self.sweep)
-        if self.kind == "sector" and not (0.0 < self.sweep < PI):
-            raise InvalidInputError("sector sweep must lie strictly between 0 and pi")
+        if self.kind == "sector":
+            if not 0.0 < self.sweep < PI:
+                raise InvalidInputError("sector sweep must lie strictly between 0 and pi")
+        elif self.sweep != (PI if self.kind == "halfplane" else 0.0):
+            # the polar cone follows the sweep, so a contradicting one would
+            # answer for another cone than the kind names
+            raise InvalidInputError(
+                f"{self.kind} cone needs sweep {'pi' if self.kind == 'halfplane' else 0}, "
+                f"not {self.sweep!r}")
 
     # -- constructors -------------------------------------------------
     @staticmethod

@@ -40,6 +40,7 @@ from .filtration import FiltrationReport, IndexProfile
 from .pencil import (
     AT_MANY_SLICE,
     CLUSTER_TOL,
+    MAX_ANGLES,
     TOL_EIG,
     InertiaTriple,
     QuadraticPencil,
@@ -57,10 +58,6 @@ MEMBERSHIP_DELTA = 5e-3
 # sampling draws up to SAMPLE_BATCHES batches of SAMPLE_BATCH points
 SAMPLE_BATCHES = 120
 SAMPLE_BATCH = 200_000
-# the largest grid_n the grid oracle takes, and the largest support
-# --directions of the CLI: a billion would ask numpy for gigabytes before
-# anything is solved, and README's dim-256 grid example uses 20000
-MAX_ANGLES = 1 << 20
 
 
 @dataclass(frozen=True)

@@ -73,6 +73,10 @@ IMAG_TOL = 1e-6
 # at_many builds its stack in slices of at most this many entries, so the
 # products of a slice stay in cache; a 720 x 6 x 6 grid is one slice
 AT_MANY_SLICE = 1 << 15
+# the largest grid_n the grid oracle takes, and the largest support
+# --directions of the CLI: a billion would ask numpy for gigabytes before
+# anything is solved, and README's dim-256 grid example uses 20000
+MAX_ANGLES = 1 << 20
 # family_counts, and the grid oracle, which reads this at call time, count
 # members of at least this dimension by a Sturm pass on their tridiagonal form
 # (_sturm_inertia); below it the profile solves a stack by eigvalsh and the

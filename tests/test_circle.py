@@ -455,6 +455,21 @@ def test_cone_json_roundtrip():
         assert cones_equal(k, k2), (k, k2)
 
 
+def test_a_sweep_that_contradicts_the_kind_is_invalid_input():
+    # the polar follows the sweep: the halfplane below once got a sector polar
+    # of sweep 2.14, and analyze answered b = (1, 1, 0, 0) on the bouquet
+    # where PlanarCone.halfplane(0.0) answers (1, 1, 1, 0)
+    for kind, start, sweep in [("halfplane", 0.0, 1.0), ("ray", 0.3, 2.0), ("line", 1.0, PI),
+                               ("zero", 0.0, 1.0), ("full", 0.0, PI)]:
+        with pytest.raises(InvalidInputError, match=f"{kind} cone needs sweep"):
+            PlanarCone(kind, start, sweep)
+    # every constructor, its polar and its JSON round trip pass the check
+    for k in all_cone_kinds() + [PlanarCone.ray(6.0), PlanarCone.sector(5.5, 0.2),
+                                 PlanarCone.halfplane(4.0), PlanarCone.line(5.0)]:
+        for cone in (k, polar_cone(k), PlanarCone.from_json(k.to_json())):
+            assert PlanarCone(cone.kind, cone.start, cone.sweep) == cone
+
+
 def _item(kind, start, end, closed_start=True, closed_end=True):
     return {"type": kind, "start": start, "end": end,
             "closed_start": closed_start, "closed_end": closed_end}

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import io
 import json
@@ -11,7 +12,7 @@ import quadrics
 from quadrics import fixtures
 from quadrics.applications import extremal_family
 from quadrics.circle import PlanarCone
-from quadrics.cli import run
+from quadrics.cli import build_parser, run
 
 PI = math.pi
 
@@ -373,6 +374,55 @@ def test_a_flag_the_subcommand_does_not_read_exits_2(capsys, command, flag):
         run([command, *_REQUIRED.get(command, []), flag, *value])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+class _UnreadableStdin:
+    def read(self, *args):
+        raise AssertionError("standard input was read")
+
+
+def test_every_subcommand_writes_its_one_object_the_same_way(tmp_path, monkeypatch, capsys):
+    # run() alone reads the problem and writes the result: --output FILE holds
+    # the very bytes stdout gets without it, and a subcommand that does not
+    # declare --input never reads standard input
+    monkeypatch.chdir(tmp_path)  # profile's p.csv
+    monkeypatch.setattr(sys, "stdin", _UnreadableStdin())
+    inp = _write_problem(tmp_path, fixtures.bouquet(), c=[1.0, 0.0])
+    (subparsers,) = [a for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    no_input = set()
+    for command, sub in subparsers.choices.items():
+        argv = [command, *_REQUIRED.get(command, [])]
+        if "--input" in sub._option_string_actions:
+            argv += ["--input", inp]
+        else:
+            no_input.add(command)
+        assert run(argv) == 0, command
+        printed = capsys.readouterr().out
+        assert printed.endswith("\n") and printed.count("\n") == 1, command
+        assert isinstance(json.loads(printed), dict), command
+        assert run([*argv, "--output", "out.json"]) == 0, command
+        assert capsys.readouterr().out == "", command
+        assert (tmp_path / "out.json").read_bytes() == printed.encode(), command
+    assert no_input == {"extremal", "fixture"}
+
+
+def test_the_command_line_loads_the_oracles_only_where_it_calls_them(tmp_path):
+    # a cold start pays for quadrics.oracles only in verify, betti-x --verify
+    # and profile --grid; support --directions reads its cap from pencil
+    inp = _write_problem(tmp_path, fixtures.bouquet())
+    code = ("import os, sys, quadrics.cli\n"
+            "loaded = lambda: 'quadrics.oracles' in sys.modules\n"
+            "seen = [loaded()]\n"
+            f"for argv in (['betti-x'], ['support', '--directions', '8'],"
+            f" ['profile', '--csv', os.devnull], ['betti-x', '--verify']):\n"
+            f"    assert quadrics.cli.run([*argv, '--input', {inp!r},"
+            f" '--output', os.devnull]) == 0\n"
+            "    seen.append(loaded())\n"
+            "print(seen)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[False, False, False, False, True]\n"
 
 
 def test_an_entry_past_the_bound_exit_code(tmp_path, capsys):
